@@ -209,10 +209,11 @@ def threshold_weak(d, a_off, eps: float) -> float:
     )
 
 
-def threshold_distinct(d, a_off, eps: float) -> float:
+def threshold_distinct(d, a_off, eps) -> float:
     """Corner growth bound ``sum|a|^2/eps + (n-1) * sum|d| + (n-2) * eps``
-    used when the diagonal entries are pairwise distinct."""
-    if eps <= 0:
+    used when the diagonal entries are pairwise distinct.  ``eps`` may be
+    one value per stacked spec."""
+    if np.any(np.asarray(eps) <= 0):
         raise ValueError("eps must be positive")
     d, asq = _weights(d, a_off)
     n = d.shape[-1] + 1
@@ -384,23 +385,18 @@ def _batch_eigenvalues(d, a, corner):
 def _chunk_stats(mode, n, eps, corner_fraction, seed, chunk_id, count):
     rng = np.random.default_rng([seed, chunk_id])
     d, a = _draw_specs(n, count, rng)
-    asq = np.sum(np.abs(a) ** 2, axis=-1)
-    abs_d = np.sum(np.abs(d), axis=-1)
+    eps_used = np.full(count, eps)
     if mode == "strong":
-        thr = (2 * n - 3) / eps * asq + (n - 1) * abs_d + (n - 2) * eps / (2 * n - 3)
-        eps_used = np.full(count, eps)
+        thr = threshold_strong(d, a, eps)
     elif mode == "weak":
-        thr = asq / eps + np.sum(d + (n - 2) * np.abs(d), axis=-1) + (n - 2) * eps
-        eps_used = np.full(count, eps)
+        thr = threshold_weak(d, a, eps)
     elif mode == "distinct":
         if n >= 3:
             gaps = np.abs(d[:, :, None] - d[:, None, :])
             iu = np.triu_indices(n - 1, k=1)
             min_gap = gaps[:, iu[0], iu[1]].min(axis=1)
             eps_used = np.minimum(eps, 0.5 * min_gap)
-        else:
-            eps_used = np.full(count, eps)
-        thr = asq / eps_used + (n - 1) * abs_d + (n - 2) * eps_used
+        thr = threshold_distinct(d, a, eps_used)
     else:
         raise ValueError(f"unknown sweep mode {mode!r}")
     corner = corner_fraction * thr

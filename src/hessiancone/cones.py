@@ -8,9 +8,11 @@ concave on their cone, with positive partial derivatives:
 * ``hessian_quotient``: f = (sigma_l/sigma_k)^(1/(l-k)), k < l, on Gamma_l,
 
 where sigma_j is the j-th elementary symmetric polynomial and
-Gamma_k = {lambda : sigma_j(lambda) > 0 for j = 1..k}.  The limit of f at
-the cone boundary is 0 for each family, so the degeneracy gap of a
-right-hand side psi is simply ``min(psi)``.
+Gamma_k = {lambda : sigma_j(lambda) > 0 for j = 1..k}; ``in_cone`` is the
+one admissibility test.  The limit of f at the cone boundary is 0 for each
+family, so the degeneracy gap of a right-hand side psi is simply
+``min(psi)``.  Homogeneity of degree one gives closed forms: the ray
+t * lambda meets the level set {f = sigma} at t = sigma / f(lambda).
 
 Evaluation goes through the elementary-symmetric recursion rather than
 polynomial expansion.  Most functions accept stacked inputs with the
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "SymmetricFunction",
@@ -275,45 +276,20 @@ def euler_positivity(fun: SymmetricFunction, lam) -> float:
 def ray_intersect(fun: SymmetricFunction, lam, sigma: float) -> float:
     """Unique t > 0 with f(t * lambda) = sigma.
 
-    The map t -> f(t lambda) is strictly increasing in the cone, so a
-    power-of-two bracket followed by root finding succeeds for every
-    sigma in (0, sup f); a bracketing failure would indicate a family
-    violating the growth assumption and is raised loudly.
+    Every shipped family is homogeneous of degree one, so f(t lambda) =
+    t f(lambda) and t = sigma / f(lambda).  The level equation is still
+    checked at the returned t; a residual above RAY_RTOL (1 + sigma) is
+    raised loudly.
     """
     lam = np.asarray(lam, dtype=float)
     _require_in_cone(fun, lam)
     if not sigma > fun.sup_boundary:
         raise ValueError(f"sigma={sigma!r} not above the boundary sup 0")
-    lo = hi = 1.0
-    for _ in range(200):
-        if f_many(fun, hi * lam) >= sigma:
-            break
-        hi *= 2.0
-    else:
-        raise ArithmeticError("bracketing failure: f(t*lambda) stays below sigma")
-    for _ in range(200):
-        if f_many(fun, lo * lam) <= sigma:
-            break
-        lo /= 2.0
-    else:
-        raise ArithmeticError("bracketing failure: f(t*lambda) stays above sigma")
-    if lo == hi:
-        t = lo
-    else:
-        t = brentq(
-            lambda s: f_many(fun, s * lam) - sigma, lo, hi, xtol=1e-30, rtol=8.9e-16
-        )
-    # Newton polish: d/dt f(t lambda) = sum f_i(t lambda) lambda_i
-    for _ in range(3):
-        resid = f_many(fun, t * lam) - sigma
-        if abs(resid) <= RAY_RTOL * (1.0 + abs(sigma)):
-            break
-        slope = float(grad_many(fun, t * lam) @ lam)
-        t -= resid / slope
+    t = sigma / float(f_many(fun, lam))
     resid = float(f_many(fun, t * lam) - sigma)
     if abs(resid) > RAY_RTOL * (1.0 + abs(sigma)):
         raise ArithmeticError(f"ray solve residual {resid!r} above tolerance")
-    return float(t)
+    return t
 
 
 @dataclass(frozen=True)
@@ -476,10 +452,9 @@ def delta_nondegeneracy(fun: SymmetricFunction, psi_values) -> float:
 
 def kappa_lower_bound(fun: SymmetricFunction, sup_psi: float) -> float:
     """Uniform positive lower bound for sum f_i along {f = psi} levels:
-    kappa = (f((1+c0)*1) - sup_psi)/(1+c0) with f(c0*1) = sup_psi."""
-    ones = np.ones(fun.n)
-    c0 = ray_intersect(fun, ones, sup_psi)
-    kappa = (f_eval(fun, (1.0 + c0) * ones) - sup_psi) / (1.0 + c0)
-    if not kappa > 0:
-        raise ArithmeticError("kappa must be positive")
-    return float(kappa)
+    kappa = (f((1+c0)*1) - sup_psi)/(1+c0) with f(c0*1) = sup_psi, which
+    degree-one homogeneity reduces to f(1)^2 / (f(1) + sup_psi)."""
+    if not sup_psi > fun.sup_boundary:
+        raise ValueError(f"sup_psi={sup_psi!r} not above the boundary sup 0")
+    f1 = f_eval(fun, np.ones(fun.n))
+    return f1 * f1 / (f1 + sup_psi)

@@ -175,11 +175,14 @@ def eigen_field(g: HermitianFormField) -> np.ndarray:
     return np.linalg.eigvalsh(g.values)
 
 
-def _first_bad_node(ok_mask, geom):
-    bad = np.argwhere(~ok_mask)[0]
-    node = list(bad)
-    node[geom.dirichlet_axis] += 1  # interior index -> full-grid index
-    return node
+def _require_admissible(fun, lam, geom):
+    """Raise AdmissibilityError at the first node whose eigenvalues lie
+    outside the cone."""
+    ok = cones.in_cone(fun, lam)
+    if not np.all(ok):
+        node = list(np.argwhere(~ok)[0])
+        node[geom.dirichlet_axis] += 1  # interior index -> full-grid index
+        raise AdmissibilityError(node)
 
 
 def residual(u, fun, psi_t, chi=None) -> np.ndarray:
@@ -189,19 +192,10 @@ def residual(u, fun, psi_t, chi=None) -> np.ndarray:
     node's eigenvalues leave the cone.
     """
     lam = eigen_field(form_field(u, chi))
-    e = cones.elem_sym(lam, fun.cone_order)
-    ok = np.all(e[..., 1:] > 0.0, axis=-1)
-    if not np.all(ok):
-        raise AdmissibilityError(_first_bad_node(ok, u.geom))
+    _require_admissible(fun, lam, u.geom)
     vals = cones.f_many(fun, lam)
     target = psi_t.values[u.geom.interior] if hasattr(psi_t, "values") else psi_t
     return vals - target
-
-
-def admissible_mask(u, fun, chi=None) -> np.ndarray:
-    lam = eigen_field(form_field(u, chi))
-    e = cones.elem_sym(lam, fun.cone_order)
-    return np.all(e[..., 1:] > 0.0, axis=-1)
 
 
 def _cluster_average(fp, lam):
@@ -229,10 +223,7 @@ def linearize(u, fun, chi=None) -> HermitianFormField:
     """
     g = form_field(u, chi)
     lam, vec = np.linalg.eigh(g.values)
-    e = cones.elem_sym(lam, fun.cone_order)
-    ok = np.all(e[..., 1:] > 0.0, axis=-1)
-    if not np.all(ok):
-        raise AdmissibilityError(_first_bad_node(ok, u.geom))
+    _require_admissible(fun, lam, u.geom)
     fp = cones.grad_many(fun, lam)
     fp = _cluster_average(fp, lam)
     coeff = np.einsum("...ip,...p,...jp->...ij", vec, fp, np.conj(vec))

@@ -161,8 +161,7 @@ def manufactured_psi(fun, chi, star_hessian) -> np.ndarray:
     """f(lambda(chi + analytic Hessian)) on the full grid."""
     g = np.asarray(chi) + star_hessian
     lam = np.linalg.eigvalsh(g)
-    e = cones.elem_sym(lam, fun.cone_order)
-    if not np.all(e[..., 1:] > 0.0):
+    if not np.all(cones.in_cone(fun, lam)):
         raise ValueError(
             "manufactured reference not admissible; lower the amplitude"
         )

@@ -40,18 +40,18 @@ from .operators import (
     gradient_boundary,
     gradient_interior,
     linearize,
+    residual,
+    _tangential_centered,
 )
 
 __all__ = [
     "SolverConfig",
-    "ContinuityState",
     "StageRecord",
     "SolveReport",
     "BarrierSpec",
     "BarrierReport",
     "SubsolutionError",
     "ContinuationError",
-    "newton_step",
     "continuity_solve",
     "solve_riemannian",
     "harmonic_majorant",
@@ -99,14 +99,6 @@ class StageRecord:
     t: float
     residuals: list
     dampings: list
-
-
-@dataclass
-class ContinuityState:
-    t: float
-    u: ScalarField
-    psi_t: np.ndarray  # interior target of the current stage
-    history: list = field(default_factory=list)
 
 
 @dataclass
@@ -187,46 +179,25 @@ def _interior_values(geom, f):
 
 
 def _residual_and_mask(u, fun, chi, psi_t_interior):
-    lam = eigen_field(form_field(u, chi))
-    e = cones.elem_sym(lam, fun.cone_order)
-    ok = np.all(e[..., 1:] > 0.0, axis=-1)
-    if not np.all(ok):
+    """Interior residual and its sup norm, or (None, None) when some node
+    is inadmissible."""
+    try:
+        r = residual(u, fun, psi_t_interior, chi)
+    except AdmissibilityError:
         return None, None
-    vals = cones.f_many(fun, lam)
-    r = vals - psi_t_interior
     return r, float(np.abs(r).max())
 
 
-def newton_step(state: ContinuityState, fun, chi, config: SolverConfig) -> ContinuityState:
-    """One damped Newton update of the current stage.
-
-    Solves the linearized system with homogeneous Dirichlet data for the
-    update, then applies the largest damping factor in 1, 1/2, ...,
-    2**-max_halvings that keeps every node admissible and reduces the
-    sup-norm residual.  Raises when no factor qualifies.
-    """
-    geom = state.u.geom
-    r, rn = _residual_and_mask(state.u, fun, chi, state.psi_t)
-    if r is None:
-        raise AdmissibilityError((-1,), "current iterate inadmissible")
-    if rn <= config.tolerance:
-        return state
-    F = linearize(state.u, fun, chi)
-    C = coefficient_tensor(F)
-    delta = solve_dirichlet(C, geom, -r, rtol=config.lin_rtol)
-    for k in range(config.max_halvings + 1):
-        theta = 0.5**k
-        trial = ScalarField(geom=geom, values=state.u.values + theta * delta)
-        r_trial, rn_trial = _residual_and_mask(trial, fun, chi, state.psi_t)
-        if r_trial is None or not rn_trial < rn:
-            continue
-        state.u = trial
-        state.history.append(("newton", state.t, rn_trial, theta))
-        return state
-    raise _StageFailure("no admissible damping factor reduced the residual")
-
-
 def _newton_solve(u0, fun, chi, psi_t, config, t_label):
+    """Damped Newton iteration of one continuity stage.
+
+    Each step solves the linearized system with homogeneous Dirichlet data
+    for the update, then applies the largest damping factor in 1, 1/2,
+    ..., 2**-max_halvings that keeps every node admissible and reduces the
+    sup-norm residual.  Returns (u, StageRecord); raises _StageFailure
+    when the start is inadmissible, the linear solve fails, no factor
+    qualifies or the iteration budget runs out.
+    """
     geom = u0.geom
     u = u0.copy()
     r, rn = _residual_and_mask(u, fun, chi, psi_t)
@@ -265,8 +236,7 @@ def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
         if np.abs(u_sub.values[sl] - phi.values[sl]).max() > BOUNDARY_MATCH_ATOL:
             raise SubsolutionError("subsolution does not match the boundary data")
     lam = eigen_field(form_field(u_sub, chi))
-    e = cones.elem_sym(lam, fun.cone_order)
-    if not np.all(e[..., 1:] > 0.0):
+    if not np.all(cones.in_cone(fun, lam)):
         raise SubsolutionError("subsolution not admissible at every node")
     psi0 = cones.f_many(fun, lam)
     if np.any(psi0 < psi_interior - SUBSOLUTION_SLACK):
@@ -411,13 +381,12 @@ def estimate_report(u) -> SolveReport:
     )
     sup_grad = max(report.sup_grad_interior, report.sup_grad_boundary)
 
+    h_int = eigen_field(form_field(u, None))
     if geom.is_complex:
-        h_int = eigen_field(form_field(u, None))
         faces = boundary_complex_hessian(u)
         n = geom.n
         tn = max(float(np.abs(f[..., : n - 1, n - 1]).max()) for f in faces)
     else:
-        h_int = np.linalg.eigvalsh(form_field(u, None).values)
         faces = boundary_real_hessian(u)
         d = geom.real_dims
         tn = max(float(np.abs(f[..., : d - 1, d - 1]).max()) for f in faces)
@@ -475,12 +444,12 @@ def _complex_tangential_squares(values, geom):
     return total
 
 
-def _face_tangential_squares(face_vals, geom, h):
+def _face_tangential_squares(face_vals, geom):
     total = np.zeros(face_vals.shape)
     for tau in range(geom.n - 1):
         xa, ya = geom.complex_axes(tau)
-        fx = (np.roll(face_vals, -1, xa) - np.roll(face_vals, 1, xa)) / (2 * h)
-        fy = (np.roll(face_vals, -1, ya) - np.roll(face_vals, 1, ya)) / (2 * h)
+        fx = _tangential_centered(face_vals, xa, geom.h)
+        fy = _tangential_centered(face_vals, ya, geom.h)
         total += 0.25 * (fx**2 + fy**2)
     return total
 
@@ -534,10 +503,10 @@ def barrier_eval(u, u_sub, phi, fun, chi, spec: BarrierSpec, p0_index, direction
     for face in (0, 1):
         sl = geom.boundary_slicer(face)
         fv = diff[sl]
-        fx = _face_tangential_squares(fv, geom, geom.h) / sq
+        fx = _face_tangential_squares(fv, geom) / sq
         # tangential D on the face (the direction axis is tangential)
         pos = axis if axis < da else axis - 1
-        dfv = sign * (np.roll(fv, -1, pos) - np.roll(fv, 1, pos)) / (2 * geom.h)
+        dfv = sign * _tangential_centered(fv, pos, geom.h)
         psi_tilde[sl] = -spec.A2 * sq * rho[sl] ** 2 + fx + dfv
 
     omega = rho < spec.delta

@@ -70,25 +70,22 @@ class TestTrivialSolve:
 class TestNewton:
     def test_zero_residual_is_fixed_point(self):
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
-        state = sv.ContinuityState(
-            t=1.0,
-            u=ScalarField.zeros(GEOM8),
-            psi_t=np.ones(GEOM8.interior_shape),
+        u, record = sv._newton_solve(
+            ScalarField.zeros(GEOM8), MA2, prob.chi,
+            np.ones(GEOM8.interior_shape), sv.SolverConfig(), 1.0,
         )
-        out = sv.newton_step(state, MA2, prob.chi, sv.SolverConfig())
-        assert out.u.sup() == 0.0 and not out.history
+        assert u.sup() == 0.0 and record.dampings == []
 
     def test_sigma1_single_step_solves_poisson(self):
         prob = pr.build_problem(GEOM8, S1, "manufactured", "zero", "star-bump")
         psi_int = prob.psi.values[GEOM8.interior]
-        state = sv.ContinuityState(
-            t=1.0, u=prob.u_sub.copy(), psi_t=psi_int
+        u, record = sv._newton_solve(
+            prob.u_sub, S1, prob.chi, psi_int, sv.SolverConfig(), 1.0
         )
-        out = sv.newton_step(state, S1, prob.chi, sv.SolverConfig())
-        lam = eigen_field(form_field(out.u, prob.chi))
+        lam = eigen_field(form_field(u, prob.chi))
         resid = np.abs(cn.f_many(S1, lam) - psi_int).max()
         assert resid <= 1e-9
-        assert out.history[-1][-1] == 1.0  # undamped step
+        assert record.dampings == [1.0]  # one undamped step
 
     def test_superlinear_tail(self):
         prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
