@@ -232,13 +232,18 @@ def check_concentration_strong(spec: ArrowheadSpec, eps: float) -> Concentration
     and ``0 <= lambda_n - corner < (n-1) eps``, requiring the strong
     growth condition on the corner."""
     thr = float(threshold_strong(spec.d, spec.a_off, eps))
+    return _per_index_report("strong", spec, eps, thr)
+
+
+def _per_index_report(mode, spec, eps, thr):
+    """Sorted-index deviations and corner excess against ``(n-1) eps``."""
     _require_at_threshold(spec, thr)
     lam = eigenvalues(spec).values
     n = spec.n
     dev = np.abs(np.sort(spec.d) - lam[: n - 1])
     excess = float(lam[-1] - spec.corner)
     return ConcentrationReport(
-        mode="strong",
+        mode=mode,
         epsilon=eps,
         threshold=thr,
         deviations=dev,
@@ -295,20 +300,7 @@ def check_concentration_distinct(spec: ArrowheadSpec, eps: float) -> Concentrati
     if eps <= 0:
         raise ValueError("eps must be positive")
     thr = float(threshold_distinct(d, spec.a_off, eps))
-    _require_at_threshold(spec, thr)
-    lam = eigenvalues(spec).values
-    n = spec.n
-    dev = np.abs(np.sort(d) - lam[: n - 1])
-    excess = float(lam[-1] - spec.corner)
-    return ConcentrationReport(
-        mode="distinct",
-        epsilon=eps,
-        threshold=thr,
-        deviations=dev,
-        corner_excess=excess,
-        deviation_ok=dev < eps + MARGIN,
-        excess_ok=(excess >= -MARGIN) and (excess < (n - 1) * eps + MARGIN),
-    )
+    return _per_index_report("distinct", spec, eps, thr)
 
 
 def deflate_repeated(spec: ArrowheadSpec) -> tuple[float, ArrowheadSpec]:

@@ -4,8 +4,9 @@ studies, all emitting CSV with a provenance header.
 Subcommands: lemma-sweep, cone-check, solve, boundary-scaling, degenerate.
 Every output begins with ``# hessiancone=<version> seed=<seed>
 config_sha256=<hash>``; identical config and seed give byte-identical
-files.  Exit status is 0 iff every enabled assertion passed.  The
-environment variable HESSIANCONE_THREADS caps sweep workers.
+files.  Exit status is 0 iff every enabled assertion passed, and 2 for a
+config key the command does not read.  The environment variable
+HESSIANCONE_THREADS caps sweep workers.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ import configparser
 import hashlib
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, arrowhead, cones
 from .geometry import CylinderGeometry, GridGeometry, write_field_csv, write_field_raw
+from .linsolve import LinearSolveError
+from .operators import AdmissibilityError
 from .presets import build_problem
 from .solve import (
     ContinuationError,
@@ -33,6 +37,10 @@ from .solve import (
 )
 
 FAST, FULL = "fast", "full"
+
+# errors of a solve that become a failure row and exit status 1
+SOLVE_ERRORS = (SubsolutionError, ContinuationError, LinearSolveError,
+                AdmissibilityError)
 
 
 def _read_config(path):
@@ -156,7 +164,7 @@ def _cone_rows(fun, samples, rng):
         fd = cones.fd_grad(fun, lam)
         err = float(np.abs(fd - g).max() / np.abs(g).max())
         max_fd_err = max(max_fd_err, err)
-        if err > 1e-5:
+        if not err <= 1e-5:  # a NaN difference counts as a failure
             fails["fd_gradient"] += 1
         res = cones.subsolution_gap(fun, np.ones(fun.n), lam, spec)
         if res.branch == "normal-far":
@@ -221,13 +229,10 @@ def cmd_cone_check(cfg, writer, seed, profile):
 
 
 def _solver_config(cfg):
-    return SolverConfig(
-        tolerance=float(cfg.get("tolerance", 1e-8)),
-        dt0=float(cfg.get("dt0", 0.1)),
-        dt_min=float(cfg.get("dt_min", 1e-4)),
-        max_newton=int(cfg.get("max_newton", 30)),
-        lin_rtol=float(cfg.get("lin_rtol", 1e-10)),
-    )
+    """SolverConfig defaults overridden by the solver keys in cfg."""
+    base = SolverConfig()
+    return replace(base, **{key: type(getattr(base, key))(cfg[key])
+                            for key in _SOLVER_KEYS if key in cfg})
 
 
 def _geometry(cfg, profile):
@@ -254,9 +259,10 @@ def cmd_solve(cfg, writer, seed, profile):
     try:
         u, report = solver(fun, prob.chi, prob.psi, prob.phi, prob.u_sub,
                            _solver_config(cfg))
-    except (SubsolutionError, ContinuationError) as exc:
+    except SOLVE_ERRORS as exc:
+        empty = "," * (SolveReport.CSV_FIELDS.count(",") - 2)
         writer.write("report.csv", SolveReport.CSV_FIELDS,
-                     [f"{fun.label},{geom.resolution},0,,,,,,,,,,,,,,"])
+                     [f"{fun.label},{geom.resolution},0{empty}"])
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
     rows = [report.csv_row()]
@@ -287,7 +293,7 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
         try:
             u, rep = continuity_solve(fun, prob.chi, prob.psi, prob.phi,
                                       prob.u_sub, config)
-        except (SubsolutionError, ContinuationError):
+        except SOLVE_ERRORS:
             failures += 1
             rows.append(f"{s!r},,,")
             continue
@@ -339,6 +345,19 @@ COMMANDS = {
     "degenerate": cmd_degenerate,
 }
 
+_PROBLEM_KEYS = ("geometry", "n", "d", "resolution", "kind")
+_SOLVER_KEYS = ("tolerance", "dt0", "dt_min", "max_newton", "lin_rtol")
+
+# the config keys each command reads; any other key is rejected
+CONFIG_KEYS = {
+    "lemma-sweep": ("ns", "eps", "trials", "corner_fractions"),
+    "cone-check": ("n", "kinds", "samples"),
+    "solve": _PROBLEM_KEYS + _SOLVER_KEYS
+    + ("psi", "phi", "subsolution", "scale", "dump_fields"),
+    "boundary-scaling": _PROBLEM_KEYS + _SOLVER_KEYS + ("scales",),
+    "degenerate": _PROBLEM_KEYS + _SOLVER_KEYS + ("eps_list",),
+}
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -354,6 +373,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     cfg, raw = _read_config(args.config)
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
+    if unknown:
+        print(f"unknown config key(s) for {args.command}: {', '.join(unknown)}",
+              file=sys.stderr)
+        return 2
     confhash = hashlib.sha256(raw).hexdigest()
     writer = _Writer(args.out, args.seed, confhash)
     failures = COMMANDS[args.command](cfg, writer, args.seed, args.profile)

@@ -293,13 +293,8 @@ def first_derivative_centered(u_full: np.ndarray, geom, axis: int) -> np.ndarray
 
 def gradient_interior(u) -> np.ndarray:
     """All first partials (centered) at interior nodes: (..., real_dims)."""
-    geom = u.geom
-    p = _padded(u.values, geom)
-    outs = [
-        (p[_window(geom, {a: 1})] - p[_window(geom, {a: -1})]) / (2.0 * geom.h)
-        for a in range(geom.real_dims)
-    ]
-    return np.stack(outs, axis=-1)
+    return np.stack([first_derivative_centered(u.values, u.geom, a)
+                     for a in range(u.geom.real_dims)], axis=-1)
 
 
 def _face_take(u_full, geom, index):

@@ -252,7 +252,8 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
 
     Returns (u, SolveReport).  The adaptive step starts at config.dt0,
     halves on stage failure, and stalls (raising ContinuationError) below
-    config.dt_min.
+    config.dt_min.  A stage that would leave less than config.dt_min to go
+    targets t = 1 exactly.
     """
     config = config or SolverConfig()
     geom = u_sub.geom
@@ -270,7 +271,9 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     stages = []
     last_rn = np.nan
     while t < 1.0:
-        t_target = min(1.0, t + dt)
+        # a gap below dt_min left after this stage would make a stage of
+        # rounding error only; close it now
+        t_target = t + dt if 1.0 - (t + dt) >= config.dt_min else 1.0
         psi_t = (1.0 - t_target) * psi0 + t_target * psi_interior
         try:
             u_new, record = _newton_solve(u, fun, chi, psi_t, config, t_target)
@@ -433,24 +436,13 @@ class BarrierReport:
     omega_nodes: int
 
 
-def _complex_tangential_squares(values, geom):
-    """sum over tangential complex directions of |d(v)/dz_tau|^2, interior."""
-    total = np.zeros(geom.interior_shape)
+def _tangential_squares(deriv, geom):
+    """sum over tangential complex directions of |dv/dz_tau|^2, where
+    ``deriv(axis)`` is the first derivative of v along a real axis."""
+    total = 0.0
     for tau in range(geom.n - 1):
         xa, ya = geom.complex_axes(tau)
-        dx = first_derivative_centered(values, geom, xa)
-        dy = first_derivative_centered(values, geom, ya)
-        total += 0.25 * (dx**2 + dy**2)  # |(dx - i dy)/2|^2
-    return total
-
-
-def _face_tangential_squares(face_vals, geom):
-    total = np.zeros(face_vals.shape)
-    for tau in range(geom.n - 1):
-        xa, ya = geom.complex_axes(tau)
-        fx = _tangential_centered(face_vals, xa, geom.h)
-        fy = _tangential_centered(face_vals, ya, geom.h)
-        total += 0.25 * (fx**2 + fy**2)
+        total = total + 0.25 * (deriv(xa) ** 2 + deriv(ya) ** 2)  # |(dx - i dy)/2|^2
     return total
 
 
@@ -497,13 +489,15 @@ def barrier_eval(u, u_sub, phi, fun, chi, spec: BarrierSpec, p0_index, direction
         spec.A1 * sq * (u_sub.values - u.values)[inside]
         - spec.A2 * sq * rho[inside] ** 2
         + spec.A3 * sq * (spec.N * sigma[inside] ** 2 - spec.t_barrier * sigma[inside])
-        + _complex_tangential_squares(diff, geom) / sq
+        + _tangential_squares(lambda a: first_derivative_centered(diff, geom, a),
+                              geom) / sq
         + sign * first_derivative_centered(diff, geom, axis)
     )
     for face in (0, 1):
         sl = geom.boundary_slicer(face)
         fv = diff[sl]
-        fx = _face_tangential_squares(fv, geom) / sq
+        fx = _tangential_squares(lambda a: _tangential_centered(fv, a, geom.h),
+                                 geom) / sq
         # tangential D on the face (the direction axis is tangential)
         pos = axis if axis < da else axis - 1
         dfv = sign * _tangential_centered(fv, pos, geom.h)
@@ -567,7 +561,8 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
         shifted = ScalarField(geom=geom, values=psi.values + eps)
         try:
             u, rep = continuity_solve(fun, chi, shifted, phi, u_sub, config)
-        except (SubsolutionError, ContinuationError, AdmissibilityError) as exc:
+        except (SubsolutionError, ContinuationError, AdmissibilityError,
+                LinearSolveError) as exc:
             row["error"] = type(exc).__name__
             rows.append(row)
             continue

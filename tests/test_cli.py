@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from hessiancone import cones as cn
+from hessiancone import solve as sv
 from hessiancone.cli import main
+from hessiancone.linsolve import LinearSolveError
 
 
 def run(tmp_path, command, cfg_text="", seed=0, profile="fast", sub="out"):
@@ -61,6 +64,13 @@ class TestConeCheck:
         assert "sigma1,gradient_positivity,60,0," in text
         assert "ma,euler_identity,60,0," in text
         assert "gap_epsprime_min" in text
+
+    def test_nan_finite_difference_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cn, "fd_grad", lambda fun, lam: np.full(lam.shape, np.nan))
+        code, out = run(tmp_path, "cone-check",
+                        "n = 3\nkinds = sigma1\nsamples = 20\n")
+        assert code == 1
+        assert "sigma1,fd_gradient,20,20," in (out / "cone_check.csv").read_text()
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = "n = 3\nkinds = quotient:1:2\nsamples = 40\n"
@@ -122,6 +132,25 @@ class TestSolveCommand:
         assert code == 1
         row = (out / "report.csv").read_text().splitlines()[2]
         assert row.split(",")[2] == "0"  # converged flag
+
+    def test_linear_solve_error_becomes_failure_row(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise LinearSolveError("forced")
+
+        monkeypatch.setattr(sv, "harmonic_majorant", fail)
+        code, out = run(tmp_path, "solve",
+                        "resolution = 8\nkind = ma\npsi = one\n"
+                        "subsolution = zero\n")
+        assert code == 1
+        header, row = (out / "report.csv").read_text().splitlines()[1:]
+        assert len(row.split(",")) == len(header.split(","))
+        assert row.startswith("ma,8,0,")
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        code, out = run(tmp_path, "solve", "resolution = 6\nresolutoin = 16\n")
+        assert code == 2
+        assert "resolutoin" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
 
 
 class TestScalingCommand:

@@ -93,6 +93,13 @@ class TestNewton:
         ratios = sv.newton_tail_ratios(rep.stage_history, count=2)
         assert ratios and all(r >= 10.0 for r in ratios)
 
+    def test_stages_end_exactly_at_one(self):
+        prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
+                                     "star-bump")
+        ts = [stage.t for stage in rep.stage_history]
+        assert all(a < b for a, b in zip(ts, ts[1:]))
+        assert ts[-1] == 1.0 and rep.continuity_stages == 10
+
     def test_subsolution_violation_rejected(self):
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
         bad_psi = ScalarField(geom=GEOM8, values=2.0 * np.ones(GEOM8.shape))
@@ -126,6 +133,19 @@ class TestNewton:
         rhs = rng.standard_normal(GEOM8.interior_shape)
         with pytest.raises(LinearSolveError):
             solve_dirichlet(C, GEOM8, rhs, maxiter=0)
+
+    def test_linear_solver_failure_in_newton_stalls_the_path(self, monkeypatch):
+        from hessiancone.linsolve import LinearSolveError
+
+        def fail(*args, **kwargs):
+            raise LinearSolveError("forced")
+
+        monkeypatch.setattr(sv, "solve_dirichlet", fail)
+        prob = pr.build_problem(GEOM8, MA2, "manufactured", "zero",
+                                "star-bump")
+        with pytest.raises(sv.ContinuationError, match="forced"):
+            sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi,
+                                prob.u_sub)
 
 
 class TestManufactured:
