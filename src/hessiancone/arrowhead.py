@@ -297,8 +297,6 @@ def check_concentration_distinct(spec: ArrowheadSpec, eps: float) -> Concentrati
             raise ValueError(
                 f"eps={eps!r} exceeds half the minimal diagonal gap {min_gap!r}"
             )
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     thr = float(threshold_distinct(d, spec.a_off, eps))
     return _per_index_report("distinct", spec, eps, thr)
 
