@@ -244,9 +244,7 @@ def _geometry(cfg, profile):
 
 def cmd_solve(cfg, writer, seed, profile):
     geom = _geometry(cfg, profile)
-    fun = cones.parse_kind(
-        str(cfg.get("kind", "ma")), geom.n if geom.is_complex else geom.real_dims
-    )
+    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
     prob = build_problem(
         geom,
         fun,
@@ -284,7 +282,7 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
     # the ratio study is resolution-stable at 16 per direction; config may
     # override, the profile does not
     geom = _geometry(cfg, FAST)
-    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.n)
+    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
     scales = _floats(cfg.get("scales", "1 2 4 8"))
     config = _solver_config(cfg)
     rows, ratios, failures = [], [], 0
@@ -313,7 +311,7 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
 
 def cmd_degenerate(cfg, writer, seed, profile):
     geom = _geometry(cfg, FAST)
-    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.n)
+    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
     eps_list = _floats(cfg.get("eps_list", "0.1 0.01 0.001"))
     prob = build_problem(geom, fun, "degenerate-cos", "zero", "zero")
     rows_data = degenerate_sweep(fun, prob.chi, prob.psi, prob.phi, prob.u_sub,

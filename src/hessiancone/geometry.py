@@ -71,6 +71,14 @@ class _FlatGrid:
         s[self.dirichlet_axis] -= 2
         return tuple(s)
 
+    @property
+    def faces(self) -> tuple:
+        """Index selecting both Dirichlet faces (first and last node along
+        the Dirichlet axis) in one go."""
+        sl = [slice(None)] * self.real_dims
+        sl[self.dirichlet_axis] = [0, -1]
+        return tuple(sl)
+
     def boundary_slicer(self, face: int) -> tuple:
         sl = [slice(None)] * self.real_dims
         sl[self.dirichlet_axis] = 0 if face == 0 else -1
@@ -133,6 +141,11 @@ class GridGeometry(_FlatGrid):
     def real_dims(self) -> int:
         return 2 * self.n
 
+    @property
+    def form_dim(self) -> int:
+        """Size of the Hessian form: the complex dimension n."""
+        return self.n
+
     def complex_axes(self, i: int) -> tuple:
         """(x_i, y_i) real-axis indices of complex direction i (0-based)."""
         return 2 * i, 2 * i + 1
@@ -155,6 +168,11 @@ class CylinderGeometry(_FlatGrid):
 
     @property
     def real_dims(self) -> int:
+        return self.d
+
+    @property
+    def form_dim(self) -> int:
+        """Size of the Hessian form: the real dimension d."""
         return self.d
 
 

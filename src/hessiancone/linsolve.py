@@ -79,9 +79,7 @@ def solve_dirichlet(
     rhs = np.asarray(rhs_interior, dtype=float).copy()
     if boundary_values is not None:
         bc = np.zeros(geom.shape)
-        for face in (0, 1):
-            sl = geom.boundary_slicer(face)
-            bc[sl] = boundary_values[sl]
+        bc[geom.faces] = boundary_values[geom.faces]
         rhs -= apply_second_order(C, bc, geom)
         full += bc
 

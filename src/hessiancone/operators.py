@@ -31,7 +31,6 @@ __all__ = [
     "linearize",
     "coefficient_tensor",
     "apply_second_order",
-    "complex_laplacian",
     "gradient_interior",
     "gradient_boundary",
     "boundary_complex_hessian",
@@ -67,50 +66,50 @@ class HermitianFormField:
 
 
 def _padded(u_full: np.ndarray, geom) -> np.ndarray:
-    """One ghost layer per axis: periodic wrap, zeros past the Dirichlet
-    faces (those ghosts are never read by interior stencils)."""
-    p = np.zeros(tuple(s + 2 for s in u_full.shape))
-    core = tuple(slice(1, -1) for _ in u_full.shape)
-    p[core] = u_full
-    # sequential full-extent wraps so ghost corners of axis pairs are right
-    for a in geom.periodic_axes:
-        lo = [slice(None)] * u_full.ndim
-        hi = [slice(None)] * u_full.ndim
-        lo[a] = 0
-        hi[a] = -1
-        src_hi = [slice(None)] * u_full.ndim
-        src_lo = [slice(None)] * u_full.ndim
-        src_hi[a] = -2
-        src_lo[a] = 1
-        p[tuple(lo)] = p[tuple(src_hi)]
-        p[tuple(hi)] = p[tuple(src_lo)]
-    return p
+    """One wrapped ghost layer on each periodic axis; along the Dirichlet
+    axis the two faces already border the interior."""
+    pad = [(1, 1)] * u_full.ndim
+    pad[geom.dirichlet_axis] = (0, 0)
+    return np.pad(u_full, pad, mode="wrap")
 
 
 def _window(geom, shifts) -> tuple:
     """Slice of a padded array over the interior, offset by shifts."""
-    sl = []
-    for a, size in enumerate(geom.shape):
-        lo = 1 if a != geom.dirichlet_axis else 2
-        hi = size + 1 if a != geom.dirichlet_axis else size
-        s = shifts.get(a, 0)
-        sl.append(slice(lo + s, hi + s))
-    return tuple(sl)
+    starts = [1 + shifts.get(a, 0) for a in range(geom.real_dims)]
+    return tuple(slice(s, s + size) for s, size in zip(starts, geom.interior_shape))
 
 
-def _pure_second(p, geom, a, h2):
-    plus = p[_window(geom, {a: 1})]
-    zero = p[_window(geom, {})]
-    minus = p[_window(geom, {a: -1})]
-    return (plus - 2.0 * zero + minus) / h2
+def _second_partials(u_full, geom):
+    """Callable (a, b) -> centered d^2 u / dx_a dx_b on the interior."""
+    p = _padded(u_full, geom)
+    h2 = geom.h * geom.h
+
+    def second(a, b):
+        if a == b:
+            plus, zero, minus = (p[_window(geom, {a: s})] for s in (1, 0, -1))
+            return (plus - 2.0 * zero + minus) / h2
+        pp, pm, mp, mm = (p[_window(geom, {a: sa, b: sb})]
+                          for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+        return (pp - pm - mp + mm) / (4.0 * h2)
+
+    return second
 
 
-def _mixed_second(p, geom, a, b, h2):
-    pp = p[_window(geom, {a: 1, b: 1})]
-    pm = p[_window(geom, {a: 1, b: -1})]
-    mp = p[_window(geom, {a: -1, b: 1})]
-    mm = p[_window(geom, {a: -1, b: -1})]
-    return (pp - pm - mp + mm) / (4.0 * h2)
+def _complex_form(second, geom, shape) -> np.ndarray:
+    """u_{i jbar} over nodes of the given shape, from the real second
+    partials ``second(a, b)``; the x_i y_i partials are never requested."""
+    n = geom.n
+    g = np.zeros(shape + (n, n), dtype=complex)
+    for i in range(n):
+        xi, yi = geom.complex_axes(i)
+        g[..., i, i] = 0.25 * (second(xi, xi) + second(yi, yi))
+        for j in range(i + 1, n):
+            xj, yj = geom.complex_axes(j)
+            re = second(xi, xj) + second(yi, yj)
+            im = second(xi, yj) - second(yi, xj)
+            g[..., i, j] = 0.25 * (re + 1j * im)
+            g[..., j, i] = np.conj(g[..., i, j])
+    return g
 
 
 def _chi_interior(chi, geom, dim, dtype):
@@ -131,22 +130,8 @@ def complex_hessian(u, chi=None) -> HermitianFormField:
     geom = u.geom
     if not geom.is_complex:
         raise ValueError("complex_hessian needs a complex geometry")
-    n = geom.n
-    h2 = geom.h * geom.h
-    p = _padded(u.values, geom)
-    g = np.zeros(geom.interior_shape + (n, n), dtype=complex)
-    for i in range(n):
-        xi, yi = geom.complex_axes(i)
-        g[..., i, i] = 0.25 * (
-            _pure_second(p, geom, xi, h2) + _pure_second(p, geom, yi, h2)
-        )
-        for j in range(i + 1, n):
-            xj, yj = geom.complex_axes(j)
-            re = _mixed_second(p, geom, xi, xj, h2) + _mixed_second(p, geom, yi, yj, h2)
-            im = _mixed_second(p, geom, xi, yj, h2) - _mixed_second(p, geom, yi, xj, h2)
-            g[..., i, j] = 0.25 * (re + 1j * im)
-            g[..., j, i] = np.conj(g[..., i, j])
-    g += _chi_interior(chi, geom, n, complex)
+    g = _complex_form(_second_partials(u.values, geom), geom, geom.interior_shape)
+    g += _chi_interior(chi, geom, geom.n, complex)
     return HermitianFormField(geom=geom, values=g)
 
 
@@ -154,14 +139,11 @@ def real_hessian(u, chi=None) -> HermitianFormField:
     """chi + real Hessian (flat Christoffel symbols) at interior nodes."""
     geom = u.geom
     d = geom.real_dims
-    h2 = geom.h * geom.h
-    p = _padded(u.values, geom)
+    second = _second_partials(u.values, geom)
     g = np.zeros(geom.interior_shape + (d, d))
     for a in range(d):
-        g[..., a, a] = _pure_second(p, geom, a, h2)
-        for b in range(a + 1, d):
-            g[..., a, b] = _mixed_second(p, geom, a, b, h2)
-            g[..., b, a] = g[..., a, b]
+        for b in range(a, d):
+            g[..., a, b] = g[..., b, a] = second(a, b)
     g += _chi_interior(chi, geom, d, float)
     return HermitianFormField(geom=geom, values=g)
 
@@ -237,7 +219,8 @@ def coefficient_tensor(F: HermitianFormField) -> np.ndarray:
     """Real symmetric coefficients over the real coordinates.
 
     For complex geometry the linearized operator is the trace pairing
-    trace(F H[v]) with H the complex Hessian; in real coordinates this is
+    trace(F H[v]) with H the complex Hessian (the adjoint of the map in
+    _complex_form); in real coordinates this is
     sum_ab C_ab d^2 v / dx_a dx_b with quarter blocks [[S, T], [-T, S]]
     (S = Re F, T = Im F) in interleaved (x_i, y_i) order.
     """
@@ -262,27 +245,15 @@ def coefficient_tensor(F: HermitianFormField) -> np.ndarray:
 def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom) -> np.ndarray:
     """sum_ab C_ab d^2 u / dx_a dx_b on the interior, C symmetric."""
     r = geom.real_dims
-    h2 = geom.h * geom.h
-    p = _padded(u_full, geom)
+    second = _second_partials(u_full, geom)
     out = np.zeros(geom.interior_shape)
     for a in range(r):
-        out += C[..., a, a] * _pure_second(p, geom, a, h2)
+        out += C[..., a, a] * second(a, a)
         for b in range(a + 1, r):
             cab = C[..., a, b]
             if np.any(cab):
-                out += 2.0 * cab * _mixed_second(p, geom, a, b, h2)
+                out += 2.0 * cab * second(a, b)
     return out
-
-
-def complex_laplacian(u) -> np.ndarray:
-    """Trace of the complex Hessian: quarter of the full flat Laplacian."""
-    geom = u.geom
-    h2 = geom.h * geom.h
-    p = _padded(u.values, geom)
-    out = np.zeros(geom.interior_shape)
-    for a in range(geom.real_dims):
-        out += _pure_second(p, geom, a, h2)
-    return 0.25 * out
 
 
 def first_derivative_centered(u_full: np.ndarray, geom, axis: int) -> np.ndarray:
@@ -297,10 +268,18 @@ def gradient_interior(u) -> np.ndarray:
                      for a in range(u.geom.real_dims)], axis=-1)
 
 
-def _face_take(u_full, geom, index):
-    sl = [slice(None)] * u_full.ndim
-    sl[geom.dirichlet_axis] = index
-    return u_full[tuple(sl)]
+def _face_layers(u_full, geom, face, count):
+    """The first ``count`` node layers from a Dirichlet face inwards, and
+    the inward sign along the Dirichlet axis (+1 on face 0, -1 on face 1)."""
+    da = geom.dirichlet_axis
+    idx, sgn = (0, 1) if face == 0 else (geom.shape[da] - 1, -1)
+    return [np.take(u_full, idx + sgn * k, axis=da) for k in range(count)], sgn
+
+
+def _one_sided(layers, sgn, h):
+    """Second-order one-sided derivative along the Dirichlet axis from the
+    face layers (oriented by the inward sign)."""
+    return sgn * (-3.0 * layers[0] + 4.0 * layers[1] - layers[2]) / (2.0 * h)
 
 
 def _tangential_centered(face_vals, axis_in_face, h):
@@ -316,23 +295,13 @@ def gradient_boundary(u) -> list:
     """Per face: (face_shape, real_dims) first derivatives; the normal
     derivative uses the second-order one-sided stencil."""
     geom = u.geom
-    h = geom.h
-    da = geom.dirichlet_axis
     out = []
     for face in (0, 1):
-        idx = 0 if face == 0 else geom.shape[da] - 1
-        f0 = _face_take(u.values, geom, idx)
-        grads = np.zeros(f0.shape + (geom.real_dims,))
+        layers, sgn = _face_layers(u.values, geom, face, 3)
+        grads = np.zeros(layers[0].shape + (geom.real_dims,))
         for pos, a in enumerate(_face_axes(geom)):
-            grads[..., a] = _tangential_centered(f0, pos, h)
-        if face == 0:
-            f1 = _face_take(u.values, geom, 1)
-            f2 = _face_take(u.values, geom, 2)
-            grads[..., da] = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
-        else:
-            f1 = _face_take(u.values, geom, idx - 1)
-            f2 = _face_take(u.values, geom, idx - 2)
-            grads[..., da] = (3.0 * f0 - 4.0 * f1 + f2) / (2.0 * h)
+            grads[..., a] = _tangential_centered(layers[0], pos, geom.h)
+        grads[..., geom.dirichlet_axis] = _one_sided(layers, sgn, geom.h)
         out.append(grads)
     return out
 
@@ -343,67 +312,33 @@ def _boundary_real_second(u_full, geom, face):
     h = geom.h
     h2 = h * h
     da = geom.dirichlet_axis
-    size = geom.shape[da]
-    idx = 0 if face == 0 else size - 1
-    sgn = 1 if face == 0 else -1
-    layers = [_face_take(u_full, geom, idx + sgn * k) for k in range(4)]
+    layers, sgn = _face_layers(u_full, geom, face, 4)
+    f0 = layers[0]
     faxes = _face_axes(geom)
     r = geom.real_dims
-    D = {}
+    D = np.zeros(f0.shape + (r, r))
     for pos_a, a in enumerate(faxes):
-        for pos_b, b in enumerate(faxes):
-            if b < a:
-                continue
-            if a == b:
-                D[(a, a)] = (
-                    np.roll(layers[0], -1, pos_a)
-                    - 2.0 * layers[0]
-                    + np.roll(layers[0], 1, pos_a)
-                ) / h2
-            else:
-                D[(a, b)] = (
-                    np.roll(np.roll(layers[0], -1, pos_a), -1, pos_b)
-                    - np.roll(np.roll(layers[0], -1, pos_a), 1, pos_b)
-                    - np.roll(np.roll(layers[0], 1, pos_a), -1, pos_b)
-                    + np.roll(np.roll(layers[0], 1, pos_a), 1, pos_b)
-                ) / (4.0 * h2)
-    # one-sided second derivative along the normal direction
-    D[(da, da)] = (
-        2.0 * layers[0] - 5.0 * layers[1] + 4.0 * layers[2] - layers[3]
-    ) / h2
-    # mixed normal-tangential: one-sided normal difference of the
-    # centered tangential derivative
-    for pos_a, a in enumerate(faxes):
-        tang = [_tangential_centered(layers[k], pos_a, h) for k in range(3)]
-        Dna = sgn * (-3.0 * tang[0] + 4.0 * tang[1] - tang[2]) / (2.0 * h)
-        key = (a, da) if a < da else (da, a)
-        D[key] = Dna
-    full = np.zeros(layers[0].shape + (r, r))
-    for (a, b), arr in D.items():
-        full[..., a, b] = arr
-        full[..., b, a] = arr
-    return full
+        D[..., a, a] = (np.roll(f0, -1, pos_a) - 2.0 * f0 + np.roll(f0, 1, pos_a)) / h2
+        for pos_b in range(pos_a + 1, len(faxes)):
+            b = faxes[pos_b]
+            D[..., a, b] = D[..., b, a] = (
+                np.roll(np.roll(f0, -1, pos_a), -1, pos_b)
+                - np.roll(np.roll(f0, -1, pos_a), 1, pos_b)
+                - np.roll(np.roll(f0, 1, pos_a), -1, pos_b)
+                + np.roll(np.roll(f0, 1, pos_a), 1, pos_b)
+            ) / (4.0 * h2)
+        # mixed normal-tangential: one-sided normal difference of the
+        # centered tangential derivative
+        tang = [_tangential_centered(layer, pos_a, h) for layer in layers[:3]]
+        D[..., a, da] = D[..., da, a] = _one_sided(tang, sgn, h)
+    D[..., da, da] = (2.0 * f0 - 5.0 * layers[1] + 4.0 * layers[2] - layers[3]) / h2
+    return D
 
 
 def boundary_complex_hessian(u) -> list:
     """Complex Hessian of u on each boundary face (no chi added)."""
-    geom = u.geom
-    n = geom.n
-    out = []
-    for face in (0, 1):
-        D = _boundary_real_second(u.values, geom, face)
-        H = np.zeros(D.shape[:-2] + (n, n), dtype=complex)
-        for i in range(n):
-            xi, yi = geom.complex_axes(i)
-            H[..., i, i] = 0.25 * (D[..., xi, xi] + D[..., yi, yi])
-            for j in range(i + 1, n):
-                xj, yj = geom.complex_axes(j)
-                re = D[..., xi, xj] + D[..., yi, yj]
-                im = D[..., xi, yj] - D[..., yi, xj]
-                H[..., i, j] = 0.25 * (re + 1j * im)
-                H[..., j, i] = np.conj(H[..., i, j])
-        out.append(H)
-    return out
+    return [_complex_form(lambda a, b: D[..., a, b], u.geom, D.shape[:-2])
+            for D in boundary_real_hessian(u)]
 
 
 def boundary_real_hessian(u) -> list:

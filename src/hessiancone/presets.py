@@ -58,8 +58,7 @@ DEGENERATE_LEVEL = 0.4
 
 
 def chi_identity(geom) -> np.ndarray:
-    dim = geom.n if geom.is_complex else geom.real_dims
-    return np.eye(dim, dtype=complex if geom.is_complex else float)
+    return np.eye(geom.form_dim, dtype=complex if geom.is_complex else float)
 
 
 def _complex_coords(geom):

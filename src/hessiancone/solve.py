@@ -29,11 +29,11 @@ from .geometry import ScalarField
 from .linsolve import LinearSolveError, solve_dirichlet
 from .operators import (
     AdmissibilityError,
+    HermitianFormField,
     apply_second_order,
     boundary_complex_hessian,
     boundary_real_hessian,
     coefficient_tensor,
-    complex_laplacian,
     eigen_field,
     first_derivative_centered,
     form_field,
@@ -41,6 +41,7 @@ from .operators import (
     gradient_interior,
     linearize,
     residual,
+    _chi_interior,
     _tangential_centered,
 )
 
@@ -230,11 +231,9 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
 
 
 def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
-    geom = u_sub.geom
-    for face in (0, 1):
-        sl = geom.boundary_slicer(face)
-        if np.abs(u_sub.values[sl] - phi.values[sl]).max() > BOUNDARY_MATCH_ATOL:
-            raise SubsolutionError("subsolution does not match the boundary data")
+    faces = u_sub.geom.faces
+    if np.abs(u_sub.values[faces] - phi.values[faces]).max() > BOUNDARY_MATCH_ATOL:
+        raise SubsolutionError("subsolution does not match the boundary data")
     lam = eigen_field(form_field(u_sub, chi))
     if not np.all(cones.in_cone(fun, lam)):
         raise SubsolutionError("subsolution not admissible at every node")
@@ -261,9 +260,7 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     psi0 = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
 
     u = ScalarField(geom=geom, values=u_sub.values.copy())
-    for face in (0, 1):
-        sl = geom.boundary_slicer(face)
-        u.values[sl] = phi.values[sl]
+    u.values[geom.faces] = phi.values[geom.faces]
 
     t = 0.0
     dt = config.dt0
@@ -338,22 +335,16 @@ def solve_riemannian(fun, chi_sym, psi, phi, u_sub, config: SolverConfig | None 
 def harmonic_majorant(chi, phi, geom) -> ScalarField:
     """Solve trace-Laplacian w = -trace(chi), w = phi on the faces.
 
-    On the complex model the trace Laplacian is sum_i w_{i ibar} (a
-    quarter of the flat Laplacian); on the cylinder it is the full one.
+    The trace Laplacian is the linearized operator of the identity form:
+    sum_i w_{i ibar} (a quarter of the flat Laplacian) on the complex
+    model, the full Laplacian on the cylinder.
     """
-    r = geom.real_dims
-    scale = 0.25 if geom.is_complex else 1.0
-    C = np.zeros(geom.interior_shape + (r, r))
-    for a in range(r):
-        C[..., a, a] = scale
-    dim = geom.n if geom.is_complex else r
-    chi_arr = np.asarray(chi) if chi is not None else np.zeros((dim, dim))
-    if chi_arr.shape == (dim, dim):
-        tr = float(np.trace(chi_arr).real) * np.ones(geom.interior_shape)
-    else:
-        sl = geom.interior if chi_arr.shape[:-2] == geom.shape else tuple()
-        tr = np.real(np.trace(chi_arr[sl], axis1=-2, axis2=-1))
-    values = solve_dirichlet(C, geom, -tr, boundary_values=phi.values)
+    dim = geom.form_dim
+    eye = np.broadcast_to(np.eye(dim), geom.interior_shape + (dim, dim))
+    C = coefficient_tensor(HermitianFormField(geom=geom, values=eye))
+    tr = np.trace(_chi_interior(chi, geom, dim, complex), axis1=-2, axis2=-1).real
+    values = solve_dirichlet(C, geom, -np.broadcast_to(tr, geom.interior_shape),
+                             boundary_values=phi.values)
     return ScalarField(geom=geom, values=values)
 
 
@@ -385,14 +376,9 @@ def estimate_report(u) -> SolveReport:
     sup_grad = max(report.sup_grad_interior, report.sup_grad_boundary)
 
     h_int = eigen_field(form_field(u, None))
-    if geom.is_complex:
-        faces = boundary_complex_hessian(u)
-        n = geom.n
-        tn = max(float(np.abs(f[..., : n - 1, n - 1]).max()) for f in faces)
-    else:
-        faces = boundary_real_hessian(u)
-        d = geom.real_dims
-        tn = max(float(np.abs(f[..., : d - 1, d - 1]).max()) for f in faces)
+    faces = (boundary_complex_hessian if geom.is_complex else boundary_real_hessian)(u)
+    k = geom.form_dim - 1
+    tn = max(float(np.abs(f[..., :k, k]).max()) for f in faces)
     report.sup_ddbar_interior = float(np.abs(h_int).max()) if h_int.size else 0.0
     report.sup_ddbar_boundary = max(
         float(np.abs(np.linalg.eigvalsh(f)).max()) for f in faces
@@ -493,20 +479,18 @@ def barrier_eval(u, u_sub, phi, fun, chi, spec: BarrierSpec, p0_index, direction
                               geom) / sq
         + sign * first_derivative_centered(diff, geom, axis)
     )
-    for face in (0, 1):
-        sl = geom.boundary_slicer(face)
-        fv = diff[sl]
-        fx = _tangential_squares(lambda a: _tangential_centered(fv, a, geom.h),
-                                 geom) / sq
-        # tangential D on the face (the direction axis is tangential)
-        pos = axis if axis < da else axis - 1
-        dfv = sign * _tangential_centered(fv, pos, geom.h)
-        psi_tilde[sl] = -spec.A2 * sq * rho[sl] ** 2 + fx + dfv
+    # both faces at once: the tangential axes keep their grid positions
+    faces = geom.faces
+    fv = diff[faces]
+    psi_tilde[faces] = (
+        -spec.A2 * sq * rho[faces] ** 2
+        + _tangential_squares(lambda a: _tangential_centered(fv, a, geom.h), geom) / sq
+        + sign * _tangential_centered(fv, axis, geom.h)
+    )
 
     omega = rho < spec.delta
     omega_int = omega.copy()
-    for face in (0, 1):
-        omega_int[geom.boundary_slicer(face)] = False
+    omega_int[faces] = False
 
     F = linearize(u, fun, chi)
     C = coefficient_tensor(F)
@@ -520,13 +504,8 @@ def barrier_eval(u, u_sub, phi, fun, chi, spec: BarrierSpec, p0_index, direction
     for a in range(geom.real_dims):
         eroded &= np.roll(omega, 1, axis=a) & np.roll(omega, -1, axis=a)
     ring = omega_int & ~eroded
-    edge_vals = [psi_tilde[ring]] if ring.any() else []
-    for face in (0, 1):
-        sl = geom.boundary_slicer(face)
-        face_mask = rho[sl] <= spec.delta
-        if face_mask.any():
-            edge_vals.append(psi_tilde[sl][face_mask])
-    max_ring = float(np.concatenate(edge_vals).max()) if edge_vals else np.nan
+    edge = np.concatenate([psi_tilde[ring], psi_tilde[faces][rho[faces] <= spec.delta]])
+    max_ring = float(edge.max()) if edge.size else np.nan
 
     return BarrierReport(
         psi_tilde=ScalarField(geom=geom, values=psi_tilde),
@@ -570,9 +549,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
         row["final_residual"] = rep.final_residual
         row["sup_u"] = rep.sup_u
         row["sup_grad"] = max(rep.sup_grad_interior, rep.sup_grad_boundary)
-        lap = complex_laplacian(u) if geom.is_complex else np.trace(
-            form_field(u, None).values, axis1=-2, axis2=-1
-        )
+        lap = np.trace(form_field(u, None).values, axis1=-2, axis2=-1).real
         row["sup_lap"] = float(np.abs(lap).max())
         rows.append(row)
     return rows

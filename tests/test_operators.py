@@ -222,6 +222,25 @@ class TestRealHessian:
         np.testing.assert_array_equal(g.values, np.swapaxes(g.values, -1, -2))
 
 
+def ddbar_from_real(D):
+    """u_{i jbar} = ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j})) / 4
+    from real second partials in interleaved (x_1, y_1, ..., x_n, y_n) order."""
+    X, Y = D[..., 0::2, 0::2], D[..., 1::2, 1::2]
+    XY, YX = D[..., 0::2, 1::2], D[..., 1::2, 0::2]
+    return 0.25 * ((X + Y) + 1j * (XY - YX))
+
+
+class TestComplexForm:
+    def test_interior_and_faces_match_real_hessian(self):
+        rng = np.random.default_rng(4)
+        u = ScalarField(geom=GEOM, values=rng.standard_normal(GEOM.shape))
+        np.testing.assert_allclose(op.complex_hessian(u).values,
+                                   ddbar_from_real(op.real_hessian(u).values),
+                                   rtol=0, atol=1e-12)
+        for H, D in zip(op.boundary_complex_hessian(u), op.boundary_real_hessian(u)):
+            np.testing.assert_allclose(H, ddbar_from_real(D), rtol=0, atol=1e-12)
+
+
 class TestBoundaryDerivatives:
     def test_linear_field_gradient(self):
         c = 0.7

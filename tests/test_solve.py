@@ -12,7 +12,7 @@ from hessiancone import presets as pr
 from hessiancone import solve as sv
 from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
 from hessiancone.linsolve import solve_dirichlet
-from hessiancone.operators import complex_laplacian, form_field, eigen_field
+from hessiancone.operators import form_field, eigen_field
 
 GEOM8 = GridGeometry(n=2, resolution=8)
 MA2 = cn.monge_ampere(2)
@@ -36,6 +36,14 @@ class TestHarmonicMajorant:
         w = sv.harmonic_majorant(np.eye(2), ScalarField.zeros(GEOM8), GEOM8)
         xn = GEOM8.grids()[GEOM8.dirichlet_axis]
         expected = np.broadcast_to(4.0 * xn * (1.0 - xn), GEOM8.shape)
+        np.testing.assert_allclose(w.values, expected, atol=1e-10)
+
+    def test_cylinder_identity_chi_profile(self):
+        # on the cylinder the trace Laplacian is the full one: Lap w = -3
+        geom = CylinderGeometry(d=3, resolution=8)
+        w = sv.harmonic_majorant(np.eye(3), ScalarField.zeros(geom), geom)
+        xd = geom.grids()[geom.dirichlet_axis]
+        expected = np.broadcast_to(1.5 * xd * (1.0 - xd), geom.shape)
         np.testing.assert_allclose(w.values, expected, atol=1e-10)
 
     def test_superposition(self):
