@@ -9,13 +9,11 @@ evaluates the growth thresholds, verifies the concentration bounds against
 a dense eigensolver, deflates repeated diagonal entries exactly, and runs
 randomized sweeps over spec families.
 
-All functions are pure; sweeps are deterministic for a fixed seed and
-chunk their trials identically regardless of worker count.
+All functions are pure; sweeps are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +46,8 @@ TRACE_RTOL = 1e-10
 
 SWEEP_CSV_HEADER = "n,eps,corner_fraction,max_dev,max_excess,violations"
 
-# Sweep trials are processed in fixed-size chunks with per-chunk RNG
-# streams, so results do not depend on the worker count.
+# Sweep trials are processed in fixed-size chunks, each drawing from its
+# own RNG stream; the chunk size is part of what defines a sweep's output.
 _CHUNK = 512
 
 
@@ -411,21 +409,17 @@ def _chunk_stats(mode, n, eps, corner_fraction, seed, chunk_id, count):
     )
 
 
-def _run_sweep(mode, n, eps, trials, seed, corner_fraction, workers):
+def _run_sweep(mode, n, eps, trials, seed, corner_fraction):
     if trials < 1:
         raise ValueError("trials must be >= 1")
     chunks = [
         (cid, min(_CHUNK, trials - cid * _CHUNK))
         for cid in range((trials + _CHUNK - 1) // _CHUNK)
     ]
-    args = [
-        (mode, n, eps, corner_fraction, seed, cid, count) for cid, count in chunks
+    results = [
+        _chunk_stats(mode, n, eps, corner_fraction, seed, cid, count)
+        for cid, count in chunks
     ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _chunk_stats(*t), args))
-    else:
-        results = [_chunk_stats(*t) for t in args]
     max_dev = max(r[0] for r in results)
     max_excess = max(r[1] for r in results)
     violations = sum(r[2] for r in results)
@@ -448,12 +442,11 @@ def sweep_below_threshold(
     trials: int,
     seed: int,
     corner_fraction: float = 0.5,
-    workers: int = 1,
 ) -> SweepSummary:
     """Observe deviations for random specs with the corner set to a
     fraction of the strong threshold.  No bound is claimed below the
     threshold; the summary reports what was seen."""
-    return _run_sweep("strong", n, eps, trials, seed, corner_fraction, workers)
+    return _run_sweep("strong", n, eps, trials, seed, corner_fraction)
 
 
 def sweep_at_threshold(
@@ -462,7 +455,6 @@ def sweep_at_threshold(
     eps: float,
     trials: int,
     seed: int,
-    workers: int = 1,
 ) -> SweepSummary:
     """Randomized verification sweep with the corner exactly at the
     growth threshold of the chosen check (strong / weak / distinct).
@@ -470,4 +462,4 @@ def sweep_at_threshold(
     For the distinct check the per-trial epsilon is capped at half the
     minimal diagonal gap, as the per-index bound requires.
     """
-    return _run_sweep(mode, n, eps, trials, seed, 1.0, workers)
+    return _run_sweep(mode, n, eps, trials, seed, 1.0)

@@ -5,8 +5,9 @@ Subcommands: lemma-sweep, cone-check, solve, boundary-scaling, degenerate.
 Every output begins with ``# hessiancone=<version> seed=<seed>
 config_sha256=<hash>``; identical config and seed give byte-identical
 files.  Exit status is 0 iff every enabled assertion passed, and 2 for a
-config key the command does not read.  The environment variable
-HESSIANCONE_THREADS caps sweep workers.
+config file the command cannot use: one that cannot be read, a key it
+does not read, or a value that does not parse or names no known function
+or preset.  Such a run prints one line to stderr and writes nothing.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
-import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -43,6 +44,21 @@ SOLVE_ERRORS = (SubsolutionError, ContinuationError, LinearSolveError,
                 AdmissibilityError)
 
 
+class ConfigError(ValueError):
+    """The config file cannot drive the command; exit status 2."""
+
+
+@contextmanager
+def _config_errors():
+    """Turn an error met while reading the config or setting up the run
+    into ConfigError.  Solves and sweeps run outside this block, so a fault
+    in the numerics still surfaces as itself."""
+    try:
+        yield
+    except (ValueError, OSError, configparser.Error) as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc  # one line
+
+
 def _read_config(path):
     if path is None:
         return {}, b""
@@ -58,14 +74,6 @@ def _read_config(path):
     return merged, raw
 
 
-def _workers():
-    env = os.environ.get("HESSIANCONE_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _floats(text):
     return [float(x) for x in str(text).replace(",", " ").split()]
 
@@ -75,16 +83,17 @@ def _ints(text):
 
 
 class _Writer:
-    """CSV writer with the provenance header."""
+    """CSV writer with the provenance header; the output directory is made
+    on the first write, so a run rejected during set-up leaves none."""
 
     def __init__(self, outdir, seed, confhash):
         self.outdir = Path(outdir)
-        self.outdir.mkdir(parents=True, exist_ok=True)
         self.prefix = (
             f"# hessiancone={__version__} seed={seed} config_sha256={confhash}\n"
         )
 
     def write(self, name, header, rows):
+        self.outdir.mkdir(parents=True, exist_ok=True)
         path = self.outdir / name
         with open(path, "w") as fh:
             fh.write(self.prefix)
@@ -95,20 +104,18 @@ class _Writer:
 
 
 def cmd_lemma_sweep(cfg, writer, seed, profile):
-    ns = _ints(cfg.get("ns", "2 3 4" if profile == FAST else "2 3 4 5 6 7 8"))
-    eps_list = _floats(cfg.get("eps", "0.05 0.2 1.0"))
-    trials = int(cfg.get("trials", 1000 if profile == FAST else 10000))
-    fractions = _floats(cfg.get("corner_fractions", "1.0"))
-    workers = _workers()
+    with _config_errors():
+        ns = _ints(cfg.get("ns", "2 3 4" if profile == FAST else "2 3 4 5 6 7 8"))
+        eps_list = _floats(cfg.get("eps", "0.05 0.2 1.0"))
+        trials = int(cfg.get("trials", 1000 if profile == FAST else 10000))
+        fractions = _floats(cfg.get("corner_fractions", "1.0"))
     failures = 0
     for mode in ("strong", "weak", "distinct"):
         rows = []
         for n in ns:
             for eps in eps_list:
                 if trials >= 1:
-                    s = arrowhead.sweep_at_threshold(
-                        mode, n, eps, trials, seed, workers=workers
-                    )
+                    s = arrowhead.sweep_at_threshold(mode, n, eps, trials, seed)
                     rows.append(s.csv_row())
                     failures += s.violations
         writer.write(f"lemma_{mode}.csv", arrowhead.SWEEP_CSV_HEADER, rows)
@@ -120,7 +127,7 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
             for eps in eps_list:
                 if trials >= 1:
                     s = arrowhead.sweep_below_threshold(
-                        n, eps, trials, seed, corner_fraction=frac, workers=workers
+                        n, eps, trials, seed, corner_fraction=frac
                     )
                     below.append(s.csv_row())
     if below:
@@ -214,13 +221,14 @@ def _cone_rows(fun, samples, rng):
 
 
 def cmd_cone_check(cfg, writer, seed, profile):
-    n = int(cfg.get("n", 3))
-    kinds = str(cfg.get("kinds", "sigma1,sigmaK:2,ma,quotient:1:2")).split(",")
-    samples = int(cfg.get("samples", 1000))
+    with _config_errors():
+        n = int(cfg.get("n", 3))
+        kinds = str(cfg.get("kinds", "sigma1,sigmaK:2,ma,quotient:1:2")).split(",")
+        funs = [cones.parse_kind(name.strip(), n) for name in kinds]
+        samples = int(cfg.get("samples", 1000))
     rng = np.random.default_rng(seed)
     rows, failures = [], 0
-    for name in kinds:
-        fun = cones.parse_kind(name.strip(), n)
+    for fun in funs:
         r, f = _cone_rows(fun, samples, rng)
         rows.extend(r)
         failures += f
@@ -243,20 +251,21 @@ def _geometry(cfg, profile):
 
 
 def cmd_solve(cfg, writer, seed, profile):
-    geom = _geometry(cfg, profile)
-    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
-    prob = build_problem(
-        geom,
-        fun,
-        str(cfg.get("psi", "manufactured")),
-        str(cfg.get("phi", "zero")),
-        str(cfg.get("subsolution", "star-bump")),
-        scale=float(cfg.get("scale", 1.0)),
-    )
+    with _config_errors():
+        geom = _geometry(cfg, profile)
+        fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
+        prob = build_problem(
+            geom,
+            fun,
+            str(cfg.get("psi", "manufactured")),
+            str(cfg.get("phi", "zero")),
+            str(cfg.get("subsolution", "star-bump")),
+            scale=float(cfg.get("scale", 1.0)),
+        )
+        config = _solver_config(cfg)
     solver = continuity_solve if geom.is_complex else solve_riemannian
     try:
-        u, report = solver(fun, prob.chi, prob.psi, prob.phi, prob.u_sub,
-                           _solver_config(cfg))
+        u, report = solver(fun, prob.chi, prob.psi, prob.phi, prob.u_sub, config)
     except SOLVE_ERRORS as exc:
         empty = "," * (SolveReport.CSV_FIELDS.count(",") - 2)
         writer.write("report.csv", SolveReport.CSV_FIELDS,
@@ -281,13 +290,15 @@ def cmd_solve(cfg, writer, seed, profile):
 def cmd_boundary_scaling(cfg, writer, seed, profile):
     # the ratio study is resolution-stable at 16 per direction; config may
     # override, the profile does not
-    geom = _geometry(cfg, FAST)
-    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
-    scales = _floats(cfg.get("scales", "1 2 4 8"))
-    config = _solver_config(cfg)
+    with _config_errors():
+        geom = _geometry(cfg, FAST)
+        fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
+        scales = _floats(cfg.get("scales", "1 2 4 8"))
+        config = _solver_config(cfg)
     rows, ratios, failures = [], [], 0
     for s in scales:
-        prob = build_problem(geom, fun, "one", "scaled-cos", "scaled-cos", scale=s)
+        with _config_errors():
+            prob = build_problem(geom, fun, "one", "scaled-cos", "scaled-cos", scale=s)
         try:
             u, rep = continuity_solve(fun, prob.chi, prob.psi, prob.phi,
                                       prob.u_sub, config)
@@ -310,12 +321,14 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
 
 
 def cmd_degenerate(cfg, writer, seed, profile):
-    geom = _geometry(cfg, FAST)
-    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
-    eps_list = _floats(cfg.get("eps_list", "0.1 0.01 0.001"))
-    prob = build_problem(geom, fun, "degenerate-cos", "zero", "zero")
+    with _config_errors():
+        geom = _geometry(cfg, FAST)
+        fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
+        eps_list = _floats(cfg.get("eps_list", "0.1 0.01 0.001"))
+        prob = build_problem(geom, fun, "degenerate-cos", "zero", "zero")
+        config = _solver_config(cfg)
     rows_data = degenerate_sweep(fun, prob.chi, prob.psi, prob.phi, prob.u_sub,
-                                 eps_list, _solver_config(cfg))
+                                 eps_list, config)
     rows = []
     failures = 0
     laps = []
@@ -370,15 +383,18 @@ def main(argv=None) -> int:
     parser.add_argument("--profile", choices=(FAST, FULL), default=FAST)
     args = parser.parse_args(argv)
 
-    cfg, raw = _read_config(args.config)
-    unknown = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
-    if unknown:
-        print(f"unknown config key(s) for {args.command}: {', '.join(unknown)}",
-              file=sys.stderr)
+    try:
+        with _config_errors():
+            cfg, raw = _read_config(args.config)
+        unknown = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
+        if unknown:
+            raise ConfigError(
+                f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+        writer = _Writer(args.out, args.seed, hashlib.sha256(raw).hexdigest())
+        failures = COMMANDS[args.command](cfg, writer, args.seed, args.profile)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
-    confhash = hashlib.sha256(raw).hexdigest()
-    writer = _Writer(args.out, args.seed, confhash)
-    failures = COMMANDS[args.command](cfg, writer, args.seed, args.profile)
     return 0 if failures == 0 else 1
 
 

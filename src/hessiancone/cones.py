@@ -59,6 +59,10 @@ RAY_RTOL = 1e-10
 LEVEL_RTOL = 1e-9
 NORMAL_ATOL = 1e-12
 
+# Step of the complex-step derivative in fd_grad (no difference is taken,
+# so a step far below rounding costs no accuracy).
+COMPLEX_STEP = 1e-20
+
 # Quotient gradients switch from the analytic log-derivative to rejection
 # when sigma_k degenerates; points this close to the cone boundary are
 # treated as outside the numerically safe cone.
@@ -142,10 +146,12 @@ def parse_kind(name: str, n: int) -> SymmetricFunction:
 
 
 def elem_sym(vals: np.ndarray, kmax: int) -> np.ndarray:
-    """Elementary symmetric polynomials e_0..e_kmax along the last axis."""
-    vals = np.asarray(vals, dtype=float)
+    """Elementary symmetric polynomials e_0..e_kmax along the last axis,
+    in float64, or in complex128 for complex input (used by fd_grad)."""
+    vals = np.asarray(vals)
+    vals = vals.astype(np.result_type(vals.dtype, np.float64), copy=False)
     n = vals.shape[-1]
-    e = np.zeros(vals.shape[:-1] + (kmax + 1,))
+    e = np.zeros(vals.shape[:-1] + (kmax + 1,), dtype=vals.dtype)
     e[..., 0] = 1.0
     for i in range(n):
         x = vals[..., i]
@@ -184,8 +190,8 @@ def _require_in_cone(fun, lam):
 
 
 def f_many(fun: SymmetricFunction, lam: np.ndarray) -> np.ndarray:
-    """Function values on stacked points (no cone validation)."""
-    lam = np.asarray(lam, dtype=float)
+    """Function values on stacked points (no cone validation); complex
+    input is evaluated in complex arithmetic."""
     if fun.kind == "hessian_quotient":
         e = elem_sym(lam, fun.l)
         return (e[..., fun.l] / e[..., fun.k]) ** (1.0 / (fun.l - fun.k))
@@ -229,17 +235,14 @@ def f_grad(fun: SymmetricFunction, lam) -> np.ndarray:
     return g
 
 
-def fd_grad(fun: SymmetricFunction, lam, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient (independent check)."""
+def fd_grad(fun: SymmetricFunction, lam) -> np.ndarray:
+    """Complex-step gradient Im f(lambda + i h e_j) / h (independent check;
+    Squire & Trapp, SIAM Rev. 40, 1998).  The real part of every
+    evaluation point is lambda itself, so none leaves the cone, and no
+    difference is taken, so the result is accurate to rounding."""
     lam = np.asarray(lam, dtype=float)
-    out = np.zeros_like(lam)
-    for i in range(lam.size):
-        hi = lam.copy()
-        lo = lam.copy()
-        hi[i] += step
-        lo[i] -= step
-        out[i] = (f_many(fun, hi) - f_many(fun, lo)) / (2.0 * step)
-    return out
+    points = lam + 1j * COMPLEX_STEP * np.eye(lam.size)
+    return f_many(fun, points).imag / COMPLEX_STEP
 
 
 def check_concavity(fun: SymmetricFunction, lam, mu) -> bool:

@@ -274,11 +274,6 @@ class TestSweeps:
         s2 = ah.sweep_below_threshold(3, 0.1, trials=700, seed=42)
         assert s1 == s2
 
-    def test_workers_do_not_change_result(self):
-        s1 = ah.sweep_below_threshold(4, 0.2, trials=1300, seed=5, workers=1)
-        s2 = ah.sweep_below_threshold(4, 0.2, trials=1300, seed=5, workers=3)
-        assert s1 == s2
-
     def test_at_threshold_no_violations_small(self):
         for mode in ("strong", "weak", "distinct"):
             for n in (2, 3, 5):

@@ -152,6 +152,27 @@ class TestSolveCommand:
         assert "resolutoin" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    @pytest.mark.parametrize("cfg_text", [
+        "kind = bogus\n",
+        "geometry = riemannian\nphi = scaled-cos\n",
+        "resolution = 8\nresolution = 8\n",
+        "resolution = six\n",
+        "resolution = 8\nnot a key\n",
+    ], ids=["kind", "preset", "duplicate-key", "number", "syntax"])
+    def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, cfg_text):
+        code, out = run(tmp_path, "solve", cfg_text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_missing_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(tmp_path / "absent.cfg"),
+                     "--out", str(out)]) == 2
+        assert "absent.cfg" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScalingCommand:
     def test_ratio_table(self, tmp_path):

@@ -93,6 +93,14 @@ class TestEvalAndGrad:
             fd = cn.fd_grad(fun, lam)
             np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
+    def test_fd_grad_near_cone_boundary(self):
+        # a fixed real step of 1e-6 is 3% of lambda_2 here
+        fun = cn.monge_ampere(3)
+        lam = np.array([1.0, 3e-5, 2.0])
+        g = cn.f_grad(fun, lam)
+        err = np.abs(cn.fd_grad(fun, lam) - g).max() / np.abs(g).max()
+        assert err <= 1e-12
+
 
 class TestConcavity:
     def test_sigma1_equality(self):
