@@ -14,9 +14,10 @@ family, so the degeneracy gap of a right-hand side psi is simply
 ``min(psi)``.  Homogeneity of degree one gives closed forms: the ray
 t * lambda meets the level set {f = sigma} at t = sigma / f(lambda).
 
-Evaluation goes through the elementary-symmetric recursion rather than
-polynomial expansion.  Most functions accept stacked inputs with the
-eigenvalue axis last.
+Each family is written once on sigma_0..sigma_m (m = cone_order):
+``f_from_sigmas``, its nonzero partials ``df_dsigmas`` and the cone test
+``sigmas_in_cone``.  Most functions accept stacked inputs with the
+eigenvalue (or sigma) axis last.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ __all__ = [
     "GapResult",
     "elem_sym",
     "elem_sym_grad",
+    "f_from_sigmas",
+    "df_dsigmas",
+    "sigmas_in_cone",
     "in_cone",
     "f_eval",
     "f_grad",
@@ -63,9 +67,8 @@ NORMAL_ATOL = 1e-12
 # so a step far below rounding costs no accuracy).
 COMPLEX_STEP = 1e-20
 
-# Quotient gradients switch from the analytic log-derivative to rejection
-# when sigma_k degenerates; points this close to the cone boundary are
-# treated as outside the numerically safe cone.
+# f_eval rejects quotient points whose sigma_k is this close to zero
+# (relative to |lambda|^k): outside the numerically safe cone.
 _QUOTIENT_FLOOR = 1e-12
 
 
@@ -171,16 +174,34 @@ def elem_sym_grad(vals: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def f_from_sigmas(fun: SymmetricFunction, e: np.ndarray) -> np.ndarray:
+    """f from sigma_0..sigma_m (last axis); no cone validation."""
+    if fun.kind == "hessian_quotient":
+        return (e[..., fun.l] / e[..., fun.k]) ** (1.0 / (fun.l - fun.k))
+    return e[..., fun.k] ** (1.0 / fun.k)
+
+
+def df_dsigmas(fun: SymmetricFunction, e: np.ndarray) -> dict:
+    """The nonzero partials {j: df/dsigma_j} on stacked sigmas."""
+    f = f_from_sigmas(fun, e)
+    if fun.kind == "hessian_quotient":
+        c = f / (fun.l - fun.k)
+        return {fun.l: c / e[..., fun.l], fun.k: -c / e[..., fun.k]}
+    return {fun.k: f / (fun.k * e[..., fun.k])}
+
+
+def sigmas_in_cone(e: np.ndarray) -> np.ndarray:
+    """True where sigma_1..sigma_m (last axis) are all positive: Gamma_m."""
+    return np.all(e[..., 1:] > 0.0, axis=-1)
+
+
 def in_cone(fun: SymmetricFunction, lam) -> np.ndarray | bool:
     """True where lambda lies in the open cone Gamma_{cone_order}."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape[-1] != fun.n:
         raise ValueError(f"expected dimension {fun.n}, got {lam.shape[-1]}")
-    e = elem_sym(lam, fun.cone_order)
-    ok = np.all(e[..., 1:] > 0.0, axis=-1)
-    if lam.ndim == 1:
-        return bool(ok)
-    return ok
+    ok = sigmas_in_cone(elem_sym(lam, fun.cone_order))
+    return bool(ok) if lam.ndim == 1 else ok
 
 
 def _require_in_cone(fun, lam):
@@ -192,26 +213,14 @@ def _require_in_cone(fun, lam):
 def f_many(fun: SymmetricFunction, lam: np.ndarray) -> np.ndarray:
     """Function values on stacked points (no cone validation); complex
     input is evaluated in complex arithmetic."""
-    if fun.kind == "hessian_quotient":
-        e = elem_sym(lam, fun.l)
-        return (e[..., fun.l] / e[..., fun.k]) ** (1.0 / (fun.l - fun.k))
-    e = elem_sym(lam, fun.k)
-    return e[..., fun.k] ** (1.0 / fun.k)
+    return f_from_sigmas(fun, elem_sym(lam, fun.cone_order))
 
 
 def grad_many(fun: SymmetricFunction, lam: np.ndarray) -> np.ndarray:
-    """Gradients on stacked points (no cone validation)."""
-    lam = np.asarray(lam, dtype=float)
-    f = f_many(fun, lam)
-    if fun.kind == "hessian_quotient":
-        e = elem_sym(lam, fun.l)
-        gl = elem_sym_grad(lam, fun.l)
-        gk = elem_sym_grad(lam, fun.k)
-        logderiv = gl / e[..., fun.l : fun.l + 1] - gk / e[..., fun.k : fun.k + 1]
-        return f[..., None] * logderiv / (fun.l - fun.k)
-    e = elem_sym(lam, fun.k)
-    gk = elem_sym_grad(lam, fun.k)
-    return f[..., None] * gk / (fun.k * e[..., fun.k : fun.k + 1])
+    """Gradients on stacked points (no cone validation): df/dsigma_j times
+    the exact leave-one-out d sigma_j / d lambda."""
+    dfde = df_dsigmas(fun, elem_sym(lam, fun.cone_order))
+    return sum(c[..., None] * elem_sym_grad(lam, j) for j, c in dfde.items())
 
 
 def f_eval(fun: SymmetricFunction, lam) -> float:

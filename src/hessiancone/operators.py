@@ -6,11 +6,14 @@ data.  With dz = (dx - i dy)/2 the complex Hessian of a real field is
 
     u_{i jbar} = ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j})) / 4,
 
-Hermitian by construction and exact on real-quadratic polynomials.  The
-linearization of lambda -> f(lambda(g)) at a Hermitian field is the
-spectral-function derivative sum_p f_p(lambda) v_p v_p^*; eigenvalues
-closer than a small cluster tolerance share the cluster mean of f_p,
-which keeps the formula continuous across crossings of the symmetric f.
+Hermitian by construction and exact on real-quadratic polynomials.
+f(lambda(g)) needs only sigma_1..sigma_m of the eigenvalues of g, which
+one per-node recurrence gives with the Newton tensors T_j (Reilly 1973):
+
+    T_0 = I,    sigma_j = tr(g T_{j-1}) / j,    T_j = sigma_j I - g T_{j-1}.
+
+As d sigma_j = tr(T_{j-1} dg), the linearization is
+sum_j (df/dsigma_j) T_{j-1}, with no special case for equal eigenvalues.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "complex_hessian",
     "real_hessian",
     "eigen_field",
+    "newton_tensors",
     "residual",
     "linearize",
     "coefficient_tensor",
@@ -36,11 +40,6 @@ __all__ = [
     "boundary_complex_hessian",
     "first_derivative_centered",
 ]
-
-# Eigenvalues within this distance (relative to the field scale) are
-# treated as one cluster inside the linearization.
-CLUSTER_TOL = 1e-8
-
 
 class AdmissibilityError(ValueError):
     """Eigenvalues left the cone at some node; carries its grid index."""
@@ -157,10 +156,25 @@ def eigen_field(g: HermitianFormField) -> np.ndarray:
     return np.linalg.eigvalsh(g.values)
 
 
-def _require_admissible(fun, lam, geom):
-    """Raise AdmissibilityError at the first node whose eigenvalues lie
-    outside the cone."""
-    ok = cones.in_cone(fun, lam)
+def newton_tensors(g: np.ndarray, m: int):
+    """sigma_0..sigma_m (real, last axis) and Newton tensors T_0..T_{m-1}
+    of each matrix in the stack g.  Each trace is a real pairing with g^T;
+    the product g T is formed only to build T_j for j >= 2."""
+    eye = np.eye(g.shape[-1])
+    gt = np.swapaxes(g, -1, -2)
+    sigma = np.ones(g.shape[:-2] + (m + 1,))
+    tensors = [eye]
+    for j in range(1, m + 1):
+        sigma[..., j] = np.einsum("...ab,...ab->...", gt, tensors[-1]).real / j
+        if j < m:
+            gT = g if j == 1 else g @ tensors[-1]
+            tensors.append(sigma[..., j, None, None] * eye - gT)
+    return sigma, tensors
+
+
+def _require_admissible(sigma, geom):
+    """AdmissibilityError at the first node whose sigmas leave the cone."""
+    ok = cones.sigmas_in_cone(sigma)
     if not np.all(ok):
         node = list(np.argwhere(~ok)[0])
         node[geom.dirichlet_axis] += 1  # interior index -> full-grid index
@@ -173,45 +187,22 @@ def residual(u, fun, psi_t, chi=None) -> np.ndarray:
     Raises AdmissibilityError (with the offending full-grid index) if any
     node's eigenvalues leave the cone.
     """
-    lam = eigen_field(form_field(u, chi))
-    _require_admissible(fun, lam, u.geom)
-    vals = cones.f_many(fun, lam)
+    sigma, _ = newton_tensors(form_field(u, chi).values, fun.cone_order)
+    _require_admissible(sigma, u.geom)
+    vals = cones.f_from_sigmas(fun, sigma)
     target = psi_t.values[u.geom.interior] if hasattr(psi_t, "values") else psi_t
     return vals - target
 
 
-def _cluster_average(fp, lam):
-    """Exact segment means of fp over clusters of near-equal eigenvalues."""
-    scale = 1.0 + np.abs(lam).max(axis=-1, keepdims=True)
-    gaps = np.diff(lam, axis=-1) >= CLUSTER_TOL * scale
-    cid = np.zeros(lam.shape, dtype=int)
-    cid[..., 1:] = np.cumsum(gaps, axis=-1)
-    out = np.empty_like(fp)
-    n = lam.shape[-1]
-    for c in range(n):
-        mask = cid == c
-        cnt = mask.sum(axis=-1, keepdims=True)
-        s = np.where(mask, fp, 0.0).sum(axis=-1, keepdims=True)
-        mean = s / np.maximum(cnt, 1)
-        out = np.where(mask, mean, out)
-    return out
-
-
 def linearize(u, fun, chi=None) -> HermitianFormField:
-    """Coefficient matrices F^{i jbar} of the linearized operator per node.
-
-    Positive definite wherever the iterate is admissible (rejected
-    otherwise), Hermitian exactly.
-    """
-    g = form_field(u, chi)
-    lam, vec = np.linalg.eigh(g.values)
-    _require_admissible(fun, lam, u.geom)
-    fp = cones.grad_many(fun, lam)
-    fp = _cluster_average(fp, lam)
-    coeff = np.einsum("...ip,...p,...jp->...ij", vec, fp, np.conj(vec))
+    """Coefficient matrices F^{i jbar} = sum_j (df/dsigma_j) T_{j-1} of the
+    linearized operator per node: positive definite wherever the iterate
+    is admissible (rejected otherwise), Hermitian exactly."""
+    sigma, tensors = newton_tensors(form_field(u, chi).values, fun.cone_order)
+    _require_admissible(sigma, u.geom)
+    coeff = sum(c[..., None, None] * tensors[j - 1]
+                for j, c in cones.df_dsigmas(fun, sigma).items())
     coeff = 0.5 * (coeff + np.conj(np.swapaxes(coeff, -1, -2)))
-    if not u.geom.is_complex:
-        coeff = coeff.real
     return HermitianFormField(geom=u.geom, values=coeff)
 
 

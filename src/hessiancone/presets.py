@@ -30,6 +30,7 @@ import numpy as np
 
 from . import cones
 from .geometry import ScalarField
+from .operators import newton_tensors
 
 __all__ = [
     "Problem",
@@ -158,13 +159,12 @@ def real_bump_values(geom) -> np.ndarray:
 
 def manufactured_psi(fun, chi, star_hessian) -> np.ndarray:
     """f(lambda(chi + analytic Hessian)) on the full grid."""
-    g = np.asarray(chi) + star_hessian
-    lam = np.linalg.eigvalsh(g)
-    if not np.all(cones.in_cone(fun, lam)):
+    sigma, _ = newton_tensors(np.asarray(chi) + star_hessian, fun.cone_order)
+    if not np.all(cones.sigmas_in_cone(sigma)):
         raise ValueError(
             "manufactured reference not admissible; lower the amplitude"
         )
-    return cones.f_many(fun, lam)
+    return cones.f_from_sigmas(fun, sigma)
 
 
 @dataclass

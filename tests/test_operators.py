@@ -7,6 +7,8 @@ excluded where a global quadratic cannot respect the identification.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessiancone import arrowhead as ah
 from hessiancone import cones as cn
@@ -97,12 +99,15 @@ class TestResidual:
         assert np.abs(r).max() == 0.0
 
     def test_subsolution_start_is_zero(self):
+        # psi0 comes from the solver's own path, so the stage-0 residual
+        # is an exact zero
         from hessiancone import presets as pr
+        from hessiancone import solve as sv
 
         fun = cn.monge_ampere(2)
         prob = pr.build_problem(GEOM, fun, "manufactured", "zero", "star-bump")
-        lam = op.eigen_field(op.complex_hessian(prob.u_sub, prob.chi))
-        psi0 = cn.f_many(fun, lam)
+        psi0 = sv._check_subsolution(prob.u_sub, prob.phi, fun, prob.chi,
+                                     prob.psi.values[GEOM.interior])
         r = op.residual(prob.u_sub, fun, psi0, prob.chi)
         assert np.abs(r).max() == 0.0
 
@@ -177,6 +182,94 @@ class TestLinearize:
         C = op.coefficient_tensor(F)
         lc = np.linalg.eigvalsh(C)
         assert lc.min() > 0
+
+
+def dense_reference(fun, g):
+    """f(lambda(g)) and sum_p f_p v_p v_p^* from the dense eigensolver."""
+    lam, vec = np.linalg.eigh(g)
+    fp = cn.grad_many(fun, lam)
+    return cn.f_many(fun, lam), (vec * fp) @ vec.conj().T, lam
+
+
+def sigma_condition(fun, lam):
+    """max_j sigma_{j-1}(|lambda|) max|lambda| / sigma_j(lambda): the
+    relative change of the sigmas under a rounding-size perturbation of g,
+    per unit of that perturbation.  It grows like the eigenvalue ratio
+    near the cone boundary."""
+    m = fun.cone_order
+    e, ea = cn.elem_sym(lam, m), cn.elem_sym(np.abs(lam), m)
+    return max(ea[j - 1] * np.abs(lam).max() / e[j] for j in range(1, m + 1))
+
+
+@st.composite
+def spectral_cases(draw):
+    dim = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(("sigma1", "sigmaK", "ma", "quotient")))
+    if kind == "sigma1":
+        fun = cn.sigma_k_root(dim, 1)
+    elif kind == "sigmaK":
+        fun = cn.sigma_k_root(dim, draw(st.integers(2, dim)))
+    elif kind == "ma":
+        fun = cn.monge_ampere(dim)
+    else:
+        l = draw(st.integers(2, dim))
+        fun = cn.hessian_quotient(dim, draw(st.integers(1, l - 1)), l)
+    pattern = draw(st.sampled_from(("cone", "repeated", "near", "boundary")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = rng.uniform(-1.0, 1.0, dim)
+    while pattern == "cone" and not cn.in_cone(fun, lam):
+        lam = rng.uniform(-1.0, 1.0, dim)
+    if pattern != "cone":  # positive orthant, inside every cone
+        lam = rng.uniform(0.05, 1.0, dim)
+    if pattern == "repeated":
+        lam[1:draw(st.integers(2, dim)) + 1] = lam[0]
+    elif pattern == "near":
+        lam[1] = lam[0] + 1e-12
+    elif pattern == "boundary":
+        lam[0] = 10.0 ** draw(st.floats(-8.0, -1.0)) * lam.max()
+    complex_ = draw(st.booleans())
+    if draw(st.booleans()):  # random eigenbasis, else the coordinate one
+        z = rng.standard_normal((dim, dim))
+        if complex_:
+            z = z + 1j * rng.standard_normal((dim, dim))
+        basis, _ = np.linalg.qr(z)
+        g = (basis * lam) @ basis.conj().T
+        g = 0.5 * (g + g.conj().T)
+    else:
+        g = np.diag(lam).astype(complex)
+    if not complex_:
+        g = g.real
+    return fun, g, complex_
+
+
+class TestNewtonTensors:
+    """The sigma recurrence against the dense eigendecomposition."""
+
+    @given(spectral_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_residual_and_linearize_match_dense_reference(self, case):
+        fun, g, complex_ = case
+        dim = g.shape[-1]
+        geom = (GridGeometry(n=dim, resolution=3) if complex_
+                else CylinderGeometry(d=dim, resolution=3))
+        u = ScalarField.zeros(geom)
+        f = op.residual(u, fun, 0.0, g)
+        F = op.linearize(u, fun, g).values
+        f_ref, F_ref, lam = dense_reference(fun, g)
+        # 1e-12 where the sigmas are well conditioned; near the cone
+        # boundary both routes carry the rounding error eps * condition
+        tol = 1e-12 + 100 * np.finfo(float).eps * sigma_condition(fun, lam)
+        assert np.abs(f - f_ref).max() <= tol * abs(f_ref)
+        assert np.abs(F - F_ref).max() <= tol * np.abs(F_ref).max()
+
+    def test_sigmas_of_a_diagonal_matrix(self):
+        lam = np.array([2.0, -1.0, 3.0, 0.5])
+        sigma, tensors = op.newton_tensors(np.diag(lam), 4)
+        np.testing.assert_allclose(sigma, cn.elem_sym(lam, 4), rtol=1e-15)
+        # T_{j-1} = diag(d sigma_j / d lambda)
+        for j in range(1, 5):
+            np.testing.assert_allclose(np.diag(tensors[j - 1]),
+                                       cn.elem_sym_grad(lam, j), rtol=1e-15)
 
 
 class TestCoefficientTensor:
