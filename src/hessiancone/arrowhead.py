@@ -38,8 +38,11 @@ __all__ = [
 ]
 
 # Strict inequalities of the exact-arithmetic statements are tested
-# non-strictly with this margin to absorb floating-point error.
+# non-strictly with a margin that absorbs floating-point error: MARGIN plus
+# ROUNDING_ULPS units of rounding at the matrix norm, the scale of the
+# eigensolver's error on every eigenvalue.
 MARGIN = 1e-9
+ROUNDING_ULPS = 16
 
 # Relative tolerance of the trace identity sum(lambda) = sum(d) + corner.
 TRACE_RTOL = 1e-10
@@ -233,12 +236,16 @@ def check_concentration_strong(spec: ArrowheadSpec, eps: float) -> Concentration
     return _per_index_report("strong", spec, eps, thr)
 
 
-def _per_index_report(mode, spec, eps, thr):
-    """Sorted-index deviations and corner excess against ``(n-1) eps``."""
-    _require_at_threshold(spec, thr)
-    lam = eigenvalues(spec).values
-    n = spec.n
-    dev = np.abs(np.sort(spec.d) - lam[: n - 1])
+def _margin(lam):
+    """The margin for each spectrum (eigenvalue axis last); its norm is
+    max|lambda|."""
+    return MARGIN + ROUNDING_ULPS * np.finfo(float).eps * np.abs(lam).max(axis=-1)
+
+
+def _report(mode, spec, eps, thr, lam, dev, excess_bound, matched=None):
+    """Deviations below eps and corner excess in [0, excess_bound), each
+    tested with the rounding margin of the spectrum lam."""
+    margin = _margin(lam)
     excess = float(lam[-1] - spec.corner)
     return ConcentrationReport(
         mode=mode,
@@ -246,9 +253,19 @@ def _per_index_report(mode, spec, eps, thr):
         threshold=thr,
         deviations=dev,
         corner_excess=excess,
-        deviation_ok=dev < eps + MARGIN,
-        excess_ok=(excess >= -MARGIN) and (excess < (n - 1) * eps + MARGIN),
+        deviation_ok=dev < eps + margin,
+        excess_ok=(excess >= -margin) and (excess < excess_bound + margin),
+        matched_indices=matched,
     )
+
+
+def _per_index_report(mode, spec, eps, thr):
+    """Sorted-index deviations and corner excess against ``(n-1) eps``."""
+    _require_at_threshold(spec, thr)
+    lam = eigenvalues(spec).values
+    n = spec.n
+    dev = np.abs(np.sort(spec.d) - lam[: n - 1])
+    return _report(mode, spec, eps, thr, lam, dev, (n - 1) * eps)
 
 
 def check_concentration_weak(spec: ArrowheadSpec, eps: float) -> ConcentrationReport:
@@ -265,18 +282,8 @@ def check_concentration_weak(spec: ArrowheadSpec, eps: float) -> ConcentrationRe
     dist = np.abs(small[:, None] - spec.d[None, :])
     matched = np.argmin(dist, axis=1)  # argmin takes the first minimum
     dev = dist[np.arange(n - 1), matched]
-    excess = float(lam[-1] - spec.corner)
     bound = (n - 1) * eps + abs(float(np.sum(spec.d) - np.sum(spec.d[matched])))
-    return ConcentrationReport(
-        mode="weak",
-        epsilon=eps,
-        threshold=thr,
-        deviations=dev,
-        corner_excess=excess,
-        deviation_ok=dev < eps + MARGIN,
-        excess_ok=(excess >= -MARGIN) and (excess < bound + MARGIN),
-        matched_indices=matched,
-    )
+    return _report("weak", spec, eps, thr, lam, dev, bound, matched)
 
 
 def check_concentration_distinct(spec: ArrowheadSpec, eps: float) -> ConcentrationReport:
@@ -400,8 +407,9 @@ def _chunk_stats(mode, n, eps, corner_fraction, seed, chunk_id, count):
         dev = np.abs(np.sort(d, axis=1) - small)
         excess_bound = (n - 1) * eps_used
     excess = lam[:, -1] - corner
-    dev_bad = np.any(dev >= eps_used[:, None] + MARGIN, axis=1)
-    exc_bad = (excess < -MARGIN) | (excess >= excess_bound + MARGIN)
+    margin = _margin(lam)
+    dev_bad = np.any(dev >= (eps_used + margin)[:, None], axis=1)
+    exc_bad = (excess < -margin) | (excess >= excess_bound + margin)
     return (
         float(dev.max()),
         float(excess.max()),

@@ -65,9 +65,21 @@ def _read_config(path):
     raw = Path(path).read_bytes()
     text = raw.decode()
     parser = configparser.ConfigParser()
-    if not text.lstrip().startswith("["):
-        text = "[run]\n" + text
-    parser.read_string(text)
+    # a bare key = value file is read under a [run] header one line above
+    # its first line; errors report lines of the file itself
+    shift = 0 if text.lstrip().startswith("[") else 1
+    try:
+        parser.read_string("[run]\n" * shift + text, source=str(path))
+    except configparser.MissingSectionHeaderError:
+        raise  # the file starts with "[", so no header was added
+    except configparser.ParsingError as exc:
+        fixed = configparser.ParsingError(str(path))
+        for lineno, line in exc.errors:
+            fixed.append(lineno - shift, line)
+        raise fixed from None
+    except (configparser.DuplicateOptionError,
+            configparser.DuplicateSectionError) as exc:
+        raise type(exc)(*exc.args[:-1], exc.lineno - shift) from None
     merged = {}
     for section in parser.sections():
         merged.update(dict(parser.items(section)))

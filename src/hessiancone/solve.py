@@ -65,6 +65,7 @@ __all__ = [
 
 BOUNDARY_MATCH_ATOL = 1e-10
 SUBSOLUTION_SLACK = 1e-12
+MAX_HALVINGS = 10  # damping factors 1, 1/2, ..., 2**-MAX_HALVINGS
 
 
 class SubsolutionError(ValueError):
@@ -91,7 +92,6 @@ class SolverConfig:
     dt_min: float = 1e-4
     max_newton: int = 30
     lin_rtol: float = 1e-10
-    max_halvings: int = 10  # damping factors 1, 1/2, ..., 2**-max_halvings
 
 
 @dataclass
@@ -193,7 +193,7 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
 
     Each step solves the linearized system with homogeneous Dirichlet data
     for the update, then applies the largest damping factor in 1, 1/2,
-    ..., 2**-max_halvings that keeps every node admissible and reduces the
+    ..., 2**-MAX_HALVINGS that keeps every node admissible and reduces the
     sup-norm residual.  Returns (u, StageRecord); raises _StageFailure
     when the start is inadmissible, the linear solve fails, no factor
     qualifies or the iteration budget runs out.
@@ -214,7 +214,7 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
             delta = solve_dirichlet(C, geom, -r, rtol=config.lin_rtol)
         except LinearSolveError as exc:
             raise _StageFailure(str(exc))
-        for k in range(config.max_halvings + 1):
+        for k in range(MAX_HALVINGS + 1):
             theta = 0.5**k
             trial = ScalarField(geom=geom, values=u.values + theta * delta)
             r_t, rn_t = _residual_and_mask(trial, fun, chi, psi_t)

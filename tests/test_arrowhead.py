@@ -287,6 +287,25 @@ class TestSweeps:
                                          corner_fraction=frac)
             assert s.violations == 0, frac
 
+    def test_distinct_margin_absorbs_rounding_at_large_norm(self):
+        # chunk 9 of this cell (trials 4608..5119) holds a spec whose corner
+        # is about 1e10; eigvalsh rounding there is far above 1e-9
+        s = ah.sweep_at_threshold("distinct", 5, 1.0, 5120, 11)
+        assert s.violations == 0
+
+    def test_shifted_eigenvalue_still_counted(self, monkeypatch):
+        eps = 0.05
+        exact = ah._batch_eigenvalues
+
+        def shifted(d, a, corner):
+            lam = exact(d, a, corner)
+            lam[0, 0] = np.sort(d[0])[0] + 1.001 * eps  # just outside the bound
+            return lam
+
+        assert ah.sweep_at_threshold("strong", 3, eps, 512, 0).violations == 0
+        monkeypatch.setattr(ah, "_batch_eigenvalues", shifted)
+        assert ah.sweep_at_threshold("strong", 3, eps, 512, 0).violations == 1
+
 
 class TestSerialization:
     def test_round_trip(self):

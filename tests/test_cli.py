@@ -152,19 +152,25 @@ class TestSolveCommand:
         assert "resolutoin" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
-    @pytest.mark.parametrize("cfg_text", [
-        "kind = bogus\n",
-        "geometry = riemannian\nphi = scaled-cos\n",
-        "resolution = 8\nresolution = 8\n",
-        "resolution = six\n",
-        "resolution = 8\nnot a key\n",
-    ], ids=["kind", "preset", "duplicate-key", "number", "syntax"])
-    def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys, cfg_text):
+    @pytest.mark.parametrize("cfg_text, where", [
+        ("kind = bogus\n", None),
+        ("geometry = riemannian\nphi = scaled-cos\n", None),
+        ("resolution = 8\nresolution = 8\n", "[line 2]"),
+        ("resolution = six\n", None),
+        ("resolution = 8\nnot a key\n", "[line 2]"),
+        ("# solve\n\nkind = ma\nnot a key\n", "[line 4]"),
+        ("[run]\nkind = ma\nkind = sigma1\n", "[line 3]"),
+    ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
+            "syntax-after-comment", "duplicate-key-under-header"])
+    def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
+                                              cfg_text, where):
         code, out = run(tmp_path, "solve", cfg_text)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
+        if where:  # the line number in the file and the file's path
+            assert where in err and str(tmp_path / "run.cfg") in err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -222,7 +222,7 @@ def spectral_cases(draw):
     if pattern != "cone":  # positive orthant, inside every cone
         lam = rng.uniform(0.05, 1.0, dim)
     if pattern == "repeated":
-        lam[1:draw(st.integers(2, dim)) + 1] = lam[0]
+        lam[1:draw(st.integers(2, dim))] = lam[0]  # multiplicity 2..dim
     elif pattern == "near":
         lam[1] = lam[0] + 1e-12
     elif pattern == "boundary":
