@@ -369,7 +369,7 @@ COMMANDS = {
 }
 
 _PROBLEM_KEYS = ("geometry", "n", "d", "resolution", "kind")
-_SOLVER_KEYS = ("tolerance", "dt0", "dt_min", "max_newton", "lin_rtol")
+_SOLVER_KEYS = ("tolerance", "dt_min", "max_newton", "lin_rtol")
 
 # the config keys each command reads; any other key is rejected
 CONFIG_KEYS = {

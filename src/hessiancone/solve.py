@@ -7,8 +7,9 @@ subsolution's own equation to the target along the interpolated family
 
 each stage solved by a damped Newton iteration on the discrete system.
 Damping keeps every node's sigma_1..sigma_m positive (the cone) and the
-sup-norm residual decreasing; continuation halves its step when a stage fails and
-stalls loudly below the minimum step.  The same driver covers the real
+sup-norm residual decreasing.  Continuation tries t = 1 first, halves the
+step when a stage fails, doubles it after a stage succeeds (Deuflhard 2004)
+and stalls loudly below the minimum step.  The same driver covers the real
 (cylinder) variant, where the complex Hessian is replaced by the real one.
 
 Diagnostics implement the measured forms of the boundary estimates: the
@@ -88,7 +89,6 @@ class _StageFailure(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-8
-    dt0: float = 0.1
     dt_min: float = 1e-4
     max_newton: int = 30
     lin_rtol: float = 1e-10
@@ -208,10 +208,10 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
     while rn > config.tolerance:
         if len(residuals) > config.max_newton:
             raise _StageFailure("newton iteration budget exhausted")
-        F = linearize(u, fun, chi)
-        C = coefficient_tensor(F)
         try:
-            delta = solve_dirichlet(C, geom, -r, rtol=config.lin_rtol)
+            # no linearization outlives the linear solve
+            delta = solve_dirichlet(coefficient_tensor(linearize(u, fun, chi)),
+                                    geom, -r, rtol=config.lin_rtol)
         except LinearSolveError as exc:
             raise _StageFailure(str(exc))
         for k in range(MAX_HALVINGS + 1):
@@ -248,10 +248,11 @@ def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
 def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = None):
     """Drive the interpolated family from the subsolution to the target.
 
-    Returns (u, SolveReport).  The adaptive step starts at config.dt0,
-    halves on stage failure, and stalls (raising ContinuationError) below
-    config.dt_min.  A stage that would leave less than config.dt_min to go
-    targets t = 1 exactly.
+    Returns (u, SolveReport).  The first stage targets t = 1; a failed
+    stage is retried with half its step, an accepted one doubles the
+    next, and the path stalls (raising ContinuationError) below
+    config.dt_min.  A stage that would leave
+    less than config.dt_min to go targets t = 1 exactly.
     """
     config = config or SolverConfig()
     geom = u_sub.geom
@@ -261,20 +262,19 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     u = ScalarField(geom=geom, values=u_sub.values.copy())
     u.values[geom.faces] = phi.values[geom.faces]
 
-    t = 0.0
-    dt = config.dt0
-    min_dt = dt
+    t, dt, min_dt = 0.0, 1.0, 1.0
     stages = []
     last_rn = np.nan
     while t < 1.0:
         # a gap below dt_min left after this stage would make a stage of
         # rounding error only; close it now
         t_target = t + dt if 1.0 - (t + dt) >= config.dt_min else 1.0
+        step = t_target - t
         psi_t = (1.0 - t_target) * psi0 + t_target * psi_interior
         try:
             u_new, record = _newton_solve(u, fun, chi, psi_t, config, t_target)
         except _StageFailure as exc:
-            dt *= 0.5
+            dt = 0.5 * step
             if dt < config.dt_min:
                 raise ContinuationError(
                     t, last_rn, f"path stalled at t={t!r}: {exc}"
@@ -282,10 +282,10 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
             continue
         u = u_new
         t = t_target
-        min_dt = min(min_dt, dt)
+        min_dt = min(min_dt, step)
         stages.append(record)
         last_rn = record.residuals[-1]
-        dt = min(config.dt0, 2.0 * dt)
+        dt = 2.0 * step
 
     report = estimate_report(u)
     report.label = fun.label
@@ -491,8 +491,7 @@ def barrier_eval(u, u_sub, phi, fun, chi, spec: BarrierSpec, p0_index, direction
     omega_int = omega.copy()
     omega_int[faces] = False
 
-    F = linearize(u, fun, chi)
-    C = coefficient_tensor(F)
+    C = coefficient_tensor(linearize(u, fun, chi))
     L_psi = apply_second_order(C, psi_tilde, geom)
     mask_int = omega_int[inside]
     min_L = float(L_psi[mask_int].min()) if mask_int.any() else np.nan

@@ -147,10 +147,12 @@ class TestSolveCommand:
         assert row.startswith("ma,8,0,")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        code, out = run(tmp_path, "solve", "resolution = 6\nresolutoin = 16\n")
-        assert code == 2
-        assert "resolutoin" in capsys.readouterr().err
-        assert not (out / "report.csv").exists()
+        # a misspelled key, and dt0, which the solver no longer reads
+        for key in ("resolutoin = 16", "dt0 = 0.1"):
+            code, out = run(tmp_path, "solve", f"resolution = 6\n{key}\n")
+            assert code == 2
+            assert key.split()[0] in capsys.readouterr().err
+            assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("cfg_text, where", [
         ("kind = bogus\n", None),

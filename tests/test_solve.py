@@ -106,7 +106,7 @@ class TestNewton:
                                      "star-bump")
         ts = [stage.t for stage in rep.stage_history]
         assert all(a < b for a, b in zip(ts, ts[1:]))
-        assert ts[-1] == 1.0 and rep.continuity_stages == 10
+        assert ts[-1] == 1.0 and rep.continuity_stages == len(ts)
 
     def test_subsolution_violation_rejected(self):
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
