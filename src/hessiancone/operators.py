@@ -213,24 +213,24 @@ def coefficient_tensor(F: HermitianFormField) -> np.ndarray:
     trace(F H[v]) with H the complex Hessian (the adjoint of the map in
     _complex_form); in real coordinates this is
     sum_ab C_ab d^2 v / dx_a dx_b with quarter blocks [[S, T], [-T, S]]
-    (S = Re F, T = Im F) in interleaved (x_i, y_i) order.
+    (S = Re F, T = Im F) in interleaved (x_i, y_i) order.  C is the
+    (..., r, r) view of an (r, r, ...) buffer: each C[..., a, b] is
+    contiguous.
     """
     geom = F.geom
     if not geom.is_complex:
-        return np.ascontiguousarray(F.values.real)
-    n = geom.n
-    S = F.values.real
-    T = F.values.imag
-    C = np.zeros(F.values.shape[:-2] + (2 * n, 2 * n))
-    for i in range(n):
+        C = np.moveaxis(F.values.real, (-2, -1), (0, 1)).copy()
+        return np.moveaxis(C, (0, 1), (-2, -1))
+    S, T = F.values.real, F.values.imag
+    C = np.empty((geom.real_dims,) * 2 + S.shape[:-2])
+    for i in range(geom.n):
         xi, yi = geom.complex_axes(i)
-        for j in range(n):
+        for j in range(geom.n):
             xj, yj = geom.complex_axes(j)
-            C[..., xi, xj] = 0.25 * S[..., i, j]
-            C[..., yi, yj] = 0.25 * S[..., i, j]
-            C[..., xi, yj] = 0.25 * T[..., i, j]
-            C[..., yi, xj] = -0.25 * T[..., i, j]
-    return C
+            C[xi, xj] = C[yi, yj] = 0.25 * S[..., i, j]
+            C[xi, yj] = 0.25 * T[..., i, j]
+            C[yi, xj] = -0.25 * T[..., i, j]
+    return np.moveaxis(C, (0, 1), (-2, -1))
 
 
 def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom) -> np.ndarray:

@@ -124,6 +124,7 @@ class SolveReport:
     min_dt_used: float = np.nan
     boundary_tangential_min: float = np.nan
     stage_history: list = field(default_factory=list)
+    rejected_stages: list = field(default_factory=list)  # (t, t_target, reason)
 
     CSV_FIELDS = (
         "label,resolution,converged,t_final,final_residual,sup_u,"
@@ -249,9 +250,9 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     """Drive the interpolated family from the subsolution to the target.
 
     Returns (u, SolveReport).  The first stage targets t = 1; a failed
-    stage is retried with half its step, an accepted one doubles the
-    next, and the path stalls (raising ContinuationError) below
-    config.dt_min.  A stage that would leave
+    stage (kept in report.rejected_stages) is retried with half its step,
+    an accepted one doubles the next, and the path stalls (raising
+    ContinuationError) below config.dt_min.  A stage that would leave
     less than config.dt_min to go targets t = 1 exactly.
     """
     config = config or SolverConfig()
@@ -264,6 +265,7 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
 
     t, dt, min_dt = 0.0, 1.0, 1.0
     stages = []
+    rejected = []
     last_rn = np.nan
     while t < 1.0:
         # a gap below dt_min left after this stage would make a stage of
@@ -274,6 +276,7 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
         try:
             u_new, record = _newton_solve(u, fun, chi, psi_t, config, t_target)
         except _StageFailure as exc:
+            rejected.append((t, t_target, str(exc)))
             dt = 0.5 * step
             if dt < config.dt_min:
                 raise ContinuationError(
@@ -297,6 +300,7 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     report.continuity_stages = len(stages)
     report.min_dt_used = min_dt
     report.stage_history = stages
+    report.rejected_stages = rejected
 
     w = harmonic_majorant(chi, phi, geom)
     report.comparison_violations = comparison_check(u, u_sub, w)

@@ -75,6 +75,24 @@ class TestTrivialSolve:
         np.testing.assert_allclose(u.values, prob.u_sub.values, atol=1e-12)
 
 
+def run_controller(monkeypatch, too_long):
+    """Target t values the controller tries, and its report, with a
+    stand-in stage solve that fails when too_long(t_target, step)."""
+    attempts, accepted = [], [0.0]
+
+    def stage(u0, fun, chi, psi_t, config, t_label):
+        attempts.append(t_label)
+        if too_long(t_label, t_label - accepted[-1]):
+            raise sv._StageFailure("step too long")
+        accepted.append(t_label)
+        return u0, sv.StageRecord(t=t_label, residuals=[0.0], dampings=[])
+
+    monkeypatch.setattr(sv, "_newton_solve", stage)
+    prob = pr.build_problem(GEOM8, MA2, "manufactured", "zero", "star-bump")
+    u, rep = sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi, prob.u_sub)
+    return attempts, rep
+
+
 class TestNewton:
     def test_zero_residual_is_fixed_point(self):
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
@@ -107,6 +125,30 @@ class TestNewton:
         ts = [stage.t for stage in rep.stage_history]
         assert all(a < b for a, b in zip(ts, ts[1:]))
         assert ts[-1] == 1.0 and rep.continuity_stages == len(ts)
+
+    def test_controller_halves_on_failure_and_doubles_on_success(self,
+                                                                 monkeypatch):
+        attempts, rep = run_controller(monkeypatch, lambda t, step: step > 0.3)
+        assert attempts == [1.0, 0.5, 0.25, 0.75, 0.5, 1.0, 0.75, 1.0]
+        assert [s.t for s in rep.stage_history] == [0.25, 0.5, 0.75, 1.0]
+        assert rep.continuity_stages == 4 and rep.min_dt_used == 0.25
+        assert rep.rejected_stages == [
+            (0.0, 1.0, "step too long"), (0.0, 0.5, "step too long"),
+            (0.25, 0.75, "step too long"), (0.5, 1.0, "step too long"),
+        ]
+
+    def test_failed_step_clipped_at_one_is_halved_not_retried(self,
+                                                              monkeypatch):
+        # after t = 0.75 the doubled step overshoots and is clipped to 0.25;
+        # its failure must halve the step taken, not retry the same stage
+        attempts, rep = run_controller(
+            monkeypatch, lambda t, step: t == 1.0 and step > 0.2)
+        assert attempts == [1.0, 0.5, 1.0, 0.75, 1.0, 0.875, 1.0]
+        assert rep.rejected_stages == [
+            (0.0, 1.0, "step too long"), (0.5, 1.0, "step too long"),
+            (0.75, 1.0, "step too long"),
+        ]
+        assert rep.min_dt_used == 0.125
 
     def test_subsolution_violation_rejected(self):
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
