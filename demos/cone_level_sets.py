@@ -21,7 +21,8 @@ fun = cn.monge_ampere(2)
 lam = np.array([1.0, 4.0])
 print(f"\nMonge-Ampere n=2 at (1,4): f = {cn.f_eval(fun, lam)}, "
       f"grad = {cn.f_grad(fun, lam)} (hand: 1, 1/4)")
-print(f"Euler identity sum f_i lambda_i = {cn.euler_positivity(fun, lam)}")
+print(f"Euler identity sum f_i lambda_i = {cn.f_grad(fun, lam) @ lam} "
+      f"(= f, checked: {cn.check_euler(fun, lam)})")
 
 # The ray through (1,4) meets the level {f = 4} at t = 2.
 t = cn.ray_intersect(fun, lam, 4.0)

@@ -154,82 +154,48 @@ def _cone_rows(fun, samples, rng):
             if cones.in_cone(fun, lam):
                 return lam
 
-    rows = []
-    fails = {k: 0 for k in (
-        "gradient_positivity", "concavity_midpoint", "concavity_gradient",
-        "euler_identity", "fd_gradient", "ray_unique", "fi_sum_bound",
-    )}
-    eps_primes = []
-    beta = cones.default_beta(fun, [np.ones(fun.n)])
-    spec = cones.SubsolutionGapSpec(beta=beta)
-    min_margin = np.inf
-    max_fd_err = 0.0
-    for _ in range(samples):
-        lam = draw()
-        mu = draw()
-        g = cones.f_grad(fun, lam)
-        if not np.all(g > 0):
-            fails["gradient_positivity"] += 1
-        f_lam = cones.f_eval(fun, lam)
-        f_mu = cones.f_eval(fun, mu)
-        mid = cones.f_many(fun, 0.5 * (lam + mu))
-        if not mid >= 0.5 * (f_lam + f_mu) - cones.CONCAVITY_MARGIN:
-            fails["concavity_midpoint"] += 1
-        if not float(g @ (mu - lam)) >= f_mu - f_lam - cones.CONCAVITY_MARGIN:
-            fails["concavity_gradient"] += 1
-        s = float(g @ lam)
-        if abs(s - f_lam) > 1e-9 * (1 + abs(f_lam)) or s <= 0:
-            fails["euler_identity"] += 1
-        fd = cones.fd_grad(fun, lam)
-        err = float(np.abs(fd - g).max() / np.abs(g).max())
-        max_fd_err = max(max_fd_err, err)
-        if not err <= 1e-5:  # a NaN difference counts as a failure
-            fails["fd_gradient"] += 1
-        res = cones.subsolution_gap(fun, np.ones(fun.n), lam, spec)
-        if res.branch == "normal-far":
-            eps_primes.append(res.eps_prime)
-    # level-set samples: ray solve, uniqueness, and the gradient-sum bound
-    levels = max(1, samples // 10)
-    for _ in range(levels):
-        lam = draw()
-        sigma = float(rng.uniform(0.2, 4.0))
-        try:
-            t = cones.ray_intersect(fun, lam, sigma)
-        except ArithmeticError:
-            fails["ray_unique"] += 1
-            continue
-        ts = np.geomspace(t / 64.0, t * 64.0, 41)
-        signs = np.sign([cones.f_many(fun, s * lam) - sigma for s in ts])
-        signs = signs[signs != 0]
-        if np.count_nonzero(np.diff(signs) != 0) != 1:
-            fails["ray_unique"] += 1
-        point = cones.make_level_set_point(fun, lam, sigma)
-        c0 = cones.ray_intersect(fun, np.ones(fun.n), sigma)
-        for tt in (0.5, 1.0, 2.0, 1.0 + c0):
-            gsum = cones.f_grad(fun, point.lam).sum()
-            rhs = (cones.f_eval(fun, tt * np.ones(fun.n)) - sigma) / tt
-            min_margin = min(min_margin, gsum - rhs)
-            if not cones.check_fi_sum_bound(fun, point, tt):
-                fails["fi_sum_bound"] += 1
-    stat = {
-        "gradient_positivity": "", "concavity_midpoint": "",
-        "concavity_gradient": "", "euler_identity": "",
-        "fd_gradient": repr(max_fd_err),
-        "ray_unique": "", "fi_sum_bound": repr(float(min_margin)),
+    # every draw comes first, in the order of the per-sample loop it
+    # replaces: lam then mu per sample, then lam then sigma per level
+    lam, mu = np.array([(draw(), draw()) for _ in range(samples)]).transpose(1, 0, 2)
+    levels = [(draw(), float(rng.uniform(0.2, 4.0)))
+              for _ in range(max(1, samples // 10))]
+    level_lam = np.array([d for d, _ in levels])
+    sigma = np.array([s for _, s in levels])
+    ones = np.ones(fun.n)
+    midpoint_ok, gradient_ok = cones.check_concavity(fun, lam, mu)
+    fd_ok, fd_err = cones.check_fd_grad(fun, lam)
+    spec = cones.SubsolutionGapSpec(beta=cones.default_beta(fun, ones))
+    gap = cones.subsolution_gap(fun, ones, lam, spec)
+    ray_ok, t = cones.check_ray(fun, level_lam, sigma)
+    c0 = cones.ray_intersect(fun, ones, sigma)
+    tt = np.stack(np.broadcast_arrays(0.5, 1.0, 2.0, 1.0 + c0), axis=-1)
+    fi_ok, margin = cones.fi_sum_margins(fun, t[:, None] * level_lam, sigma, tt)
+    checks = {
+        "gradient_positivity": (cones.check_gradient(fun, lam), ""),
+        "concavity_midpoint": (midpoint_ok, ""),
+        "concavity_gradient": (gradient_ok, ""),
+        "euler_identity": (cones.check_euler(fun, lam), ""),
+        # a NaN error is a failure and no statistic
+        "fd_gradient": (fd_ok, repr(float(np.fmax.reduce(fd_err, initial=0.0)))),
+        "ray_unique": (ray_ok, ""),
+        "fi_sum_bound": (fi_ok, repr(float(margin.min()))),
     }
-    for check, cnt in fails.items():
-        rows.append(f"{fun.label},{check},{samples},{cnt},{stat[check]}")
-    if eps_primes:
-        arr = np.sort(np.asarray(eps_primes))
-        for tag, val in (
-            ("gap_epsprime_min", float(arr[0])),
-            ("gap_epsprime_median", float(arr[arr.size // 2])),
-            ("gap_epsprime_max", float(arr[-1])),
-        ):
-            bad = int(np.count_nonzero(arr <= 0.0))
-            rows.append(f"{fun.label},{tag},{arr.size},{bad},{val!r}")
-            fails[tag] = bad
-    return rows, sum(fails.values())
+    rows = []
+    failures = 0
+    for check, (ok, stat) in checks.items():
+        bad = int(np.count_nonzero(~ok))
+        rows.append(f"{fun.label},{check},{samples},{bad},{stat}")
+        failures += bad
+    far = gap.branch == "normal-far"
+    eps = np.sort(gap.eps_prime[far])
+    if eps.size:
+        bad = int(np.count_nonzero(~gap.passed[far]))
+        for tag, val in (("gap_epsprime_min", eps[0]),
+                         ("gap_epsprime_median", eps[eps.size // 2]),
+                         ("gap_epsprime_max", eps[-1])):
+            rows.append(f"{fun.label},{tag},{eps.size},{bad},{float(val)!r}")
+            failures += bad
+    return rows, failures
 
 
 def cmd_cone_check(cfg, writer, seed, profile):

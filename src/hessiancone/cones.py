@@ -18,6 +18,22 @@ Each family is written once on sigma_0..sigma_m (m = cone_order):
 ``f_from_sigmas``, its nonzero partials ``df_dsigmas`` and the cone test
 ``sigmas_in_cone``.  Most functions accept stacked inputs with the
 eigenvalue (or sigma) axis last.
+
+The structure conditions behind the boundary estimates are checked once
+over stacked samples ``(samples, n)``.  Each check returns per-sample masks
+(and the values it is judged on, where those are reported); a sample that
+fails is marked in its mask, never raised:
+
+* ``check_gradient``: f_i > 0;
+* ``check_concavity``: the midpoint and gradient-form inequalities over
+  (lambda, mu) pairs;
+* ``check_euler``: sum_i f_i lambda_i = f > 0 (degree one);
+* ``check_fd_grad``: the gradient against the complex-step ``fd_grad``;
+* ``subsolution_gap``: the normal-near / normal-far dichotomy and its eps';
+* ``check_ray``: the ray t lambda meets {f = sigma} exactly once;
+* ``fi_sum_margins``: sum f_i > (f(t*1) - sigma) / t on the level sets.
+
+A 1-D call of a stacked check runs through the same code.
 """
 
 from __future__ import annotations
@@ -44,12 +60,14 @@ __all__ = [
     "f_eval",
     "f_grad",
     "fd_grad",
+    "check_gradient",
     "check_concavity",
-    "euler_positivity",
+    "check_euler",
+    "check_fd_grad",
     "ray_intersect",
+    "check_ray",
     "make_level_set_point",
-    "write_level_set_csv",
-    "read_level_set_csv",
+    "fi_sum_margins",
     "check_fi_sum_bound",
     "subsolution_gap",
     "default_beta",
@@ -59,6 +77,7 @@ __all__ = [
 
 CONCAVITY_MARGIN = 1e-10
 EULER_RTOL = 1e-9
+FD_RTOL = 1e-5
 RAY_RTOL = 1e-10
 LEVEL_RTOL = 1e-9
 NORMAL_ATOL = 1e-12
@@ -106,11 +125,6 @@ class SymmetricFunction:
         if self.kind == "hessian_quotient":
             return self.l
         return self.k
-
-    @property
-    def sup_boundary(self) -> float:
-        """Limit superior of f at the cone boundary (0 for all families)."""
-        return 0.0
 
     @property
     def label(self) -> str:
@@ -238,55 +252,72 @@ def f_grad(fun: SymmetricFunction, lam) -> np.ndarray:
     """Gradient at one cone point, strictly positive componentwise."""
     lam = np.asarray(lam, dtype=float)
     _require_in_cone(fun, lam)
-    g = grad_many(fun, lam)
-    if not np.all(g > 0.0):
+    if not check_gradient(fun, lam):
         raise ArithmeticError("gradient not positive inside the cone")
-    return g
+    return grad_many(fun, lam)
+
+
+def _unit(g: np.ndarray) -> np.ndarray:
+    """g over its Euclidean norm along the last axis (formed as 1-D
+    np.linalg.norm forms it, so stacked and single points round alike)."""
+    return g / np.sqrt(np.vecdot(g, g))[..., None]
 
 
 def fd_grad(fun: SymmetricFunction, lam) -> np.ndarray:
-    """Complex-step gradient Im f(lambda + i h e_j) / h (independent check;
-    Squire & Trapp, SIAM Rev. 40, 1998).  The real part of every
-    evaluation point is lambda itself, so none leaves the cone, and no
-    difference is taken, so the result is accurate to rounding."""
+    """Complex-step gradient Im f(lambda + i h e_j) / h on stacked points,
+    evaluated on a (..., n, n) complex stack (independent check; Squire &
+    Trapp, SIAM Rev. 40, 1998).  The real part of every evaluation point is
+    lambda itself, so none leaves the cone, and no difference is taken, so
+    the result is accurate to rounding."""
     lam = np.asarray(lam, dtype=float)
-    points = lam + 1j * COMPLEX_STEP * np.eye(lam.size)
+    points = lam[..., None, :] + 1j * COMPLEX_STEP * np.eye(lam.shape[-1])
     return f_many(fun, points).imag / COMPLEX_STEP
 
 
-def check_concavity(fun: SymmetricFunction, lam, mu) -> bool:
-    """Midpoint and gradient-form concavity inequalities with margin."""
+def check_gradient(fun: SymmetricFunction, lam) -> np.ndarray:
+    """True where every f_i > 0 (stacked points, no cone validation)."""
+    return np.all(grad_many(fun, lam) > 0.0, axis=-1)
+
+
+def check_concavity(fun: SymmetricFunction, lam, mu) -> tuple:
+    """Midpoint and gradient-form concavity inequalities with margin, per
+    stacked (lambda, mu) pair: the two masks (midpoint_ok, gradient_ok)."""
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    _require_in_cone(fun, lam)
-    _require_in_cone(fun, mu)
-    f_lam = f_eval(fun, lam)
-    f_mu = f_eval(fun, mu)
+    f_lam, f_mu = f_many(fun, lam), f_many(fun, mu)
     mid = f_many(fun, 0.5 * (lam + mu))
     midpoint_ok = mid >= 0.5 * (f_lam + f_mu) - CONCAVITY_MARGIN
-    g = f_grad(fun, lam)
-    gradient_ok = float(g @ (mu - lam)) >= f_mu - f_lam - CONCAVITY_MARGIN
-    return bool(midpoint_ok and gradient_ok)
+    slope = np.vecdot(grad_many(fun, lam), mu - lam)
+    return midpoint_ok, slope >= f_mu - f_lam - CONCAVITY_MARGIN
 
 
-def euler_positivity(fun: SymmetricFunction, lam) -> float:
-    """Return ``sum_i f_i(lambda) * lambda_i``; positive in the cone, and
-    equal to f(lambda) for these degree-one families."""
+def check_euler(fun: SymmetricFunction, lam) -> np.ndarray:
+    """True where sum_i f_i(lambda) lambda_i is positive and equals
+    f(lambda), as degree-one homogeneity demands (stacked points)."""
     lam = np.asarray(lam, dtype=float)
-    g = f_grad(fun, lam)
-    s = float(g @ lam)
-    if s <= 0.0:
-        raise ArithmeticError("sum f_i * lambda_i not positive in the cone")
-    f = f_eval(fun, lam)
-    if abs(s - f) > EULER_RTOL * (1.0 + abs(f)):
-        raise ArithmeticError(
-            f"Euler identity violated for degree-one family: {s!r} vs {f!r}"
-        )
-    return s
+    s = np.vecdot(grad_many(fun, lam), lam)
+    f = f_many(fun, lam)
+    return (s > 0.0) & (np.abs(s - f) <= EULER_RTOL * (1.0 + np.abs(f)))
 
 
-def ray_intersect(fun: SymmetricFunction, lam, sigma: float) -> float:
-    """Unique t > 0 with f(t * lambda) = sigma.
+def check_fd_grad(fun: SymmetricFunction, lam) -> tuple:
+    """The gradient against ``fd_grad`` on stacked points: (ok, err) with
+    err = max_i |fd_i - f_i| / max_i |f_i|; a NaN err is not ok."""
+    g = grad_many(fun, lam)
+    err = np.abs(fd_grad(fun, lam) - g).max(axis=-1) / np.abs(g).max(axis=-1)
+    return err <= FD_RTOL, err
+
+
+def _ray(fun, lam, sigma):
+    """t = sigma / f(lambda) on stacked rays (degree one), and whether
+    f(t lambda) = sigma holds to RAY_RTOL (1 + |sigma|)."""
+    t = sigma / f_many(fun, lam)
+    resid = f_many(fun, t[..., None] * lam) - sigma
+    return t, np.abs(resid) <= RAY_RTOL * (1.0 + np.abs(sigma))
+
+
+def ray_intersect(fun: SymmetricFunction, lam, sigma):
+    """Unique t > 0 with f(t * lambda) = sigma (sigma may be stacked).
 
     Every shipped family is homogeneous of degree one, so f(t lambda) =
     t f(lambda) and t = sigma / f(lambda).  The level equation is still
@@ -295,13 +326,33 @@ def ray_intersect(fun: SymmetricFunction, lam, sigma: float) -> float:
     """
     lam = np.asarray(lam, dtype=float)
     _require_in_cone(fun, lam)
-    if not sigma > fun.sup_boundary:
+    if not np.all(np.asarray(sigma) > 0.0):
         raise ValueError(f"sigma={sigma!r} not above the boundary sup 0")
-    t = sigma / float(f_many(fun, lam))
-    resid = float(f_many(fun, t * lam) - sigma)
-    if abs(resid) > RAY_RTOL * (1.0 + abs(sigma)):
-        raise ArithmeticError(f"ray solve residual {resid!r} above tolerance")
-    return t
+    t, ok = _ray(fun, lam, sigma)
+    if not np.all(ok):
+        raise ArithmeticError("ray solve residual above tolerance")
+    return float(t) if np.ndim(t) == 0 else t
+
+
+def _sign_changes(signs: np.ndarray) -> np.ndarray:
+    """Sign changes along the last axis, zeros skipped: each entry is
+    replaced by the last nonzero sign up to it (0 before the first)."""
+    idx = np.where(signs != 0, np.arange(signs.shape[-1]), 0)
+    last = np.take_along_axis(signs, np.maximum.accumulate(idx, axis=-1), -1)
+    return np.count_nonzero((np.diff(last) != 0) & (last[..., :-1] != 0), -1)
+
+
+def check_ray(fun: SymmetricFunction, lam, sigma) -> tuple:
+    """Ray uniqueness per stacked (lambda, sigma): (ok, t) with t from the
+    closed form.  ok when f(t lambda) = sigma holds to RAY_RTOL and
+    f(s lambda) - sigma changes sign exactly once on 41 log-spaced s in
+    [t / 64, 64 t]."""
+    lam = np.asarray(lam, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    t, ok = _ray(fun, lam, sigma)
+    s = np.geomspace(t / 64.0, t * 64.0, 41, axis=-1)
+    vals = f_many(fun, s[..., None] * lam[..., None, :]) - sigma[..., None]
+    return ok & (_sign_changes(np.sign(vals)) == 1), t
 
 
 @dataclass(frozen=True)
@@ -329,17 +380,25 @@ def make_level_set_point(
     f = f_eval(fun, lam)
     if abs(f - sigma) > LEVEL_RTOL * (1.0 + abs(sigma)):
         raise ArithmeticError("level-set point off its level")
-    g = f_grad(fun, lam)
-    return LevelSetPoint(lam=lam, sigma=sigma, normal=g / np.linalg.norm(g))
+    return LevelSetPoint(lam=lam, sigma=sigma, normal=_unit(f_grad(fun, lam)))
+
+
+def fi_sum_margins(fun: SymmetricFunction, lam, sigma, t) -> tuple:
+    """Level-set gradient-sum bound sum f_i(lambda) > (f(t*1) - sigma)/t
+    at stacked points lambda on {f = sigma}, for each t along the last
+    axis of ``t``: (ok, margin) with margin = sum f_i - (f(t*1) - sigma)/t."""
+    sigma = np.asarray(sigma, dtype=float)[..., None]
+    t = np.asarray(t, dtype=float)
+    gsum = grad_many(fun, lam).sum(axis=-1)[..., None]
+    rhs = (f_many(fun, t[..., None] * np.ones(fun.n)) - sigma) / t
+    return gsum > rhs - CONCAVITY_MARGIN, gsum - rhs
 
 
 def check_fi_sum_bound(fun: SymmetricFunction, point: LevelSetPoint, t: float) -> bool:
-    """Level-set gradient-sum bound: sum f_i > (f(t*1) - sigma)/t."""
+    """Level-set gradient-sum bound at one point: sum f_i > (f(t*1) - sigma)/t."""
     if t <= 0:
         raise ValueError("t must be positive")
-    g = f_grad(fun, point.lam)
-    rhs = (f_eval(fun, t * np.ones(fun.n)) - point.sigma) / t
-    return bool(g.sum() > rhs - CONCAVITY_MARGIN)
+    return bool(fi_sum_margins(fun, point.lam, point.sigma, t)[0])
 
 
 @dataclass(frozen=True)
@@ -360,11 +419,9 @@ class SubsolutionGapSpec:
 def default_beta(fun: SymmetricFunction, reference_points) -> float:
     """Half the minimal distance of the reference unit normals to the
     boundary of the positive orthant (= half the smallest component)."""
-    best = np.inf
-    for lam in np.atleast_2d(np.asarray(reference_points, dtype=float)):
-        g = f_grad(fun, lam)
-        nu = g / np.linalg.norm(g)
-        best = min(best, float(nu.min()))
+    lam = np.asarray(reference_points, dtype=float)
+    _require_in_cone(fun, lam)
+    best = float(_unit(grad_many(fun, lam)).min())
     if not best > 0:
         raise ArithmeticError("reference normal touches the orthant boundary")
     return 0.5 * best
@@ -372,7 +429,8 @@ def default_beta(fun: SymmetricFunction, reference_points) -> float:
 
 @dataclass(frozen=True)
 class GapResult:
-    """Outcome of the two-branch subsolution gap test."""
+    """Outcome of the two-branch subsolution gap test; for stacked points
+    every field is an array, with NaN for a value off a point's branch."""
 
     branch: str  # "normal-near" | "normal-far"
     normal_distance: float
@@ -384,7 +442,7 @@ class GapResult:
 def subsolution_gap(
     fun: SymmetricFunction, lam_sub, lam, spec: SubsolutionGapSpec
 ) -> GapResult:
-    """Dichotomy at ``lam`` relative to the reference ``lam_sub``.
+    """Dichotomy at ``lam`` (one point or stacked) relative to ``lam_sub``.
 
     If the level-set normals differ by at least ``beta``, the concavity
     gap inequality
@@ -396,77 +454,49 @@ def subsolution_gap(
     """
     lam_sub = np.asarray(lam_sub, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    g_sub = f_grad(fun, lam_sub)
-    g = f_grad(fun, lam)
-    nu_sub = g_sub / np.linalg.norm(g_sub)
-    nu = g / np.linalg.norm(g)
-    dist = float(np.linalg.norm(nu - nu_sub))
-    gsum = float(g.sum())
-    if dist < spec.beta:
-        ratio = float(g.min()) / gsum
+    _require_in_cone(fun, lam_sub)
+    _require_in_cone(fun, lam)
+    g = grad_many(fun, lam)
+    d = _unit(g) - _unit(grad_many(fun, lam_sub))
+    dist = np.sqrt(np.vecdot(d, d))
+    gsum = g.sum(axis=-1)
+    far = ~(dist < spec.beta)
+    ratio = g.min(axis=-1) / gsum
+    gap = np.vecdot(g, lam_sub - lam) - (f_many(fun, lam_sub) - f_many(fun, lam))
+    eps = gap / (1.0 + gsum)
+    passed = np.where(far, (eps > 0.0) & (eps >= spec.epsilon),
+                      ratio >= spec.beta / np.sqrt(fun.n) - CONCAVITY_MARGIN)
+    if lam.ndim == 1:
         return GapResult(
-            branch="normal-near",
-            normal_distance=dist,
-            eps_prime=None,
-            min_component_ratio=ratio,
-            passed=ratio >= spec.beta / np.sqrt(fun.n) - CONCAVITY_MARGIN,
+            branch="normal-far" if far else "normal-near",
+            normal_distance=float(dist),
+            eps_prime=float(eps) if far else None,
+            min_component_ratio=None if far else float(ratio),
+            passed=bool(passed),
         )
-    lhs = float(g @ (lam_sub - lam))
-    gap = lhs - (f_eval(fun, lam_sub) - f_eval(fun, lam))
-    eps_prime = gap / (1.0 + gsum)
     return GapResult(
-        branch="normal-far",
+        branch=np.where(far, "normal-far", "normal-near"),
         normal_distance=dist,
-        eps_prime=eps_prime,
-        min_component_ratio=None,
-        passed=eps_prime > 0.0 and eps_prime >= spec.epsilon,
+        eps_prime=np.where(far, eps, np.nan),
+        min_component_ratio=np.where(far, np.nan, ratio),
+        passed=passed,
     )
 
 
-def write_level_set_csv(path, points) -> None:
-    """Serialize level-set samples as ``lambda_1..lambda_n,sigma`` rows."""
-    points = list(points)
-    if not points:
-        raise ValueError("no points to write")
-    n = points[0].lam.size
-    with open(path, "w") as fh:
-        fh.write(",".join(f"lambda_{i + 1}" for i in range(n)) + ",sigma\n")
-        for p in points:
-            fh.write(
-                ",".join(repr(float(v)) for v in p.lam)
-                + f",{p.sigma!r}\n"
-            )
-
-
-def read_level_set_csv(path, fun: SymmetricFunction) -> list:
-    """Rebuild LevelSetPoints (normals recomputed from the function)."""
-    out = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            *lam, sigma = (float(x) for x in line.split(","))
-            lam = np.asarray(lam)
-            g = f_grad(fun, lam)
-            out.append(
-                LevelSetPoint(lam=lam, sigma=sigma, normal=g / np.linalg.norm(g))
-            )
-    return out
-
-
 def delta_nondegeneracy(fun: SymmetricFunction, psi_values) -> float:
-    """min(psi) minus the boundary sup of f (0 here); zero marks the
-    degenerate regime."""
+    """min(psi), the distance of psi above the boundary value 0 of f; zero
+    marks the degenerate regime."""
     psi_values = np.asarray(psi_values, dtype=float)
     if psi_values.size == 0:
         raise ValueError("psi_values must be nonempty")
-    return float(psi_values.min() - fun.sup_boundary)
+    return float(psi_values.min())
 
 
 def kappa_lower_bound(fun: SymmetricFunction, sup_psi: float) -> float:
     """Uniform positive lower bound for sum f_i along {f = psi} levels:
     kappa = (f((1+c0)*1) - sup_psi)/(1+c0) with f(c0*1) = sup_psi, which
     degree-one homogeneity reduces to f(1)^2 / (f(1) + sup_psi)."""
-    if not sup_psi > fun.sup_boundary:
+    if not sup_psi > 0.0:
         raise ValueError(f"sup_psi={sup_psi!r} not above the boundary sup 0")
     f1 = f_eval(fun, np.ones(fun.n))
     return f1 * f1 / (f1 + sup_psi)

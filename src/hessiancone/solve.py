@@ -135,26 +135,18 @@ class SolveReport:
     )
 
     def csv_row(self) -> str:
-        vals = [
-            self.label,
-            str(self.resolution),
-            str(int(self.converged)),
-            repr(float(self.t_final)),
-            repr(float(self.final_residual)),
-            repr(float(self.sup_u)),
-            repr(float(self.sup_grad_interior)),
-            repr(float(self.sup_grad_boundary)),
-            repr(float(self.sup_ddbar_interior)),
-            repr(float(self.sup_ddbar_boundary)),
-            repr(float(self.boundary_ratio)),
-            repr(float(self.tangential_normal_ratio)),
-            repr(float(self.global_second_ratio)),
-            str(self.comparison_violations),
-            str(self.newton_iterations),
-            str(self.continuity_stages),
-            repr(float(self.min_dt_used)),
-        ]
-        return ",".join(vals)
+        """The CSV_FIELDS cells: a bool as 0/1, an int or str as itself,
+        anything else as repr(float)."""
+        return ",".join(_csv_cell(getattr(self, name))
+                        for name in self.CSV_FIELDS.split(","))
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, (int, str)):
+        return str(value)
+    return repr(float(value))
 
 
 def comparison_tolerance(geom) -> float:

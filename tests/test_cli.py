@@ -55,6 +55,48 @@ class TestLemmaSweep:
         assert len(lines) == 2  # provenance + header, no rows
 
 
+# cone-check rows at seed 0, 40 samples, kinds sigma1,sigmaK:2,ma,quotient:1:2
+SEED0_ROWS = [
+    "sigma1,gradient_positivity,40,0,",
+    "sigma1,concavity_midpoint,40,0,",
+    "sigma1,concavity_gradient,40,0,",
+    "sigma1,euler_identity,40,0,",
+    "sigma1,fd_gradient,40,0,0.0",
+    "sigma1,ray_unique,40,0,",
+    "sigma1,fi_sum_bound,40,0,1.0569862604811",
+    "sigmaK:2,gradient_positivity,40,0,",
+    "sigmaK:2,concavity_midpoint,40,0,",
+    "sigmaK:2,concavity_gradient,40,0,",
+    "sigmaK:2,euler_identity,40,0,",
+    "sigmaK:2,fd_gradient,40,0,3.4961341029932967e-16",
+    "sigmaK:2,ray_unique,40,0,",
+    "sigmaK:2,fi_sum_bound,40,0,0.6853297099036604",
+    "sigmaK:2,gap_epsprime_min,25,0,0.0699029097162809",
+    "sigmaK:2,gap_epsprime_median,25,0,0.24879532680030078",
+    "sigmaK:2,gap_epsprime_max,25,0,0.7348094349360823",
+    "ma,gradient_positivity,40,0,",
+    "ma,concavity_midpoint,40,0,",
+    "ma,concavity_gradient,40,0,",
+    "ma,euler_identity,40,0,",
+    "ma,fd_gradient,40,0,4.237730988069061e-16",
+    "ma,ray_unique,40,0,",
+    "ma,fi_sum_bound,40,0,0.26582826222429956",
+    "ma,gap_epsprime_min,25,0,0.025940802487676662",
+    "ma,gap_epsprime_median,25,0,0.09825097717335725",
+    "ma,gap_epsprime_max,25,0,0.8286866483076071",
+    "quotient:1:2,gradient_positivity,40,0,",
+    "quotient:1:2,concavity_midpoint,40,0,",
+    "quotient:1:2,concavity_gradient,40,0,",
+    "quotient:1:2,euler_identity,40,0,",
+    "quotient:1:2,fd_gradient,40,0,5.690775076733429e-16",
+    "quotient:1:2,ray_unique,40,0,",
+    "quotient:1:2,fi_sum_bound,40,0,0.6713766270235372",
+    "quotient:1:2,gap_epsprime_min,34,0,0.027602566955911147",
+    "quotient:1:2,gap_epsprime_median,34,0,0.11225307873428132",
+    "quotient:1:2,gap_epsprime_max,34,0,0.3144373743379795",
+]
+
+
 class TestConeCheck:
     def test_all_pass(self, tmp_path):
         code, out = run(tmp_path, "cone-check",
@@ -71,6 +113,30 @@ class TestConeCheck:
                         "n = 3\nkinds = sigma1\nsamples = 20\n")
         assert code == 1
         assert "sigma1,fd_gradient,20,20," in (out / "cone_check.csv").read_text()
+
+    def test_non_positive_gradient_counted(self, tmp_path, monkeypatch):
+        grad_many = cn.grad_many
+
+        def one_bad_sample(fun, lam):
+            g = grad_many(fun, lam)
+            if g.shape == (20, 3):
+                g[7, 1] = -g[7, 1]
+            return g
+
+        monkeypatch.setattr(cn, "grad_many", one_bad_sample)
+        code, out = run(tmp_path, "cone-check",
+                        "n = 3\nkinds = sigma1\nsamples = 20\n")
+        assert code == 1
+        assert "sigma1,gradient_positivity,20,1," in (out / "cone_check.csv").read_text()
+
+    def test_seed0_rows_pinned(self, tmp_path):
+        # the draw order (per sample lam then mu, per level lam then sigma)
+        # and the values of every check at seed 0
+        code, out = run(tmp_path, "cone-check",
+                        "n = 3\nkinds = sigma1,sigmaK:2,ma,quotient:1:2\n"
+                        "samples = 40\n")
+        assert code == 0
+        assert (out / "cone_check.csv").read_text().splitlines()[2:] == SEED0_ROWS
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = "n = 3\nkinds = quotient:1:2\nsamples = 40\n"

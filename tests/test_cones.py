@@ -5,6 +5,9 @@ Hand-computed oracles appear inline; gradients are cross-checked against
 central finite differences.
 """
 
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,24 +107,35 @@ class TestEvalAndGrad:
 
 class TestConcavity:
     def test_sigma1_equality(self):
-        assert cn.check_concavity(SIGMA1_3, [1.0, 2.0, 3.0], [4.0, 0.5, 1.0])
+        assert all(cn.check_concavity(SIGMA1_3, [1.0, 2.0, 3.0], [4.0, 0.5, 1.0]))
 
     def test_ma_diagonal_ray_equality(self):
-        assert cn.check_concavity(MA2, [1.0, 1.0], [4.0, 4.0])
+        assert all(cn.check_concavity(MA2, [1.0, 1.0], [4.0, 4.0]))
 
     def test_ma_cross_pair(self):
         # f(midpoint) = f(2.5, 2.5) = 2.5 >= (2 + 2)/2
         lam, mu = np.array([1.0, 4.0]), np.array([4.0, 1.0])
         assert cn.f_many(MA2, 0.5 * (lam + mu)) == pytest.approx(2.5)
-        assert cn.check_concavity(MA2, lam, mu)
+        assert all(cn.check_concavity(MA2, lam, mu))
 
     @pytest.mark.parametrize("fun", ALL_KINDS, ids=lambda f: f.label)
     def test_random_pairs(self, fun):
         rng = np.random.default_rng(42)
-        for _ in range(60):
-            lam = random_cone_point(fun, rng)
-            mu = random_cone_point(fun, rng)
-            assert cn.check_concavity(fun, lam, mu)
+        pairs = [(random_cone_point(fun, rng), random_cone_point(fun, rng))
+                 for _ in range(60)]
+        lam, mu = np.array(pairs).transpose(1, 0, 2)
+        midpoint_ok, gradient_ok = cn.check_concavity(fun, lam, mu)
+        assert midpoint_ok.shape == gradient_ok.shape == (60,)
+        assert midpoint_ok.all() and gradient_ok.all()
+
+    def test_convex_function_fails_midpoint(self, monkeypatch):
+        # f^2 is convex along the diagonal ray: f^2(2.5, 2.5) = 6.25 < 8.5
+        f_many = cn.f_many
+        monkeypatch.setattr(cn, "f_many", lambda fun, lam: f_many(fun, lam) ** 2)
+        lam = np.array([[1.0, 1.0], [1.0, 2.0]])
+        mu = np.array([[4.0, 4.0], [1.0, 2.0]])
+        midpoint_ok, _ = cn.check_concavity(MA2, lam, mu)
+        np.testing.assert_array_equal(midpoint_ok, [False, True])
 
 
 class TestHomogeneityProperty:
@@ -144,18 +158,26 @@ class TestHomogeneityProperty:
 
 class TestEuler:
     def test_sigma1(self):
-        assert cn.euler_positivity(SIGMA1_3, [1.0, 2.0, 3.0]) == pytest.approx(6.0)
+        lam = np.array([1.0, 2.0, 3.0])
+        assert cn.f_grad(SIGMA1_3, lam) @ lam == pytest.approx(6.0)
+        assert cn.check_euler(SIGMA1_3, lam)
 
     def test_ma_hand(self):
-        assert cn.euler_positivity(MA2, [1.0, 4.0]) == pytest.approx(2.0)
+        lam = np.array([1.0, 4.0])
+        assert cn.f_grad(MA2, lam) @ lam == pytest.approx(2.0)
+        assert cn.check_euler(MA2, lam)
 
     @pytest.mark.parametrize("fun", ALL_KINDS, ids=lambda f: f.label)
     def test_diagonal_ray(self, fun):
-        for t in (0.5, 1.0, 7.0):
-            lam = t * np.ones(fun.n)
-            s = cn.euler_positivity(fun, lam)
-            assert s == pytest.approx(t * cn.f_eval(fun, np.ones(fun.n)), rel=1e-9)
-            assert s > 0
+        lam = np.array([0.5, 1.0, 7.0])[:, None] * np.ones(fun.n)
+        assert cn.check_euler(fun, lam).tolist() == [True] * 3
+
+    def test_wrong_gradient_counted_not_raised(self, monkeypatch):
+        # a doubled gradient breaks sum f_i lambda_i = f on every sample
+        grad_many = cn.grad_many
+        monkeypatch.setattr(cn, "grad_many", lambda fun, lam: 2.0 * grad_many(fun, lam))
+        lam = np.array([[1.0, 4.0], [2.0, 3.0]])
+        assert not cn.check_euler(MA2, lam).any()
 
 
 class TestRayIntersect:
@@ -175,6 +197,10 @@ class TestRayIntersect:
         with pytest.raises(ValueError):
             cn.ray_intersect(MA2, [1.0, 1.0], 0.0)
 
+    def test_stacked_sigma(self):
+        t = cn.ray_intersect(MA2, [1.0, 4.0], np.array([2.0, 4.0]))
+        assert t.tolist() == [cn.ray_intersect(MA2, [1.0, 4.0], s) for s in (2.0, 4.0)]
+
     @pytest.mark.parametrize("fun", ALL_KINDS, ids=lambda f: f.label)
     def test_residual_and_unique_sign_change(self, fun):
         rng = np.random.default_rng(3)
@@ -189,6 +215,32 @@ class TestRayIntersect:
             signs = np.sign([cn.f_many(fun, s * lam) - sigma for s in ts])
             signs = signs[signs != 0]
             assert np.count_nonzero(np.diff(signs) != 0) == 1
+
+    @pytest.mark.parametrize("fun", ALL_KINDS, ids=lambda f: f.label)
+    def test_check_ray_stacked(self, fun):
+        rng = np.random.default_rng(3)
+        lam = np.array([random_cone_point(fun, rng) for _ in range(25)])
+        sigma = rng.uniform(0.2, 5.0, 25)
+        ok, t = cn.check_ray(fun, lam, sigma)
+        assert ok.all()
+        assert t.tolist() == [cn.ray_intersect(fun, d, s) for d, s in zip(lam, sigma)]
+
+    def test_check_ray_counts_a_second_crossing(self, monkeypatch):
+        # f(s lambda) - sigma crosses zero again above s = 8 t
+        f_many = cn.f_many
+
+        def wavy(fun, lam):
+            f = f_many(fun, lam)
+            return np.where(f > 8.0, 0.0, f)
+
+        monkeypatch.setattr(cn, "f_many", wavy)
+        ok, _ = cn.check_ray(MA2, np.array([[1.0, 4.0], [1.0, 4.0]]),
+                             np.array([1.0, 0.1]))
+        np.testing.assert_array_equal(ok, [False, True])
+
+    def test_sign_changes_skip_zeros(self):
+        signs = np.array([[-1, 0, 1, 1], [0, 0, 1, 1], [1, -1, 0, 1], [0, -1, 0, 0]])
+        assert cn._sign_changes(signs).tolist() == [1, 0, 2, 0]
 
 
 class TestFiSumBound:
@@ -213,6 +265,28 @@ class TestFiSumBound:
         assert cn.check_fi_sum_bound(fun, pt, c)
         for t in (0.5, 1.0, 2.0):
             assert cn.check_fi_sum_bound(fun, pt, t)
+
+    @pytest.mark.parametrize("fun", ALL_KINDS, ids=lambda f: f.label)
+    def test_stacked_margins_match_single_points(self, fun):
+        rng = np.random.default_rng(5)
+        pts = [cn.make_level_set_point(fun, random_cone_point(fun, rng),
+                                       float(rng.uniform(0.2, 4.0)))
+               for _ in range(10)]
+        t = np.array([0.5, 1.0, 2.0, 3.0])
+        ok, margin = cn.fi_sum_margins(
+            fun, np.array([p.lam for p in pts]), [p.sigma for p in pts], t)
+        assert ok.shape == margin.shape == (10, 4) and ok.all()
+        for p, row in zip(pts, margin):
+            gsum = cn.f_grad(fun, p.lam).sum()
+            rhs = [(cn.f_eval(fun, s * np.ones(fun.n)) - p.sigma) / s for s in t]
+            assert row.tolist() == (gsum - np.array(rhs)).tolist()
+
+    def test_bound_violation_counted_not_raised(self):
+        # sum f_i(1, 4) = 1.25, while (f(t*1) - sigma)/t with sigma = -10 is
+        # 21 at t = 0.5 and 11 at t = 1
+        ok, margin = cn.fi_sum_margins(MA2, np.array([[1.0, 4.0]]), [-10.0],
+                                       np.array([[0.5, 1.0]]))
+        assert not ok.any() and (margin < 0).all()
 
 
 class TestSubsolutionGap:
@@ -246,6 +320,25 @@ class TestSubsolutionGap:
             assert lhs >= 0.0 - 1.0 + eps * (1 + g.sum()) - 1e-12  # f terms cancel
         assert lhs < (res.eps_prime + 1e-6) * (1 + g.sum()) - (1.0 - 1.0)
 
+    @pytest.mark.parametrize("fun", ALL_KINDS, ids=lambda f: f.label)
+    def test_stacked_matches_single_points(self, fun):
+        rng = np.random.default_rng(11)
+        lam = np.array([random_cone_point(fun, rng) for _ in range(30)])
+        ref = np.ones(fun.n)
+        spec = cn.SubsolutionGapSpec(beta=cn.default_beta(fun, ref))
+        res = cn.subsolution_gap(fun, ref, lam, spec)
+        for i, point in enumerate(lam):
+            one = cn.subsolution_gap(fun, ref, point, spec)
+            assert res.branch[i] == one.branch
+            assert res.normal_distance[i] == one.normal_distance
+            assert res.passed[i] == one.passed
+            if one.branch == "normal-far":
+                assert res.eps_prime[i] == one.eps_prime
+                assert np.isnan(res.min_component_ratio[i])
+            else:
+                assert res.min_component_ratio[i] == one.min_component_ratio
+                assert np.isnan(res.eps_prime[i])
+
     def test_beta_invariant(self):
         with pytest.raises(ValueError):
             cn.SubsolutionGapSpec(beta=0.0)
@@ -271,21 +364,6 @@ class TestDeltaAndKappa:
 
 
 class TestLevelSetPoint:
-    def test_csv_round_trip(self, tmp_path):
-        pts = [
-            cn.make_level_set_point(MA3, [1.0, 2.0, 3.0], 2.5),
-            cn.make_level_set_point(MA3, [2.0, 1.0, 1.0], 1.0),
-        ]
-        path = tmp_path / "levels.csv"
-        cn.write_level_set_csv(path, pts)
-        header = path.read_text().splitlines()[0]
-        assert header == "lambda_1,lambda_2,lambda_3,sigma"
-        again = cn.read_level_set_csv(path, MA3)
-        for a, b in zip(pts, again):
-            np.testing.assert_allclose(a.lam, b.lam)
-            assert a.sigma == b.sigma
-            np.testing.assert_allclose(a.normal, b.normal)
-
     def test_normal_is_unit_and_on_level(self):
         pt = cn.make_level_set_point(MA3, [1.0, 2.0, 3.0], 2.5)
         assert abs(np.linalg.norm(pt.normal) - 1.0) <= 1e-12
@@ -294,3 +372,44 @@ class TestLevelSetPoint:
     def test_bad_normal_rejected(self):
         with pytest.raises(ValueError):
             cn.LevelSetPoint(lam=np.ones(2), sigma=1.0, normal=np.array([1.0, 1.0]))
+
+
+class TestStackedChecks:
+    """A stacked check gives, row by row, what it gives on each point."""
+
+    @pytest.mark.parametrize("fun", ALL_KINDS, ids=lambda f: f.label)
+    def test_rows_match_single_points(self, fun):
+        rng = np.random.default_rng(8)
+        lam = np.array([random_cone_point(fun, rng) for _ in range(20)])
+        mu = np.array([random_cone_point(fun, rng) for _ in range(20)])
+        ok, err = cn.check_fd_grad(fun, lam)
+        stacked = (cn.fd_grad(fun, lam), cn.check_gradient(fun, lam),
+                   cn.check_euler(fun, lam), ok, err,
+                   *cn.check_concavity(fun, lam, mu))
+        for i in range(lam.shape[0]):
+            single = (cn.fd_grad(fun, lam[i]), cn.check_gradient(fun, lam[i]),
+                      cn.check_euler(fun, lam[i]), *cn.check_fd_grad(fun, lam[i]),
+                      *cn.check_concavity(fun, lam[i], mu[i]))
+            for a, b in zip(stacked, single):
+                np.testing.assert_array_equal(a[i], b)
+        assert ok.all() and err.max() <= 1e-12
+
+    def test_non_positive_gradient_counted_not_raised(self, monkeypatch):
+        grad_many = cn.grad_many
+
+        def defective(fun, lam):
+            g = grad_many(fun, lam)
+            g[..., 0, 0] = -g[..., 0, 0]
+            return g
+
+        monkeypatch.setattr(cn, "grad_many", defective)
+        lam = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 1.0]])
+        assert cn.check_gradient(SIGMA2_3, lam).tolist() == [False, True]
+        ok, err = cn.check_fd_grad(SIGMA2_3, lam)
+        assert ok.tolist() == [False, True] and err[0] > 1e-5
+
+
+def test_cone_level_sets_demo_runs(capsys):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "cone_level_sets.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    assert "Euler identity" in capsys.readouterr().out

@@ -238,6 +238,16 @@ class TestEstimateReport:
         assert rep.sup_ddbar_interior <= 1e-12
         assert rep.boundary_ratio <= 1e-12
 
+    def test_csv_row_cells(self):
+        rep = sv.SolveReport(label="ma", resolution=8, converged=True,
+                             t_final=1.0, final_residual=2.5e-10,
+                             comparison_violations=0, newton_iterations=3,
+                             continuity_stages=1, min_dt_used=1.0)
+        assert sv.SolveReport.CSV_FIELDS.count(",") == 16
+        assert rep.csv_row() == (
+            "ma,8,1,1.0,2.5e-10,nan,nan,nan,nan,nan,nan,nan,nan,0,3,1,1.0"
+        )
+
 
 class TestBarrier:
     def test_spec_validation(self):
