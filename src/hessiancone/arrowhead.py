@@ -7,7 +7,8 @@ eigenvalues concentrate within ``eps`` of the diagonal entries and the top
 eigenvalue sits within ``(n-1)*eps`` above the corner.  This module
 evaluates the growth thresholds, verifies the concentration bounds against
 a dense eigensolver, deflates repeated diagonal entries exactly, and runs
-randomized sweeps over spec families.
+randomized sweeps over spec families.  The per-spec checks and the sweeps
+share one verdict, ``_concentration``, written over stacked spectra.
 
 All functions are pure; sweeps are deterministic for a fixed seed.
 """
@@ -86,30 +87,6 @@ class ArrowheadSpec:
     def n(self) -> int:
         return self.d.size + 1
 
-    def to_line(self) -> str:
-        """Serialize as ``n; d...; re(a) im(a)...; corner``."""
-        dpart = " ".join(repr(float(x)) for x in self.d)
-        apart = " ".join(
-            f"{float(z.real)!r} {float(z.imag)!r}" for z in self.a_off
-        )
-        return f"{self.n}; {dpart}; {apart}; {self.corner!r}"
-
-    @classmethod
-    def from_line(cls, line: str) -> "ArrowheadSpec":
-        parts = [p.strip() for p in line.split(";")]
-        if len(parts) != 4:
-            raise ValueError("expected 'n; d...; re im ...; corner'")
-        n = int(parts[0])
-        d = np.array([float(x) for x in parts[1].split()], dtype=float)
-        nums = [float(x) for x in parts[2].split()]
-        if len(nums) != 2 * (n - 1):
-            raise ValueError("a_off needs re/im pairs for n-1 entries")
-        a = np.array(nums[0::2], dtype=float) + 1j * np.array(nums[1::2])
-        spec = cls(d=d, a_off=a, corner=float(parts[3]))
-        if spec.n != n:
-            raise ValueError(f"declared n={n} but got {spec.n} from entries")
-        return spec
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -155,15 +132,22 @@ class ConcentrationReport:
         return bool(np.all(self.deviation_ok)) and self.excess_ok
 
 
+def _assemble(d, a_off, corner):
+    """Dense Hermitian matrices with zeros off the arrow pattern, stacked
+    over the leading axes of d and a_off (one corner per matrix)."""
+    nm1 = d.shape[-1]
+    m = np.zeros(d.shape[:-1] + (nm1 + 1, nm1 + 1), dtype=complex)
+    idx = np.arange(nm1)
+    m[..., idx, idx] = d
+    m[..., :nm1, nm1] = a_off
+    m[..., nm1, :nm1] = np.conj(a_off)
+    m[..., nm1, nm1] = corner
+    return m
+
+
 def assemble(spec: ArrowheadSpec) -> np.ndarray:
     """Dense Hermitian matrix with zeros off the arrow pattern."""
-    n = spec.n
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n - 1), np.arange(n - 1)] = spec.d
-    m[: n - 1, n - 1] = spec.a_off
-    m[n - 1, : n - 1] = np.conj(spec.a_off)
-    m[n - 1, n - 1] = spec.corner
-    return m
+    return _assemble(spec.d, spec.a_off, spec.corner)
 
 
 def eigenvalues(spec: ArrowheadSpec) -> Spectrum:
@@ -221,19 +205,11 @@ def threshold_distinct(d, a_off, eps) -> float:
     return asq / eps + (n - 1) * np.sum(np.abs(d), axis=-1) + (n - 2) * eps
 
 
-def _require_at_threshold(spec: ArrowheadSpec, threshold: float):
-    if spec.corner < threshold - MARGIN * (1.0 + abs(threshold)):
-        raise ValueError(
-            f"below threshold: corner={spec.corner!r} < {threshold!r}"
-        )
-
-
-def check_concentration_strong(spec: ArrowheadSpec, eps: float) -> ConcentrationReport:
-    """Per-index bounds ``|d_(alpha) - lambda_alpha| < eps`` (both sorted)
-    and ``0 <= lambda_n - corner < (n-1) eps``, requiring the strong
-    growth condition on the corner."""
-    thr = float(threshold_strong(spec.d, spec.a_off, eps))
-    return _per_index_report("strong", spec, eps, thr)
+_THRESHOLDS = {
+    "strong": threshold_strong,
+    "weak": threshold_weak,
+    "distinct": threshold_distinct,
+}
 
 
 def _margin(lam):
@@ -242,30 +218,71 @@ def _margin(lam):
     return MARGIN + ROUNDING_ULPS * np.finfo(float).eps * np.abs(lam).max(axis=-1)
 
 
-def _report(mode, spec, eps, thr, lam, dev, excess_bound, matched=None):
-    """Deviations below eps and corner excess in [0, excess_bound), each
-    tested with the rounding margin of the spectrum lam."""
+def _concentration(mode, d, lam, corner, eps):
+    """The concentration verdict over the leading axes of the diagonals d
+    (..., n-1) and ascending spectra lam (..., n), none for a single spec;
+    corner and eps give one value per spec or one for all.
+
+    Returns the deviations ``|d_alpha - lambda_alpha|`` (sorted-index
+    pairing, or for "weak" the nearest match with ties broken toward the
+    smaller index), the corner excess ``lambda_n - corner``, the masks
+    deviation < eps and 0 <= excess < bound, each tested with the margin
+    of its own spectrum, and for "weak" the matched indices (else None).
+    The excess bound is ``(n-1) eps``, for "weak" plus
+    ``|sum(d) - sum(d_matched)|``.
+    """
+    n = lam.shape[-1]
+    small = lam[..., :-1]
+    bound = (n - 1) * eps
+    matched = None
+    if mode == "weak":
+        dist = np.abs(small[..., :, None] - d[..., None, :])
+        matched = np.argmin(dist, axis=-1)  # argmin takes the first minimum
+        dev = np.take_along_axis(dist, matched[..., None], axis=-1)[..., 0]
+        d_matched = np.take_along_axis(d, matched, axis=-1)
+        bound = bound + np.abs(d.sum(axis=-1) - d_matched.sum(axis=-1))
+    else:
+        dev = np.abs(np.sort(d, axis=-1) - small)
+    excess = lam[..., -1] - corner
     margin = _margin(lam)
-    excess = float(lam[-1] - spec.corner)
+    deviation_ok = dev < (eps + margin)[..., None]
+    excess_ok = (excess >= -margin) & (excess < bound + margin)
+    return dev, excess, deviation_ok, excess_ok, matched
+
+
+def _min_gap(d):
+    """Smallest distance between two diagonal entries of each stacked
+    spec; inf for a single entry, where the distinct bound is vacuous."""
+    i, j = np.triu_indices(d.shape[-1], k=1)
+    return np.abs(d[..., i] - d[..., j]).min(axis=-1, initial=np.inf)
+
+
+def _check(mode, spec, eps):
+    """Check one spec at the growth threshold of mode, against the dense
+    eigensolver's spectrum."""
+    thr = float(_THRESHOLDS[mode](spec.d, spec.a_off, eps))
+    if spec.corner < thr - MARGIN * (1.0 + abs(thr)):
+        raise ValueError(f"below threshold: corner={spec.corner!r} < {thr!r}")
+    lam = eigenvalues(spec).values
+    dev, excess, deviation_ok, excess_ok, matched = _concentration(
+        mode, spec.d, lam, spec.corner, eps)
     return ConcentrationReport(
         mode=mode,
         epsilon=eps,
         threshold=thr,
         deviations=dev,
-        corner_excess=excess,
-        deviation_ok=dev < eps + margin,
-        excess_ok=(excess >= -margin) and (excess < excess_bound + margin),
+        corner_excess=float(excess),
+        deviation_ok=deviation_ok,
+        excess_ok=bool(excess_ok),
         matched_indices=matched,
     )
 
 
-def _per_index_report(mode, spec, eps, thr):
-    """Sorted-index deviations and corner excess against ``(n-1) eps``."""
-    _require_at_threshold(spec, thr)
-    lam = eigenvalues(spec).values
-    n = spec.n
-    dev = np.abs(np.sort(spec.d) - lam[: n - 1])
-    return _report(mode, spec, eps, thr, lam, dev, (n - 1) * eps)
+def check_concentration_strong(spec: ArrowheadSpec, eps: float) -> ConcentrationReport:
+    """Per-index bounds ``|d_(alpha) - lambda_alpha| < eps`` (both sorted)
+    and ``0 <= lambda_n - corner < (n-1) eps``, requiring the strong
+    growth condition on the corner."""
+    return _check("strong", spec, eps)
 
 
 def check_concentration_weak(spec: ArrowheadSpec, eps: float) -> ConcentrationReport:
@@ -274,16 +291,7 @@ def check_concentration_weak(spec: ArrowheadSpec, eps: float) -> ConcentrationRe
 
     Nearest-match ties are broken toward the smaller index.
     """
-    thr = float(threshold_weak(spec.d, spec.a_off, eps))
-    _require_at_threshold(spec, thr)
-    lam = eigenvalues(spec).values
-    n = spec.n
-    small = lam[: n - 1]
-    dist = np.abs(small[:, None] - spec.d[None, :])
-    matched = np.argmin(dist, axis=1)  # argmin takes the first minimum
-    dev = dist[np.arange(n - 1), matched]
-    bound = (n - 1) * eps + abs(float(np.sum(spec.d) - np.sum(spec.d[matched])))
-    return _report("weak", spec, eps, thr, lam, dev, bound, matched)
+    return _check("weak", spec, eps)
 
 
 def check_concentration_distinct(spec: ArrowheadSpec, eps: float) -> ConcentrationReport:
@@ -292,18 +300,14 @@ def check_concentration_distinct(spec: ArrowheadSpec, eps: float) -> Concentrati
     Requires ``0 < eps <= min gap / 2`` (vacuous when n = 2) and the
     distinct-case growth condition on the corner.
     """
-    d = spec.d
-    if d.size >= 2:
-        gaps = np.abs(d[:, None] - d[None, :])[np.triu_indices(d.size, k=1)]
-        min_gap = float(gaps.min())
-        if min_gap == 0.0:
-            raise ValueError("diagonal entries must be pairwise distinct")
-        if eps > 0.5 * min_gap:
-            raise ValueError(
-                f"eps={eps!r} exceeds half the minimal diagonal gap {min_gap!r}"
-            )
-    thr = float(threshold_distinct(d, spec.a_off, eps))
-    return _per_index_report("distinct", spec, eps, thr)
+    min_gap = float(_min_gap(spec.d))
+    if min_gap == 0.0:
+        raise ValueError("diagonal entries must be pairwise distinct")
+    if eps > 0.5 * min_gap:
+        raise ValueError(
+            f"eps={eps!r} exceeds half the minimal diagonal gap {min_gap!r}"
+        )
+    return _check("distinct", spec, eps)
 
 
 def deflate_repeated(spec: ArrowheadSpec) -> tuple[float, ArrowheadSpec]:
@@ -365,61 +369,27 @@ def _draw_specs(n: int, trials: int, rng: np.random.Generator):
     return d, a
 
 
-def _batch_eigenvalues(d, a, corner):
-    trials, nm1 = d.shape
-    n = nm1 + 1
-    mats = np.zeros((trials, n, n), dtype=complex)
-    idx = np.arange(nm1)
-    mats[:, idx, idx] = d
-    mats[:, : n - 1, n - 1] = a
-    mats[:, n - 1, : n - 1] = np.conj(a)
-    mats[:, n - 1, n - 1] = corner
-    return np.linalg.eigvalsh(mats)
-
-
 def _chunk_stats(mode, n, eps, corner_fraction, seed, chunk_id, count):
     rng = np.random.default_rng([seed, chunk_id])
     d, a = _draw_specs(n, count, rng)
-    eps_used = np.full(count, eps)
-    if mode == "strong":
-        thr = threshold_strong(d, a, eps)
-    elif mode == "weak":
-        thr = threshold_weak(d, a, eps)
-    elif mode == "distinct":
-        if n >= 3:
-            gaps = np.abs(d[:, :, None] - d[:, None, :])
-            iu = np.triu_indices(n - 1, k=1)
-            min_gap = gaps[:, iu[0], iu[1]].min(axis=1)
-            eps_used = np.minimum(eps, 0.5 * min_gap)
-        thr = threshold_distinct(d, a, eps_used)
-    else:
-        raise ValueError(f"unknown sweep mode {mode!r}")
-    corner = corner_fraction * thr
-    lam = _batch_eigenvalues(d, a, corner)
-    small = lam[:, : n - 1]
-    if mode == "weak":
-        dist = np.abs(small[:, :, None] - d[:, None, :])
-        matched = np.argmin(dist, axis=2)
-        dev = np.take_along_axis(dist, matched[:, :, None], axis=2)[:, :, 0]
-        d_matched = np.take_along_axis(d, matched, axis=1)
-        excess_bound = (n - 1) * eps + np.abs(d.sum(axis=1) - d_matched.sum(axis=1))
-    else:
-        dev = np.abs(np.sort(d, axis=1) - small)
-        excess_bound = (n - 1) * eps_used
-    excess = lam[:, -1] - corner
-    margin = _margin(lam)
-    dev_bad = np.any(dev >= (eps_used + margin)[:, None], axis=1)
-    exc_bad = (excess < -margin) | (excess >= excess_bound + margin)
+    if mode == "distinct":
+        eps = np.minimum(eps, 0.5 * _min_gap(d))
+    corner = corner_fraction * _THRESHOLDS[mode](d, a, eps)
+    lam = np.linalg.eigvalsh(_assemble(d, a, corner))
+    dev, excess, deviation_ok, excess_ok, _ = _concentration(mode, d, lam, corner, eps)
+    passed = deviation_ok.all(axis=-1) & excess_ok
     return (
         float(dev.max()),
         float(excess.max()),
-        int(np.count_nonzero(dev_bad | exc_bad)),
+        int(np.count_nonzero(~passed)),
     )
 
 
 def _run_sweep(mode, n, eps, trials, seed, corner_fraction):
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if mode not in _THRESHOLDS:
+        raise ValueError(f"unknown sweep mode {mode!r}")
     chunks = [
         (cid, min(_CHUNK, trials - cid * _CHUNK))
         for cid in range((trials + _CHUNK - 1) // _CHUNK)

@@ -6,8 +6,9 @@ Every output begins with ``# hessiancone=<version> seed=<seed>
 config_sha256=<hash>``; identical config and seed give byte-identical
 files.  Exit status is 0 iff every enabled assertion passed, and 2 for a
 config file the command cannot use: one that cannot be read, a key it
-does not read, or a value that does not parse or names no known function
-or preset.  Such a run prints one line to stderr and writes nothing.
+does not read, or a value that does not parse, is out of range or names
+no known function or preset.  Such a run prints one line to stderr and
+writes nothing.
 """
 
 from __future__ import annotations
@@ -94,6 +95,12 @@ def _ints(text):
     return [int(x) for x in str(text).replace(",", " ").split()]
 
 
+def _require(ok, message):
+    """Reject an out-of-range config value; called inside _config_errors."""
+    if not ok:
+        raise ValueError(message)
+
+
 class _Writer:
     """CSV writer with the provenance header; the output directory is made
     on the first write, so a run rejected during set-up leaves none."""
@@ -121,6 +128,8 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
         eps_list = _floats(cfg.get("eps", "0.05 0.2 1.0"))
         trials = int(cfg.get("trials", 1000 if profile == FAST else 10000))
         fractions = _floats(cfg.get("corner_fractions", "1.0"))
+        _require(all(n >= 2 for n in ns), "ns: every n must be at least 2")
+        _require(all(e > 0 for e in eps_list), "eps: every value must be positive")
     failures = 0
     for mode in ("strong", "weak", "distinct"):
         rows = []
@@ -204,6 +213,7 @@ def cmd_cone_check(cfg, writer, seed, profile):
         kinds = str(cfg.get("kinds", "sigma1,sigmaK:2,ma,quotient:1:2")).split(",")
         funs = [cones.parse_kind(name.strip(), n) for name in kinds]
         samples = int(cfg.get("samples", 1000))
+        _require(samples >= 1, "samples: must be at least 1")
     rng = np.random.default_rng(seed)
     rows, failures = [], 0
     for fun in funs:
@@ -303,6 +313,8 @@ def cmd_degenerate(cfg, writer, seed, profile):
         geom = _geometry(cfg, FAST)
         fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
         eps_list = _floats(cfg.get("eps_list", "0.1 0.01 0.001"))
+        _require(all(e > 0 for e in eps_list),
+                 "eps_list: every value must be positive")
         prob = build_problem(geom, fun, "degenerate-cos", "zero", "zero")
         config = _solver_config(cfg)
     rows_data = degenerate_sweep(fun, prob.chi, prob.psi, prob.phi, prob.u_sub,

@@ -95,14 +95,6 @@ class _FlatGrid:
                         indexing="ij", sparse=True)
         )
 
-    def interior_grids(self) -> list:
-        g = self.grids()
-        ax = self.dirichlet_axis
-        sl = [slice(None)] * self.real_dims
-        sl[ax] = slice(1, -1)
-        g[ax] = g[ax][tuple(sl)]
-        return g
-
     def boundary_distance(self) -> np.ndarray:
         """sigma = min(x_dir, 1 - x_dir), full grid shape."""
         x = self.grids()[self.dirichlet_axis]

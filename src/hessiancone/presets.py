@@ -45,9 +45,6 @@ __all__ = [
     "real_bump_values",
     "manufactured_psi",
     "build_problem",
-    "PSI_PRESETS",
-    "PHI_PRESETS",
-    "SUB_PRESETS",
 ]
 
 STAR_AMPLITUDE = 0.02
@@ -231,7 +228,3 @@ def build_problem(geom, fun, psi_name: str, phi_name: str, sub_name: str,
 
     return Problem(chi=chi, psi=psi, phi=phi, u_sub=u_sub, u_star=star)
 
-
-PSI_PRESETS = ("one", "manufactured", "degenerate-cos")
-PHI_PRESETS = ("zero", "scaled-cos")
-SUB_PRESETS = ("zero", "star-bump", "scaled-cos")

@@ -294,30 +294,92 @@ class TestSweeps:
         s = ah.sweep_at_threshold("distinct", 5, 1.0, 5120, 11)
         assert s.violations == 0
 
+    def test_rows_pinned(self):
+        # pinned rows; the distinct row depends on the eps cap at half the
+        # minimal diagonal gap
+        rows = [ah.sweep_at_threshold(mode, 4, 1.0, 600, 7).csv_row()
+                for mode in ("strong", "weak", "distinct")]
+        rows.append(ah.sweep_below_threshold(3, 0.2, 600, 7, 0.5).csv_row())
+        assert rows == [
+            "4,1.0,1.0,0.18701891180652297,0.19848548751792805,0",
+            "4,1.0,1.0,0.7922988386822173,0.9608381757260531,0",
+            "4,1.0,1.0,0.6668134396934233,0.9046386326364768,0",
+            "3,0.2,0.5,0.13306570596883163,0.1332201298464497,0",
+        ]
+
     def test_shifted_eigenvalue_still_counted(self, monkeypatch):
         eps = 0.05
-        exact = ah._batch_eigenvalues
+        exact = np.linalg.eigvalsh
 
-        def shifted(d, a, corner):
-            lam = exact(d, a, corner)
-            lam[0, 0] = np.sort(d[0])[0] + 1.001 * eps  # just outside the bound
+        def shifted(mats):
+            lam = exact(mats)
+            d0 = np.sort(mats[0].diagonal().real[:-1])[0]
+            lam[0, 0] = d0 + 1.001 * eps  # just outside the bound
             return lam
 
         assert ah.sweep_at_threshold("strong", 3, eps, 512, 0).violations == 0
-        monkeypatch.setattr(ah, "_batch_eigenvalues", shifted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
         assert ah.sweep_at_threshold("strong", 3, eps, 512, 0).violations == 1
 
+    def test_top_eigenvalue_below_corner_counted(self, monkeypatch):
+        exact = np.linalg.eigvalsh
 
-class TestSerialization:
-    def test_round_trip(self):
-        spec = ah.ArrowheadSpec(
-            d=[1.5, -2.25], a_off=[1 + 2j, -0.125j], corner=3.75
-        )
-        again = ah.ArrowheadSpec.from_line(spec.to_line())
-        np.testing.assert_array_equal(again.d, spec.d)
-        np.testing.assert_array_equal(again.a_off, spec.a_off)
-        assert again.corner == spec.corner
+        def lowered(mats):
+            lam = exact(mats)
+            lam[0, -1] = mats[0, -1, -1].real - 1e-3  # negative corner excess
+            return lam
 
-    def test_bad_line(self):
-        with pytest.raises(ValueError):
-            ah.ArrowheadSpec.from_line("3; 1 2; 0 1; 0")
+        monkeypatch.setattr(np.linalg, "eigvalsh", lowered)
+        assert ah.sweep_at_threshold("weak", 3, 0.05, 512, 0).violations == 1
+
+
+class TestSharedVerdict:
+    """The per-spec checks and the sweeps share one stacked verdict."""
+
+    @pytest.mark.parametrize("mode", ["strong", "weak", "distinct"])
+    def test_stacked_rows_equal_single_specs(self, mode):
+        rng = np.random.default_rng(5)
+        d, a = ah._draw_specs(4, 50, rng)
+        corner = ah._THRESHOLDS[mode](d, a, 0.2) * rng.uniform(0.5, 2.0, 50)
+        lam = np.linalg.eigvalsh(ah._assemble(d, a, corner))
+        stacked = ah._concentration(mode, d, lam, corner, 0.2)
+        for k in range(50):
+            single = ah._concentration(mode, d[k], lam[k], corner[k], 0.2)
+            for s_row, one in zip(stacked, single):
+                if one is not None:
+                    np.testing.assert_array_equal(s_row[k], one)
+
+    def test_weak_excess_bound_counts_unmatched_entries(self):
+        # both small eigenvalues match d = 0, so the excess bound grows by
+        # |sum(d) - sum(d_matched)| = 0.1 over (n-1) eps = 2
+        d, corner = np.array([0.0, 0.1]), 50.0
+        for excess, ok in ((2.05, True), (2.15, False)):
+            lam = np.array([-0.01, 0.02, corner + excess])
+            _, _, deviation_ok, excess_ok, matched = ah._concentration(
+                "weak", d, lam, corner, 1.0)
+            assert matched.tolist() == [0, 0] and deviation_ok.all()
+            assert excess_ok == ok
+
+    @pytest.mark.parametrize("check", [
+        ah.check_concentration_strong,
+        ah.check_concentration_weak,
+        ah.check_concentration_distinct,
+    ])
+    def test_broken_trace_identity_raises(self, check, monkeypatch):
+        spec = ah.ArrowheadSpec(d=[0.0, 2.0], a_off=[1.0, 1.0], corner=60.0)
+        assert check(spec, 0.5).passed
+        exact = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: exact(m) + 1e-6)
+        with pytest.raises(ArithmeticError, match="trace identity"):
+            check(spec, 0.5)
+
+    def test_failing_bounds_reported(self, monkeypatch):
+        # a spectrum shifted by trace-neutral amounts keeps the safety
+        # checks quiet, so only the verdict can catch it
+        spec = ah.ArrowheadSpec(d=[0.0, 2.0], a_off=[0.0, 0.0], corner=60.0)
+        exact = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: exact(m) + np.array([-0.6, -0.6, 1.2]))
+        rep = ah.check_concentration_strong(spec, 0.5)
+        assert not rep.passed
+        assert rep.deviation_ok.tolist() == [False, False] and not rep.excess_ok

@@ -220,19 +220,26 @@ class TestSolveCommand:
             assert key.split()[0] in capsys.readouterr().err
             assert not (out / "report.csv").exists()
 
-    @pytest.mark.parametrize("cfg_text, where", [
-        ("kind = bogus\n", None),
-        ("geometry = riemannian\nphi = scaled-cos\n", None),
-        ("resolution = 8\nresolution = 8\n", "[line 2]"),
-        ("resolution = six\n", None),
-        ("resolution = 8\nnot a key\n", "[line 2]"),
-        ("# solve\n\nkind = ma\nnot a key\n", "[line 4]"),
-        ("[run]\nkind = ma\nkind = sigma1\n", "[line 3]"),
+    @pytest.mark.parametrize("command, cfg_text, where", [
+        ("solve", "kind = bogus\n", None),
+        ("solve", "geometry = riemannian\nphi = scaled-cos\n", None),
+        ("solve", "resolution = 8\nresolution = 8\n", "[line 2]"),
+        ("solve", "resolution = six\n", None),
+        ("solve", "resolution = 8\nnot a key\n", "[line 2]"),
+        ("solve", "# solve\n\nkind = ma\nnot a key\n", "[line 4]"),
+        ("solve", "[run]\nkind = ma\nkind = sigma1\n", "[line 3]"),
+        ("lemma-sweep", "eps = 0.2 0\n", None),
+        ("lemma-sweep", "ns = 1 2\n", None),
+        ("cone-check", "samples = 0\n", None),
+        ("cone-check", "samples = -3\n", None),
+        ("degenerate", "resolution = 8\neps_list = 0\n", None),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
-            "syntax-after-comment", "duplicate-key-under-header"])
+            "syntax-after-comment", "duplicate-key-under-header",
+            "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
+            "degenerate-eps-zero"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
-                                              cfg_text, where):
-        code, out = run(tmp_path, "solve", cfg_text)
+                                              command, cfg_text, where):
+        code, out = run(tmp_path, command, cfg_text)
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
