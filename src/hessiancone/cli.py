@@ -6,8 +6,9 @@ Every output begins with ``# hessiancone=<version> seed=<seed>
 config_sha256=<hash>``; identical config and seed give byte-identical
 files.  Exit status is 0 iff every enabled assertion passed, and 2 for a
 config file the command cannot use: one that cannot be read, a key it
-does not read, or a value that does not parse, is out of range or names
-no known function or preset.  Such a run prints one line to stderr and
+does not read, or a value that does not parse, is out of range (a grid
+of more than MAX_INTERIOR_NODES interior nodes included) or names no
+known function or preset.  Such a run prints one line to stderr and
 writes nothing.
 """
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -39,6 +41,11 @@ from .solve import (
 )
 
 FAST, FULL = "fast", "full"
+
+# interior nodes a solve may have: room for the 32^4 complex grid
+# (1,015,808) and the 64^3 cylinder (258,048); n = 3 at resolution 16
+# (15.7 million, about 2.3 GB for one 3 x 3 complex form field) is refused
+MAX_INTERIOR_NODES = 2**21
 
 # errors of a solve that become a failure row and exit status 1
 SOLVE_ERRORS = (SubsolutionError, ContinuationError, LinearSolveError,
@@ -234,8 +241,14 @@ def _solver_config(cfg):
 def _geometry(cfg, profile):
     res = int(cfg.get("resolution", 16 if profile == FAST else 32))
     if str(cfg.get("geometry", "complex")) == "riemannian":
-        return CylinderGeometry(d=int(cfg.get("d", 3)), resolution=res)
-    return GridGeometry(n=int(cfg.get("n", 2)), resolution=res)
+        geom = CylinderGeometry(d=int(cfg.get("d", 3)), resolution=res)
+    else:
+        geom = GridGeometry(n=int(cfg.get("n", 2)), resolution=res)
+    nodes = math.prod(geom.interior_shape)
+    _require(nodes <= MAX_INTERIOR_NODES,
+             f"grid has {nodes} interior nodes, more than the "
+             f"{MAX_INTERIOR_NODES} a run can hold (lower n, d or resolution)")
+    return geom
 
 
 def cmd_solve(cfg, writer, seed, profile):

@@ -1,13 +1,20 @@
 """Preconditioned iterative solves of the linearized problems.
 
-The elliptic operator sum_ab C_ab(x) d^2/dx_a dx_b with Dirichlet data on
-the two faces and periodic identifications elsewhere is applied
-matrix-free through the stencils in :mod:`.operators`.  The
-preconditioner freezes the diagonal coefficients at their interior means,
-which diagonalizes exactly under an FFT along the periodic axes and a
-DST-I along the Dirichlet axis; LGMRES then converges in a few dozen
-iterations for smoothly varying coefficients (and in O(1) iterations for
-constant ones).
+The elliptic operator A = sum_ab C_ab(x) d^2/dx_a dx_b with Dirichlet data
+on the two faces and periodic identifications elsewhere is applied
+matrix-free through the stencils in :mod:`.operators`.
+
+The preconditioner is Cordes-normalized (Smears & Sueli 2013): it scales
+a residual pointwise by w = 1 / tr C(x), which turns A into an operator
+with unit trace at every node, and then inverts sum_a cbar_a d^2/dx_a^2
+with cbar_a the interior mean of C_aa / tr C.  That frozen operator
+diagonalizes exactly under a real FFT (``rfftn``, half spectrum) along
+the periodic axes and a DST-I along the Dirichlet axis.  The weight
+follows coefficients whose scale varies by orders of magnitude from node
+to node, as it does in the degenerate limit psi -> 0, where the raw means
+cannot.  LGMRES tests the true residual of A, so the weight changes the
+iteration count and not the system solved; for constant coefficients the
+preconditioner is the exact inverse.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 import scipy.fft
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .operators import apply_second_order
+from .operators import apply_second_order, nonzero_pairs
 
 __all__ = ["LinearSolveError", "solve_dirichlet"]
 
@@ -28,34 +35,44 @@ class LinearSolveError(RuntimeError):
 
 
 class _MeanCoefficientInverse:
-    """Inverse of sum_a cbar_a d^2/dx_a^2 on the interior grid."""
+    """x -> inverse of sum_a cbar_a d^2/dx_a^2 applied to w x, with
+    w = 1 / tr C and cbar_a the interior mean of C_aa / tr C."""
 
-    def __init__(self, geom, mean_diag):
-        self.geom = geom
+    def __init__(self, C, geom):
+        diag = np.diagonal(C, axis1=-2, axis2=-1)
+        trace = diag.sum(axis=-1)
+        if not np.all(trace > 0):
+            raise LinearSolveError("coefficient trace not positive at some node")
+        self.weight = 1.0 / trace
+        mean_diag = (diag * self.weight[..., None]).mean(
+            axis=tuple(range(geom.real_dims)))
+        self.shape = geom.interior_shape
         self.periodic = list(geom.periodic_axes)
         self.da = geom.dirichlet_axis
+        self.sizes = [self.shape[a] for a in self.periodic]
         h2 = geom.h * geom.h
-        m = geom.resolution
-        symbol = np.zeros(geom.interior_shape)
+        symbol = 0.0
         for a in range(geom.real_dims):
-            size = geom.interior_shape[a]
+            size = self.shape[a]
             if a == self.da:
-                theta = np.pi * np.arange(1, size + 1) / m
+                theta = np.pi * np.arange(1, size + 1) / geom.resolution
             else:
-                theta = 2.0 * np.pi * np.arange(size) / size
+                # rfftn keeps the first size // 2 + 1 modes of its last axis
+                count = size // 2 + 1 if a == self.periodic[-1] else size
+                theta = 2.0 * np.pi * np.arange(count) / size
             eig = mean_diag[a] * (2.0 * np.cos(theta) - 2.0) / h2
             shape = [1] * geom.real_dims
-            shape[a] = size
+            shape[a] = eig.size
             symbol = symbol + eig.reshape(shape)
-        self.symbol = symbol
+        self.inv_symbol = 1.0 / symbol
 
     def apply(self, x_flat):
-        x = x_flat.reshape(self.geom.interior_shape)
-        x = scipy.fft.dst(x, type=1, axis=self.da, norm="ortho")
-        x = scipy.fft.fftn(x, axes=self.periodic)
-        x /= self.symbol
-        x = scipy.fft.ifftn(x, axes=self.periodic).real
-        x = scipy.fft.idst(x, type=1, axis=self.da, norm="ortho")
+        x = x_flat.reshape(self.shape) * self.weight
+        x = scipy.fft.dst(x, type=1, axis=self.da, norm="ortho", overwrite_x=True)
+        x = scipy.fft.rfftn(x, axes=self.periodic)
+        x *= self.inv_symbol
+        x = scipy.fft.irfftn(x, s=self.sizes, axes=self.periodic)
+        x = scipy.fft.idst(x, type=1, axis=self.da, norm="ortho", overwrite_x=True)
         return x.reshape(-1)
 
 
@@ -72,29 +89,31 @@ def solve_dirichlet(
     ``boundary_values`` is a full-shape array supplying the Dirichlet data
     (only its two faces are read); omitted means homogeneous data.
     Returns the full-shape solution field.  Raises
-    :class:`LinearSolveError` when LGMRES does not converge to ``rtol``.
+    :class:`LinearSolveError` when tr C is not positive at some node or
+    LGMRES does not converge to ``rtol``.
     """
     interior = geom.interior
+    pairs = nonzero_pairs(C)
     full = np.zeros(geom.shape)
     rhs = np.asarray(rhs_interior, dtype=float).copy()
     if boundary_values is not None:
         bc = np.zeros(geom.shape)
         bc[geom.faces] = boundary_values[geom.faces]
-        rhs -= apply_second_order(C, bc, geom)
+        rhs -= apply_second_order(C, bc, geom, pairs)
         full += bc
 
     b = rhs.reshape(-1)
     if not np.any(b):
         return full
 
+    emb = np.zeros(geom.shape)  # the faces stay zero
+
     def matvec(x):
-        emb = np.zeros(geom.shape)
         emb[interior] = x.reshape(geom.interior_shape)
-        return apply_second_order(C, emb, geom).reshape(-1)
+        return apply_second_order(C, emb, geom, pairs).reshape(-1)
 
     nun = b.size
-    mean_diag = [float(C[..., a, a].mean()) for a in range(geom.real_dims)]
-    precond = _MeanCoefficientInverse(geom, mean_diag)
+    precond = _MeanCoefficientInverse(C, geom)
     A = LinearOperator((nun, nun), matvec=matvec, dtype=float)
     M = LinearOperator((nun, nun), matvec=precond.apply, dtype=float)
     x, info = lgmres(A, b, M=M, rtol=rtol, atol=0.0, maxiter=maxiter)

@@ -31,10 +31,12 @@ __all__ = [
     "real_hessian",
     "eigen_field",
     "newton_tensors",
+    "newton_state",
     "residual",
     "linearize",
     "coefficient_tensor",
     "apply_second_order",
+    "nonzero_pairs",
     "gradient_interior",
     "gradient_boundary",
     "boundary_complex_hessian",
@@ -83,13 +85,24 @@ def _second_partials(u_full, geom):
     p = _padded(u_full, geom)
     h2 = geom.h * geom.h
 
+    # (plus - 2 zero + minus) / h2 and (pp - pm - mp + mm) / (4 h2) in
+    # one buffer, operation by operation in that order, so the result is
+    # the same to the bit as the plain expression
     def second(a, b):
         if a == b:
             plus, zero, minus = (p[_window(geom, {a: s})] for s in (1, 0, -1))
-            return (plus - 2.0 * zero + minus) / h2
+            d = np.multiply(zero, 2.0)
+            np.subtract(plus, d, out=d)
+            d += minus
+            d /= h2
+            return d
         pp, pm, mp, mm = (p[_window(geom, {a: sa, b: sb})]
                           for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-        return (pp - pm - mp + mm) / (4.0 * h2)
+        d = np.subtract(pp, pm)
+        d -= mp
+        d += mm
+        d /= 4.0 * h2
+        return d
 
     return second
 
@@ -181,25 +194,31 @@ def _require_admissible(sigma, geom):
         raise AdmissibilityError(node)
 
 
-def residual(u, fun, psi_t, chi=None) -> np.ndarray:
-    """f(lambda(g[u])) - psi_t on the interior nodes.
+def newton_state(u, fun, chi=None):
+    """(sigma, tensors) of newton_tensors at g[u] = chi + Hessian of u.
 
     Raises AdmissibilityError (with the offending full-grid index) if any
     node's eigenvalues leave the cone.
     """
-    sigma, _ = newton_tensors(form_field(u, chi).values, fun.cone_order)
+    sigma, tensors = newton_tensors(form_field(u, chi).values, fun.cone_order)
     _require_admissible(sigma, u.geom)
-    vals = cones.f_from_sigmas(fun, sigma)
+    return sigma, tensors
+
+
+def residual(u, fun, psi_t, chi=None) -> np.ndarray:
+    """f(lambda(g[u])) - psi_t on the interior nodes; AdmissibilityError
+    as in newton_state."""
+    vals = cones.f_from_sigmas(fun, newton_state(u, fun, chi)[0])
     target = psi_t.values[u.geom.interior] if hasattr(psi_t, "values") else psi_t
     return vals - target
 
 
-def linearize(u, fun, chi=None) -> HermitianFormField:
+def linearize(u, fun, chi=None, state=None) -> HermitianFormField:
     """Coefficient matrices F^{i jbar} = sum_j (df/dsigma_j) T_{j-1} of the
     linearized operator per node: positive definite wherever the iterate
-    is admissible (rejected otherwise), Hermitian exactly."""
-    sigma, tensors = newton_tensors(form_field(u, chi).values, fun.cone_order)
-    _require_admissible(sigma, u.geom)
+    is admissible (rejected otherwise), Hermitian exactly.  ``state`` is
+    newton_state(u, fun, chi) when the caller has it already."""
+    sigma, tensors = newton_state(u, fun, chi) if state is None else state
     coeff = sum(c[..., None, None] * tensors[j - 1]
                 for j, c in cones.df_dsigmas(fun, sigma).items())
     coeff = 0.5 * (coeff + np.conj(np.swapaxes(coeff, -1, -2)))
@@ -233,17 +252,34 @@ def coefficient_tensor(F: HermitianFormField) -> np.ndarray:
     return np.moveaxis(C, (0, 1), (-2, -1))
 
 
-def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom) -> np.ndarray:
-    """sum_ab C_ab d^2 u / dx_a dx_b on the interior, C symmetric."""
+def nonzero_pairs(C: np.ndarray) -> frozenset:
+    """The off-diagonal index pairs (a, b), a < b, where some C_ab is nonzero."""
+    r = C.shape[-1]
+    return frozenset((a, b) for a in range(r) for b in range(a + 1, r)
+                     if np.any(C[..., a, b]))
+
+
+def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom,
+                       pairs=None) -> np.ndarray:
+    """sum_ab C_ab d^2 u / dx_a dx_b on the interior, C symmetric.
+
+    Of the off-diagonal terms only ``pairs`` (default nonzero_pairs(C))
+    are applied; a caller applying one C many times computes them once.
+    """
+    if pairs is None:
+        pairs = nonzero_pairs(C)
     r = geom.real_dims
     second = _second_partials(u_full, geom)
     out = np.zeros(geom.interior_shape)
     for a in range(r):
-        out += C[..., a, a] * second(a, a)
+        d = second(a, a)
+        d *= C[..., a, a]
+        out += d
         for b in range(a + 1, r):
-            cab = C[..., a, b]
-            if np.any(cab):
-                out += 2.0 * cab * second(a, b)
+            if (a, b) in pairs:
+                d = second(a, b)
+                d *= 2.0 * C[..., a, b]
+                out += d
     return out
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cones
 from .geometry import ScalarField
 from .linsolve import LinearSolveError, solve_dirichlet
 from .operators import (
@@ -40,6 +41,7 @@ from .operators import (
     gradient_boundary,
     gradient_interior,
     linearize,
+    newton_state,
     residual,
     _chi_interior,
     _tangential_centered,
@@ -172,13 +174,15 @@ def _interior_values(geom, f):
 
 
 def _residual_and_mask(u, fun, chi, psi_t_interior):
-    """Interior residual and its sup norm, or (None, None) when some node
-    is inadmissible."""
+    """Interior residual, its sup norm and newton_state at u (for the
+    linearization at u), or (None, None, None) when some node is
+    inadmissible."""
     try:
-        r = residual(u, fun, psi_t_interior, chi)
+        state = newton_state(u, fun, chi)
     except AdmissibilityError:
-        return None, None
-    return r, float(np.abs(r).max())
+        return None, None, None
+    r = cones.f_from_sigmas(fun, state[0]) - psi_t_interior
+    return r, float(np.abs(r).max()), state
 
 
 def _newton_solve(u0, fun, chi, psi_t, config, t_label):
@@ -193,7 +197,7 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
     """
     geom = u0.geom
     u = u0.copy()
-    r, rn = _residual_and_mask(u, fun, chi, psi_t)
+    r, rn, state = _residual_and_mask(u, fun, chi, psi_t)
     if r is None:
         raise _StageFailure("stage start inadmissible")
     residuals = [rn]
@@ -201,17 +205,20 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
     while rn > config.tolerance:
         if len(residuals) > config.max_newton:
             raise _StageFailure("newton iteration budget exhausted")
+        # the residual's Newton tensors at u feed the linearization; only
+        # C lives on into the linear solve, and nothing after it
+        C, state = coefficient_tensor(linearize(u, fun, chi, state)), None
         try:
-            # no linearization outlives the linear solve
-            delta = solve_dirichlet(coefficient_tensor(linearize(u, fun, chi)),
-                                    geom, -r, rtol=config.lin_rtol)
+            delta = solve_dirichlet(C, geom, -r, rtol=config.lin_rtol)
         except LinearSolveError as exc:
             raise _StageFailure(str(exc))
+        del C
         for k in range(MAX_HALVINGS + 1):
             theta = 0.5**k
             trial = ScalarField(geom=geom, values=u.values + theta * delta)
-            r_t, rn_t = _residual_and_mask(trial, fun, chi, psi_t)
+            r_t, rn_t, state = _residual_and_mask(trial, fun, chi, psi_t)
             if r_t is None or not rn_t < rn:
+                state = None
                 continue
             u, r, rn = trial, r_t, rn_t
             residuals.append(rn)

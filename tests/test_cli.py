@@ -233,10 +233,11 @@ class TestSolveCommand:
         ("cone-check", "samples = 0\n", None),
         ("cone-check", "samples = -3\n", None),
         ("degenerate", "resolution = 8\neps_list = 0\n", None),
+        ("solve", "n = 3\nresolution = 16\n", None),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
-            "degenerate-eps-zero"])
+            "degenerate-eps-zero", "grid-too-large"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
                                               command, cfg_text, where):
         code, out = run(tmp_path, command, cfg_text)

@@ -1,7 +1,10 @@
-"""Every name a module lists in ``__all__`` exists, so ``import *`` works."""
+"""Every name a module lists in ``__all__`` exists, so ``import *`` works,
+and every boundary the benchmark's tracer wraps exists."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,21 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"hessiancone.{name}")
     missing = [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
     assert missing == []
+
+
+def _tracer_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("module_name, path, layer", _tracer_spans().WRAPPED)
+def test_traced_boundary_exists(module_name, path, layer):
+    # a renamed boundary is skipped by the tracer with a warning and its
+    # layer reads 0
+    owner = importlib.import_module(module_name)
+    for name in path.split("."):
+        owner = getattr(owner, name)
+    assert callable(owner)
