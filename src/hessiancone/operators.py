@@ -1,8 +1,12 @@
 """Discrete Hessian operators on flat model grids.
 
-Second derivatives are centered and second order; stencils at interior
-nodes may read the Dirichlet boundary slices, which hold the boundary
-data.  With dz = (dx - i dy)/2 the complex Hessian of a real field is
+Second derivatives are centered and second order.  Every centered
+stencil, at the interior nodes or along a Dirichlet face, reads windows
+of one copy of the field padded by a wrapped ghost layer on each periodic
+axis; interior stencils may read the Dirichlet faces, which hold the
+boundary data.  Derivatives along the Dirichlet axis at a face are
+one-sided.  Forms are plain (..., r, r) arrays over the nodes they
+cover.  With dz = (dx - i dy)/2 the complex Hessian of a real field is
 
     u_{i jbar} = ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j})) / 4,
 
@@ -18,14 +22,11 @@ sum_j (df/dsigma_j) T_{j-1}, with no special case for equal eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import cones
 
 __all__ = [
-    "HermitianFormField",
     "AdmissibilityError",
     "complex_hessian",
     "real_hessian",
@@ -51,21 +52,6 @@ class AdmissibilityError(ValueError):
         super().__init__(message or f"inadmissible node at grid index {self.node}")
 
 
-@dataclass
-class HermitianFormField:
-    """Per-interior-node Hermitian (or real symmetric) dim x dim matrices."""
-
-    geom: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        expected = self.geom.interior_shape
-        if self.values.shape[:-2] != expected:
-            raise ValueError("form field must cover the interior nodes")
-        if self.values.shape[-1] != self.values.shape[-2]:
-            raise ValueError("matrices must be square")
-
-
 def _padded(u_full: np.ndarray, geom) -> np.ndarray:
     """One wrapped ghost layer on each periodic axis; along the Dirichlet
     axis the two faces already border the interior."""
@@ -74,14 +60,20 @@ def _padded(u_full: np.ndarray, geom) -> np.ndarray:
     return np.pad(u_full, pad, mode="wrap")
 
 
-def _window(geom, shifts) -> tuple:
-    """Slice of a padded array over the interior, offset by shifts."""
+def _window(geom, shifts, layer=None) -> tuple:
+    """Slice of a padded array over the interior, offset by shifts along
+    the periodic axes; with ``layer``, along the Dirichlet axis it takes
+    that node layer instead (an index, or [0, -1] for both faces)."""
     starts = [1 + shifts.get(a, 0) for a in range(geom.real_dims)]
-    return tuple(slice(s, s + size) for s, size in zip(starts, geom.interior_shape))
+    win = [slice(s, s + size) for s, size in zip(starts, geom.interior_shape)]
+    if layer is not None:
+        win[geom.dirichlet_axis] = layer
+    return tuple(win)
 
 
-def _second_partials(u_full, geom):
-    """Callable (a, b) -> centered d^2 u / dx_a dx_b on the interior."""
+def _second_partials(u_full, geom, layer=None):
+    """Callable (a, b) -> centered d^2 u / dx_a dx_b on the interior, or
+    on the Dirichlet-axis ``layer`` (a, b periodic there)."""
     p = _padded(u_full, geom)
     h2 = geom.h * geom.h
 
@@ -90,13 +82,13 @@ def _second_partials(u_full, geom):
     # the same to the bit as the plain expression
     def second(a, b):
         if a == b:
-            plus, zero, minus = (p[_window(geom, {a: s})] for s in (1, 0, -1))
+            plus, zero, minus = (p[_window(geom, {a: s}, layer)] for s in (1, 0, -1))
             d = np.multiply(zero, 2.0)
             np.subtract(plus, d, out=d)
             d += minus
             d /= h2
             return d
-        pp, pm, mp, mm = (p[_window(geom, {a: sa, b: sb})]
+        pp, pm, mp, mm = (p[_window(geom, {a: sa, b: sb}, layer)]
                           for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
         d = np.subtract(pp, pm)
         d -= mp
@@ -137,17 +129,17 @@ def _chi_interior(chi, geom, dim, dtype):
     raise ValueError(f"chi shape {chi.shape} not understood")
 
 
-def complex_hessian(u, chi=None) -> HermitianFormField:
+def complex_hessian(u, chi=None) -> np.ndarray:
     """g = chi + complex Hessian of u at the interior nodes."""
     geom = u.geom
     if not geom.is_complex:
         raise ValueError("complex_hessian needs a complex geometry")
     g = _complex_form(_second_partials(u.values, geom), geom, geom.interior_shape)
     g += _chi_interior(chi, geom, geom.n, complex)
-    return HermitianFormField(geom=geom, values=g)
+    return g
 
 
-def real_hessian(u, chi=None) -> HermitianFormField:
+def real_hessian(u, chi=None) -> np.ndarray:
     """chi + real Hessian (flat Christoffel symbols) at interior nodes."""
     geom = u.geom
     d = geom.real_dims
@@ -157,16 +149,16 @@ def real_hessian(u, chi=None) -> HermitianFormField:
         for b in range(a, d):
             g[..., a, b] = g[..., b, a] = second(a, b)
     g += _chi_interior(chi, geom, d, float)
-    return HermitianFormField(geom=geom, values=g)
+    return g
 
 
-def form_field(u, chi=None) -> HermitianFormField:
+def form_field(u, chi=None) -> np.ndarray:
     return complex_hessian(u, chi) if u.geom.is_complex else real_hessian(u, chi)
 
 
-def eigen_field(g: HermitianFormField) -> np.ndarray:
+def eigen_field(g: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues per node (dense Hermitian solver)."""
-    return np.linalg.eigvalsh(g.values)
+    return np.linalg.eigvalsh(g)
 
 
 def newton_tensors(g: np.ndarray, m: int):
@@ -200,7 +192,7 @@ def newton_state(u, fun, chi=None):
     Raises AdmissibilityError (with the offending full-grid index) if any
     node's eigenvalues leave the cone.
     """
-    sigma, tensors = newton_tensors(form_field(u, chi).values, fun.cone_order)
+    sigma, tensors = newton_tensors(form_field(u, chi), fun.cone_order)
     _require_admissible(sigma, u.geom)
     return sigma, tensors
 
@@ -213,7 +205,7 @@ def residual(u, fun, psi_t, chi=None) -> np.ndarray:
     return vals - target
 
 
-def linearize(u, fun, chi=None, state=None) -> HermitianFormField:
+def linearize(u, fun, chi=None, state=None) -> np.ndarray:
     """Coefficient matrices F^{i jbar} = sum_j (df/dsigma_j) T_{j-1} of the
     linearized operator per node: positive definite wherever the iterate
     is admissible (rejected otherwise), Hermitian exactly.  ``state`` is
@@ -221,11 +213,10 @@ def linearize(u, fun, chi=None, state=None) -> HermitianFormField:
     sigma, tensors = newton_state(u, fun, chi) if state is None else state
     coeff = sum(c[..., None, None] * tensors[j - 1]
                 for j, c in cones.df_dsigmas(fun, sigma).items())
-    coeff = 0.5 * (coeff + np.conj(np.swapaxes(coeff, -1, -2)))
-    return HermitianFormField(geom=u.geom, values=coeff)
+    return 0.5 * (coeff + np.conj(np.swapaxes(coeff, -1, -2)))
 
 
-def coefficient_tensor(F: HermitianFormField) -> np.ndarray:
+def coefficient_tensor(F: np.ndarray, geom) -> np.ndarray:
     """Real symmetric coefficients over the real coordinates.
 
     For complex geometry the linearized operator is the trace pairing
@@ -236,11 +227,10 @@ def coefficient_tensor(F: HermitianFormField) -> np.ndarray:
     (..., r, r) view of an (r, r, ...) buffer: each C[..., a, b] is
     contiguous.
     """
-    geom = F.geom
     if not geom.is_complex:
-        C = np.moveaxis(F.values.real, (-2, -1), (0, 1)).copy()
+        C = np.moveaxis(F.real, (-2, -1), (0, 1)).copy()
         return np.moveaxis(C, (0, 1), (-2, -1))
-    S, T = F.values.real, F.values.imag
+    S, T = F.real, F.imag
     C = np.empty((geom.real_dims,) * 2 + S.shape[:-2])
     for i in range(geom.n):
         xi, yi = geom.complex_axes(i)
@@ -283,10 +273,13 @@ def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom,
     return out
 
 
-def first_derivative_centered(u_full: np.ndarray, geom, axis: int) -> np.ndarray:
-    """Centered first derivative on the interior nodes."""
+def first_derivative_centered(u_full: np.ndarray, geom, axis: int,
+                              layer=None) -> np.ndarray:
+    """Centered first derivative on the interior nodes, or on the
+    Dirichlet-axis ``layer`` (axis periodic there)."""
     p = _padded(u_full, geom)
-    return (p[_window(geom, {axis: 1})] - p[_window(geom, {axis: -1})]) / (2.0 * geom.h)
+    return (p[_window(geom, {axis: 1}, layer)]
+            - p[_window(geom, {axis: -1}, layer)]) / (2.0 * geom.h)
 
 
 def gradient_interior(u) -> np.ndarray:
@@ -295,12 +288,11 @@ def gradient_interior(u) -> np.ndarray:
                      for a in range(u.geom.real_dims)], axis=-1)
 
 
-def _face_layers(u_full, geom, face, count):
-    """The first ``count`` node layers from a Dirichlet face inwards, and
-    the inward sign along the Dirichlet axis (+1 on face 0, -1 on face 1)."""
-    da = geom.dirichlet_axis
-    idx, sgn = (0, 1) if face == 0 else (geom.shape[da] - 1, -1)
-    return [np.take(u_full, idx + sgn * k, axis=da) for k in range(count)], sgn
+def _face_layers(geom, face, count):
+    """Dirichlet-axis indices of the first ``count`` node layers from a
+    face inwards, and the inward sign (+1 on face 0, -1 on face 1)."""
+    return ([k if face == 0 else -1 - k for k in range(count)],
+            1 if face == 0 else -1)
 
 
 def _one_sided(layers, sgn, h):
@@ -309,26 +301,18 @@ def _one_sided(layers, sgn, h):
     return sgn * (-3.0 * layers[0] + 4.0 * layers[1] - layers[2]) / (2.0 * h)
 
 
-def _tangential_centered(face_vals, axis_in_face, h):
-    return (np.roll(face_vals, -1, axis=axis_in_face)
-            - np.roll(face_vals, 1, axis=axis_in_face)) / (2.0 * h)
-
-
-def _face_axes(geom):
-    return [a for a in range(geom.real_dims) if a != geom.dirichlet_axis]
-
-
 def gradient_boundary(u) -> list:
     """Per face: (face_shape, real_dims) first derivatives; the normal
     derivative uses the second-order one-sided stencil."""
     geom = u.geom
     out = []
     for face in (0, 1):
-        layers, sgn = _face_layers(u.values, geom, face, 3)
-        grads = np.zeros(layers[0].shape + (geom.real_dims,))
-        for pos, a in enumerate(_face_axes(geom)):
-            grads[..., a] = _tangential_centered(layers[0], pos, geom.h)
-        grads[..., geom.dirichlet_axis] = _one_sided(layers, sgn, geom.h)
+        layers, sgn = _face_layers(geom, face, 3)
+        values = [np.take(u.values, k, axis=geom.dirichlet_axis) for k in layers]
+        grads = np.zeros(values[0].shape + (geom.real_dims,))
+        for a in geom.periodic_axes:
+            grads[..., a] = first_derivative_centered(u.values, geom, a, layers[0])
+        grads[..., geom.dirichlet_axis] = _one_sided(values, sgn, geom.h)
         out.append(grads)
     return out
 
@@ -337,28 +321,21 @@ def _boundary_real_second(u_full, geom, face):
     """Real second partials on one boundary face; derivatives along the
     Dirichlet axis use second-order one-sided stencils."""
     h = geom.h
-    h2 = h * h
     da = geom.dirichlet_axis
-    layers, sgn = _face_layers(u_full, geom, face, 4)
-    f0 = layers[0]
-    faxes = _face_axes(geom)
+    layers, sgn = _face_layers(geom, face, 4)
+    values = [np.take(u_full, k, axis=da) for k in layers]
+    second = _second_partials(u_full, geom, layers[0])
     r = geom.real_dims
-    D = np.zeros(f0.shape + (r, r))
-    for pos_a, a in enumerate(faxes):
-        D[..., a, a] = (np.roll(f0, -1, pos_a) - 2.0 * f0 + np.roll(f0, 1, pos_a)) / h2
-        for pos_b in range(pos_a + 1, len(faxes)):
-            b = faxes[pos_b]
-            D[..., a, b] = D[..., b, a] = (
-                np.roll(np.roll(f0, -1, pos_a), -1, pos_b)
-                - np.roll(np.roll(f0, -1, pos_a), 1, pos_b)
-                - np.roll(np.roll(f0, 1, pos_a), -1, pos_b)
-                + np.roll(np.roll(f0, 1, pos_a), 1, pos_b)
-            ) / (4.0 * h2)
+    D = np.zeros(values[0].shape + (r, r))
+    for i, a in enumerate(geom.periodic_axes):
+        for b in geom.periodic_axes[i:]:
+            D[..., a, b] = D[..., b, a] = second(a, b)
         # mixed normal-tangential: one-sided normal difference of the
         # centered tangential derivative
-        tang = [_tangential_centered(layer, pos_a, h) for layer in layers[:3]]
+        tang = [first_derivative_centered(u_full, geom, a, k) for k in layers[:3]]
         D[..., a, da] = D[..., da, a] = _one_sided(tang, sgn, h)
-    D[..., da, da] = (2.0 * f0 - 5.0 * layers[1] + 4.0 * layers[2] - layers[3]) / h2
+    D[..., da, da] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2]
+                      - values[3]) / (h * h)
     return D
 
 

@@ -22,6 +22,7 @@ be inspected near a boundary point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .geometry import ScalarField
 from .linsolve import LinearSolveError, solve_dirichlet
 from .operators import (
     AdmissibilityError,
-    HermitianFormField,
     apply_second_order,
     boundary_complex_hessian,
     boundary_real_hessian,
@@ -44,7 +44,6 @@ from .operators import (
     newton_state,
     residual,
     _chi_interior,
-    _tangential_centered,
 )
 
 __all__ = [
@@ -207,7 +206,7 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
             raise _StageFailure("newton iteration budget exhausted")
         # the residual's Newton tensors at u feed the linearization; only
         # C lives on into the linear solve, and nothing after it
-        C, state = coefficient_tensor(linearize(u, fun, chi, state)), None
+        C, state = coefficient_tensor(linearize(u, fun, chi, state), geom), None
         try:
             delta = solve_dirichlet(C, geom, -r, rtol=config.lin_rtol)
         except LinearSolveError as exc:
@@ -319,13 +318,10 @@ def solve_riemannian(fun, chi_sym, psi, phi, u_sub, config: SolverConfig | None 
     geom = u.geom
     diff = ScalarField(geom=geom, values=u.values - u_sub.values)
     worst = np.inf
+    tang = list(geom.periodic_axes)
     for face_h in boundary_real_hessian(diff):
-        tang = np.delete(
-            np.delete(face_h, geom.dirichlet_axis, axis=-1),
-            geom.dirichlet_axis,
-            axis=-2,
-        )
-        worst = min(worst, float(np.linalg.eigvalsh(tang).min()))
+        lam = np.linalg.eigvalsh(face_h[..., tang, :][..., tang])
+        worst = min(worst, float(lam.min()))
     report.boundary_tangential_min = worst
     if worst < -10.0 * geom.h * geom.h:
         raise ArithmeticError(
@@ -343,7 +339,7 @@ def harmonic_majorant(chi, phi, geom) -> ScalarField:
     """
     dim = geom.form_dim
     eye = np.broadcast_to(np.eye(dim), geom.interior_shape + (dim, dim))
-    C = coefficient_tensor(HermitianFormField(geom=geom, values=eye))
+    C = coefficient_tensor(eye, geom)
     tr = np.trace(_chi_interior(chi, geom, dim, complex), axis1=-2, axis2=-1).real
     values = solve_dirichlet(C, geom, -np.broadcast_to(tr, geom.interior_shape),
                              boundary_values=phi.values)
@@ -471,30 +467,30 @@ def barrier_eval(u, u_sub, phi, fun, chi, spec: BarrierSpec, p0_index, direction
     sigma = geom.boundary_distance()
     rho = geom.distance_to(tuple(p0_index))
 
+    d_inside = partial(first_derivative_centered, diff, geom)
+    d_faces = partial(first_derivative_centered, diff, geom, layer=[0, -1])
     psi_tilde = np.zeros(geom.shape)
     inside = geom.interior
     psi_tilde[inside] = (
         spec.A1 * sq * (u_sub.values - u.values)[inside]
         - spec.A2 * sq * rho[inside] ** 2
         + spec.A3 * sq * (spec.N * sigma[inside] ** 2 - spec.t_barrier * sigma[inside])
-        + _tangential_squares(lambda a: first_derivative_centered(diff, geom, a),
-                              geom) / sq
-        + sign * first_derivative_centered(diff, geom, axis)
+        + _tangential_squares(d_inside, geom) / sq
+        + sign * d_inside(axis)
     )
     # both faces at once: the tangential axes keep their grid positions
     faces = geom.faces
-    fv = diff[faces]
     psi_tilde[faces] = (
         -spec.A2 * sq * rho[faces] ** 2
-        + _tangential_squares(lambda a: _tangential_centered(fv, a, geom.h), geom) / sq
-        + sign * _tangential_centered(fv, axis, geom.h)
+        + _tangential_squares(d_faces, geom) / sq
+        + sign * d_faces(axis)
     )
 
     omega = rho < spec.delta
     omega_int = omega.copy()
     omega_int[faces] = False
 
-    C = coefficient_tensor(linearize(u, fun, chi))
+    C = coefficient_tensor(linearize(u, fun, chi), geom)
     L_psi = apply_second_order(C, psi_tilde, geom)
     mask_int = omega_int[inside]
     min_L = float(L_psi[mask_int].min()) if mask_int.any() else np.nan
@@ -550,7 +546,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
         row["final_residual"] = rep.final_residual
         row["sup_u"] = rep.sup_u
         row["sup_grad"] = max(rep.sup_grad_interior, rep.sup_grad_boundary)
-        lap = np.trace(form_field(u, None).values, axis1=-2, axis2=-1).real
+        lap = np.trace(form_field(u, None), axis1=-2, axis2=-1).real
         row["sup_lap"] = float(np.abs(lap).max())
         rows.append(row)
     return rows

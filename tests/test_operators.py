@@ -34,7 +34,7 @@ class TestComplexHessian:
     def test_zero_field_returns_chi(self):
         chi = np.array([[2.0, 1j], [-1j, 3.0]])
         g = op.complex_hessian(ScalarField.zeros(GEOM), chi)
-        assert np.allclose(g.values, chi)
+        assert np.allclose(g, chi)
 
     def test_mod_z1_squared(self):
         # |z_1|^2 has dd-bar = diag(1, 0); exact off the wrap seam
@@ -43,9 +43,9 @@ class TestComplexHessian:
         )
         g = op.complex_hessian(u, np.eye(2))
         m = off_seam(GEOM)
-        assert np.allclose(g.values[m][:, 0, 0], 2.0)
-        assert np.allclose(g.values[m][:, 1, 1], 1.0)
-        assert np.allclose(g.values[m][:, 0, 1], 0.0)
+        assert np.allclose(g[m][:, 0, 0], 2.0)
+        assert np.allclose(g[m][:, 1, 1], 1.0)
+        assert np.allclose(g[m][:, 0, 1], 0.0)
 
     def test_pluriharmonic(self):
         # Re(z_n^2) = x_n^2 - y_n^2 is pluriharmonic: dd-bar = 0
@@ -54,14 +54,14 @@ class TestComplexHessian:
         )
         g = op.complex_hessian(u, np.eye(2))
         m = off_seam(GEOM)
-        assert np.allclose(g.values[m], np.eye(2))
+        assert np.allclose(g[m], np.eye(2))
 
     def test_hermitian_exact(self):
         rng = np.random.default_rng(0)
         u = ScalarField(geom=GEOM, values=rng.standard_normal(GEOM.shape))
         g = op.complex_hessian(u, None)
         np.testing.assert_array_equal(
-            g.values, np.conj(np.swapaxes(g.values, -1, -2))
+            g, np.conj(np.swapaxes(g, -1, -2))
         )
 
     def test_min_resolution_guard(self):
@@ -137,20 +137,20 @@ class TestLinearize:
     def test_sigma1_is_identity(self):
         fun = cn.sigma_k_root(2, 1)
         F = op.linearize(ScalarField.zeros(GEOM), fun, np.eye(2))
-        assert np.allclose(F.values, np.eye(2))
+        assert np.allclose(F, np.eye(2))
 
     def test_ma_hand_value(self):
         fun = cn.monge_ampere(2)
         F = op.linearize(
             ScalarField.zeros(GEOM), fun, np.diag([1.0, 4.0]).astype(complex)
         )
-        np.testing.assert_allclose(F.values[0, 0, 0, 0], np.diag([1.0, 0.25]),
+        np.testing.assert_allclose(F[0, 0, 0, 0], np.diag([1.0, 0.25]),
                                    atol=1e-12)
 
     def test_repeated_eigenvalue_cluster(self):
         fun = cn.monge_ampere(2)
         F = op.linearize(ScalarField.zeros(GEOM), fun, np.eye(2))
-        assert np.allclose(F.values, 0.5 * np.eye(2))
+        assert np.allclose(F, 0.5 * np.eye(2))
 
     def test_directional_derivative(self):
         rng = np.random.default_rng(5)
@@ -165,10 +165,10 @@ class TestLinearize:
         E = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         E = 0.5 * (E + E.conj().T)
         s = 1e-5
-        lam0 = np.linalg.eigvalsh(g.values)
-        lam1 = np.linalg.eigvalsh(g.values + s * E)
+        lam0 = np.linalg.eigvalsh(g)
+        lam1 = np.linalg.eigvalsh(g + s * E)
         fd = (cn.f_many(fun, lam1) - cn.f_many(fun, lam0)) / s
-        analytic = np.real(np.einsum("...ij,ji->...", F.values, E))
+        analytic = np.real(np.einsum("...ij,ji->...", F, E))
         np.testing.assert_allclose(fd, analytic, atol=1e-4)
 
     def test_ellipticity(self):
@@ -177,9 +177,9 @@ class TestLinearize:
         fun = cn.monge_ampere(2)
         prob = pr.build_problem(GEOM, fun, "manufactured", "zero", "star-bump")
         F = op.linearize(prob.u_sub, fun, prob.chi)
-        lam = np.linalg.eigvalsh(F.values)
+        lam = np.linalg.eigvalsh(F)
         assert lam.min() > 0
-        C = op.coefficient_tensor(F)
+        C = op.coefficient_tensor(F, GEOM)
         lc = np.linalg.eigvalsh(C)
         assert lc.min() > 0
 
@@ -256,7 +256,7 @@ class TestNewtonTensors:
                 else CylinderGeometry(d=dim, resolution=3))
         u = ScalarField.zeros(geom)
         f = op.residual(u, fun, 0.0, g)
-        F = op.linearize(u, fun, g).values
+        F = op.linearize(u, fun, g)
         f_ref, F_ref, lam = dense_reference(fun, g)
         # 1e-12 where the sigmas are well conditioned; near the cone
         # boundary both routes carry the rounding error eps * condition
@@ -278,7 +278,7 @@ class TestCoefficientTensor:
     def test_sigma1_quarter_laplacian(self):
         fun = cn.sigma_k_root(2, 1)
         F = op.linearize(ScalarField.zeros(GEOM), fun, np.eye(2))
-        C = op.coefficient_tensor(F)
+        C = op.coefficient_tensor(F, GEOM)
         assert np.allclose(C, 0.25 * np.eye(4))
 
     def test_contraction_matches_complex_form(self):
@@ -288,12 +288,10 @@ class TestCoefficientTensor:
         u = ScalarField(geom=GEOM, values=rng.standard_normal(GEOM.shape))
         Fmat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         Fmat = 0.5 * (Fmat + Fmat.conj().T)
-        F = op.HermitianFormField(
-            geom=GEOM, values=np.broadcast_to(Fmat, GEOM.interior_shape + (2, 2)).copy()
-        )
+        F = np.broadcast_to(Fmat, GEOM.interior_shape + (2, 2)).copy()
         H = op.complex_hessian(u, None)
-        direct = np.real(np.einsum("...ij,...ji->...", F.values, H.values))
-        C = op.coefficient_tensor(F)
+        direct = np.real(np.einsum("...ij,...ji->...", F, H))
+        C = op.coefficient_tensor(F, GEOM)
         via_real = op.apply_second_order(C, u.values, GEOM)
         np.testing.assert_allclose(via_real, direct, atol=1e-10)
 
@@ -307,14 +305,14 @@ class TestRealHessian:
         )
         g = op.real_hessian(u, np.eye(3))
         expected = np.eye(3) + np.diag([0.0, 0.0, -2.0])
-        assert np.allclose(g.values, expected)
+        assert np.allclose(g, expected)
 
     def test_symmetry(self):
         geom = CylinderGeometry(d=3, resolution=8)
         rng = np.random.default_rng(1)
         u = ScalarField(geom=geom, values=rng.standard_normal(geom.shape))
         g = op.real_hessian(u, None)
-        np.testing.assert_array_equal(g.values, np.swapaxes(g.values, -1, -2))
+        np.testing.assert_array_equal(g, np.swapaxes(g, -1, -2))
 
 
 def ddbar_from_real(D):
@@ -329,8 +327,8 @@ class TestComplexForm:
     def test_interior_and_faces_match_real_hessian(self):
         rng = np.random.default_rng(4)
         u = ScalarField(geom=GEOM, values=rng.standard_normal(GEOM.shape))
-        np.testing.assert_allclose(op.complex_hessian(u).values,
-                                   ddbar_from_real(op.real_hessian(u).values),
+        np.testing.assert_allclose(op.complex_hessian(u),
+                                   ddbar_from_real(op.real_hessian(u)),
                                    rtol=0, atol=1e-12)
         for H, D in zip(op.boundary_complex_hessian(u), op.boundary_real_hessian(u)):
             np.testing.assert_allclose(H, ddbar_from_real(D), rtol=0, atol=1e-12)
@@ -355,3 +353,64 @@ class TestBoundaryDerivatives:
             np.testing.assert_allclose(H[..., 1, 1], -0.5, atol=1e-12)
             np.testing.assert_allclose(H[..., 0, 0], 0.0, atol=1e-12)
             np.testing.assert_allclose(H[..., 0, 1], 0.0, atol=1e-12)
+
+
+def roll_face_reference(u_full, geom, face):
+    """Gradient and real Hessian on one face from np.roll stencils on the
+    face layers: the face formulas the padded windows replaced."""
+    h, da = geom.h, geom.dirichlet_axis
+    h2 = h * h
+    idx, sgn = (0, 1) if face == 0 else (geom.shape[da] - 1, -1)
+    layers = [np.take(u_full, idx + sgn * k, axis=da) for k in range(4)]
+    f0 = layers[0]
+
+    def tangential(f, pos):
+        return (np.roll(f, -1, axis=pos) - np.roll(f, 1, axis=pos)) / (2.0 * h)
+
+    def one_sided(ls):
+        return sgn * (-3.0 * ls[0] + 4.0 * ls[1] - ls[2]) / (2.0 * h)
+
+    faxes = [a for a in range(geom.real_dims) if a != da]
+    r = geom.real_dims
+    grad = np.zeros(f0.shape + (r,))
+    D = np.zeros(f0.shape + (r, r))
+    for pos_a, a in enumerate(faxes):
+        grad[..., a] = tangential(f0, pos_a)
+        D[..., a, a] = (np.roll(f0, -1, pos_a) - 2.0 * f0 + np.roll(f0, 1, pos_a)) / h2
+        for pos_b in range(pos_a + 1, len(faxes)):
+            b = faxes[pos_b]
+            D[..., a, b] = D[..., b, a] = (
+                np.roll(np.roll(f0, -1, pos_a), -1, pos_b)
+                - np.roll(np.roll(f0, -1, pos_a), 1, pos_b)
+                - np.roll(np.roll(f0, 1, pos_a), -1, pos_b)
+                + np.roll(np.roll(f0, 1, pos_a), 1, pos_b)
+            ) / (4.0 * h2)
+        D[..., a, da] = D[..., da, a] = one_sided([tangential(f, pos_a)
+                                                   for f in layers[:3]])
+    grad[..., da] = one_sided(layers)
+    D[..., da, da] = (2.0 * f0 - 5.0 * layers[1] + 4.0 * layers[2] - layers[3]) / h2
+    return grad, D
+
+
+class TestFaceStencils:
+    """The face stencils read the interior's padded windows and keep the
+    operation order of the np.roll formulas, so they agree to the bit."""
+
+    @pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=6),
+                                      GridGeometry(n=3, resolution=4),
+                                      CylinderGeometry(d=3, resolution=7)],
+                             ids=["complex-2", "complex-3", "cylinder-3"])
+    def test_bit_identical_to_roll_formulas(self, geom):
+        rng = np.random.default_rng(7)
+        u = ScalarField(geom=geom, values=rng.standard_normal(geom.shape))
+        grads, hessians = op.gradient_boundary(u), op.boundary_real_hessian(u)
+        for face in (0, 1):
+            grad, D = roll_face_reference(u.values, geom, face)
+            np.testing.assert_array_equal(grads[face], grad)
+            np.testing.assert_array_equal(hessians[face], D)
+        both = u.values[geom.faces]
+        for a in geom.periodic_axes:
+            rolled = (np.roll(both, -1, axis=a)
+                      - np.roll(both, 1, axis=a)) / (2.0 * geom.h)
+            np.testing.assert_array_equal(
+                op.first_derivative_centered(u.values, geom, a, layer=[0, -1]), rolled)

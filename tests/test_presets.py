@@ -16,7 +16,7 @@ class TestTrigStar:
         for m in (8, 16):
             geom = GridGeometry(n=2, resolution=m)
             star = ScalarField(geom=geom, values=pr.trig_star_values(geom))
-            discrete = form_field(star, None).values
+            discrete = form_field(star, None)
             analytic = pr.trig_star_hessian(geom)[geom.interior]
             errs[m] = float(np.abs(discrete - analytic).max())
         assert 1.7 <= np.log2(errs[8] / errs[16]) <= 2.3
@@ -41,7 +41,7 @@ class TestRealStar:
         for m in (8, 16):
             geom = CylinderGeometry(d=3, resolution=m)
             star = ScalarField(geom=geom, values=pr.real_star_values(geom))
-            discrete = form_field(star, None).values
+            discrete = form_field(star, None)
             analytic = pr.real_star_hessian(geom)[geom.interior]
             errs[m] = float(np.abs(discrete - analytic).max())
         assert 1.7 <= np.log2(errs[8] / errs[16]) <= 2.3
