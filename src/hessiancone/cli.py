@@ -27,14 +27,11 @@ import numpy as np
 
 from . import __version__, arrowhead, cones
 from .geometry import CylinderGeometry, GridGeometry, write_field_csv, write_field_raw
-from .linsolve import LinearSolveError
-from .operators import AdmissibilityError
 from .presets import build_problem
 from .solve import (
-    ContinuationError,
+    SOLVE_ERRORS,
     SolveReport,
     SolverConfig,
-    SubsolutionError,
     continuity_solve,
     degenerate_sweep,
     solve_riemannian,
@@ -46,10 +43,6 @@ FAST, FULL = "fast", "full"
 # (1,015,808) and the 64^3 cylinder (258,048); n = 3 at resolution 16
 # (15.7 million, about 2.3 GB for one 3 x 3 complex form field) is refused
 MAX_INTERIOR_NODES = 2**21
-
-# errors of a solve that become a failure row and exit status 1
-SOLVE_ERRORS = (SubsolutionError, ContinuationError, LinearSolveError,
-                AdmissibilityError)
 
 
 class ConfigError(ValueError):
@@ -234,8 +227,13 @@ def cmd_cone_check(cfg, writer, seed, profile):
 def _solver_config(cfg):
     """SolverConfig defaults overridden by the solver keys in cfg."""
     base = SolverConfig()
-    return replace(base, **{key: type(getattr(base, key))(cfg[key])
-                            for key in _SOLVER_KEYS if key in cfg})
+    config = replace(base, **{key: type(getattr(base, key))(cfg[key])
+                              for key in _SOLVER_KEYS if key in cfg})
+    _require(0 < config.dt_min <= 1, "dt_min: must be in (0, 1]")
+    _require(config.tolerance > 0, "tolerance: must be positive")
+    _require(0 < config.lin_rtol < 1, "lin_rtol: must be in (0, 1)")
+    _require(config.max_newton >= 1, "max_newton: must be at least 1")
+    return config
 
 
 def _geometry(cfg, profile):
@@ -264,6 +262,11 @@ def cmd_solve(cfg, writer, seed, profile):
             scale=float(cfg.get("scale", 1.0)),
         )
         config = _solver_config(cfg)
+        dump = str(cfg.get("dump_fields", "none")).replace(",", " ").split()
+        _require(set(dump) <= {"none", "csv", "raw"},
+                 "dump_fields: every entry must be none, csv or raw")
+        _require("raw" not in dump or geom.real_dims <= 6,
+                 "dump_fields: raw needs at most 6 real directions")
     solver = continuity_solve if geom.is_complex else solve_riemannian
     try:
         u, report = solver(fun, prob.chi, prob.psi, prob.phi, prob.u_sub, config)
@@ -279,7 +282,6 @@ def cmd_solve(cfg, writer, seed, profile):
         err = float(np.abs(u.values - prob.u_star.values).max())
         writer.write("error.csv", "resolution,sup_error",
                      [f"{geom.resolution},{err!r}"])
-    dump = str(cfg.get("dump_fields", "none"))
     if "csv" in dump:
         write_field_csv(writer.outdir / "u.csv", u)
     if "raw" in dump:

@@ -19,7 +19,9 @@ Complex-model presets (dimension n >= 2):
   subsolutions.
 * ``degenerate_cos``: c (1 - cos(2 pi x_1)) / 2, minimum exactly 0.
 
-Cylinder presets (real dimension d) mirror these with real Hessians.
+Cylinder presets (real dimension d) mirror these with real Hessians;
+``bump`` is x_d (1 - x_d) there, the same function of the Dirichlet
+coordinate.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ __all__ = [
     "degenerate_cos_values",
     "real_star_values",
     "real_star_hessian",
-    "real_bump_values",
     "manufactured_psi",
     "build_problem",
 ]
@@ -89,7 +90,7 @@ def trig_star_hessian(geom, amplitude=STAR_AMPLITUDE) -> np.ndarray:
 
 
 def bump_values(geom) -> np.ndarray:
-    _, _, xn = _complex_coords(geom)
+    xn = geom.grids()[geom.dirichlet_axis]
     return np.broadcast_to(xn * (1.0 - xn), geom.shape).copy()
 
 
@@ -146,12 +147,6 @@ def real_star_hessian(geom, amplitude=REAL_STAR_AMPLITUDE) -> np.ndarray:
         H[..., d - 1, a] = v
     H[..., d - 1, d - 1] = -(np.pi**2) * prod_except(()) * s
     return H
-
-
-def real_bump_values(geom) -> np.ndarray:
-    g = geom.grids()
-    xd = g[geom.real_dims - 1]
-    return np.broadcast_to(xd * (1.0 - xd), geom.shape).copy()
 
 
 def manufactured_psi(fun, chi, star_hessian) -> np.ndarray:
@@ -215,10 +210,8 @@ def build_problem(geom, fun, psi_name: str, phi_name: str, sub_name: str,
     if sub_name == "zero":
         u_sub = ScalarField.zeros(geom)
     elif sub_name == "star-bump":
-        if geom.is_complex:
-            vals = trig_star_values(geom) - STAR_BUMP * bump_values(geom)
-        else:
-            vals = real_star_values(geom) - STAR_BUMP * real_bump_values(geom)
+        star_values = trig_star_values if geom.is_complex else real_star_values
+        vals = star_values(geom) - STAR_BUMP * bump_values(geom)
         u_sub = ScalarField(geom=geom, values=vals)
     elif sub_name == "scaled-cos":
         vals = cosine_phi_values(geom, scale) + convex_correction_values(geom)

@@ -63,6 +63,7 @@ __all__ = [
     "degenerate_sweep",
     "comparison_tolerance",
     "newton_tail_ratios",
+    "SOLVE_ERRORS",
 ]
 
 BOUNDARY_MATCH_ATOL = 1e-10
@@ -85,6 +86,11 @@ class ContinuationError(RuntimeError):
 
 class _StageFailure(RuntimeError):
     pass
+
+
+# errors of a solve that a sweep or the CLI records as a failure row
+SOLVE_ERRORS = (SubsolutionError, ContinuationError, LinearSolveError,
+                AdmissibilityError)
 
 
 @dataclass(frozen=True)
@@ -537,8 +543,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
         shifted = ScalarField(geom=geom, values=psi.values + eps)
         try:
             u, rep = continuity_solve(fun, chi, shifted, phi, u_sub, config)
-        except (SubsolutionError, ContinuationError, AdmissibilityError,
-                LinearSolveError) as exc:
+        except SOLVE_ERRORS as exc:
             row["error"] = type(exc).__name__
             rows.append(row)
             continue

@@ -234,10 +234,20 @@ class TestSolveCommand:
         ("cone-check", "samples = -3\n", None),
         ("degenerate", "resolution = 8\neps_list = 0\n", None),
         ("solve", "n = 3\nresolution = 16\n", None),
+        ("solve", "resolution = 4\ndump_fields = rwa\n", None),
+        ("solve", "n = 4\nresolution = 3\ndump_fields = raw\n", None),
+        ("solve", "resolution = 4\ndt_min = 0\n", None),
+        ("solve", "resolution = 4\ndt_min = 1.5\n", None),
+        ("solve", "resolution = 4\ntolerance = 0\n", None),
+        ("solve", "resolution = 4\nlin_rtol = 0\n", None),
+        ("degenerate", "resolution = 4\nlin_rtol = 1\n", None),
+        ("boundary-scaling", "resolution = 4\nmax_newton = 0\n", None),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
-            "degenerate-eps-zero", "grid-too-large"])
+            "degenerate-eps-zero", "grid-too-large", "dump-unknown",
+            "dump-raw-eight-dims", "dt-min-zero", "dt-min-above-one",
+            "tolerance-zero", "lin-rtol-zero", "lin-rtol-one", "max-newton-zero"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
                                               command, cfg_text, where):
         code, out = run(tmp_path, command, cfg_text)

@@ -5,9 +5,6 @@ Hand-computed oracles appear inline; gradients are cross-checked against
 central finite differences.
 """
 
-import runpy
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -407,9 +404,3 @@ class TestStackedChecks:
         assert cn.check_gradient(SIGMA2_3, lam).tolist() == [False, True]
         ok, err = cn.check_fd_grad(SIGMA2_3, lam)
         assert ok.tolist() == [False, True] and err[0] > 1e-5
-
-
-def test_cone_level_sets_demo_runs(capsys):
-    demo = Path(__file__).resolve().parents[1] / "demos" / "cone_level_sets.py"
-    runpy.run_path(str(demo), run_name="__main__")
-    assert "Euler identity" in capsys.readouterr().out
