@@ -63,7 +63,8 @@ def _padded(u_full: np.ndarray, geom) -> np.ndarray:
 def _window(geom, shifts, layer=None) -> tuple:
     """Slice of a padded array over the interior, offset by shifts along
     the periodic axes; with ``layer``, along the Dirichlet axis it takes
-    that node layer instead (an index, or [0, -1] for both faces)."""
+    those node layers instead (an index, or a list such as [0, -1] for
+    both faces)."""
     starts = [1 + shifts.get(a, 0) for a in range(geom.real_dims)]
     win = [slice(s, s + size) for s, size in zip(starts, geom.interior_shape)]
     if layer is not None:
@@ -331,8 +332,8 @@ def _boundary_real_second(u_full, geom, face):
         for b in geom.periodic_axes[i:]:
             D[..., a, b] = D[..., b, a] = second(a, b)
         # mixed normal-tangential: one-sided normal difference of the
-        # centered tangential derivative
-        tang = [first_derivative_centered(u_full, geom, a, k) for k in layers[:3]]
+        # centered tangential derivative, taken on three layers at once
+        tang = np.moveaxis(first_derivative_centered(u_full, geom, a, layers[:3]), da, 0)
         D[..., a, da] = D[..., da, a] = _one_sided(tang, sgn, h)
     D[..., da, da] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2]
                       - values[3]) / (h * h)
