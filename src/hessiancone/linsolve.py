@@ -15,23 +15,48 @@ to node, as it does in the degenerate limit psi -> 0, where the raw means
 cannot.  LGMRES tests the true residual of A, so the weight changes the
 iteration count and not the system solved; for constant coefficients the
 preconditioner is the exact inverse.
+
+Each solve returns its field with a :class:`LinearSolveRecord`: the
+relative residual asked for and reached, and the operator and
+preconditioner applications spent.  None is wasted.  LGMRES's zero start
+gets zeros back without an application, and the final residual check
+reuses LGMRES's last product: LGMRES tests its true residual A x - b at
+the top of each outer cycle and returns the x it tested there.  Krylov
+vectors are written into the interior window of one padded buffer per
+solve, whose wrapped ghost layers are refreshed in place, so the stencils
+read it without another copy.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .operators import apply_second_order, nonzero_pairs
+from .operators import (apply_second_order, nonzero_pairs, _padded, _window,
+                        _wrap_ghosts)
 
-__all__ = ["LinearSolveError", "solve_dirichlet"]
+__all__ = ["LinearSolveError", "LinearSolveRecord", "solve_dirichlet"]
 
 DEFAULT_RTOL = 1e-10
 
 
 class LinearSolveError(RuntimeError):
     """The iterative linear solver failed to reach its tolerance."""
+
+
+@dataclass(frozen=True)
+class LinearSolveRecord:
+    """What one solve_dirichlet call did: the relative residual it was
+    asked for (rtol) and reached (residual, 0 when the right-hand side
+    vanishes), and its operator and preconditioner applications."""
+
+    rtol: float
+    residual: float
+    applications: int
+    precond_applications: int
 
 
 class _MeanCoefficientInverse:
@@ -83,46 +108,70 @@ def solve_dirichlet(
     boundary_values=None,
     rtol: float = DEFAULT_RTOL,
     maxiter: int = 2000,
-) -> np.ndarray:
+) -> tuple[np.ndarray, LinearSolveRecord]:
     """Solve sum C_ab d_ab U = rhs at interior nodes, U = bc on the faces.
 
     ``boundary_values`` is a full-shape array supplying the Dirichlet data
     (only its two faces are read); omitted means homogeneous data.
-    Returns the full-shape solution field.  Raises
-    :class:`LinearSolveError` when tr C is not positive at some node or
-    LGMRES does not converge to ``rtol``.
+    Returns the full-shape solution field and its LinearSolveRecord.
+    Raises :class:`LinearSolveError` when tr C is not positive at some
+    node, LGMRES reports failure or the residual of the returned field is
+    above 10 rtol.
     """
     interior = geom.interior
     pairs = nonzero_pairs(C)
     full = np.zeros(geom.shape)
     rhs = np.asarray(rhs_interior, dtype=float).copy()
+    applications, precond_applications = 0, 0
     if boundary_values is not None:
         bc = np.zeros(geom.shape)
         bc[geom.faces] = boundary_values[geom.faces]
         rhs -= apply_second_order(C, bc, geom, pairs)
+        applications += 1
         full += bc
 
     b = rhs.reshape(-1)
     if not np.any(b):
-        return full
+        return full, LinearSolveRecord(rtol, 0.0, applications, 0)
 
-    emb = np.zeros(geom.shape)  # the faces stay zero
+    padded = _padded(np.zeros(geom.shape), geom)  # the faces stay zero
+    inside = padded[_window(geom, {})]
+    product = np.zeros(b.size)  # A applied to the vector in ``inside``
+    calls = 0
 
     def matvec(x):
-        emb[interior] = x.reshape(geom.interior_shape)
-        return apply_second_order(C, emb, geom, pairs).reshape(-1)
+        nonlocal product, applications, calls
+        calls += 1
+        if calls == 1 and not np.any(x):
+            return product  # LGMRES's zero start
+        inside[...] = x.reshape(geom.interior_shape)
+        _wrap_ghosts(padded, geom)
+        product = apply_second_order(C, padded, geom, pairs).reshape(-1)
+        applications += 1
+        return product
+
+    precond = _MeanCoefficientInverse(C, geom)
+
+    def psolve(r):
+        nonlocal precond_applications
+        precond_applications += 1
+        return precond.apply(r)
 
     nun = b.size
-    precond = _MeanCoefficientInverse(C, geom)
     A = LinearOperator((nun, nun), matvec=matvec, dtype=float)
-    M = LinearOperator((nun, nun), matvec=precond.apply, dtype=float)
+    M = LinearOperator((nun, nun), matvec=psolve, dtype=float)
     x, info = lgmres(A, b, M=M, rtol=rtol, atol=0.0, maxiter=maxiter)
     if info != 0:
         raise LinearSolveError(f"lgmres returned info={info}")
     # info == 0 is not trustworthy in every corner case; verify the
-    # residual explicitly so a silent non-solve cannot escape
-    rel = float(np.linalg.norm(matvec(x) - b) / np.linalg.norm(b))
+    # residual explicitly so a silent non-solve cannot escape.  The last
+    # product is A x unless the buffer no longer holds the x returned.
+    x = x.reshape(geom.interior_shape)
+    if not np.array_equal(inside, x):
+        matvec(x)
+    rel = float(np.linalg.norm(product - b) / np.linalg.norm(b))
     if rel > 10.0 * rtol:
         raise LinearSolveError(f"relative residual {rel!r} above tolerance")
-    full[interior] += x.reshape(geom.interior_shape)
-    return full
+    full[interior] += x
+    return full, LinearSolveRecord(rtol, rel, applications,
+                                   precond_applications)

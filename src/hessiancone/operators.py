@@ -55,9 +55,22 @@ class AdmissibilityError(ValueError):
 def _padded(u_full: np.ndarray, geom) -> np.ndarray:
     """One wrapped ghost layer on each periodic axis; along the Dirichlet
     axis the two faces already border the interior."""
-    pad = [(1, 1)] * u_full.ndim
-    pad[geom.dirichlet_axis] = (0, 0)
-    return np.pad(u_full, pad, mode="wrap")
+    shape = [size + 2 for size in u_full.shape]
+    shape[geom.dirichlet_axis] -= 2
+    p = np.empty(shape)
+    p[_window(geom, {}, slice(None))] = u_full
+    return _wrap_ghosts(p, geom)
+
+
+def _wrap_ghosts(p: np.ndarray, geom) -> np.ndarray:
+    """Refill the ghost layers of a padded array in place from the opposite
+    edges, axis after axis over the whole extent of the others, so the
+    corners wrap too and p equals np.pad(..., mode="wrap") of its core."""
+    for a in geom.periodic_axes:
+        q = np.moveaxis(p, a, 0)  # a view: the writes land in p
+        q[0] = q[-2]
+        q[-1] = q[1]
+    return p
 
 
 def _window(geom, shifts, layer=None) -> tuple:
@@ -72,10 +85,11 @@ def _window(geom, shifts, layer=None) -> tuple:
     return tuple(win)
 
 
-def _second_partials(u_full, geom, layer=None):
+def _second_partials(u, geom, layer=None):
     """Callable (a, b) -> centered d^2 u / dx_a dx_b on the interior, or
-    on the Dirichlet-axis ``layer`` (a, b periodic there)."""
-    p = _padded(u_full, geom)
+    on the Dirichlet-axis ``layer`` (a, b periodic there).  ``u`` is a
+    full-shape field or a padded one (``_padded``), which is read as it is."""
+    p = _padded(u, geom) if u.shape == geom.shape else u
     h2 = geom.h * geom.h
 
     # (plus - 2 zero + minus) / h2 and (pp - pm - mp + mm) / (4 h2) in
@@ -254,8 +268,11 @@ def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom,
                        pairs=None) -> np.ndarray:
     """sum_ab C_ab d^2 u / dx_a dx_b on the interior, C symmetric.
 
-    Of the off-diagonal terms only ``pairs`` (default nonzero_pairs(C))
-    are applied; a caller applying one C many times computes them once.
+    ``u_full`` is the full-shape field, or the field already padded as
+    ``_padded`` pads it; a caller applying C to many vectors keeps one
+    padded buffer and refreshes its ghosts with ``_wrap_ghosts``.  Of the
+    off-diagonal terms only ``pairs`` (default nonzero_pairs(C)) are
+    applied; such a caller computes them once.
     """
     if pairs is None:
         pairs = nonzero_pairs(C)

@@ -5,11 +5,20 @@ subsolution's own equation to the target along the interpolated family
 
     psi_t = (1 - t) f(lambda(g[u_sub])) + t psi,        t: 0 -> 1,
 
-each stage solved by a damped Newton iteration on the discrete system.
-Damping keeps every node's sigma_1..sigma_m positive (the cone) and the
-sup-norm residual decreasing.  Continuation tries t = 1 first, halves the
-step when a stage fails, doubles it after a stage succeeds (Deuflhard 2004)
-and stalls loudly below the minimum step.  The same driver covers the real
+each stage solved by a damped inexact Newton iteration on the discrete
+system.  Damping keeps every node's sigma_1..sigma_m positive (the cone)
+and the sup-norm residual decreasing; a step's trials start at twice the
+previous step's factor (at 1 on a stage's first step, never above 1) and
+halve from there.  A stage's first linear solve runs to ``lin_rtol``,
+later ones to the Eisenstat-Walker forcing term (SIAM J. Sci. Comput. 17,
+1996) 0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised to
+OVERSOLVE tolerance / r_k so the last step is not oversolved and kept
+within [lin_rtol, ETA_MAX].  A stage records per step the residual, the damping
+and the linear solve's record (forcing term, operator applications,
+residual reached).  Continuation tries t = 1 first, halves the step when
+a stage fails, doubles it after a stage succeeds (Deuflhard 2004) and
+stalls loudly below the minimum step, with every stage record and
+rejected attempt in the ContinuationError.  The same driver covers the real
 (cylinder) variant, where the complex Hessian is replaced by the real one.
 
 Diagnostics implement the measured forms of the boundary estimates: the
@@ -69,6 +78,12 @@ __all__ = [
 BOUNDARY_MATCH_ATOL = 1e-10
 SUBSOLUTION_SLACK = 1e-12
 MAX_HALVINGS = 10  # damping factors 1, 1/2, ..., 2**-MAX_HALVINGS
+ETA_MAX = 1e-2  # largest forcing term; looser ones cost Newton steps
+# the forcing term is raised to OVERSOLVE * tolerance / r_k.  The linear
+# solve bounds a relative 2-norm residual and Newton stops on the sup
+# norm: with 0.5 the last step on the 16^3 cylinder reached 1.9e-8
+# against the tolerance 1e-8 and cost a fifth Newton step
+OVERSOLVE = 0.1
 
 
 class SubsolutionError(ValueError):
@@ -76,11 +91,16 @@ class SubsolutionError(ValueError):
 
 
 class ContinuationError(RuntimeError):
-    """The continuity path stalled before t = 1."""
+    """The continuity path stalled before t = 1.  Carries the position,
+    the last accepted residual, the accepted stages (StageRecord) and
+    every rejected stage attempt as (t, t_target, reason)."""
 
-    def __init__(self, t, residual, message):
+    def __init__(self, t, residual, message, stage_history=(),
+                 rejected_stages=()):
         self.t = t
         self.residual = residual
+        self.stage_history = list(stage_history)
+        self.rejected_stages = list(rejected_stages)
         super().__init__(message)
 
 
@@ -103,9 +123,13 @@ class SolverConfig:
 
 @dataclass
 class StageRecord:
+    """One accepted stage: the residual before and after each Newton step,
+    each step's damping factor and its LinearSolveRecord."""
+
     t: float
     residuals: list
     dampings: list
+    linear: list = field(default_factory=list)
 
 
 @dataclass
@@ -190,12 +214,26 @@ def _residual_and_mask(u, fun, chi, psi_t_interior):
     return r, float(np.abs(r).max()), state
 
 
+def _forcing_term(residuals, config) -> float:
+    """Relative tolerance of the next step's linear solve, from the stage's
+    sup-norm residuals so far: lin_rtol on the first step, then
+    0.9 (r_k / r_{k-1})^2 or, when larger, OVERSOLVE tolerance / r_k,
+    within [lin_rtol, ETA_MAX]."""
+    if len(residuals) < 2:
+        return config.lin_rtol
+    r_prev, r = residuals[-2], residuals[-1]
+    eta = max(0.9 * (r / r_prev) ** 2, OVERSOLVE * config.tolerance / r)
+    return max(config.lin_rtol, min(ETA_MAX, eta))
+
+
 def _newton_solve(u0, fun, chi, psi_t, config, t_label):
-    """Damped Newton iteration of one continuity stage.
+    """Damped inexact Newton iteration of one continuity stage.
 
     Each step solves the linearized system with homogeneous Dirichlet data
-    for the update, then applies the largest damping factor in 1, 1/2,
-    ..., 2**-MAX_HALVINGS that keeps every node admissible and reduces the
+    for the update to the forcing term's tolerance, then applies the
+    largest damping factor of min(1, 2 theta_prev), half that, ... down to
+    2**-MAX_HALVINGS (theta_prev the previous step's factor; the first
+    step starts at 1) that keeps every node admissible and reduces the
     sup-norm residual.  Returns (u, StageRecord); raises _StageFailure
     when the start is inadmissible, the linear solve fails, no factor
     qualifies or the iteration budget runs out.
@@ -205,33 +243,36 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
     r, rn, state = _residual_and_mask(u, fun, chi, psi_t)
     if r is None:
         raise _StageFailure("stage start inadmissible")
-    residuals = [rn]
-    dampings = []
+    record = StageRecord(t=t_label, residuals=[rn], dampings=[])
+    theta = 0.5
     while rn > config.tolerance:
-        if len(residuals) > config.max_newton:
+        if len(record.residuals) > config.max_newton:
             raise _StageFailure("newton iteration budget exhausted")
         # the residual's Newton tensors at u feed the linearization; only
         # C lives on into the linear solve, and nothing after it
         C, state = coefficient_tensor(linearize(u, fun, chi, state), geom), None
         try:
-            delta = solve_dirichlet(C, geom, -r, rtol=config.lin_rtol)
+            delta, linear = solve_dirichlet(
+                C, geom, -r, rtol=_forcing_term(record.residuals, config))
         except LinearSolveError as exc:
             raise _StageFailure(str(exc))
         del C
-        for k in range(MAX_HALVINGS + 1):
-            theta = 0.5**k
+        theta = min(1.0, 2.0 * theta)
+        while True:
             trial = ScalarField(geom=geom, values=u.values + theta * delta)
             r_t, rn_t, state = _residual_and_mask(trial, fun, chi, psi_t)
-            if r_t is None or not rn_t < rn:
-                state = None
-                continue
-            u, r, rn = trial, r_t, rn_t
-            residuals.append(rn)
-            dampings.append(theta)
-            break
-        else:
-            raise _StageFailure("no admissible damping factor reduced the residual")
-    return u, StageRecord(t=t_label, residuals=residuals, dampings=dampings)
+            if r_t is not None and rn_t < rn:
+                break
+            state = None
+            theta *= 0.5
+            if theta < 0.5**MAX_HALVINGS:
+                raise _StageFailure(
+                    "no admissible damping factor reduced the residual")
+        u, r, rn = trial, r_t, rn_t
+        record.residuals.append(rn)
+        record.dampings.append(theta)
+        record.linear.append(linear)
+    return u, record
 
 
 def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
@@ -284,7 +325,8 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
             dt = 0.5 * step
             if dt < config.dt_min:
                 raise ContinuationError(
-                    t, last_rn, f"path stalled at t={t!r}: {exc}"
+                    t, last_rn, f"path stalled at t={t!r}: {exc}",
+                    stages, rejected,
                 )
             continue
         u = u_new
@@ -347,8 +389,9 @@ def harmonic_majorant(chi, phi, geom) -> ScalarField:
     eye = np.broadcast_to(np.eye(dim), geom.interior_shape + (dim, dim))
     C = coefficient_tensor(eye, geom)
     tr = np.trace(_chi_interior(chi, geom, dim, complex), axis1=-2, axis2=-1).real
-    values = solve_dirichlet(C, geom, -np.broadcast_to(tr, geom.interior_shape),
-                             boundary_values=phi.values)
+    values, _ = solve_dirichlet(
+        C, geom, -np.broadcast_to(tr, geom.interior_shape),
+        boundary_values=phi.values)
     return ScalarField(geom=geom, values=values)
 
 

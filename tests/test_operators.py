@@ -414,3 +414,20 @@ class TestFaceStencils:
                       - np.roll(both, 1, axis=a)) / (2.0 * geom.h)
             np.testing.assert_array_equal(
                 op.first_derivative_centered(u.values, geom, a, layer=[0, -1]), rolled)
+
+
+@pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=6),
+                                  GridGeometry(n=3, resolution=4),
+                                  CylinderGeometry(d=3, resolution=7)],
+                         ids=["complex-2", "complex-3", "cylinder-3"])
+def test_padding_is_numpy_wrap(geom):
+    # the ghost layers are refreshed slab by slab; corners included, the
+    # padded copy equals np.pad's, and a stale buffer refreshes to it
+    u = np.random.default_rng(8).standard_normal(geom.shape)
+    pad = [(1, 1)] * u.ndim
+    pad[geom.dirichlet_axis] = (0, 0)
+    expected = np.pad(u, pad, mode="wrap")
+    np.testing.assert_array_equal(op._padded(u, geom), expected)
+    stale = op._padded(np.zeros(geom.shape), geom) + np.nan
+    stale[op._window(geom, {}, slice(None))] = u
+    np.testing.assert_array_equal(op._wrap_ghosts(stale, geom), expected)

@@ -93,6 +93,71 @@ def run_controller(monkeypatch, too_long):
     return attempts, rep
 
 
+class TestForcing:
+    CONFIG = sv.SolverConfig()
+
+    def test_first_step_at_lin_rtol(self):
+        assert sv._forcing_term([0.3], self.CONFIG) == self.CONFIG.lin_rtol
+
+    def test_quadratic_in_the_residual_ratio(self):
+        eta = sv._forcing_term([1.0, 1e-2], self.CONFIG)
+        assert eta == pytest.approx(0.9e-4)
+
+    def test_clipped_to_floor_and_cap(self):
+        # a fast contraction far above the tolerance would ask for less
+        # than lin_rtol, a slow one for more than ETA_MAX
+        assert sv._forcing_term([1e8, 1e2], self.CONFIG) == self.CONFIG.lin_rtol
+        assert sv._forcing_term([1.0, 0.9], self.CONFIG) == sv.ETA_MAX
+
+    def test_oversolving_floor(self):
+        # 0.9 (5e-4)^2 = 2.3e-7, but 0.1 tolerance / r = 0.02 -> the cap
+        assert sv._forcing_term([1e-4, 5e-8], self.CONFIG) == sv.ETA_MAX
+        # 0.1 tolerance / r = 5e-4 wins over 0.9 (1e-2)^2 = 9e-5
+        eta = sv._forcing_term([2e-4, 2e-6], self.CONFIG)
+        assert eta == pytest.approx(sv.OVERSOLVE * self.CONFIG.tolerance / 2e-6)
+
+    def test_floor_wins_over_a_loose_lin_rtol(self):
+        config = sv.SolverConfig(lin_rtol=0.5)
+        assert sv._forcing_term([1.0, 1e-3], config) == 0.5
+
+    def test_recorded_sequence_of_a_degenerate_solve(self):
+        prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
+        psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-3)
+        u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
+        lin_rtol = self.CONFIG.lin_rtol
+        for stage in rep.stage_history:
+            etas = [rec.rtol for rec in stage.linear]
+            assert len(etas) == len(stage.dampings)
+            assert etas[0] == lin_rtol
+            assert all(lin_rtol <= e <= sv.ETA_MAX for e in etas)
+            assert etas == [sv._forcing_term(stage.residuals[:k + 1],
+                                             self.CONFIG)
+                            for k in range(len(etas))]
+            assert all(rec.residual <= 10.0 * rec.rtol for rec in stage.linear)
+        assert rep.final_residual <= self.CONFIG.tolerance
+
+    @pytest.mark.parametrize("case", ["degenerate-8", "cylinder-16"])
+    def test_forced_and_tight_solutions_agree(self, case, monkeypatch):
+        if case == "degenerate-8":
+            geom, fun = GEOM8, MA2
+            prob = pr.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
+            psi = ScalarField(geom=geom, values=prob.psi.values + 1e-3)
+        else:
+            geom, fun = CylinderGeometry(d=3, resolution=16), cn.monge_ampere(3)
+            prob = pr.build_problem(geom, fun, "manufactured", "zero",
+                                    "star-bump")
+            psi = prob.psi
+        forced, rep = sv.continuity_solve(fun, prob.chi, psi, prob.phi,
+                                          prob.u_sub)
+        monkeypatch.setattr(sv, "_forcing_term",
+                            lambda residuals, config: config.lin_rtol)
+        tight, rep_tight = sv.continuity_solve(fun, prob.chi, psi, prob.phi,
+                                               prob.u_sub)
+        for report in (rep, rep_tight):
+            assert report.final_residual <= self.CONFIG.tolerance
+        assert np.abs(forced.values - tight.values).max() <= 1e-9
+
+
 class TestNewton:
     def test_zero_residual_is_fixed_point(self):
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
@@ -112,6 +177,28 @@ class TestNewton:
         resid = np.abs(cn.f_many(S1, lam) - psi_int).max()
         assert resid <= 1e-9
         assert record.dampings == [1.0]  # one undamped step
+
+    def test_damping_trials_start_at_twice_the_last_factor(self, monkeypatch):
+        # degenerate data: the early steps are damped, so the restricted
+        # start skips trials; each step's first trial is min(1, 2 theta)
+        prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
+        psi_int = prob.psi.values[GEOM8.interior] + 1e-3
+        evals = [0]
+        inner = sv._residual_and_mask
+
+        def counted(*args):
+            evals[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(sv, "_residual_and_mask", counted)
+        u, record = sv._newton_solve(prob.u_sub, MA2, prob.chi, psi_int,
+                                     sv.SolverConfig(), 1.0)
+        starts = [1.0] + [min(1.0, 2.0 * d) for d in record.dampings[:-1]]
+        assert all(d <= s for d, s in zip(record.dampings, starts))
+        trials = sum(int(np.log2(s / d)) + 1
+                     for s, d in zip(starts, record.dampings))
+        assert evals[0] == 1 + trials
+        assert min(record.dampings) < 1.0
 
     def test_superlinear_tail(self):
         prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
@@ -172,6 +259,40 @@ class TestNewton:
             sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi,
                                 prob.u_sub, config)
         assert err.value.t == 0.0
+        # every halving down to the floor is named with its reason
+        targets = [t for _, t, _ in err.value.rejected_stages]
+        assert targets == [0.5**k for k in range(7)]
+        assert all(t == 0.0 and reason == "newton iteration budget exhausted"
+                   for t, _, reason in err.value.rejected_stages)
+        assert err.value.stage_history == []
+
+    def test_stall_carries_rejected_and_accepted_stages(self, monkeypatch):
+        # the stage at t = 0.5 is solved; every stage beyond it fails, so
+        # the step halves down to the floor at t = 0.5
+        inner = sv._newton_solve
+
+        def stage(u0, fun, chi, psi_t, config, t_label):
+            if t_label > 0.5:
+                raise sv._StageFailure(f"forced at {t_label!r}")
+            return inner(u0, fun, chi, psi_t, config, t_label)
+
+        monkeypatch.setattr(sv, "_newton_solve", stage)
+        prob = pr.build_problem(GEOM8, MA2, "manufactured", "zero",
+                                "star-bump")
+        config = sv.SolverConfig(dt_min=0.1)
+        with pytest.raises(sv.ContinuationError) as err:
+            sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi,
+                                prob.u_sub, config)
+        exc = err.value
+        assert exc.t == 0.5
+        assert exc.rejected_stages == [
+            (0.0, 1.0, "forced at 1.0"), (0.5, 1.0, "forced at 1.0"),
+            (0.5, 0.75, "forced at 0.75"), (0.5, 0.625, "forced at 0.625"),
+        ]
+        [accepted] = exc.stage_history
+        assert accepted.t == 0.5 and accepted.dampings
+        assert len(accepted.linear) == len(accepted.dampings)
+        assert exc.residual == accepted.residuals[-1]
 
     def test_linear_solver_failure_surfaces_as_stage_failure(self):
         from hessiancone.linsolve import LinearSolveError, solve_dirichlet
@@ -325,7 +446,7 @@ class TestRiemannian:
         C[..., 0, 0] = 1.0
         C[..., 1, 1] = 1.0
         rhs = prob.psi.values[geom.interior] - 2.0
-        w = solve_dirichlet(C, geom, rhs, boundary_values=prob.phi.values)
+        w, _ = solve_dirichlet(C, geom, rhs, boundary_values=prob.phi.values)
         np.testing.assert_allclose(u.values, w, atol=1e-8)
 
     def test_path_constant_matches_subsolution(self):
