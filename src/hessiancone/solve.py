@@ -13,9 +13,10 @@ halve from there.  A stage's first linear solve runs to ``lin_rtol``,
 later ones to the Eisenstat-Walker forcing term (SIAM J. Sci. Comput. 17,
 1996) 0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised to
 OVERSOLVE tolerance / r_k so the last step is not oversolved and kept
-within [lin_rtol, ETA_MAX].  A stage records per step the residual, the damping
-and the linear solve's record (forcing term, operator applications,
-residual reached).  Continuation tries t = 1 first, halves the step when
+within [lin_rtol, ETA_MAX].  A linear solve stops on its true residual,
+near its forcing term rather than far below it.  A stage records per
+step the residual, the damping and the linear solve's record (forcing
+term, operator applications, residual reached).  Continuation tries t = 1 first, halves the step when
 a stage fails, doubles it after a stage succeeds (Deuflhard 2004) and
 stalls loudly below the minimum step, with every stage record and
 rejected attempt in the ContinuationError.  The same driver covers the real

@@ -3,7 +3,10 @@ and every boundary the benchmark's tracer wraps exists."""
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,15 @@ def test_traced_boundary_exists(module_name, path, layer):
     for name in path.split("."):
         owner = getattr(owner, name)
     assert callable(owner)
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # the Krylov solver is in the package, so no command pays for
+    # importing scipy.sparse at start-up
+    src = str(Path(hessiancone.__file__).resolve().parents[1])
+    code = ("import sys, hessiancone.cli; "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

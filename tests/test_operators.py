@@ -202,11 +202,15 @@ def sigma_condition(fun, lam):
 
 
 @st.composite
-def spectral_cases(draw):
-    complex_ = draw(st.booleans())
+def spectral_cases(draw, complex_dims=None, count=None):
+    """(fun, g, complex_): one form g, or with ``count`` a stack of that
+    many drawn with the same pattern.  ``complex_dims`` (low, high) draws
+    complex forms of those dims only."""
+    complex_ = complex_dims is not None or draw(st.booleans())
     # the complex model grid at resolution 3 has 2 * 3^(2n-1) interior
-    # nodes (39,366 at n = 5), so complex forms stop at dim 4
-    dim = draw(st.integers(2, 4 if complex_ else 6))
+    # nodes (39,366 at n = 5), so forms checked on a grid stop at dim 4
+    low, high = complex_dims or (2, 4 if complex_ else 6)
+    dim = draw(st.integers(low, high))
     kind = draw(st.sampled_from(("sigma1", "sigmaK", "ma", "quotient")))
     if kind == "sigma1":
         fun = cn.sigma_k_root(dim, 1)
@@ -219,6 +223,12 @@ def spectral_cases(draw):
         fun = cn.hessian_quotient(dim, draw(st.integers(1, l - 1)), l)
     pattern = draw(st.sampled_from(("cone", "repeated", "near", "boundary")))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    forms = [draw_form(draw, rng, fun, dim, pattern, complex_)
+             for _ in range(count or 1)]
+    return fun, (np.stack(forms) if count else forms[0]), complex_
+
+
+def draw_form(draw, rng, fun, dim, pattern, complex_):
     lam = rng.uniform(-1.0, 1.0, dim)
     while pattern == "cone" and not cn.in_cone(fun, lam):
         lam = rng.uniform(-1.0, 1.0, dim)
@@ -241,7 +251,7 @@ def spectral_cases(draw):
         g = np.diag(lam).astype(complex)
     if not complex_:
         g = g.real
-    return fun, g, complex_
+    return g
 
 
 class TestNewtonTensors:
@@ -263,6 +273,22 @@ class TestNewtonTensors:
         tol = 1e-12 + 100 * np.finfo(float).eps * sigma_condition(fun, lam)
         assert np.abs(f - f_ref).max() <= tol * abs(f_ref)
         assert np.abs(F - F_ref).max() <= tol * np.abs(F_ref).max()
+
+    @given(spectral_cases(complex_dims=(5, 6), count=4))
+    @settings(max_examples=100, deadline=None)
+    def test_complex_dims_5_6_match_dense_reference(self, case):
+        # a stack of forms with no grid, through the same residual and
+        # linearization as above, with the same bound per form
+        fun, g, _ = case
+        state = op.newton_tensors(g, fun.cone_order)
+        f = cn.f_from_sigmas(fun, state[0])
+        F = op.linearize(None, fun, state=state)
+        for k in range(len(g)):
+            f_ref, F_ref, lam = dense_reference(fun, g[k])
+            tol = (1e-12
+                   + 100 * np.finfo(float).eps * sigma_condition(fun, lam))
+            assert abs(f[k] - f_ref) <= tol * abs(f_ref)
+            assert np.abs(F[k] - F_ref).max() <= tol * np.abs(F_ref).max()
 
     def test_sigmas_of_a_diagonal_matrix(self):
         lam = np.array([2.0, -1.0, 3.0, 0.5])
