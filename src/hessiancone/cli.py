@@ -156,20 +156,41 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
     return failures
 
 
-def _cone_rows(fun, samples, rng):
-    def draw():
-        while True:
-            lam = rng.uniform(-3.0, 3.0, fun.n) + 1.0
-            if cones.in_cone(fun, lam):
-                return lam
+def _draw_in_cone(fun, count, rng):
+    """``count`` cone points by rejection from ``rng.uniform(-3, 3, n) + 1``:
+    the points, and the stream position, of ``count`` rejection loops run
+    one after another.  Candidates are drawn and tested in blocks; when a
+    block completes the count, the stream is rewound and exactly the
+    candidates the loops would consume are drawn again."""
+    found = []
+    while count:
+        start = rng.bit_generator.state
+        # the lowest shipped acceptance rate at n = 3 is 8/27 (ma), so one
+        # block of four candidates per point usually suffices
+        block = max(16, 4 * count)
+        lam = rng.uniform(-3.0, 3.0, (block, fun.n)) + 1.0
+        hits = np.flatnonzero(cones.in_cone(fun, lam))[:count]
+        if hits.size == count:
+            rng.bit_generator.state = start
+            rng.uniform(-3.0, 3.0, (hits[-1] + 1, fun.n))
+        found.append(lam[hits])
+        count -= hits.size
+    return np.concatenate(found)
 
-    # every draw comes first, in the order of the per-sample loop it
-    # replaces: lam then mu per sample, then lam then sigma per level
-    lam, mu = np.array([(draw(), draw()) for _ in range(samples)]).transpose(1, 0, 2)
-    levels = [(draw(), float(rng.uniform(0.2, 4.0)))
+
+def _cone_draws(fun, samples, rng):
+    """(lam, mu, level_lam, sigma), drawn in the order of the per-sample
+    loop they replace: lam then mu per sample, then lam then sigma per
+    level."""
+    pairs = _draw_in_cone(fun, 2 * samples, rng).reshape(samples, 2, fun.n)
+    levels = [(_draw_in_cone(fun, 1, rng)[0], rng.uniform(0.2, 4.0))
               for _ in range(max(1, samples // 10))]
-    level_lam = np.array([d for d, _ in levels])
-    sigma = np.array([s for _, s in levels])
+    return (pairs[:, 0], pairs[:, 1], np.array([lam for lam, _ in levels]),
+            np.array([sigma for _, sigma in levels]))
+
+
+def _cone_rows(fun, samples, rng):
+    lam, mu, level_lam, sigma = _cone_draws(fun, samples, rng)
     ones = np.ones(fun.n)
     midpoint_ok, gradient_ok = cones.check_concavity(fun, lam, mu)
     fd_ok, fd_err = cones.check_fd_grad(fun, lam)

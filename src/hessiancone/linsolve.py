@@ -44,6 +44,9 @@ __all__ = ["LinearSolveError", "LinearSolveRecord", "solve_dirichlet"]
 
 DEFAULT_RTOL = 1e-10
 RESTART = 30  # Krylov vectors per GMRES cycle
+# a cycle that leaves |r| above this fraction of its start has stalled;
+# exact GMRES never increases |r|
+STALL = 0.99
 
 
 class LinearSolveError(RuntimeError):
@@ -130,8 +133,9 @@ def _gmres(A, M, b, rtol, maxiter):
     and applies A once for r = b - A x: the check, and the next cycle's
     start.  The zero start costs no application.  Returns (x, |r| / |b|
     (0 when r = 0), M applications) once |r| <= rtol |b|; raises
-    LinearSolveError on a non-finite Arnoldi coefficient or when maxiter
-    cycles leave |r| above.
+    LinearSolveError on a non-finite Arnoldi coefficient, when a cycle
+    leaves |r| above rtol |b| and above STALL times the |r| it started
+    from, or when maxiter cycles leave |r| above rtol |b|.
     """
     x = np.zeros(b.size)
     bnorm = _norm(b)
@@ -163,7 +167,12 @@ def _gmres(A, M, b, rtol, maxiter):
             V[j + 1] = w / H[j + 1, j]
         x = x + np.einsum("j,ji->i", y, Z[:j + 1])
         r = b - A(x)
-        rnorm = _norm(r)
+        rnorm, start = _norm(r), rnorm
+        if rnorm > max(target, STALL * start):
+            raise LinearSolveError(
+                f"GMRES stalled: cycle {cycles} left the relative residual "
+                f"at {rnorm / bnorm!r}, above {STALL} of the "
+                f"{start / bnorm!r} it started from")
     return x, (rnorm / bnorm if rnorm else 0.0), steps
 
 

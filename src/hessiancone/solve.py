@@ -15,12 +15,14 @@ later ones to the Eisenstat-Walker forcing term (SIAM J. Sci. Comput. 17,
 OVERSOLVE tolerance / r_k so the last step is not oversolved and kept
 within [lin_rtol, ETA_MAX].  A linear solve stops on its true residual,
 near its forcing term rather than far below it.  A stage records per
-step the residual, the damping and the linear solve's record (forcing
-term, operator applications, residual reached).  Continuation tries t = 1 first, halves the step when
-a stage fails, doubles it after a stage succeeds (Deuflhard 2004) and
-stalls loudly below the minimum step, with every stage record and
-rejected attempt in the ContinuationError.  The same driver covers the real
-(cylinder) variant, where the complex Hessian is replaced by the real one.
+step the residual, the damping, every damping factor tried with its
+trial's residual, and the linear solve's record (forcing term, operator
+applications, residual reached).  Continuation tries t = 1 first,
+halves the step when a stage fails, doubles it after a stage succeeds
+(Deuflhard 2004) and stalls loudly below the minimum step, with every
+stage record and rejected attempt in the ContinuationError.  The same
+driver covers the real (cylinder) variant, where the complex Hessian is
+replaced by the real one.
 
 Diagnostics implement the measured forms of the boundary estimates: the
 harmonic majorant / comparison sandwich, sup-norm and Hessian reports with
@@ -125,12 +127,15 @@ class SolverConfig:
 @dataclass
 class StageRecord:
     """One accepted stage: the residual before and after each Newton step,
-    each step's damping factor and its LinearSolveRecord."""
+    each step's damping factor and its LinearSolveRecord, and per step
+    the damping trials in order as (factor, sup-norm residual or
+    "inadmissible"), the last being the accepted one."""
 
     t: float
     residuals: list
     dampings: list
     linear: list = field(default_factory=list)
+    trials: list = field(default_factory=list)
 
 
 @dataclass
@@ -259,9 +264,11 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
             raise _StageFailure(str(exc))
         del C
         theta = min(1.0, 2.0 * theta)
+        tried = []
         while True:
             trial = ScalarField(geom=geom, values=u.values + theta * delta)
             r_t, rn_t, state = _residual_and_mask(trial, fun, chi, psi_t)
+            tried.append((theta, "inadmissible" if r_t is None else rn_t))
             if r_t is not None and rn_t < rn:
                 break
             state = None
@@ -273,6 +280,7 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
         record.residuals.append(rn)
         record.dampings.append(theta)
         record.linear.append(linear)
+        record.trials.append(tried)
     return u, record
 
 

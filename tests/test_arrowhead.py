@@ -75,6 +75,48 @@ class TestEigenvalues:
         assert lam[-1] >= corner - 1e-12
 
 
+class TestRealSpectra:
+    """The spectra come from the real arrowhead with border |a_i|, which
+    the unitary diag(a_i / |a_i|, 1) makes similar to the Hermitian one;
+    the dense complex solver on the Hermitian matrix is the reference."""
+
+    @staticmethod
+    def assert_close_to_complex(d, a, corner):
+        ref = np.linalg.eigvalsh(ah._assemble(d, a, corner))
+        got = ah._spectra(d, a, corner)
+        norm = np.abs(ref).max(axis=-1, keepdims=True)
+        bound = ah.ROUNDING_ULPS * np.finfo(float).eps * norm
+        assert np.all(np.abs(got - ref) <= bound)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stacked_specs(self, n):
+        rng = np.random.default_rng(n)
+        d, a = ah._draw_specs(n, 400, rng)
+        a[::3, 0] = 0.0  # zero border entries, where the phase is 1
+        a[::7] = 0.0
+        if n > 2:
+            d[1::4, 1] = d[1::4, 0]  # repeated diagonal entries
+        corner = (ah.threshold_strong(d, a, 0.2) * rng.uniform(0.0, 2.0, 400)
+                  - rng.uniform(0.0, 50.0, 400))
+        self.assert_close_to_complex(d, a, corner)
+
+    def test_corner_near_1e10(self):
+        # the chunk of test_distinct_margin_absorbs_rounding_at_large_norm
+        # whose largest corner is about 7e9
+        d, a = ah._draw_specs(5, 512, np.random.default_rng([11, 9]))
+        eps = np.minimum(1.0, 0.5 * ah._min_gap(d))
+        corner = ah.threshold_distinct(d, a, eps)
+        assert corner.max() > 5e9
+        self.assert_close_to_complex(d, a, corner)
+
+    def test_single_spec_matches_its_hermitian_matrix(self):
+        spec = ah.ArrowheadSpec(d=[1.0, -2.0, 1.0], a_off=[3j, 0.0, 1 - 1j],
+                                corner=4.0)
+        ref = np.linalg.eigvalsh(ah.assemble(spec))
+        np.testing.assert_allclose(ah.eigenvalues(spec).values, ref,
+                                   rtol=0, atol=1e-13)
+
+
 class TestThresholds:
     def test_strong_hand_values(self):
         assert ah.threshold_strong([0.0], [1.0], 0.1) == pytest.approx(10.0)
@@ -303,7 +345,7 @@ class TestSweeps:
         assert rows == [
             "4,1.0,1.0,0.18701891180652297,0.19848548751792805,0",
             "4,1.0,1.0,0.7922988386822173,0.9608381757260531,0",
-            "4,1.0,1.0,0.6668134396934233,0.9046386326364768,0",
+            "4,1.0,1.0,0.6668134396934207,0.9046386326362494,0",
             "3,0.2,0.5,0.13306570596883163,0.1332201298464497,0",
         ]
 

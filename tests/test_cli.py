@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hessiancone import cli
 from hessiancone import cones as cn
 from hessiancone import solve as sv
 from hessiancone.cli import main
@@ -137,6 +138,33 @@ class TestConeCheck:
                         "samples = 40\n")
         assert code == 0
         assert (out / "cone_check.csv").read_text().splitlines()[2:] == SEED0_ROWS
+
+    @pytest.mark.parametrize("name, n", [
+        *[(kind, 3) for kind in ("sigma1", "sigmaK:2", "sigmaK:3", "ma",
+                                 "quotient:1:2", "quotient:1:3",
+                                 "quotient:2:3")],
+        ("ma", 8),  # acceptance (2/3)^8, about 4%: most blocks fall short
+    ])
+    def test_block_draws_equal_per_attempt_loop(self, name, n):
+        fun = cn.parse_kind(name, n)
+
+        def draw(rng):  # the per-attempt rejection loop the blocks replace
+            while True:
+                lam = rng.uniform(-3.0, 3.0, fun.n) + 1.0
+                if cn.in_cone(fun, lam):
+                    return lam
+
+        samples = 60
+        ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
+        pairs = [(draw(ref_rng), draw(ref_rng)) for _ in range(samples)]
+        levels = [(draw(ref_rng), ref_rng.uniform(0.2, 4.0))
+                  for _ in range(samples // 10)]
+        lam, mu, level_lam, sigma = cli._cone_draws(fun, samples, rng)
+        np.testing.assert_array_equal(lam, [p[0] for p in pairs])
+        np.testing.assert_array_equal(mu, [p[1] for p in pairs])
+        np.testing.assert_array_equal(level_lam, [v[0] for v in levels])
+        np.testing.assert_array_equal(sigma, [v[1] for v in levels])
+        assert rng.uniform() == ref_rng.uniform()
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = "n = 3\nkinds = quotient:1:2\nsamples = 40\n"

@@ -261,6 +261,29 @@ class TestSolveRecord:
         assert record.residual <= DEFAULT_RTOL
         assert rel == pytest.approx(record.residual, rel=1e-6)
 
+    @pytest.mark.parametrize("geom", [
+        GridGeometry(n=2, resolution=8),
+        CylinderGeometry(d=3, resolution=8),
+    ], ids=["complex-8", "cyl-8"])
+    def test_stalled_solve_raises_within_three_cycles(self, geom,
+                                                      monkeypatch):
+        # least-squares coefficients offset by 1 hold the true residual
+        # near where it started: the solve must name the stall rather
+        # than spend all maxiter cycles
+        inner = linsolve._arnoldi_coefficients
+        cycles = [0]
+
+        def offset(H, beta):
+            cycles[0] += H.shape[1] == 1  # the first Arnoldi step of a cycle
+            y, estimate = inner(H, beta)
+            return y + 1.0, estimate
+
+        monkeypatch.setattr(linsolve, "_arnoldi_coefficients", offset)
+        rhs = np.random.default_rng(4).standard_normal(geom.interior_shape)
+        with pytest.raises(LinearSolveError, match="stalled"):
+            solve_dirichlet(constant_diagonal(geom), geom, rhs)
+        assert 1 <= cycles[0] <= 3
+
     def test_nan_preconditioner_raises_at_once(self, monkeypatch):
         calls = [0]
 

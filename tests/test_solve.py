@@ -200,6 +200,37 @@ class TestNewton:
         assert evals[0] == 1 + trials
         assert min(record.dampings) < 1.0
 
+    def test_every_damping_trial_recorded(self, monkeypatch):
+        # the 8^4 degenerate run: per step, each factor tried with its
+        # trial's residual or "inadmissible", the last one accepted
+        prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
+        psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-3)
+        seen = []
+        inner = sv._residual_and_mask
+
+        def spy(*args):
+            out = inner(*args)
+            seen.append("inadmissible" if out[0] is None else out[1])
+            return out
+
+        monkeypatch.setattr(sv, "_residual_and_mask", spy)
+        u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
+        assert len(rep.stage_history) == 1
+        record = rep.stage_history[0]
+        assert len(record.trials) == len(record.dampings)
+        # the stage start, then every trial in order
+        assert [res for step in record.trials for _, res in step] == seen[1:]
+        for k, step in enumerate(record.trials):
+            start = 1.0 if k == 0 else min(1.0, 2.0 * record.dampings[k - 1])
+            assert [f for f, _ in step] == [start * 0.5**i
+                                            for i in range(len(step))]
+            assert step[-1] == (record.dampings[k], record.residuals[k + 1])
+            assert all(res == "inadmissible" or res >= record.residuals[k]
+                       for _, res in step[:-1])
+        # 9 of the 15 steps reject 10 trials, every one as inadmissible
+        rejected = [res for step in record.trials for _, res in step[:-1]]
+        assert len(rejected) == 10 and set(rejected) == {"inadmissible"}
+
     def test_superlinear_tail(self):
         prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
                                      "star-bump")
