@@ -5,8 +5,13 @@ stencil, at the interior nodes or along a Dirichlet face, reads windows
 of one copy of the field padded by a wrapped ghost layer on each periodic
 axis; interior stencils may read the Dirichlet faces, which hold the
 boundary data.  Derivatives along the Dirichlet axis at a face are
-one-sided.  Forms are plain (..., r, r) arrays over the nodes they
-cover.  With dz = (dx - i dy)/2 the complex Hessian of a real field is
+one-sided.  A per-node form (the Hessian g, the Newton tensors, the
+linearization F, the coefficients C) is stored node-major: an
+(r, r, *nodes) buffer with each entry plane contiguous, handed out as its
+(..., r, r) view, and the sigmas likewise as an (m+1, *nodes) buffer
+behind a (..., m+1) view.  The per-node algebra loops over the r^2 entry
+planes rather than over a trailing axis of length 2 or 3.  With
+dz = (dx - i dy)/2 the complex Hessian of a real field is
 
     u_{i jbar} = ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j})) / 4,
 
@@ -114,21 +119,33 @@ def _second_partials(u, geom, layer=None):
     return second
 
 
+def _planes(form: np.ndarray) -> np.ndarray:
+    """The (r, r, ...) entry planes of a (..., r, r) form: a view of the
+    buffer behind a form built here, a contiguous copy of any other."""
+    return np.ascontiguousarray(np.moveaxis(form, (-2, -1), (0, 1)))
+
+
+def _form(planes: np.ndarray) -> np.ndarray:
+    """The (..., r, r) view of an (r, r, ...) buffer of entry planes."""
+    return np.moveaxis(planes, (0, 1), (-2, -1))
+
+
 def _complex_form(second, geom, shape) -> np.ndarray:
     """u_{i jbar} over nodes of the given shape, from the real second
     partials ``second(a, b)``; the x_i y_i partials are never requested."""
     n = geom.n
-    g = np.zeros(shape + (n, n), dtype=complex)
+    g = np.zeros((n, n) + shape, dtype=complex)
+    re, im = g.real, g.imag
     for i in range(n):
         xi, yi = geom.complex_axes(i)
-        g[..., i, i] = 0.25 * (second(xi, xi) + second(yi, yi))
+        np.multiply(second(xi, xi) + second(yi, yi), 0.25, out=re[i, i])
         for j in range(i + 1, n):
             xj, yj = geom.complex_axes(j)
-            re = second(xi, xj) + second(yi, yj)
-            im = second(xi, yj) - second(yi, xj)
-            g[..., i, j] = 0.25 * (re + 1j * im)
-            g[..., j, i] = np.conj(g[..., i, j])
-    return g
+            np.multiply(second(xi, xj) + second(yi, yj), 0.25, out=re[i, j])
+            re[j, i] = re[i, j]
+            np.multiply(second(xi, yj) - second(yi, xj), 0.25, out=im[i, j])
+            np.negative(im[i, j], out=im[j, i])
+    return _form(g)
 
 
 def _chi_interior(chi, geom, dim, dtype):
@@ -159,10 +176,11 @@ def real_hessian(u, chi=None) -> np.ndarray:
     geom = u.geom
     d = geom.real_dims
     second = _second_partials(u.values, geom)
-    g = np.zeros(geom.interior_shape + (d, d))
+    g = np.empty((d, d) + geom.interior_shape)
     for a in range(d):
         for b in range(a, d):
-            g[..., a, b] = g[..., b, a] = second(a, b)
+            g[a, b] = g[b, a] = second(a, b)
+    g = _form(g)
     g += _chi_interior(chi, geom, d, float)
     return g
 
@@ -176,20 +194,61 @@ def eigen_field(g: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(g)
 
 
+def _real_product(x, y):
+    """Re(x y) of two entry planes, formed as the complex product forms it."""
+    if np.iscomplexobj(x):
+        return x.real * y.real - x.imag * y.imag
+    return x * y
+
+
+def _plane_product(G, T):
+    """The planes of g T from those of g and T, summed over k in order."""
+    r = len(G)
+    out = np.empty_like(T)
+    for a in range(r):
+        for b in range(r):
+            out[a, b] = G[a, 0] * T[0, b]
+            for k in range(1, r):
+                out[a, b] += G[a, k] * T[k, b]
+    return out
+
+
 def newton_tensors(g: np.ndarray, m: int):
     """sigma_0..sigma_m (real, last axis) and Newton tensors T_0..T_{m-1}
-    of each matrix in the stack g.  Each trace is a real pairing with g^T;
-    the product g T is formed only to build T_j for j >= 2."""
-    eye = np.eye(g.shape[-1])
-    gt = np.swapaxes(g, -1, -2)
-    sigma = np.ones(g.shape[:-2] + (m + 1,))
-    tensors = [eye]
+    of each matrix in the stack g.
+
+    sigma_1 is the sum of the diagonal planes, and sigma_j =
+    sum_ab Re(g_ba T_ab) / j is summed over b within each row a, then
+    over the rows: the order np.einsum sums it in.  T_0 is np.eye(r),
+    never a field; T_j = sigma_j I - g T_{j-1} is built plane by plane,
+    the product g T only for j >= 2.  sigma and each T_j are views of
+    node-major buffers.
+    """
+    r, nodes = g.shape[-1], g.shape[:-2]
+    G = _planes(g).reshape(r, r, -1)
+    sigma = np.empty((m + 1,) + G.shape[2:])
+    sigma[0] = 1.0
+    sigma[1] = G[0, 0].real
+    for a in range(1, r):
+        sigma[1] += G[a, a].real
+    tensors = [np.eye(r)]
     for j in range(1, m + 1):
-        sigma[..., j] = np.einsum("...ab,...ab->...", gt, tensors[-1]).real / j
+        if j > 1:
+            for a in range(r):
+                row = _real_product(G[0, a], T[a, 0])
+                for b in range(1, r):
+                    row += _real_product(G[b, a], T[a, b])
+                if a:
+                    sigma[j] += row
+                else:
+                    sigma[j] = row
+            sigma[j] /= j
         if j < m:
-            gT = g if j == 1 else g @ tensors[-1]
-            tensors.append(sigma[..., j, None, None] * eye - gT)
-    return sigma, tensors
+            T = np.negative(G if j == 1 else _plane_product(G, T))
+            for a in range(r):
+                T.real[a, a] += sigma[j]
+            tensors.append(_form(T.reshape((r, r) + nodes)))
+    return np.moveaxis(sigma.reshape((m + 1,) + nodes), 0, -1), tensors
 
 
 def _require_admissible(sigma, geom):
@@ -224,11 +283,28 @@ def linearize(u, fun, chi=None, state=None) -> np.ndarray:
     """Coefficient matrices F^{i jbar} = sum_j (df/dsigma_j) T_{j-1} of the
     linearized operator per node: positive definite wherever the iterate
     is admissible (rejected otherwise), Hermitian exactly.  ``state`` is
-    newton_state(u, fun, chi) when the caller has it already."""
+    newton_state(u, fun, chi) when the caller has it already.  F is the
+    view of a node-major buffer; a df/dsigma_1 term (T_0 = I) adds to the
+    diagonal planes only."""
     sigma, tensors = newton_state(u, fun, chi) if state is None else state
-    coeff = sum(c[..., None, None] * tensors[j - 1]
-                for j, c in cones.df_dsigmas(fun, sigma).items())
-    return 0.5 * (coeff + np.conj(np.swapaxes(coeff, -1, -2)))
+    dfds = cones.df_dsigmas(fun, sigma)
+    r, nodes = tensors[0].shape[-1], sigma.shape[:-1]
+    F = np.zeros((r, r, sigma[..., 0].size),
+                 np.result_type(*(tensors[j - 1] for j in dfds)))
+    for j, c in dfds.items():
+        c = c.reshape(-1)
+        if j == 1:
+            for a in range(r):
+                F.real[a, a] += c
+        else:
+            F += c * _planes(tensors[j - 1]).reshape(F.shape)
+    # F <- (F + F^*) / 2, each pair of planes once
+    for a in range(r):
+        for b in range(a, r):
+            F[a, b] = 0.5 * (F[a, b] + np.conj(F[b, a]))
+            if b > a:
+                F[b, a] = np.conj(F[a, b])
+    return _form(F.reshape((r, r) + nodes))
 
 
 def coefficient_tensor(F: np.ndarray, geom) -> np.ndarray:
@@ -240,21 +316,22 @@ def coefficient_tensor(F: np.ndarray, geom) -> np.ndarray:
     sum_ab C_ab d^2 v / dx_a dx_b with quarter blocks [[S, T], [-T, S]]
     (S = Re F, T = Im F) in interleaved (x_i, y_i) order.  C is the
     (..., r, r) view of an (r, r, ...) buffer: each C[..., a, b] is
-    contiguous.
+    contiguous.  On real geometry C is Re F's own node-major buffer when
+    F has one.
     """
     if not geom.is_complex:
-        C = np.moveaxis(F.real, (-2, -1), (0, 1)).copy()
-        return np.moveaxis(C, (0, 1), (-2, -1))
+        return _form(_planes(F.real))
     S, T = F.real, F.imag
     C = np.empty((geom.real_dims,) * 2 + S.shape[:-2])
     for i in range(geom.n):
         xi, yi = geom.complex_axes(i)
         for j in range(geom.n):
             xj, yj = geom.complex_axes(j)
-            C[xi, xj] = C[yi, yj] = 0.25 * S[..., i, j]
-            C[xi, yj] = 0.25 * T[..., i, j]
-            C[yi, xj] = -0.25 * T[..., i, j]
-    return np.moveaxis(C, (0, 1), (-2, -1))
+            np.multiply(S[..., i, j], 0.25, out=C[xi, xj])
+            C[yi, yj] = C[xi, xj]
+            np.multiply(T[..., i, j], 0.25, out=C[xi, yj])
+            np.negative(C[xi, yj], out=C[yi, xj])
+    return _form(C)
 
 
 def nonzero_pairs(C: np.ndarray) -> frozenset:
@@ -344,17 +421,17 @@ def _boundary_real_second(u_full, geom, face):
     values = [np.take(u_full, k, axis=da) for k in layers]
     second = _second_partials(u_full, geom, layers[0])
     r = geom.real_dims
-    D = np.zeros(values[0].shape + (r, r))
+    D = np.empty((r, r) + values[0].shape)
     for i, a in enumerate(geom.periodic_axes):
         for b in geom.periodic_axes[i:]:
-            D[..., a, b] = D[..., b, a] = second(a, b)
+            D[a, b] = D[b, a] = second(a, b)
         # mixed normal-tangential: one-sided normal difference of the
         # centered tangential derivative, taken on three layers at once
         tang = np.moveaxis(first_derivative_centered(u_full, geom, a, layers[:3]), da, 0)
-        D[..., a, da] = D[..., da, a] = _one_sided(tang, sgn, h)
-    D[..., da, da] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2]
-                      - values[3]) / (h * h)
-    return D
+        D[a, da] = D[da, a] = _one_sided(tang, sgn, h)
+    D[da, da] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2]
+                 - values[3]) / (h * h)
+    return _form(D)
 
 
 def boundary_complex_hessian(u) -> list:

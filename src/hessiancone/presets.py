@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cones
 from .geometry import ScalarField
-from .operators import newton_tensors
+from .operators import _form, newton_tensors
 
 __all__ = [
     "Problem",
@@ -74,19 +74,20 @@ def trig_star_values(geom, amplitude=STAR_AMPLITUDE) -> np.ndarray:
 
 
 def trig_star_hessian(geom, amplitude=STAR_AMPLITUDE) -> np.ndarray:
-    """Exact complex Hessian of trig_star on the full grid: (..., n, n)."""
+    """Exact complex Hessian of trig_star on the full grid: the (..., n, n)
+    view of a node-major buffer, as the operators build forms."""
     x1, y1, xn = _complex_coords(geom)
     n = geom.n
     cx, sx = np.cos(2 * np.pi * x1), np.sin(2 * np.pi * x1)
     cy, sy = np.cos(2 * np.pi * y1), np.sin(2 * np.pi * y1)
     s, c = np.sin(np.pi * xn), np.cos(np.pi * xn)
-    H = np.zeros(geom.shape + (n, n), dtype=complex)
-    H[..., 0, 0] = -2 * np.pi**2 * amplitude * cx * cy * s
-    H[..., n - 1, n - 1] = -(np.pi**2 / 4) * amplitude * cx * cy * s
+    H = np.zeros((n, n) + geom.shape, dtype=complex)
+    H[0, 0] = -2 * np.pi**2 * amplitude * cx * cy * s
+    H[n - 1, n - 1] = -(np.pi**2 / 4) * amplitude * cx * cy * s
     cross = (np.pi**2 * amplitude / 2) * c * (-sx * cy + 1j * cx * sy)
-    H[..., 0, n - 1] = cross
-    H[..., n - 1, 0] = np.conj(cross)
-    return H
+    H[0, n - 1] = cross
+    H[n - 1, 0] = np.conj(cross)
+    return _form(H)
 
 
 def bump_values(geom) -> np.ndarray:
@@ -122,7 +123,8 @@ def real_star_values(geom, amplitude=REAL_STAR_AMPLITUDE) -> np.ndarray:
 
 
 def real_star_hessian(geom, amplitude=REAL_STAR_AMPLITUDE) -> np.ndarray:
-    """Exact real Hessian of real_star on the full grid: (..., d, d)."""
+    """Exact real Hessian of real_star on the full grid: the (..., d, d)
+    view of a node-major buffer."""
     g = geom.grids()
     d = geom.real_dims
     cos = [np.cos(2 * np.pi * g[a]) for a in range(d - 1)]
@@ -135,18 +137,18 @@ def real_star_hessian(geom, amplitude=REAL_STAR_AMPLITUDE) -> np.ndarray:
             out = out * (sin[a] if a in skip else cos[a])
         return out
 
-    H = np.zeros(geom.shape + (d, d))
+    H = np.zeros((d, d) + geom.shape)
     for a in range(d - 1):
-        H[..., a, a] = -4 * np.pi**2 * prod_except(()) * s
+        H[a, a] = -4 * np.pi**2 * prod_except(()) * s
         for b in range(a + 1, d - 1):
             v = 4 * np.pi**2 * prod_except((a, b)) * s
-            H[..., a, b] = v
-            H[..., b, a] = v
+            H[a, b] = v
+            H[b, a] = v
         v = -2 * np.pi**2 * prod_except((a,)) * c
-        H[..., a, d - 1] = v
-        H[..., d - 1, a] = v
-    H[..., d - 1, d - 1] = -(np.pi**2) * prod_except(()) * s
-    return H
+        H[a, d - 1] = v
+        H[d - 1, a] = v
+    H[d - 1, d - 1] = -(np.pi**2) * prod_except(()) * s
+    return _form(H)
 
 
 def manufactured_psi(fun, chi, star_hessian) -> np.ndarray:

@@ -16,9 +16,10 @@ OVERSOLVE tolerance / r_k so the last step is not oversolved and kept
 within [lin_rtol, ETA_MAX].  A linear solve stops on its true residual,
 near its forcing term rather than far below it.  A stage records per
 step the residual, the damping, every damping factor tried with its
-trial's residual, and the linear solve's record (forcing term, operator
-applications, residual reached).  Continuation tries t = 1 first,
-halves the step when a stage fails, doubles it after a stage succeeds
+trial's residual, the linear solve's record (forcing term, operator
+applications, residual reached) and the wall seconds of its phases
+(never written to a CSV).  Continuation tries t = 1 first, halves the
+step when a stage fails, doubles it after a stage succeeds
 (Deuflhard 2004) and stalls loudly below the minimum step, with every
 stage record and rejected attempt in the ContinuationError.  The same
 driver covers the real (cylinder) variant, where the complex Hessian is
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from time import perf_counter
 
 import numpy as np
 
@@ -127,15 +129,18 @@ class SolverConfig:
 @dataclass
 class StageRecord:
     """One accepted stage: the residual before and after each Newton step,
-    each step's damping factor and its LinearSolveRecord, and per step
-    the damping trials in order as (factor, sup-norm residual or
-    "inadmissible"), the last being the accepted one."""
+    each step's damping factor and its LinearSolveRecord, per step the
+    damping trials in order as (factor, sup-norm residual or
+    "inadmissible"), the last being the accepted one, and per step the
+    wall seconds of its phases (linearization and coefficient tensor,
+    linear solve, damping trials)."""
 
     t: float
     residuals: list
     dampings: list
     linear: list = field(default_factory=list)
     trials: list = field(default_factory=list)
+    seconds: list = field(default_factory=list)
 
 
 @dataclass
@@ -256,13 +261,16 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
             raise _StageFailure("newton iteration budget exhausted")
         # the residual's Newton tensors at u feed the linearization; only
         # C lives on into the linear solve, and nothing after it
+        start = perf_counter()
         C, state = coefficient_tensor(linearize(u, fun, chi, state), geom), None
+        linearized = perf_counter()
         try:
             delta, linear = solve_dirichlet(
                 C, geom, -r, rtol=_forcing_term(record.residuals, config))
         except LinearSolveError as exc:
             raise _StageFailure(str(exc))
         del C
+        solved = perf_counter()
         theta = min(1.0, 2.0 * theta)
         tried = []
         while True:
@@ -281,6 +289,8 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
         record.dampings.append(theta)
         record.linear.append(linear)
         record.trials.append(tried)
+        record.seconds.append((linearized - start, solved - linearized,
+                               perf_counter() - solved))
     return u, record
 
 

@@ -300,6 +300,113 @@ class TestNewtonTensors:
                                        cn.elem_sym_grad(lam, j), rtol=1e-15)
 
 
+def reference_newton_tensors(g, m):
+    """The einsum / matmul recurrence on (..., r, r) arrays that the entry
+    planes replaced, on a C-ordered copy of g."""
+    g = np.ascontiguousarray(g)
+    eye = np.eye(g.shape[-1])
+    gt = np.swapaxes(g, -1, -2)
+    sigma = np.ones(g.shape[:-2] + (m + 1,))
+    tensors = [eye]
+    for j in range(1, m + 1):
+        sigma[..., j] = np.einsum("...ab,...ab->...", gt, tensors[-1]).real / j
+        if j < m:
+            gT = g if j == 1 else g @ tensors[-1]
+            tensors.append(sigma[..., j, None, None] * eye - gT)
+    return sigma, tensors
+
+
+def reference_linearize(fun, sigma, tensors):
+    coeff = sum(c[..., None, None] * tensors[j - 1]
+                for j, c in cn.df_dsigmas(fun, sigma).items())
+    return 0.5 * (coeff + np.conj(np.swapaxes(coeff, -1, -2)))
+
+
+NODE_MAJOR_CASES = [
+    (GridGeometry(n=2, resolution=6), ("sigma1", "ma", "quotient:1:2")),
+    (GridGeometry(n=3, resolution=6),
+     ("sigma1", "sigmaK:2", "ma", "quotient:1:3", "quotient:2:3")),
+    (CylinderGeometry(d=3, resolution=8),
+     ("sigma1", "sigmaK:2", "ma", "quotient:1:2", "quotient:1:3")),
+]
+# Off the complex n = 2 path the planes and the reference sum g T in
+# different orders (BLAS matmul, einsum's real kernels).  The bound is in
+# ulps of max|sigma_j|, of max|T_j|, and for F of sum_j max|df/dsigma_j|
+# max|T_{j-1}|, the size of the terms that cancel in a quotient's F.  The
+# largest differences measured on these cases were 3.9, 3.9 and 5.1 ulps.
+NODE_MAJOR_ULPS = 8
+
+
+def node_major_case(geom, name):
+    """An admissible iterate near chi = I: its form, fun and geometry."""
+    rng = np.random.default_rng(geom.real_dims)
+    u = ScalarField(geom=geom,
+                    values=2e-3 * geom.h**2 * rng.standard_normal(geom.shape))
+    dim = geom.form_dim
+    return u, np.eye(dim), cn.parse_kind(name, dim)
+
+
+def assert_planes_contiguous(form):
+    r = form.shape[-1]
+    assert all(form[..., a, b].flags.c_contiguous
+               for a in range(r) for b in range(r))
+
+
+def assert_matches(got, ref, exact, scale=None):
+    if exact:
+        np.testing.assert_array_equal(got, ref)
+    else:
+        scale = np.abs(ref).max() if scale is None else scale
+        assert np.abs(got - ref).max() <= NODE_MAJOR_ULPS * np.finfo(float).eps * scale
+
+
+class TestNodeMajor:
+    """g, the Newton tensors, F and C are views of node-major buffers, and
+    the plane algebra reproduces the einsum / matmul formulas."""
+
+    @pytest.mark.parametrize("geom,names", NODE_MAJOR_CASES)
+    def test_planes_contiguous_and_match_reference(self, geom, names):
+        exact = geom.is_complex and geom.n == 2
+        for name in names:
+            u, chi, fun = node_major_case(geom, name)
+            g = op.form_field(u, chi)
+            assert_planes_contiguous(g)
+            sigma, tensors = op.newton_tensors(g, fun.cone_order)
+            ref_sigma, ref_tensors = reference_newton_tensors(g, fun.cone_order)
+            assert all(sigma[..., j].flags.c_contiguous
+                       for j in range(fun.cone_order + 1))
+            for j in range(1, fun.cone_order + 1):
+                assert_matches(sigma[..., j], ref_sigma[..., j], exact)
+            np.testing.assert_array_equal(tensors[0], np.eye(geom.form_dim))
+            for T, ref_T in zip(tensors[1:], ref_tensors[1:]):
+                assert_planes_contiguous(T)
+                assert_matches(T, ref_T, exact)
+            F = op.linearize(u, fun, chi, (sigma, tensors))
+            assert_planes_contiguous(F)
+            terms = sum(np.abs(c).max() * np.abs(ref_tensors[j - 1]).max()
+                        for j, c in cn.df_dsigmas(fun, ref_sigma).items())
+            assert_matches(F, reference_linearize(fun, ref_sigma, ref_tensors),
+                           exact, terms)
+            assert_planes_contiguous(op.coefficient_tensor(F, geom))
+
+    @pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=6),
+                                      CylinderGeometry(d=3, resolution=8)])
+    @pytest.mark.parametrize("name", ["sigma1", "quotient:1:2"])
+    def test_sigma1_term_matches_dense_reference(self, geom, name):
+        # df/dsigma_1 multiplies T_0 = I, which adds to the diagonal
+        # planes only
+        u, chi, fun = node_major_case(geom, name)
+        F = op.linearize(u, fun, chi)
+        lam, vec = np.linalg.eigh(op.form_field(u, chi))
+        F_ref = ((vec * cn.grad_many(fun, lam)[..., None, :])
+                 @ np.conj(np.swapaxes(vec, -1, -2)))
+        assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
+        if name == "sigma1":
+            # f = sigma_1: F = I exactly, off-diagonal planes exact zeros
+            np.testing.assert_array_equal(
+                F, np.broadcast_to(np.eye(fun.n), F.shape))
+
+
 class TestCoefficientTensor:
     def test_sigma1_quarter_laplacian(self):
         fun = cn.sigma_k_root(2, 1)

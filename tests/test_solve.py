@@ -4,6 +4,8 @@ Small grids (8^4, 8^3) keep these fast; the full-scale runs live in the
 acceptance suite.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,20 @@ class TestNewton:
         # 9 of the 15 steps reject 10 trials, every one as inadmissible
         rejected = [res for step in record.trials for _, res in step[:-1]]
         assert len(rejected) == 10 and set(rejected) == {"inadmissible"}
+
+    def test_phase_seconds_per_step(self):
+        # one (linearization, linear solve, damping trials) triple of wall
+        # seconds per Newton step, together within the solve's own time
+        prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
+        psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-3)
+        start = time.perf_counter()
+        u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
+        elapsed = time.perf_counter() - start
+        record = rep.stage_history[0]
+        assert len(record.seconds) == len(record.dampings) > 1
+        assert all(len(step) == 3 for step in record.seconds)
+        assert all(t >= 0.0 for step in record.seconds for t in step)
+        assert sum(map(sum, record.seconds)) <= elapsed
 
     def test_superlinear_tail(self):
         prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
