@@ -6,10 +6,10 @@ Every output begins with ``# hessiancone=<version> seed=<seed>
 config_sha256=<hash>``; identical config and seed give byte-identical
 files.  Exit status is 0 iff every enabled assertion passed, and 2 for a
 config file the command cannot use: one that cannot be read, a key it
-does not read, or a value that does not parse, is out of range (a grid
-of more than MAX_INTERIOR_NODES interior nodes included) or names no
-known function or preset.  Such a run prints one line to stderr and
-writes nothing.
+does not read, or a value that does not parse, is not finite (inf or
+nan), is out of range (a grid of more than MAX_INTERIOR_NODES interior
+nodes included) or names no known function or preset.  Such a run prints
+one line to stderr and writes nothing.
 """
 
 from __future__ import annotations
@@ -87,8 +87,16 @@ def _read_config(path):
     return merged, raw
 
 
+def _float(text):
+    """A finite float: inf and nan are config errors, not values."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r}: must be a finite number")
+    return value
+
+
 def _floats(text):
-    return [float(x) for x in str(text).replace(",", " ").split()]
+    return [_float(x) for x in str(text).replace(",", " ").split()]
 
 
 def _ints(text):
@@ -251,7 +259,8 @@ def _solver_config(cfg):
     config = replace(base, **{key: type(getattr(base, key))(cfg[key])
                               for key in _SOLVER_KEYS if key in cfg})
     _require(0 < config.dt_min <= 1, "dt_min: must be in (0, 1]")
-    _require(config.tolerance > 0, "tolerance: must be positive")
+    _require(0 < config.tolerance < math.inf,
+             "tolerance: must be positive and finite")
     _require(0 < config.lin_rtol < 1, "lin_rtol: must be in (0, 1)")
     _require(config.max_newton >= 1, "max_newton: must be at least 1")
     return config
@@ -280,7 +289,7 @@ def cmd_solve(cfg, writer, seed, profile):
             str(cfg.get("psi", "manufactured")),
             str(cfg.get("phi", "zero")),
             str(cfg.get("subsolution", "star-bump")),
-            scale=float(cfg.get("scale", 1.0)),
+            scale=_float(cfg.get("scale", 1.0)),
         )
         config = _solver_config(cfg)
         dump = str(cfg.get("dump_fields", "none")).replace(",", " ").split()

@@ -29,7 +29,13 @@ Diagnostics implement the measured forms of the boundary estimates: the
 harmonic majorant / comparison sandwich, sup-norm and Hessian reports with
 one-sided boundary stencils, the boundary-ratio and tangential-normal
 quotients, and a local barrier field whose discrete ellipticity defect can
-be inspected near a boundary point.
+be inspected near a boundary point.  The sup|ddbar u| entries are exact
+without a dense eigenvalue solve at every node: a trace bound on each
+node's eigenvalues (Wolkowicz & Styan 1980) orders the nodes, and blocks
+of them are solved densely until no bound can beat the extreme found
+(_extreme_eigenvalues).  A SolveReport keeps the wall seconds of the
+subsolution check, the continuation stages and the diagnostics, never
+written to a CSV.
 """
 
 from __future__ import annotations
@@ -89,6 +95,10 @@ ETA_MAX = 1e-2  # largest forcing term; looser ones cost Newton steps
 # norm: with 0.5 the last step on the 16^3 cylinder reached 1.9e-8
 # against the tolerance 1e-8 and cost a fifth Newton step
 OVERSOLVE = 0.1
+# _extreme_eigenvalues: nodes per dense solve, and the widening of each
+# node's trace bound relative to its bound on ||A||_2 (64 ulps)
+EXTREME_BLOCK = 512
+EXTREME_SLACK = 64 * np.finfo(float).eps
 
 
 class SubsolutionError(ValueError):
@@ -167,6 +177,9 @@ class SolveReport:
     boundary_tangential_min: float = np.nan
     stage_history: list = field(default_factory=list)
     rejected_stages: list = field(default_factory=list)  # (t, t_target, reason)
+    # wall seconds of the subsolution check, the continuation stages and
+    # the diagnostics (never in CSV_FIELDS)
+    seconds: list = field(default_factory=list)
 
     CSV_FIELDS = (
         "label,resolution,converged,t_final,final_residual,sup_u,"
@@ -320,9 +333,11 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     less than config.dt_min to go targets t = 1 exactly.
     """
     config = config or SolverConfig()
+    start = perf_counter()
     geom = u_sub.geom
     psi_interior = _interior_values(geom, psi)
     psi0 = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
+    checked = perf_counter()
 
     u = ScalarField(geom=geom, values=u_sub.values.copy())
     u.values[geom.faces] = phi.values[geom.faces]
@@ -355,6 +370,7 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
         last_rn = record.residuals[-1]
         dt = 2.0 * step
 
+    solved = perf_counter()
     report = estimate_report(u)
     report.label = fun.label
     report.resolution = geom.resolution
@@ -369,6 +385,7 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
 
     w = harmonic_majorant(chi, phi, geom)
     report.comparison_violations = comparison_check(u, u_sub, w)
+    report.seconds = [checked - start, solved - checked, perf_counter() - solved]
     return u, report
 
 
@@ -382,14 +399,14 @@ def solve_riemannian(fun, chi_sym, psi, phi, u_sub, config: SolverConfig | None 
     if u_sub.geom.is_complex:
         raise ValueError("solve_riemannian expects a cylinder geometry")
     u, report = continuity_solve(fun, chi_sym, psi, phi, u_sub, config)
+    start = perf_counter()
     geom = u.geom
     diff = ScalarField(geom=geom, values=u.values - u_sub.values)
-    worst = np.inf
     tang = list(geom.periodic_axes)
-    for face_h in boundary_real_hessian(diff):
-        lam = np.linalg.eigvalsh(face_h[..., tang, :][..., tang])
-        worst = min(worst, float(lam.min()))
+    worst = min(_extreme_eigenvalues(face_h[..., tang, :][..., tang])[0]
+                for face_h in boundary_real_hessian(diff))
     report.boundary_tangential_min = worst
+    report.seconds[2] += perf_counter() - start  # a diagnostic too
     if worst < -10.0 * geom.h * geom.h:
         raise ArithmeticError(
             f"tangential boundary monotonicity violated: {worst!r}"
@@ -422,12 +439,72 @@ def comparison_check(u, u_sub, w) -> int:
     return int(np.count_nonzero(below | above))
 
 
+def _extreme_eigenvalues(forms):
+    """(lowest, highest) eigenvalue of a stack of Hermitian or real
+    symmetric (..., r, r) forms: the min and max of eigen_field(forms),
+    found by solving few nodes densely.
+
+    Every eigenvalue of a node's form A lies in m -+ s sqrt(r - 1), with
+    m = tr A / r and s^2 = (sum_a (A_aa - m)^2 + sum_{a != b} |A_ab|^2) / r
+    (Wolkowicz & Styan, Linear Algebra Appl. 29, 1980; equality for
+    r = 2).  s^2 is summed about m: ||A||_F^2 / r - m^2 cancels for A near
+    cI and can under-bound lambda_max.  Each bound is widened by
+    EXTREME_SLACK of |m| + s sqrt(r - 1) >= ||A||_2, which covers its own
+    rounding and LAPACK's backward error.  eigen_field then solves the
+    nodes in blocks of EXTREME_BLOCK, most promising bound first, once for
+    the highest and once for the lowest, until no remaining bound can beat
+    the extreme found.  The extreme is the value LAPACK computes at the
+    node that attains it, as in a dense solve of the whole stack, so it is
+    exact.  An empty stack gives (0.0, 0.0).  A NaN or infinite entry
+    gives (nan, nan), where the dense solve need not: numpy's eigvalsh
+    returns [0, -0] for a 2 x 2 form with a NaN diagonal entry.
+    """
+    r = forms.shape[-1]
+    flat = forms.reshape((-1, r, r))
+    if not len(flat):
+        return 0.0, 0.0
+    diag = [flat[:, a, a].real for a in range(r)]
+    m = sum(diag) / r
+    squares = sum((d - m) ** 2 for d in diag)
+    for a in range(r):
+        for b in range(a + 1, r):
+            off = flat[:, a, b]
+            squares += 2.0 * (off.real**2 + off.imag**2)
+    radius = np.sqrt(squares * ((r - 1) / r))  # s sqrt(r - 1)
+    slack = EXTREME_SLACK * (np.abs(m) + radius)
+    upper, lower = m + radius + slack, m - radius - slack
+    if np.isnan(upper).any() or np.isnan(lower).any():
+        return np.nan, np.nan
+    lowest, highest = np.inf, -np.inf
+    for key in (upper, -lower):  # bounds on lambda_max and on -lambda_min
+        todo = np.arange(len(flat))
+        while True:
+            todo = todo[key[todo] > (highest if key is upper else -lowest)]
+            if not todo.size:
+                break
+            if todo.size > EXTREME_BLOCK:
+                part = np.argpartition(key[todo], todo.size - EXTREME_BLOCK)
+                todo, block = todo[part[:-EXTREME_BLOCK]], todo[part[-EXTREME_BLOCK:]]
+            else:
+                todo, block = todo[:0], todo
+            lam = eigen_field(flat[block])
+            lowest = min(lowest, float(lam[:, 0].min()))
+            highest = max(highest, float(lam[:, -1].max()))
+    return lowest, highest
+
+
+def _spectral_radius(forms) -> float:
+    """max |lambda| over a stack of forms (see _extreme_eigenvalues)."""
+    return max(map(abs, _extreme_eigenvalues(forms)))
+
+
 def estimate_report(u) -> SolveReport:
     """Norms and measured boundary-estimate ratios of a solved field.
 
     Boundary derivatives use second-order one-sided stencils along the
     normal direction; everything else is centered.  On real geometries the
-    'ddbar' entries hold the real-Hessian norms instead.
+    'ddbar' entries hold the real-Hessian norms instead, each the exact
+    max |lambda| over the nodes from _extreme_eigenvalues.
     """
     geom = u.geom
     report = SolveReport(resolution=geom.resolution)
@@ -441,14 +518,11 @@ def estimate_report(u) -> SolveReport:
     )
     sup_grad = max(report.sup_grad_interior, report.sup_grad_boundary)
 
-    h_int = eigen_field(form_field(u, None))
     faces = (boundary_complex_hessian if geom.is_complex else boundary_real_hessian)(u)
     k = geom.form_dim - 1
     tn = max(float(np.abs(f[..., :k, k]).max()) for f in faces)
-    report.sup_ddbar_interior = float(np.abs(h_int).max()) if h_int.size else 0.0
-    report.sup_ddbar_boundary = max(
-        float(np.abs(np.linalg.eigvalsh(f)).max()) for f in faces
-    )
+    report.sup_ddbar_interior = _spectral_radius(form_field(u, None))
+    report.sup_ddbar_boundary = max(map(_spectral_radius, faces))
     report.boundary_ratio = report.sup_ddbar_boundary / (1.0 + sup_grad**2)
     report.tangential_normal_ratio = tn / (1.0 + sup_grad)
     sup_dd_all = max(report.sup_ddbar_interior, report.sup_ddbar_boundary)

@@ -270,12 +270,22 @@ class TestSolveCommand:
         ("solve", "resolution = 4\nlin_rtol = 0\n", None),
         ("degenerate", "resolution = 4\nlin_rtol = 1\n", None),
         ("boundary-scaling", "resolution = 4\nmax_newton = 0\n", None),
+        ("solve", "resolution = 6\ntolerance = inf\n", None),
+        ("solve", "resolution = 6\ntolerance = nan\n", None),
+        ("solve", "resolution = 6\nscale = inf\n", None),
+        ("lemma-sweep", "corner_fractions = nan\n", None),
+        ("lemma-sweep", "eps = inf\n", None),
+        ("boundary-scaling", "resolution = 6\nscales = 1 inf\n", None),
+        ("degenerate", "resolution = 6\neps_list = 0.1 nan\n", None),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
             "degenerate-eps-zero", "grid-too-large", "dump-unknown",
             "dump-raw-eight-dims", "dt-min-zero", "dt-min-above-one",
-            "tolerance-zero", "lin-rtol-zero", "lin-rtol-one", "max-newton-zero"])
+            "tolerance-zero", "lin-rtol-zero", "lin-rtol-one", "max-newton-zero",
+            "tolerance-inf", "tolerance-nan", "scale-inf",
+            "sweep-fraction-nan", "sweep-eps-inf", "scales-inf",
+            "degenerate-eps-nan"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
                                               command, cfg_text, where):
         code, out = run(tmp_path, command, cfg_text)

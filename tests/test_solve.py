@@ -8,13 +8,22 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessiancone import cones as cn
 from hessiancone import presets as pr
 from hessiancone import solve as sv
 from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
 from hessiancone.linsolve import solve_dirichlet
-from hessiancone.operators import form_field, eigen_field
+from hessiancone.operators import (
+    boundary_complex_hessian,
+    boundary_real_hessian,
+    eigen_field,
+    form_field,
+    gradient_boundary,
+    gradient_interior,
+)
 
 GEOM8 = GridGeometry(n=2, resolution=8)
 MA2 = cn.monge_ampere(2)
@@ -247,6 +256,24 @@ class TestNewton:
         assert all(t >= 0.0 for step in record.seconds for t in step)
         assert sum(map(sum, record.seconds)) <= elapsed
 
+    @pytest.mark.parametrize("solver", ["continuity", "riemannian"])
+    def test_report_seconds_per_phase(self, solver):
+        # (subsolution check, continuation stages, diagnostics) wall
+        # seconds, together within the solve's own time
+        if solver == "riemannian":
+            geom, fun, run = (CylinderGeometry(d=3, resolution=8),
+                              cn.monge_ampere(3), sv.solve_riemannian)
+        else:
+            geom, fun, run = GEOM8, MA2, sv.continuity_solve
+        prob = pr.build_problem(geom, fun, "manufactured", "zero", "star-bump")
+        start = time.perf_counter()
+        u, rep = run(fun, prob.chi, prob.psi, prob.phi, prob.u_sub)
+        elapsed = time.perf_counter() - start
+        assert len(rep.seconds) == 3
+        assert all(t >= 0.0 for t in rep.seconds)
+        assert sum(rep.seconds) <= elapsed
+        assert "seconds" not in sv.SolveReport.CSV_FIELDS
+
     def test_superlinear_tail(self):
         prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
                                      "star-bump")
@@ -391,7 +418,171 @@ class TestComparison:
         assert sv.comparison_check(above, z, z) == above.values.size
 
 
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@st.composite
+def form_stacks(draw):
+    """A stack of r x r forms (r = 2..6, real or complex) of one pattern,
+    in the (..., r, r) layout or as the view of node-major planes."""
+    r = draw(st.integers(2, 6))
+    complex_ = draw(st.booleans())
+    nodes = draw(st.integers(1, 60))
+    pattern = draw(st.sampled_from(["random", "near-identity", "repeated",
+                                    "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def hermitian(size):
+        z = rng.standard_normal((size, r, r))
+        if complex_:
+            z = z + 1j * rng.standard_normal((size, r, r))
+        return 0.5 * (z + np.swapaxes(z, -1, -2).conj())
+
+    if pattern == "random":
+        forms = hermitian(nodes) * 10.0 ** rng.uniform(-3, 3, (nodes, 1, 1))
+    elif pattern == "near-identity":  # where ||A||_F^2 / r - m^2 cancels
+        c = rng.uniform(-10.0, 10.0, (nodes, 1, 1))
+        forms = c * np.eye(r) + 1e-12 * hermitian(nodes)
+    elif pattern == "repeated":  # r - 1 equal eigenvalues: the bound is tight
+        lam = rng.uniform(-1.0, 1.0, (nodes, r))
+        lam[:, 1:] = lam[:, 1:2]
+        basis, _ = np.linalg.qr(hermitian(nodes))
+        forms = (basis * lam[:, None, :]) @ np.swapaxes(basis, -1, -2).conj()
+    else:
+        forms = np.zeros((nodes, r, r), dtype=complex if complex_ else float)
+    if draw(st.booleans()):
+        forms = np.moveaxis(np.ascontiguousarray(np.moveaxis(forms, 0, -1)),
+                            -1, 0)
+    return forms
+
+
+class TestExtremeEigenvalues:
+    """The bounded search against the dense solve of every node."""
+
+    @given(form_stacks(), st.sampled_from([1, 3, 8, sv.EXTREME_BLOCK]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_dense_extremes_bit_for_bit(self, forms, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sv, "EXTREME_BLOCK", block)
+            lowest, highest = sv._extreme_eigenvalues(forms)
+        lam = eigen_field(forms)
+        assert bits(lowest) == bits(lam.min())
+        assert bits(highest) == bits(lam.max())
+
+    def test_slack_scales_with_the_norm(self, monkeypatch):
+        # lambda_max of y is near 0 against ||y|| near 2, and its computed
+        # bound m + s rounds 131072 ulps of lambda_max below it (0.44 eps
+        # ||y||); a cI node just under lambda_max, solved first, must
+        # not end the search (-10 I holds lambda_min, so the search for it
+        # does not solve y either)
+        off = 0.7101471705128961 - 0.7783394310645367j
+        y = np.array([[-1.5355057048658323, off],
+                      [np.conj(off), -0.7229477342453987]])
+        top = eigen_field(y)[-1]
+        x = np.nextafter(top, -np.inf) * np.eye(2)
+        monkeypatch.setattr(sv, "EXTREME_BLOCK", 1)
+        forms = np.stack([x, y, -10.0 * np.eye(2)])
+        assert bits(sv._extreme_eigenvalues(forms)[1]) == bits(top)
+
+    def test_zero_forms_take_one_block(self, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(len(g))
+            return eigen_field(g)
+
+        monkeypatch.setattr(sv, "eigen_field", counted)
+        forms = np.zeros((10 * sv.EXTREME_BLOCK, 2, 2), dtype=complex)
+        assert sv._extreme_eigenvalues(forms) == (0.0, 0.0)
+        assert calls == [sv.EXTREME_BLOCK]
+
+    def test_one_node(self):
+        form = np.array([[[2.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]]])
+        lam = eigen_field(form)[0]
+        assert sv._extreme_eigenvalues(form) == (lam[0], lam[1])
+
+    def test_empty_stack_is_zero(self):
+        empty = np.zeros((0, 7, 3, 3))
+        assert sv._extreme_eigenvalues(empty) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+    def test_nan_entry_gives_nan(self, entry):
+        forms = np.tile(np.eye(2), (5, 1, 1))
+        forms[3][entry] = np.nan
+        lowest, highest = sv._extreme_eigenvalues(forms)
+        assert np.isnan(lowest) and np.isnan(highest)
+
+    def test_nan_departs_from_dense_solve(self):
+        # numpy's eigvalsh loses a NaN on the diagonal of a 2 x 2 form
+        form = np.array([[[np.nan, 0.0], [0.0, 1.0]]])
+        assert not np.isnan(eigen_field(form)).any()
+        assert np.isnan(sv._extreme_eigenvalues(form)[1])
+
+
+def dense_estimate_report(u):
+    """estimate_report as a dense eigenvalue solve of every node."""
+    geom = u.geom
+    report = sv.SolveReport(resolution=geom.resolution)
+    report.sup_u = u.sup()
+    gi = gradient_interior(u)
+    report.sup_grad_interior = float(np.sqrt((gi**2).sum(axis=-1)).max())
+    gb = gradient_boundary(u)
+    report.sup_grad_boundary = float(
+        max(np.sqrt((g**2).sum(axis=-1)).max() for g in gb))
+    sup_grad = max(report.sup_grad_interior, report.sup_grad_boundary)
+    h_int = eigen_field(form_field(u, None))
+    faces = (boundary_complex_hessian if geom.is_complex
+             else boundary_real_hessian)(u)
+    k = geom.form_dim - 1
+    tn = max(float(np.abs(f[..., :k, k]).max()) for f in faces)
+    report.sup_ddbar_interior = float(np.abs(h_int).max()) if h_int.size else 0.0
+    report.sup_ddbar_boundary = max(
+        float(np.abs(np.linalg.eigvalsh(f)).max()) for f in faces)
+    report.boundary_ratio = report.sup_ddbar_boundary / (1.0 + sup_grad**2)
+    report.tangential_normal_ratio = tn / (1.0 + sup_grad)
+    sup_dd_all = max(report.sup_ddbar_interior, report.sup_ddbar_boundary)
+    report.global_second_ratio = sup_dd_all / (
+        1.0 + sup_grad**2 + report.sup_ddbar_boundary)
+    return report
+
+
+def dense_tangential_min(u, u_sub):
+    tang = list(u.geom.periodic_axes)
+    diff = ScalarField(geom=u.geom, values=u.values - u_sub.values)
+    return min(float(np.linalg.eigvalsh(f[..., tang, :][..., tang]).min())
+               for f in boundary_real_hessian(diff))
+
+
 class TestEstimateReport:
+    @pytest.mark.parametrize("case", ["manufactured", "degenerate",
+                                      "cylinder"])
+    @pytest.mark.parametrize("block", [16, sv.EXTREME_BLOCK])
+    def test_equals_dense_reference(self, case, block, monkeypatch):
+        monkeypatch.setattr(sv, "EXTREME_BLOCK", block)
+        if case == "cylinder":
+            geom, fun = CylinderGeometry(d=3, resolution=8), cn.monge_ampere(3)
+            prob = pr.build_problem(geom, fun, "manufactured", "zero",
+                                    "star-bump")
+            u, rep = sv.solve_riemannian(fun, prob.chi, prob.psi, prob.phi,
+                                         prob.u_sub)
+            assert bits(rep.boundary_tangential_min) == bits(
+                dense_tangential_min(u, prob.u_sub))
+        else:
+            psi, sub, eps = (("manufactured", "star-bump", 0.0)
+                             if case == "manufactured"
+                             else ("degenerate-cos", "zero", 1e-3))
+            prob = pr.build_problem(GEOM8, MA2, psi, "zero", sub)
+            shifted = ScalarField(geom=GEOM8, values=prob.psi.values + eps)
+            u, rep = sv.continuity_solve(MA2, prob.chi, shifted, prob.phi,
+                                         prob.u_sub)
+        ref = dense_estimate_report(u)
+        # repr of a float keeps every bit
+        assert sv.estimate_report(u).csv_row() == ref.csv_row()
+        for name in ("sup_ddbar_interior", "sup_ddbar_boundary",
+                     "boundary_ratio", "global_second_ratio"):
+            assert bits(getattr(rep, name)) == bits(getattr(ref, name)), name
+
     def test_zero_field(self):
         rep = sv.estimate_report(ScalarField.zeros(GEOM8))
         assert rep.sup_u == 0.0 and rep.boundary_ratio == 0.0
