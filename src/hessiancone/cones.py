@@ -16,8 +16,9 @@ t * lambda meets the level set {f = sigma} at t = sigma / f(lambda).
 
 Each family is written once on sigma_0..sigma_m (m = cone_order):
 ``f_from_sigmas``, its nonzero partials ``df_dsigmas`` and the cone test
-``sigmas_in_cone``.  Most functions accept stacked inputs with the
-eigenvalue (or sigma) axis last.
+``sigmas_in_cone``.  f^q with q = ``power`` is sigma_k, or
+sigma_l / sigma_k for the quotient.  Most functions accept stacked inputs
+with the eigenvalue (or sigma) axis last.
 
 The structure conditions behind the boundary estimates are checked once
 over stacked samples ``(samples, n)``.  Each check returns per-sample masks
@@ -127,6 +128,14 @@ class SymmetricFunction:
         return self.k
 
     @property
+    def power(self) -> int:
+        """q with f^q a rational function of the sigmas: sigma_k, or
+        sigma_l / sigma_k for the quotient (q = l - k)."""
+        if self.kind == "hessian_quotient":
+            return self.l - self.k
+        return self.k
+
+    @property
     def label(self) -> str:
         if self.kind == "monge_ampere":
             return "ma"
@@ -191,17 +200,17 @@ def elem_sym_grad(vals: np.ndarray, k: int) -> np.ndarray:
 def f_from_sigmas(fun: SymmetricFunction, e: np.ndarray) -> np.ndarray:
     """f from sigma_0..sigma_m (last axis); no cone validation."""
     if fun.kind == "hessian_quotient":
-        return (e[..., fun.l] / e[..., fun.k]) ** (1.0 / (fun.l - fun.k))
-    return e[..., fun.k] ** (1.0 / fun.k)
+        return (e[..., fun.l] / e[..., fun.k]) ** (1.0 / fun.power)
+    return e[..., fun.k] ** (1.0 / fun.power)
 
 
 def df_dsigmas(fun: SymmetricFunction, e: np.ndarray) -> dict:
     """The nonzero partials {j: df/dsigma_j} on stacked sigmas."""
     f = f_from_sigmas(fun, e)
     if fun.kind == "hessian_quotient":
-        c = f / (fun.l - fun.k)
+        c = f / fun.power
         return {fun.l: c / e[..., fun.l], fun.k: -c / e[..., fun.k]}
-    return {fun.k: f / (fun.k * e[..., fun.k])}
+    return {fun.k: f / (fun.power * e[..., fun.k])}
 
 
 def sigmas_in_cone(e: np.ndarray) -> np.ndarray:

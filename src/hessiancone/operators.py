@@ -368,18 +368,22 @@ def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom,
     return out
 
 
-def first_derivative_centered(u_full: np.ndarray, geom, axis: int,
+def first_derivative_centered(u: np.ndarray, geom, axis: int,
                               layer=None) -> np.ndarray:
     """Centered first derivative on the interior nodes, or on the
-    Dirichlet-axis ``layer`` (axis periodic there)."""
-    p = _padded(u_full, geom)
+    Dirichlet-axis ``layer`` (axis periodic there).  ``u`` is a full-shape
+    field or a padded one (``_padded``), which is read as it is."""
+    p = _padded(u, geom) if u.shape == geom.shape else u
     return (p[_window(geom, {axis: 1}, layer)]
             - p[_window(geom, {axis: -1}, layer)]) / (2.0 * geom.h)
 
 
-def gradient_interior(u) -> np.ndarray:
-    """All first partials (centered) at interior nodes: (..., real_dims)."""
-    return np.stack([first_derivative_centered(u.values, u.geom, a)
+def gradient_interior(u, padded=None) -> np.ndarray:
+    """All first partials (centered) at interior nodes: (..., real_dims).
+    ``padded`` is _padded(u.values) when the caller has it already; the
+    face stencils below take it the same way."""
+    p = _padded(u.values, u.geom) if padded is None else padded
+    return np.stack([first_derivative_centered(p, u.geom, a)
                      for a in range(u.geom.real_dims)], axis=-1)
 
 
@@ -396,30 +400,32 @@ def _one_sided(layers, sgn, h):
     return sgn * (-3.0 * layers[0] + 4.0 * layers[1] - layers[2]) / (2.0 * h)
 
 
-def gradient_boundary(u) -> list:
+def gradient_boundary(u, padded=None) -> list:
     """Per face: (face_shape, real_dims) first derivatives; the normal
     derivative uses the second-order one-sided stencil."""
     geom = u.geom
+    p = _padded(u.values, geom) if padded is None else padded
     out = []
     for face in (0, 1):
         layers, sgn = _face_layers(geom, face, 3)
         values = [np.take(u.values, k, axis=geom.dirichlet_axis) for k in layers]
         grads = np.zeros(values[0].shape + (geom.real_dims,))
         for a in geom.periodic_axes:
-            grads[..., a] = first_derivative_centered(u.values, geom, a, layers[0])
+            grads[..., a] = first_derivative_centered(p, geom, a, layers[0])
         grads[..., geom.dirichlet_axis] = _one_sided(values, sgn, geom.h)
         out.append(grads)
     return out
 
 
-def _boundary_real_second(u_full, geom, face):
-    """Real second partials on one boundary face; derivatives along the
-    Dirichlet axis use second-order one-sided stencils."""
+def _boundary_real_second(u_full, p, geom, face):
+    """Real second partials on one boundary face from the field and its
+    padded copy ``p``; derivatives along the Dirichlet axis use
+    second-order one-sided stencils."""
     h = geom.h
     da = geom.dirichlet_axis
     layers, sgn = _face_layers(geom, face, 4)
     values = [np.take(u_full, k, axis=da) for k in layers]
-    second = _second_partials(u_full, geom, layers[0])
+    second = _second_partials(p, geom, layers[0])
     r = geom.real_dims
     D = np.empty((r, r) + values[0].shape)
     for i, a in enumerate(geom.periodic_axes):
@@ -427,19 +433,20 @@ def _boundary_real_second(u_full, geom, face):
             D[a, b] = D[b, a] = second(a, b)
         # mixed normal-tangential: one-sided normal difference of the
         # centered tangential derivative, taken on three layers at once
-        tang = np.moveaxis(first_derivative_centered(u_full, geom, a, layers[:3]), da, 0)
+        tang = np.moveaxis(first_derivative_centered(p, geom, a, layers[:3]), da, 0)
         D[a, da] = D[da, a] = _one_sided(tang, sgn, h)
     D[da, da] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2]
                  - values[3]) / (h * h)
     return _form(D)
 
 
-def boundary_complex_hessian(u) -> list:
+def boundary_complex_hessian(u, padded=None) -> list:
     """Complex Hessian of u on each boundary face (no chi added)."""
     return [_complex_form(lambda a, b: D[..., a, b], u.geom, D.shape[:-2])
-            for D in boundary_real_hessian(u)]
+            for D in boundary_real_hessian(u, padded)]
 
 
-def boundary_real_hessian(u) -> list:
+def boundary_real_hessian(u, padded=None) -> list:
     """Real Hessian of u on each boundary face."""
-    return [_boundary_real_second(u.values, u.geom, face) for face in (0, 1)]
+    p = _padded(u.values, u.geom) if padded is None else padded
+    return [_boundary_real_second(u.values, p, u.geom, face) for face in (0, 1)]

@@ -6,14 +6,20 @@ subsolution's own equation to the target along the interpolated family
     psi_t = (1 - t) f(lambda(g[u_sub])) + t psi,        t: 0 -> 1,
 
 each stage solved by a damped inexact Newton iteration on the discrete
-system.  Damping keeps every node's sigma_1..sigma_m positive (the cone)
-and the sup-norm residual decreasing; a step's trials start at twice the
-previous step's factor (at 1 on a stage's first step, never above 1) and
-halve from there.  A stage's first linear solve runs to ``lin_rtol``,
-later ones to the Eisenstat-Walker forcing term (SIAM J. Sci. Comput. 17,
-1996) 0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised to
-OVERSOLVE tolerance / r_k so the last step is not oversolved and kept
-within [lin_rtol, ETA_MAX].  A linear solve stops on its true residual,
+system.  A step solves the f-space linearization with the right-hand
+side of the Newton step for the same equation in polynomial form,
+f^q = psi_t^q (as Loeper & Rapetti, C. R. Acad. Sci. Paris 340, 2005, do
+for Monge-Ampere), whose linear model stays inside the cone where -r's
+need not (_polynomial_step); for q = 1 it is -r.  The residual, the
+tolerance and the stop stay in f-space.  Damping keeps every node's
+sigma_1..sigma_m positive (the cone) and the sup-norm residual
+decreasing; a step's trials start at twice the previous step's factor
+(at 1 on a stage's first step, never above 1) and halve from there.  A
+stage's first linear solve runs to ``lin_rtol``, later ones to the
+Eisenstat-Walker forcing term (SIAM J. Sci. Comput. 17, 1996)
+0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised to OVERSOLVE
+tolerance / r_k so the last step is not oversolved and kept within
+[lin_rtol, ETA_MAX].  A linear solve stops on its true residual,
 near its forcing term rather than far below it.  A stage records per
 step the residual, the damping, every damping factor tried with its
 trial's residual, the linear solve's record (forcing term, operator
@@ -64,6 +70,7 @@ from .operators import (
     newton_state,
     residual,
     _chi_interior,
+    _padded,
 )
 
 __all__ = [
@@ -250,17 +257,35 @@ def _forcing_term(residuals, config) -> float:
     return max(config.lin_rtol, min(ETA_MAX, eta))
 
 
+def _polynomial_step(r, psi_t, power):
+    """Right-hand side of the Newton step for f^q = psi_t^q (q = power),
+    which has the f-space equation's solution:
+    -(f^q - psi_t^q) / (q f^(q-1)) with f = r + psi_t, in the factored form
+    -(r / q) sum_{j<q} (psi_t / f)^j (Horner in psi_t / f).  It is exactly
+    -r for q = 1 and cancels nothing as f -> psi_t.  Its linear model of
+    f^q is f^q + q f^(q-1) rhs = psi_t^q > 0, where -r asks for
+    f^q - q f^(q-1) r, below 0 wherever f > q psi_t / (q - 1): outside the
+    cone, so a degenerate psi_t damped most early steps."""
+    ratio = psi_t / (r + psi_t)
+    total = 1.0
+    for _ in range(power - 1):
+        total = 1.0 + ratio * total
+    return -(r / power) * total
+
+
 def _newton_solve(u0, fun, chi, psi_t, config, t_label):
     """Damped inexact Newton iteration of one continuity stage.
 
-    Each step solves the linearized system with homogeneous Dirichlet data
-    for the update to the forcing term's tolerance, then applies the
-    largest damping factor of min(1, 2 theta_prev), half that, ... down to
+    Each step solves the f-space linearized system with homogeneous
+    Dirichlet data and right-hand side _polynomial_step(r) for the update
+    to the forcing term's tolerance, then applies the largest damping
+    factor of min(1, 2 theta_prev), half that, ... down to
     2**-MAX_HALVINGS (theta_prev the previous step's factor; the first
     step starts at 1) that keeps every node admissible and reduces the
     sup-norm residual.  Returns (u, StageRecord); raises _StageFailure
     when the start is inadmissible, the linear solve fails, no factor
-    qualifies or the iteration budget runs out.
+    qualifies or the iteration budget runs out.  The residual r = f - psi_t,
+    its sup norm and config.tolerance are in f-space.
     """
     geom = u0.geom
     u = u0.copy()
@@ -279,7 +304,8 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
         linearized = perf_counter()
         try:
             delta, linear = solve_dirichlet(
-                C, geom, -r, rtol=_forcing_term(record.residuals, config))
+                C, geom, _polynomial_step(r, psi_t, fun.power),
+                rtol=_forcing_term(record.residuals, config))
         except LinearSolveError as exc:
             raise _StageFailure(str(exc))
         del C
@@ -509,16 +535,18 @@ def estimate_report(u) -> SolveReport:
     geom = u.geom
     report = SolveReport(resolution=geom.resolution)
     report.sup_u = u.sup()
+    padded = _padded(u.values, geom)  # for the gradients and face Hessians
 
-    gi = gradient_interior(u)
+    gi = gradient_interior(u, padded)
     report.sup_grad_interior = float(np.sqrt((gi**2).sum(axis=-1)).max())
-    gb = gradient_boundary(u)
+    gb = gradient_boundary(u, padded)
     report.sup_grad_boundary = float(
         max(np.sqrt((g**2).sum(axis=-1)).max() for g in gb)
     )
     sup_grad = max(report.sup_grad_interior, report.sup_grad_boundary)
 
-    faces = (boundary_complex_hessian if geom.is_complex else boundary_real_hessian)(u)
+    faces = (boundary_complex_hessian if geom.is_complex
+             else boundary_real_hessian)(u, padded)
     k = geom.form_dim - 1
     tn = max(float(np.abs(f[..., :k, k]).max()) for f in faces)
     report.sup_ddbar_interior = _spectral_radius(form_field(u, None))
@@ -599,7 +627,8 @@ def barrier_eval(u, u_sub, phi, fun, chi, spec: BarrierSpec, p0_index, direction
         raise ValueError("p0 must lie on a boundary face")
 
     diff = u.values - phi.values
-    gd = gradient_interior(ScalarField(geom=geom, values=diff))
+    diff_p = _padded(diff, geom)  # shared by every stencil of diff below
+    gd = gradient_interior(ScalarField(geom=geom, values=diff), diff_p)
     gp = gradient_interior(phi)
     b1 = float(
         1.0 + (gd**2).sum(axis=-1).max() + (gp**2).sum(axis=-1).max()
@@ -609,8 +638,8 @@ def barrier_eval(u, u_sub, phi, fun, chi, spec: BarrierSpec, p0_index, direction
     sigma = geom.boundary_distance()
     rho = geom.distance_to(tuple(p0_index))
 
-    d_inside = partial(first_derivative_centered, diff, geom)
-    d_faces = partial(first_derivative_centered, diff, geom, layer=[0, -1])
+    d_inside = partial(first_derivative_centered, diff_p, geom)
+    d_faces = partial(first_derivative_centered, diff_p, geom, layer=[0, -1])
     psi_tilde = np.zeros(geom.shape)
     inside = geom.interior
     psi_tilde[inside] = (

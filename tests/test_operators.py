@@ -548,6 +548,34 @@ class TestFaceStencils:
             np.testing.assert_array_equal(
                 op.first_derivative_centered(u.values, geom, a, layer=[0, -1]), rolled)
 
+    @pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=6),
+                                      GridGeometry(n=3, resolution=4),
+                                      CylinderGeometry(d=3, resolution=7)],
+                             ids=["complex-2", "complex-3", "cylinder-3"])
+    def test_shared_padded_copy_bit_identical(self, geom):
+        # every first-derivative and face stencil reads a caller's padded
+        # copy as it reads its own: the same bits as the np.roll formulas
+        rng = np.random.default_rng(9)
+        u = ScalarField(geom=geom, values=rng.standard_normal(geom.shape))
+        p = op._padded(u.values, geom)
+        grad = np.stack([(np.roll(u.values, -1, axis=a)
+                          - np.roll(u.values, 1, axis=a))[geom.interior]
+                         / (2.0 * geom.h) for a in range(geom.real_dims)], axis=-1)
+        np.testing.assert_array_equal(op.gradient_interior(u, p), grad)
+        np.testing.assert_array_equal(op.gradient_interior(u), grad)
+        for a in range(geom.real_dims):
+            np.testing.assert_array_equal(
+                op.first_derivative_centered(p, geom, a), grad[..., a])
+        grads, hessians = op.gradient_boundary(u, p), op.boundary_real_hessian(u, p)
+        for face in (0, 1):
+            ref_grad, ref_D = roll_face_reference(u.values, geom, face)
+            np.testing.assert_array_equal(grads[face], ref_grad)
+            np.testing.assert_array_equal(hessians[face], ref_D)
+        if geom.is_complex:
+            for shared, own in zip(op.boundary_complex_hessian(u, p),
+                                   op.boundary_complex_hessian(u)):
+                np.testing.assert_array_equal(shared, own)
+
 
 @pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=6),
                                   GridGeometry(n=3, resolution=4),

@@ -5,6 +5,7 @@ acceptance suite.
 """
 
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessiancone import cones as cn
+from hessiancone import operators as op
 from hessiancone import presets as pr
 from hessiancone import solve as sv
 from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
@@ -238,9 +240,10 @@ class TestNewton:
             assert step[-1] == (record.dampings[k], record.residuals[k + 1])
             assert all(res == "inadmissible" or res >= record.residuals[k]
                        for _, res in step[:-1])
-        # 9 of the 15 steps reject 10 trials, every one as inadmissible
+        # 4 of the 9 steps reject 4 trials, every one as inadmissible (with
+        # the right-hand side -r, 9 of 15 steps rejected 10)
         rejected = [res for step in record.trials for _, res in step[:-1]]
-        assert len(rejected) == 10 and set(rejected) == {"inadmissible"}
+        assert len(rejected) == 4 and set(rejected) == {"inadmissible"}
 
     def test_phase_seconds_per_step(self):
         # one (linearization, linear solve, damping trials) triple of wall
@@ -391,6 +394,67 @@ class TestNewton:
         with pytest.raises(sv.ContinuationError, match="forced"):
             sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi,
                                 prob.u_sub)
+
+
+class TestPolynomialStep:
+    """Newton's right-hand side is the step for f^q = psi_t^q, taken with
+    the f-space linearization, residual and tolerance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(f=st.floats(1e-3, 1e3), ratio=st.floats(0.05, 20.0),
+           n=st.integers(2, 6), data=st.data())
+    def test_newton_step_of_the_polynomial_form(self, f, ratio, n, data):
+        q = data.draw(st.integers(1, n), label="q")
+        psi = f * ratio
+        r = f - psi
+        rhs = sv._polynomial_step(np.array([r]), np.array([psi]), q)[0]
+        # exact rationals of the floats passed in, with f = r + psi
+        F, P = Fraction(r) + Fraction(psi), Fraction(psi)
+        exact = -(F**q - P**q) / (q * F**(q - 1))
+        assert abs(Fraction(float(rhs)) - exact) <= 1e-14 * abs(exact)
+        # its linear model of f^q is psi^q > 0: it never aims outside the
+        # cone, where -r does wherever f > q psi / (q - 1)
+        model = F**q + q * F**(q - 1) * Fraction(float(rhs))
+        assert abs(model - P**q) <= 1e-14 * abs(F**q - P**q)
+        assert model > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.floats(1e-6, 1e3), psi=st.floats(1e-6, 1e3))
+    def test_q1_is_minus_r(self, f, psi):
+        r = f - psi
+        rhs = sv._polynomial_step(np.array([r]), np.array([psi]), 1)[0]
+        assert bits(rhs) == bits(-r)
+
+    @pytest.mark.parametrize("kind, residuals", [
+        ("sigma1", [1.999, 4.496316513558085e-14]),
+        ("quotient:1:2", [0.499, 0.23019605860752637, 0.11121632381905068,
+                          0.05054825101992935, 0.023574465725655046,
+                          0.011707968327861001, 0.005854637748603987,
+                          0.0003808821323968329, 2.7443907621830816e-06,
+                          1.270318850110641e-10]),
+    ])
+    def test_q1_residual_history_unchanged(self, kind, residuals):
+        # q = 1 on the 8^4 degenerate-cos + 1e-3 runs: the residuals of the
+        # step with right-hand side -r, to the bit
+        fun = cn.parse_kind(kind, 2)
+        assert fun.power == 1
+        prob = pr.build_problem(GEOM8, fun, "degenerate-cos", "zero", "zero")
+        psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-3)
+        u, rep = sv.continuity_solve(fun, prob.chi, psi, prob.phi, prob.u_sub)
+        assert [stage.residuals for stage in rep.stage_history] == [residuals]
+
+    def test_cylinder_sigma2_degenerate_takes_one_stage(self):
+        # 16^3 cylinder, sigmaK:2, degenerate-cos + 1e-3: one stage of 4
+        # full Newton steps.  With -r the t = 1 stage failed and the path
+        # took 2 stages and 23 steps
+        geom, fun = CylinderGeometry(d=3, resolution=16), cn.sigma_k_root(3, 2)
+        prob = pr.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
+        psi = ScalarField(geom=geom, values=prob.psi.values + 1e-3)
+        u, rep = sv.solve_riemannian(fun, prob.chi, psi, prob.phi, prob.u_sub)
+        assert rep.continuity_stages == 1 and rep.rejected_stages == []
+        assert rep.newton_iterations == 4
+        assert rep.stage_history[0].dampings == [1.0] * 4
+        assert rep.final_residual <= sv.SolverConfig().tolerance
 
 
 class TestManufactured:
@@ -582,6 +646,25 @@ class TestEstimateReport:
         for name in ("sup_ddbar_interior", "sup_ddbar_boundary",
                      "boundary_ratio", "global_second_ratio"):
             assert bits(getattr(rep, name)) == bits(getattr(ref, name)), name
+
+    @pytest.mark.parametrize("geom", [GEOM8, CylinderGeometry(d=3, resolution=8)],
+                             ids=["complex", "cylinder"])
+    def test_pads_the_field_twice(self, geom, monkeypatch):
+        # one padded copy serves the gradients and both faces' stencils;
+        # form_field pads its own
+        calls = [0]
+        inner = op._padded
+
+        def counted(*args):
+            calls[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(op, "_padded", counted)
+        monkeypatch.setattr(sv, "_padded", counted)
+        rng = np.random.default_rng(3)
+        u = ScalarField(geom=geom, values=rng.standard_normal(geom.shape))
+        sv.estimate_report(u)
+        assert calls[0] == 2
 
     def test_zero_field(self):
         rep = sv.estimate_report(ScalarField.zeros(GEOM8))
