@@ -17,6 +17,22 @@ Hermitian arrowhead M and the real one with border |a_i| have the same
 spectrum (O'Leary & Stewart, J. Comput. Phys. 90, 1990); the real
 eigensolver does about half the work of the complex one.
 
+The sweeps work by bound and verify.  With the diagonal sorted,
+d_1 < ... < d_k (k = n - 1), border z_i = |a_i| > 0 and corner c > d_k,
+each small eigenvalue lies in (d_{j-1}, d_j) (d_0 = -inf), and
+t_j = d_j - lambda_j solves t^2 + (c - d_j - S_j(t)) t - z_j^2 = 0, where
+S_j(t) = sum_{i != j} z_i^2 / (d_i - d_j + t) decreases in t.  The root at
+S_j(0) bounds t_j from above and, while that bound is below d_j - d_{j-1},
+the root at S_j of the bound bounds t_j from below; the corner excess
+lambda_n - c lies in
+[sum z_i^2 / (c + E - d_i), E] with E = sum z_i^2 / (c - d_i).  The
+secular equation and its interlacing are those of O'Leary & Stewart
+(above) and Jakovcevic Stor, Slapnicar & Barlow (Linear Algebra Appl. 464,
+2015).  A trial whose intervals show that it passes, and that it cannot
+hold its chunk's largest deviation or excess, is settled without a dense
+solve; every other trial goes to the dense solver, so a sweep's maxima
+and violation counts are the dense solver's own values.
+
 All functions are pure; sweeps are deterministic for a fixed seed.
 """
 
@@ -54,6 +70,12 @@ ROUNDING_ULPS = 16
 
 # Relative tolerance of the trace identity sum(lambda) = sum(d) + corner.
 TRACE_RTOL = 1e-10
+
+# The sweeps' secular-equation bounds are widened by n * SWEEP_SLACK of
+# ||A||_F plus a bound on sum_i |z_i^2 / (d_i - d_j)| (see _bounds): it
+# covers the bounds' own rounding and LAPACK's backward error on every
+# eigenvalue, which scale with those two sums.
+SWEEP_SLACK = 16 * np.finfo(float).eps
 
 SWEEP_CSV_HEADER = "n,eps,corner_fraction,max_dev,max_excess,violations"
 
@@ -262,11 +284,12 @@ def _concentration(mode, d, lam, corner, eps):
     return dev, excess, deviation_ok, excess_ok, matched
 
 
-def _min_gap(d):
+def _min_gap(ds):
     """Smallest distance between two diagonal entries of each stacked
-    spec; inf for a single entry, where the distinct bound is vacuous."""
-    i, j = np.triu_indices(d.shape[-1], k=1)
-    return np.abs(d[..., i] - d[..., j]).min(axis=-1, initial=np.inf)
+    spec, from its sorted diagonal ds; inf for a single entry, where the
+    distinct bound is vacuous.  Rounding is monotone, so the smallest
+    difference of neighbours is the smallest over all pairs, to the bit."""
+    return np.diff(ds, axis=-1).min(axis=-1, initial=np.inf)
 
 
 def _check(mode, spec, eps):
@@ -312,7 +335,7 @@ def check_concentration_distinct(spec: ArrowheadSpec, eps: float) -> Concentrati
     Requires ``0 < eps <= min gap / 2`` (vacuous when n = 2) and the
     distinct-case growth condition on the corner.
     """
-    min_gap = float(_min_gap(spec.d))
+    min_gap = float(_min_gap(np.sort(spec.d)))
     if min_gap == 0.0:
         raise ValueError("diagonal entries must be pairwise distinct")
     if eps > 0.5 * min_gap:
@@ -382,13 +405,89 @@ def _draw_specs(n: int, trials: int, rng: np.random.Generator):
     return d, mod
 
 
-def _chunk_stats(mode, n, eps, corner_fraction, seed, chunk_id, count):
-    rng = np.random.default_rng([seed, chunk_id])
-    d, a = _draw_specs(n, count, rng)
+def _root(b, zsq):
+    """Positive root of t^2 + b t - zsq = 0 for b > 0, in the form
+    without cancellation."""
+    return 2.0 * zsq / (b + np.sqrt(b * b + 4.0 * zsq))
+
+
+def _bounds(ds, z, corner):
+    """Secular-equation intervals of the trials with sorted diagonals ds
+    (k, trials), border moduli z in the same order and corners (trials),
+    trials on the last axis: (ok, lo, hi, excess_lo, excess_hi).  Where
+    ok, the deviation |d_j - lambda_j| of each small eigenvalue lies in
+    [lo_j, hi_j] and the corner excess in [excess_lo, excess_hi], for the
+    exact spectrum and for the dense solver's, in the sorted pairing and
+    in the nearest match.  The excess is bounded twice: the interval
+    [sum z_i^2 / (c + E - d_i), E] of the module docstring, then E cut to
+    sum z_i^2 / (c - d_i + excess_lo), as x = sum z_i^2 / (c - d_i + x)
+    decreases on the right.
+
+    The widening covers the rounding of S_j, at most a few ulps of
+    sum_i |z_i^2 / (d_i - d_j)| <= sum z^2 / (gap next to d_j), and of the
+    rest, at most a few ulps of ||A||_F.  ok needs every z_i > 0, c > d_k,
+    c - d_j > S_j(0) (the root's form) and hi_j <= g_j / 2 for the gap g_j
+    below d_j, so distinct entries.  That last is stricter than hi_j < g_j,
+    which the lower bound needs: at most half the gap, each denominator of
+    S_j(hi_j) keeps half of d_i - d_j, so its rounding stays relative, and
+    d_j is the nearest entry to lambda_j.  The other trials may hold inf
+    or nan entries, which are never read.
+    """
+    k = len(ds)
+    zsq = z * z
+    idx = np.arange(k)
+    diff = ds[None] - ds[:, None]  # [j, i] = d_i - d_j
+    diff[idx, idx] = np.inf  # leaves i = j out of S_j
+    gap = np.diff(ds, axis=0, prepend=-np.inf, append=np.inf)
+    c_d = corner - ds
+    zsum = zsq.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norm = np.sqrt((ds * ds).sum(axis=0) + 2.0 * zsum + corner * corner)
+        near = np.minimum(gap[:-1], gap[1:])
+        slack = (k + 1) * SWEEP_SLACK * (norm + zsum / near)
+        b = c_d - (zsq / diff).sum(axis=1)
+        hi = _root(b, zsq) + slack
+        lo = _root(c_d - (zsq / (diff + hi[:, None])).sum(axis=1), zsq) - slack
+        top = (zsq / c_d).sum(axis=0)
+        excess_slack = (k + 1) * SWEEP_SLACK * (norm + top)
+        excess_lo = (zsq / (c_d + top)).sum(axis=0) - excess_slack
+        excess_hi = (zsq / (c_d + np.maximum(excess_lo, 0.0))).sum(axis=0) + excess_slack
+    ok = ((z > 0).all(axis=0) & (c_d[-1] > 0) & (b > 0).all(axis=0)
+          & (hi <= 0.5 * gap[:-1]).all(axis=0) & np.isfinite(lo).all(axis=0)
+          & np.isfinite(excess_hi))
+    return ok, lo, hi, excess_lo, excess_hi
+
+
+def _settled(ds, z, corner, eps):
+    """Mask of the trials that the intervals of _bounds settle (same
+    arguments, eps one per trial).  A settled trial passes with the margin
+    MARGIN, a lower bound on every spectrum's margin, and the excess bound
+    (n-1) eps, a lower bound on the weak one; and its deviations and
+    excess stay below the chunk's largest lower bounds, so a dense solve
+    of the other trials finds both maxima."""
+    ok, lo, hi, excess_lo, excess_hi = _bounds(ds, z, corner)
+    dev_hi = hi.max(axis=0)
+    passes = ((dev_hi < eps + MARGIN) & (excess_lo >= -MARGIN)
+              & (excess_hi < len(ds) * eps + MARGIN))
+    top_dev = np.max(lo.max(axis=0), where=ok, initial=-np.inf)
+    top_excess = np.max(excess_lo, where=ok, initial=-np.inf)
+    return ok & passes & (dev_hi < top_dev) & (excess_hi < top_excess)
+
+
+def _chunk_stats(mode, d, a, eps, corner_fraction):
+    """(max deviation, max excess, violations) of the stacked trials with
+    diagonals d and border moduli a at the threshold of mode times
+    corner_fraction: the dense verdict of the trials that _settled leaves."""
+    order = np.argsort(d, axis=-1)
+    ds = np.take_along_axis(d, order, axis=-1)
     if mode == "distinct":
-        eps = np.minimum(eps, 0.5 * _min_gap(d))
+        eps = np.minimum(eps, 0.5 * _min_gap(ds))
     corner = corner_fraction * _THRESHOLDS[mode](d, a, eps)
-    lam = _spectra(d, a, corner)
+    eps = np.broadcast_to(eps, corner.shape)
+    z = np.take_along_axis(a, order, axis=-1)
+    dense = ~_settled(ds.T.copy(), z.T.copy(), corner, eps)
+    d, corner, eps = d[dense], corner[dense], eps[dense]
+    lam = _spectra(d, a[dense], corner)
     dev, excess, deviation_ok, excess_ok, _ = _concentration(mode, d, lam, corner, eps)
     passed = deviation_ok.all(axis=-1) & excess_ok
     return (
@@ -408,7 +507,8 @@ def _run_sweep(mode, n, eps, trials, seed, corner_fraction):
         for cid in range((trials + _CHUNK - 1) // _CHUNK)
     ]
     results = [
-        _chunk_stats(mode, n, eps, corner_fraction, seed, cid, count)
+        _chunk_stats(mode, *_draw_specs(n, count, np.random.default_rng([seed, cid])),
+                     eps, corner_fraction)
         for cid, count in chunks
     ]
     max_dev = max(r[0] for r in results)

@@ -189,6 +189,18 @@ def form_field(u, chi=None) -> np.ndarray:
     return complex_hessian(u, chi) if u.geom.is_complex else real_hessian(u, chi)
 
 
+def laplacian(u) -> np.ndarray:
+    """The trace of form_field(u) at the interior nodes, from the diagonal
+    second partials alone, added in the diagonal's order as the trace adds
+    them: the same values, up to the sign of a zero."""
+    geom = u.geom
+    second = _second_partials(u.values, geom)
+    if geom.is_complex:
+        return sum(np.multiply(second(x, x) + second(y, y), 0.25)
+                   for x, y in map(geom.complex_axes, range(geom.n)))
+    return sum(second(a, a) for a in range(geom.real_dims))
+
+
 def eigen_field(g: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues per node (dense Hermitian solver)."""
     return np.linalg.eigvalsh(g)

@@ -5,9 +5,11 @@ The independent oracle for n = 2 is the closed-form quadratic
 everything larger is checked against numpy's dense Hermitian solver.
 """
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessiancone import arrowhead as ah
@@ -112,7 +114,7 @@ class TestRealSpectra:
         # the chunk of test_distinct_margin_absorbs_rounding_at_large_norm
         # whose largest corner is about 7e9
         d, a = self.draw_hermitian(5, 512, np.random.default_rng([11, 9]))
-        eps = np.minimum(1.0, 0.5 * ah._min_gap(d))
+        eps = np.minimum(1.0, 0.5 * ah._min_gap(np.sort(d)))
         corner = ah.threshold_distinct(d, a, eps)
         assert corner.max() > 5e9
         self.assert_close_to_complex(d, a, corner)
@@ -381,6 +383,108 @@ class TestSweeps:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", lowered)
         assert ah.sweep_at_threshold("weak", 3, 0.05, 512, 0).violations == 1
+
+
+def dense_stats(mode, d, a, eps, corner_fraction):
+    """A chunk's statistics from a dense solve of every trial, with the eps
+    cap from the pairwise minimum gap: the reference for the filtered
+    sweep.  Also returns the spectra's deviations, excess and corners."""
+    if mode == "distinct":
+        i, j = np.triu_indices(d.shape[-1], k=1)
+        eps = np.minimum(eps, 0.5 * np.abs(d[:, i] - d[:, j]).min(axis=-1, initial=np.inf))
+    corner = corner_fraction * ah._THRESHOLDS[mode](d, a, eps)
+    lam = np.linalg.eigvalsh(ah._assemble(d, a, corner))
+    dev, excess, deviation_ok, excess_ok, _ = ah._concentration(mode, d, lam, corner, eps)
+    passed = deviation_ok.all(axis=-1) & excess_ok
+    stats = (float(dev.max()), float(excess.max()), int(np.count_nonzero(~passed)))
+    return stats, dev, excess, corner
+
+
+@st.composite
+def adversarial_chunks(draw):
+    """(mode, n, eps, corner_fraction, seed, families): a chunk drawn as
+    the sweeps draw it, then bent on random trials by each family:
+    repeated or 1e-9-clustered diagonal entries, zero or 1e-6 borders."""
+    mode = draw(st.sampled_from(["strong", "weak", "distinct"]))
+    n = draw(st.integers(2, 8))
+    eps = 10.0 ** draw(st.floats(-8.0, np.log10(3.0)))
+    corner_fraction = 10.0 ** draw(st.floats(-3.0, np.log10(2.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    families = {"cluster", "zero", "tiny"} | ({"repeat"} if mode != "distinct" else set())
+    return mode, n, eps, corner_fraction, seed, draw(st.sets(st.sampled_from(sorted(families))))
+
+
+def adversarial_specs(n, seed, families):
+    rng = np.random.default_rng(seed)
+    d, a = ah._draw_specs(n, ah._CHUNK, rng)
+    for family in sorted(families):
+        rows = rng.random(len(d)) < 0.3
+        if family == "repeat" and n > 2:
+            d[rows, 1] = d[rows, 0]
+        elif family == "cluster" and n > 2:
+            d[rows, 1:] = d[rows, :1] + 1e-9 * np.arange(1, n - 1)
+        elif family == "zero":
+            a[rows, 0] = 0.0
+        elif family == "tiny":
+            a[rows, -1] = 1e-6
+    return d, a
+
+
+class TestBoundAndVerify:
+    """The sweeps' secular-equation filter against a dense solve of every
+    trial."""
+
+    @given(adversarial_chunks())
+    # chunk 9 of the distinct sweep at n = 5, eps = 1.0, seed 11: a corner
+    # of about 1e10, where LAPACK's rounding is far above MARGIN
+    @example(("distinct", 5, 1.0, 1.0, [11, 9], set()))
+    @settings(max_examples=150, deadline=None)
+    def test_filter_matches_dense_reference(self, case):
+        mode, n, eps, corner_fraction, seed, families = case
+        d, a = adversarial_specs(n, seed, families)
+        ref, dev, excess, corner = dense_stats(mode, d, a, eps, corner_fraction)
+        order = np.argsort(d, axis=-1)
+        ds, z = (np.take_along_axis(x, order, axis=-1).T.copy() for x in (d, a))
+        with warnings.catch_warnings():
+            # zero borders and clustered entries give 0/0 and x/0 in the
+            # bounds of unsettled trials; none may warn
+            warnings.simplefilter("error", RuntimeWarning)
+            assert ah._chunk_stats(mode, d, a, eps, corner_fraction) == ref
+            ok, lo, hi, excess_lo, excess_hi = ah._bounds(ds, z, corner)
+        # every trial the bounds cover, which includes every settled one
+        assert np.all(lo.T[ok] <= dev[ok]) and np.all(dev[ok] <= hi.T[ok])
+        assert np.all(excess_lo[ok] <= excess[ok]) and np.all(excess[ok] <= excess_hi[ok])
+
+    @given(st.integers(1, 7).flatmap(lambda k: st.lists(
+        st.lists(st.floats(-10.0, 10.0) | st.sampled_from([-1.0, 0.0, 2.5]),
+                 min_size=k, max_size=k),
+        min_size=1, max_size=6)))
+    @settings(max_examples=100, deadline=None)
+    def test_min_gap_equals_pairwise_minimum(self, rows):
+        d = np.array(rows)
+        i, j = np.triu_indices(d.shape[-1], k=1)
+        pairwise = np.abs(d[:, i] - d[:, j]).min(axis=-1, initial=np.inf)
+        np.testing.assert_array_equal(ah._min_gap(np.sort(d, axis=-1)), pairwise)
+
+    def test_min_gap_cases(self):
+        assert ah._min_gap(np.array([[3.0]])).tolist() == [np.inf]  # n = 2
+        assert ah._min_gap(np.array([[-1.0, 2.0, 2.0]])).tolist() == [0.0]
+
+    def test_full_profile_cell_solves_few_matrices(self, monkeypatch):
+        # strong, n = 8, eps = 0.05: the 10,000 trials of seed 0 in 20
+        # chunks.  The filter sends 72 of them to the dense solver
+        # (measured); a dense solve of every trial would take 10,000.
+        exact = np.linalg.eigvalsh
+        solved = []
+
+        def counting(mats):
+            solved.append(len(mats))
+            return exact(mats)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        s = ah.sweep_at_threshold("strong", 8, 0.05, 10000, 0)
+        assert s.violations == 0 and len(solved) == 20
+        assert sum(solved) <= 100
 
 
 class TestSharedVerdict:

@@ -1,5 +1,10 @@
 """CLI subcommands: outputs, provenance headers, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -48,6 +53,19 @@ class TestLemmaSweep:
         for mode in ("strong", "weak", "distinct"):
             assert (out1 / f"lemma_{mode}.csv").read_bytes() == \
                 (out2 / f"lemma_{mode}.csv").read_bytes()
+
+    def test_stderr_empty(self, tmp_path):
+        # the sweeps' bound evaluation divides by zero and by inf on some
+        # trials; no RuntimeWarning may reach the terminal
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ns = 2 5 8\ntrials = 600\ncorner_fractions = 1.0 0.5\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "hessiancone", "lemma-sweep",
+             "--config", str(cfg), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0
+        assert out.stderr == ""
 
     def test_zero_trials_header_only(self, tmp_path):
         code, out = run(tmp_path, "lemma-sweep", "ns = 2\ntrials = 0\n")

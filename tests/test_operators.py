@@ -448,6 +448,18 @@ class TestRealHessian:
         np.testing.assert_array_equal(g, np.swapaxes(g, -1, -2))
 
 
+class TestLaplacian:
+    @pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=6),
+                                      GridGeometry(n=3, resolution=4),
+                                      CylinderGeometry(d=3, resolution=8)])
+    def test_equals_trace_of_form_field(self, geom):
+        # bit for bit, so sup|lap| in the degenerate sweep rows is unchanged
+        u = ScalarField(geom=geom,
+                        values=np.random.default_rng(2).standard_normal(geom.shape))
+        trace = np.trace(op.form_field(u), axis1=-2, axis2=-1).real
+        np.testing.assert_array_equal(np.abs(op.laplacian(u)), np.abs(trace))
+
+
 def ddbar_from_real(D):
     """u_{i jbar} = ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j})) / 4
     from real second partials in interleaved (x_1, y_1, ..., x_n, y_n) order."""
