@@ -20,7 +20,7 @@ import hashlib
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -138,15 +138,15 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
         fractions = _floats(cfg.get("corner_fractions", "1.0"))
         _require(all(n >= 2 for n in ns), "ns: every n must be at least 2")
         _require(all(e > 0 for e in eps_list), "eps: every value must be positive")
+        _require(trials >= 1, "trials: must be at least 1")
     failures = 0
     for mode in ("strong", "weak", "distinct"):
         rows = []
         for n in ns:
             for eps in eps_list:
-                if trials >= 1:
-                    s = arrowhead.sweep_at_threshold(mode, n, eps, trials, seed)
-                    rows.append(s.csv_row())
-                    failures += s.violations
+                s = arrowhead.sweep_at_threshold(mode, n, eps, trials, seed)
+                rows.append(s.csv_row())
+                failures += s.violations
         writer.write(f"lemma_{mode}.csv", arrowhead.SWEEP_CSV_HEADER, rows)
     below = []
     for frac in fractions:
@@ -154,11 +154,10 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
             continue
         for n in ns:
             for eps in eps_list:
-                if trials >= 1:
-                    s = arrowhead.sweep_below_threshold(
-                        n, eps, trials, seed, corner_fraction=frac
-                    )
-                    below.append(s.csv_row())
+                s = arrowhead.sweep_below_threshold(
+                    n, eps, trials, seed, corner_fraction=frac
+                )
+                below.append(s.csv_row())
     if below:
         writer.write("below_threshold.csv", arrowhead.SWEEP_CSV_HEADER, below)
     return failures
@@ -258,7 +257,6 @@ def _solver_config(cfg):
     base = SolverConfig()
     config = replace(base, **{key: type(getattr(base, key))(cfg[key])
                               for key in _SOLVER_KEYS if key in cfg})
-    _require(0 < config.dt_min <= 1, "dt_min: must be in (0, 1]")
     _require(0 < config.tolerance < math.inf,
              "tolerance: must be positive and finite")
     _require(0 < config.lin_rtol < 1, "lin_rtol: must be in (0, 1)")
@@ -392,7 +390,7 @@ COMMANDS = {
 }
 
 _PROBLEM_KEYS = ("geometry", "n", "d", "resolution", "kind")
-_SOLVER_KEYS = ("tolerance", "dt_min", "max_newton", "lin_rtol")
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 
 # the config keys each command reads; any other key is rejected
 CONFIG_KEYS = {

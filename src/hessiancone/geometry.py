@@ -197,8 +197,8 @@ class ScalarField:
         return float(np.abs(self.values).max())
 
 
-def write_field_csv(path, field: ScalarField, float_fmt=repr):
-    """Node index per direction plus value, C-order rows."""
+def write_field_csv(path, field: ScalarField):
+    """Node index per direction plus value (its repr), C-order rows."""
     dims = field.geom.real_dims
     header = ",".join(f"i{a}" for a in range(dims)) + ",value"
     with open(path, "w") as fh:
@@ -207,7 +207,7 @@ def write_field_csv(path, field: ScalarField, float_fmt=repr):
             fh.write(
                 ",".join(str(i) for i in idx)
                 + ","
-                + float_fmt(float(field.values[idx]))
+                + repr(float(field.values[idx]))
                 + "\n"
             )
 

@@ -101,15 +101,14 @@ def cosine_phi_values(geom, scale=1.0, amplitude=COS_PHI_AMPLITUDE) -> np.ndarra
     return np.broadcast_to(v, geom.shape).copy()
 
 
-def convex_correction_values(geom, curvature=COS_SUB_CURVATURE) -> np.ndarray:
-    g = geom.grids()
-    xn = g[geom.dirichlet_axis]
-    return np.broadcast_to(curvature * xn * (xn - 1.0), geom.shape).copy()
+def convex_correction_values(geom) -> np.ndarray:
+    xn = geom.grids()[geom.dirichlet_axis]
+    return np.broadcast_to(COS_SUB_CURVATURE * xn * (xn - 1.0), geom.shape).copy()
 
 
-def degenerate_cos_values(geom, level=DEGENERATE_LEVEL) -> np.ndarray:
+def degenerate_cos_values(geom) -> np.ndarray:
     x1 = geom.grids()[0]
-    v = level * 0.5 * (1.0 - np.cos(2 * np.pi * x1))
+    v = DEGENERATE_LEVEL * 0.5 * (1.0 - np.cos(2 * np.pi * x1))
     return np.broadcast_to(v, geom.shape).copy()
 
 

@@ -1,35 +1,31 @@
-"""Continuity-method solver and a-priori-estimate diagnostics.
+"""Dirichlet solver and a-priori-estimate diagnostics.
 
-The Dirichlet problem f(lambda(chi + dd-bar u)) = psi is driven from the
-subsolution's own equation to the target along the interpolated family
-
-    psi_t = (1 - t) f(lambda(g[u_sub])) + t psi,        t: 0 -> 1,
-
-each stage solved by a damped inexact Newton iteration on the discrete
-system.  A step solves the f-space linearization with the right-hand
-side of the Newton step for the same equation in polynomial form,
-f^q = psi_t^q (as Loeper & Rapetti, C. R. Acad. Sci. Paris 340, 2005, do
-for Monge-Ampere), whose linear model stays inside the cone where -r's
-need not (_polynomial_step); for q = 1 it is -r.  The residual, the
-tolerance and the stop stay in f-space.  Damping keeps every node's
-sigma_1..sigma_m positive (the cone) and the sup-norm residual
-decreasing; a step's trials start at twice the previous step's factor
-(at 1 on a stage's first step, never above 1) and halve from there.  A
-stage's first linear solve runs to ``lin_rtol``, later ones to the
-Eisenstat-Walker forcing term (SIAM J. Sci. Comput. 17, 1996)
-0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised to OVERSOLVE
-tolerance / r_k so the last step is not oversolved and kept within
-[lin_rtol, ETA_MAX].  A linear solve stops on its true residual,
-near its forcing term rather than far below it.  A stage records per
+The Dirichlet problem f(lambda(chi + dd-bar u)) = psi is solved by one
+damped inexact Newton stage on the discrete system, started at the
+subsolution with its faces set to the boundary data.  The continuity
+path psi_t = (1 - t) f(lambda(g[u_sub])) + t psi is not stepped: every
+solve that converges reaches t = 1 in its first stage, and every one
+measured to fail there failed at smaller steps too.  A step solves the
+f-space linearization with the right-hand side of the Newton step for
+the same equation in polynomial form, f^q = psi^q (as Loeper & Rapetti,
+C. R. Acad. Sci. Paris 340, 2005, do for Monge-Ampere), whose linear
+model stays inside the cone where -r's need not (_polynomial_step); for
+q = 1 it is -r.  The residual, the tolerance and the stop stay in
+f-space.  Damping keeps every node's sigma_1..sigma_m positive (the
+cone) and the sup-norm residual decreasing; a step's trials start at
+twice the previous step's factor (at 1 on the first step, never above
+1) and halve from there.  The first linear solve runs to ``lin_rtol``,
+later ones to the Eisenstat-Walker forcing term (SIAM J. Sci. Comput.
+17, 1996) 0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised to
+OVERSOLVE tolerance / r_k so the last step is not oversolved and kept
+within [lin_rtol, ETA_MAX].  A linear solve stops on its true residual,
+near its forcing term rather than far below it.  The stage records per
 step the residual, the damping, every damping factor tried with its
 trial's residual, the linear solve's record (forcing term, operator
 applications, residual reached) and the wall seconds of its phases
-(never written to a CSV).  Continuation tries t = 1 first, halves the
-step when a stage fails, doubles it after a stage succeeds
-(Deuflhard 2004) and stalls loudly below the minimum step, with every
-stage record and rejected attempt in the ContinuationError.  The same
-driver covers the real (cylinder) variant, where the complex Hessian is
-replaced by the real one.
+(never written to a CSV).  A stage that fails raises ContinuationError
+with its reason.  The same driver covers the real (cylinder) variant,
+where the complex Hessian is replaced by the real one.
 
 Diagnostics implement the measured forms of the boundary estimates: the
 harmonic majorant / comparison sandwich, sup-norm and Hessian reports with
@@ -40,7 +36,7 @@ without a dense eigenvalue solve at every node: a trace bound on each
 node's eigenvalues (Wolkowicz & Styan 1980) orders the nodes, and blocks
 of them are solved densely until no bound can beat the extreme found
 (_extreme_eigenvalues).  A SolveReport keeps the wall seconds of the
-subsolution check, the continuation stages and the diagnostics, never
+subsolution check, the Newton stage and the diagnostics, never
 written to a CSV.
 """
 
@@ -114,21 +110,15 @@ class SubsolutionError(ValueError):
 
 
 class ContinuationError(RuntimeError):
-    """The continuity path stalled before t = 1.  Carries the position,
-    the last accepted residual, the accepted stages (StageRecord) and
-    every rejected stage attempt as (t, t_target, reason)."""
+    """The Newton stage from the subsolution to the target failed: its
+    start was inadmissible, a linear solve failed, no damping factor
+    qualified or the iteration budget ran out.  The message is the
+    reason; ``residual`` is the last sup-norm residual reached (nan when
+    the start was inadmissible)."""
 
-    def __init__(self, t, residual, message, stage_history=(),
-                 rejected_stages=()):
-        self.t = t
+    def __init__(self, message, residual=np.nan):
         self.residual = residual
-        self.stage_history = list(stage_history)
-        self.rejected_stages = list(rejected_stages)
         super().__init__(message)
-
-
-class _StageFailure(RuntimeError):
-    pass
 
 
 # errors of a solve that a sweep or the CLI records as a failure row
@@ -139,21 +129,19 @@ SOLVE_ERRORS = (SubsolutionError, ContinuationError, LinearSolveError,
 @dataclass(frozen=True)
 class SolverConfig:
     tolerance: float = 1e-8
-    dt_min: float = 1e-4
     max_newton: int = 30
     lin_rtol: float = 1e-10
 
 
 @dataclass
 class StageRecord:
-    """One accepted stage: the residual before and after each Newton step,
+    """The Newton stage: the residual before and after each Newton step,
     each step's damping factor and its LinearSolveRecord, per step the
     damping trials in order as (factor, sup-norm residual or
     "inadmissible"), the last being the accepted one, and per step the
     wall seconds of its phases (linearization and coefficient tensor,
     linear solve, damping trials)."""
 
-    t: float
     residuals: list
     dampings: list
     linear: list = field(default_factory=list)
@@ -183,10 +171,9 @@ class SolveReport:
     continuity_stages: int = 0
     min_dt_used: float = np.nan
     boundary_tangential_min: float = np.nan
-    stage_history: list = field(default_factory=list)
-    rejected_stages: list = field(default_factory=list)  # (t, t_target, reason)
-    # wall seconds of the subsolution check, the continuation stages and
-    # the diagnostics (never in CSV_FIELDS)
+    stage_history: list = field(default_factory=list)  # the one StageRecord
+    # wall seconds of the subsolution check, the Newton stage and the
+    # diagnostics (never in CSV_FIELDS)
     seconds: list = field(default_factory=list)
 
     CSV_FIELDS = (
@@ -234,7 +221,7 @@ def _interior_values(geom, f):
     return f.values[geom.interior] if isinstance(f, ScalarField) else np.asarray(f)
 
 
-def _residual_and_mask(u, fun, chi, psi_t_interior):
+def _residual_and_mask(u, fun, chi, psi_interior):
     """Interior residual, its sup norm and newton_state at u (for the
     linearization at u), or (None, None, None) when some node is
     inadmissible."""
@@ -242,7 +229,7 @@ def _residual_and_mask(u, fun, chi, psi_t_interior):
         state = newton_state(u, fun, chi)
     except AdmissibilityError:
         return None, None, None
-    r = cones.f_from_sigmas(fun, state[0]) - psi_t_interior
+    r = cones.f_from_sigmas(fun, state[0]) - psi_interior
     return r, float(np.abs(r).max()), state
 
 
@@ -258,24 +245,24 @@ def _forcing_term(residuals, config) -> float:
     return max(config.lin_rtol, min(ETA_MAX, eta))
 
 
-def _polynomial_step(r, psi_t, power):
-    """Right-hand side of the Newton step for f^q = psi_t^q (q = power),
+def _polynomial_step(r, psi, power):
+    """Right-hand side of the Newton step for f^q = psi^q (q = power),
     which has the f-space equation's solution:
-    -(f^q - psi_t^q) / (q f^(q-1)) with f = r + psi_t, in the factored form
-    -(r / q) sum_{j<q} (psi_t / f)^j (Horner in psi_t / f).  It is exactly
-    -r for q = 1 and cancels nothing as f -> psi_t.  Its linear model of
-    f^q is f^q + q f^(q-1) rhs = psi_t^q > 0, where -r asks for
-    f^q - q f^(q-1) r, below 0 wherever f > q psi_t / (q - 1): outside the
-    cone, so a degenerate psi_t damped most early steps."""
-    ratio = psi_t / (r + psi_t)
+    -(f^q - psi^q) / (q f^(q-1)) with f = r + psi, in the factored form
+    -(r / q) sum_{j<q} (psi / f)^j (Horner in psi / f).  It is exactly
+    -r for q = 1 and cancels nothing as f -> psi.  Its linear model of
+    f^q is f^q + q f^(q-1) rhs = psi^q > 0, where -r asks for
+    f^q - q f^(q-1) r, below 0 wherever f > q psi / (q - 1): outside the
+    cone, so a degenerate psi damped most early steps."""
+    ratio = psi / (r + psi)
     total = 1.0
     for _ in range(power - 1):
         total = 1.0 + ratio * total
     return -(r / power) * total
 
 
-def _newton_solve(u0, fun, chi, psi_t, config, t_label):
-    """Damped inexact Newton iteration of one continuity stage.
+def _newton_solve(u0, fun, chi, psi, config):
+    """Damped inexact Newton iteration from u0 to f = psi.
 
     Each step solves the f-space linearized system with homogeneous
     Dirichlet data and right-hand side _polynomial_step(r) for the update
@@ -283,21 +270,21 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
     factor of min(1, 2 theta_prev), half that, ... down to
     2**-MAX_HALVINGS (theta_prev the previous step's factor; the first
     step starts at 1) that keeps every node admissible and reduces the
-    sup-norm residual.  Returns (u, StageRecord); raises _StageFailure
+    sup-norm residual.  Returns (u, StageRecord); raises ContinuationError
     when the start is inadmissible, the linear solve fails, no factor
-    qualifies or the iteration budget runs out.  The residual r = f - psi_t,
+    qualifies or the iteration budget runs out.  The residual r = f - psi,
     its sup norm and config.tolerance are in f-space.
     """
     geom = u0.geom
     u = u0.copy()
-    r, rn, state = _residual_and_mask(u, fun, chi, psi_t)
+    r, rn, state = _residual_and_mask(u, fun, chi, psi)
     if r is None:
-        raise _StageFailure("stage start inadmissible")
-    record = StageRecord(t=t_label, residuals=[rn], dampings=[])
+        raise ContinuationError("stage start inadmissible")
+    record = StageRecord(residuals=[rn], dampings=[])
     theta = 0.5
     while rn > config.tolerance:
         if len(record.residuals) > config.max_newton:
-            raise _StageFailure("newton iteration budget exhausted")
+            raise ContinuationError("newton iteration budget exhausted", rn)
         # the residual's Newton tensors at u feed the linearization; only
         # C lives on into the linear solve, and nothing after it
         start = perf_counter()
@@ -305,25 +292,25 @@ def _newton_solve(u0, fun, chi, psi_t, config, t_label):
         linearized = perf_counter()
         try:
             delta, linear = solve_dirichlet(
-                C, geom, _polynomial_step(r, psi_t, fun.power),
+                C, geom, _polynomial_step(r, psi, fun.power),
                 rtol=_forcing_term(record.residuals, config))
         except LinearSolveError as exc:
-            raise _StageFailure(str(exc))
+            raise ContinuationError(str(exc), rn) from exc
         del C
         solved = perf_counter()
         theta = min(1.0, 2.0 * theta)
         tried = []
         while True:
             trial = ScalarField(geom=geom, values=u.values + theta * delta)
-            r_t, rn_t, state = _residual_and_mask(trial, fun, chi, psi_t)
+            r_t, rn_t, state = _residual_and_mask(trial, fun, chi, psi)
             tried.append((theta, "inadmissible" if r_t is None else rn_t))
             if r_t is not None and rn_t < rn:
                 break
             state = None
             theta *= 0.5
             if theta < 0.5**MAX_HALVINGS:
-                raise _StageFailure(
-                    "no admissible damping factor reduced the residual")
+                raise ContinuationError(
+                    "no admissible damping factor reduced the residual", rn)
         u, r, rn = trial, r_t, rn_t
         record.residuals.append(rn)
         record.dampings.append(theta)
@@ -351,64 +338,32 @@ def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
 
 
 def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = None):
-    """Drive the interpolated family from the subsolution to the target.
+    """Solve f(lambda(chi + dd-bar u)) = psi, u = phi on the faces, by one
+    Newton stage from the subsolution (t = 1 of the continuity path).
 
-    Returns (u, SolveReport).  The first stage targets t = 1; a failed
-    stage (kept in report.rejected_stages) is retried with half its step,
-    an accepted one doubles the next, and the path stalls (raising
-    ContinuationError) below config.dt_min.  A stage that would leave
-    less than config.dt_min to go targets t = 1 exactly.
+    Returns (u, SolveReport); a failed stage raises ContinuationError.
     """
     config = config or SolverConfig()
     start = perf_counter()
     geom = u_sub.geom
     psi_interior = _interior_values(geom, psi)
-    psi0 = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
+    _check_subsolution(u_sub, phi, fun, chi, psi_interior)
     checked = perf_counter()
 
     u = ScalarField(geom=geom, values=u_sub.values.copy())
     u.values[geom.faces] = phi.values[geom.faces]
-
-    t, dt, min_dt = 0.0, 1.0, 1.0
-    stages = []
-    rejected = []
-    last_rn = np.nan
-    while t < 1.0:
-        # a gap below dt_min left after this stage would make a stage of
-        # rounding error only; close it now
-        t_target = t + dt if 1.0 - (t + dt) >= config.dt_min else 1.0
-        step = t_target - t
-        psi_t = (1.0 - t_target) * psi0 + t_target * psi_interior
-        try:
-            u_new, record = _newton_solve(u, fun, chi, psi_t, config, t_target)
-        except _StageFailure as exc:
-            rejected.append((t, t_target, str(exc)))
-            dt = 0.5 * step
-            if dt < config.dt_min:
-                raise ContinuationError(
-                    t, last_rn, f"path stalled at t={t!r}: {exc}",
-                    stages, rejected,
-                )
-            continue
-        u = u_new
-        t = t_target
-        min_dt = min(min_dt, step)
-        stages.append(record)
-        last_rn = record.residuals[-1]
-        dt = 2.0 * step
+    u, record = _newton_solve(u, fun, chi, psi_interior, config)
 
     solved = perf_counter()
     report = estimate_report(u)
     report.label = fun.label
     report.resolution = geom.resolution
     report.converged = True
-    report.t_final = t
-    report.final_residual = last_rn
-    report.newton_iterations = sum(len(s.dampings) for s in stages)
-    report.continuity_stages = len(stages)
-    report.min_dt_used = min_dt
-    report.stage_history = stages
-    report.rejected_stages = rejected
+    report.t_final = report.min_dt_used = 1.0
+    report.final_residual = record.residuals[-1]
+    report.newton_iterations = len(record.dampings)
+    report.continuity_stages = 1
+    report.stage_history = [record]
 
     w = harmonic_majorant(chi, phi, geom)
     report.comparison_violations = comparison_check(u, u_sub, w)

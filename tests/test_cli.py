@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, provenance headers, exit codes, determinism."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -66,12 +67,6 @@ class TestLemmaSweep:
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
         assert out.returncode == 0
         assert out.stderr == ""
-
-    def test_zero_trials_header_only(self, tmp_path):
-        code, out = run(tmp_path, "lemma-sweep", "ns = 2\ntrials = 0\n")
-        assert code == 0
-        lines = (out / "lemma_strong.csv").read_text().splitlines()
-        assert len(lines) == 2  # provenance + header, no rows
 
 
 # cone-check rows at seed 0, 40 samples, kinds sigma1,sigmaK:2,ma,quotient:1:2
@@ -259,12 +254,23 @@ class TestSolveCommand:
         assert row.startswith("ma,8,0,")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        # a misspelled key, and dt0, which the solver no longer reads
-        for key in ("resolutoin = 16", "dt0 = 0.1"):
+        # a misspelled key, and dt0 and dt_min, which the solver no longer
+        # reads
+        for key in ("resolutoin = 16", "dt0 = 0.1", "dt_min = 1e-4"):
             code, out = run(tmp_path, "solve", f"resolution = 6\n{key}\n")
             assert code == 2
             assert key.split()[0] in capsys.readouterr().err
             assert not (out / "report.csv").exists()
+
+    def test_solver_keys_are_the_solver_config_fields(self):
+        # every SolverConfig field is a config key of each solving command
+        # and reads back from its own repr
+        base = sv.SolverConfig()
+        names = [f.name for f in dataclasses.fields(sv.SolverConfig)]
+        for command in ("solve", "boundary-scaling", "degenerate"):
+            assert set(names) <= set(cli.CONFIG_KEYS[command])
+        cfg = {name: repr(getattr(base, name)) for name in names}
+        assert cli._solver_config(cfg) == base
 
     @pytest.mark.parametrize("command, cfg_text, where", [
         ("solve", "kind = bogus\n", None),
@@ -278,12 +284,13 @@ class TestSolveCommand:
         ("lemma-sweep", "ns = 1 2\n", None),
         ("cone-check", "samples = 0\n", None),
         ("cone-check", "samples = -3\n", None),
+        ("lemma-sweep", "trials = 0\n", None),
+        ("lemma-sweep", "trials = -5\n", None),
         ("degenerate", "resolution = 8\neps_list = 0\n", None),
         ("solve", "n = 3\nresolution = 16\n", None),
         ("solve", "resolution = 4\ndump_fields = rwa\n", None),
         ("solve", "n = 4\nresolution = 3\ndump_fields = raw\n", None),
-        ("solve", "resolution = 4\ndt_min = 0\n", None),
-        ("solve", "resolution = 4\ndt_min = 1.5\n", None),
+        ("solve", "resolution = 4\ndt_min = 1e-4\n", None),
         ("solve", "resolution = 4\ntolerance = 0\n", None),
         ("solve", "resolution = 4\nlin_rtol = 0\n", None),
         ("degenerate", "resolution = 4\nlin_rtol = 1\n", None),
@@ -298,8 +305,9 @@ class TestSolveCommand:
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
+            "trials-zero", "trials-negative",
             "degenerate-eps-zero", "grid-too-large", "dump-unknown",
-            "dump-raw-eight-dims", "dt-min-zero", "dt-min-above-one",
+            "dump-raw-eight-dims", "dt-min-unknown",
             "tolerance-zero", "lin-rtol-zero", "lin-rtol-one", "max-newton-zero",
             "tolerance-inf", "tolerance-nan", "scale-inf",
             "sweep-fraction-nan", "sweep-eps-inf", "scales-inf",

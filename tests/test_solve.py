@@ -88,22 +88,17 @@ class TestTrivialSolve:
         np.testing.assert_allclose(u.values, prob.u_sub.values, atol=1e-12)
 
 
-def run_controller(monkeypatch, too_long):
-    """Target t values the controller tries, and its report, with a
-    stand-in stage solve that fails when too_long(t_target, step)."""
-    attempts, accepted = [], [0.0]
+def count_stages(monkeypatch):
+    """The argument lists _newton_solve is called with, filled as it runs."""
+    calls = []
+    inner = sv._newton_solve
 
-    def stage(u0, fun, chi, psi_t, config, t_label):
-        attempts.append(t_label)
-        if too_long(t_label, t_label - accepted[-1]):
-            raise sv._StageFailure("step too long")
-        accepted.append(t_label)
-        return u0, sv.StageRecord(t=t_label, residuals=[0.0], dampings=[])
+    def stage(*args):
+        calls.append(args)
+        return inner(*args)
 
     monkeypatch.setattr(sv, "_newton_solve", stage)
-    prob = pr.build_problem(GEOM8, MA2, "manufactured", "zero", "star-bump")
-    u, rep = sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi, prob.u_sub)
-    return attempts, rep
+    return calls
 
 
 class TestForcing:
@@ -176,7 +171,7 @@ class TestNewton:
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
         u, record = sv._newton_solve(
             ScalarField.zeros(GEOM8), MA2, prob.chi,
-            np.ones(GEOM8.interior_shape), sv.SolverConfig(), 1.0,
+            np.ones(GEOM8.interior_shape), sv.SolverConfig(),
         )
         assert u.sup() == 0.0 and record.dampings == []
 
@@ -184,7 +179,7 @@ class TestNewton:
         prob = pr.build_problem(GEOM8, S1, "manufactured", "zero", "star-bump")
         psi_int = prob.psi.values[GEOM8.interior]
         u, record = sv._newton_solve(
-            prob.u_sub, S1, prob.chi, psi_int, sv.SolverConfig(), 1.0
+            prob.u_sub, S1, prob.chi, psi_int, sv.SolverConfig()
         )
         lam = eigen_field(form_field(u, prob.chi))
         resid = np.abs(cn.f_many(S1, lam) - psi_int).max()
@@ -205,7 +200,7 @@ class TestNewton:
 
         monkeypatch.setattr(sv, "_residual_and_mask", counted)
         u, record = sv._newton_solve(prob.u_sub, MA2, prob.chi, psi_int,
-                                     sv.SolverConfig(), 1.0)
+                                     sv.SolverConfig())
         starts = [1.0] + [min(1.0, 2.0 * d) for d in record.dampings[:-1]]
         assert all(d <= s for d, s in zip(record.dampings, starts))
         trials = sum(int(np.log2(s / d)) + 1
@@ -286,33 +281,25 @@ class TestNewton:
     def test_stages_end_exactly_at_one(self):
         prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
                                      "star-bump")
-        ts = [stage.t for stage in rep.stage_history]
-        assert all(a < b for a, b in zip(ts, ts[1:]))
-        assert ts[-1] == 1.0 and rep.continuity_stages == len(ts)
+        [record] = rep.stage_history
+        assert rep.t_final == 1.0 and rep.continuity_stages == 1
+        assert rep.min_dt_used == 1.0
+        assert rep.newton_iterations == len(record.dampings) > 0
+        assert rep.final_residual == record.residuals[-1]
 
-    def test_controller_halves_on_failure_and_doubles_on_success(self,
-                                                                 monkeypatch):
-        attempts, rep = run_controller(monkeypatch, lambda t, step: step > 0.3)
-        assert attempts == [1.0, 0.5, 0.25, 0.75, 0.5, 1.0, 0.75, 1.0]
-        assert [s.t for s in rep.stage_history] == [0.25, 0.5, 0.75, 1.0]
-        assert rep.continuity_stages == 4 and rep.min_dt_used == 0.25
-        assert rep.rejected_stages == [
-            (0.0, 1.0, "step too long"), (0.0, 0.5, "step too long"),
-            (0.25, 0.75, "step too long"), (0.5, 1.0, "step too long"),
-        ]
-
-    def test_failed_step_clipped_at_one_is_halved_not_retried(self,
-                                                              monkeypatch):
-        # after t = 0.75 the doubled step overshoots and is clipped to 0.25;
-        # its failure must halve the step taken, not retry the same stage
-        attempts, rep = run_controller(
-            monkeypatch, lambda t, step: t == 1.0 and step > 0.2)
-        assert attempts == [1.0, 0.5, 1.0, 0.75, 1.0, 0.875, 1.0]
-        assert rep.rejected_stages == [
-            (0.0, 1.0, "step too long"), (0.5, 1.0, "step too long"),
-            (0.75, 1.0, "step too long"),
-        ]
-        assert rep.min_dt_used == 0.125
+    def test_single_stage_starts_at_subsolution_and_targets_psi(
+            self, monkeypatch):
+        # the start is u_sub with phi on its faces; the target is psi's
+        # interior to the bit (psi_t at t = 1)
+        calls = count_stages(monkeypatch)
+        prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
+                                     "star-bump")
+        [(u0, fun, chi, psi, config)] = calls
+        start = prob.u_sub.values.copy()
+        start[GEOM8.faces] = prob.phi.values[GEOM8.faces]
+        assert bits(u0.values) == bits(start)
+        assert bits(psi) == bits(prob.psi.values[GEOM8.interior])
+        assert fun is MA2 and config == sv.SolverConfig()
 
     def test_subsolution_violation_rejected(self):
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
@@ -326,50 +313,30 @@ class TestNewton:
         with pytest.raises(sv.SubsolutionError, match="boundary"):
             sv.continuity_solve(MA2, prob.chi, prob.psi, phi_bad, prob.u_sub)
 
-    def test_path_stall_reports_position(self):
-        # a zero Newton budget fails every stage; the step shrinks to the
-        # floor and the driver must stall loudly with its position
+    @pytest.mark.parametrize("case", ["budget", "linear-solve"])
+    def test_failed_stage_raises_after_one_attempt(self, case, monkeypatch):
+        # no step-size control: the one stage's failure is the solve's,
+        # with its reason in the message
+        if case == "budget":
+            config = sv.SolverConfig(max_newton=0)
+            reason = "newton iteration budget exhausted"
+        else:
+            from hessiancone.linsolve import LinearSolveError
+
+            def fail(*args, **kwargs):
+                raise LinearSolveError("forced")
+
+            monkeypatch.setattr(sv, "solve_dirichlet", fail)
+            config, reason = sv.SolverConfig(), "forced"
+        calls = count_stages(monkeypatch)
         prob = pr.build_problem(GEOM8, MA2, "manufactured", "zero",
                                 "star-bump")
-        config = sv.SolverConfig(max_newton=0, dt_min=1e-2)
-        with pytest.raises(sv.ContinuationError) as err:
+        with pytest.raises(sv.ContinuationError, match=reason) as err:
             sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi,
                                 prob.u_sub, config)
-        assert err.value.t == 0.0
-        # every halving down to the floor is named with its reason
-        targets = [t for _, t, _ in err.value.rejected_stages]
-        assert targets == [0.5**k for k in range(7)]
-        assert all(t == 0.0 and reason == "newton iteration budget exhausted"
-                   for t, _, reason in err.value.rejected_stages)
-        assert err.value.stage_history == []
-
-    def test_stall_carries_rejected_and_accepted_stages(self, monkeypatch):
-        # the stage at t = 0.5 is solved; every stage beyond it fails, so
-        # the step halves down to the floor at t = 0.5
-        inner = sv._newton_solve
-
-        def stage(u0, fun, chi, psi_t, config, t_label):
-            if t_label > 0.5:
-                raise sv._StageFailure(f"forced at {t_label!r}")
-            return inner(u0, fun, chi, psi_t, config, t_label)
-
-        monkeypatch.setattr(sv, "_newton_solve", stage)
-        prob = pr.build_problem(GEOM8, MA2, "manufactured", "zero",
-                                "star-bump")
-        config = sv.SolverConfig(dt_min=0.1)
-        with pytest.raises(sv.ContinuationError) as err:
-            sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi,
-                                prob.u_sub, config)
-        exc = err.value
-        assert exc.t == 0.5
-        assert exc.rejected_stages == [
-            (0.0, 1.0, "forced at 1.0"), (0.5, 1.0, "forced at 1.0"),
-            (0.5, 0.75, "forced at 0.75"), (0.5, 0.625, "forced at 0.625"),
-        ]
-        [accepted] = exc.stage_history
-        assert accepted.t == 0.5 and accepted.dampings
-        assert len(accepted.linear) == len(accepted.dampings)
-        assert exc.residual == accepted.residuals[-1]
+        assert len(calls) == 1
+        # the residual at the start, where the stage stopped
+        assert err.value.residual > config.tolerance
 
     def test_linear_solver_failure_surfaces_as_stage_failure(self):
         from hessiancone.linsolve import LinearSolveError, solve_dirichlet
@@ -397,7 +364,7 @@ class TestNewton:
 
 
 class TestPolynomialStep:
-    """Newton's right-hand side is the step for f^q = psi_t^q, taken with
+    """Newton's right-hand side is the step for f^q = psi^q, taken with
     the f-space linearization, residual and tolerance."""
 
     @settings(max_examples=300, deadline=None)
@@ -451,7 +418,7 @@ class TestPolynomialStep:
         prob = pr.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
         psi = ScalarField(geom=geom, values=prob.psi.values + 1e-3)
         u, rep = sv.solve_riemannian(fun, prob.chi, psi, prob.phi, prob.u_sub)
-        assert rep.continuity_stages == 1 and rep.rejected_stages == []
+        assert rep.continuity_stages == 1
         assert rep.newton_iterations == 4
         assert rep.stage_history[0].dampings == [1.0] * 4
         assert rep.final_residual <= sv.SolverConfig().tolerance
