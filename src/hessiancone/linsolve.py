@@ -7,13 +7,15 @@ matrix-free through the stencils in :mod:`.operators`.
 The preconditioner is Cordes-normalized (Smears & Sueli 2013): it scales
 a residual pointwise by w = 1 / tr C(x), which turns A into an operator
 with unit trace at every node, and then inverts sum_a cbar_a d^2/dx_a^2
-with cbar_a the interior mean of C_aa / tr C.  That frozen operator
-diagonalizes exactly under a real FFT (``rfftn``, half spectrum) along
-the periodic axes and a DST-I along the Dirichlet axis.  The weight
-follows coefficients whose scale varies by orders of magnitude from node
-to node, as it does in the degenerate limit psi -> 0, where the raw means
-cannot.  For constant coefficients the preconditioner is the exact
-inverse.
+with cbar_a the interior mean of C_aa / tr C.  That frozen operator is
+separable, and the classical fast Poisson solver inverts it exactly
+(Swarztrauber 1977): Fourier transforms along the periodic axes, one
+real (half spectrum) and the rest complex, leave one tridiagonal system
+per mode along the Dirichlet axis, which a Thomas sweep solves.  The
+weight follows coefficients whose scale varies by orders of magnitude
+from node to node, as it does in the degenerate limit psi -> 0, where
+the raw means cannot.  For constant coefficients the preconditioner is
+the exact inverse.
 
 The Krylov method is restarted GMRES, preconditioned on the right (Saad &
 Schultz 1986), so it minimizes the true residual |b - A x| and stops at
@@ -35,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .operators import (apply_second_order, nonzero_pairs, _padded, _window,
                         _wrap_ghosts)
@@ -67,44 +68,71 @@ class LinearSolveRecord:
 
 class _MeanCoefficientInverse:
     """x -> inverse of sum_a cbar_a d^2/dx_a^2 applied to w x, with
-    w = 1 / tr C and cbar_a the interior mean of C_aa / tr C."""
+    w = 1 / tr C and cbar_a the interior mean of C_aa / tr C.
+
+    The work runs with the Dirichlet axis first, so each of its layers is
+    contiguous.  After the transforms, mode by mode, the Dirichlet axis
+    carries x_{k-1} + beta x_k + x_{k+1} = y_k / s, where s = cbar_d / h^2
+    and beta = -2 + sum_p (cbar_p / cbar_d)(2 cos theta_p - 2) <= -2 over
+    the periodic axes p, theta_p = 2 pi j_p / m_p for mode j_p of m_p
+    nodes.  The matrix is diagonally dominant, so the Thomas sweep needs
+    no pivoting; its pivots g_0 = 1 / beta, g_k = 1 / (beta - g_{k-1}) are
+    computed here, and 1 / s is folded into the weight.  The real and
+    imaginary parts of a mode are swept together through a float view of
+    the spectrum."""
 
     def __init__(self, C, geom):
-        diag = np.diagonal(C, axis1=-2, axis2=-1)
-        trace = diag.sum(axis=-1)
+        diag = [C[..., a, a] for a in range(geom.real_dims)]
+        trace = sum(diag)
         if not np.all(trace > 0):
             raise LinearSolveError("coefficient trace not positive at some node")
-        self.weight = 1.0 / trace
-        mean_diag = (diag * self.weight[..., None]).mean(
-            axis=tuple(range(geom.real_dims)))
+        weight = 1.0 / trace
+        mean_diag = [(plane * weight).mean() for plane in diag]
+        da, periodic = geom.dirichlet_axis, geom.periodic_axes
         self.shape = geom.interior_shape
-        self.periodic = list(geom.periodic_axes)
-        self.da = geom.dirichlet_axis
-        self.sizes = [self.shape[a] for a in self.periodic]
-        h2 = geom.h * geom.h
-        symbol = 0.0
-        for a in range(geom.real_dims):
-            size = self.shape[a]
-            if a == self.da:
-                theta = np.pi * np.arange(1, size + 1) / geom.resolution
-            else:
-                # rfftn keeps the first size // 2 + 1 modes of its last axis
-                count = size // 2 + 1 if a == self.periodic[-1] else size
-                theta = 2.0 * np.pi * np.arange(count) / size
-            eig = mean_diag[a] * (2.0 * np.cos(theta) - 2.0) / h2
-            shape = [1] * geom.real_dims
-            shape[a] = eig.size
-            symbol = symbol + eig.reshape(shape)
-        self.inv_symbol = 1.0 / symbol
+        self.order = (da,) + periodic
+        self.back = tuple(np.argsort(self.order))
+        s = mean_diag[da] / (geom.h * geom.h)
+        self.weight = np.ascontiguousarray(weight.transpose(self.order)) / s
+        # the last axis takes the real transform, the others complex ones
+        self.complex_axes = range(1, len(periodic))
+        self.real = np.empty(self.weight.shape)
+        spectral = list(self.real.shape)
+        spectral[-1] = spectral[-1] // 2 + 1
+        self.spectrum = np.empty(spectral, dtype=complex)
+        modes = np.ix_(*[np.arange(count) for count in spectral[1:]])
+        beta = sum((mean_diag[a] / mean_diag[da]
+                    * (2.0 * np.cos(2.0 * np.pi * j / self.shape[a]) - 2.0)
+                    for a, j in zip(periodic, modes)), -2.0)
+        pivots = np.empty(spectral, dtype=float)
+        pivots[0] = 1.0 / beta
+        for k in range(1, len(pivots)):
+            pivots[k] = 1.0 / (beta - pivots[k - 1])
+        # one pivot for each of a mode's real and imaginary parts
+        self.pivots = np.repeat(pivots, 2, axis=-1)
+        self.scratch = np.empty(self.pivots.shape[1:])
 
     def apply(self, x_flat):
-        x = x_flat.reshape(self.shape) * self.weight
-        x = scipy.fft.dst(x, type=1, axis=self.da, norm="ortho", overwrite_x=True)
-        x = scipy.fft.rfftn(x, axes=self.periodic)
-        x *= self.inv_symbol
-        x = scipy.fft.irfftn(x, s=self.sizes, axes=self.periodic)
-        x = scipy.fft.idst(x, type=1, axis=self.da, norm="ortho", overwrite_x=True)
-        return x.reshape(-1)
+        real, spectrum, g, tmp = self.real, self.spectrum, self.pivots, self.scratch
+        # a strided copy, then a contiguous product: faster than one
+        # product that reads x strided
+        np.copyto(real, x_flat.reshape(self.shape).transpose(self.order))
+        real *= self.weight
+        np.fft.rfft(real, axis=-1, out=spectrum)
+        for a in self.complex_axes:
+            np.fft.fft(spectrum, axis=a, out=spectrum)
+        y = spectrum.view(float)
+        y[0] *= g[0]
+        for k in range(1, len(y)):
+            y[k] -= y[k - 1]
+            y[k] *= g[k]
+        for k in range(len(y) - 2, -1, -1):
+            np.multiply(g[k], y[k + 1], out=tmp)
+            y[k] -= tmp
+        for a in self.complex_axes:
+            np.fft.ifft(spectrum, axis=a, out=spectrum)
+        np.fft.irfft(spectrum, n=real.shape[-1], axis=-1, out=real)
+        return real.transpose(self.back).flatten()  # a copy, never a view
 
 
 def _dot(u, v):

@@ -48,13 +48,34 @@ def test_traced_boundary_exists(module_name, path, layer):
     assert callable(owner)
 
 
-def test_cli_import_leaves_out_scipy_sparse():
-    # the Krylov solver is in the package, so no command pays for
-    # importing scipy.sparse at start-up
+def _run_python(code, tmp_path):
     src = str(Path(hessiancone.__file__).resolve().parents[1])
-    code = ("import sys, hessiancone.cli; "
-            "print('scipy.sparse' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_cli_import_leaves_out_scipy(tmp_path):
+    # the package needs numpy alone, so no command pays for importing
+    # scipy at start-up
+    code = ("import sys, hessiancone.cli, hessiancone.presets; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert _run_python(code, tmp_path).stdout.strip() == "[]"
+
+
+def test_solve_and_sweep_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every scipy import fail
+    code = """
+import sys
+sys.modules["scipy"] = None
+from hessiancone import cli, cones, presets, solve
+from hessiancone.geometry import GridGeometry, ScalarField
+geom, fun = GridGeometry(n=2, resolution=8), cones.monge_ampere(2)
+prob = presets.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
+psi = ScalarField(geom=geom, values=prob.psi.values + 1e-3)
+u, report = solve.continuity_solve(fun, prob.chi, psi, prob.phi, prob.u_sub)
+assert report.final_residual <= solve.SolverConfig().tolerance
+print(cli.main(["lemma-sweep", "--config", "run.cfg", "--out", "out"]))
+"""
+    (tmp_path / "run.cfg").write_text("ns = 2 3\ntrials = 200\n")
+    assert _run_python(code, tmp_path).stdout.strip() == "0"

@@ -105,10 +105,18 @@ class TestPreconditioner:
     @pytest.mark.parametrize("geom", [
         GridGeometry(n=2, resolution=6),
         CylinderGeometry(d=3, resolution=7),
-    ], ids=["complex-6", "cyl-7-odd"])
+        GridGeometry(n=3, resolution=4),
+        CylinderGeometry(d=2, resolution=6),
+        GridGeometry(n=2, resolution=5),
+        GridGeometry(n=2, resolution=3),
+    ], ids=["complex-6", "cyl-7-odd", "complex-n3-4", "cyl-d2-6",
+            "complex-5-odd", "complex-3-smallest"])
     def test_inverts_constant_diagonal_operator(self, geom):
-        # w A is the frozen operator itself, so apply(A x) = x; the odd
-        # periodic length checks the half-spectrum round trip
+        # w A is the frozen operator itself, so apply(A x) = x.  The odd
+        # periodic lengths check the half-spectrum round trip and the
+        # complex transforms; n = 3 takes four complex passes, the d = 2
+        # cylinder none; resolution 3 leaves two Dirichlet layers, the
+        # shortest Thomas sweep
         C = constant_diagonal(geom)
         x = np.random.default_rng(7).standard_normal(geom.interior_shape)
         e = np.zeros(geom.shape)
