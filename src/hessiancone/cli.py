@@ -259,7 +259,6 @@ def _solver_config(cfg):
                               for key in _SOLVER_KEYS if key in cfg})
     _require(0 < config.tolerance < math.inf,
              "tolerance: must be positive and finite")
-    _require(0 < config.lin_rtol < 1, "lin_rtol: must be in (0, 1)")
     _require(config.max_newton >= 1, "max_newton: must be at least 1")
     return config
 

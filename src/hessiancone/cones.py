@@ -261,9 +261,10 @@ def f_grad(fun: SymmetricFunction, lam) -> np.ndarray:
     """Gradient at one cone point, strictly positive componentwise."""
     lam = np.asarray(lam, dtype=float)
     _require_in_cone(fun, lam)
-    if not check_gradient(fun, lam):
+    g = grad_many(fun, lam)
+    if not np.all(g > 0.0):
         raise ArithmeticError("gradient not positive inside the cone")
-    return grad_many(fun, lam)
+    return g
 
 
 def _unit(g: np.ndarray) -> np.ndarray:

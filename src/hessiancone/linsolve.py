@@ -48,6 +48,7 @@ RESTART = 30  # Krylov vectors per GMRES cycle
 # a cycle that leaves |r| above this fraction of its start has stalled;
 # exact GMRES never increases |r|
 STALL = 0.99
+MAX_CYCLES = 2000  # GMRES cycles before a solve gives up
 
 
 class LinearSolveError(RuntimeError):
@@ -153,7 +154,7 @@ def _arnoldi_coefficients(H, beta):
     return y, float(np.linalg.norm(H @ y - g))
 
 
-def _gmres(A, M, b, rtol, maxiter):
+def _gmres(A, M, b, rtol):
     """Restarted GMRES(RESTART) for A x = b, right-preconditioned by M.
 
     A cycle runs modified Gram-Schmidt Arnoldi on A M until its
@@ -163,7 +164,7 @@ def _gmres(A, M, b, rtol, maxiter):
     (0 when r = 0), M applications) once |r| <= rtol |b|; raises
     LinearSolveError on a non-finite Arnoldi coefficient, when a cycle
     leaves |r| above rtol |b| and above STALL times the |r| it started
-    from, or when maxiter cycles leave |r| above rtol |b|.
+    from, or when MAX_CYCLES cycles leave |r| above rtol |b|.
     """
     x = np.zeros(b.size)
     bnorm = _norm(b)
@@ -172,10 +173,10 @@ def _gmres(A, M, b, rtol, maxiter):
     Z = np.empty((RESTART, b.size))
     cycles = steps = 0
     while not rnorm <= target:  # a NaN residual enters and raises
-        if cycles == maxiter:
+        if cycles == MAX_CYCLES:
             raise LinearSolveError(
                 f"relative residual {rnorm / bnorm!r} above tolerance "
-                f"after {maxiter} cycles")
+                f"after {MAX_CYCLES} cycles")
         cycles += 1
         H = np.zeros((RESTART + 1, RESTART))
         V[0] = r / rnorm
@@ -210,15 +211,14 @@ def solve_dirichlet(
     rhs_interior,
     boundary_values=None,
     rtol: float = DEFAULT_RTOL,
-    maxiter: int = 2000,
 ) -> tuple[np.ndarray, LinearSolveRecord]:
     """Solve sum C_ab d_ab U = rhs at interior nodes, U = bc on the faces.
 
     ``boundary_values`` is a full-shape array supplying the Dirichlet data
     (only its two faces are read); omitted means homogeneous data.
-    ``maxiter`` counts GMRES cycles.  Returns the full-shape solution field
-    and its LinearSolveRecord.  Raises :class:`LinearSolveError` when tr C
-    is not positive at some node or GMRES fails (see ``_gmres``).
+    Returns the full-shape solution field and its LinearSolveRecord.
+    Raises :class:`LinearSolveError` when tr C is not positive at some node
+    or GMRES fails (see ``_gmres``).
     """
     pairs = nonzero_pairs(C)
     full = np.zeros(geom.shape)
@@ -243,7 +243,7 @@ def solve_dirichlet(
 
     b = rhs.reshape(-1)
     x, rel, precond_applications = _gmres(
-        matvec, _MeanCoefficientInverse(C, geom).apply, b, rtol, maxiter)
+        matvec, _MeanCoefficientInverse(C, geom).apply, b, rtol)
     full[geom.interior] += x.reshape(geom.interior_shape)
     return full, LinearSolveRecord(rtol, rel, applications,
                                    precond_applications)

@@ -14,13 +14,13 @@ q = 1 it is -r.  The residual, the tolerance and the stop stay in
 f-space.  Damping keeps every node's sigma_1..sigma_m positive (the
 cone) and the sup-norm residual decreasing; a step's trials start at
 twice the previous step's factor (at 1 on the first step, never above
-1) and halve from there.  The first linear solve runs to ``lin_rtol``,
-later ones to the Eisenstat-Walker forcing term (SIAM J. Sci. Comput.
-17, 1996) 0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised to
-OVERSOLVE tolerance / r_k so the last step is not oversolved and kept
-within [lin_rtol, ETA_MAX].  A linear solve stops on its true residual,
-near its forcing term rather than far below it.  The stage records per
-step the residual, the damping, every damping factor tried with its
+1) and halve from there.  Each linear solve runs to the Eisenstat-Walker
+forcing term (SIAM J. Sci. Comput. 17, 1996): ETA_MAX on the first step,
+which has no residual history, then 0.9 (r_k / r_{k-1})^2 of the
+sup-norm residuals, raised to OVERSOLVE tolerance / r_k so the last step
+is not oversolved, within [DEFAULT_RTOL, ETA_MAX]; it stops on its true
+residual, near that term rather than far below it.  The stage records
+per step the residual, the damping, every damping factor tried with its
 trial's residual, the linear solve's record (forcing term, operator
 applications, residual reached) and the wall seconds of its phases
 (never written to a CSV).  A stage that fails raises ContinuationError
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import cones
 from .geometry import ScalarField
-from .linsolve import LinearSolveError, solve_dirichlet
+from .linsolve import DEFAULT_RTOL, LinearSolveError, solve_dirichlet
 from .operators import (
     AdmissibilityError,
     apply_second_order,
@@ -130,7 +130,6 @@ SOLVE_ERRORS = (SubsolutionError, ContinuationError, LinearSolveError,
 class SolverConfig:
     tolerance: float = 1e-8
     max_newton: int = 30
-    lin_rtol: float = 1e-10
 
 
 @dataclass
@@ -233,16 +232,16 @@ def _residual_and_mask(u, fun, chi, psi_interior):
     return r, float(np.abs(r).max()), state
 
 
-def _forcing_term(residuals, config) -> float:
+def _forcing_term(residuals, tolerance) -> float:
     """Relative tolerance of the next step's linear solve, from the stage's
-    sup-norm residuals so far: lin_rtol on the first step, then
+    sup-norm residuals so far: ETA_MAX on the first step, then
     0.9 (r_k / r_{k-1})^2 or, when larger, OVERSOLVE tolerance / r_k,
-    within [lin_rtol, ETA_MAX]."""
+    within [DEFAULT_RTOL, ETA_MAX]."""
     if len(residuals) < 2:
-        return config.lin_rtol
+        return ETA_MAX
     r_prev, r = residuals[-2], residuals[-1]
-    eta = max(0.9 * (r / r_prev) ** 2, OVERSOLVE * config.tolerance / r)
-    return max(config.lin_rtol, min(ETA_MAX, eta))
+    eta = max(0.9 * (r / r_prev) ** 2, OVERSOLVE * tolerance / r)
+    return max(DEFAULT_RTOL, min(ETA_MAX, eta))
 
 
 def _polynomial_step(r, psi, power):
@@ -293,7 +292,7 @@ def _newton_solve(u0, fun, chi, psi, config):
         try:
             delta, linear = solve_dirichlet(
                 C, geom, _polynomial_step(r, psi, fun.power),
-                rtol=_forcing_term(record.residuals, config))
+                rtol=_forcing_term(record.residuals, config.tolerance))
         except LinearSolveError as exc:
             raise ContinuationError(str(exc), rn) from exc
         del C

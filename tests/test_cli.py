@@ -254,13 +254,18 @@ class TestSolveCommand:
         assert row.startswith("ma,8,0,")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
-        # a misspelled key, and dt0 and dt_min, which the solver no longer
-        # reads
-        for key in ("resolutoin = 16", "dt0 = 0.1", "dt_min = 1e-4"):
-            code, out = run(tmp_path, "solve", f"resolution = 6\n{key}\n")
+        # a misspelled key, and dt0, dt_min and lin_rtol, which the solver
+        # no longer reads; lin_rtol on every solving command
+        for command, key in (("solve", "resolutoin = 16"),
+                             ("solve", "dt0 = 0.1"),
+                             ("solve", "dt_min = 1e-4"),
+                             ("solve", "lin_rtol = 1e-10"),
+                             ("boundary-scaling", "lin_rtol = 1e-10"),
+                             ("degenerate", "lin_rtol = 1e-10")):
+            code, out = run(tmp_path, command, f"resolution = 6\n{key}\n")
             assert code == 2
             assert key.split()[0] in capsys.readouterr().err
-            assert not (out / "report.csv").exists()
+            assert not out.exists()
 
     def test_solver_keys_are_the_solver_config_fields(self):
         # every SolverConfig field is a config key of each solving command
@@ -292,8 +297,7 @@ class TestSolveCommand:
         ("solve", "n = 4\nresolution = 3\ndump_fields = raw\n", None),
         ("solve", "resolution = 4\ndt_min = 1e-4\n", None),
         ("solve", "resolution = 4\ntolerance = 0\n", None),
-        ("solve", "resolution = 4\nlin_rtol = 0\n", None),
-        ("degenerate", "resolution = 4\nlin_rtol = 1\n", None),
+        ("degenerate", "resolution = 4\nlin_rtol = 1e-10\n", None),
         ("boundary-scaling", "resolution = 4\nmax_newton = 0\n", None),
         ("solve", "resolution = 6\ntolerance = inf\n", None),
         ("solve", "resolution = 6\ntolerance = nan\n", None),
@@ -308,7 +312,7 @@ class TestSolveCommand:
             "trials-zero", "trials-negative",
             "degenerate-eps-zero", "grid-too-large", "dump-unknown",
             "dump-raw-eight-dims", "dt-min-unknown",
-            "tolerance-zero", "lin-rtol-zero", "lin-rtol-one", "max-newton-zero",
+            "tolerance-zero", "lin-rtol-unknown", "max-newton-zero",
             "tolerance-inf", "tolerance-nan", "scale-inf",
             "sweep-fraction-nan", "sweep-eps-inf", "scales-inf",
             "degenerate-eps-nan"])

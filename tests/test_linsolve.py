@@ -91,14 +91,15 @@ class TestAgainstDenseOracle:
         u, _ = solve_dirichlet(C, geom, np.zeros(geom.interior_shape))
         assert np.abs(u).max() == 0.0
 
-    def test_failure_is_loud(self):
+    def test_failure_is_loud(self, monkeypatch):
         geom = GridGeometry(n=2, resolution=4)
         C = np.zeros(geom.interior_shape + (4, 4))
         for a in range(4):
             C[..., a, a] = 0.25
         rhs = np.ones(geom.interior_shape)
-        with pytest.raises(LinearSolveError):
-            solve_dirichlet(C, geom, rhs, maxiter=0)
+        monkeypatch.setattr(linsolve, "MAX_CYCLES", 0)
+        with pytest.raises(LinearSolveError, match="after 0 cycles"):
+            solve_dirichlet(C, geom, rhs)
 
 
 class TestPreconditioner:
@@ -158,8 +159,11 @@ class TestPreconditioner:
         # GMRES minimizes the true residual, so a solve asked for eta
         # stops near eta, not orders of magnitude below it; the smallest
         # measured ratio is 0.22 over the run's 8 loose solves (0.072 over
-        # 14 with the right-hand side -r)
-        loose = [(args, result) for args, _, result in degenerate_run
+        # 14 with the right-hand side -r).  The first solve is left out by
+        # its position: it linearizes at the zero subsolution, where the
+        # coefficients are constant and the preconditioner is the exact
+        # inverse, so its one Krylov step lands far below any eta
+        loose = [(args, result) for args, _, result in degenerate_run[1:]
                  if result[1].rtol > DEFAULT_RTOL]
         assert len(loose) >= 8
         for (C, geom, rhs), (field, record) in loose:
@@ -261,8 +265,9 @@ class TestSolveRecord:
         base = rng.standard_normal(geom.interior_shape + (4, 4))
         C = np.einsum("...ab,...cb->...ac", base, base) * 0.05 + np.eye(4)
         rhs = rng.standard_normal(geom.interior_shape)
+        monkeypatch.setattr(linsolve, "MAX_CYCLES", 100)
         try:
-            u, record = solve_dirichlet(C, geom, rhs, maxiter=100)
+            u, record = solve_dirichlet(C, geom, rhs)
         except LinearSolveError as exc:
             assert "relative residual" in str(exc)
             return
@@ -279,7 +284,7 @@ class TestSolveRecord:
                                                       monkeypatch):
         # least-squares coefficients offset by 1 hold the true residual
         # near where it started: the solve must name the stall rather
-        # than spend all maxiter cycles
+        # than spend all MAX_CYCLES cycles
         inner = linsolve._arnoldi_coefficients
         cycles = [0]
 

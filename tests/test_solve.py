@@ -4,6 +4,7 @@ Small grids (8^4, 8^3) keep these fast; the full-scale runs live in the
 acceptance suite.
 """
 
+import inspect
 import time
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hessiancone import operators as op
 from hessiancone import presets as pr
 from hessiancone import solve as sv
 from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
-from hessiancone.linsolve import solve_dirichlet
+from hessiancone.linsolve import DEFAULT_RTOL, solve_dirichlet
 from hessiancone.operators import (
     boundary_complex_hessian,
     boundary_real_hessian,
@@ -102,47 +103,63 @@ def count_stages(monkeypatch):
 
 
 class TestForcing:
-    CONFIG = sv.SolverConfig()
+    TOLERANCE = sv.SolverConfig().tolerance
 
-    def test_first_step_at_lin_rtol(self):
-        assert sv._forcing_term([0.3], self.CONFIG) == self.CONFIG.lin_rtol
+    def test_first_step_at_eta_max(self):
+        # no residual history yet: the loosest forcing term
+        assert sv._forcing_term([0.3], self.TOLERANCE) == sv.ETA_MAX
 
     def test_quadratic_in_the_residual_ratio(self):
-        eta = sv._forcing_term([1.0, 1e-2], self.CONFIG)
+        eta = sv._forcing_term([1.0, 1e-2], self.TOLERANCE)
         assert eta == pytest.approx(0.9e-4)
 
     def test_clipped_to_floor_and_cap(self):
         # a fast contraction far above the tolerance would ask for less
-        # than lin_rtol, a slow one for more than ETA_MAX
-        assert sv._forcing_term([1e8, 1e2], self.CONFIG) == self.CONFIG.lin_rtol
-        assert sv._forcing_term([1.0, 0.9], self.CONFIG) == sv.ETA_MAX
+        # than DEFAULT_RTOL, a slow one for more than ETA_MAX
+        assert sv._forcing_term([1e8, 1e2], self.TOLERANCE) == DEFAULT_RTOL
+        assert sv._forcing_term([1.0, 0.9], self.TOLERANCE) == sv.ETA_MAX
 
     def test_oversolving_floor(self):
         # 0.9 (5e-4)^2 = 2.3e-7, but 0.1 tolerance / r = 0.02 -> the cap
-        assert sv._forcing_term([1e-4, 5e-8], self.CONFIG) == sv.ETA_MAX
+        assert sv._forcing_term([1e-4, 5e-8], self.TOLERANCE) == sv.ETA_MAX
         # 0.1 tolerance / r = 5e-4 wins over 0.9 (1e-2)^2 = 9e-5
-        eta = sv._forcing_term([2e-4, 2e-6], self.CONFIG)
-        assert eta == pytest.approx(sv.OVERSOLVE * self.CONFIG.tolerance / 2e-6)
+        eta = sv._forcing_term([2e-4, 2e-6], self.TOLERANCE)
+        assert eta == pytest.approx(sv.OVERSOLVE * self.TOLERANCE / 2e-6)
 
-    def test_floor_wins_over_a_loose_lin_rtol(self):
-        config = sv.SolverConfig(lin_rtol=0.5)
-        assert sv._forcing_term([1.0, 1e-3], config) == 0.5
+    def test_floor_is_the_linear_solver_default(self):
+        # the tightest Newton solve asks for what solve_dirichlet asks for
+        # by default: the quadratic term 9e-13 and the oversolving term
+        # 1e-15 both rise to it
+        default = inspect.signature(solve_dirichlet).parameters["rtol"].default
+        assert sv._forcing_term([1.0, 1e-6], 1e-20) == default == DEFAULT_RTOL
 
     def test_recorded_sequence_of_a_degenerate_solve(self):
         prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
         psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-3)
         u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
-        lin_rtol = self.CONFIG.lin_rtol
         for stage in rep.stage_history:
             etas = [rec.rtol for rec in stage.linear]
             assert len(etas) == len(stage.dampings)
-            assert etas[0] == lin_rtol
-            assert all(lin_rtol <= e <= sv.ETA_MAX for e in etas)
+            assert etas[0] == sv.ETA_MAX
+            assert all(DEFAULT_RTOL <= e <= sv.ETA_MAX for e in etas[1:])
             assert etas == [sv._forcing_term(stage.residuals[:k + 1],
-                                             self.CONFIG)
+                                             self.TOLERANCE)
                             for k in range(len(etas))]
             assert all(rec.residual <= 10.0 * rec.rtol for rec in stage.linear)
-        assert rep.final_residual <= self.CONFIG.tolerance
+        assert rep.final_residual <= self.TOLERANCE
+
+    def test_deep_subsolution_quotient_solve_converges(self):
+        # far below its target (u_sub = -1000 x_n (1 - x_n)), the
+        # quotient's first linearization is one GMRES cannot solve to
+        # 1e-10 (it stalls near 2.5e-10); at ETA_MAX the stage converges
+        fun = cn.parse_kind("quotient:1:2", 2)
+        prob = pr.build_problem(GEOM8, fun, "degenerate-cos", "zero", "zero")
+        psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-3)
+        u_sub = ScalarField(geom=GEOM8,
+                            values=-1000.0 * pr.bump_values(GEOM8))
+        u, rep = sv.continuity_solve(fun, prob.chi, psi, prob.phi, u_sub)
+        assert rep.final_residual <= self.TOLERANCE
+        assert rep.stage_history[0].linear[0].rtol == sv.ETA_MAX
 
     @pytest.mark.parametrize("case", ["degenerate-8", "cylinder-16"])
     def test_forced_and_tight_solutions_agree(self, case, monkeypatch):
@@ -158,11 +175,11 @@ class TestForcing:
         forced, rep = sv.continuity_solve(fun, prob.chi, psi, prob.phi,
                                           prob.u_sub)
         monkeypatch.setattr(sv, "_forcing_term",
-                            lambda residuals, config: config.lin_rtol)
+                            lambda residuals, tolerance: DEFAULT_RTOL)
         tight, rep_tight = sv.continuity_solve(fun, prob.chi, psi, prob.phi,
                                                prob.u_sub)
         for report in (rep, rep_tight):
-            assert report.final_residual <= self.CONFIG.tolerance
+            assert report.final_residual <= self.TOLERANCE
         assert np.abs(forced.values - tight.values).max() <= 1e-9
 
 
@@ -338,7 +355,9 @@ class TestNewton:
         # the residual at the start, where the stage stopped
         assert err.value.residual > config.tolerance
 
-    def test_linear_solver_failure_surfaces_as_stage_failure(self):
+    def test_linear_solver_failure_surfaces_as_stage_failure(self,
+                                                             monkeypatch):
+        from hessiancone import linsolve
         from hessiancone.linsolve import LinearSolveError, solve_dirichlet
 
         C = np.zeros(GEOM8.interior_shape + (4, 4))
@@ -346,8 +365,9 @@ class TestNewton:
             C[..., a, a] = 0.25
         rng = np.random.default_rng(0)
         rhs = rng.standard_normal(GEOM8.interior_shape)
-        with pytest.raises(LinearSolveError):
-            solve_dirichlet(C, GEOM8, rhs, maxiter=0)
+        monkeypatch.setattr(linsolve, "MAX_CYCLES", 0)
+        with pytest.raises(LinearSolveError, match="after 0 cycles"):
+            solve_dirichlet(C, GEOM8, rhs)
 
     def test_linear_solver_failure_in_newton_stalls_the_path(self, monkeypatch):
         from hessiancone.linsolve import LinearSolveError
