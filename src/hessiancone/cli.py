@@ -265,7 +265,10 @@ def _solver_config(cfg):
 
 def _geometry(cfg, profile):
     res = int(cfg.get("resolution", 16 if profile == FAST else 32))
-    if str(cfg.get("geometry", "complex")) == "riemannian":
+    name = str(cfg.get("geometry", "complex"))
+    _require(name in ("complex", "riemannian"),
+             "geometry: must be complex or riemannian")
+    if name == "riemannian":
         geom = CylinderGeometry(d=int(cfg.get("d", 3)), resolution=res)
     else:
         geom = GridGeometry(n=int(cfg.get("n", 2)), resolution=res)
@@ -313,8 +316,7 @@ def cmd_solve(cfg, writer, seed, profile):
         write_field_csv(writer.outdir / "u.csv", u)
     if "raw" in dump:
         write_field_raw(writer.outdir / "u.raw", u)
-    bad = 0 if (report.converged and report.comparison_violations == 0) else 1
-    return bad
+    return int(report.comparison_violations != 0)
 
 
 def cmd_boundary_scaling(cfg, writer, seed, profile):

@@ -4,7 +4,7 @@ The Dirichlet problem f(lambda(chi + dd-bar u)) = psi is solved by one
 damped inexact Newton stage on the discrete system, started at the
 subsolution with its faces set to the boundary data.  The continuity
 path psi_t = (1 - t) f(lambda(g[u_sub])) + t psi is not stepped: every
-solve that converges reaches t = 1 in its first stage, and every one
+solve that converges reaches t = 1 in this one stage, and every one
 measured to fail there failed at smaller steps too.  A step solves the
 f-space linearization with the right-hand side of the Newton step for
 the same equation in polynomial form, f^q = psi^q (as Loeper & Rapetti,
@@ -19,13 +19,14 @@ forcing term (SIAM J. Sci. Comput. 17, 1996): ETA_MAX on the first step,
 which has no residual history, then 0.9 (r_k / r_{k-1})^2 of the
 sup-norm residuals, raised to OVERSOLVE tolerance / r_k so the last step
 is not oversolved, within [DEFAULT_RTOL, ETA_MAX]; it stops on its true
-residual, near that term rather than far below it.  The stage records
-per step the residual, the damping, every damping factor tried with its
-trial's residual, the linear solve's record (forcing term, operator
-applications, residual reached) and the wall seconds of its phases
-(never written to a CSV).  A stage that fails raises ContinuationError
-with its reason.  The same driver covers the real (cylinder) variant,
-where the complex Hessian is replaced by the real one.
+residual, near that term rather than far below it.  The stage's
+StageRecord (SolveReport.stage) holds per step the residual, the
+damping, every damping factor tried with its trial's residual, the
+linear solve's record (forcing term, operator applications, residual
+reached) and the wall seconds of its phases (never written to a CSV).
+A stage that fails raises ContinuationError with its reason.  The same
+driver covers the real (cylinder) variant, where the complex Hessian is
+replaced by the real one.
 
 Diagnostics implement the measured forms of the boundary estimates: the
 harmonic majorant / comparison sandwich, sup-norm and Hessian reports with
@@ -134,12 +135,12 @@ class SolverConfig:
 
 @dataclass
 class StageRecord:
-    """The Newton stage: the residual before and after each Newton step,
-    each step's damping factor and its LinearSolveRecord, per step the
-    damping trials in order as (factor, sup-norm residual or
-    "inadmissible"), the last being the accepted one, and per step the
-    wall seconds of its phases (linearization and coefficient tensor,
-    linear solve, damping trials)."""
+    """The one Newton stage of a solve: the residual before and after
+    each Newton step, each step's damping factor and its
+    LinearSolveRecord, per step the damping trials in order as (factor,
+    sup-norm residual or "inadmissible"), the last being the accepted
+    one, and per step the wall seconds of its phases (linearization and
+    coefficient tensor, linear solve, damping trials)."""
 
     residuals: list
     dampings: list
@@ -150,12 +151,12 @@ class StageRecord:
 
 @dataclass
 class SolveReport:
-    """Norms, boundary-estimate ratios, and solve statistics."""
+    """Norms, boundary-estimate ratios, and solve statistics; ``stage``
+    is the solve's StageRecord (None from estimate_report alone)."""
 
     label: str = ""
     resolution: int = 0
     converged: bool = False
-    t_final: float = 0.0
     final_residual: float = np.nan
     sup_u: float = np.nan
     sup_grad_interior: float = np.nan
@@ -167,20 +168,17 @@ class SolveReport:
     global_second_ratio: float = np.nan
     comparison_violations: int = -1
     newton_iterations: int = 0
-    continuity_stages: int = 0
-    min_dt_used: float = np.nan
     boundary_tangential_min: float = np.nan
-    stage_history: list = field(default_factory=list)  # the one StageRecord
+    stage: StageRecord | None = None
     # wall seconds of the subsolution check, the Newton stage and the
     # diagnostics (never in CSV_FIELDS)
     seconds: list = field(default_factory=list)
 
     CSV_FIELDS = (
-        "label,resolution,converged,t_final,final_residual,sup_u,"
+        "label,resolution,converged,final_residual,sup_u,"
         "sup_grad_interior,sup_grad_boundary,sup_ddbar_interior,"
         "sup_ddbar_boundary,boundary_ratio,tangential_normal_ratio,"
-        "global_second_ratio,comparison_violations,newton_iterations,"
-        "continuity_stages,min_dt_used"
+        "global_second_ratio,comparison_violations,newton_iterations"
     )
 
     def csv_row(self) -> str:
@@ -202,18 +200,11 @@ def comparison_tolerance(geom) -> float:
     return 10.0 * geom.h * geom.h + 1e-8
 
 
-def newton_tail_ratios(stage_history, count: int = 2) -> list:
-    """Residual reduction factors of the last accepted Newton iterations,
-    newest first, walking stages backwards (stages that converged without
-    iterating contribute nothing)."""
-    ratios = []
-    for stage in reversed(stage_history):
-        r = stage.residuals
-        for i in range(len(r) - 1, 0, -1):
-            ratios.append(r[i - 1] / r[i])
-            if len(ratios) == count:
-                return ratios
-    return ratios
+def newton_tail_ratios(record, count: int = 2) -> list:
+    """Residual reduction factors r_{k-1} / r_k of a StageRecord's last
+    count Newton steps, newest first (fewer when it took fewer)."""
+    r = record.residuals
+    return [r[i - 1] / r[i] for i in range(len(r) - 1, 0, -1)][:count]
 
 
 def _interior_values(geom, f):
@@ -358,11 +349,9 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     report.label = fun.label
     report.resolution = geom.resolution
     report.converged = True
-    report.t_final = report.min_dt_used = 1.0
     report.final_residual = record.residuals[-1]
     report.newton_iterations = len(record.dampings)
-    report.continuity_stages = 1
-    report.stage_history = [record]
+    report.stage = record
 
     w = harmonic_majorant(chi, phi, geom)
     report.comparison_violations = comparison_check(u, u_sub, w)

@@ -184,7 +184,7 @@ def _manufactured_orders(fun, resolutions):
                                      prob.u_sub)
         errs[m] = float(np.abs(u.values - prob.u_star.values).max())
         viol += rep.comparison_violations
-        ratios = sv.newton_tail_ratios(rep.stage_history, count=2)
+        ratios = sv.newton_tail_ratios(rep.stage, count=2)
         tail_ok &= bool(ratios) and all(r >= 10.0 for r in ratios)
     order = float(np.log2(errs[resolutions[0]] / errs[resolutions[1]]))
     return order, viol, tail_ok

@@ -306,6 +306,7 @@ class TestSolveCommand:
         ("lemma-sweep", "eps = inf\n", None),
         ("boundary-scaling", "resolution = 6\nscales = 1 inf\n", None),
         ("degenerate", "resolution = 6\neps_list = 0.1 nan\n", None),
+        ("solve", "geometry = riemanian\n", None),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
@@ -315,7 +316,7 @@ class TestSolveCommand:
             "tolerance-zero", "lin-rtol-unknown", "max-newton-zero",
             "tolerance-inf", "tolerance-nan", "scale-inf",
             "sweep-fraction-nan", "sweep-eps-inf", "scales-inf",
-            "degenerate-eps-nan"])
+            "degenerate-eps-nan", "geometry-unknown"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
                                               command, cfg_text, where):
         code, out = run(tmp_path, command, cfg_text)

@@ -137,15 +137,15 @@ class TestForcing:
         prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
         psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-3)
         u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
-        for stage in rep.stage_history:
-            etas = [rec.rtol for rec in stage.linear]
-            assert len(etas) == len(stage.dampings)
-            assert etas[0] == sv.ETA_MAX
-            assert all(DEFAULT_RTOL <= e <= sv.ETA_MAX for e in etas[1:])
-            assert etas == [sv._forcing_term(stage.residuals[:k + 1],
-                                             self.TOLERANCE)
-                            for k in range(len(etas))]
-            assert all(rec.residual <= 10.0 * rec.rtol for rec in stage.linear)
+        stage = rep.stage
+        etas = [rec.rtol for rec in stage.linear]
+        assert len(etas) == len(stage.dampings)
+        assert etas[0] == sv.ETA_MAX
+        assert all(DEFAULT_RTOL <= e <= sv.ETA_MAX for e in etas[1:])
+        assert etas == [sv._forcing_term(stage.residuals[:k + 1],
+                                         self.TOLERANCE)
+                        for k in range(len(etas))]
+        assert all(rec.residual <= 10.0 * rec.rtol for rec in stage.linear)
         assert rep.final_residual <= self.TOLERANCE
 
     def test_deep_subsolution_quotient_solve_converges(self):
@@ -159,7 +159,7 @@ class TestForcing:
                             values=-1000.0 * pr.bump_values(GEOM8))
         u, rep = sv.continuity_solve(fun, prob.chi, psi, prob.phi, u_sub)
         assert rep.final_residual <= self.TOLERANCE
-        assert rep.stage_history[0].linear[0].rtol == sv.ETA_MAX
+        assert rep.stage.linear[0].rtol == sv.ETA_MAX
 
     @pytest.mark.parametrize("case", ["degenerate-8", "cylinder-16"])
     def test_forced_and_tight_solutions_agree(self, case, monkeypatch):
@@ -240,8 +240,7 @@ class TestNewton:
 
         monkeypatch.setattr(sv, "_residual_and_mask", spy)
         u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
-        assert len(rep.stage_history) == 1
-        record = rep.stage_history[0]
+        record = rep.stage
         assert len(record.trials) == len(record.dampings)
         # the stage start, then every trial in order
         assert [res for step in record.trials for _, res in step] == seen[1:]
@@ -265,7 +264,7 @@ class TestNewton:
         start = time.perf_counter()
         u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
         elapsed = time.perf_counter() - start
-        record = rep.stage_history[0]
+        record = rep.stage
         assert len(record.seconds) == len(record.dampings) > 1
         assert all(len(step) == 3 for step in record.seconds)
         assert all(t >= 0.0 for step in record.seconds for t in step)
@@ -273,7 +272,7 @@ class TestNewton:
 
     @pytest.mark.parametrize("solver", ["continuity", "riemannian"])
     def test_report_seconds_per_phase(self, solver):
-        # (subsolution check, continuation stages, diagnostics) wall
+        # (subsolution check, Newton stage, diagnostics) wall
         # seconds, together within the solve's own time
         if solver == "riemannian":
             geom, fun, run = (CylinderGeometry(d=3, resolution=8),
@@ -292,15 +291,24 @@ class TestNewton:
     def test_superlinear_tail(self):
         prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
                                      "star-bump")
-        ratios = sv.newton_tail_ratios(rep.stage_history, count=2)
+        ratios = sv.newton_tail_ratios(rep.stage, count=2)
         assert ratios and all(r >= 10.0 for r in ratios)
 
-    def test_stages_end_exactly_at_one(self):
+    @pytest.mark.parametrize("residuals, ratios", [
+        ([0.25], []),
+        ([0.25, 2.0**-10], [256.0]),
+        ([1.0, 0.5, 2.0**-4, 2.0**-10], [64.0, 8.0]),
+    ], ids=["no-step", "one-step", "three-steps"])
+    def test_tail_ratios_of_a_record(self, residuals, ratios):
+        # r_{k-1} / r_k of the last two steps, newest first
+        record = sv.StageRecord(residuals=residuals,
+                                dampings=[1.0] * (len(residuals) - 1))
+        assert sv.newton_tail_ratios(record, count=2) == ratios
+
+    def test_report_counts_match_the_stage(self):
         prob, u, rep = solve_problem(GEOM8, MA2, "manufactured", "zero",
                                      "star-bump")
-        [record] = rep.stage_history
-        assert rep.t_final == 1.0 and rep.continuity_stages == 1
-        assert rep.min_dt_used == 1.0
+        record = rep.stage
         assert rep.newton_iterations == len(record.dampings) > 0
         assert rep.final_residual == record.residuals[-1]
 
@@ -429,7 +437,7 @@ class TestPolynomialStep:
         prob = pr.build_problem(GEOM8, fun, "degenerate-cos", "zero", "zero")
         psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-3)
         u, rep = sv.continuity_solve(fun, prob.chi, psi, prob.phi, prob.u_sub)
-        assert [stage.residuals for stage in rep.stage_history] == [residuals]
+        assert rep.stage.residuals == residuals
 
     def test_cylinder_sigma2_degenerate_takes_one_stage(self):
         # 16^3 cylinder, sigmaK:2, degenerate-cos + 1e-3: one stage of 4
@@ -439,9 +447,8 @@ class TestPolynomialStep:
         prob = pr.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
         psi = ScalarField(geom=geom, values=prob.psi.values + 1e-3)
         u, rep = sv.solve_riemannian(fun, prob.chi, psi, prob.phi, prob.u_sub)
-        assert rep.continuity_stages == 1
         assert rep.newton_iterations == 4
-        assert rep.stage_history[0].dampings == [1.0] * 4
+        assert rep.stage.dampings == [1.0] * 4
         assert rep.final_residual <= sv.SolverConfig().tolerance
 
 
@@ -670,12 +677,16 @@ class TestEstimateReport:
 
     def test_csv_row_cells(self):
         rep = sv.SolveReport(label="ma", resolution=8, converged=True,
-                             t_final=1.0, final_residual=2.5e-10,
-                             comparison_violations=0, newton_iterations=3,
-                             continuity_stages=1, min_dt_used=1.0)
-        assert sv.SolveReport.CSV_FIELDS.count(",") == 16
+                             final_residual=2.5e-10,
+                             comparison_violations=0, newton_iterations=3)
+        assert sv.SolveReport.CSV_FIELDS == (
+            "label,resolution,converged,final_residual,sup_u,"
+            "sup_grad_interior,sup_grad_boundary,sup_ddbar_interior,"
+            "sup_ddbar_boundary,boundary_ratio,tangential_normal_ratio,"
+            "global_second_ratio,comparison_violations,newton_iterations"
+        )
         assert rep.csv_row() == (
-            "ma,8,1,1.0,2.5e-10,nan,nan,nan,nan,nan,nan,nan,nan,0,3,1,1.0"
+            "ma,8,1,2.5e-10,nan,nan,nan,nan,nan,nan,nan,nan,0,3"
         )
 
 
