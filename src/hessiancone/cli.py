@@ -327,7 +327,7 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
         fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
         scales = _floats(cfg.get("scales", "1 2 4 8"))
         config = _solver_config(cfg)
-    rows, ratios, failures = [], [], 0
+    rows, ratios, failures, failed = [], [], 0, []
     for s in scales:
         with _config_errors():
             prob = build_problem(geom, fun, "one", "scaled-cos", "scaled-cos", scale=s)
@@ -336,19 +336,28 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
                                       prob.u_sub, config)
         except SOLVE_ERRORS:
             failures += 1
+            failed.append(f"solve at s={s!r}")
             rows.append(f"{s!r},,,")
             continue
         grad = max(rep.sup_grad_interior, rep.sup_grad_boundary)
         rows.append(
             f"{s!r},{grad!r},{rep.sup_ddbar_boundary!r},{rep.boundary_ratio!r}"
         )
-        if rep.boundary_ratio > 0:
+        # s = 0 is zero data, u = 0: its ratio is rounding noise
+        if s != 0.0:
             ratios.append(rep.boundary_ratio)
-        failures += rep.comparison_violations
+        if rep.comparison_violations:
+            failures += rep.comparison_violations
+            failed.append(f"{rep.comparison_violations} comparison "
+                          f"violations at s={s!r}")
     writer.write("boundary_scaling.csv",
                  "s,sup_grad,sup_ddbar_boundary,ratio", rows)
-    if ratios and max(ratios) / min(ratios) > 10.0:
+    if ratios and not max(ratios) <= 10.0 * min(ratios):
         failures += 1
+        failed.append(f"boundary ratios {min(ratios)!r} to {max(ratios)!r} "
+                      "spread by more than 10")
+    if failed:
+        print(f"boundary-scaling failed: {'; '.join(failed)}", file=sys.stderr)
     return failures
 
 
@@ -369,14 +378,16 @@ def cmd_degenerate(cfg, writer, seed, profile):
     for r in rows_data:
         rows.append(
             f"{r['eps']!r},{int(r['converged'])},{r['final_residual']!r},"
-            f"{r['sup_grad']!r},{r['sup_lap']!r},{r['error']}"
+            f"{r['sup_grad']!r},{r['sup_lap']!r},{r['newton_iterations']},"
+            f"{r['error']}"
         )
         if not r["converged"]:
             failures += 1
         else:
             laps.append(r["sup_lap"])
     writer.write("degenerate.csv",
-                 "eps,converged,final_residual,sup_grad,sup_lap,error", rows)
+                 "eps,converged,final_residual,sup_grad,sup_lap,"
+                 "newton_iterations,error", rows)
     if laps and max(laps) / min(laps) > 2.0:
         failures += 1
     return failures

@@ -37,6 +37,8 @@ __all__ = [
     "real_hessian",
     "eigen_field",
     "newton_tensors",
+    "exit_polynomial",
+    "cone_exit",
     "newton_state",
     "residual",
     "linearize",
@@ -261,6 +263,71 @@ def newton_tensors(g: np.ndarray, m: int):
                 T.real[a, a] += sigma[j]
             tensors.append(_form(T.reshape((r, r) + nodes)))
     return np.moveaxis(sigma.reshape((m + 1,) + nodes), 0, -1), tensors
+
+
+def _trace_product(A, B):
+    """Re tr(A B) per node of two stacks of (r, r) forms."""
+    return np.einsum("...ab,...ba->...", A, B).real
+
+
+def exit_polynomial(g: np.ndarray, H: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients c_0..c_m (last axis) of p(theta) = sigma_m(g + theta H)
+    per node, for m <= 3, by polarization of newton_tensors:
+
+        c_0 = sigma_m(g),  c_1 = Re tr(T_{m-1}(g) H),
+        c_{m-1} = Re tr(T_{m-1}(H) g),  c_m = sigma_m(H),
+
+    since d sigma_m = tr(T_{m-1} dg) at g, and at H for the reversed
+    polynomial theta^m sigma_m(H + g / theta).  These are all of them for
+    m <= 3.  H's tensors are dropped before g's are formed."""
+    if not 1 <= m <= 3:
+        raise ValueError(f"exit_polynomial needs 1 <= m <= 3, not {m}")
+    sigma, tensors = newton_tensors(H, m)
+    c = np.empty(sigma.shape)
+    c[..., m] = sigma[..., m]
+    if m > 2:
+        c[..., m - 1] = _trace_product(tensors[m - 1], g)
+    del sigma, tensors
+    sigma, tensors = newton_tensors(g, m)
+    c[..., 0] = sigma[..., m]
+    if m > 1:
+        c[..., 1] = _trace_product(tensors[m - 1], H)
+    return c
+
+
+def cone_exit(g: np.ndarray, H: np.ndarray, m: int) -> np.ndarray:
+    """theta* per node, the smallest positive root of sigma_m(g + theta H)
+    for g inside Gamma_m (m <= 3), or inf where there is none: where the
+    ray from g along H leaves the cone.
+
+    sigma_m is hyperbolic with respect to every point of Gamma_m (Garding,
+    J. Math. Mech. 8, 1959), so sigma_m(H + s g) has real roots only.  The
+    closed forms work in s = 1 / theta, on the monic polynomial
+    s^m + (c_1 s^(m-1) + ... + c_m) / c_0 (exit_polynomial), whose leading
+    coefficient c_0 > 0 never vanishes: theta* is 1 / s for its largest
+    root s, where that is positive.  That root is linear for m = 1, the
+    cancellation-free form of the quadratic formula for m = 2, and the
+    trigonometric (Viete) root of the depressed cubic, with all roots real,
+    for m = 3."""
+    c = exit_polynomial(g, H, m)
+    a = c[..., 1:] / c[..., :1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 1:
+            s = -a[..., 0]
+        elif m == 2:
+            b, c2 = a[..., 0], a[..., 1]
+            root = np.sqrt(np.maximum(b * b - 4.0 * c2, 0.0))
+            s = np.where(b <= 0.0, 0.5 * (root - b), -2.0 * c2 / (b + root))
+        else:
+            shift = a[..., 0] / 3.0  # s = t - shift: t^3 + p t + q
+            p = a[..., 1] - a[..., 0] * shift
+            q = (2.0 * shift * shift - a[..., 1]) * shift + a[..., 2]
+            rad = np.sqrt(np.maximum(-p / 3.0, 0.0))
+            cos3 = np.clip(-q / (2.0 * rad**3), -1.0, 1.0)
+            t = np.where(rad > 0.0, 2.0 * rad * np.cos(np.arccos(cos3) / 3.0),
+                         np.cbrt(-q))
+            s = t - shift
+        return np.where(s > 0.0, 1.0 / s, np.inf)
 
 
 def _require_admissible(sigma, geom):

@@ -12,18 +12,23 @@ C. R. Acad. Sci. Paris 340, 2005, do for Monge-Ampere), whose linear
 model stays inside the cone where -r's need not (_polynomial_step); for
 q = 1 it is -r.  The residual, the tolerance and the stop stay in
 f-space.  Damping keeps every node's sigma_1..sigma_m positive (the
-cone) and the sup-norm residual decreasing; a step's trials start at
-twice the previous step's factor (at 1 on the first step, never above
-1) and halve from there.  Each linear solve runs to the Eisenstat-Walker
-forcing term (SIAM J. Sci. Comput. 17, 1996): ETA_MAX on the first step,
-which has no residual history, then 0.9 (r_k / r_{k-1})^2 of the
-sup-norm residuals, raised to OVERSOLVE tolerance / r_k so the last step
-is not oversolved, within [DEFAULT_RTOL, ETA_MAX]; it stops on its true
-residual, near that term rather than far below it.  The stage's
+cone) and the sup-norm residual decreasing.  Every step first tries the
+full step; when that leaves the cone, the next trial is EXIT_FRACTION of
+theta*, where the step's ray leaves the cone (the smallest positive root
+of sigma_m(g + theta H(delta)) over the nodes, operators.cone_exit), as
+interior-point methods step a fixed fraction to the boundary (Waechter &
+Biegler, Math. Program. 106, 2006); the trials halve from there.  Each
+linear solve runs to the Eisenstat-Walker forcing term (SIAM J. Sci.
+Comput. 17, 1996): ETA_MAX on the first step, which has no residual
+history, then 0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised
+to OVERSOLVE tolerance / r_k so the last step is not oversolved, within
+[DEFAULT_RTOL, ETA_MAX]; it stops on its true residual, near that term
+rather than far below it.  The stage's
 StageRecord (SolveReport.stage) holds per step the residual, the
-damping, every damping factor tried with its trial's residual, the
-linear solve's record (forcing term, operator applications, residual
-reached) and the wall seconds of its phases (never written to a CSV).
+damping, every damping factor tried with its trial's residual, theta*
+when the full step left the cone, the linear solve's record (forcing
+term, operator applications, residual reached) and the wall seconds of
+its phases (never written to a CSV).
 A stage that fails raises ContinuationError with its reason.  The same
 driver covers the real (cylinder) variant, where the complex Hessian is
 replaced by the real one.
@@ -58,6 +63,7 @@ from .operators import (
     boundary_complex_hessian,
     boundary_real_hessian,
     coefficient_tensor,
+    cone_exit,
     eigen_field,
     first_derivative_centered,
     form_field,
@@ -93,7 +99,11 @@ __all__ = [
 
 BOUNDARY_MATCH_ATOL = 1e-10
 SUBSOLUTION_SLACK = 1e-12
-MAX_HALVINGS = 10  # damping factors 1, 1/2, ..., 2**-MAX_HALVINGS
+MAX_HALVINGS = 10  # a step's trials halve at most down to 2**-MAX_HALVINGS
+# tau: a damped step's second trial is tau theta*, short of the cone exit
+# theta*.  0.99 jammed a cold degenerate solve (theta 0.98 -> 0 in 9
+# steps); 0.9 did not
+EXIT_FRACTION = 0.9
 ETA_MAX = 1e-2  # largest forcing term; looser ones cost Newton steps
 # the forcing term is raised to OVERSOLVE * tolerance / r_k.  The linear
 # solve bounds a relative 2-norm residual and Newton stops on the sup
@@ -139,13 +149,18 @@ class StageRecord:
     each Newton step, each step's damping factor and its
     LinearSolveRecord, per step the damping trials in order as (factor,
     sup-norm residual or "inadmissible"), the last being the accepted
-    one, and per step the wall seconds of its phases (linearization and
-    coefficient tensor, linear solve, damping trials)."""
+    one, per step the cone exit theta* (_cone_exit) when its full trial
+    left the cone and nan otherwise (nan too for cone order m >= 4); it
+    set that step's second trial, EXIT_FRACTION theta*, or 0.5 when
+    theta* >= 1 or nan; and per step the wall seconds of its phases
+    (linearization and coefficient tensor, linear solve, damping
+    trials)."""
 
     residuals: list
     dampings: list
     linear: list = field(default_factory=list)
     trials: list = field(default_factory=list)
+    cone_exits: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
 
 
@@ -251,19 +266,34 @@ def _polynomial_step(r, psi, power):
     return -(r / power) * total
 
 
+def _cone_exit(u, delta, fun, chi) -> float:
+    """theta* of the step delta from u: the smallest positive root over the
+    interior nodes of sigma_m(g(u) + theta H(delta)), m = fun.cone_order,
+    with H(delta) = form_field of the update without chi (inf when no ray
+    leaves the cone).  nan for m >= 4, where sigma_m's middle coefficients
+    are not polarizations of newton_tensors and the damping keeps plain
+    halving.  g and H are formed here, on the rejection path only, so no
+    per-node field lives through the linear solve."""
+    m = fun.cone_order
+    if m > 3:
+        return np.nan
+    H = form_field(ScalarField(geom=u.geom, values=delta))
+    return float(cone_exit(form_field(u, chi), H, m).min())
+
+
 def _newton_solve(u0, fun, chi, psi, config):
     """Damped inexact Newton iteration from u0 to f = psi.
 
     Each step solves the f-space linearized system with homogeneous
     Dirichlet data and right-hand side _polynomial_step(r) for the update
-    to the forcing term's tolerance, then applies the largest damping
-    factor of min(1, 2 theta_prev), half that, ... down to
-    2**-MAX_HALVINGS (theta_prev the previous step's factor; the first
-    step starts at 1) that keeps every node admissible and reduces the
-    sup-norm residual.  Returns (u, StageRecord); raises ContinuationError
-    when the start is inadmissible, the linear solve fails, no factor
-    qualifies or the iteration budget runs out.  The residual r = f - psi,
-    its sup norm and config.tolerance are in f-space.
+    to the forcing term's tolerance, then tries damping factors until one
+    keeps every node admissible and reduces the sup-norm residual: first
+    1; when that trial leaves the cone, EXIT_FRACTION theta* (theta* the
+    cone exit, _cone_exit; 0.5 when theta* >= 1 by rounding, or is nan);
+    then halving, down to 2**-MAX_HALVINGS.  Returns (u, StageRecord);
+    raises ContinuationError when the start is inadmissible, the linear
+    solve fails, no factor qualifies or the iteration budget runs out.  The
+    residual r = f - psi, its sup norm and config.tolerance are in f-space.
     """
     geom = u0.geom
     u = u0.copy()
@@ -271,7 +301,6 @@ def _newton_solve(u0, fun, chi, psi, config):
     if r is None:
         raise ContinuationError("stage start inadmissible")
     record = StageRecord(residuals=[rn], dampings=[])
-    theta = 0.5
     while rn > config.tolerance:
         if len(record.residuals) > config.max_newton:
             raise ContinuationError("newton iteration budget exhausted", rn)
@@ -288,8 +317,7 @@ def _newton_solve(u0, fun, chi, psi, config):
             raise ContinuationError(str(exc), rn) from exc
         del C
         solved = perf_counter()
-        theta = min(1.0, 2.0 * theta)
-        tried = []
+        theta, exit_, tried = 1.0, np.nan, []
         while True:
             trial = ScalarField(geom=geom, values=u.values + theta * delta)
             r_t, rn_t, state = _residual_and_mask(trial, fun, chi, psi)
@@ -297,7 +325,11 @@ def _newton_solve(u0, fun, chi, psi, config):
             if r_t is not None and rn_t < rn:
                 break
             state = None
-            theta *= 0.5
+            if len(tried) == 1 and r_t is None:
+                exit_ = _cone_exit(u, delta, fun, chi)
+                theta = EXIT_FRACTION * exit_ if exit_ < 1.0 else 0.5
+            else:
+                theta *= 0.5
             if theta < 0.5**MAX_HALVINGS:
                 raise ContinuationError(
                     "no admissible damping factor reduced the residual", rn)
@@ -306,6 +338,7 @@ def _newton_solve(u0, fun, chi, psi, config):
         record.dampings.append(theta)
         record.linear.append(linear)
         record.trials.append(tried)
+        record.cone_exits.append(exit_)
         record.seconds.append((linearized - start, solved - linearized,
                                perf_counter() - solved))
     return u, record
@@ -632,7 +665,8 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
     """Solve the shifted problems psi + eps for each eps; per-eps rows.
 
     Requires a strictly admissible subsolution (positive gap); individual
-    failures are recorded and the sweep continues.
+    failures are recorded and the sweep continues.  A row's
+    newton_iterations is the solve's step count, "" when it failed.
     """
     config = config or SolverConfig()
     geom = u_sub.geom
@@ -648,7 +682,8 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
     for eps in eps_list:
         row = {"eps": eps, "delta0": delta0, "converged": False,
                "final_residual": np.nan, "sup_u": np.nan,
-               "sup_grad": np.nan, "sup_lap": np.nan, "error": ""}
+               "sup_grad": np.nan, "sup_lap": np.nan,
+               "newton_iterations": "", "error": ""}
         shifted = ScalarField(geom=geom, values=psi.values + eps)
         try:
             u, rep = continuity_solve(fun, chi, shifted, phi, u_sub, config)
@@ -658,6 +693,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
             continue
         row["converged"] = True
         row["final_residual"] = rep.final_residual
+        row["newton_iterations"] = rep.newton_iterations
         row["sup_u"] = rep.sup_u
         row["sup_grad"] = max(rep.sup_grad_interior, rep.sup_grad_boundary)
         row["sup_lap"] = float(np.abs(laplacian(u)).max())

@@ -356,6 +356,28 @@ class TestScalingCommand:
         # exact solution is u = 0; discrete zeros up to the Newton tolerance
         assert s == 0.0 and grad <= 1e-6 and ddb <= 1e-6 and ratio <= 1e-6
 
+    def test_zero_scale_left_out_of_the_spread(self, tmp_path, capsys):
+        # the s = 0 ratio is rounding noise (1.5e-13 at resolution 8); it
+        # is left out of the spread test by its scale, so the run passes
+        code, out = run(tmp_path, "boundary-scaling",
+                        "resolution = 8\nscales = 0 1 2 4 8\n")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        rows = (out / "boundary_scaling.csv").read_text().splitlines()[2:]
+        ratios = [float(r.split(",")[3]) for r in rows]
+        assert len(ratios) == 5 and 0.0 < ratios[0] <= 1e-6
+        assert max(ratios[1:]) / min(ratios[1:]) <= 10.0
+
+    def test_failed_check_named_on_stderr(self, tmp_path, capsys):
+        # one Newton step is not enough for s = 1: the run exits 1 with one
+        # stderr line naming the failed solve
+        code, out = run(tmp_path, "boundary-scaling",
+                        "resolution = 8\nscales = 0 1\nmax_newton = 1\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("boundary-scaling failed: solve at s=1.0")
+
 
 class TestDegenerateCommand:
     def test_three_eps_table(self, tmp_path):
@@ -363,8 +385,10 @@ class TestDegenerateCommand:
                         "resolution = 8\neps_list = 0.1 0.01 0.001\n")
         assert code == 0
         lines = (out / "degenerate.csv").read_text().splitlines()
-        assert lines[1] == "eps,converged,final_residual,sup_grad,sup_lap,error"
+        assert lines[1] == ("eps,converged,final_residual,sup_grad,sup_lap,"
+                            "newton_iterations,error")
         rows = [r.split(",") for r in lines[2:]]
         assert len(rows) == 3
         assert all(r[1] == "1" for r in rows)
         assert all(float(r[2]) <= 1e-8 for r in rows)
+        assert all(int(r[5]) >= 1 for r in rows)

@@ -350,6 +350,108 @@ class TestNewtonTensors:
                                        cn.elem_sym_grad(lam, j), rtol=1e-15)
 
 
+@st.composite
+def exit_cases(draw):
+    """(g, H, m): a stack of 3 forms g inside Gamma_m with sigma_m(g) >=
+    1e-3 and directions H, r = 2 Hermitian with m = 1, 2 or r = 3 real
+    symmetric with m = 1, 2, 3.  H is random, a negative multiple of g (a
+    root of multiplicity r along the ray at 1 / mu, through the origin),
+    positive semidefinite (no exit) or zero."""
+    r, m = draw(st.sampled_from(((2, 1), (2, 2), (3, 1), (3, 2), (3, 3))))
+    complex_ = r == 2
+    pattern = draw(st.sampled_from(("random", "random", "toward-origin",
+                                    "semidefinite", "zero")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-1.0, 1.0))
+
+    def basis():
+        z = rng.standard_normal((r, r))
+        if complex_:
+            z = z + 1j * rng.standard_normal((r, r))
+        return np.linalg.qr(z)[0]
+
+    gs, hs = [], []
+    for _ in range(3):
+        lam = rng.uniform(-1.0, 1.0, r)
+        while cn.elem_sym(lam, m)[1:].min() < 1e-3:
+            lam = rng.uniform(-1.0, 1.0, r)
+        q = basis()
+        g = (q * lam) @ q.conj().T
+        if pattern == "random":
+            h = scale * rng.uniform(-1.0, 1.0, (r, r))
+            if complex_:
+                h = h + 1j * scale * rng.uniform(-1.0, 1.0, (r, r))
+        elif pattern == "toward-origin":
+            h = -scale * g
+        elif pattern == "semidefinite":
+            q = basis()
+            h = (q * rng.uniform(0.0, scale, r)) @ q.conj().T
+        else:
+            h = np.zeros((r, r))
+        gs.append(0.5 * (g + g.conj().T))
+        hs.append(0.5 * (h + h.conj().T))
+    dtype = complex if complex_ else float
+    return np.array(gs).astype(dtype), np.array(hs).astype(dtype), m
+
+
+def sigmas_along(g, H, thetas, m):
+    """sigma_1..sigma_m of eigvalsh(g + theta H) per theta (dense)."""
+    forms = g + np.asarray(thetas)[:, None, None] * H
+    return cn.elem_sym(np.linalg.eigvalsh(forms), m)[:, 1:]
+
+
+class TestConeExit:
+    """theta*, where the ray g + theta H leaves Gamma_m, against a dense
+    eigenvalue scan of the ray."""
+
+    # relative step below and above theta*.  Rounded coefficients fix a
+    # root of multiplicity k only to about eps^(1/k) relative: 6e-6 for the
+    # triple root of a ray through the origin at r = 3
+    MARGIN = 1e-4
+
+    @given(exit_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_exit_against_dense_scan(self, case):
+        g, H, m = case
+        exits = op.cone_exit(g, H, m)
+        assert exits.shape == (len(g),) and np.all(exits > 0.0)
+        for gk, hk, exit_ in zip(g, H, exits):
+            # inside the cone all the way up to just below theta* (to
+            # theta = 100 when the ray never leaves)
+            top = exit_ * (1.0 - self.MARGIN) if np.isfinite(exit_) else 100.0
+            inside = sigmas_along(gk, hk, np.linspace(0.0, top, 201), m)
+            assert np.all(inside > 0.0)
+            if np.isfinite(exit_):
+                # just above it the ray is outside: at a simple root
+                # sigma_m changes sign; at the multiple root of a ray
+                # through the origin sigma_1 turns negative
+                [above] = sigmas_along(gk, hk, [exit_ * (1 + self.MARGIN)], m)
+                assert not np.all(above > 0.0)
+                if np.all(above[:-1] > 0.0):
+                    assert above[-1] < 0.0
+
+    @given(exit_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_polarization_against_sigma_m(self, case):
+        # a polynomial of degree m is fixed by m + 1 values: the
+        # coefficients reproduce sigma_m(g + theta H) at m + 1 thetas
+        g, H, m = case
+        c = op.exit_polynomial(g, H, m)
+        assert c.shape == (len(g), m + 1)
+        thetas = np.linspace(-1.0, 1.0, m + 1)
+        for gk, hk, ck in zip(g, H, c):
+            direct = sigmas_along(gk, hk, thetas, m)[:, -1]
+            size = (1.0 + np.abs(gk).max() + np.abs(hk).max()) * gk.shape[-1]
+            np.testing.assert_allclose(
+                np.polynomial.polynomial.polyval(thetas, ck), direct,
+                rtol=0.0, atol=1e-13 * size**m)
+
+    def test_cone_order_above_three_refused(self):
+        g = np.eye(4)[None]
+        with pytest.raises(ValueError, match="1 <= m <= 3"):
+            op.exit_polynomial(g, g, 4)
+
+
 def reference_newton_tensors(g, m):
     """The einsum / matmul recurrence on (..., r, r) arrays that the entry
     planes replaced, on a C-ordered copy of g."""

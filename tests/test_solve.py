@@ -102,6 +102,17 @@ def count_stages(monkeypatch):
     return calls
 
 
+def expected_factors(step, exit_):
+    """The damping factors _newton_solve tries in a step with the step's
+    trials and cone exit: 1, then EXIT_FRACTION theta* when the full trial
+    left the cone (0.5 when theta* >= 1 or nan), or 0.5 when it raised
+    the residual; then halving."""
+    full_left_cone = step[0][1] == "inadmissible"
+    assert full_left_cone != np.isnan(exit_)  # theta* just when it left
+    second = sv.EXIT_FRACTION * exit_ if exit_ < 1.0 else 0.5
+    return [1.0] + [second * 0.5**i for i in range(len(step) - 1)]
+
+
 class TestForcing:
     TOLERANCE = sv.SolverConfig().tolerance
 
@@ -203,9 +214,10 @@ class TestNewton:
         assert resid <= 1e-9
         assert record.dampings == [1.0]  # one undamped step
 
-    def test_damping_trials_start_at_twice_the_last_factor(self, monkeypatch):
-        # degenerate data: the early steps are damped, so the restricted
-        # start skips trials; each step's first trial is min(1, 2 theta)
+    def test_damping_trials_follow_the_cone_exit(self, monkeypatch):
+        # degenerate data: every step tries the full step first; when it
+        # leaves the cone the next trial is EXIT_FRACTION theta*, and the
+        # trials halve from there.  One residual evaluation per trial
         prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
         psi_int = prob.psi.values[GEOM8.interior] + 1e-3
         evals = [0]
@@ -218,11 +230,10 @@ class TestNewton:
         monkeypatch.setattr(sv, "_residual_and_mask", counted)
         u, record = sv._newton_solve(prob.u_sub, MA2, prob.chi, psi_int,
                                      sv.SolverConfig())
-        starts = [1.0] + [min(1.0, 2.0 * d) for d in record.dampings[:-1]]
-        assert all(d <= s for d, s in zip(record.dampings, starts))
-        trials = sum(int(np.log2(s / d)) + 1
-                     for s, d in zip(starts, record.dampings))
-        assert evals[0] == 1 + trials
+        assert len(record.cone_exits) == len(record.dampings)
+        for step, exit_ in zip(record.trials, record.cone_exits):
+            assert [f for f, _ in step] == expected_factors(step, exit_)
+        assert evals[0] == 1 + sum(map(len, record.trials))
         assert min(record.dampings) < 1.0
 
     def test_every_damping_trial_recorded(self, monkeypatch):
@@ -245,16 +256,66 @@ class TestNewton:
         # the stage start, then every trial in order
         assert [res for step in record.trials for _, res in step] == seen[1:]
         for k, step in enumerate(record.trials):
-            start = 1.0 if k == 0 else min(1.0, 2.0 * record.dampings[k - 1])
-            assert [f for f, _ in step] == [start * 0.5**i
-                                            for i in range(len(step))]
+            assert [f for f, _ in step] == expected_factors(
+                step, record.cone_exits[k])
             assert step[-1] == (record.dampings[k], record.residuals[k + 1])
             assert all(res == "inadmissible" or res >= record.residuals[k]
                        for _, res in step[:-1])
-        # 4 of the 9 steps reject 4 trials, every one as inadmissible (with
-        # the right-hand side -r, 9 of 15 steps rejected 10)
+        # 2 of the 6 steps reject their full trial as inadmissible and
+        # accept EXIT_FRACTION theta*.  Halving from twice the last factor
+        # took 9 steps and rejected 4 trials; with the right-hand side -r,
+        # 15 steps rejected 10
         rejected = [res for step in record.trials for _, res in step[:-1]]
-        assert len(rejected) == 4 and set(rejected) == {"inadmissible"}
+        assert len(record.dampings) == 6
+        assert len(rejected) == 2 and set(rejected) == {"inadmissible"}
+
+    def test_cone_exit_damps_a_near_degenerate_cold_solve(self, monkeypatch):
+        # 8^4 Monge-Ampere, degenerate-cos + 1e-6 from the zero
+        # subsolution: 12 steps and 21 residual evaluations, where halving
+        # from twice the last factor took 23 and 43.  Every damped step
+        # rejects its full trial as inadmissible and accepts EXIT_FRACTION
+        # theta*, with theta* < 1
+        prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
+        psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-6)
+        evals = [0]
+        inner = sv._residual_and_mask
+
+        def counted(*args):
+            evals[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(sv, "_residual_and_mask", counted)
+        u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
+        record = rep.stage
+        assert rep.final_residual <= sv.SolverConfig().tolerance
+        assert (len(record.dampings), evals[0]) == (12, 21)
+        damped = [k for k, d in enumerate(record.dampings) if d < 1.0]
+        assert len(damped) == 8
+        for k, (step, exit_) in enumerate(zip(record.trials,
+                                              record.cone_exits)):
+            if k in damped:
+                assert exit_ < 1.0
+                assert step == [(1.0, "inadmissible"),
+                                (sv.EXIT_FRACTION * exit_,
+                                 record.residuals[k + 1])]
+            else:
+                assert np.isnan(exit_) and [f for f, _ in step] == [1.0]
+
+    def test_cone_order_four_keeps_plain_halving(self):
+        # sigma_4 along a ray has middle coefficients that newton_tensors
+        # does not polarize into: no theta*, and the trials halve from 1.
+        # The 6^4 cylinder, Monge-Ampere, degenerate-cos + 1e-2 damps 10
+        # of its 14 steps to 0.5
+        geom, fun = CylinderGeometry(d=4, resolution=6), cn.monge_ampere(4)
+        prob = pr.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
+        psi = ScalarField(geom=geom, values=prob.psi.values + 1e-2)
+        u, rep = sv.solve_riemannian(fun, prob.chi, psi, prob.phi, prob.u_sub)
+        record = rep.stage
+        assert np.isnan(record.cone_exits).all()
+        assert record.dampings.count(0.5) == 10
+        for step in record.trials:
+            assert [f for f, _ in step] == [0.5**i for i in range(len(step))]
+            assert all(res == "inadmissible" for _, res in step[:-1])
 
     def test_phase_seconds_per_step(self):
         # one (linearization, linear solve, damping trials) triple of wall
@@ -422,16 +483,18 @@ class TestPolynomialStep:
 
     @pytest.mark.parametrize("kind, residuals", [
         ("sigma1", [1.999, 4.010680676458378e-14]),
-        ("quotient:1:2", [0.499, 0.2301960586075242, 0.11121632381905176,
-                          0.05054825101992905, 0.023574465725654935,
-                          0.01170796832786105, 0.005854637748604653,
-                          0.0003808821323976984, 2.7443907613311155e-06,
-                          1.270320515445178e-10]),
+        ("quotient:1:2", [0.499, 0.1851927858995052, 0.0551528540100535,
+                          0.02162996879522991, 0.008496577614979475,
+                          0.0003960932931632091, 1.3560460764459274e-06,
+                          3.0587541072039925e-10]),
     ])
     def test_q1_residual_history_unchanged(self, kind, residuals):
         # q = 1 on the 8^4 degenerate-cos + 1e-3 runs: the residuals of the
         # step with right-hand side -r, to the bit, as the FFT and Thomas
-        # sweep preconditioner rounds them
+        # sweep preconditioner rounds them.  The quotient's first four
+        # steps leave the cone at full length and are damped to
+        # EXIT_FRACTION theta* (7 steps; halving from twice the last
+        # factor took 9); sigma1's one full step is as it was
         fun = cn.parse_kind(kind, 2)
         assert fun.power == 1
         prob = pr.build_problem(GEOM8, fun, "degenerate-cos", "zero", "zero")
