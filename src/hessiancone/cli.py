@@ -372,9 +372,7 @@ def cmd_degenerate(cfg, writer, seed, profile):
         config = _solver_config(cfg)
     rows_data = degenerate_sweep(fun, prob.chi, prob.psi, prob.phi, prob.u_sub,
                                  eps_list, config)
-    rows = []
-    failures = 0
-    laps = []
+    rows, laps, failed = [], [], []
     for r in rows_data:
         rows.append(
             f"{r['eps']!r},{int(r['converged'])},{r['final_residual']!r},"
@@ -382,15 +380,18 @@ def cmd_degenerate(cfg, writer, seed, profile):
             f"{r['error']}"
         )
         if not r["converged"]:
-            failures += 1
+            failed.append(f"solve at eps={r['eps']!r} ({r['error']})")
         else:
             laps.append(r["sup_lap"])
     writer.write("degenerate.csv",
                  "eps,converged,final_residual,sup_grad,sup_lap,"
                  "newton_iterations,error", rows)
     if laps and max(laps) / min(laps) > 2.0:
-        failures += 1
-    return failures
+        failed.append(f"sup_lap {min(laps)!r} to {max(laps)!r} "
+                      "spread by more than 2")
+    if failed:
+        print(f"degenerate failed: {'; '.join(failed)}", file=sys.stderr)
+    return len(failed)
 
 
 COMMANDS = {

@@ -22,7 +22,12 @@ Schultz 1986), so it minimizes the true residual |b - A x| and stops at
 the tolerance asked for, not far below it; the weight changes the
 iteration count and not the system solved.  Inner products run through
 ``np.einsum``: BLAS level-1 calls would wake OpenBLAS's second thread,
-whose spinning slows every numpy call after them.
+whose spinning slows every numpy call after them.  The Arnoldi loop works
+in place on the preallocated rows of its bases and one scratch vector.
+Each operator application takes one centred first difference per axis of
+a mixed pair and forms every mixed partial from two windows of it (see
+:mod:`.operators`), so applications round differently from the
+four-window stencil: not bit for bit, but within rounding of it.
 
 Each solve returns its field with a :class:`LinearSolveRecord`: the
 relative residual asked for and reached, and the operator and
@@ -171,6 +176,7 @@ def _gmres(A, M, b, rtol):
     r, rnorm, target = b, bnorm, rtol * bnorm
     V = np.empty((RESTART + 1, b.size))
     Z = np.empty((RESTART, b.size))
+    scratch = np.empty(b.size)
     cycles = steps = 0
     while not rnorm <= target:  # a NaN residual enters and raises
         if cycles == MAX_CYCLES:
@@ -179,23 +185,24 @@ def _gmres(A, M, b, rtol):
                 f"after {MAX_CYCLES} cycles")
         cycles += 1
         H = np.zeros((RESTART + 1, RESTART))
-        V[0] = r / rnorm
+        np.divide(r, rnorm, out=V[0])
         for j in range(RESTART):
             steps += 1
             Z[j] = M(V[j])
             w = A(Z[j])
             for i in range(j + 1):
                 H[i, j] = _dot(w, V[i])
-                w -= H[i, j] * V[i]
+                w -= np.multiply(V[i], H[i, j], out=scratch)
             H[j + 1, j] = _norm(w)
             if not np.all(np.isfinite(H[:j + 2, j])):
                 raise LinearSolveError("non-finite Arnoldi coefficient")
             y, estimate = _arnoldi_coefficients(H[:j + 2, :j + 1], rnorm)
             if estimate <= target or H[j + 1, j] == 0.0:
                 break
-            V[j + 1] = w / H[j + 1, j]
-        x = x + np.einsum("j,ji->i", y, Z[:j + 1])
-        r = b - A(x)
+            np.divide(w, H[j + 1, j], out=V[j + 1])
+        x += np.einsum("j,ji->i", y, Z[:j + 1], out=scratch)
+        r = A(x)
+        np.subtract(b, r, out=r)
         rnorm, start = _norm(r), rnorm
         if rnorm > max(target, STALL * start):
             raise LinearSolveError(

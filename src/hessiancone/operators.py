@@ -5,12 +5,19 @@ stencil, at the interior nodes or along a Dirichlet face, reads windows
 of one copy of the field padded by a wrapped ghost layer on each periodic
 axis; interior stencils may read the Dirichlet faces, which hold the
 boundary data.  Derivatives along the Dirichlet axis at a face are
-one-sided.  A per-node form (the Hessian g, the Newton tensors, the
-linearization F, the coefficients C) is stored node-major: an
-(r, r, *nodes) buffer with each entry plane contiguous, handed out as its
-(..., r, r) view, and the sigmas likewise as an (m+1, *nodes) buffer
-behind a (..., m+1) view.  The per-node algebra loops over the r^2 entry
-planes rather than over a trailing axis of length 2 or 3.  With
+one-sided.  The mixed partials of a field share their first pass: one
+centred first difference D_b = u_+b - u_-b per axis b that has a mixed
+pair, of which u_ab is one subtraction of two windows,
+(D_b at +a - D_b at -a) / 4h^2.  Each caller (the Krylov operator, the
+Hessians) scales its sums once.  The values agree with the four-window
+form (u_++ - u_+- - u_-+ + u_--) / 4h^2 up to rounding, but not bit for
+bit: the operations run in another order.  A per-node form (the Hessian
+g, the Newton tensors, the linearization F, the coefficients C) is
+stored node-major: an (r, r, *nodes) buffer with each entry plane
+contiguous, handed out as its (..., r, r) view, and the sigmas likewise
+as an (m+1, *nodes) buffer behind a (..., m+1) view.  The per-node
+algebra loops over the r^2 entry planes rather than over a trailing
+axis of length 2 or 3.  With
 dz = (dx - i dy)/2 the complex Hessian of a real field is
 
     u_{i jbar} = ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j})) / 4,
@@ -93,32 +100,78 @@ def _window(geom, shifts, layer=None) -> tuple:
 
 
 def _second_partials(u, geom, layer=None):
-    """Callable (a, b) -> centered d^2 u / dx_a dx_b on the interior, or
-    on the Dirichlet-axis ``layer`` (a, b periodic there).  ``u`` is a
-    full-shape field or a padded one (``_padded``), which is read as it is."""
-    p = _padded(u, geom) if u.shape == geom.shape else u
-    h2 = geom.h * geom.h
+    """The unscaled second differences of u on the interior, or on the
+    Dirichlet-axis ``layer`` index (every axis periodic there), as two
+    callables:
 
-    # (plus - 2 zero + minus) / h2 and (pp - pm - mp + mm) / (4 h2) in
-    # one buffer, operation by operation in that order, so the result is
-    # the same to the bit as the plain expression
-    def second(a, b):
-        if a == b:
-            plus, zero, minus = (p[_window(geom, {a: s}, layer)] for s in (1, 0, -1))
-            d = np.multiply(zero, 2.0)
-            np.subtract(plus, d, out=d)
-            d += minus
-            d /= h2
-            return d
-        pp, pm, mp, mm = (p[_window(geom, {a: sa, b: sb}, layer)]
-                          for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
-        d = np.subtract(pp, pm)
-        d -= mp
-        d += mm
-        d /= 4.0 * h2
+        diagonal(*axes, out=None) = -2k u_0 + (u_+a + u_-a) + ...,
+            over the k axes in turn: h^2 times the sum of their u_aa;
+        mixed(a, b) = (D_b at +1 along a, D_b at -1 along a),
+            two windows whose difference is 4 h^2 u_ab.
+
+    D_b = u_+b - u_-b is the centred first difference along b.  It is
+    formed on the first request of a mixed partial along b, in one pass
+    over the padded array (over a copy of the layer alone on a face), and
+    the mixed partials along b that follow read two windows of it.  Only
+    the latest D_b is kept, so a caller that groups its mixed partials by
+    b pays one pass per such axis and one subtraction per mixed partial,
+    and holds one padded-size buffer.  The callers scale once, with 1/h^2
+    and the 1/4 in one factor.  The corners pair as
+    (u_++ - u_+-) - (u_-+ - u_--), where the four-window form summed
+    u_++ - u_+- - u_-+ + u_-- and divided by 4h^2, so mixed partials differ
+    from it by rounding.  ``u`` is a full-shape field or a padded one
+    (``_padded``), which is read as it is."""
+    p = _padded(u, geom) if u.shape == geom.shape else u
+    diffs = {}
+    centre = _window(geom, {}, layer)
+    source, source_centre = p, centre
+    if layer is not None:
+        da = geom.dirichlet_axis
+        source = p[(slice(None),) * da + ([layer],)]  # a copy, one layer thick
+        source_centre = centre[:da] + (0,) + centre[da + 1:]
+
+    def window(base, a, s):
+        win = list(base)
+        win[a] = slice(win[a].start + s, win[a].stop + s)
+        return tuple(win)
+
+    def diagonal(*axes, out=None):
+        d = np.multiply(p[centre], -2.0 * len(axes), out=out)
+        for a in axes:
+            d += p[window(centre, a, 1)]
+            d += p[window(centre, a, -1)]
         return d
 
-    return second
+    def mixed(a, b):
+        if b not in diffs:
+            diffs.clear()
+            # one contiguous pass over the flattened source: node k takes u
+            # at k +- the stride of b; the entries it leaves unset, or fills
+            # across the ends of axis b, are outside every window
+            D = diffs[b] = np.empty(source.shape)
+            s = int(np.prod(source.shape[b + 1:]))
+            flat = source.reshape(-1)
+            np.subtract(flat[2 * s:], flat[:-2 * s], out=D.reshape(-1)[s:-s])
+        return tuple(diffs[b][window(source_centre, a, s)] for s in (1, -1))
+
+    return diagonal, mixed
+
+
+def _real_partials(stencils, axes, h, out):
+    """out[a, b] = out[b, a] = u_ab for a, b in ``axes`` from the stencils
+    of _second_partials, each entry written and then scaled in place, the
+    mixed partials grouped by their first difference."""
+    diagonal, mixed = stencils
+    scale = 1.0 / (h * h)
+    for i, b in enumerate(axes):
+        diagonal(b, out=out[b, b])
+        out[b, b] *= scale
+        for a in axes[:i]:
+            plus, minus = mixed(a, b)
+            np.subtract(plus, minus, out=out[a, b])
+            out[a, b] *= 0.25 * scale
+            out[b, a] = out[a, b]
+    return out
 
 
 def _planes(form: np.ndarray) -> np.ndarray:
@@ -132,20 +185,20 @@ def _form(planes: np.ndarray) -> np.ndarray:
     return np.moveaxis(planes, (0, 1), (-2, -1))
 
 
-def _complex_form(second, geom, shape) -> np.ndarray:
-    """u_{i jbar} over nodes of the given shape, from the real second
-    partials ``second(a, b)``; the x_i y_i partials are never requested."""
+def _complex_form(D, geom) -> np.ndarray:
+    """u_{i jbar} from the real second partials D (..., r, r) of a face;
+    the x_i y_i partials are never read."""
     n = geom.n
-    g = np.zeros((n, n) + shape, dtype=complex)
+    g = np.zeros((n, n) + D.shape[:-2], dtype=complex)
     re, im = g.real, g.imag
     for i in range(n):
         xi, yi = geom.complex_axes(i)
-        np.multiply(second(xi, xi) + second(yi, yi), 0.25, out=re[i, i])
+        np.multiply(D[..., xi, xi] + D[..., yi, yi], 0.25, out=re[i, i])
         for j in range(i + 1, n):
             xj, yj = geom.complex_axes(j)
-            np.multiply(second(xi, xj) + second(yi, yj), 0.25, out=re[i, j])
+            np.multiply(D[..., xi, xj] + D[..., yi, yj], 0.25, out=re[i, j])
             re[j, i] = re[i, j]
-            np.multiply(second(xi, yj) - second(yi, xj), 0.25, out=im[i, j])
+            np.multiply(D[..., xi, yj] - D[..., yi, xj], 0.25, out=im[i, j])
             np.negative(im[i, j], out=im[j, i])
     return _form(g)
 
@@ -164,12 +217,40 @@ def _chi_interior(chi, geom, dim, dtype):
 
 
 def complex_hessian(u, chi=None) -> np.ndarray:
-    """g = chi + complex Hessian of u at the interior nodes."""
+    """g = chi + complex Hessian of u at the interior nodes, each entry of
+    the Hessian in one scaled write of _second_partials' stencils: the
+    diagonal from the five windows of diagonal(x_i, y_i), an off-diagonal
+    from the first differences along x_j and y_j."""
     geom = u.geom
     if not geom.is_complex:
         raise ValueError("complex_hessian needs a complex geometry")
-    g = _complex_form(_second_partials(u.values, geom), geom, geom.interior_shape)
-    g += _chi_interior(chi, geom, geom.n, complex)
+    n = geom.n
+    diagonal, mixed = _second_partials(u.values, geom)
+    scale = 0.25 / (geom.h * geom.h)
+    g = np.zeros((n, n) + geom.interior_shape, dtype=complex)
+    re, im = g.real, g.imag
+    d, e = np.empty((2,) + geom.interior_shape)
+    for i in range(n):
+        xi, yi = geom.complex_axes(i)
+        np.multiply(diagonal(xi, yi, out=d), scale, out=re[i, i])
+        for j in range(i + 1, n):
+            xj, yj = geom.complex_axes(j)
+            # Re: u_{x_i x_j} + u_{y_i y_j} in d, Im: u_{x_i y_j} - u_{y_i x_j}
+            # in e, the partials grouped by their first difference
+            np.subtract(*mixed(xi, xj), out=d)
+            np.subtract(*mixed(yi, xj), out=e)
+            plus, minus = mixed(yi, yj)
+            d += plus
+            d -= minus
+            plus, minus = mixed(xi, yj)
+            np.subtract(plus, e, out=e)
+            e -= minus
+            np.multiply(d, 0.25 * scale, out=re[i, j])
+            np.multiply(e, 0.25 * scale, out=im[i, j])
+            re[j, i] = re[i, j]
+            np.negative(im[i, j], out=im[j, i])
+    g = _form(g)
+    g += _chi_interior(chi, geom, n, complex)
     return g
 
 
@@ -177,11 +258,8 @@ def real_hessian(u, chi=None) -> np.ndarray:
     """chi + real Hessian (flat Christoffel symbols) at interior nodes."""
     geom = u.geom
     d = geom.real_dims
-    second = _second_partials(u.values, geom)
-    g = np.empty((d, d) + geom.interior_shape)
-    for a in range(d):
-        for b in range(a, d):
-            g[a, b] = g[b, a] = second(a, b)
+    g = _real_partials(_second_partials(u.values, geom), range(d), geom.h,
+                       np.empty((d, d) + geom.interior_shape))
     g = _form(g)
     g += _chi_interior(chi, geom, d, float)
     return g
@@ -193,14 +271,17 @@ def form_field(u, chi=None) -> np.ndarray:
 
 def laplacian(u) -> np.ndarray:
     """The trace of form_field(u) at the interior nodes, from the diagonal
-    second partials alone, added in the diagonal's order as the trace adds
-    them: the same values, up to the sign of a zero."""
+    stencils alone, each scaled as form_field scales it and added in the
+    diagonal's order as the trace adds them: the same values, up to the
+    sign of a zero."""
     geom = u.geom
-    second = _second_partials(u.values, geom)
+    diagonal, _ = _second_partials(u.values, geom)
     if geom.is_complex:
-        return sum(np.multiply(second(x, x) + second(y, y), 0.25)
-                   for x, y in map(geom.complex_axes, range(geom.n)))
-    return sum(second(a, a) for a in range(geom.real_dims))
+        scale = 0.25 / (geom.h * geom.h)
+        return sum(np.multiply(diagonal(*geom.complex_axes(i)), scale)
+                   for i in range(geom.n))
+    scale = 1.0 / (geom.h * geom.h)
+    return sum(np.multiply(diagonal(a), scale) for a in range(geom.real_dims))
 
 
 def eigen_field(g: np.ndarray) -> np.ndarray:
@@ -370,19 +451,25 @@ def linearize(u, fun, chi=None, state=None) -> np.ndarray:
     r, nodes = tensors[0].shape[-1], sigma.shape[:-1]
     F = np.zeros((r, r, sigma[..., 0].size),
                  np.result_type(*(tensors[j - 1] for j in dfds)))
+    scratch = np.empty(F.shape[2:], F.dtype)
     for j, c in dfds.items():
         c = c.reshape(-1)
         if j == 1:
             for a in range(r):
                 F.real[a, a] += c
         else:
-            F += c * _planes(tensors[j - 1]).reshape(F.shape)
+            T = _planes(tensors[j - 1]).reshape(F.shape)
+            for a in range(r):
+                for b in range(r):
+                    F[a, b] += np.multiply(c, T[a, b], out=scratch)
     # F <- (F + F^*) / 2, each pair of planes once
     for a in range(r):
         for b in range(a, r):
-            F[a, b] = 0.5 * (F[a, b] + np.conj(F[b, a]))
+            np.conjugate(F[b, a], out=scratch)
+            scratch += F[a, b]
+            np.multiply(scratch, 0.5, out=F[a, b])
             if b > a:
-                F[b, a] = np.conj(F[a, b])
+                np.conjugate(F[a, b], out=F[b, a])
     return _form(F.reshape((r, r) + nodes))
 
 
@@ -422,7 +509,14 @@ def nonzero_pairs(C: np.ndarray) -> frozenset:
 
 def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom,
                        pairs=None) -> np.ndarray:
-    """sum_ab C_ab d^2 u / dx_a dx_b on the interior, C symmetric.
+    """sum_ab C_ab d^2 u / dx_a dx_b on the interior, C symmetric, as
+
+        (2 sum_a C_aa L_a + sum_{a<b} C_ab M_ab) / (2 h^2)
+
+    with L_a = h^2 u_aa and M_ab = 4 h^2 u_ab the unscaled stencils of
+    _second_partials: one first difference per axis b of a pair, the pairs
+    taken in order of b so that one is held at a time, one subtraction per
+    mixed partial, and one scaling at the end.
 
     ``u_full`` is the full-shape field, or the field already padded as
     ``_padded`` pads it; a caller applying C to many vectors keeps one
@@ -432,18 +526,23 @@ def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom,
     """
     if pairs is None:
         pairs = nonzero_pairs(C)
-    r = geom.real_dims
-    second = _second_partials(u_full, geom)
-    out = np.zeros(geom.interior_shape)
-    for a in range(r):
-        d = second(a, a)
+    diagonal, mixed = _second_partials(u_full, geom)
+    out = diagonal(0)
+    out *= C[..., 0, 0]
+    d = np.empty_like(out)
+    for a in range(1, geom.real_dims):
+        diagonal(a, out=d)
         d *= C[..., a, a]
         out += d
-        for b in range(a + 1, r):
-            if (a, b) in pairs:
-                d = second(a, b)
-                d *= 2.0 * C[..., a, b]
-                out += d
+    scale = 1.0 / (geom.h * geom.h)
+    if pairs:
+        out *= 2.0
+        for b, a in sorted((b, a) for a, b in pairs):
+            np.subtract(*mixed(a, b), out=d)
+            d *= C[..., a, b]
+            out += d
+        scale *= 0.5
+    out *= scale
     return out
 
 
@@ -504,12 +603,10 @@ def _boundary_real_second(u_full, p, geom, face):
     da = geom.dirichlet_axis
     layers, sgn = _face_layers(geom, face, 4)
     values = [np.take(u_full, k, axis=da) for k in layers]
-    second = _second_partials(p, geom, layers[0])
     r = geom.real_dims
-    D = np.empty((r, r) + values[0].shape)
-    for i, a in enumerate(geom.periodic_axes):
-        for b in geom.periodic_axes[i:]:
-            D[a, b] = D[b, a] = second(a, b)
+    D = _real_partials(_second_partials(p, geom, layers[0]), geom.periodic_axes,
+                       h, np.empty((r, r) + values[0].shape))
+    for a in geom.periodic_axes:
         # mixed normal-tangential: one-sided normal difference of the
         # centered tangential derivative, taken on three layers at once
         tang = np.moveaxis(first_derivative_centered(p, geom, a, layers[:3]), da, 0)
@@ -521,8 +618,7 @@ def _boundary_real_second(u_full, p, geom, face):
 
 def boundary_complex_hessian(u, padded=None) -> list:
     """Complex Hessian of u on each boundary face (no chi added)."""
-    return [_complex_form(lambda a, b: D[..., a, b], u.geom, D.shape[:-2])
-            for D in boundary_real_hessian(u, padded)]
+    return [_complex_form(D, u.geom) for D in boundary_real_hessian(u, padded)]
 
 
 def boundary_real_hessian(u, padded=None) -> list:

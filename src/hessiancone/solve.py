@@ -666,7 +666,9 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
 
     Requires a strictly admissible subsolution (positive gap); individual
     failures are recorded and the sweep continues.  A row's
-    newton_iterations is the solve's step count, "" when it failed.
+    newton_iterations is the solve's step count, "" when it failed; a
+    failed row's final_residual is the residual its ContinuationError
+    reached (nan for the other errors, and for an inadmissible start).
     """
     config = config or SolverConfig()
     geom = u_sub.geom
@@ -689,6 +691,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
             u, rep = continuity_solve(fun, chi, shifted, phi, u_sub, config)
         except SOLVE_ERRORS as exc:
             row["error"] = type(exc).__name__
+            row["final_residual"] = getattr(exc, "residual", np.nan)
             rows.append(row)
             continue
         row["converged"] = True

@@ -392,3 +392,30 @@ class TestDegenerateCommand:
         assert all(r[1] == "1" for r in rows)
         assert all(float(r[2]) <= 1e-8 for r in rows)
         assert all(int(r[5]) >= 1 for r in rows)
+
+    def test_failed_solves_named_on_stderr(self, tmp_path, capsys):
+        # two Newton steps are not enough at either eps: the run exits 1
+        # with one stderr line naming both, and each failure row keeps the
+        # residual its ContinuationError reached
+        code, out = run(tmp_path, "degenerate",
+                        "resolution = 8\neps_list = 0.1 0.001\nmax_newton = 2\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == ("degenerate failed: solve at eps=0.1 (ContinuationError); "
+                       "solve at eps=0.001 (ContinuationError)\n")
+        rows = [r.split(",") for r in
+                (out / "degenerate.csv").read_text().splitlines()[2:]]
+        assert [r[1] for r in rows] == ["0", "0"]
+        assert all(0.0 < float(r[2]) < 1.0 for r in rows)
+        assert all(r[6] == "ContinuationError" for r in rows)
+
+    def test_lap_spread_named_on_stderr(self, tmp_path, capsys, monkeypatch):
+        # a sup_lap spread above 2 fails the run with its own stderr line
+        rows = [{"eps": eps, "converged": True, "final_residual": 0.0,
+                 "sup_grad": 1.0, "sup_lap": lap, "newton_iterations": 1,
+                 "error": ""} for eps, lap in ((0.1, 1.0), (0.01, 3.0))]
+        monkeypatch.setattr(cli, "degenerate_sweep", lambda *a, **k: rows)
+        code, _ = run(tmp_path, "degenerate", "resolution = 8\n")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "degenerate failed: sup_lap 1.0 to 3.0 spread by more than 2\n")

@@ -1,5 +1,9 @@
 """Matrix-free preconditioned solves against a dense-assembly oracle."""
 
+import ast
+import inspect
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -353,3 +357,41 @@ class TestSolveRecord:
         rhs = np.random.default_rng(6).standard_normal(geom.interior_shape)
         solve_dirichlet(C, geom, rhs, rtol=1e-6)
         assert checked[0] >= 3
+
+
+# numpy calls that run level-1 BLAS on interior-sized vectors, and so wake
+# OpenBLAS's second thread, which then spins through the numpy work after it
+BLAS_CALLS = ("dot", "vdot", "inner", "linalg.norm")
+SINGLE_THREAD = [linsolve._gmres, operators.apply_second_order,
+                 operators._second_partials, operators._real_partials,
+                 operators.complex_hessian, operators.real_hessian,
+                 operators.form_field, operators.laplacian,
+                 operators._boundary_real_second, operators._complex_form,
+                 operators.boundary_real_hessian,
+                 operators.boundary_complex_hessian]
+
+
+def blas_calls(function):
+    """Source lines of the BLAS calls and matrix products in a function,
+    nested functions included."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if any(name == call or name.endswith("." + call) for call in BLAS_CALLS):
+                found.append(ast.unparse(node))
+    return found
+
+
+class TestSingleThread:
+    @pytest.mark.parametrize("function", SINGLE_THREAD, ids=lambda f: f.__name__)
+    def test_no_blas_in_krylov_and_stencils(self, function):
+        assert blas_calls(function) == []
+
+    def test_check_sees_the_exempt_least_squares(self):
+        # the small Hessenberg solve may use BLAS; the check must see it
+        assert blas_calls(linsolve._arnoldi_coefficients) == [
+            "np.linalg.norm(H @ y - g)", "H @ y"]

@@ -581,6 +581,89 @@ class TestCoefficientTensor:
         np.testing.assert_allclose(via_real, direct, atol=1e-10)
 
 
+STENCIL_GEOMS = [GridGeometry(n=2, resolution=3), GridGeometry(n=2, resolution=5),
+                 GridGeometry(n=3, resolution=3), CylinderGeometry(d=3, resolution=4),
+                 CylinderGeometry(d=3, resolution=7)]
+
+
+@st.composite
+def stencil_cases(draw):
+    """A geometry, variable symmetric C with a random set of zero pairs
+    (Dirichlet-axis pairs among them), a field, the calling form (full
+    shape or a refreshed padded buffer) and the pairs argument."""
+    geom = draw(st.sampled_from(STENCIL_GEOMS))
+    r = geom.real_dims
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    zero = draw(st.sets(st.sampled_from(pairs)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = rng.standard_normal((r, r) + geom.interior_shape)
+    planes = planes + np.swapaxes(planes, 0, 1)
+    for a, b in zero:
+        planes[a, b] = planes[b, a] = 0.0
+    u = rng.standard_normal(geom.shape) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        # a stale buffer, as a Krylov loop reuses one: NaN ghosts refreshed
+        # in place around the new core
+        p = np.full(op._padded(u, geom).shape, np.nan)
+        p[op._window(geom, {}, slice(None))] = u
+        u_arg = op._wrap_ghosts(p, geom)
+    else:
+        u_arg = u
+    given_pairs = draw(st.sampled_from([None, "all"]))
+    return geom, op._form(planes), u, u_arg, frozenset(pairs) if given_pairs else None
+
+
+def roll_second_order(C, u, geom):
+    """sum_ab C_ab u_ab on the interior from np.roll four-window stencils on
+    the full grid, over every pair, and the same sum over the moduli of
+    every term: the scale the rounding bound is taken against."""
+    h2 = geom.h * geom.h
+    r = geom.real_dims
+
+    def at(*shifts):
+        f = u
+        for a, s in shifts:
+            f = np.roll(f, -s, axis=a)
+        return f[geom.interior]
+
+    ref, size = np.zeros(geom.interior_shape), np.zeros(geom.interior_shape)
+    for a in range(r):
+        plus, zero, minus = at((a, 1)), at(), at((a, -1))
+        ref += C[..., a, a] * ((plus - 2.0 * zero + minus) / h2)
+        size += np.abs(C[..., a, a]) * (np.abs(plus) + 2.0 * np.abs(zero) + np.abs(minus)) / h2
+        for b in range(a + 1, r):
+            corners = [at((a, sa), (b, sb)) for sa, sb in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+            pp, pm, mp, mm = corners
+            ref += 2.0 * C[..., a, b] * ((pp - pm - mp + mm) / (4.0 * h2))
+            size += 2.0 * np.abs(C[..., a, b]) * sum(map(np.abs, corners)) / (4.0 * h2)
+    return ref, size
+
+
+class TestSecondOrderStencil:
+    """apply_second_order against the np.roll four-window reference."""
+
+    @given(stencil_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_against_roll_reference(self, case):
+        # Both sides sum the leaves c_k u_k of one linear stencil, each
+        # through at most K roundings (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2002, sec. 3.1), so each lies within
+        # gamma_K sum_k |c_k u_k| of the exact sum.  With T = r (r + 1) / 2
+        # terms the reference's longest path is T adds after 7 roundings
+        # (the corner sum, h, h^2, the division, the product by 2 C_ab);
+        # apply_second_order's is at most r + P + 6 <= T + 6 (two
+        # subtractions, the product by C_ab, P <= r (r - 1) / 2 pair adds
+        # and r - 1 diagonal adds, the final scaling and its constant's
+        # three).  K = T + 8 also covers the rounding of ``size`` itself.
+        geom, C, u, u_arg, pairs = case
+        got = op.apply_second_order(C, u_arg, geom, pairs)
+        ref, size = roll_second_order(C, u, geom)
+        r = geom.real_dims
+        bound = 2.0 * gamma(r * (r + 1) // 2 + 8) * size
+        assert got.shape == geom.interior_shape
+        assert np.all(np.abs(got - ref) <= bound)
+
+
 class TestRealHessian:
     def test_quadratic_exact(self):
         geom = CylinderGeometry(d=3, resolution=8)
@@ -671,17 +754,17 @@ def roll_face_reference(u_full, geom, face):
     r = geom.real_dims
     grad = np.zeros(f0.shape + (r,))
     D = np.zeros(f0.shape + (r, r))
+    scale = 1.0 / h2
     for pos_a, a in enumerate(faxes):
         grad[..., a] = tangential(f0, pos_a)
-        D[..., a, a] = (np.roll(f0, -1, pos_a) - 2.0 * f0 + np.roll(f0, 1, pos_a)) / h2
+        D[..., a, a] = (-2.0 * f0 + np.roll(f0, -1, pos_a) + np.roll(f0, 1, pos_a)) * scale
         for pos_b in range(pos_a + 1, len(faxes)):
             b = faxes[pos_b]
+            # the centred difference along b, then its difference along a
+            diff_b = np.roll(f0, -1, pos_b) - np.roll(f0, 1, pos_b)
             D[..., a, b] = D[..., b, a] = (
-                np.roll(np.roll(f0, -1, pos_a), -1, pos_b)
-                - np.roll(np.roll(f0, -1, pos_a), 1, pos_b)
-                - np.roll(np.roll(f0, 1, pos_a), -1, pos_b)
-                + np.roll(np.roll(f0, 1, pos_a), 1, pos_b)
-            ) / (4.0 * h2)
+                np.roll(diff_b, -1, pos_a) - np.roll(diff_b, 1, pos_a)
+            ) * (0.25 * scale)
         D[..., a, da] = D[..., da, a] = one_sided([tangential(f, pos_a)
                                                    for f in layers[:3]])
     grad[..., da] = one_sided(layers)
