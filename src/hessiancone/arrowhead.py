@@ -47,7 +47,6 @@ __all__ = [
     "Spectrum",
     "ConcentrationReport",
     "SweepSummary",
-    "assemble",
     "eigenvalues",
     "threshold_strong",
     "threshold_weak",
@@ -173,11 +172,6 @@ def _assemble(d, a_off, corner):
     m[..., nm1, :nm1] = np.conj(a_off)
     m[..., nm1, nm1] = corner
     return m
-
-
-def assemble(spec: ArrowheadSpec) -> np.ndarray:
-    """Dense Hermitian matrix with zeros off the arrow pattern."""
-    return _assemble(spec.d, spec.a_off, spec.corner)
 
 
 def _spectra(d, a_off, corner):

@@ -9,13 +9,15 @@ config file the command cannot use: one that cannot be read, a key it
 does not read, or a value that does not parse, is not finite (inf or
 nan), is out of range (a grid of more than MAX_INTERIOR_NODES interior
 nodes included) or names no known function or preset.  Such a run prints
-one line to stderr and writes nothing.
+one line to stderr and writes nothing; so does an ``--out`` that is not
+a directory, and a failed write exits 2 with one line naming its path.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import errno
 import hashlib
 import math
 import sys
@@ -111,10 +113,17 @@ def _require(ok, message):
 
 class _Writer:
     """CSV writer with the provenance header; the output directory is made
-    on the first write, so a run rejected during set-up leaves none."""
+    on the first write, so a run rejected during set-up leaves none; an
+    outdir whose nearest existing path is no directory is refused here."""
 
     def __init__(self, outdir, seed, confhash):
         self.outdir = Path(outdir)
+        for path in (self.outdir, *self.outdir.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise NotADirectoryError(errno.ENOTDIR, "not a directory",
+                                             str(path))
+                break
         self.prefix = (
             f"# hessiancone={__version__} seed={seed} config_sha256={confhash}\n"
         )
@@ -268,6 +277,8 @@ def _geometry(cfg, profile):
     name = str(cfg.get("geometry", "complex"))
     _require(name in ("complex", "riemannian"),
              "geometry: must be complex or riemannian")
+    unread = "n" if name == "riemannian" else "d"
+    _require(unread not in cfg, f"{unread}: not read with geometry = {name}")
     if name == "riemannian":
         geom = CylinderGeometry(d=int(cfg.get("d", 3)), resolution=res)
     else:
@@ -440,6 +451,9 @@ def main(argv=None) -> int:
         failures = COMMANDS[args.command](cfg, writer, args.seed, args.profile)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # --out, or a write into it
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     return 0 if failures == 0 else 1
 

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "ConeError",
     "SymmetricFunction",
     "sigma_k_root",
     "monge_ampere",
@@ -58,6 +59,8 @@ __all__ = [
     "df_dsigmas",
     "sigmas_in_cone",
     "in_cone",
+    "f_many",
+    "grad_many",
     "f_eval",
     "f_grad",
     "fd_grad",

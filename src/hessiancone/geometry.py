@@ -79,11 +79,6 @@ class _FlatGrid:
         sl[self.dirichlet_axis] = [0, -1]
         return tuple(sl)
 
-    def boundary_slicer(self, face: int) -> tuple:
-        sl = [slice(None)] * self.real_dims
-        sl[self.dirichlet_axis] = 0 if face == 0 else -1
-        return tuple(sl)
-
     def axis_coords(self, axis: int) -> np.ndarray:
         count = self.shape[axis]
         return np.arange(count) * self.h

@@ -42,12 +42,12 @@ __all__ = [
     "AdmissibilityError",
     "complex_hessian",
     "real_hessian",
+    "form_field",
     "eigen_field",
     "newton_tensors",
     "exit_polynomial",
     "cone_exit",
     "newton_state",
-    "residual",
     "linearize",
     "coefficient_tensor",
     "apply_second_order",
@@ -55,6 +55,7 @@ __all__ = [
     "gradient_interior",
     "gradient_boundary",
     "boundary_complex_hessian",
+    "boundary_real_hessian",
     "first_derivative_centered",
 ]
 
@@ -203,17 +204,12 @@ def _complex_form(D, geom) -> np.ndarray:
     return _form(g)
 
 
-def _chi_interior(chi, geom, dim, dtype):
-    if chi is None:
-        return np.zeros((dim, dim), dtype=dtype)
-    chi = np.asarray(chi)
-    if chi.shape == (dim, dim):
-        return chi.astype(dtype)
-    if chi.shape == geom.shape + (dim, dim):
-        return chi[geom.interior].astype(dtype)
-    if chi.shape == geom.interior_shape + (dim, dim):
-        return chi.astype(dtype)
-    raise ValueError(f"chi shape {chi.shape} not understood")
+def _chi_interior(chi, dim, dtype):
+    """chi, one (dim, dim) form for every node; zero when None."""
+    chi = np.zeros((dim, dim)) if chi is None else np.asarray(chi)
+    if chi.shape != (dim, dim):
+        raise ValueError(f"chi shape {chi.shape} not understood")
+    return chi.astype(dtype)
 
 
 def complex_hessian(u, chi=None) -> np.ndarray:
@@ -250,7 +246,7 @@ def complex_hessian(u, chi=None) -> np.ndarray:
             re[j, i] = re[i, j]
             np.negative(im[i, j], out=im[j, i])
     g = _form(g)
-    g += _chi_interior(chi, geom, n, complex)
+    g += _chi_interior(chi, n, complex)
     return g
 
 
@@ -261,27 +257,12 @@ def real_hessian(u, chi=None) -> np.ndarray:
     g = _real_partials(_second_partials(u.values, geom), range(d), geom.h,
                        np.empty((d, d) + geom.interior_shape))
     g = _form(g)
-    g += _chi_interior(chi, geom, d, float)
+    g += _chi_interior(chi, d, float)
     return g
 
 
 def form_field(u, chi=None) -> np.ndarray:
     return complex_hessian(u, chi) if u.geom.is_complex else real_hessian(u, chi)
-
-
-def laplacian(u) -> np.ndarray:
-    """The trace of form_field(u) at the interior nodes, from the diagonal
-    stencils alone, each scaled as form_field scales it and added in the
-    diagonal's order as the trace adds them: the same values, up to the
-    sign of a zero."""
-    geom = u.geom
-    diagonal, _ = _second_partials(u.values, geom)
-    if geom.is_complex:
-        scale = 0.25 / (geom.h * geom.h)
-        return sum(np.multiply(diagonal(*geom.complex_axes(i)), scale)
-                   for i in range(geom.n))
-    scale = 1.0 / (geom.h * geom.h)
-    return sum(np.multiply(diagonal(a), scale) for a in range(geom.real_dims))
 
 
 def eigen_field(g: np.ndarray) -> np.ndarray:
@@ -429,14 +410,6 @@ def newton_state(u, fun, chi=None):
     sigma, tensors = newton_tensors(form_field(u, chi), fun.cone_order)
     _require_admissible(sigma, u.geom)
     return sigma, tensors
-
-
-def residual(u, fun, psi_t, chi=None) -> np.ndarray:
-    """f(lambda(g[u])) - psi_t on the interior nodes; AdmissibilityError
-    as in newton_state."""
-    vals = cones.f_from_sigmas(fun, newton_state(u, fun, chi)[0])
-    target = psi_t.values[u.geom.interior] if hasattr(psi_t, "values") else psi_t
-    return vals - target
 
 
 def linearize(u, fun, chi=None, state=None) -> np.ndarray:

@@ -69,10 +69,8 @@ from .operators import (
     form_field,
     gradient_boundary,
     gradient_interior,
-    laplacian,
     linearize,
     newton_state,
-    residual,
     _chi_interior,
     _padded,
 )
@@ -349,9 +347,10 @@ def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
     if np.abs(u_sub.values[faces] - phi.values[faces]).max() > BOUNDARY_MATCH_ATOL:
         raise SubsolutionError("subsolution does not match the boundary data")
     try:
-        psi0 = residual(u_sub, fun, 0.0, chi)  # f(lambda(g[u_sub]))
+        sigma, _ = newton_state(u_sub, fun, chi)
     except AdmissibilityError as exc:
         raise SubsolutionError(f"subsolution not admissible: {exc}") from None
+    psi0 = cones.f_from_sigmas(fun, sigma)  # f(lambda(g[u_sub]))
     if np.any(psi0 < psi_interior - SUBSOLUTION_SLACK):
         worst = float((psi_interior - psi0).max())
         raise SubsolutionError(
@@ -427,7 +426,7 @@ def harmonic_majorant(chi, phi, geom) -> ScalarField:
     dim = geom.form_dim
     eye = np.broadcast_to(np.eye(dim), geom.interior_shape + (dim, dim))
     C = coefficient_tensor(eye, geom)
-    tr = np.trace(_chi_interior(chi, geom, dim, complex), axis1=-2, axis2=-1).real
+    tr = np.trace(_chi_interior(chi, dim, complex)).real
     values, _ = solve_dirichlet(
         C, geom, -np.broadcast_to(tr, geom.interior_shape),
         boundary_values=phi.values)
@@ -669,6 +668,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
     newton_iterations is the solve's step count, "" when it failed; a
     failed row's final_residual is the residual its ContinuationError
     reached (nan for the other errors, and for an inadmissible start).
+    sup_lap is max |tr form_field(u)| over the interior nodes.
     """
     config = config or SolverConfig()
     geom = u_sub.geom
@@ -699,6 +699,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
         row["newton_iterations"] = rep.newton_iterations
         row["sup_u"] = rep.sup_u
         row["sup_grad"] = max(rep.sup_grad_interior, rep.sup_grad_boundary)
-        row["sup_lap"] = float(np.abs(laplacian(u)).max())
+        trace = np.trace(form_field(u), axis1=-2, axis2=-1).real
+        row["sup_lap"] = float(np.abs(trace).max())
         rows.append(row)
     return rows

@@ -78,9 +78,9 @@ def test_criterion_03_deflation_multisets():
         spec = ah.ArrowheadSpec(d=d, a_off=mod * np.exp(1j * ph),
                                 corner=float(rng.uniform(-10, 10)))
         val, red = ah.deflate_repeated(spec)
-        full = np.linalg.eigvalsh(ah.assemble(spec))
+        full = np.linalg.eigvalsh(ah._assemble(spec.d, spec.a_off, spec.corner))
         merged = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(ah.assemble(red)), [val]]
+            [np.linalg.eigvalsh(ah._assemble(red.d, red.a_off, red.corner)), [val]]
         ))
         worst = max(worst, float(np.abs(full - merged).max()))
     _announce(3, worst <= 1e-9, f"deflation multiset agreement {worst:.2e}")

@@ -15,6 +15,11 @@ from hypothesis import strategies as st
 from hessiancone import arrowhead as ah
 
 
+def dense(spec):
+    """The dense Hermitian arrowhead matrix of a spec."""
+    return ah._assemble(spec.d, spec.a_off, spec.corner)
+
+
 def eig2x2(d1, a1, corner):
     """Closed-form eigenvalues of [[d1, a1], [conj(a1), corner]]."""
     disc = np.sqrt((corner - d1) ** 2 + 4.0 * abs(a1) ** 2)
@@ -24,18 +29,18 @@ def eig2x2(d1, a1, corner):
 class TestAssemble:
     def test_diagonal_case(self):
         spec = ah.ArrowheadSpec(d=[0.0], a_off=[0.0], corner=5.0)
-        np.testing.assert_array_equal(ah.assemble(spec), np.diag([0.0, 5.0]))
+        np.testing.assert_array_equal(dense(spec), np.diag([0.0, 5.0]))
 
     def test_hermitian_symmetry(self):
         spec = ah.ArrowheadSpec(d=[1.0, 2.0], a_off=[1j, 0.0], corner=0.0)
-        m = ah.assemble(spec)
+        m = dense(spec)
         assert m[0, 2] == 1j and m[2, 0] == -1j
         np.testing.assert_array_equal(m, m.conj().T)
 
     def test_reflection(self):
         spec = ah.ArrowheadSpec(d=[0.0], a_off=[1.0], corner=0.0)
         np.testing.assert_array_equal(
-            ah.assemble(spec), np.array([[0.0, 1.0], [1.0, 0.0]])
+            dense(spec), np.array([[0.0, 1.0], [1.0, 0.0]])
         )
 
     def test_dimension_mismatch(self):
@@ -122,7 +127,7 @@ class TestRealSpectra:
     def test_single_spec_matches_its_hermitian_matrix(self):
         spec = ah.ArrowheadSpec(d=[1.0, -2.0, 1.0], a_off=[3j, 0.0, 1 - 1j],
                                 corner=4.0)
-        ref = np.linalg.eigvalsh(ah.assemble(spec))
+        ref = np.linalg.eigvalsh(dense(spec))
         np.testing.assert_allclose(ah.eigenvalues(spec).values, ref,
                                    rtol=0, atol=1e-13)
 
@@ -179,7 +184,7 @@ class TestStrongConcentration:
         rep = ah.check_concentration_strong(spec, eps)
         assert rep.passed
         # independent dense-solver oracle
-        lam = np.linalg.eigvalsh(ah.assemble(spec))
+        lam = np.linalg.eigvalsh(dense(spec))
         assert np.all(np.abs(np.sort(d) - lam[:2]) < eps)
         assert 0.0 <= lam[-1] - corner < 2 * eps
 
@@ -216,7 +221,7 @@ class TestDistinctConcentration:
         spec = ah.ArrowheadSpec(d=[0.0, 2.0], a_off=[1.0, 1.0], corner=8.5)
         rep = ah.check_concentration_distinct(spec, eps=0.5)
         assert rep.passed
-        lam = np.linalg.eigvalsh(ah.assemble(spec))
+        lam = np.linalg.eigvalsh(dense(spec))
         assert abs(lam[0] - 0.0) < 0.5 and abs(lam[1] - 2.0) < 0.5
 
     def test_diagonal_distinct(self):
@@ -253,9 +258,9 @@ class TestDeflation:
         np.testing.assert_allclose(red.d, [1.0])
         np.testing.assert_allclose(red.a_off, [5.0])
         assert red.corner == 7.0
-        full = np.linalg.eigvalsh(ah.assemble(spec))
+        full = np.linalg.eigvalsh(dense(spec))
         merged = np.sort(
-            np.concatenate([np.linalg.eigvalsh(ah.assemble(red)), [val]])
+            np.concatenate([np.linalg.eigvalsh(dense(red)), [val]])
         )
         np.testing.assert_allclose(full, merged, atol=1e-9)
 
@@ -263,16 +268,16 @@ class TestDeflation:
         spec = ah.ArrowheadSpec(d=[0.0, 0.0], a_off=[0.0, 0.0], corner=7.0)
         val, red = ah.deflate_repeated(spec)
         assert val == 0.0
-        np.testing.assert_array_equal(ah.assemble(red), np.diag([0.0, 7.0]))
+        np.testing.assert_array_equal(dense(red), np.diag([0.0, 7.0]))
 
     def test_n4_sqrt2(self):
         spec = ah.ArrowheadSpec(d=[2.0, 2.0, 5.0], a_off=[1.0, 1.0, 0.0], corner=10.0)
         val, red = ah.deflate_repeated(spec)
         assert val == 2.0
         np.testing.assert_allclose(red.a_off, [np.sqrt(2.0), 0.0])
-        full = np.linalg.eigvalsh(ah.assemble(spec))
+        full = np.linalg.eigvalsh(dense(spec))
         merged = np.sort(
-            np.concatenate([np.linalg.eigvalsh(ah.assemble(red)), [val]])
+            np.concatenate([np.linalg.eigvalsh(dense(red)), [val]])
         )
         np.testing.assert_allclose(full, merged, atol=1e-9)
 
@@ -292,9 +297,9 @@ class TestDeflation:
             a = rng.uniform(-5, 5, n - 1) + 1j * rng.uniform(-5, 5, n - 1)
             spec = ah.ArrowheadSpec(d=d, a_off=a, corner=float(rng.uniform(-5, 5)))
             val, red = ah.deflate_repeated(spec)
-            full = np.linalg.eigvalsh(ah.assemble(spec))
+            full = np.linalg.eigvalsh(dense(spec))
             merged = np.sort(
-                np.concatenate([np.linalg.eigvalsh(ah.assemble(red)), [val]])
+                np.concatenate([np.linalg.eigvalsh(dense(red)), [val]])
             )
             np.testing.assert_allclose(full, merged, atol=1e-9)
 

@@ -307,6 +307,9 @@ class TestSolveCommand:
         ("boundary-scaling", "resolution = 6\nscales = 1 inf\n", None),
         ("degenerate", "resolution = 6\neps_list = 0.1 nan\n", None),
         ("solve", "geometry = riemanian\n", None),
+        ("solve", "geometry = complex\nd = 7\nresolution = 4\n", None),
+        ("solve", "geometry = riemannian\nn = 3\nresolution = 4\n", None),
+        ("degenerate", "d = 3\nresolution = 4\n", None),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
@@ -316,7 +319,8 @@ class TestSolveCommand:
             "tolerance-zero", "lin-rtol-unknown", "max-newton-zero",
             "tolerance-inf", "tolerance-nan", "scale-inf",
             "sweep-fraction-nan", "sweep-eps-inf", "scales-inf",
-            "degenerate-eps-nan", "geometry-unknown"])
+            "degenerate-eps-nan", "geometry-unknown", "d-with-complex",
+            "n-with-riemannian", "degenerate-d-with-complex"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
                                               command, cfg_text, where):
         code, out = run(tmp_path, command, cfg_text)
@@ -333,6 +337,40 @@ class TestSolveCommand:
                      "--out", str(out)]) == 2
         assert "absent.cfg" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestOutDirectory:
+    """An --out that cannot hold the outputs ends the run with status 2 and
+    one stderr line naming the path, never a traceback."""
+
+    def test_out_naming_a_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep\n")
+        assert main(["cone-check", "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(target) in err
+        assert target.read_text() == "keep\n"
+
+    def test_out_under_a_file_refused_before_the_solve(self, tmp_path, capsys,
+                                                       monkeypatch):
+        target = tmp_path / "taken"
+        target.write_text("")
+
+        def never(*args):
+            raise AssertionError("the solve ran")
+
+        monkeypatch.setattr(cli, "continuity_solve", never)
+        assert main(["solve", "--out", str(target / "sub")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(target) in err
+
+    def test_failed_write(self, tmp_path, capsys):
+        # the output file's name is taken by a directory
+        (tmp_path / "out" / "cone_check.csv").mkdir(parents=True)
+        code, out = run(tmp_path, "cone-check", "samples = 5\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out / "cone_check.csv") in err
 
 
 class TestScalingCommand:

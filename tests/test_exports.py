@@ -1,7 +1,9 @@
 """Every name a module lists in ``__all__`` exists, so ``import *`` works,
-and every boundary the benchmark's tracer wraps exists."""
+every public function and class a module defines is listed there, and
+every boundary the benchmark's tracer wraps exists."""
 
 import importlib
+import inspect
 import importlib.util
 import os
 import pkgutil
@@ -28,6 +30,23 @@ def test_all_names_exist(name):
     module = importlib.import_module(f"hessiancone.{name}")
     missing = [x for x in getattr(module, "__all__", ()) if not hasattr(module, x)]
     assert missing == []
+
+
+# the modules that declare their public surface (cli is the front-end)
+EXPORTING = [name for name in MODULES
+             if hasattr(importlib.import_module(f"hessiancone.{name}"), "__all__")]
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_public_names_are_listed(name):
+    # a module-level function or class without a leading underscore is
+    # public, so __all__ names it; a helper is private
+    module = importlib.import_module(f"hessiancone.{name}")
+    public = [x for x, obj in vars(module).items()
+              if not x.startswith("_")
+              and (inspect.isfunction(obj) or inspect.isclass(obj))
+              and obj.__module__ == module.__name__]
+    assert sorted(set(public) - set(module.__all__)) == []
 
 
 def _tracer_spans():

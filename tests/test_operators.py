@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from hessiancone import arrowhead as ah
 from hessiancone import cones as cn
 from hessiancone import operators as op
+from hessiancone import presets as pr
+from hessiancone import solve as sv
 from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
 
 GEOM = GridGeometry(n=2, resolution=8)
@@ -85,52 +87,57 @@ class TestEigenField:
 
     def test_matches_arrowhead_module(self):
         spec = ah.ArrowheadSpec(d=[0.7], a_off=[0.3 + 0.4j], corner=2.0)
-        g = op.complex_hessian(ScalarField.zeros(GEOM), ah.assemble(spec))
+        g = op.complex_hessian(ScalarField.zeros(GEOM),
+                               ah._assemble(spec.d, spec.a_off, spec.corner))
         lam = op.eigen_field(g)
         expected = ah.eigenvalues(spec).values
         np.testing.assert_allclose(lam[0, 0, 0, 0], expected, atol=1e-10)
 
 
 class TestResidual:
+    """The residual f(lambda(g[u])) - psi as the solver forms it."""
+
     def test_trivial_ma(self):
         fun = cn.monge_ampere(2)
-        psi = ScalarField(geom=GEOM, values=np.ones(GEOM.shape))
-        r = op.residual(ScalarField.zeros(GEOM), fun, psi, np.eye(2))
-        assert np.abs(r).max() == 0.0
+        _, rn, _ = sv._residual_and_mask(ScalarField.zeros(GEOM), fun, np.eye(2),
+                                         np.ones(GEOM.interior_shape))
+        assert rn == 0.0
 
     def test_subsolution_start_is_zero(self):
         # psi0 comes from the solver's own path, so the stage-0 residual
         # is an exact zero
-        from hessiancone import presets as pr
-        from hessiancone import solve as sv
-
         fun = cn.monge_ampere(2)
         prob = pr.build_problem(GEOM, fun, "manufactured", "zero", "star-bump")
         psi0 = sv._check_subsolution(prob.u_sub, prob.phi, fun, prob.chi,
                                      prob.psi.values[GEOM.interior])
-        r = op.residual(prob.u_sub, fun, psi0, prob.chi)
-        assert np.abs(r).max() == 0.0
+        _, rn, _ = sv._residual_and_mask(prob.u_sub, fun, prob.chi, psi0)
+        assert rn == 0.0
 
     def test_manufactured_consistency_order(self):
         # residual of the exact reference decays at second order
-        from hessiancone import presets as pr
-
         fun = cn.monge_ampere(2)
         sups = {}
         for m in (8, 16):
             geom = GridGeometry(n=2, resolution=m)
             prob = pr.build_problem(geom, fun, "manufactured", "zero", "star-bump")
-            r = op.residual(prob.u_star, fun, prob.psi, prob.chi)
-            sups[m] = np.abs(r).max()
+            _, sups[m], _ = sv._residual_and_mask(
+                prob.u_star, fun, prob.chi, prob.psi.values[geom.interior])
         order = np.log2(sups[8] / sups[16])
         assert 1.7 <= order <= 2.3
 
     def test_inadmissible_node_reported(self):
+        # newton_state names the first inadmissible node by its full-grid
+        # index, and the subsolution check passes the index on
         fun = cn.monge_ampere(2)
-        psi = ScalarField(geom=GEOM, values=np.ones(GEOM.shape))
+        zero = ScalarField.zeros(GEOM)
         with pytest.raises(op.AdmissibilityError) as err:
-            op.residual(ScalarField.zeros(GEOM), fun, psi, -np.eye(2))
-        assert len(err.value.node) == 4
+            op.newton_state(zero, fun, -np.eye(2))
+        assert err.value.node == (0, 0, 1, 0)  # x_2 the Dirichlet axis
+        assert sv._residual_and_mask(zero, fun, -np.eye(2), 1.0) == (None,) * 3
+        with pytest.raises(sv.SubsolutionError,
+                           match=r"not admissible: .* grid index \(0, 0, 1, 0\)"):
+            sv._check_subsolution(zero, zero, fun, -np.eye(2),
+                                  np.ones(GEOM.interior_shape))
 
 
 class TestLinearize:
@@ -172,8 +179,6 @@ class TestLinearize:
         np.testing.assert_allclose(fd, analytic, atol=1e-4)
 
     def test_ellipticity(self):
-        from hessiancone import presets as pr
-
         fun = cn.monge_ampere(2)
         prob = pr.build_problem(GEOM, fun, "manufactured", "zero", "star-bump")
         F = op.linearize(prob.u_sub, fun, prob.chi)
@@ -317,8 +322,8 @@ class TestNewtonTensors:
         geom = (GridGeometry(n=dim, resolution=3) if complex_
                 else CylinderGeometry(d=dim, resolution=3))
         u = ScalarField.zeros(geom)
-        assert_matches_dense_reference(fun, g, op.residual(u, fun, 0.0, g),
-                                       op.linearize(u, fun, g))
+        f = cn.f_from_sigmas(fun, op.newton_state(u, fun, g)[0])
+        assert_matches_dense_reference(fun, g, f, op.linearize(u, fun, g))
 
     @given(spectral_cases(complex_dims=(5, 6), count=4))
     @example((cn.hessian_quotient(6, 2, 6), np.diag([float.fromhex(x) for x in (
@@ -687,12 +692,25 @@ class TestLaplacian:
     @pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=6),
                                       GridGeometry(n=3, resolution=4),
                                       CylinderGeometry(d=3, resolution=8)])
-    def test_equals_trace_of_form_field(self, geom):
-        # bit for bit, so sup|lap| in the degenerate sweep rows is unchanged
-        u = ScalarField(geom=geom,
-                        values=np.random.default_rng(2).standard_normal(geom.shape))
-        trace = np.trace(op.form_field(u), axis1=-2, axis2=-1).real
-        np.testing.assert_array_equal(np.abs(op.laplacian(u)), np.abs(trace))
+    def test_equals_trace_of_form_field(self, geom, monkeypatch):
+        # degenerate_sweep's sup_lap is max |tr form_field(u)| of each
+        # solved field, bit for bit
+        fun = cn.monge_ampere(geom.form_dim)
+        prob = pr.build_problem(geom, fun, "one", "zero", "zero")
+        solved = []
+        solve = sv.continuity_solve
+
+        def keep(*args):
+            u, report = solve(*args)
+            solved.append(u)
+            return u, report
+
+        monkeypatch.setattr(sv, "continuity_solve", keep)
+        rows = sv.degenerate_sweep(fun, prob.chi, ScalarField.zeros(geom),
+                                   prob.phi, prob.u_sub, [0.25, 0.5])
+        for row, u in zip(rows, solved, strict=True):
+            trace = np.trace(op.form_field(u), axis1=-2, axis2=-1).real
+            assert row["sup_lap"] == np.abs(trace).max() > 0.0
 
 
 def ddbar_from_real(D):

@@ -10,41 +10,49 @@ from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
 from hessiancone.operators import form_field
 
 
-class TestTrigStar:
-    def test_analytic_hessian_matches_discrete_at_order2(self):
+STAR_CASES = [GridGeometry(n=2, resolution=8), GridGeometry(n=3, resolution=4),
+              CylinderGeometry(d=3, resolution=8), CylinderGeometry(d=4, resolution=8)]
+
+
+def star_id(geom):
+    return (f"complex-{geom.n}" if geom.is_complex else f"cylinder-{geom.d}")
+
+
+@pytest.mark.parametrize("geom", STAR_CASES, ids=star_id)
+class TestStar:
+    """The one star family on both geometries, its Hessian through the
+    complex-structure map on the complex model."""
+
+    def test_analytic_hessian_matches_discrete_at_order2(self, geom):
         errs = {}
-        for m in (8, 16):
-            geom = GridGeometry(n=2, resolution=m)
-            star = ScalarField(geom=geom, values=pr.trig_star_values(geom))
+        for m in (geom.resolution, 2 * geom.resolution):
+            grid = type(geom)(geom.form_dim, m)
+            star = ScalarField(geom=grid, values=pr.star_values(grid))
             discrete = form_field(star, None)
-            analytic = pr.trig_star_hessian(geom)[geom.interior]
+            analytic = pr.star_hessian(grid)[grid.interior]
             errs[m] = float(np.abs(discrete - analytic).max())
-        assert 1.7 <= np.log2(errs[8] / errs[16]) <= 2.3
+        assert 1.7 <= np.log2(errs[geom.resolution] / errs[2 * geom.resolution]) <= 2.3
 
-    def test_boundary_trace_vanishes(self):
-        geom = GridGeometry(n=2, resolution=8)
-        vals = pr.trig_star_values(geom)
-        for face in (0, 1):
-            assert np.abs(vals[geom.boundary_slicer(face)]).max() <= 1e-15
+    def test_boundary_trace_vanishes(self, geom):
+        assert np.abs(pr.star_values(geom)[geom.faces]).max() <= 1e-15
 
+    def test_amplitude_guard(self, geom):
+        # the default amplitude is admissible with a margin; five times the
+        # complex model's trips the guard on both geometries
+        fun = cn.monge_ampere(geom.form_dim)
+        chi = pr.chi_identity(geom)
+        assert pr.manufactured_psi(fun, chi, pr.star_hessian(geom)).min() > 0.3
+        with pytest.raises(ValueError, match="amplitude"):
+            pr.manufactured_psi(fun, chi, pr.star_hessian(geom, amplitude=0.1))
+
+
+class TestTrigStar:
     def test_default_amplitude_admissible(self):
         geom = GridGeometry(n=2, resolution=8)
         fun = cn.monge_ampere(2)
         psi = pr.manufactured_psi(fun, pr.chi_identity(geom),
-                                  pr.trig_star_hessian(geom))
+                                  pr.star_hessian(geom))
         assert psi.min() > 0.3
-
-
-class TestRealStar:
-    def test_analytic_hessian_matches_discrete_at_order2(self):
-        errs = {}
-        for m in (8, 16):
-            geom = CylinderGeometry(d=3, resolution=m)
-            star = ScalarField(geom=geom, values=pr.real_star_values(geom))
-            discrete = form_field(star, None)
-            analytic = pr.real_star_hessian(geom)[geom.interior]
-            errs[m] = float(np.abs(discrete - analytic).max())
-        assert 1.7 <= np.log2(errs[8] / errs[16]) <= 2.3
 
 
 class TestBuildProblem:
@@ -70,14 +78,12 @@ class TestBuildProblem:
         fun = cn.monge_ampere(2)
         prob = pr.build_problem(geom, fun, "one", "scaled-cos", "scaled-cos",
                                 scale=8.0)
-        for face in (0, 1):
-            sl = geom.boundary_slicer(face)
-            np.testing.assert_allclose(prob.u_sub.values[sl],
-                                       prob.phi.values[sl], atol=1e-14)
+        np.testing.assert_allclose(prob.u_sub.values[geom.faces],
+                                   prob.phi.values[geom.faces], atol=1e-14)
 
     def test_amplitude_guard_raises(self):
         geom = GridGeometry(n=2, resolution=8)
         fun = cn.monge_ampere(2)
         with pytest.raises(ValueError, match="amplitude"):
             pr.manufactured_psi(fun, pr.chi_identity(geom),
-                                pr.trig_star_hessian(geom, amplitude=0.1))
+                                pr.star_hessian(geom, amplitude=0.1))
