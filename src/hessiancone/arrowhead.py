@@ -29,7 +29,7 @@ lambda_n - c lies in
 secular equation and its interlacing are those of O'Leary & Stewart
 (above) and Jakovcevic Stor, Slapnicar & Barlow (Linear Algebra Appl. 464,
 2015).  A trial whose intervals show that it passes, and that it cannot
-hold its chunk's largest deviation or excess, is settled without a dense
+hold its batch's largest deviation or excess, is settled without a dense
 solve; every other trial goes to the dense solver, so a sweep's maxima
 and violation counts are the dense solver's own values.
 
@@ -78,9 +78,16 @@ SWEEP_SLACK = 16 * np.finfo(float).eps
 
 SWEEP_CSV_HEADER = "n,eps,corner_fraction,max_dev,max_excess,violations"
 
-# Sweep trials are processed in fixed-size chunks, each drawing from its
-# own RNG stream; the chunk size is part of what defines a sweep's output.
+# Sweep trials are drawn in fixed-size chunks, each from its own RNG
+# stream; the chunk size is part of what defines a sweep's output.
 _CHUNK = 512
+
+# Consecutive chunks of a sweep are verified together, in batches of at
+# least one chunk and at most _BATCH / n trials: each trial holds n - 1
+# entries of every (n - 1, trials) plane of _bounds and one of every row.
+# A batch only sets which trials reach the dense solver, never a sweep's
+# output.
+_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -399,10 +406,41 @@ def _draw_specs(n: int, trials: int, rng: np.random.Generator):
     return d, mod
 
 
+def _draw_batch(n, trials, seed, cids):
+    """The specs of the consecutive chunks cids of a sweep, each chunk
+    drawn from its own stream [seed, cid], stacked."""
+    drawn = [_draw_specs(n, min(_CHUNK, trials - cid * _CHUNK),
+                         np.random.default_rng([seed, cid]))
+             for cid in cids]
+    return tuple(np.concatenate(x) for x in zip(*drawn))
+
+
 def _root(b, zsq):
     """Positive root of t^2 + b t - zsq = 0 for b > 0, in the form
-    without cancellation."""
-    return 2.0 * zsq / (b + np.sqrt(b * b + 4.0 * zsq))
+    without cancellation, b + sqrt(b^2 + 4 zsq) formed in one buffer."""
+    den = 4.0 * zsq
+    den += b * b
+    np.sqrt(den, out=den)
+    den += b
+    return np.divide(2.0 * zsq, den, out=den)
+
+
+def _coefficient(ds, zsq, c_d, shift=None):
+    """The linear coefficients b_j = c - d_j - S_j(shift_j) of the
+    secular quadratics (S_j(0) without shift), over (k, trials) planes.
+    S_j adds zsq_i / (d_i - d_j + shift_j) in order of i, its i = j term
+    entering as zsq_j / (inf + shift_j), in two planes of scratch."""
+    total, term = np.empty_like(ds), np.empty_like(ds)
+    for i in range(len(ds)):
+        out = total if i == 0 else term
+        np.subtract(ds[i], ds, out=out)
+        out[i] = np.inf
+        if shift is not None:
+            out += shift
+        np.divide(zsq[i], out, out=out)
+        if i > 0:
+            total += out
+    return np.subtract(c_d, total, out=total)
 
 
 def _bounds(ds, z, corner):
@@ -429,19 +467,15 @@ def _bounds(ds, z, corner):
     """
     k = len(ds)
     zsq = z * z
-    idx = np.arange(k)
-    diff = ds[None] - ds[:, None]  # [j, i] = d_i - d_j
-    diff[idx, idx] = np.inf  # leaves i = j out of S_j
     gap = np.diff(ds, axis=0, prepend=-np.inf, append=np.inf)
     c_d = corner - ds
     zsum = zsq.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         norm = np.sqrt((ds * ds).sum(axis=0) + 2.0 * zsum + corner * corner)
-        near = np.minimum(gap[:-1], gap[1:])
-        slack = (k + 1) * SWEEP_SLACK * (norm + zsum / near)
-        b = c_d - (zsq / diff).sum(axis=1)
+        slack = (k + 1) * SWEEP_SLACK * (norm + zsum / np.minimum(gap[:-1], gap[1:]))
+        b = _coefficient(ds, zsq, c_d)
         hi = _root(b, zsq) + slack
-        lo = _root(c_d - (zsq / (diff + hi[:, None])).sum(axis=1), zsq) - slack
+        lo = _root(_coefficient(ds, zsq, c_d, hi), zsq) - slack
         top = (zsq / c_d).sum(axis=0)
         excess_slack = (k + 1) * SWEEP_SLACK * (norm + top)
         excess_lo = (zsq / (c_d + top)).sum(axis=0) - excess_slack
@@ -457,7 +491,7 @@ def _settled(ds, z, corner, eps):
     arguments, eps one per trial).  A settled trial passes with the margin
     MARGIN, a lower bound on every spectrum's margin, and the excess bound
     (n-1) eps, a lower bound on the weak one; and its deviations and
-    excess stay below the chunk's largest lower bounds, so a dense solve
+    excess stay below the batch's largest lower bounds, so a dense solve
     of the other trials finds both maxima."""
     ok, lo, hi, excess_lo, excess_hi = _bounds(ds, z, corner)
     dev_hi = hi.max(axis=0)
@@ -468,18 +502,23 @@ def _settled(ds, z, corner, eps):
     return ok & passes & (dev_hi < top_dev) & (excess_hi < top_excess)
 
 
+def _sorted_planes(d, a):
+    """The diagonals d (trials, k) sorted ascending and the border moduli
+    a in the same order, as (k, trials) planes."""
+    order = np.argsort(d, axis=-1)
+    return tuple(np.take_along_axis(x, order, axis=-1).T.copy() for x in (d, a))
+
+
 def _chunk_stats(mode, d, a, eps, corner_fraction):
     """(max deviation, max excess, violations) of the stacked trials with
     diagonals d and border moduli a at the threshold of mode times
     corner_fraction: the dense verdict of the trials that _settled leaves."""
-    order = np.argsort(d, axis=-1)
-    ds = np.take_along_axis(d, order, axis=-1)
+    ds, z = _sorted_planes(d, a)
     if mode == "distinct":
-        eps = np.minimum(eps, 0.5 * _min_gap(ds))
+        eps = np.minimum(eps, 0.5 * _min_gap(ds.T))
     corner = corner_fraction * _THRESHOLDS[mode](d, a, eps)
     eps = np.broadcast_to(eps, corner.shape)
-    z = np.take_along_axis(a, order, axis=-1)
-    dense = ~_settled(ds.T.copy(), z.T.copy(), corner, eps)
+    dense = ~_settled(ds, z, corner, eps)
     d, corner, eps = d[dense], corner[dense], eps[dense]
     lam = _spectra(d, a[dense], corner)
     dev, excess, deviation_ok, excess_ok, _ = _concentration(mode, d, lam, corner, eps)
@@ -496,15 +535,12 @@ def _run_sweep(mode, n, eps, trials, seed, corner_fraction):
         raise ValueError("trials must be >= 1")
     if mode not in _THRESHOLDS:
         raise ValueError(f"unknown sweep mode {mode!r}")
-    chunks = [
-        (cid, min(_CHUNK, trials - cid * _CHUNK))
-        for cid in range((trials + _CHUNK - 1) // _CHUNK)
-    ]
-    results = [
-        _chunk_stats(mode, *_draw_specs(n, count, np.random.default_rng([seed, cid])),
-                     eps, corner_fraction)
-        for cid, count in chunks
-    ]
+    chunks = (trials + _CHUNK - 1) // _CHUNK
+    per_batch = max(1, _BATCH // (n * _CHUNK))
+    results = []
+    for first in range(0, chunks, per_batch):
+        d, a = _draw_batch(n, trials, seed, range(first, min(first + per_batch, chunks)))
+        results.append(_chunk_stats(mode, d, a, eps, corner_fraction))
     max_dev = max(r[0] for r in results)
     max_excess = max(r[1] for r in results)
     violations = sum(r[2] for r in results)

@@ -183,6 +183,9 @@ class SolveReport:
     newton_iterations: int = 0
     boundary_tangential_min: float = np.nan
     stage: StageRecord | None = None
+    # degenerate_sweep's sup_lap, max |tr form_field(u)| over the interior
+    # nodes (never in CSV_FIELDS)
+    sup_lap: float = np.nan
     # wall seconds of the subsolution check, the Newton stage and the
     # diagnostics (never in CSV_FIELDS)
     seconds: list = field(default_factory=list)
@@ -525,7 +528,9 @@ def estimate_report(u) -> SolveReport:
              else boundary_real_hessian)(u, padded)
     k = geom.form_dim - 1
     tn = max(float(np.abs(f[..., :k, k]).max()) for f in faces)
-    report.sup_ddbar_interior = _spectral_radius(form_field(u, None))
+    forms = form_field(u, None)
+    report.sup_ddbar_interior = _spectral_radius(forms)
+    report.sup_lap = float(np.abs(np.trace(forms, axis1=-2, axis2=-1).real).max())
     report.sup_ddbar_boundary = max(map(_spectral_radius, faces))
     report.boundary_ratio = report.sup_ddbar_boundary / (1.0 + sup_grad**2)
     report.tangential_normal_ratio = tn / (1.0 + sup_grad)
@@ -668,7 +673,8 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
     newton_iterations is the solve's step count, "" when it failed; a
     failed row's final_residual is the residual its ContinuationError
     reached (nan for the other errors, and for an inadmissible start).
-    sup_lap is max |tr form_field(u)| over the interior nodes.
+    sup_lap is the report's: max |tr form_field(u)| over the interior
+    nodes, from the forms estimate_report takes its interior norm from.
     """
     config = config or SolverConfig()
     geom = u_sub.geom
@@ -688,7 +694,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
                "newton_iterations": "", "error": ""}
         shifted = ScalarField(geom=geom, values=psi.values + eps)
         try:
-            u, rep = continuity_solve(fun, chi, shifted, phi, u_sub, config)
+            _, rep = continuity_solve(fun, chi, shifted, phi, u_sub, config)
         except SOLVE_ERRORS as exc:
             row["error"] = type(exc).__name__
             row["final_residual"] = getattr(exc, "residual", np.nan)
@@ -699,7 +705,6 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
         row["newton_iterations"] = rep.newton_iterations
         row["sup_u"] = rep.sup_u
         row["sup_grad"] = max(rep.sup_grad_interior, rep.sup_grad_boundary)
-        trace = np.trace(form_field(u), axis1=-2, axis2=-1).real
-        row["sup_lap"] = float(np.abs(trace).max())
+        row["sup_lap"] = rep.sup_lap
         rows.append(row)
     return rows

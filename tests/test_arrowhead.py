@@ -5,6 +5,7 @@ The independent oracle for n = 2 is the closed-form quadratic
 everything larger is checked against numpy's dense Hermitian solver.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -435,6 +436,38 @@ def adversarial_specs(n, seed, families):
     return d, a
 
 
+def cube_bounds(ds, z, corner):
+    """_bounds with the secular sums S_j(0) and S_j(hi) taken by .sum(axis=1)
+    over (k, k, trials) cubes: the reference for its (k, trials) planes."""
+    k = len(ds)
+    zsq = z * z
+    idx = np.arange(k)
+    diff = ds[None] - ds[:, None]  # [j, i] = d_i - d_j
+    diff[idx, idx] = np.inf  # leaves i = j out of S_j
+    gap = np.diff(ds, axis=0, prepend=-np.inf, append=np.inf)
+    c_d = corner - ds
+    zsum = zsq.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norm = np.sqrt((ds * ds).sum(axis=0) + 2.0 * zsum + corner * corner)
+        near = np.minimum(gap[:-1], gap[1:])
+        slack = (k + 1) * ah.SWEEP_SLACK * (norm + zsum / near)
+        b = c_d - (zsq / diff).sum(axis=1)
+
+        def root(b):
+            return 2.0 * zsq / (b + np.sqrt(b * b + 4.0 * zsq))
+
+        hi = root(b) + slack
+        lo = root(c_d - (zsq / (diff + hi[:, None])).sum(axis=1)) - slack
+        top = (zsq / c_d).sum(axis=0)
+        excess_slack = (k + 1) * ah.SWEEP_SLACK * (norm + top)
+        excess_lo = (zsq / (c_d + top)).sum(axis=0) - excess_slack
+        excess_hi = (zsq / (c_d + np.maximum(excess_lo, 0.0))).sum(axis=0) + excess_slack
+    ok = ((z > 0).all(axis=0) & (c_d[-1] > 0) & (b > 0).all(axis=0)
+          & (hi <= 0.5 * gap[:-1]).all(axis=0) & np.isfinite(lo).all(axis=0)
+          & np.isfinite(excess_hi))
+    return ok, lo, hi, excess_lo, excess_hi
+
+
 class TestBoundAndVerify:
     """The sweeps' secular-equation filter against a dense solve of every
     trial."""
@@ -475,10 +508,56 @@ class TestBoundAndVerify:
         assert ah._min_gap(np.array([[3.0]])).tolist() == [np.inf]  # n = 2
         assert ah._min_gap(np.array([[-1.0, 2.0, 2.0]])).tolist() == [0.0]
 
+    @given(adversarial_chunks())
+    @example(("distinct", 5, 1.0, 1.0, [11, 9], set()))
+    @settings(max_examples=100, deadline=None)
+    def test_plane_sums_equal_cube_sums(self, case):
+        # the planes add the terms of each S_j in the order in which the
+        # cube's .sum(axis=1) did, so every output is the same, bit for bit
+        mode, n, eps, corner_fraction, seed, families = case
+        d, a = adversarial_specs(n, seed, families)
+        ds, z = ah._sorted_planes(d, a)
+        if mode == "distinct":
+            eps = np.minimum(eps, 0.5 * ah._min_gap(ds.T))
+        corner = corner_fraction * ah._THRESHOLDS[mode](d, a, eps)
+        for plane, cube in zip(ah._bounds(ds, z, corner), cube_bounds(ds, z, corner),
+                               strict=True):
+            np.testing.assert_array_equal(plane, cube)
+
+    @pytest.mark.parametrize("mode", ["strong", "weak", "distinct"])
+    def test_rows_do_not_depend_on_the_batch(self, mode, monkeypatch):
+        # 2,600 trials: five whole chunks and a part; batches of one chunk,
+        # the default and one batch for the whole sweep
+        def rows():
+            return [ah._run_sweep(mode, n, eps, 2600, 3, fraction).csv_row()
+                    for n in range(2, 9) for eps in (0.05, 1.0)
+                    for fraction in (1.0, 0.5)]
+
+        default = rows()
+        for budget in (1, 10**9):
+            monkeypatch.setattr(ah, "_BATCH", budget)
+            assert rows() == default, budget
+
+    def test_sweep_memory_stays_bounded(self):
+        # tracemalloc peaks (numpy 2.4.6): 0.82 MB on both cells in batches
+        # of two chunks; 1.09 MB with the sums over (k, k, trials) cubes,
+        # one chunk at a time
+        ah.sweep_at_threshold("strong", 8, 0.05, 600, 0)
+        for mode, eps in (("strong", 0.05), ("weak", 1.0)):
+            tracemalloc.start()
+            try:
+                ah.sweep_at_threshold(mode, 8, eps, 10_000, 0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.0e6, (mode, peak)
+
     def test_full_profile_cell_solves_few_matrices(self, monkeypatch):
         # strong, n = 8, eps = 0.05: the 10,000 trials of seed 0 in 20
-        # chunks.  The filter sends 72 of them to the dense solver
-        # (measured); a dense solve of every trial would take 10,000.
+        # chunks, verified in 10 batches of two chunks, one eigvalsh call
+        # each.  The filter sends 52 of them to the dense solver (72 one
+        # chunk at a time; measured); a dense solve of every trial would
+        # take 10,000.
         exact = np.linalg.eigvalsh
         solved = []
 
@@ -488,7 +567,7 @@ class TestBoundAndVerify:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         s = ah.sweep_at_threshold("strong", 8, 0.05, 10000, 0)
-        assert s.violations == 0 and len(solved) == 20
+        assert s.violations == 0 and len(solved) == 10
         assert sum(solved) <= 100
 
 

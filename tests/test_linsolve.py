@@ -7,7 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from hessiancone import cones, linsolve, operators, presets, solve
+from hessiancone import arrowhead, cones, linsolve, operators, presets, solve
 from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
 from hessiancone.linsolve import (DEFAULT_RTOL, LinearSolveError,
                                   _MeanCoefficientInverse, solve_dirichlet)
@@ -355,8 +355,9 @@ class TestSolveRecord:
         assert checked[0] >= 3
 
 
-# numpy calls that run level-1 BLAS on interior-sized vectors, and so wake
-# OpenBLAS's second thread, which then spins through the numpy work after it
+# numpy calls that run level-1 BLAS on interior-sized vectors or on a
+# lemma-sweep batch, and so wake OpenBLAS's second thread, which then spins
+# through the numpy work after it
 BLAS_CALLS = ("dot", "vdot", "inner", "linalg.norm")
 SINGLE_THREAD = [linsolve._gmres, operators.apply_second_order,
                  operators._second_partials, operators._real_partials,
@@ -364,7 +365,10 @@ SINGLE_THREAD = [linsolve._gmres, operators.apply_second_order,
                  operators.form_field,
                  operators._boundary_real_second, operators._complex_form,
                  operators.boundary_real_hessian,
-                 operators.boundary_complex_hessian]
+                 operators.boundary_complex_hessian,
+                 arrowhead._bounds, arrowhead._coefficient, arrowhead._root,
+                 arrowhead._settled, arrowhead._chunk_stats,
+                 arrowhead._concentration]
 
 
 def blas_calls(function):

@@ -871,6 +871,30 @@ class TestDegenerate:
         laps = [r["sup_lap"] for r in rows]
         assert max(laps) / min(laps) <= 2.0
 
+    def test_forms_each_solved_hessian_once(self, monkeypatch):
+        # sup_lap comes from the interior forms that estimate_report takes
+        # for sup_ddbar_interior; cone exits form the Hessians of earlier
+        # iterates, never the solved u's
+        calls, solved = [], []
+        form_field, solve = sv.form_field, sv.continuity_solve
+
+        def counting(u, chi=None):
+            calls.append(u)
+            return form_field(u, chi)
+
+        def keep(*args):
+            u, report = solve(*args)
+            solved.append(u)
+            return u, report
+
+        monkeypatch.setattr(sv, "form_field", counting)
+        monkeypatch.setattr(sv, "continuity_solve", keep)
+        prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
+        rows = sv.degenerate_sweep(MA2, prob.chi, prob.psi, prob.phi,
+                                   prob.u_sub, [1e-1, 1e-2])
+        assert all(r["converged"] for r in rows)
+        assert [sum(c is u for c in calls) for u in solved] == [1, 1]
+
     def test_strict_margin_keeps_subsolution_valid(self):
         prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
         lam = eigen_field(form_field(prob.u_sub, prob.chi))
