@@ -20,10 +20,16 @@ the exact inverse.
 The Krylov method is restarted GMRES, preconditioned on the right (Saad &
 Schultz 1986), so it minimizes the true residual |b - A x| and stops at
 the tolerance asked for, not far below it; the weight changes the
-iteration count and not the system solved.  Inner products run through
-``np.einsum``: BLAS level-1 calls would wake OpenBLAS's second thread,
-whose spinning slows every numpy call after them.  The Arnoldi loop works
-in place on the preallocated rows of its bases and one scratch vector.
+iteration count and not the system solved.  The preconditioner is fixed
+within a solve, so a cycle's update is M applied once to its combination
+of Arnoldi vectors, and the only basis held is the RESTART + 1 rows of
+those vectors.  C comes as coefficient_tensor stores it, its distinct
+planes keyed by axis pair, or one scalar per axis for a constant
+operator; the keys are the pairs the operator applies.  Inner products
+run through ``np.einsum``: BLAS level-1 calls would wake OpenBLAS's
+second thread, whose spinning slows every numpy call after them.  The
+Arnoldi loop works in place on the preallocated rows of its basis and
+one scratch vector.
 Each operator application takes one centred first difference per axis of
 a mixed pair and forms every mixed partial from two windows of it (see
 :mod:`.operators`), so applications round differently from the
@@ -43,8 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import (apply_second_order, nonzero_pairs, _padded, _window,
-                        _wrap_ghosts)
+from .operators import apply_second_order, _padded, _window, _wrap_ghosts
 
 __all__ = ["LinearSolveError", "LinearSolveRecord", "solve_dirichlet"]
 
@@ -88,21 +93,23 @@ class _MeanCoefficientInverse:
     the spectrum."""
 
     def __init__(self, C, geom):
-        diag = [C[..., a, a] for a in range(geom.real_dims)]
+        diag = [C[a, a][1] for a in range(geom.real_dims)]
         trace = sum(diag)
         if not np.all(trace > 0):
             raise LinearSolveError("coefficient trace not positive at some node")
         weight = 1.0 / trace
-        mean_diag = [(plane * weight).mean() for plane in diag]
+        mean_diag = [np.mean(plane * weight) for plane in diag]
         da, periodic = geom.dirichlet_axis, geom.periodic_axes
         self.shape = geom.interior_shape
         self.order = (da,) + periodic
         self.back = tuple(np.argsort(self.order))
         s = mean_diag[da] / (geom.h * geom.h)
-        self.weight = np.ascontiguousarray(weight.transpose(self.order)) / s
+        if np.ndim(weight):  # a scalar for a constant operator
+            weight = np.ascontiguousarray(weight.transpose(self.order))
+        self.weight = weight / s
         # the last axis takes the real transform, the others complex ones
         self.complex_axes = range(1, len(periodic))
-        self.real = np.empty(self.weight.shape)
+        self.real = np.empty(tuple(self.shape[a] for a in self.order))
         spectral = list(self.real.shape)
         spectral[-1] = spectral[-1] // 2 + 1
         self.spectrum = np.empty(spectral, dtype=complex)
@@ -163,10 +170,15 @@ def _gmres(A, M, b, rtol):
     """Restarted GMRES(RESTART) for A x = b, right-preconditioned by M.
 
     A cycle runs modified Gram-Schmidt Arnoldi on A M until its
-    least-squares residual is at most rtol |b|, adds sum_j y_j M v_j to x
+    least-squares residual is at most rtol |b|, adds M(sum_j y_j v_j) to x
     and applies A once for r = b - A x: the check, and the next cycle's
-    start.  The zero start costs no application.  Returns (x, |r| / |b|
-    (0 when r = 0), M applications) once |r| <= rtol |b|; raises
+    start.  M is fixed, so sum_j y_j M v_j is M of the combination of the
+    v_j, and no basis of the M v_j is kept (Saad, Iterative Methods for
+    Sparse Linear Systems, 2003, sec. 9.3.2; only flexible GMRES, whose M
+    changes from step to step, needs one): RESTART + 1 rows of V are the
+    only basis, for one more M application per cycle.  The zero start
+    costs no application.  Returns (x, |r| / |b| (0 when r = 0),
+    M applications) once |r| <= rtol |b|; raises
     LinearSolveError on a non-finite Arnoldi coefficient, when a cycle
     leaves |r| above rtol |b| and above STALL times the |r| it started
     from, or when MAX_CYCLES cycles leave |r| above rtol |b|.
@@ -175,7 +187,6 @@ def _gmres(A, M, b, rtol):
     bnorm = _norm(b)
     r, rnorm, target = b, bnorm, rtol * bnorm
     V = np.empty((RESTART + 1, b.size))
-    Z = np.empty((RESTART, b.size))
     scratch = np.empty(b.size)
     cycles = steps = 0
     while not rnorm <= target:  # a NaN residual enters and raises
@@ -188,8 +199,7 @@ def _gmres(A, M, b, rtol):
         np.divide(r, rnorm, out=V[0])
         for j in range(RESTART):
             steps += 1
-            Z[j] = M(V[j])
-            w = A(Z[j])
+            w = A(M(V[j]))
             for i in range(j + 1):
                 H[i, j] = _dot(w, V[i])
                 w -= np.multiply(V[i], H[i, j], out=scratch)
@@ -200,7 +210,8 @@ def _gmres(A, M, b, rtol):
             if estimate <= target or H[j + 1, j] == 0.0:
                 break
             np.divide(w, H[j + 1, j], out=V[j + 1])
-        x += np.einsum("j,ji->i", y, Z[:j + 1], out=scratch)
+        x += M(np.einsum("j,ji->i", y, V[:j + 1], out=scratch))
+        steps += 1
         r = A(x)
         np.subtract(b, r, out=r)
         rnorm, start = _norm(r), rnorm
@@ -219,7 +230,8 @@ def solve_dirichlet(
     boundary_values=None,
     rtol: float = DEFAULT_RTOL,
 ) -> tuple[np.ndarray, LinearSolveRecord]:
-    """Solve sum C_ab d_ab U = rhs at interior nodes, U = bc on the faces.
+    """Solve sum C_ab d_ab U = rhs at interior nodes, U = bc on the faces,
+    C in the form coefficient_tensor gives it.
 
     ``boundary_values`` is a full-shape array supplying the Dirichlet data
     (only its two faces are read); omitted means homogeneous data.
@@ -227,16 +239,16 @@ def solve_dirichlet(
     Raises :class:`LinearSolveError` when tr C is not positive at some node
     or GMRES fails (see ``_gmres``).
     """
-    pairs = nonzero_pairs(C)
-    full = np.zeros(geom.shape)
-    rhs = np.asarray(rhs_interior, dtype=float).copy()
+    # GMRES never writes into b, so rhs is read as given; the solution
+    # field is allocated after GMRES, which holds its own vectors
+    rhs = np.asarray(rhs_interior, dtype=float)
     applications = 0
+    bc = None
     if boundary_values is not None:
         bc = np.zeros(geom.shape)
         bc[geom.faces] = boundary_values[geom.faces]
-        rhs -= apply_second_order(C, bc, geom, pairs)
+        rhs = rhs - apply_second_order(C, bc, geom)
         applications += 1
-        full += bc
 
     padded = _padded(np.zeros(geom.shape), geom)  # the faces stay zero
     inside = padded[_window(geom, {})]
@@ -246,11 +258,14 @@ def solve_dirichlet(
         applications += 1
         inside[...] = x.reshape(geom.interior_shape)
         _wrap_ghosts(padded, geom)
-        return apply_second_order(C, padded, geom, pairs).reshape(-1)
+        return apply_second_order(C, padded, geom).reshape(-1)
 
     b = rhs.reshape(-1)
     x, rel, precond_applications = _gmres(
         matvec, _MeanCoefficientInverse(C, geom).apply, b, rtol)
+    full = np.zeros(geom.shape)
+    if bc is not None:
+        full += bc
     full[geom.interior] += x.reshape(geom.interior_shape)
     return full, LinearSolveRecord(rtol, rel, applications,
                                    precond_applications)

@@ -12,12 +12,15 @@ pair, of which u_ab is one subtraction of two windows,
 Hessians) scales its sums once.  The values agree with the four-window
 form (u_++ - u_+- - u_-+ + u_--) / 4h^2 up to rounding, but not bit for
 bit: the operations run in another order.  A per-node form (the Hessian
-g, the Newton tensors, the linearization F, the coefficients C) is
-stored node-major: an (r, r, *nodes) buffer with each entry plane
-contiguous, handed out as its (..., r, r) view, and the sigmas likewise
-as an (m+1, *nodes) buffer behind a (..., m+1) view.  The per-node
-algebra loops over the r^2 entry planes rather than over a trailing
-axis of length 2 or 3.  With
+g, the Newton tensors, the linearization F) is stored node-major: an
+(r, r, *nodes) buffer with each entry plane contiguous, handed out as its
+(..., r, r) view, and the sigmas likewise as an (m+1, *nodes) buffer
+behind a (..., m+1) view.  The per-node algebra loops over the r^2 entry
+planes rather than over a trailing axis of length 2 or 3.  The real
+coefficients C of the linearized operator keep only their distinct
+planes, keyed by axis pair (coefficient_tensor): n^2 on the complex
+model, where the dense form has 4 n^2, and each plane is multiplied
+once per mixed partial that reads it.  With
 dz = (dx - i dy)/2 the complex Hessian of a real field is
 
     u_{i jbar} = ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j})) / 4,
@@ -51,7 +54,6 @@ __all__ = [
     "linearize",
     "coefficient_tensor",
     "apply_second_order",
-    "nonzero_pairs",
     "gradient_interior",
     "gradient_boundary",
     "boundary_complex_hessian",
@@ -320,7 +322,11 @@ def newton_tensors(g: np.ndarray, m: int):
                     sigma[j] = row
             sigma[j] /= j
         if j < m:
-            T = np.negative(G if j == 1 else _plane_product(G, T))
+            if j == 1:
+                T = np.negative(G)
+            else:  # negated in place: one allocation for -(g T)
+                T = _plane_product(G, T)
+                np.negative(T, out=T)
             for a in range(r):
                 T.real[a, a] += sigma[j]
             tensors.append(_form(T.reshape((r, r) + nodes)))
@@ -446,74 +452,80 @@ def linearize(u, fun, chi=None, state=None) -> np.ndarray:
     return _form(F.reshape((r, r) + nodes))
 
 
-def coefficient_tensor(F: np.ndarray, geom) -> np.ndarray:
-    """Real symmetric coefficients over the real coordinates.
+def coefficient_tensor(F: np.ndarray, geom) -> dict:
+    """The real coefficients C_ab of the linearized operator
+    sum_ab C_ab d^2 / dx_a dx_b, stored as their distinct planes: a dict
+    from the axis pairs a <= b to (sign, plane) with
+    C_ab = C_ba = sign * plane, each plane contiguous and of interior
+    shape, each diagonal sign +1.
 
     For complex geometry the linearized operator is the trace pairing
     trace(F H[v]) with H the complex Hessian (the adjoint of the map in
-    _complex_form); in real coordinates this is
-    sum_ab C_ab d^2 v / dx_a dx_b with quarter blocks [[S, T], [-T, S]]
-    (S = Re F, T = Im F) in interleaved (x_i, y_i) order.  C is the
-    (..., r, r) view of an (r, r, ...) buffer: each C[..., a, b] is
-    contiguous.  On real geometry C is Re F's own node-major buffer when
-    F has one.
+    _complex_form); in real coordinates its quarter blocks are
+    [[S, T], [-T, S]] (S = Re F, T = Im F) in interleaved (x_i, y_i)
+    order.  So C[x_i, x_j] and C[y_i, y_j] are one plane, S_ij / 4;
+    C[y_i, x_j] is C[x_i, y_j] = T_ij / 4 with sign -1; and the (x_i, y_i)
+    entries, T_ii / 4 = 0 as F is Hermitian, are not stored: n^2 planes in
+    all, where the dense form has 4 n^2.  On real geometry the d (d + 1) / 2
+    planes a <= b are copied out of F, so that F can be freed (views would
+    keep all d^2 of its planes).  Only these keys are applied, so no
+    plane is scanned for zeros.
     """
     if not geom.is_complex:
-        return _form(_planes(F.real))
+        d = geom.real_dims
+        return {(a, b): (1, F[..., a, b].copy())
+                for a in range(d) for b in range(a, d)}
     S, T = F.real, F.imag
-    C = np.empty((geom.real_dims,) * 2 + S.shape[:-2])
+    C = {}
     for i in range(geom.n):
         xi, yi = geom.complex_axes(i)
-        for j in range(geom.n):
+        for j in range(i, geom.n):
             xj, yj = geom.complex_axes(j)
-            np.multiply(S[..., i, j], 0.25, out=C[xi, xj])
-            C[yi, yj] = C[xi, xj]
-            np.multiply(T[..., i, j], 0.25, out=C[xi, yj])
-            np.negative(C[xi, yj], out=C[yi, xj])
-    return _form(C)
+            C[xi, xj] = C[yi, yj] = (1, np.multiply(S[..., i, j], 0.25))
+            if j > i:
+                plane = np.multiply(T[..., i, j], 0.25)
+                C[xi, yj], C[yi, xj] = (1, plane), (-1, plane)
+    return C
 
 
-def nonzero_pairs(C: np.ndarray) -> frozenset:
-    """The off-diagonal index pairs (a, b), a < b, where some C_ab is nonzero."""
-    r = C.shape[-1]
-    return frozenset((a, b) for a in range(r) for b in range(a + 1, r)
-                     if np.any(C[..., a, b]))
-
-
-def apply_second_order(C: np.ndarray, u_full: np.ndarray, geom,
-                       pairs=None) -> np.ndarray:
-    """sum_ab C_ab d^2 u / dx_a dx_b on the interior, C symmetric, as
+def apply_second_order(C: dict, u_full: np.ndarray, geom) -> np.ndarray:
+    """sum_ab C_ab d^2 u / dx_a dx_b on the interior, C as coefficient_tensor
+    stores it (planes, or scalars for a constant operator), as
 
         (2 sum_a C_aa L_a + sum_{a<b} C_ab M_ab) / (2 h^2)
 
     with L_a = h^2 u_aa and M_ab = 4 h^2 u_ab the unscaled stencils of
     _second_partials: one first difference per axis b of a pair, the pairs
-    taken in order of b so that one is held at a time, one subtraction per
-    mixed partial, and one scaling at the end.
+    of C's keys taken in order of b so that one is held at a time, one
+    subtraction and one product with the plane per mixed partial, added
+    or subtracted by its sign, and one scaling at the end.  Planes are
+    shared in storage, not in arithmetic: a form that added the paired
+    differences before multiplying was slower.
 
     ``u_full`` is the full-shape field, or the field already padded as
     ``_padded`` pads it; a caller applying C to many vectors keeps one
-    padded buffer and refreshes its ghosts with ``_wrap_ghosts``.  Of the
-    off-diagonal terms only ``pairs`` (default nonzero_pairs(C)) are
-    applied; such a caller computes them once.
+    padded buffer and refreshes its ghosts with ``_wrap_ghosts``.
     """
-    if pairs is None:
-        pairs = nonzero_pairs(C)
     diagonal, mixed = _second_partials(u_full, geom)
     out = diagonal(0)
-    out *= C[..., 0, 0]
+    out *= C[0, 0][1]
     d = np.empty_like(out)
     for a in range(1, geom.real_dims):
         diagonal(a, out=d)
-        d *= C[..., a, a]
+        d *= C[a, a][1]
         out += d
     scale = 1.0 / (geom.h * geom.h)
+    pairs = sorted((b, a) for a, b in C if a < b)
     if pairs:
         out *= 2.0
-        for b, a in sorted((b, a) for a, b in pairs):
+        for b, a in pairs:
+            sign, plane = C[a, b]
             np.subtract(*mixed(a, b), out=d)
-            d *= C[..., a, b]
-            out += d
+            d *= plane
+            if sign > 0:
+                out += d
+            else:
+                out -= d
         scale *= 0.5
     out *= scale
     return out

@@ -112,6 +112,11 @@ OVERSOLVE = 0.1
 # node's trace bound relative to its bound on ||A||_2 (64 ulps)
 EXTREME_BLOCK = 512
 EXTREME_SLACK = 64 * np.finfo(float).eps
+# _cone_exit: nodes per block, in whole layers of the first axis.  Blocks
+# of about this size ran as fast as or faster than one call over all
+# nodes at 16^4, 32^4 and on the 32^3 cylinder; single layers of the
+# cylinder (992 nodes) ran slower
+EXIT_BLOCK = 8192
 
 
 class SubsolutionError(ValueError):
@@ -274,12 +279,18 @@ def _cone_exit(u, delta, fun, chi) -> float:
     leaves the cone).  nan for m >= 4, where sigma_m's middle coefficients
     are not polarizations of newton_tensors and the damping keeps plain
     halving.  g and H are formed here, on the rejection path only, so no
-    per-node field lives through the linear solve."""
+    per-node field lives through the linear solve.  cone_exit runs over
+    blocks of whole first-axis layers, about EXIT_BLOCK nodes each, so
+    only g and H are held whole; each node's root does not depend on the
+    block it is in."""
     m = fun.cone_order
     if m > 3:
         return np.nan
     H = form_field(ScalarField(geom=u.geom, values=delta))
-    return float(cone_exit(form_field(u, chi), H, m).min())
+    g = form_field(u, chi)
+    step = max(1, EXIT_BLOCK // int(np.prod(u.geom.interior_shape[1:])))
+    return min(float(cone_exit(g[k:k + step], H[k:k + step], m).min())
+               for k in range(0, len(g), step))
 
 
 def _newton_solve(u0, fun, chi, psi, config):
@@ -305,10 +316,13 @@ def _newton_solve(u0, fun, chi, psi, config):
     while rn > config.tolerance:
         if len(record.residuals) > config.max_newton:
             raise ContinuationError("newton iteration budget exhausted", rn)
-        # the residual's Newton tensors at u feed the linearization; only
-        # C lives on into the linear solve, and nothing after it
+        # the residual's Newton tensors at u feed the linearization and go
+        # before C is formed; only C lives on into the linear solve, and
+        # nothing after it
         start = perf_counter()
-        C, state = coefficient_tensor(linearize(u, fun, chi, state), geom), None
+        F, state = linearize(u, fun, chi, state), None
+        C = coefficient_tensor(F, geom)
+        del F
         linearized = perf_counter()
         try:
             delta, linear = solve_dirichlet(
@@ -424,11 +438,12 @@ def harmonic_majorant(chi, phi, geom) -> ScalarField:
 
     The trace Laplacian is the linearized operator of the identity form:
     sum_i w_{i ibar} (a quarter of the flat Laplacian) on the complex
-    model, the full Laplacian on the cylinder.
+    model, the full Laplacian on the cylinder.  Its coefficients are
+    constant, so C holds one scalar per axis and no plane.
     """
     dim = geom.form_dim
-    eye = np.broadcast_to(np.eye(dim), geom.interior_shape + (dim, dim))
-    C = coefficient_tensor(eye, geom)
+    diagonal = 0.25 if geom.is_complex else 1.0
+    C = {(a, a): (1, diagonal) for a in range(geom.real_dims)}
     tr = np.trace(_chi_interior(chi, dim, complex)).real
     values, _ = solve_dirichlet(
         C, geom, -np.broadcast_to(tr, geom.interior_shape),

@@ -17,6 +17,9 @@ from hessiancone import presets as pr
 from hessiancone import solve as sv
 from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
 
+from dense_coefficients import (dense_apply, dense_coefficient_tensor, dense_of,
+                                distinct_planes)
+
 GEOM = GridGeometry(n=2, resolution=8)
 
 
@@ -185,7 +188,7 @@ class TestLinearize:
         lam = np.linalg.eigvalsh(F)
         assert lam.min() > 0
         C = op.coefficient_tensor(F, GEOM)
-        lc = np.linalg.eigvalsh(C)
+        lc = np.linalg.eigvalsh(dense_of(C, GEOM))
         assert lc.min() > 0
 
 
@@ -544,7 +547,8 @@ class TestNodeMajor:
                         for j, c in cn.df_dsigmas(fun, ref_sigma).items())
             assert_matches(F, reference_linearize(fun, ref_sigma, ref_tensors),
                            exact, terms)
-            assert_planes_contiguous(op.coefficient_tensor(F, geom))
+            assert all(plane.flags.c_contiguous for _, plane
+                       in op.coefficient_tensor(F, geom).values())
 
     @pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=6),
                                       CylinderGeometry(d=3, resolution=8)])
@@ -569,7 +573,7 @@ class TestCoefficientTensor:
         fun = cn.sigma_k_root(2, 1)
         F = op.linearize(ScalarField.zeros(GEOM), fun, np.eye(2))
         C = op.coefficient_tensor(F, GEOM)
-        assert np.allclose(C, 0.25 * np.eye(4))
+        assert np.allclose(dense_of(C, GEOM), 0.25 * np.eye(4))
 
     def test_contraction_matches_complex_form(self):
         # sum F^{ij} u_{ij-bar} computed spectrally equals the real-tensor
@@ -586,6 +590,92 @@ class TestCoefficientTensor:
         np.testing.assert_allclose(via_real, direct, atol=1e-10)
 
 
+DISTINCT_GEOMS = [GridGeometry(n=2, resolution=5), GridGeometry(n=3, resolution=3),
+                  CylinderGeometry(d=3, resolution=6),
+                  CylinderGeometry(d=4, resolution=4)]
+
+
+class TestDistinctPlanes:
+    """C as its distinct planes against the dense form with all r^2 planes
+    (tests/dense_coefficients.py), which the package stored before."""
+
+    @staticmethod
+    def linearization(geom):
+        # Monge-Ampere at a random admissible iterate near chi = I: every
+        # plane of F varies, and on the complex model Im F is nonzero
+        rng = np.random.default_rng(geom.real_dims + geom.resolution)
+        dim = geom.form_dim
+        u = ScalarField(geom=geom,
+                        values=0.05 * geom.h**2 * rng.standard_normal(geom.shape))
+        F = op.linearize(u, cn.monge_ampere(dim), np.eye(dim))
+        return F, rng.standard_normal(geom.shape)
+
+    @pytest.mark.parametrize("geom", DISTINCT_GEOMS, ids=str)
+    def test_apply_matches_dense_reference(self, geom):
+        F, u = self.linearization(geom)
+        C, dense = op.coefficient_tensor(F, geom), dense_coefficient_tensor(F, geom)
+        np.testing.assert_array_equal(dense_of(C, geom), dense)
+        got = op.apply_second_order(C, u, geom)
+        # both sides sum the same products; within rounding of the np.roll
+        # reference's term sizes, as in TestSecondOrderStencil
+        _, size = roll_second_order(dense, u, geom)
+        r = geom.real_dims
+        bound = 2.0 * gamma(r * (r + 1) // 2 + 8) * size
+        assert np.all(np.abs(got - dense_apply(dense, u, geom)) <= bound)
+
+    @pytest.mark.parametrize("geom", DISTINCT_GEOMS, ids=str)
+    def test_keys_signs_and_shared_planes(self, geom):
+        F, _ = self.linearization(geom)
+        C = op.coefficient_tensor(F, geom)
+        r = geom.real_dims
+        assert all(a <= b < r for a, b in C)
+        assert all(C[a, a][0] == 1 for a in range(r))
+        planes = {id(plane): plane for _, plane in C.values()}
+        # own memory: no plane keeps F's buffer alive
+        assert all(plane.base is None and plane.flags.c_contiguous
+                   for plane in planes.values())
+        if not geom.is_complex:
+            assert len(C) == len(planes) == r * (r + 1) // 2
+            return
+        n = geom.n
+        assert len(planes) == n * n
+        assert len(C) == r * (r + 1) // 2 - n  # no (x_i, y_i) entry
+        for i in range(n):
+            xi, yi = geom.complex_axes(i)
+            assert (xi, yi) not in C
+            for j in range(i, n):
+                xj, yj = geom.complex_axes(j)
+                assert C[yi, yj] is C[xi, xj]
+                if j > i:
+                    assert C[yi, xj][0] == -1 and C[xi, yj][0] == 1
+                    assert C[yi, xj][1] is C[xi, yj][1]
+
+    @pytest.mark.parametrize("geom", [GridGeometry(n=2, resolution=5),
+                                      CylinderGeometry(d=3, resolution=6)],
+                             ids=str)
+    def test_constant_operator_is_scalars(self, geom, monkeypatch):
+        # harmonic_majorant's identity-form operator: one scalar per axis,
+        # applied as the dense C of the identity form is
+        captured = []
+        inner = sv.solve_dirichlet
+
+        def capture(C, *args, **kwargs):
+            captured.append(C)
+            return inner(C, *args, **kwargs)
+
+        monkeypatch.setattr(sv, "solve_dirichlet", capture)
+        dim = geom.form_dim
+        sv.harmonic_majorant(np.eye(dim), ScalarField.zeros(geom), geom)
+        [C] = captured
+        assert sorted(C) == [(a, a) for a in range(geom.real_dims)]
+        assert all(np.ndim(plane) == 0 for _, plane in C.values())
+        eye = np.broadcast_to(np.eye(dim), geom.interior_shape + (dim, dim))
+        u = np.random.default_rng(1).standard_normal(geom.shape)
+        np.testing.assert_array_equal(
+            op.apply_second_order(C, u, geom),
+            dense_apply(dense_coefficient_tensor(eye, geom), u, geom))
+
+
 STENCIL_GEOMS = [GridGeometry(n=2, resolution=3), GridGeometry(n=2, resolution=5),
                  GridGeometry(n=3, resolution=3), CylinderGeometry(d=3, resolution=4),
                  CylinderGeometry(d=3, resolution=7)]
@@ -594,8 +684,9 @@ STENCIL_GEOMS = [GridGeometry(n=2, resolution=3), GridGeometry(n=2, resolution=5
 @st.composite
 def stencil_cases(draw):
     """A geometry, variable symmetric C with a random set of zero pairs
-    (Dirichlet-axis pairs among them), a field, the calling form (full
-    shape or a refreshed padded buffer) and the pairs argument."""
+    (Dirichlet-axis pairs among them) in dict form, with or without its
+    zero planes, and densely, a field and the calling form (full shape or
+    a refreshed padded buffer)."""
     geom = draw(st.sampled_from(STENCIL_GEOMS))
     r = geom.real_dims
     pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
@@ -614,8 +705,9 @@ def stencil_cases(draw):
         u_arg = op._wrap_ghosts(p, geom)
     else:
         u_arg = u
-    given_pairs = draw(st.sampled_from([None, "all"]))
-    return geom, op._form(planes), u, u_arg, frozenset(pairs) if given_pairs else None
+    dense = op._form(planes)
+    C = distinct_planes(dense, keep_zero=draw(st.booleans()))
+    return geom, C, dense, u, u_arg
 
 
 def roll_second_order(C, u, geom):
@@ -660,9 +752,9 @@ class TestSecondOrderStencil:
         # subtractions, the product by C_ab, P <= r (r - 1) / 2 pair adds
         # and r - 1 diagonal adds, the final scaling and its constant's
         # three).  K = T + 8 also covers the rounding of ``size`` itself.
-        geom, C, u, u_arg, pairs = case
-        got = op.apply_second_order(C, u_arg, geom, pairs)
-        ref, size = roll_second_order(C, u, geom)
+        geom, C, dense, u, u_arg = case
+        got = op.apply_second_order(C, u_arg, geom)
+        ref, size = roll_second_order(dense, u, geom)
         r = geom.real_dims
         bound = 2.0 * gamma(r * (r + 1) // 2 + 8) * size
         assert got.shape == geom.interior_shape

@@ -4,13 +4,15 @@ Small grids (8^4, 8^3) keep these fast; the full-scale runs live in the
 acceptance suite.
 """
 
+import functools
 import inspect
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hessiancone import cones as cn
@@ -27,6 +29,8 @@ from hessiancone.operators import (
     gradient_boundary,
     gradient_interior,
 )
+
+from dense_coefficients import distinct_planes
 
 GEOM8 = GridGeometry(n=2, resolution=8)
 MA2 = cn.monge_ampere(2)
@@ -301,6 +305,59 @@ class TestNewton:
             else:
                 assert np.isnan(exit_) and [f for f, _ in step] == [1.0]
 
+    @pytest.mark.parametrize("geom, kind", [
+        (GEOM8, "ma"), (CylinderGeometry(d=3, resolution=12), "quotient:1:3"),
+    ], ids=["complex-8-ma", "cyl-12-quotient"])
+    @pytest.mark.parametrize("block", [1, 300])
+    def test_blockwise_cone_exit_equals_one_call(self, geom, kind, block,
+                                                 monkeypatch):
+        # cone_exit over blocks of first-axis layers (single layers, and
+        # blocks that do not divide the grid) gives theta* bit for bit as
+        # one call over all nodes: each node's root is its own.  The
+        # cylinder's quotient takes the cubic's roots
+        fun = cn.parse_kind(kind, geom.form_dim)
+        prob = pr.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
+        psi = prob.psi.values[geom.interior] + 1e-3
+        seen = []
+        inner = sv._cone_exit
+
+        def spy(u, delta, fun_, chi):
+            theta = inner(u, delta, fun_, chi)
+            whole = op.cone_exit(form_field(u, chi),
+                                 form_field(ScalarField(geom=geom, values=delta)),
+                                 fun_.cone_order)
+            seen.append((theta, float(whole.min())))
+            return theta
+
+        monkeypatch.setattr(sv, "_cone_exit", spy)
+        monkeypatch.setattr(sv, "EXIT_BLOCK", block)
+        sv._newton_solve(prob.u_sub, fun, prob.chi, psi, sv.SolverConfig())
+        assert seen and all(bits(a) == bits(b) for a, b in seen)
+
+    def test_cone_exit_holds_g_and_h_and_one_block(self):
+        # tracemalloc peak of _cone_exit at 16^4, where a block is 2 of the
+        # 16 first-axis layers: g and H (8 interior vectors each, complex
+        # n = 2) and SLACK for forming the second of them while the first
+        # is held (the padded field and its first differences, 1.6 interior
+        # vectors each at 16^4, and two planes) or one block's tensors.
+        # Measured 21.5 vectors against the bound 24; one call over all
+        # nodes (the parent) held every node's tensors and peaked at 33.0
+        SLACK = 8
+        geom = GridGeometry(n=2, resolution=16)
+        prob = pr.build_problem(geom, MA2, "degenerate-cos", "zero", "zero")
+        delta = np.random.default_rng(3).standard_normal(geom.shape)
+        delta[geom.faces] = 0.0
+        form = form_field(prob.u_sub, prob.chi).nbytes
+        vector = form // 8
+        tracemalloc.start()
+        try:
+            theta = sv._cone_exit(prob.u_sub, delta, MA2, prob.chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < theta < 1.0
+        assert peak <= 2 * form + SLACK * vector
+
     def test_cone_order_four_keeps_plain_halving(self):
         # sigma_4 along a ray has middle coefficients that newton_tensors
         # does not polarize into: no theta*, and the trials halve from 1.
@@ -432,6 +489,7 @@ class TestNewton:
         C = np.zeros(GEOM8.interior_shape + (4, 4))
         for a in range(4):
             C[..., a, a] = 0.25
+        C = distinct_planes(C)
         rng = np.random.default_rng(0)
         rhs = rng.standard_normal(GEOM8.interior_shape)
         monkeypatch.setattr(linsolve, "MAX_CYCLES", 0)
@@ -482,11 +540,11 @@ class TestPolynomialStep:
         assert bits(rhs) == bits(-r)
 
     @pytest.mark.parametrize("kind, residuals", [
-        ("sigma1", [1.999, 4.898859096158503e-14]),
-        ("quotient:1:2", [0.499, 0.185192785899506, 0.05515285401005286,
-                          0.02162996879523122, 0.008496577614979524,
-                          0.0003960932931639724, 1.3560460755937444e-06,
-                          3.058762910925633e-10]),
+        ("sigma1", [1.999, 4.188316360398403e-14]),
+        ("quotient:1:2", [0.499, 0.18519278589950383, 0.05515285401005339,
+                          0.02162996879523002, 0.008496577614979961,
+                          0.00039609329316388914, 1.3560460772965924e-06,
+                          3.0587541072039925e-10]),
     ])
     def test_q1_residual_history_unchanged(self, kind, residuals):
         # q = 1 on the 8^4 degenerate-cos + 1e-3 runs: the residuals of the
@@ -497,7 +555,10 @@ class TestPolynomialStep:
         # factor took 9); sigma1's one full step is as it was.  The
         # shared-difference stencils moved the quotient's later residuals
         # by at most 1.3e-15, and sigma1's last by 8.9e-15 with u unchanged
-        # to the bit: the residual's own Hessian rounds differently
+        # to the bit: the residual's own Hessian rounds differently.  One
+        # preconditioner application per GMRES cycle on M(V y), in place of
+        # a basis of M v_j, moved the quotient's residuals by at most
+        # 2.2e-15 and sigma1's last by 7.1e-15
         fun = cn.parse_kind(kind, 2)
         assert fun.power == 1
         prob = pr.build_problem(GEOM8, fun, "degenerate-cos", "zero", "zero")
@@ -831,6 +892,7 @@ class TestRiemannian:
         C = np.zeros(geom.interior_shape + (2, 2))
         C[..., 0, 0] = 1.0
         C[..., 1, 1] = 1.0
+        C = distinct_planes(C)
         rhs = prob.psi.values[geom.interior] - 2.0
         w, _ = solve_dirichlet(C, geom, rhs, boundary_values=prob.phi.values)
         np.testing.assert_allclose(u.values, w, atol=1e-8)
@@ -844,6 +906,109 @@ class TestRiemannian:
         psi0.values[geom.interior] = cn.f_many(fun, lam)
         u, rep = sv.solve_riemannian(fun, prob.chi, psi0, prob.phi, prob.u_sub)
         np.testing.assert_allclose(u.values, prob.u_sub.values, atol=1e-12)
+
+
+def _reflect(v, axis):
+    """v at -x along a periodic axis: node i takes node -i mod m."""
+    return np.roll(np.flip(v, axis), 1, axis)
+
+
+# Symmetries of the complex model (n = 2, axes x_1, y_1, x_n, y_n) that map
+# the grid to itself.  x_1 -> -x_1, y_1 -> -y_1 and x_n -> 1 - x_n are
+# anti-holomorphic in one coordinate; each is taken with y_n -> -y_n, which
+# makes the first two conjugate every coordinate and the last
+# z_n -> 1 - z_n.  Alone they are no symmetry of data that vary along y_n:
+# there the solves differ by 3e-4.  z_1 -> i z_1 is v(x_1, y_1) =
+# u(-y_1, x_1).  On the cylinder every grid isometry is one.
+COMPLEX_SYMMETRIES = (
+    lambda v: _reflect(_reflect(v, 0), 3),
+    lambda v: _reflect(_reflect(v, 1), 3),
+    lambda v: _reflect(np.swapaxes(v, 0, 1), 1),
+    lambda v: _reflect(np.flip(v, 2), 3),
+)
+CYLINDER_SYMMETRIES = (
+    lambda v: _reflect(v, 0),
+    lambda v: _reflect(v, 1),
+    lambda v: np.swapaxes(v, 0, 1),
+    lambda v: np.flip(v, 2),
+)
+SYMMETRY_CASES = [(GEOM8, "ma"), (GEOM8, "quotient:1:2"),
+                  (CylinderGeometry(d=3, resolution=8), "ma"),
+                  (CylinderGeometry(d=3, resolution=8), "quotient:1:2")]
+
+
+def generic_psi(geom, fun):
+    """A right-hand side that varies along every axis and has no symmetry,
+    between 0.2 and 0.9 times f(I), so that u = 0 is a subsolution."""
+    x = geom.grids()
+    if geom.is_complex:
+        x1, y1, xn, yn = x
+    else:
+        x1, y1, xn = x
+        yn = y1
+    w = (0.6 * np.sin(2 * np.pi * (x1 + 2 * y1) + 0.3)
+         * np.cos(2 * np.pi * (y1 - yn) + 1.1)
+         + 0.4 * np.sin(2 * np.pi * (x1 - yn) + 2.0) * xn)
+    top = float(cn.f_many(fun, np.ones((1, geom.form_dim)))[0])
+    return top * (0.55 + 0.35 * np.broadcast_to(w, geom.shape))
+
+
+def symmetric_solve(geom, fun, psi):
+    """The solve from u_sub = phi = 0 with chi = I, which every map keeps."""
+    zero = ScalarField.zeros(geom)
+    run = sv.continuity_solve if geom.is_complex else sv.solve_riemannian
+    u, report = run(fun, pr.chi_identity(geom),
+                    ScalarField(geom=geom, values=psi), zero, zero)
+    return u.values, report.stage.residuals
+
+
+@functools.lru_cache(maxsize=None)
+def untransformed_solve(geom, kind):
+    fun = cn.parse_kind(kind, geom.form_dim)
+    psi = generic_psi(geom, fun)
+    return (fun, psi) + symmetric_solve(geom, fun, psi)
+
+
+class TestSymmetry:
+    """Solving with transformed data gives the transformed solution: the
+    discrete problem keeps the model's symmetries, so a solve must too."""
+
+    @pytest.mark.parametrize("geom, kind", SYMMETRY_CASES,
+                             ids=lambda case: str(case))
+    @given(maps=st.lists(st.integers(0, 3), max_size=3),
+           shifts=st.lists(st.integers(0, 7), min_size=3, max_size=3))
+    @example(maps=[], shifts=[3, 5, 1])
+    @example(maps=[0], shifts=[0, 0, 0])
+    @example(maps=[1], shifts=[0, 0, 0])
+    @example(maps=[2], shifts=[0, 0, 0])
+    @example(maps=[3], shifts=[0, 0, 0])
+    @settings(max_examples=12, deadline=None)
+    def test_solve_commutes_with_symmetries(self, geom, kind, maps, shifts):
+        # the maps in order, then a translation along the periodic axes.
+        # Both solves take the same Newton path: the same number of steps,
+        # and at every step residuals that agree within the tolerance, the
+        # level either solve may stop at; the solutions agree within it
+        # too.  Measured differences: at most 5.1e-15 in a residual and
+        # 1.7e-16 in u.  A sign flipped on the (y_1, x_n) plane of C, or
+        # (y_1, y_n) sharing the Im F plane, leaves u within 1e-9 but moves
+        # a residual by 2e-4 or the step count
+        fun, psi, u, residuals = untransformed_solve(geom, kind)
+        table = COMPLEX_SYMMETRIES if geom.is_complex else CYLINDER_SYMMETRIES
+
+        def transform(v):
+            for k in maps:
+                v = table[k](v)
+            for axis, shift in zip(geom.periodic_axes, shifts):
+                v = np.roll(v, shift, axis)
+            return v
+
+        moved_u, moved_residuals = symmetric_solve(
+            geom, fun, np.ascontiguousarray(transform(psi)))
+        tolerance = sv.SolverConfig().tolerance
+        assert len(moved_residuals) == len(residuals)
+        np.testing.assert_allclose(moved_residuals, residuals, rtol=0.0,
+                                   atol=tolerance)
+        assert np.abs(moved_u - transform(u)).max() <= tolerance
 
 
 class TestDegenerate:
