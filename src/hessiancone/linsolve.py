@@ -40,7 +40,10 @@ relative residual asked for and reached, and the operator and
 preconditioner applications spent.  Krylov vectors are written into the
 interior window of one padded buffer per solve, whose wrapped ghost
 layers are refreshed in place, so the stencils read it without another
-copy.
+copy; in an Arnoldi step the preconditioner writes its output M v there
+itself.  No vector lives past its last use: the preconditioner keeps
+one real pivot per mode, and an Arnoldi vector, once copied into the
+basis, is not held through the next application.
 """
 
 from __future__ import annotations
@@ -88,9 +91,12 @@ class _MeanCoefficientInverse:
     the periodic axes p, theta_p = 2 pi j_p / m_p for mode j_p of m_p
     nodes.  The matrix is diagonally dominant, so the Thomas sweep needs
     no pivoting; its pivots g_0 = 1 / beta, g_k = 1 / (beta - g_{k-1}) are
-    computed here, and 1 / s is folded into the weight.  The real and
-    imaginary parts of a mode are swept together through a float view of
-    the spectrum."""
+    computed here, one real pivot per mode, and 1 / s is folded into the
+    weight.  The sweep runs on the complex spectrum, each product taking
+    the real pivot of its mode: the values of a sweep over a float view
+    with every pivot repeated for the real and imaginary parts, but for
+    the sign of a zero, where numpy's complex-by-real product adds a
+    signed zero to it, at half the pivots' memory."""
 
     def __init__(self, C, geom):
         diag = [C[a, a][1] for a in range(geom.real_dims)]
@@ -117,15 +123,15 @@ class _MeanCoefficientInverse:
         beta = sum((mean_diag[a] / mean_diag[da]
                     * (2.0 * np.cos(2.0 * np.pi * j / self.shape[a]) - 2.0)
                     for a, j in zip(periodic, modes)), -2.0)
-        pivots = np.empty(spectral, dtype=float)
-        pivots[0] = 1.0 / beta
-        for k in range(1, len(pivots)):
-            pivots[k] = 1.0 / (beta - pivots[k - 1])
-        # one pivot for each of a mode's real and imaginary parts
-        self.pivots = np.repeat(pivots, 2, axis=-1)
-        self.scratch = np.empty(self.pivots.shape[1:])
+        self.pivots = np.empty(spectral, dtype=float)
+        self.pivots[0] = 1.0 / beta
+        for k in range(1, len(self.pivots)):
+            self.pivots[k] = 1.0 / (beta - self.pivots[k - 1])
+        self.scratch = np.empty(spectral[1:], dtype=complex)
 
-    def apply(self, x_flat):
+    def apply(self, x_flat, out=None):
+        """M x as a new flat vector, or written into ``out``, an array of
+        the interior shape (the Krylov buffer's interior)."""
         real, spectrum, g, tmp = self.real, self.spectrum, self.pivots, self.scratch
         # a strided copy, then a contiguous product: faster than one
         # product that reads x strided
@@ -134,18 +140,21 @@ class _MeanCoefficientInverse:
         np.fft.rfft(real, axis=-1, out=spectrum)
         for a in self.complex_axes:
             np.fft.fft(spectrum, axis=a, out=spectrum)
-        y = spectrum.view(float)
+        y = spectrum
         y[0] *= g[0]
         for k in range(1, len(y)):
             y[k] -= y[k - 1]
             y[k] *= g[k]
         for k in range(len(y) - 2, -1, -1):
-            np.multiply(g[k], y[k + 1], out=tmp)
+            np.multiply(y[k + 1], g[k], out=tmp)
             y[k] -= tmp
         for a in self.complex_axes:
             np.fft.ifft(spectrum, axis=a, out=spectrum)
         np.fft.irfft(spectrum, n=real.shape[-1], axis=-1, out=real)
-        return real.transpose(self.back).flatten()  # a copy, never a view
+        if out is None:
+            return real.transpose(self.back).flatten()  # a copy, never a view
+        np.copyto(out, real.transpose(self.back))
+        return out
 
 
 def _dot(u, v):
@@ -167,7 +176,8 @@ def _arnoldi_coefficients(H, beta):
 
 
 def _gmres(A, M, b, rtol):
-    """Restarted GMRES(RESTART) for A x = b, right-preconditioned by M.
+    """Restarted GMRES(RESTART) for A x = b, right-preconditioned by M;
+    A(v, precondition=True) is A M v.
 
     A cycle runs modified Gram-Schmidt Arnoldi on A M until its
     least-squares residual is at most rtol |b|, adds M(sum_j y_j v_j) to x
@@ -199,7 +209,7 @@ def _gmres(A, M, b, rtol):
         np.divide(r, rnorm, out=V[0])
         for j in range(RESTART):
             steps += 1
-            w = A(M(V[j]))
+            w = A(V[j], precondition=True)
             for i in range(j + 1):
                 H[i, j] = _dot(w, V[i])
                 w -= np.multiply(V[i], H[i, j], out=scratch)
@@ -210,6 +220,8 @@ def _gmres(A, M, b, rtol):
             if estimate <= target or H[j + 1, j] == 0.0:
                 break
             np.divide(w, H[j + 1, j], out=V[j + 1])
+            w = None  # copied into V: not held through the next application
+        w = None
         x += M(np.einsum("j,ji->i", y, V[:j + 1], out=scratch))
         steps += 1
         r = A(x)
@@ -253,16 +265,22 @@ def solve_dirichlet(
     padded = _padded(np.zeros(geom.shape), geom)  # the faces stay zero
     inside = padded[_window(geom, {})]
 
-    def matvec(x):
+    precond = _MeanCoefficientInverse(C, geom)
+
+    def matvec(x, precondition=False):
+        """A x, or A M x with M's output written straight into the Krylov
+        buffer's interior."""
         nonlocal applications
         applications += 1
-        inside[...] = x.reshape(geom.interior_shape)
+        if precondition:
+            precond.apply(x, out=inside)
+        else:
+            inside[...] = x.reshape(geom.interior_shape)
         _wrap_ghosts(padded, geom)
         return apply_second_order(C, padded, geom).reshape(-1)
 
     b = rhs.reshape(-1)
-    x, rel, precond_applications = _gmres(
-        matvec, _MeanCoefficientInverse(C, geom).apply, b, rtol)
+    x, rel, precond_applications = _gmres(matvec, precond.apply, b, rtol)
     full = np.zeros(geom.shape)
     if bc is not None:
         full += bc

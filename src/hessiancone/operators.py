@@ -11,16 +11,29 @@ pair, of which u_ab is one subtraction of two windows,
 (D_b at +a - D_b at -a) / 4h^2.  Each caller (the Krylov operator, the
 Hessians) scales its sums once.  The values agree with the four-window
 form (u_++ - u_+- - u_-+ + u_--) / 4h^2 up to rounding, but not bit for
-bit: the operations run in another order.  A per-node form (the Hessian
-g, the Newton tensors, the linearization F) is stored node-major: an
-(r, r, *nodes) buffer with each entry plane contiguous, handed out as its
-(..., r, r) view, and the sigmas likewise as an (m+1, *nodes) buffer
-behind a (..., m+1) view.  The per-node algebra loops over the r^2 entry
-planes rather than over a trailing axis of length 2 or 3.  The real
-coefficients C of the linearized operator keep only their distinct
-planes, keyed by axis pair (coefficient_tensor): n^2 on the complex
-model, where the dense form has 4 n^2, and each plane is multiplied
-once per mixed partial that reads it.  With
+bit: the operations run in another order.
+
+A per-node form (the Hessian g, the Newton tensors T_j, the
+linearization F, a face Hessian) is Hermitian on the complex model and
+real symmetric on the cylinder, and is stored as the node-major real
+planes of its distinct entries: a (P, *nodes) buffer, each plane
+contiguous.  The r diagonal entries come first, then Re of the entries
+a < b in row order, then, on the complex model only, Im of those
+entries: P = r^2 planes on the complex model and r (r + 1) / 2 on the
+cylinder, where a dense form holds 2 r^2 and r^2 floats (_index).  A
+lower entry is read as the conjugate of its upper one, so no pass
+symmetrizes anything.  A buffer may stop after its diagonal planes: a
+diagonal form, as T_0 = I (np.ones(r)) and the F of sigma_1 are.  The
+sigmas are an (m+1, *nodes) buffer behind a (..., m+1) view.  Dense
+(..., r, r) forms are assembled only for LAPACK (_dense), for the nodes
+it solves.  The sums of the recurrence keep the order of the dense
+algebra they replace, so sigma_1, sigma_2, T_1 and F are bit for bit
+the dense ones wherever m <= 2; T_2 on, g T is summed on its upper
+triangle alone and differs from the dense product by rounding.  The
+real coefficients C of the linearized operator are F's own planes,
+keyed by axis pair (coefficient_tensor): n^2 on the complex model, where
+the dense form has 4 n^2, and each plane is multiplied once per mixed
+partial that reads it.  With
 dz = (dx - i dy)/2 the complex Hessian of a real field is
 
     u_{i jbar} = ((u_{x_i x_j} + u_{y_i y_j}) + i (u_{x_i y_j} - u_{y_i x_j})) / 4,
@@ -36,6 +49,8 @@ sum_j (df/dsigma_j) T_{j-1}, with no special case for equal eigenvalues.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -161,76 +176,119 @@ def _second_partials(u, geom, layer=None):
 
 
 def _real_partials(stencils, axes, h, out):
-    """out[a, b] = out[b, a] = u_ab for a, b in ``axes`` from the stencils
-    of _second_partials, each entry written and then scaled in place, the
-    mixed partials grouped by their first difference."""
+    """The planes u_ab of out, a real form's planes (_index), for a <= b
+    in ``axes`` from the stencils of _second_partials, each written and
+    then scaled in place, the mixed partials grouped by their first
+    difference."""
     diagonal, mixed = stencils
+    r = _dim(len(out), False)
     scale = 1.0 / (h * h)
     for i, b in enumerate(axes):
-        diagonal(b, out=out[b, b])
-        out[b, b] *= scale
+        diagonal(b, out=out[b])
+        out[b] *= scale
         for a in axes[:i]:
             plus, minus = mixed(a, b)
-            np.subtract(plus, minus, out=out[a, b])
-            out[a, b] *= 0.25 * scale
-            out[b, a] = out[a, b]
+            ab = out[_index(r, a, b)]
+            np.subtract(plus, minus, out=ab)
+            ab *= 0.25 * scale
     return out
 
 
-def _planes(form: np.ndarray) -> np.ndarray:
-    """The (r, r, ...) entry planes of a (..., r, r) form: a view of the
-    buffer behind a form built here, a contiguous copy of any other."""
-    return np.ascontiguousarray(np.moveaxis(form, (-2, -1), (0, 1)))
+def _pairs(r):
+    """The entries a < b of an r x r form in row order: the order of its
+    off-diagonal planes."""
+    return [(a, b) for a in range(r) for b in range(a + 1, r)]
 
 
-def _form(planes: np.ndarray) -> np.ndarray:
-    """The (..., r, r) view of an (r, r, ...) buffer of entry planes."""
-    return np.moveaxis(planes, (0, 1), (-2, -1))
+def _index(r, a, b, imag=False):
+    """The plane of entry (a, b) or (b, a) of an r x r form: the diagonal
+    planes come first, then the pairs a < b in row order, their Re planes
+    on the complex model; with ``imag``, the plane of the pair's Im part,
+    r (r - 1) / 2 later."""
+    a, b = min(a, b), max(a, b)
+    if a == b:
+        return a
+    return (r + a * (2 * r - a - 1) // 2 + b - a - 1
+            + (r * (r - 1) // 2 if imag else 0))
+
+
+def _dim(count, is_complex):
+    """r of the r^2 (Hermitian) or r (r + 1) / 2 (real symmetric) planes
+    of r x r forms."""
+    return (math.isqrt(count) if is_complex
+            else (math.isqrt(8 * count + 1) - 1) // 2)
+
+
+def _dense(planes, is_complex) -> np.ndarray:
+    """The dense (..., r, r) forms of a planes buffer, each lower entry the
+    conjugate of its upper one, the diagonal real: the input of a LAPACK
+    call."""
+    r = _dim(len(planes), is_complex)
+    half = r * (r - 1) // 2
+    out = np.zeros(planes.shape[1:] + (r, r), complex if is_complex else float)
+    re = out.real
+    for a in range(r):
+        re[..., a, a] = planes[a]
+    for k, (a, b) in enumerate(_pairs(r)):
+        re[..., a, b] = re[..., b, a] = planes[r + k]
+        if is_complex:
+            out.imag[..., a, b] = planes[r + half + k]
+            np.negative(planes[r + half + k], out=out.imag[..., b, a])
+    return out
 
 
 def _complex_form(D, geom) -> np.ndarray:
-    """u_{i jbar} from the real second partials D (..., r, r) of a face;
-    the x_i y_i partials are never read."""
-    n = geom.n
-    g = np.zeros((n, n) + D.shape[:-2], dtype=complex)
-    re, im = g.real, g.imag
+    """The planes of u_{i jbar} from the planes of the real second partials
+    D of a face (or of any real form on the 2n real axes); the x_i y_i
+    partials are never read."""
+    n, r = geom.n, geom.real_dims
+    half = n * (n - 1) // 2
+    g = np.empty((n * n,) + D.shape[1:])
+
+    def d(a, b):
+        return D[_index(r, a, b)]
+
     for i in range(n):
         xi, yi = geom.complex_axes(i)
-        np.multiply(D[..., xi, xi] + D[..., yi, yi], 0.25, out=re[i, i])
-        for j in range(i + 1, n):
-            xj, yj = geom.complex_axes(j)
-            np.multiply(D[..., xi, xj] + D[..., yi, yj], 0.25, out=re[i, j])
-            re[j, i] = re[i, j]
-            np.multiply(D[..., xi, yj] - D[..., yi, xj], 0.25, out=im[i, j])
-            np.negative(im[i, j], out=im[j, i])
-    return _form(g)
+        np.multiply(d(xi, xi) + d(yi, yi), 0.25, out=g[i])
+    for k, (i, j) in enumerate(_pairs(n)):
+        (xi, yi), (xj, yj) = geom.complex_axes(i), geom.complex_axes(j)
+        np.multiply(d(xi, xj) + d(yi, yj), 0.25, out=g[n + k])
+        np.multiply(d(xi, yj) - d(yi, xj), 0.25, out=g[n + half + k])
+    return g
 
 
-def _chi_interior(chi, dim, dtype):
-    """chi, one (dim, dim) form for every node; zero when None."""
+def _chi_planes(chi, dim, is_complex, ndim=0) -> np.ndarray:
+    """The planes of the (dim, dim) form chi (zero when None), one value
+    each, shaped to add to a planes buffer of ``ndim`` node axes."""
     chi = np.zeros((dim, dim)) if chi is None else np.asarray(chi)
     if chi.shape != (dim, dim):
         raise ValueError(f"chi shape {chi.shape} not understood")
-    return chi.astype(dtype)
+    pairs = _pairs(dim)
+    values = ([chi[a, a].real for a in range(dim)]
+              + [chi[a, b].real for a, b in pairs]
+              + ([chi[a, b].imag for a, b in pairs] if is_complex else []))
+    return np.array(values, dtype=float).reshape((-1,) + (1,) * ndim)
 
 
 def complex_hessian(u, chi=None) -> np.ndarray:
-    """g = chi + complex Hessian of u at the interior nodes, each entry of
-    the Hessian in one scaled write of _second_partials' stencils: the
-    diagonal from the five windows of diagonal(x_i, y_i), an off-diagonal
-    from the first differences along x_j and y_j."""
+    """The planes of g = chi + complex Hessian of u at the interior nodes,
+    each in one scaled write of _second_partials' stencils: a diagonal
+    plane from the five windows of diagonal(x_i, y_i), the Re and Im
+    planes of an entry i < j from the first differences along x_j and
+    y_j."""
     geom = u.geom
     if not geom.is_complex:
         raise ValueError("complex_hessian needs a complex geometry")
     n = geom.n
+    half = n * (n - 1) // 2
     diagonal, mixed = _second_partials(u.values, geom)
     scale = 0.25 / (geom.h * geom.h)
-    g = np.zeros((n, n) + geom.interior_shape, dtype=complex)
-    re, im = g.real, g.imag
+    g = np.empty((n * n,) + geom.interior_shape)
     d, e = np.empty((2,) + geom.interior_shape)
     for i in range(n):
         xi, yi = geom.complex_axes(i)
-        np.multiply(diagonal(xi, yi, out=d), scale, out=re[i, i])
+        np.multiply(diagonal(xi, yi, out=d), scale, out=g[i])
         for j in range(i + 1, n):
             xj, yj = geom.complex_axes(j)
             # Re: u_{x_i x_j} + u_{y_i y_j} in d, Im: u_{x_i y_j} - u_{y_i x_j}
@@ -243,23 +301,21 @@ def complex_hessian(u, chi=None) -> np.ndarray:
             plus, minus = mixed(xi, yj)
             np.subtract(plus, e, out=e)
             e -= minus
-            np.multiply(d, 0.25 * scale, out=re[i, j])
-            np.multiply(e, 0.25 * scale, out=im[i, j])
-            re[j, i] = re[i, j]
-            np.negative(im[i, j], out=im[j, i])
-    g = _form(g)
-    g += _chi_interior(chi, n, complex)
+            k = _index(n, i, j)
+            np.multiply(d, 0.25 * scale, out=g[k])
+            np.multiply(e, 0.25 * scale, out=g[k + half])
+    g += _chi_planes(chi, n, True, geom.real_dims)
     return g
 
 
 def real_hessian(u, chi=None) -> np.ndarray:
-    """chi + real Hessian (flat Christoffel symbols) at interior nodes."""
+    """The planes of chi + real Hessian (flat Christoffel symbols) at the
+    interior nodes."""
     geom = u.geom
     d = geom.real_dims
     g = _real_partials(_second_partials(u.values, geom), range(d), geom.h,
-                       np.empty((d, d) + geom.interior_shape))
-    g = _form(g)
-    g += _chi_interior(chi, d, float)
+                       np.empty((d * (d + 1) // 2,) + geom.interior_shape))
+    g += _chi_planes(chi, d, False, d)
     return g
 
 
@@ -268,105 +324,131 @@ def form_field(u, chi=None) -> np.ndarray:
 
 
 def eigen_field(g: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues per node (dense Hermitian solver)."""
+    """Ascending eigenvalues per node of dense (..., r, r) forms (dense
+    Hermitian solver)."""
     return np.linalg.eigvalsh(g)
 
 
-def _real_product(x, y):
-    """Re(x y) of two entry planes, formed as the complex product forms it."""
-    if np.iscomplexobj(x):
-        return x.real * y.real - x.imag * y.imag
-    return x * y
+def _negated_product(G, T, is_complex):
+    """The planes of -(g T) from those of g and T, Hermitian (real
+    symmetric) forms that commute: each entry a <= b summed over k in
+    order, a lower entry of g or T read as the conjugate of its upper
+    one.  The diagonal entries are real; their Im parts are not kept."""
+    r = _dim(len(G), is_complex)
+    half = r * (r - 1) // 2
 
+    def entry(X, a, b):
+        p = _index(r, a, b)
+        if not is_complex or a == b:
+            return X[p]
+        return X[p] + (1j if a < b else -1j) * X[p + half]
 
-def _plane_product(G, T):
-    """The planes of g T from those of g and T, summed over k in order."""
-    r = len(G)
-    out = np.empty_like(T)
-    for a in range(r):
-        for b in range(r):
-            out[a, b] = G[a, 0] * T[0, b]
-            for k in range(1, r):
-                out[a, b] += G[a, k] * T[k, b]
+    out = np.empty_like(G)
+    for a, b in [(a, a) for a in range(r)] + _pairs(r):
+        total = entry(G, a, 0) * entry(T, 0, b)
+        for k in range(1, r):
+            total = total + entry(G, a, k) * entry(T, k, b)
+        p = _index(r, a, b)
+        np.negative(total.real, out=out[p])
+        if is_complex and a != b:
+            np.negative(total.imag, out=out[p + half])
     return out
 
 
-def newton_tensors(g: np.ndarray, m: int):
+def _trace_product(G, T, is_complex, out):
+    """out = Re tr(g T) = sum_ab Re(g_ba T_ab) per node from the planes of
+    two Hermitian (real symmetric) forms, summed over b within each row
+    a, then over the rows, as np.einsum sums it.  A pair a < b adds the
+    same Re g_ab Re T_ab + Im g_ab Im T_ab to rows a and b, formed once;
+    row 0 is summed in ``out``, and each later row a in the buffer of the
+    pair (0, a), whose use in row 0 is over."""
+    r = _dim(len(G), is_complex)
+    half = r * (r - 1) // 2
+    scratch = np.empty(out.shape)
+    terms = {}
+    for k, (a, b) in enumerate(_pairs(r)):
+        term = np.multiply(G[r + k], T[r + k])
+        if is_complex:
+            term += np.multiply(G[r + half + k], T[r + half + k], out=scratch)
+        terms[a, b] = terms[b, a] = term
+    for a in range(r):
+        row = np.multiply(G[0], T[0], out=out) if a == 0 else terms[0, a]
+        for b in range(1, r):
+            row += (terms[a, b] if a != b
+                    else np.multiply(G[a], T[a], out=scratch))
+        if a:
+            out += row
+    return out
+
+
+def newton_tensors(g: np.ndarray, m: int, is_complex: bool):
     """sigma_0..sigma_m (real, last axis) and Newton tensors T_0..T_{m-1}
-    of each matrix in the stack g.
+    of the forms whose planes g holds, Hermitian forms when
+    ``is_complex``.
 
     sigma_1 is the sum of the diagonal planes, and sigma_j =
     sum_ab Re(g_ba T_ab) / j is summed over b within each row a, then
-    over the rows: the order np.einsum sums it in.  T_0 is np.eye(r),
-    never a field; T_j = sigma_j I - g T_{j-1} is built plane by plane,
-    the product g T only for j >= 2.  sigma and each T_j are views of
-    node-major buffers.
+    over the rows, a lower entry read as the conjugate of its upper one:
+    the order np.einsum sums it in, so that sigma_1, sigma_2 and T_1 are
+    the dense recurrence's to the bit.  T_0 = I is its r diagonal planes
+    of ones, np.ones(r), never a field; T_j = sigma_j I - g T_{j-1} is
+    built plane by plane, the product g T only for j >= 2 and only on
+    its upper triangle (_negated_product).  sigma and each T_j are views
+    of node-major buffers.
     """
-    r, nodes = g.shape[-1], g.shape[:-2]
-    G = _planes(g).reshape(r, r, -1)
-    sigma = np.empty((m + 1,) + G.shape[2:])
+    count, nodes = len(g), g.shape[1:]
+    r = _dim(count, is_complex)
+    G = g.reshape(count, -1)
+    sigma = np.empty((m + 1,) + G.shape[1:])
     sigma[0] = 1.0
-    sigma[1] = G[0, 0].real
+    sigma[1] = G[0]
     for a in range(1, r):
-        sigma[1] += G[a, a].real
-    tensors = [np.eye(r)]
+        sigma[1] += G[a]
+    tensors = [np.ones(r)]
     for j in range(1, m + 1):
         if j > 1:
-            for a in range(r):
-                row = _real_product(G[0, a], T[a, 0])
-                for b in range(1, r):
-                    row += _real_product(G[b, a], T[a, b])
-                if a:
-                    sigma[j] += row
-                else:
-                    sigma[j] = row
+            _trace_product(G, T, is_complex, sigma[j])
             sigma[j] /= j
         if j < m:
-            if j == 1:
-                T = np.negative(G)
-            else:  # negated in place: one allocation for -(g T)
-                T = _plane_product(G, T)
-                np.negative(T, out=T)
-            for a in range(r):
-                T.real[a, a] += sigma[j]
-            tensors.append(_form(T.reshape((r, r) + nodes)))
+            T = np.negative(G) if j == 1 else _negated_product(G, T, is_complex)
+            T[:r] += sigma[j]
+            tensors.append(T.reshape((count,) + nodes))
     return np.moveaxis(sigma.reshape((m + 1,) + nodes), 0, -1), tensors
 
 
-def _trace_product(A, B):
-    """Re tr(A B) per node of two stacks of (r, r) forms."""
-    return np.einsum("...ab,...ba->...", A, B).real
-
-
-def exit_polynomial(g: np.ndarray, H: np.ndarray, m: int) -> np.ndarray:
+def exit_polynomial(g: np.ndarray, H: np.ndarray, m: int,
+                    is_complex: bool) -> np.ndarray:
     """Coefficients c_0..c_m (last axis) of p(theta) = sigma_m(g + theta H)
-    per node, for m <= 3, by polarization of newton_tensors:
+    per node, g and H planes buffers, for m <= 3, by polarization of
+    newton_tensors:
 
         c_0 = sigma_m(g),  c_1 = Re tr(T_{m-1}(g) H),
         c_{m-1} = Re tr(T_{m-1}(H) g),  c_m = sigma_m(H),
 
     since d sigma_m = tr(T_{m-1} dg) at g, and at H for the reversed
     polynomial theta^m sigma_m(H + g / theta).  These are all of them for
-    m <= 3.  H's tensors are dropped before g's are formed."""
+    m <= 3.  The traces come from the planes (_trace_product).  H's
+    tensors are dropped before g's are formed."""
     if not 1 <= m <= 3:
         raise ValueError(f"exit_polynomial needs 1 <= m <= 3, not {m}")
-    sigma, tensors = newton_tensors(H, m)
+    sigma, tensors = newton_tensors(H, m, is_complex)
     c = np.empty(sigma.shape)
     c[..., m] = sigma[..., m]
     if m > 2:
-        c[..., m - 1] = _trace_product(tensors[m - 1], g)
+        _trace_product(tensors[m - 1], g, is_complex, c[..., m - 1])
     del sigma, tensors
-    sigma, tensors = newton_tensors(g, m)
+    sigma, tensors = newton_tensors(g, m, is_complex)
     c[..., 0] = sigma[..., m]
     if m > 1:
-        c[..., 1] = _trace_product(tensors[m - 1], H)
+        _trace_product(tensors[m - 1], H, is_complex, c[..., 1])
     return c
 
 
-def cone_exit(g: np.ndarray, H: np.ndarray, m: int) -> np.ndarray:
+def cone_exit(g: np.ndarray, H: np.ndarray, m: int,
+              is_complex: bool) -> np.ndarray:
     """theta* per node, the smallest positive root of sigma_m(g + theta H)
     for g inside Gamma_m (m <= 3), or inf where there is none: where the
-    ray from g along H leaves the cone.
+    ray from g along H leaves the cone.  g and H are planes buffers.
 
     sigma_m is hyperbolic with respect to every point of Gamma_m (Garding,
     J. Math. Mech. 8, 1959), so sigma_m(H + s g) has real roots only.  The
@@ -377,7 +459,7 @@ def cone_exit(g: np.ndarray, H: np.ndarray, m: int) -> np.ndarray:
     cancellation-free form of the quadratic formula for m = 2, and the
     trigonometric (Viete) root of the depressed cubic, with all roots real,
     for m = 3."""
-    c = exit_polynomial(g, H, m)
+    c = exit_polynomial(g, H, m, is_complex)
     a = c[..., 1:] / c[..., :1]
     with np.errstate(divide="ignore", invalid="ignore"):
         if m == 1:
@@ -413,43 +495,37 @@ def newton_state(u, fun, chi=None):
     Raises AdmissibilityError (with the offending full-grid index) if any
     node's eigenvalues leave the cone.
     """
-    sigma, tensors = newton_tensors(form_field(u, chi), fun.cone_order)
+    sigma, tensors = newton_tensors(form_field(u, chi), fun.cone_order,
+                                    u.geom.is_complex)
     _require_admissible(sigma, u.geom)
     return sigma, tensors
 
 
 def linearize(u, fun, chi=None, state=None) -> np.ndarray:
-    """Coefficient matrices F^{i jbar} = sum_j (df/dsigma_j) T_{j-1} of the
-    linearized operator per node: positive definite wherever the iterate
-    is admissible (rejected otherwise), Hermitian exactly.  ``state`` is
-    newton_state(u, fun, chi) when the caller has it already.  F is the
-    view of a node-major buffer; a df/dsigma_1 term (T_0 = I) adds to the
-    diagonal planes only."""
+    """The planes of the coefficient forms F^{i jbar} = sum_j
+    (df/dsigma_j) T_{j-1} of the linearized operator per node: positive
+    definite wherever the iterate is admissible (rejected otherwise), and
+    Hermitian by the layout itself, so no symmetrization pass.  ``state``
+    is newton_state(u, fun, chi) when the caller has it already.  The
+    terms are summed plane by plane, in the order of df_dsigmas, into one
+    node-major buffer.  A df/dsigma_1 term (T_0 = I) adds to the diagonal
+    planes only, and a linearization with no other term holds those r
+    planes alone: a diagonal form, whose off-diagonal planes are not
+    filled."""
     sigma, tensors = newton_state(u, fun, chi) if state is None else state
     dfds = cones.df_dsigmas(fun, sigma)
-    r, nodes = tensors[0].shape[-1], sigma.shape[:-1]
-    F = np.zeros((r, r, sigma[..., 0].size),
-                 np.result_type(*(tensors[j - 1] for j in dfds)))
-    scratch = np.empty(F.shape[2:], F.dtype)
+    r, nodes = len(tensors[0]), sigma.shape[:-1]
+    F = np.zeros((max(len(tensors[j - 1]) for j in dfds), sigma[..., 0].size))
+    scratch = np.empty(F.shape[1:])
     for j, c in dfds.items():
         c = c.reshape(-1)
         if j == 1:
-            for a in range(r):
-                F.real[a, a] += c
+            F[:r] += c
         else:
-            T = _planes(tensors[j - 1]).reshape(F.shape)
-            for a in range(r):
-                for b in range(r):
-                    F[a, b] += np.multiply(c, T[a, b], out=scratch)
-    # F <- (F + F^*) / 2, each pair of planes once
-    for a in range(r):
-        for b in range(a, r):
-            np.conjugate(F[b, a], out=scratch)
-            scratch += F[a, b]
-            np.multiply(scratch, 0.5, out=F[a, b])
-            if b > a:
-                np.conjugate(F[a, b], out=F[b, a])
-    return _form(F.reshape((r, r) + nodes))
+            T = tensors[j - 1].reshape(F.shape)
+            for p in range(len(F)):
+                F[p] += np.multiply(c, T[p], out=scratch)
+    return F.reshape((len(F),) + nodes)
 
 
 def coefficient_tensor(F: np.ndarray, geom) -> dict:
@@ -457,7 +533,9 @@ def coefficient_tensor(F: np.ndarray, geom) -> dict:
     sum_ab C_ab d^2 / dx_a dx_b, stored as their distinct planes: a dict
     from the axis pairs a <= b to (sign, plane) with
     C_ab = C_ba = sign * plane, each plane contiguous and of interior
-    shape, each diagonal sign +1.
+    shape, each diagonal sign +1.  The planes are F's own, which this
+    takes over: on the complex model they are scaled in place by the
+    exact 1/4, with no copy, so F must not be read afterwards.
 
     For complex geometry the linearized operator is the trace pairing
     trace(F H[v]) with H the complex Hessian (the adjoint of the map in
@@ -465,26 +543,30 @@ def coefficient_tensor(F: np.ndarray, geom) -> dict:
     [[S, T], [-T, S]] (S = Re F, T = Im F) in interleaved (x_i, y_i)
     order.  So C[x_i, x_j] and C[y_i, y_j] are one plane, S_ij / 4;
     C[y_i, x_j] is C[x_i, y_j] = T_ij / 4 with sign -1; and the (x_i, y_i)
-    entries, T_ii / 4 = 0 as F is Hermitian, are not stored: n^2 planes in
-    all, where the dense form has 4 n^2.  On real geometry the d (d + 1) / 2
-    planes a <= b are copied out of F, so that F can be freed (views would
-    keep all d^2 of its planes).  Only these keys are applied, so no
-    plane is scanned for zeros.
+    entries, T_ii / 4 = 0 as F is Hermitian, are not stored: the n^2
+    planes of F, where the dense form has 4 n^2.  On real geometry C is
+    F's d (d + 1) / 2 planes.  A diagonal F (linearize) gives the
+    diagonal pairs alone.  Only these keys are applied, so no plane is
+    scanned for zeros.
     """
     if not geom.is_complex:
         d = geom.real_dims
-        return {(a, b): (1, F[..., a, b].copy())
-                for a in range(d) for b in range(a, d)}
-    S, T = F.real, F.imag
+        return {(a, b): (1, F[_index(d, a, b)])
+                for a in range(d) for b in range(a, d)
+                if a == b or len(F) > d}
+    F *= 0.25
+    n = geom.n
+    half = n * (n - 1) // 2
     C = {}
-    for i in range(geom.n):
+    for i in range(n):
         xi, yi = geom.complex_axes(i)
-        for j in range(i, geom.n):
-            xj, yj = geom.complex_axes(j)
-            C[xi, xj] = C[yi, yj] = (1, np.multiply(S[..., i, j], 0.25))
-            if j > i:
-                plane = np.multiply(T[..., i, j], 0.25)
-                C[xi, yj], C[yi, xj] = (1, plane), (-1, plane)
+        C[xi, xi] = C[yi, yi] = (1, F[i])
+    if len(F) > n:
+        for k, (i, j) in enumerate(_pairs(n)):
+            (xi, yi), (xj, yj) = geom.complex_axes(i), geom.complex_axes(j)
+            C[xi, xj] = C[yi, yj] = (1, F[n + k])
+            im = F[n + half + k]
+            C[xi, yj], C[yi, xj] = (1, im), (-1, im)
     return C
 
 
@@ -581,7 +663,7 @@ def gradient_boundary(u, padded=None) -> list:
 
 
 def _boundary_real_second(u_full, p, geom, face):
-    """Real second partials on one boundary face from the field and its
+    """The planes of the real second partials on one boundary face from the field and its
     padded copy ``p``; derivatives along the Dirichlet axis use
     second-order one-sided stencils."""
     h = geom.h
@@ -590,23 +672,24 @@ def _boundary_real_second(u_full, p, geom, face):
     values = [np.take(u_full, k, axis=da) for k in layers]
     r = geom.real_dims
     D = _real_partials(_second_partials(p, geom, layers[0]), geom.periodic_axes,
-                       h, np.empty((r, r) + values[0].shape))
+                       h, np.empty((r * (r + 1) // 2,) + values[0].shape))
     for a in geom.periodic_axes:
         # mixed normal-tangential: one-sided normal difference of the
         # centered tangential derivative, taken on three layers at once
         tang = np.moveaxis(first_derivative_centered(p, geom, a, layers[:3]), da, 0)
-        D[a, da] = D[da, a] = _one_sided(tang, sgn, h)
-    D[da, da] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2]
-                 - values[3]) / (h * h)
-    return _form(D)
+        D[_index(r, a, da)] = _one_sided(tang, sgn, h)
+    D[da] = (2.0 * values[0] - 5.0 * values[1] + 4.0 * values[2]
+             - values[3]) / (h * h)
+    return D
 
 
 def boundary_complex_hessian(u, padded=None) -> list:
-    """Complex Hessian of u on each boundary face (no chi added)."""
+    """The planes of the complex Hessian of u on each boundary face (no
+    chi added)."""
     return [_complex_form(D, u.geom) for D in boundary_real_hessian(u, padded)]
 
 
 def boundary_real_hessian(u, padded=None) -> list:
-    """Real Hessian of u on each boundary face."""
+    """The planes of the real Hessian of u on each boundary face."""
     p = _padded(u.values, u.geom) if padded is None else padded
     return [_boundary_real_second(u.values, p, u.geom, face) for face in (0, 1)]

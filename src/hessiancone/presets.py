@@ -32,7 +32,7 @@ import numpy as np
 
 from . import cones
 from .geometry import ScalarField
-from .operators import _complex_form, _form, newton_tensors
+from .operators import _chi_planes, _complex_form, _index, newton_tensors
 
 __all__ = [
     "Problem",
@@ -76,9 +76,8 @@ def star_values(geom) -> np.ndarray:
 
 def star_hessian(geom, amplitude=None) -> np.ndarray:
     """Exact Hessian form of the star on the full grid, as form_field
-    forms it: the real Hessian, turned into the complex one by
-    _complex_form on the complex model; the (..., r, r) view of a
-    node-major buffer."""
+    forms it: the planes of the real Hessian, turned into those of the
+    complex one by _complex_form on the complex model."""
     axes, amplitude, g = _star(geom, amplitude)
     da = geom.dirichlet_axis
     cos = {a: np.cos(2 * np.pi * g[a]) for a in axes}
@@ -92,14 +91,14 @@ def star_hessian(geom, amplitude=None) -> np.ndarray:
         return out
 
     r = geom.real_dims
-    H = np.zeros((r, r) + geom.shape)
+    H = np.zeros((r * (r + 1) // 2,) + geom.shape)
     for i, a in enumerate(axes):
-        H[a, a] = -4 * np.pi**2 * prod_except(()) * s
+        H[a] = -4 * np.pi**2 * prod_except(()) * s
         for b in axes[i + 1:]:
-            H[a, b] = H[b, a] = 4 * np.pi**2 * prod_except((a, b)) * s
-        H[a, da] = H[da, a] = -2 * np.pi**2 * prod_except((a,)) * c
-    H[da, da] = -(np.pi**2) * prod_except(()) * s
-    return _complex_form(_form(H), geom) if geom.is_complex else _form(H)
+            H[_index(r, a, b)] = 4 * np.pi**2 * prod_except((a, b)) * s
+        H[_index(r, a, da)] = -2 * np.pi**2 * prod_except((a,)) * c
+    H[da] = -(np.pi**2) * prod_except(()) * s
+    return _complex_form(H, geom) if geom.is_complex else H
 
 
 def bump_values(geom) -> np.ndarray:
@@ -125,8 +124,13 @@ def degenerate_cos_values(geom) -> np.ndarray:
 
 
 def manufactured_psi(fun, chi, hessian) -> np.ndarray:
-    """f(lambda(chi + analytic Hessian)) on the full grid."""
-    sigma, _ = newton_tensors(np.asarray(chi) + hessian, fun.cone_order)
+    """f(lambda(chi + analytic Hessian)) on the full grid, the Hessian
+    given by its planes (star_hessian) and chi as a dense (r, r) form: a
+    Hermitian one where there are r^2 planes."""
+    r = np.shape(chi)[-1]
+    is_complex = len(hessian) != r * (r + 1) // 2
+    g = hessian + _chi_planes(chi, r, is_complex, hessian.ndim - 1)
+    sigma, _ = newton_tensors(g, fun.cone_order, is_complex)
     if not np.all(cones.sigmas_in_cone(sigma)):
         raise ValueError(
             "manufactured reference not admissible; lower the amplitude"

@@ -71,8 +71,12 @@ from .operators import (
     gradient_interior,
     linearize,
     newton_state,
-    _chi_interior,
+    _chi_planes,
+    _dense,
+    _dim,
+    _index,
     _padded,
+    _pairs,
 )
 
 __all__ = [
@@ -289,12 +293,13 @@ def _cone_exit(u, delta, fun, chi) -> float:
     H = form_field(ScalarField(geom=u.geom, values=delta))
     g = form_field(u, chi)
     step = max(1, EXIT_BLOCK // int(np.prod(u.geom.interior_shape[1:])))
-    return min(float(cone_exit(g[k:k + step], H[k:k + step], m).min())
-               for k in range(0, len(g), step))
+    return min(float(cone_exit(g[:, k:k + step], H[:, k:k + step], m,
+                               u.geom.is_complex).min())
+               for k in range(0, g.shape[1], step))
 
 
-def _newton_solve(u0, fun, chi, psi, config):
-    """Damped inexact Newton iteration from u0 to f = psi.
+def _newton_solve(u, fun, chi, psi, config):
+    """Damped inexact Newton iteration from u to f = psi.
 
     Each step solves the f-space linearized system with homogeneous
     Dirichlet data and right-hand side _polynomial_step(r) for the update
@@ -306,9 +311,10 @@ def _newton_solve(u0, fun, chi, psi, config):
     raises ContinuationError when the start is inadmissible, the linear
     solve fails, no factor qualifies or the iteration budget runs out.  The
     residual r = f - psi, its sup norm and config.tolerance are in f-space.
+    u is never written: each iterate is a new field, and with no step the
+    start is returned as it is.
     """
-    geom = u0.geom
-    u = u0.copy()
+    geom = u.geom
     r, rn, state = _residual_and_mask(u, fun, chi, psi)
     if r is None:
         raise ContinuationError("stage start inadmissible")
@@ -324,13 +330,16 @@ def _newton_solve(u0, fun, chi, psi, config):
         C = coefficient_tensor(F, geom)
         del F
         linearized = perf_counter()
+        # the right-hand side replaces r, so only one of them lives
+        # through the linear solve
+        rhs, r = _polynomial_step(r, psi, fun.power), None
         try:
             delta, linear = solve_dirichlet(
-                C, geom, _polynomial_step(r, psi, fun.power),
+                C, geom, rhs,
                 rtol=_forcing_term(record.residuals, config.tolerance))
         except LinearSolveError as exc:
             raise ContinuationError(str(exc), rn) from exc
-        del C
+        del C, rhs
         solved = perf_counter()
         theta, exit_, tried = 1.0, np.nan, []
         while True:
@@ -349,6 +358,9 @@ def _newton_solve(u0, fun, chi, psi, config):
                 raise ContinuationError(
                     "no admissible damping factor reduced the residual", rn)
         u, r, rn = trial, r_t, rn_t
+        # the update and the trial's names go, so that no field but u and
+        # r lives on into the next linear solve
+        del delta, trial, r_t
         record.residuals.append(rn)
         record.dampings.append(theta)
         record.linear.append(linear)
@@ -376,6 +388,13 @@ def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
     return psi0
 
 
+def _stage_start(u_sub, phi):
+    """u_sub with its faces set to phi's: where the Newton stage starts."""
+    u = ScalarField(geom=u_sub.geom, values=u_sub.values.copy())
+    u.values[u.geom.faces] = phi.values[u.geom.faces]
+    return u
+
+
 def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = None):
     """Solve f(lambda(chi + dd-bar u)) = psi, u = phi on the faces, by one
     Newton stage from the subsolution (t = 1 of the continuity path).
@@ -389,9 +408,10 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     _check_subsolution(u_sub, phi, fun, chi, psi_interior)
     checked = perf_counter()
 
-    u = ScalarField(geom=geom, values=u_sub.values.copy())
-    u.values[geom.faces] = phi.values[geom.faces]
-    u, record = _newton_solve(u, fun, chi, psi_interior, config)
+    # the start is formed in the call, so that the stage alone holds it
+    # and drops it with its first step
+    u, record = _newton_solve(_stage_start(u_sub, phi), fun, chi,
+                              psi_interior, config)
 
     solved = perf_counter()
     report = estimate_report(u)
@@ -421,8 +441,12 @@ def solve_riemannian(fun, chi_sym, psi, phi, u_sub, config: SolverConfig | None 
     start = perf_counter()
     geom = u.geom
     diff = ScalarField(geom=geom, values=u.values - u_sub.values)
-    tang = list(geom.periodic_axes)
-    worst = min(_extreme_eigenvalues(face_h[..., tang, :][..., tang])[0]
+    # the planes of the tangential block: its diagonal, then its pairs in
+    # row order, as the layout orders them
+    tang, d = geom.periodic_axes, geom.real_dims
+    block = list(tang) + [_index(d, tang[a], tang[b])
+                          for a, b in _pairs(len(tang))]
+    worst = min(_extreme_eigenvalues(face_h[block], False)[0]
                 for face_h in boundary_real_hessian(diff))
     report.boundary_tangential_min = worst
     report.seconds[2] += perf_counter() - start  # a diagnostic too
@@ -444,7 +468,7 @@ def harmonic_majorant(chi, phi, geom) -> ScalarField:
     dim = geom.form_dim
     diagonal = 0.25 if geom.is_complex else 1.0
     C = {(a, a): (1, diagonal) for a in range(geom.real_dims)}
-    tr = np.trace(_chi_interior(chi, dim, complex)).real
+    tr = _chi_planes(chi, dim, geom.is_complex)[:dim].sum()
     values, _ = solve_dirichlet(
         C, geom, -np.broadcast_to(tr, geom.interior_shape),
         boundary_values=phi.values)
@@ -459,37 +483,41 @@ def comparison_check(u, u_sub, w) -> int:
     return int(np.count_nonzero(below | above))
 
 
-def _extreme_eigenvalues(forms):
-    """(lowest, highest) eigenvalue of a stack of Hermitian or real
-    symmetric (..., r, r) forms: the min and max of eigen_field(forms),
-    found by solving few nodes densely.
+def _extreme_eigenvalues(forms, is_complex):
+    """(lowest, highest) eigenvalue of the Hermitian (``is_complex``) or
+    real symmetric forms whose planes ``forms`` holds: the min and max of
+    eigen_field over their dense forms, found by solving few nodes
+    densely.
 
     Every eigenvalue of a node's form A lies in m -+ s sqrt(r - 1), with
     m = tr A / r and s^2 = (sum_a (A_aa - m)^2 + sum_{a != b} |A_ab|^2) / r
     (Wolkowicz & Styan, Linear Algebra Appl. 29, 1980; equality for
-    r = 2).  s^2 is summed about m: ||A||_F^2 / r - m^2 cancels for A near
-    cI and can under-bound lambda_max.  Each bound is widened by
-    EXTREME_SLACK of |m| + s sqrt(r - 1) >= ||A||_2, which covers its own
-    rounding and LAPACK's backward error.  eigen_field then solves the
-    nodes in blocks of EXTREME_BLOCK, most promising bound first, once for
-    the highest and once for the lowest, until no remaining bound can beat
-    the extreme found.  The extreme is the value LAPACK computes at the
-    node that attains it, as in a dense solve of the whole stack, so it is
-    exact.  An empty stack gives (0.0, 0.0).  A NaN or infinite entry
-    gives (nan, nan), where the dense solve need not: numpy's eigvalsh
-    returns [0, -0] for a 2 x 2 form with a NaN diagonal entry.
+    r = 2), both formed from the planes.  s^2 is summed about m:
+    ||A||_F^2 / r - m^2 cancels for A near cI and can under-bound
+    lambda_max.  Each bound is widened by EXTREME_SLACK of
+    |m| + s sqrt(r - 1) >= ||A||_2, which covers its own rounding and
+    LAPACK's backward error.  eigen_field then solves the nodes in blocks
+    of EXTREME_BLOCK, most promising bound first, once for the highest
+    and once for the lowest, until no remaining bound can beat the extreme
+    found; only those blocks are assembled as dense (block, r, r) forms.
+    The extreme is the value LAPACK computes at the node that attains it,
+    as in a dense solve of the whole stack, so it is exact.  An empty
+    stack gives (0.0, 0.0).  A NaN or infinite entry gives (nan, nan),
+    where the dense solve need not: numpy's eigvalsh returns [0, -0] for
+    a 2 x 2 form with a NaN diagonal entry.
     """
-    r = forms.shape[-1]
-    flat = forms.reshape((-1, r, r))
-    if not len(flat):
+    flat = forms.reshape((len(forms), -1))
+    if not flat.shape[1]:
         return 0.0, 0.0
-    diag = [flat[:, a, a].real for a in range(r)]
-    m = sum(diag) / r
-    squares = sum((d - m) ** 2 for d in diag)
-    for a in range(r):
-        for b in range(a + 1, r):
-            off = flat[:, a, b]
-            squares += 2.0 * (off.real**2 + off.imag**2)
+    r = _dim(len(flat), is_complex)
+    half = r * (r - 1) // 2
+    m = sum(flat[:r]) / r
+    squares = sum((d - m) ** 2 for d in flat[:r])
+    for k in range(half):
+        off = flat[r + k] ** 2
+        if is_complex:
+            off += flat[r + half + k] ** 2
+        squares += 2.0 * off
     radius = np.sqrt(squares * ((r - 1) / r))  # s sqrt(r - 1)
     slack = EXTREME_SLACK * (np.abs(m) + radius)
     upper, lower = m + radius + slack, m - radius - slack
@@ -497,7 +525,7 @@ def _extreme_eigenvalues(forms):
         return np.nan, np.nan
     lowest, highest = np.inf, -np.inf
     for key in (upper, -lower):  # bounds on lambda_max and on -lambda_min
-        todo = np.arange(len(flat))
+        todo = np.arange(flat.shape[1])
         while True:
             todo = todo[key[todo] > (highest if key is upper else -lowest)]
             if not todo.size:
@@ -507,15 +535,16 @@ def _extreme_eigenvalues(forms):
                 todo, block = todo[part[:-EXTREME_BLOCK]], todo[part[-EXTREME_BLOCK:]]
             else:
                 todo, block = todo[:0], todo
-            lam = eigen_field(flat[block])
+            lam = eigen_field(_dense(flat[:, block], is_complex))
             lowest = min(lowest, float(lam[:, 0].min()))
             highest = max(highest, float(lam[:, -1].max()))
     return lowest, highest
 
 
-def _spectral_radius(forms) -> float:
-    """max |lambda| over a stack of forms (see _extreme_eigenvalues)."""
-    return max(map(abs, _extreme_eigenvalues(forms)))
+def _spectral_radius(forms, is_complex) -> float:
+    """max |lambda| over the forms whose planes ``forms`` holds (see
+    _extreme_eigenvalues)."""
+    return max(map(abs, _extreme_eigenvalues(forms, is_complex)))
 
 
 def estimate_report(u) -> SolveReport:
@@ -539,14 +568,21 @@ def estimate_report(u) -> SolveReport:
     )
     sup_grad = max(report.sup_grad_interior, report.sup_grad_boundary)
 
-    faces = (boundary_complex_hessian if geom.is_complex
+    is_complex = geom.is_complex
+    faces = (boundary_complex_hessian if is_complex
              else boundary_real_hessian)(u, padded)
+    # the planes of the tangential-normal entries (a, k), a < k, with k
+    # the normal direction
     k = geom.form_dim - 1
-    tn = max(float(np.abs(f[..., :k, k]).max()) for f in faces)
+    normal = [_index(k + 1, a, k) for a in range(k)]
+    imag = [_index(k + 1, a, k, imag=True) for a in range(k)]
+    tn = max(float(np.abs(f[normal] + 1j * f[imag] if is_complex
+                          else f[normal]).max()) for f in faces)
     forms = form_field(u, None)
-    report.sup_ddbar_interior = _spectral_radius(forms)
-    report.sup_lap = float(np.abs(np.trace(forms, axis1=-2, axis2=-1).real).max())
-    report.sup_ddbar_boundary = max(map(_spectral_radius, faces))
+    report.sup_ddbar_interior = _spectral_radius(forms, is_complex)
+    report.sup_lap = float(np.abs(sum(forms[:k + 1])).max())
+    report.sup_ddbar_boundary = max(_spectral_radius(f, is_complex)
+                                    for f in faces)
     report.boundary_ratio = report.sup_ddbar_boundary / (1.0 + sup_grad**2)
     report.tangential_normal_ratio = tn / (1.0 + sup_grad)
     sup_dd_all = max(report.sup_ddbar_interior, report.sup_ddbar_boundary)

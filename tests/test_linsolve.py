@@ -223,9 +223,9 @@ def counted_preconditioner(monkeypatch):
     count = [0]
     inner = _MeanCoefficientInverse.apply
 
-    def apply(self, x):
+    def apply(self, x, **kwargs):
         count[0] += 1
-        return inner(self, x)
+        return inner(self, x, **kwargs)
 
     monkeypatch.setattr(_MeanCoefficientInverse, "apply", apply)
     return count
@@ -327,9 +327,12 @@ class TestSolveRecord:
     def test_nan_preconditioner_raises_at_once(self, monkeypatch):
         calls = [0]
 
-        def nan_apply(self, x):
+        def nan_apply(self, x, out=None):
             calls[0] += 1
-            return np.full_like(x, np.nan)
+            if out is None:
+                return np.full_like(x, np.nan)
+            out[...] = np.nan
+            return out
 
         monkeypatch.setattr(_MeanCoefficientInverse, "apply", nan_apply)
         geom = GridGeometry(n=2, resolution=4)
@@ -415,6 +418,11 @@ BLAS_CALLS = ("dot", "vdot", "inner", "linalg.norm")
 SINGLE_THREAD = [linsolve._gmres, operators.apply_second_order,
                  operators.coefficient_tensor, operators.exit_polynomial,
                  operators.cone_exit, solve._cone_exit,
+                 operators.newton_tensors, operators.newton_state,
+                 operators.linearize, operators._trace_product,
+                 operators._negated_product,
+                 operators._chi_planes, operators._dense,
+                 solve._extreme_eigenvalues,
                  operators._second_partials, operators._real_partials,
                  operators.complex_hessian, operators.real_hessian,
                  operators.form_field,

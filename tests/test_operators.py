@@ -19,6 +19,8 @@ from hessiancone.geometry import CylinderGeometry, GridGeometry, ScalarField
 
 from dense_coefficients import (dense_apply, dense_coefficient_tensor, dense_of,
                                 distinct_planes)
+from dense_forms import (dense_exit_polynomial, dense_form, dense_linearize,
+                         dense_newton_tensors, planes_of)
 
 GEOM = GridGeometry(n=2, resolution=8)
 
@@ -39,14 +41,14 @@ class TestComplexHessian:
     def test_zero_field_returns_chi(self):
         chi = np.array([[2.0, 1j], [-1j, 3.0]])
         g = op.complex_hessian(ScalarField.zeros(GEOM), chi)
-        assert np.allclose(g, chi)
+        assert np.allclose(dense_form(g, True), chi)
 
     def test_mod_z1_squared(self):
         # |z_1|^2 has dd-bar = diag(1, 0); exact off the wrap seam
         u = ScalarField.from_function(
             GEOM, lambda x1, y1, x2, y2: x1**2 + y1**2
         )
-        g = op.complex_hessian(u, np.eye(2))
+        g = dense_form(op.complex_hessian(u, np.eye(2)), True)
         m = off_seam(GEOM)
         assert np.allclose(g[m][:, 0, 0], 2.0)
         assert np.allclose(g[m][:, 1, 1], 1.0)
@@ -57,17 +59,22 @@ class TestComplexHessian:
         u = ScalarField.from_function(
             GEOM, lambda x1, y1, x2, y2: x2**2 - y2**2
         )
-        g = op.complex_hessian(u, np.eye(2))
+        g = dense_form(op.complex_hessian(u, np.eye(2)), True)
         m = off_seam(GEOM)
         assert np.allclose(g[m], np.eye(2))
 
     def test_hermitian_exact(self):
+        # the planes hold the diagonal and the entries i < j alone; the
+        # entries they drop are the conjugates of the kept ones, bit for
+        # bit, in the complex Hessian of the real one
         rng = np.random.default_rng(0)
         u = ScalarField(geom=GEOM, values=rng.standard_normal(GEOM.shape))
         g = op.complex_hessian(u, None)
-        np.testing.assert_array_equal(
-            g, np.conj(np.swapaxes(g, -1, -2))
-        )
+        assert g.shape == (GEOM.n**2,) + GEOM.interior_shape
+        assert g.dtype == float
+        full = ddbar_from_real(dense_form(op.real_hessian(u), False))
+        np.testing.assert_array_equal(full, np.conj(np.swapaxes(full, -1, -2)))
+        np.testing.assert_allclose(dense_form(g, True), full, rtol=0, atol=1e-12)
 
     def test_min_resolution_guard(self):
         with pytest.raises(ValueError):
@@ -78,21 +85,21 @@ class TestEigenField:
     def test_diagonal(self):
         u = ScalarField.zeros(GEOM)
         g = op.complex_hessian(u, np.diag([3.0, -1.0]).astype(complex))
-        lam = op.eigen_field(g)
+        lam = op.eigen_field(dense_form(g, True))
         assert np.allclose(lam[..., 0], -1.0) and np.allclose(lam[..., 1], 3.0)
 
     def test_closed_form_2x2(self):
         g = op.complex_hessian(
             ScalarField.zeros(GEOM), np.array([[2.0, 1.0], [1.0, 2.0]])
         )
-        lam = op.eigen_field(g)
+        lam = op.eigen_field(dense_form(g, True))
         assert np.allclose(lam[..., 0], 1.0) and np.allclose(lam[..., 1], 3.0)
 
     def test_matches_arrowhead_module(self):
         spec = ah.ArrowheadSpec(d=[0.7], a_off=[0.3 + 0.4j], corner=2.0)
         g = op.complex_hessian(ScalarField.zeros(GEOM),
                                ah._assemble(spec.d, spec.a_off, spec.corner))
-        lam = op.eigen_field(g)
+        lam = op.eigen_field(dense_form(g, True))
         expected = ah.eigenvalues(spec).values
         np.testing.assert_allclose(lam[0, 0, 0, 0], expected, atol=1e-10)
 
@@ -147,20 +154,21 @@ class TestLinearize:
     def test_sigma1_is_identity(self):
         fun = cn.sigma_k_root(2, 1)
         F = op.linearize(ScalarField.zeros(GEOM), fun, np.eye(2))
-        assert np.allclose(F, np.eye(2))
+        assert len(F) == 2  # the diagonal planes alone
+        assert np.allclose(dense_form(F, True, r=2), np.eye(2))
 
     def test_ma_hand_value(self):
         fun = cn.monge_ampere(2)
         F = op.linearize(
             ScalarField.zeros(GEOM), fun, np.diag([1.0, 4.0]).astype(complex)
         )
-        np.testing.assert_allclose(F[0, 0, 0, 0], np.diag([1.0, 0.25]),
-                                   atol=1e-12)
+        np.testing.assert_allclose(dense_form(F, True)[0, 0, 0, 0],
+                                   np.diag([1.0, 0.25]), atol=1e-12)
 
     def test_repeated_eigenvalue_cluster(self):
         fun = cn.monge_ampere(2)
         F = op.linearize(ScalarField.zeros(GEOM), fun, np.eye(2))
-        assert np.allclose(F, 0.5 * np.eye(2))
+        assert np.allclose(dense_form(F, True), 0.5 * np.eye(2))
 
     def test_directional_derivative(self):
         rng = np.random.default_rng(5)
@@ -170,8 +178,8 @@ class TestLinearize:
             geom=GEOM, values=1e-4 * rng.standard_normal(GEOM.shape)
         )
         chi = np.eye(2, dtype=complex)
-        F = op.linearize(u, fun, chi)
-        g = op.complex_hessian(u, chi)
+        F = dense_form(op.linearize(u, fun, chi), True)
+        g = dense_form(op.complex_hessian(u, chi), True)
         E = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         E = 0.5 * (E + E.conj().T)
         s = 1e-5
@@ -185,7 +193,7 @@ class TestLinearize:
         fun = cn.monge_ampere(2)
         prob = pr.build_problem(GEOM, fun, "manufactured", "zero", "star-bump")
         F = op.linearize(prob.u_sub, fun, prob.chi)
-        lam = np.linalg.eigvalsh(F)
+        lam = np.linalg.eigvalsh(dense_form(F, True))
         assert lam.min() > 0
         C = op.coefficient_tensor(F, GEOM)
         lc = np.linalg.eigvalsh(dense_of(C, GEOM))
@@ -238,18 +246,20 @@ def recurrence_error_bounds(g, sigma, tensors):
     return err_sigma, err_T
 
 
-def assert_matches_dense_reference(fun, g, f, F):
-    """f and F, computed through newton_tensors at nodes whose form is g,
-    against dense_reference.  The reference carries the rounding error
+def assert_matches_dense_reference(fun, g, f, F, is_complex):
+    """f and dense F, computed through newton_tensors at nodes whose dense
+    form is g, against dense_reference.  The reference carries the rounding error
     eps * sigma_condition (1e-12 where the sigmas are well conditioned).
     The recurrence adds its own, which from r = 3 on compounds from level
     to level beyond that: recurrence_error_bounds, carried into f and F
     to first order.  Every f is a product of powers of sigmas, so
     df/dsigma_j = a_j f / sigma_j carries the relative errors of f and
-    sigma_j; gamma covers linearize's sum and symmetrization."""
+    sigma_j; gamma covers linearize's sum."""
     f_ref, F_ref, lam = dense_reference(fun, g)
     tol = 1e-12 + 100 * np.finfo(float).eps * sigma_condition(fun, lam)
-    sigma, tensors = op.newton_tensors(g, fun.cone_order)
+    sigma, tensors = op.newton_tensors(planes_of(g, is_complex), fun.cone_order,
+                                       is_complex)
+    tensors = [dense_form(T, is_complex, r=len(g)) for T in tensors]
     err_sigma, err_T = recurrence_error_bounds(g, sigma, tensors)
     c = {j: abs(cj) for j, cj in cn.df_dsigmas(fun, sigma).items()}
     err_f = sum(cj * err_sigma[j] for j, cj in c.items())
@@ -262,14 +272,16 @@ def assert_matches_dense_reference(fun, g, f, F):
 
 
 @st.composite
-def spectral_cases(draw, complex_dims=None, count=None):
+def spectral_cases(draw, complex_dims=(2, 4), real_dims=(2, 6), count=None):
     """(fun, g, complex_): one form g, or with ``count`` a stack of that
-    many drawn with the same pattern.  ``complex_dims`` (low, high) draws
-    complex forms of those dims only."""
-    complex_ = complex_dims is not None or draw(st.booleans())
+    many drawn with the same pattern: complex forms of the dims
+    ``complex_dims`` (low, high), or real ones of ``real_dims``; None
+    draws none of that kind."""
+    complex_ = real_dims is None or (complex_dims is not None
+                                     and draw(st.booleans()))
     # the complex model grid at resolution 3 has 2 * 3^(2n-1) interior
     # nodes (39,366 at n = 5), so forms checked on a grid stop at dim 4
-    low, high = complex_dims or (2, 4 if complex_ else 6)
+    low, high = complex_dims if complex_ else real_dims
     dim = draw(st.integers(low, high))
     kind = draw(st.sampled_from(("sigma1", "sigmaK", "ma", "quotient")))
     if kind == "sigma1":
@@ -326,9 +338,10 @@ class TestNewtonTensors:
                 else CylinderGeometry(d=dim, resolution=3))
         u = ScalarField.zeros(geom)
         f = cn.f_from_sigmas(fun, op.newton_state(u, fun, g)[0])
-        assert_matches_dense_reference(fun, g, f, op.linearize(u, fun, g))
+        F = dense_form(op.linearize(u, fun, g), complex_, r=dim)
+        assert_matches_dense_reference(fun, g, f, F, complex_)
 
-    @given(spectral_cases(complex_dims=(5, 6), count=4))
+    @given(spectral_cases(complex_dims=(5, 6), real_dims=None, count=4))
     @example((cn.hessian_quotient(6, 2, 6), np.diag([float.fromhex(x) for x in (
         "0x1.53d020b173a2ap-13", "0x1.2d6fb7e006a50p-3",
         "0x1.b95481cd2ab8cp-1", "0x1.1992558ce3b4dp-4",
@@ -342,20 +355,127 @@ class TestNewtonTensors:
         # entry at lambda = 0.86 cancels 6.2e-5 down to 1.2e-8 on top of
         # the error inherited from sigma_5 and T_4
         fun, g, _ = case
-        state = op.newton_tensors(g, fun.cone_order)
+        state = op.newton_tensors(planes_of(g, True), fun.cone_order, True)
         f = cn.f_from_sigmas(fun, state[0])
-        F = op.linearize(None, fun, state=state)
+        F = dense_form(op.linearize(None, fun, state=state), True, r=g.shape[-1])
         for k in range(len(g)):
-            assert_matches_dense_reference(fun, g[k], f[k], F[k])
+            assert_matches_dense_reference(fun, g[k], f[k], F[k], True)
 
     def test_sigmas_of_a_diagonal_matrix(self):
         lam = np.array([2.0, -1.0, 3.0, 0.5])
-        sigma, tensors = op.newton_tensors(np.diag(lam), 4)
+        sigma, tensors = op.newton_tensors(planes_of(np.diag(lam), False), 4,
+                                           False)
         np.testing.assert_allclose(sigma, cn.elem_sym(lam, 4), rtol=1e-15)
+        np.testing.assert_array_equal(tensors[0], np.ones(4))
         # T_{j-1} = diag(d sigma_j / d lambda)
         for j in range(1, 5):
-            np.testing.assert_allclose(np.diag(tensors[j - 1]),
+            np.testing.assert_allclose(np.diag(dense_form(tensors[j - 1], False, r=4)),
                                        cn.elem_sym_grad(lam, j), rtol=1e-15)
+
+
+def dense_bounds(g, m, is_complex):
+    """The dense recurrence at each form of the stack g, and
+    recurrence_error_bounds of it, node by node."""
+    sigma, tensors = dense_newton_tensors(g, m)
+    bounds = [recurrence_error_bounds(g[k], sigma[k], [T if T.ndim == 2 else T[k]
+                                                        for T in tensors])
+              for k in range(len(g))]
+    return sigma, tensors, bounds
+
+
+def assert_within(got, ref, bound):
+    assert np.all(np.abs(got - ref) <= bound)
+
+
+class TestPlaneAlgebra:
+    """newton_tensors, linearize and exit_polynomial on the distinct planes
+    against the dense per-node algebra (tests/dense_forms.py) on stacks of
+    complex forms (r = 2, 3, 4) and real ones (r = 3, 4).  Both sides are
+    within recurrence_error_bounds of exact arithmetic, so they differ by
+    at most twice that bound; for m <= 2 they sum the same products in
+    the same order, so sigma_1, sigma_2, T_1 and F agree to the bit."""
+
+    @given(spectral_cases(complex_dims=(2, 4), real_dims=(3, 4), count=5))
+    @settings(max_examples=200, deadline=None)
+    def test_newton_tensors_and_linearize_match_dense(self, case):
+        fun, g, is_complex = case
+        m, r = fun.cone_order, g.shape[-1]
+        planes = planes_of(g, is_complex)
+        g = dense_form(planes, is_complex)  # exactly Hermitian
+        sigma, tensors = op.newton_tensors(planes, m, is_complex)
+        F = op.linearize(None, fun, state=(sigma, tensors))
+        ref_sigma, ref_tensors, bounds = dense_bounds(g, m, is_complex)
+        ref_F = planes_of(dense_linearize(fun, ref_sigma, ref_tensors), is_complex)
+        assert not ref_F[len(F):].any()  # the planes F leaves out
+        if m <= 2:
+            np.testing.assert_array_equal(sigma, ref_sigma)
+            for T, ref_T in zip(tensors[1:], ref_tensors[1:]):
+                np.testing.assert_array_equal(T, planes_of(ref_T, is_complex))
+            np.testing.assert_array_equal(F, ref_F[:len(F)])
+        lam = np.linalg.eigvalsh(g)
+        eps = np.finfo(float).eps
+        for k, (err_sigma, err_T) in enumerate(bounds):
+            assert_within(sigma[k], ref_sigma[k], 2 * err_sigma)
+            for j in range(1, m):
+                assert_within(dense_form(tensors[j][:, k], is_complex),
+                              ref_tensors[j][k], 2 * err_T[j])
+            # sigma_j against elem_sym of the eigenvalues: their error of
+            # about eps ||g|| moves e_j by up to r e_{j-1}(|lambda|) times it
+            e, ea = cn.elem_sym(lam[k], m), cn.elem_sym(np.abs(lam[k]), m)
+            scale = np.abs(lam[k]).max()
+            for j in range(1, m + 1):
+                bound = err_sigma[j] + 100 * eps * (r * ea[j - 1] * scale + ea[j])
+                assert abs(sigma[k, j] - e[j]) <= bound
+            # F to first order in the errors of the sigmas and tensors,
+            # as in assert_matches_dense_reference, on both sides
+            c = {j: abs(cj[k]) for j, cj in cn.df_dsigmas(fun, ref_sigma).items()}
+            err_f = sum(cj * err_sigma[j] for j, cj in c.items())
+            rel_f = err_f / cn.f_from_sigmas(fun, ref_sigma[k])
+            err_F = sum(cj * ((rel_f + err_sigma[j] / ref_sigma[k, j]
+                               + gamma(len(c) + 2))
+                              * np.abs(ref_tensors[j - 1] if j == 1
+                                       else ref_tensors[j - 1][k])
+                              + err_T[j - 1])
+                        for j, cj in c.items())
+            assert_within(dense_form(F[:, k], is_complex, r=r),
+                          dense_form(ref_F[:, k], is_complex), 2 * err_F)
+
+    @given(spectral_cases(complex_dims=(2, 4), real_dims=(3, 4), count=5),
+           st.integers(0, 2**32 - 1), st.floats(-1.0, 1.0))
+    @settings(max_examples=200, deadline=None)
+    def test_exit_polynomial_matches_dense(self, case, seed, exponent):
+        # a random direction H at each form g; m <= 3 as exit_polynomial
+        # takes it.  c_0 and c_m are sigma_m of g and H; c_1 and c_{m-1}
+        # are traces of a tensor with the other form, summed over the
+        # planes here and over all r^2 entries by einsum
+        fun, g, is_complex = case
+        m, r = min(fun.cone_order, 3), g.shape[-1]
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-1.0, 1.0, g.shape) * 10.0**exponent
+        if is_complex:
+            z = z + 1j * rng.uniform(-1.0, 1.0, g.shape) * 10.0**exponent
+        planes = planes_of(g, is_complex), planes_of(z, is_complex)
+        g, H = (dense_form(p, is_complex) for p in planes)
+        c = op.exit_polynomial(*planes, m, is_complex)
+        ref = dense_exit_polynomial(g, H, m)
+        sigma_g, tensors_g, bounds_g = dense_bounds(g, m, is_complex)
+        sigma_h, tensors_h, bounds_h = dense_bounds(H, m, is_complex)
+        for k in range(len(g)):
+            bound = np.zeros(m + 1)
+            bound[0], bound[m] = 2 * bounds_g[k][0][m], 2 * bounds_h[k][0][m]
+
+            def trace_bound(tensors, bounds, other):
+                T = tensors[m - 1][k]
+                return (2 * gamma(r * r + 2) * (np.abs(T) * np.abs(other[k]).T).sum()
+                        + 2 * (bounds[k][1][m - 1] * np.abs(other[k]).T).sum())
+
+            if m > 1:
+                bound[1] = trace_bound(tensors_g, bounds_g, H)
+            if m > 2:
+                bound[m - 1] = trace_bound(tensors_h, bounds_h, g)
+            assert_within(c[k], ref[k], bound)
+            if m <= 2:  # sigma_m of g and H to the bit
+                assert c[k, 0] == ref[k, 0] and c[k, m] == ref[k, m]
 
 
 @st.composite
@@ -421,7 +541,9 @@ class TestConeExit:
     @settings(max_examples=300, deadline=None)
     def test_exit_against_dense_scan(self, case):
         g, H, m = case
-        exits = op.cone_exit(g, H, m)
+        is_complex = np.iscomplexobj(g)
+        exits = op.cone_exit(planes_of(g, is_complex), planes_of(H, is_complex),
+                             m, is_complex)
         assert exits.shape == (len(g),) and np.all(exits > 0.0)
         for gk, hk, exit_ in zip(g, H, exits):
             # inside the cone all the way up to just below theta* (to
@@ -444,7 +566,9 @@ class TestConeExit:
         # a polynomial of degree m is fixed by m + 1 values: the
         # coefficients reproduce sigma_m(g + theta H) at m + 1 thetas
         g, H, m = case
-        c = op.exit_polynomial(g, H, m)
+        is_complex = np.iscomplexobj(g)
+        c = op.exit_polynomial(planes_of(g, is_complex), planes_of(H, is_complex),
+                               m, is_complex)
         assert c.shape == (len(g), m + 1)
         thetas = np.linspace(-1.0, 1.0, m + 1)
         for gk, hk, ck in zip(g, H, c):
@@ -455,9 +579,9 @@ class TestConeExit:
                 rtol=0.0, atol=1e-13 * size**m)
 
     def test_cone_order_above_three_refused(self):
-        g = np.eye(4)[None]
+        g = planes_of(np.eye(4)[None], False)
         with pytest.raises(ValueError, match="1 <= m <= 3"):
-            op.exit_polynomial(g, g, 4)
+            op.exit_polynomial(g, g, 4, False)
 
 
 def reference_newton_tensors(g, m):
@@ -506,10 +630,8 @@ def node_major_case(geom, name):
     return u, np.eye(dim), cn.parse_kind(name, dim)
 
 
-def assert_planes_contiguous(form):
-    r = form.shape[-1]
-    assert all(form[..., a, b].flags.c_contiguous
-               for a in range(r) for b in range(r))
+def assert_planes_contiguous(planes):
+    assert all(plane.flags.c_contiguous for plane in planes)
 
 
 def assert_matches(got, ref, exact, scale=None):
@@ -521,32 +643,37 @@ def assert_matches(got, ref, exact, scale=None):
 
 
 class TestNodeMajor:
-    """g, the Newton tensors, F and C are views of node-major buffers, and
-    the plane algebra reproduces the einsum / matmul formulas."""
+    """g, the Newton tensors, F and C are node-major buffers of their
+    distinct planes, and the plane algebra reproduces the einsum / matmul
+    formulas on the dense forms."""
 
     @pytest.mark.parametrize("geom,names", NODE_MAJOR_CASES)
     def test_planes_contiguous_and_match_reference(self, geom, names):
         exact = geom.is_complex and geom.n == 2
+        is_complex, dim = geom.is_complex, geom.form_dim
         for name in names:
             u, chi, fun = node_major_case(geom, name)
             g = op.form_field(u, chi)
             assert_planes_contiguous(g)
-            sigma, tensors = op.newton_tensors(g, fun.cone_order)
-            ref_sigma, ref_tensors = reference_newton_tensors(g, fun.cone_order)
+            sigma, tensors = op.newton_tensors(g, fun.cone_order, is_complex)
+            ref_sigma, ref_tensors = reference_newton_tensors(
+                dense_form(g, is_complex), fun.cone_order)
             assert all(sigma[..., j].flags.c_contiguous
                        for j in range(fun.cone_order + 1))
             for j in range(1, fun.cone_order + 1):
                 assert_matches(sigma[..., j], ref_sigma[..., j], exact)
-            np.testing.assert_array_equal(tensors[0], np.eye(geom.form_dim))
+            np.testing.assert_array_equal(tensors[0], np.ones(dim))
             for T, ref_T in zip(tensors[1:], ref_tensors[1:]):
                 assert_planes_contiguous(T)
-                assert_matches(T, ref_T, exact)
+                assert_matches(T, planes_of(ref_T, is_complex), exact)
             F = op.linearize(u, fun, chi, (sigma, tensors))
             assert_planes_contiguous(F)
             terms = sum(np.abs(c).max() * np.abs(ref_tensors[j - 1]).max()
                         for j, c in cn.df_dsigmas(fun, ref_sigma).items())
-            assert_matches(F, reference_linearize(fun, ref_sigma, ref_tensors),
-                           exact, terms)
+            ref_F = planes_of(reference_linearize(fun, ref_sigma, ref_tensors),
+                              is_complex)
+            assert_matches(F, ref_F[:len(F)], exact, terms)
+            assert not ref_F[len(F):].any()  # the planes F leaves out
             assert all(plane.flags.c_contiguous for _, plane
                        in op.coefficient_tensor(F, geom).values())
 
@@ -557,15 +684,27 @@ class TestNodeMajor:
         # df/dsigma_1 multiplies T_0 = I, which adds to the diagonal
         # planes only
         u, chi, fun = node_major_case(geom, name)
-        F = op.linearize(u, fun, chi)
-        lam, vec = np.linalg.eigh(op.form_field(u, chi))
+        F = dense_form(op.linearize(u, fun, chi), geom.is_complex, r=fun.n)
+        lam, vec = np.linalg.eigh(dense_form(op.form_field(u, chi), geom.is_complex))
         F_ref = ((vec * cn.grad_many(fun, lam)[..., None, :])
                  @ np.conj(np.swapaxes(vec, -1, -2)))
         assert np.abs(F - F_ref).max() <= 1e-12 * np.abs(F_ref).max()
         if name == "sigma1":
-            # f = sigma_1: F = I exactly, off-diagonal planes exact zeros
+            # f = sigma_1: F = I exactly
             np.testing.assert_array_equal(
                 F, np.broadcast_to(np.eye(fun.n), F.shape))
+
+    @pytest.mark.parametrize("geom", [GEOM, CylinderGeometry(d=3, resolution=8)],
+                             ids=["complex-8", "cylinder-8"])
+    def test_sigma1_fills_no_off_diagonal_plane(self, geom):
+        # F = I for sigma_1: linearize fills the diagonal planes alone and
+        # C keys the diagonal pairs alone, so no application forms a mixed
+        # partial with zero coefficients
+        u, chi, fun = node_major_case(geom, "sigma1")
+        F = op.linearize(u, fun, chi)
+        assert F.shape == (geom.form_dim,) + geom.interior_shape
+        C = op.coefficient_tensor(F, geom)
+        assert sorted(C) == [(a, a) for a in range(geom.real_dims)]
 
 
 class TestCoefficientTensor:
@@ -583,9 +722,9 @@ class TestCoefficientTensor:
         Fmat = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         Fmat = 0.5 * (Fmat + Fmat.conj().T)
         F = np.broadcast_to(Fmat, GEOM.interior_shape + (2, 2)).copy()
-        H = op.complex_hessian(u, None)
+        H = dense_form(op.complex_hessian(u, None), True)
         direct = np.real(np.einsum("...ij,...ji->...", F, H))
-        C = op.coefficient_tensor(F, GEOM)
+        C = op.coefficient_tensor(planes_of(F, True), GEOM)
         via_real = op.apply_second_order(C, u.values, GEOM)
         np.testing.assert_allclose(via_real, direct, atol=1e-10)
 
@@ -613,7 +752,9 @@ class TestDistinctPlanes:
     @pytest.mark.parametrize("geom", DISTINCT_GEOMS, ids=str)
     def test_apply_matches_dense_reference(self, geom):
         F, u = self.linearization(geom)
-        C, dense = op.coefficient_tensor(F, geom), dense_coefficient_tensor(F, geom)
+        # C takes F's planes over and scales them: the dense form first
+        dense = dense_coefficient_tensor(dense_form(F, geom.is_complex), geom)
+        C = op.coefficient_tensor(F, geom)
         np.testing.assert_array_equal(dense_of(C, geom), dense)
         got = op.apply_second_order(C, u, geom)
         # both sides sum the same products; within rounding of the np.roll
@@ -631,9 +772,11 @@ class TestDistinctPlanes:
         assert all(a <= b < r for a, b in C)
         assert all(C[a, a][0] == 1 for a in range(r))
         planes = {id(plane): plane for _, plane in C.values()}
-        # own memory: no plane keeps F's buffer alive
-        assert all(plane.base is None and plane.flags.c_contiguous
+        # F's own planes, every one of them keyed: C holds no plane that
+        # it does not apply
+        assert all(plane.base is F.base and plane.flags.c_contiguous
                    for plane in planes.values())
+        assert len(F) == len(planes)
         if not geom.is_complex:
             assert len(C) == len(planes) == r * (r + 1) // 2
             return
@@ -705,7 +848,7 @@ def stencil_cases(draw):
         u_arg = op._wrap_ghosts(p, geom)
     else:
         u_arg = u
-    dense = op._form(planes)
+    dense = np.moveaxis(planes, (0, 1), (-2, -1))
     C = distinct_planes(dense, keep_zero=draw(st.booleans()))
     return geom, C, dense, u, u_arg
 
@@ -770,14 +913,29 @@ class TestRealHessian:
         )
         g = op.real_hessian(u, np.eye(3))
         expected = np.eye(3) + np.diag([0.0, 0.0, -2.0])
-        assert np.allclose(g, expected)
+        assert np.allclose(dense_form(g, False), expected)
 
     def test_symmetry(self):
+        # one plane per entry a <= b: u_ab from the first differences along
+        # b, against the np.roll stencil that differences along a first
         geom = CylinderGeometry(d=3, resolution=8)
         rng = np.random.default_rng(1)
         u = ScalarField(geom=geom, values=rng.standard_normal(geom.shape))
         g = op.real_hessian(u, None)
-        np.testing.assert_array_equal(g, np.swapaxes(g, -1, -2))
+        assert g.shape == (6,) + geom.interior_shape
+
+        def diff(f, a):
+            return np.roll(f, -1, axis=a) - np.roll(f, 1, axis=a)
+
+        h2 = geom.h**2
+        for a in range(3):
+            second = np.roll(u.values, -1, a) - 2 * u.values + np.roll(u.values, 1, a)
+            np.testing.assert_allclose(g[a], second[geom.interior] / h2,
+                                       rtol=1e-12, atol=1e-9)
+            for b in range(a + 1, 3):
+                ref = diff(diff(u.values, a), b)[geom.interior] / (4 * h2)
+                np.testing.assert_allclose(g[op._index(3, a, b)], ref,
+                                           rtol=1e-12, atol=1e-9)
 
 
 class TestLaplacian:
@@ -801,7 +959,7 @@ class TestLaplacian:
         rows = sv.degenerate_sweep(fun, prob.chi, ScalarField.zeros(geom),
                                    prob.phi, prob.u_sub, [0.25, 0.5])
         for row, u in zip(rows, solved, strict=True):
-            trace = np.trace(op.form_field(u), axis1=-2, axis2=-1).real
+            trace = sum(op.form_field(u)[:geom.form_dim])
             assert row["sup_lap"] == np.abs(trace).max() > 0.0
 
 
@@ -817,11 +975,13 @@ class TestComplexForm:
     def test_interior_and_faces_match_real_hessian(self):
         rng = np.random.default_rng(4)
         u = ScalarField(geom=GEOM, values=rng.standard_normal(GEOM.shape))
-        np.testing.assert_allclose(op.complex_hessian(u),
-                                   ddbar_from_real(op.real_hessian(u)),
+        np.testing.assert_allclose(dense_form(op.complex_hessian(u), True),
+                                   ddbar_from_real(dense_form(op.real_hessian(u), False)),
                                    rtol=0, atol=1e-12)
         for H, D in zip(op.boundary_complex_hessian(u), op.boundary_real_hessian(u)):
-            np.testing.assert_allclose(H, ddbar_from_real(D), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dense_form(H, True),
+                                       ddbar_from_real(dense_form(D, False)),
+                                       rtol=0, atol=1e-12)
 
 
 class TestBoundaryDerivatives:
@@ -838,7 +998,7 @@ class TestBoundaryDerivatives:
         u = ScalarField(
             geom=GEOM, values=np.broadcast_to(x2 * (1 - x2), GEOM.shape).copy()
         )
-        faces = op.boundary_complex_hessian(u)
+        faces = [dense_form(H, True) for H in op.boundary_complex_hessian(u)]
         for H in faces:
             np.testing.assert_allclose(H[..., 1, 1], -0.5, atol=1e-12)
             np.testing.assert_allclose(H[..., 0, 0], 0.0, atol=1e-12)
@@ -897,7 +1057,7 @@ class TestFaceStencils:
         for face in (0, 1):
             grad, D = roll_face_reference(u.values, geom, face)
             np.testing.assert_array_equal(grads[face], grad)
-            np.testing.assert_array_equal(hessians[face], D)
+            np.testing.assert_array_equal(hessians[face], planes_of(D, False))
         both = u.values[geom.faces]
         for a in geom.periodic_axes:
             rolled = (np.roll(both, -1, axis=a)
@@ -927,7 +1087,7 @@ class TestFaceStencils:
         for face in (0, 1):
             ref_grad, ref_D = roll_face_reference(u.values, geom, face)
             np.testing.assert_array_equal(grads[face], ref_grad)
-            np.testing.assert_array_equal(hessians[face], ref_D)
+            np.testing.assert_array_equal(hessians[face], planes_of(ref_D, False))
         if geom.is_complex:
             for shared, own in zip(op.boundary_complex_hessian(u, p),
                                    op.boundary_complex_hessian(u)):

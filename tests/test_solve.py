@@ -31,10 +31,17 @@ from hessiancone.operators import (
 )
 
 from dense_coefficients import distinct_planes
+from dense_forms import dense_form, planes_of
 
 GEOM8 = GridGeometry(n=2, resolution=8)
 MA2 = cn.monge_ampere(2)
 S1 = cn.sigma_k_root(2, 1)
+
+
+def eigenvalues(u, chi=None):
+    """The eigenvalues of chi + Hessian of u at every interior node, from a
+    dense solve."""
+    return eigen_field(dense_form(form_field(u, chi), u.geom.is_complex))
 
 
 def solve_problem(geom, fun, psi, phi, sub, scale=1.0, config=None):
@@ -86,7 +93,7 @@ class TestTrivialSolve:
 
     def test_path_constant_when_target_matches_subsolution(self):
         prob = pr.build_problem(GEOM8, MA2, "manufactured", "zero", "star-bump")
-        lam = eigen_field(form_field(prob.u_sub, prob.chi))
+        lam = eigenvalues(prob.u_sub, prob.chi)
         psi0 = ScalarField(geom=GEOM8, values=np.zeros(GEOM8.shape))
         psi0.values[GEOM8.interior] = cn.f_many(MA2, lam)
         u, rep = sv.continuity_solve(MA2, prob.chi, psi0, prob.phi, prob.u_sub)
@@ -213,7 +220,7 @@ class TestNewton:
         u, record = sv._newton_solve(
             prob.u_sub, S1, prob.chi, psi_int, sv.SolverConfig()
         )
-        lam = eigen_field(form_field(u, prob.chi))
+        lam = eigenvalues(u, prob.chi)
         resid = np.abs(cn.f_many(S1, lam) - psi_int).max()
         assert resid <= 1e-9
         assert record.dampings == [1.0]  # one undamped step
@@ -325,7 +332,7 @@ class TestNewton:
             theta = inner(u, delta, fun_, chi)
             whole = op.cone_exit(form_field(u, chi),
                                  form_field(ScalarField(geom=geom, values=delta)),
-                                 fun_.cone_order)
+                                 fun_.cone_order, geom.is_complex)
             seen.append((theta, float(whole.min())))
             return theta
 
@@ -336,19 +343,18 @@ class TestNewton:
 
     def test_cone_exit_holds_g_and_h_and_one_block(self):
         # tracemalloc peak of _cone_exit at 16^4, where a block is 2 of the
-        # 16 first-axis layers: g and H (8 interior vectors each, complex
-        # n = 2) and SLACK for forming the second of them while the first
-        # is held (the padded field and its first differences, 1.6 interior
-        # vectors each at 16^4, and two planes) or one block's tensors.
-        # Measured 21.5 vectors against the bound 24; one call over all
-        # nodes (the parent) held every node's tensors and peaked at 33.0
-        SLACK = 8
+        # 16 first-axis layers, in interior vectors: g and H (4 planes each,
+        # complex n = 2) and the rest for forming the second of them while
+        # the first is held (the padded field and its first differences,
+        # 1.6 vectors each at 16^4, and two planes) or one block's tensors.
+        # Measured 13.5 against the bound 16; with all 8 real entries of
+        # each dense form (the parent) it peaked at 21.5
+        BOUND = 16
         geom = GridGeometry(n=2, resolution=16)
         prob = pr.build_problem(geom, MA2, "degenerate-cos", "zero", "zero")
         delta = np.random.default_rng(3).standard_normal(geom.shape)
         delta[geom.faces] = 0.0
-        form = form_field(prob.u_sub, prob.chi).nbytes
-        vector = form // 8
+        vector = np.zeros(geom.interior_shape).nbytes
         tracemalloc.start()
         try:
             theta = sv._cone_exit(prob.u_sub, delta, MA2, prob.chi)
@@ -356,7 +362,25 @@ class TestNewton:
         finally:
             tracemalloc.stop()
         assert 0.0 < theta < 1.0
-        assert peak <= 2 * form + SLACK * vector
+        assert peak <= BOUND * vector
+
+    def test_newton_state_holds_the_distinct_planes(self):
+        # tracemalloc peak of one 16^4 Monge-Ampere newton_state, in
+        # interior vectors: g and T_1 (4 planes each), the 3 sigmas, one
+        # pair term and a scratch plane of the trace.  Measured 13.0
+        # against the bound 15; with the dense forms (the parent) it
+        # peaked at 22.0
+        BOUND = 15
+        geom = GridGeometry(n=2, resolution=16)
+        prob = pr.build_problem(geom, MA2, "degenerate-cos", "zero", "zero")
+        vector = np.zeros(geom.interior_shape).nbytes
+        tracemalloc.start()
+        try:
+            op.newton_state(prob.u_sub, MA2, prob.chi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BOUND * vector
 
     def test_cone_order_four_keeps_plain_halving(self):
         # sigma_4 along a ray has middle coefficients that newton_tensors
@@ -610,8 +634,9 @@ def bits(x):
 
 @st.composite
 def form_stacks(draw):
-    """A stack of r x r forms (r = 2..6, real or complex) of one pattern,
-    in the (..., r, r) layout or as the view of node-major planes."""
+    """(planes, is_complex): the planes of a stack of r x r forms (r = 2..6,
+    real or complex) of one pattern, read from the diagonal and the upper
+    triangle; contiguous, or a strided view of a buffer twice as long."""
     r = draw(st.integers(2, 6))
     complex_ = draw(st.booleans())
     nodes = draw(st.integers(1, 60))
@@ -637,10 +662,10 @@ def form_stacks(draw):
         forms = (basis * lam[:, None, :]) @ np.swapaxes(basis, -1, -2).conj()
     else:
         forms = np.zeros((nodes, r, r), dtype=complex if complex_ else float)
+    planes = planes_of(forms, complex_)
     if draw(st.booleans()):
-        forms = np.moveaxis(np.ascontiguousarray(np.moveaxis(forms, 0, -1)),
-                            -1, 0)
-    return forms
+        planes = np.repeat(planes, 2, axis=1)[:, ::2]
+    return planes, complex_
 
 
 class TestExtremeEigenvalues:
@@ -648,11 +673,13 @@ class TestExtremeEigenvalues:
 
     @given(form_stacks(), st.sampled_from([1, 3, 8, sv.EXTREME_BLOCK]))
     @settings(max_examples=300, deadline=None)
-    def test_equals_dense_extremes_bit_for_bit(self, forms, block):
+    def test_equals_dense_extremes_bit_for_bit(self, stack, block):
+        # against a dense solve of the whole stack
+        planes, is_complex = stack
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sv, "EXTREME_BLOCK", block)
-            lowest, highest = sv._extreme_eigenvalues(forms)
-        lam = eigen_field(forms)
+            lowest, highest = sv._extreme_eigenvalues(planes, is_complex)
+        lam = eigen_field(dense_form(planes, is_complex))
         assert bits(lowest) == bits(lam.min())
         assert bits(highest) == bits(lam.max())
 
@@ -668,8 +695,8 @@ class TestExtremeEigenvalues:
         top = eigen_field(y)[-1]
         x = np.nextafter(top, -np.inf) * np.eye(2)
         monkeypatch.setattr(sv, "EXTREME_BLOCK", 1)
-        forms = np.stack([x, y, -10.0 * np.eye(2)])
-        assert bits(sv._extreme_eigenvalues(forms)[1]) == bits(top)
+        forms = planes_of(np.stack([x, y, -10.0 * np.eye(2)]), True)
+        assert bits(sv._extreme_eigenvalues(forms, True)[1]) == bits(top)
 
     def test_zero_forms_take_one_block(self, monkeypatch):
         calls = []
@@ -679,31 +706,31 @@ class TestExtremeEigenvalues:
             return eigen_field(g)
 
         monkeypatch.setattr(sv, "eigen_field", counted)
-        forms = np.zeros((10 * sv.EXTREME_BLOCK, 2, 2), dtype=complex)
-        assert sv._extreme_eigenvalues(forms) == (0.0, 0.0)
+        forms = np.zeros((4, 10 * sv.EXTREME_BLOCK))
+        assert sv._extreme_eigenvalues(forms, True) == (0.0, 0.0)
         assert calls == [sv.EXTREME_BLOCK]
 
     def test_one_node(self):
         form = np.array([[[2.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]]])
         lam = eigen_field(form)[0]
-        assert sv._extreme_eigenvalues(form) == (lam[0], lam[1])
+        assert sv._extreme_eigenvalues(planes_of(form, True), True) == (lam[0], lam[1])
 
     def test_empty_stack_is_zero(self):
-        empty = np.zeros((0, 7, 3, 3))
-        assert sv._extreme_eigenvalues(empty) == (0.0, 0.0)
+        empty = np.zeros((6, 0, 7))
+        assert sv._extreme_eigenvalues(empty, False) == (0.0, 0.0)
 
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
     def test_nan_entry_gives_nan(self, entry):
         forms = np.tile(np.eye(2), (5, 1, 1))
         forms[3][entry] = np.nan
-        lowest, highest = sv._extreme_eigenvalues(forms)
+        lowest, highest = sv._extreme_eigenvalues(planes_of(forms, False), False)
         assert np.isnan(lowest) and np.isnan(highest)
 
     def test_nan_departs_from_dense_solve(self):
         # numpy's eigvalsh loses a NaN on the diagonal of a 2 x 2 form
         form = np.array([[[np.nan, 0.0], [0.0, 1.0]]])
         assert not np.isnan(eigen_field(form)).any()
-        assert np.isnan(sv._extreme_eigenvalues(form)[1])
+        assert np.isnan(sv._extreme_eigenvalues(planes_of(form, False), False)[1])
 
 
 def dense_estimate_report(u):
@@ -717,9 +744,10 @@ def dense_estimate_report(u):
     report.sup_grad_boundary = float(
         max(np.sqrt((g**2).sum(axis=-1)).max() for g in gb))
     sup_grad = max(report.sup_grad_interior, report.sup_grad_boundary)
-    h_int = eigen_field(form_field(u, None))
-    faces = (boundary_complex_hessian if geom.is_complex
-             else boundary_real_hessian)(u)
+    h_int = eigenvalues(u)
+    faces = [dense_form(f, geom.is_complex)
+             for f in (boundary_complex_hessian if geom.is_complex
+                       else boundary_real_hessian)(u)]
     k = geom.form_dim - 1
     tn = max(float(np.abs(f[..., :k, k]).max()) for f in faces)
     report.sup_ddbar_interior = float(np.abs(h_int).max()) if h_int.size else 0.0
@@ -736,7 +764,7 @@ def dense_estimate_report(u):
 def dense_tangential_min(u, u_sub):
     tang = list(u.geom.periodic_axes)
     diff = ScalarField(geom=u.geom, values=u.values - u_sub.values)
-    return min(float(np.linalg.eigvalsh(f[..., tang, :][..., tang]).min())
+    return min(float(np.linalg.eigvalsh(dense_form(f, False)[..., tang, :][..., tang]).min())
                for f in boundary_real_hessian(diff))
 
 
@@ -901,7 +929,7 @@ class TestRiemannian:
         fun = cn.monge_ampere(3)
         geom = CylinderGeometry(d=3, resolution=8)
         prob = pr.build_problem(geom, fun, "manufactured", "zero", "star-bump")
-        lam = eigen_field(form_field(prob.u_sub, prob.chi))
+        lam = eigenvalues(prob.u_sub, prob.chi)
         psi0 = ScalarField.zeros(geom)
         psi0.values[geom.interior] = cn.f_many(fun, lam)
         u, rep = sv.solve_riemannian(fun, prob.chi, psi0, prob.phi, prob.u_sub)
@@ -1062,7 +1090,7 @@ class TestDegenerate:
 
     def test_strict_margin_keeps_subsolution_valid(self):
         prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
-        lam = eigen_field(form_field(prob.u_sub, prob.chi))
+        lam = eigenvalues(prob.u_sub, prob.chi)
         psi0 = cn.f_many(MA2, lam)
         for eps in (1e-1, 1e-2, 1e-3):
             shifted = prob.psi.values[GEOM8.interior] + eps
