@@ -1,23 +1,23 @@
 """Concave symmetric eigenvalue functions on Garding cones.
 
-Three families are shipped, all homogeneous of degree one, positive and
-concave on their cone, with positive partial derivatives:
+One family is shipped, homogeneous of degree one, positive and concave
+on its cone, with positive partial derivatives:
 
-* ``sigma_k_root``:   f = sigma_k(lambda)^(1/k)       on Gamma_k,
-* ``monge_ampere``:   f = sigma_n(lambda)^(1/n)       on Gamma_n,
-* ``hessian_quotient``: f = (sigma_l/sigma_k)^(1/(l-k)), k < l, on Gamma_l,
+    f = (sigma_l / sigma_k)^(1/(l-k)),  0 <= k < l <= n,  on Gamma_l,
 
 where sigma_j is the j-th elementary symmetric polynomial and
-Gamma_k = {lambda : sigma_j(lambda) > 0 for j = 1..k}; ``in_cone`` is the
-one admissibility test.  The limit of f at the cone boundary is 0 for each
-family, so the degeneracy gap of a right-hand side psi is simply
+Gamma_l = {lambda : sigma_j(lambda) > 0 for j = 1..l}.  As sigma_0 = 1,
+the roots sigma_l^(1/l) (``sigma_k_root``) are k = 0, and Monge-Ampere
+(``monge_ampere``) is k = 0, l = n; ``hessian_quotient`` takes k > 0.
+``in_cone`` is the one admissibility test.  The limit of f at the cone
+boundary is 0, so the degeneracy gap of a right-hand side psi is simply
 ``min(psi)``.  Homogeneity of degree one gives closed forms: the ray
 t * lambda meets the level set {f = sigma} at t = sigma / f(lambda).
 
-Each family is written once on sigma_0..sigma_m (m = cone_order):
+The family is written once on sigma_0..sigma_m (m = cone_order = l):
 ``f_from_sigmas``, its nonzero partials ``df_dsigmas`` and the cone test
-``sigmas_in_cone``.  f^q with q = ``power`` is sigma_k, or
-sigma_l / sigma_k for the quotient.  Most functions accept stacked inputs
+``sigmas_in_cone``.  f^q with q = ``power`` = l - k is sigma_l / sigma_k,
+read as sigma_l alone where k = 0.  Most functions accept stacked inputs
 with the eigenvalue (or sigma) axis last.
 
 The structure conditions behind the boundary estimates are checked once
@@ -99,64 +99,51 @@ class ConeError(ValueError):
     """Input lies outside the admissible cone of the function."""
 
 
+def _checked(n, ok, need):
+    """Reject a dimension below 2, then (k, l) where ``ok`` is false."""
+    if n < 2:
+        raise ValueError("dimension must be >= 2")
+    if not ok:
+        raise ValueError(need)
+
+
 @dataclass(frozen=True)
 class SymmetricFunction:
-    """A shipped symmetric function: ``kind`` selects the family, ``n`` the
-    dimension, ``k``/``l`` the family parameters (quotient uses both)."""
+    """f = (sigma_l / sigma_k)^(1/(l-k)) on Gamma_l in dimension ``n``,
+    0 <= k < l <= n (k = 0 for the roots); ``label`` is its name on the
+    command line, so functions that differ only in it compare unequal."""
 
-    kind: str
     n: int
-    k: int = 0
-    l: int = 0
+    k: int
+    l: int
+    label: str
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
-        if self.kind == "sigma_k_root":
-            if not 1 <= self.k <= self.n:
-                raise ValueError("need 1 <= k <= n")
-        elif self.kind == "monge_ampere":
-            object.__setattr__(self, "k", self.n)
-        elif self.kind == "hessian_quotient":
-            if not 0 < self.k < self.l <= self.n:
-                raise ValueError("need 0 < k < l <= n")
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+        _checked(self.n, 0 <= self.k < self.l <= self.n, "need 0 <= k < l <= n")
 
     @property
     def cone_order(self) -> int:
         """Gamma_m with m = cone_order is the domain of the function."""
-        if self.kind == "hessian_quotient":
-            return self.l
-        return self.k
+        return self.l
 
     @property
     def power(self) -> int:
-        """q with f^q a rational function of the sigmas: sigma_k, or
-        sigma_l / sigma_k for the quotient (q = l - k)."""
-        if self.kind == "hessian_quotient":
-            return self.l - self.k
-        return self.k
-
-    @property
-    def label(self) -> str:
-        if self.kind == "monge_ampere":
-            return "ma"
-        if self.kind == "sigma_k_root":
-            return "sigma1" if self.k == 1 else f"sigmaK:{self.k}"
-        return f"quotient:{self.k}:{self.l}"
+        """q with f^q = sigma_l / sigma_k, a rational function."""
+        return self.l - self.k
 
 
 def sigma_k_root(n: int, k: int) -> SymmetricFunction:
-    return SymmetricFunction(kind="sigma_k_root", n=n, k=k)
+    _checked(n, 1 <= k <= n, "need 1 <= k <= n")
+    return SymmetricFunction(n, 0, k, "sigma1" if k == 1 else f"sigmaK:{k}")
 
 
 def monge_ampere(n: int) -> SymmetricFunction:
-    return SymmetricFunction(kind="monge_ampere", n=n, k=n)
+    return SymmetricFunction(n, 0, n, "ma")
 
 
 def hessian_quotient(n: int, k: int, l: int) -> SymmetricFunction:
-    return SymmetricFunction(kind="hessian_quotient", n=n, k=k, l=l)
+    _checked(n, 0 < k < l <= n, "need 0 < k < l <= n")
+    return SymmetricFunction(n, k, l, f"quotient:{k}:{l}")
 
 
 def parse_kind(name: str, n: int) -> SymmetricFunction:
@@ -202,18 +189,18 @@ def elem_sym_grad(vals: np.ndarray, k: int) -> np.ndarray:
 
 def f_from_sigmas(fun: SymmetricFunction, e: np.ndarray) -> np.ndarray:
     """f from sigma_0..sigma_m (last axis); no cone validation."""
-    if fun.kind == "hessian_quotient":
+    if fun.k:
         return (e[..., fun.l] / e[..., fun.k]) ** (1.0 / fun.power)
-    return e[..., fun.k] ** (1.0 / fun.power)
+    return e[..., fun.l] ** (1.0 / fun.power)
 
 
 def df_dsigmas(fun: SymmetricFunction, e: np.ndarray) -> dict:
     """The nonzero partials {j: df/dsigma_j} on stacked sigmas."""
     f = f_from_sigmas(fun, e)
-    if fun.kind == "hessian_quotient":
+    if fun.k:
         c = f / fun.power
         return {fun.l: c / e[..., fun.l], fun.k: -c / e[..., fun.k]}
-    return {fun.k: f / (fun.power * e[..., fun.k])}
+    return {fun.l: f / (fun.power * e[..., fun.l])}
 
 
 def sigmas_in_cone(e: np.ndarray) -> np.ndarray:
@@ -253,7 +240,7 @@ def f_eval(fun: SymmetricFunction, lam) -> float:
     """Value at one cone point; rejects points outside the cone."""
     lam = np.asarray(lam, dtype=float)
     _require_in_cone(fun, lam)
-    if fun.kind == "hessian_quotient":
+    if fun.k:
         e = elem_sym(lam, fun.l)
         if e[..., fun.k] < _QUOTIENT_FLOOR * (1.0 + np.abs(lam).max() ** fun.k):
             raise ConeError("sigma_k too close to zero for a stable quotient")

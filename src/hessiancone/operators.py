@@ -237,38 +237,45 @@ def _dense(planes, is_complex) -> np.ndarray:
     return out
 
 
+def _complex_terms(geom) -> list:
+    """The complex structure: per plane of an n x n Hermitian form, in
+    layout order, the real axis pairs (a, b), (c, d) and the sign s with
+    g = (u_ab + s u_cd) / 4.  Re g_ij is (x_i, x_j) + (y_i, y_j), the
+    diagonal planes being i = j; Im g_ij is (x_i, y_j) - (y_i, x_j).
+    _complex_form reads it, and so does coefficient_tensor, its adjoint."""
+    n = geom.n
+    x, y = zip(*(geom.complex_axes(i) for i in range(n)))
+    return ([((x[i], x[j]), (y[i], y[j]), 1)
+             for i, j in [(i, i) for i in range(n)] + _pairs(n)]
+            + [((x[i], y[j]), (y[i], x[j]), -1) for i, j in _pairs(n)])
+
+
 def _complex_form(D, geom) -> np.ndarray:
     """The planes of u_{i jbar} from the planes of the real second partials
     D of a face (or of any real form on the 2n real axes); the x_i y_i
     partials are never read."""
-    n, r = geom.n, geom.real_dims
-    half = n * (n - 1) // 2
-    g = np.empty((n * n,) + D.shape[1:])
-
-    def d(a, b):
-        return D[_index(r, a, b)]
-
-    for i in range(n):
-        xi, yi = geom.complex_axes(i)
-        np.multiply(d(xi, xi) + d(yi, yi), 0.25, out=g[i])
-    for k, (i, j) in enumerate(_pairs(n)):
-        (xi, yi), (xj, yj) = geom.complex_axes(i), geom.complex_axes(j)
-        np.multiply(d(xi, xj) + d(yi, yj), 0.25, out=g[n + k])
-        np.multiply(d(xi, yj) - d(yi, xj), 0.25, out=g[n + half + k])
+    r = geom.real_dims
+    g = np.empty((geom.n ** 2,) + D.shape[1:])
+    for p, (first, second, sign) in enumerate(_complex_terms(geom)):
+        a, b = D[_index(r, *first)], D[_index(r, *second)]
+        np.multiply(a + b if sign > 0 else a - b, 0.25, out=g[p])
     return g
 
 
-def _chi_planes(chi, dim, is_complex, ndim=0) -> np.ndarray:
-    """The planes of the (dim, dim) form chi (zero when None), one value
-    each, shaped to add to a planes buffer of ``ndim`` node axes."""
-    chi = np.zeros((dim, dim)) if chi is None else np.asarray(chi)
+def _chi_planes(chi, dim, is_complex) -> list:
+    """The (plane, value) pairs of the nonzero planes of the (dim, dim)
+    form chi, none when chi is None: what adding chi adds to a planes
+    buffer, each value once per plane."""
+    if chi is None:
+        return []
+    chi = np.asarray(chi)
     if chi.shape != (dim, dim):
         raise ValueError(f"chi shape {chi.shape} not understood")
     pairs = _pairs(dim)
     values = ([chi[a, a].real for a in range(dim)]
               + [chi[a, b].real for a, b in pairs]
               + ([chi[a, b].imag for a, b in pairs] if is_complex else []))
-    return np.array(values, dtype=float).reshape((-1,) + (1,) * ndim)
+    return [(p, float(v)) for p, v in enumerate(values) if v != 0.0]
 
 
 def complex_hessian(u, chi=None) -> np.ndarray:
@@ -304,7 +311,8 @@ def complex_hessian(u, chi=None) -> np.ndarray:
             k = _index(n, i, j)
             np.multiply(d, 0.25 * scale, out=g[k])
             np.multiply(e, 0.25 * scale, out=g[k + half])
-    g += _chi_planes(chi, n, True, geom.real_dims)
+    for p, value in _chi_planes(chi, n, True):
+        g[p] += value
     return g
 
 
@@ -315,7 +323,8 @@ def real_hessian(u, chi=None) -> np.ndarray:
     d = geom.real_dims
     g = _real_partials(_second_partials(u.values, geom), range(d), geom.h,
                        np.empty((d * (d + 1) // 2,) + geom.interior_shape))
-    g += _chi_planes(chi, d, False, d)
+    for p, value in _chi_planes(chi, d, False):
+        g[p] += value
     return g
 
 
@@ -533,15 +542,18 @@ def coefficient_tensor(F: np.ndarray, geom) -> dict:
     sum_ab C_ab d^2 / dx_a dx_b, stored as their distinct planes: a dict
     from the axis pairs a <= b to (sign, plane) with
     C_ab = C_ba = sign * plane, each plane contiguous and of interior
-    shape, each diagonal sign +1.  The planes are F's own, which this
-    takes over: on the complex model they are scaled in place by the
-    exact 1/4, with no copy, so F must not be read afterwards.
+    shape (a scalar for a constant F of shape (P,)), each diagonal sign
+    +1.  The planes are F's own, which this takes over: on the complex
+    model they are scaled in place by the exact 1/4, with no copy, so F
+    must not be read afterwards.
 
     For complex geometry the linearized operator is the trace pairing
-    trace(F H[v]) with H the complex Hessian (the adjoint of the map in
-    _complex_form); in real coordinates its quarter blocks are
-    [[S, T], [-T, S]] (S = Re F, T = Im F) in interleaved (x_i, y_i)
-    order.  So C[x_i, x_j] and C[y_i, y_j] are one plane, S_ij / 4;
+    trace(F H[v]) with H the complex Hessian, the adjoint of the map in
+    _complex_form: each plane of F, over 4, is the coefficient of both
+    axis pairs _complex_terms gives its entry, the second with its sign.
+    In real coordinates its quarter blocks are [[S, T], [-T, S]]
+    (S = Re F, T = Im F) in interleaved (x_i, y_i) order.  So C[x_i, x_j]
+    and C[y_i, y_j] are one plane, S_ij / 4;
     C[y_i, x_j] is C[x_i, y_j] = T_ij / 4 with sign -1; and the (x_i, y_i)
     entries, T_ii / 4 = 0 as F is Hermitian, are not stored: the n^2
     planes of F, where the dense form has 4 n^2.  On real geometry C is
@@ -555,18 +567,10 @@ def coefficient_tensor(F: np.ndarray, geom) -> dict:
                 for a in range(d) for b in range(a, d)
                 if a == b or len(F) > d}
     F *= 0.25
-    n = geom.n
-    half = n * (n - 1) // 2
     C = {}
-    for i in range(n):
-        xi, yi = geom.complex_axes(i)
-        C[xi, xi] = C[yi, yi] = (1, F[i])
-    if len(F) > n:
-        for k, (i, j) in enumerate(_pairs(n)):
-            (xi, yi), (xj, yj) = geom.complex_axes(i), geom.complex_axes(j)
-            C[xi, xj] = C[yi, yj] = (1, F[n + k])
-            im = F[n + half + k]
-            C[xi, yj], C[yi, xj] = (1, im), (-1, im)
+    for plane, (first, second, sign) in zip(F, _complex_terms(geom)):
+        C[first] = (1, plane)
+        C[second] = C[first] if sign > 0 else (sign, plane)
     return C
 
 

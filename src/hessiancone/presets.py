@@ -106,9 +106,9 @@ def bump_values(geom) -> np.ndarray:
     return np.broadcast_to(xn * (1.0 - xn), geom.shape).copy()
 
 
-def cosine_phi_values(geom, scale=1.0, amplitude=COS_PHI_AMPLITUDE) -> np.ndarray:
+def cosine_phi_values(geom, scale=1.0) -> np.ndarray:
     x1, y1 = geom.grids()[:2]
-    v = scale * amplitude * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * y1)
+    v = scale * COS_PHI_AMPLITUDE * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * y1)
     return np.broadcast_to(v, geom.shape).copy()
 
 
@@ -129,7 +129,9 @@ def manufactured_psi(fun, chi, hessian) -> np.ndarray:
     Hermitian one where there are r^2 planes."""
     r = np.shape(chi)[-1]
     is_complex = len(hessian) != r * (r + 1) // 2
-    g = hessian + _chi_planes(chi, r, is_complex, hessian.ndim - 1)
+    g = np.array(hessian, dtype=float)
+    for p, value in _chi_planes(chi, r, is_complex):
+        g[p] += value
     sigma, _ = newton_tensors(g, fun.cone_order, is_complex)
     if not np.all(cones.sigmas_in_cone(sigma)):
         raise ValueError(

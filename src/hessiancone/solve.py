@@ -466,9 +466,9 @@ def harmonic_majorant(chi, phi, geom) -> ScalarField:
     constant, so C holds one scalar per axis and no plane.
     """
     dim = geom.form_dim
-    diagonal = 0.25 if geom.is_complex else 1.0
-    C = {(a, a): (1, diagonal) for a in range(geom.real_dims)}
-    tr = _chi_planes(chi, dim, geom.is_complex)[:dim].sum()
+    C = coefficient_tensor(np.ones(dim), geom)
+    tr = sum((v for p, v in _chi_planes(chi, dim, geom.is_complex) if p < dim),
+             0.0)
     values, _ = solve_dirichlet(
         C, geom, -np.broadcast_to(tr, geom.interior_shape),
         boundary_values=phi.values)

@@ -187,6 +187,33 @@ class TestConeCheck:
             (out2 / "cone_check.csv").read_bytes()
 
 
+# solve data rows at seed 0, resolution 8, kind ma and the default presets
+# (manufactured psi, star-bump subsolution): (report.csv, error.csv)
+SEED0_SOLVE_ROWS = {
+    "complex": (
+        "ma,8,1,2.6764923610755886e-11,0.021144141033429053,"
+        "0.11864124160383105,0.0699025688277081,0.39353303707804743,"
+        "0.09832949318223233,0.09696464366071826,0.08737750921521893,"
+        "0.3537676953057498,0,3",
+        "8,0.0011441410334290525",
+    ),
+    "riemannian": (
+        "ma,8,1,4.712812362583918e-10,0.005494779594465724,"
+        "0.02968154756339414,0.01811551464144618,0.19773948900314273,"
+        "0.09816092402092798,0.09807452093037136,0.09494115873612076,"
+        "0.1799198790446519,0,3",
+        "8,0.0004947795944657239",
+    ),
+}
+
+# degenerate rows at seed 0, resolution 8, the default eps_list
+SEED0_DEGENERATE_ROWS = [
+    "0.1,1,3.546954396860258e-11,1.971751315829916,1.3653562074581256,6,",
+    "0.01,1,1.2890947892474358e-09,1.9997780517007369,1.2832524903958298,5,",
+    "0.001,1,1.7541646130450617e-10,1.9999978300517642,1.2821464250954957,6,",
+]
+
+
 class TestSolveCommand:
     def test_trivial_preset_dumps_zero_field(self, tmp_path):
         code, out = run(
@@ -230,6 +257,16 @@ class TestSolveCommand:
         _, out2 = run(tmp_path, "solve", cfg, seed=2, sub="b")
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
         assert (out1 / "u.raw").read_bytes() == (out2 / "u.raw").read_bytes()
+
+    @pytest.mark.parametrize("geometry", sorted(SEED0_SOLVE_ROWS))
+    def test_seed0_rows_pinned(self, tmp_path, geometry):
+        # every reported value of a small solve on each model, to the bit
+        code, out = run(tmp_path, "solve",
+                        f"geometry = {geometry}\nresolution = 8\nkind = ma\n")
+        assert code == 0
+        report, error = SEED0_SOLVE_ROWS[geometry]
+        assert (out / "report.csv").read_text().splitlines()[2:] == [report]
+        assert (out / "error.csv").read_text().splitlines()[2:] == [error]
 
     def test_invalid_subsolution_fails_loudly(self, tmp_path):
         # the reference-minus-bump field does not dominate psi == 1
@@ -430,6 +467,12 @@ class TestDegenerateCommand:
         assert all(r[1] == "1" for r in rows)
         assert all(float(r[2]) <= 1e-8 for r in rows)
         assert all(int(r[5]) >= 1 for r in rows)
+
+    def test_seed0_rows_pinned(self, tmp_path):
+        code, out = run(tmp_path, "degenerate", "resolution = 8\n")
+        assert code == 0
+        lines = (out / "degenerate.csv").read_text().splitlines()
+        assert lines[2:] == SEED0_DEGENERATE_ROWS
 
     def test_failed_solves_named_on_stderr(self, tmp_path, capsys):
         # two Newton steps are not enough at either eps: the run exits 1

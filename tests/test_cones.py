@@ -5,6 +5,8 @@ Hand-computed oracles appear inline; gradients are cross-checked against
 central finite differences.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,69 @@ class TestParseKind:
         assert cn.parse_kind("quotient:1:3", 3) == QUOT
         with pytest.raises(ValueError):
             cn.parse_kind("cube", 3)
+
+
+def shipped_kinds(n):
+    """Every function the command line names at dimension n."""
+    return ([cn.monge_ampere(n)]
+            + [cn.sigma_k_root(n, k) for k in range(1, n + 1)]
+            + [cn.hessian_quotient(n, k, l)
+               for l in range(2, n + 1) for k in range(1, l)])
+
+
+# (constructor, arguments, its message): each family keeps its own range
+OUT_OF_RANGE = [
+    (cn.sigma_k_root, (3, 0), "need 1 <= k <= n"),
+    (cn.sigma_k_root, (3, 4), "need 1 <= k <= n"),
+    (cn.parse_kind, ("sigmaK:5", 4), "need 1 <= k <= n"),
+    (cn.hessian_quotient, (3, 0, 2), "need 0 < k < l <= n"),
+    (cn.hessian_quotient, (3, 2, 2), "need 0 < k < l <= n"),
+    (cn.hessian_quotient, (3, 1, 4), "need 0 < k < l <= n"),
+    (cn.parse_kind, ("quotient:2:1", 3), "need 0 < k < l <= n"),
+    (cn.monge_ampere, (1,), "dimension must be >= 2"),
+    (cn.sigma_k_root, (1, 5), "dimension must be >= 2"),
+    (cn.hessian_quotient, (1, 0, 3), "dimension must be >= 2"),
+]
+
+
+class TestOneFamily:
+    """The roots and Monge-Ampere are the quotient over sigma_0 = 1."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ma_is_the_top_root_to_the_bit(self, n):
+        ma, root = cn.monge_ampere(n), cn.sigma_k_root(n, n)
+        rng = np.random.default_rng(n)
+        lam = np.array([random_cone_point(ma, rng) for _ in range(50)])
+        assert (cn.f_many(ma, lam).tobytes()
+                == cn.f_many(root, lam).tobytes())
+        assert (cn.grad_many(ma, lam).tobytes()
+                == cn.grad_many(root, lam).tobytes())
+        e = cn.elem_sym(lam, n)
+        dfds, root_dfds = cn.df_dsigmas(ma, e), cn.df_dsigmas(root, e)
+        assert dfds.keys() == root_dfds.keys() == {n}
+        assert dfds[n].tobytes() == root_dfds[n].tobytes()
+        assert (ma.k, ma.l, ma.power) == (root.k, root.l, root.power) == (0, n, n)
+        assert (ma.label, root.label) == ("ma", f"sigmaK:{n}")
+        assert ma != root
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_labels_parse_back(self, n):
+        for fun in shipped_kinds(n):
+            assert cn.parse_kind(fun.label, n) == fun
+            assert fun.cone_order == fun.l and fun.power == fun.l - fun.k
+
+    @pytest.mark.parametrize("make, args, message", OUT_OF_RANGE,
+                             ids=[f"{make.__name__}{args}"
+                                  for make, args, _ in OUT_OF_RANGE])
+    def test_out_of_range_rejected(self, make, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(*args)
+
+    def test_direct_construction_checks_the_range(self):
+        assert cn.SymmetricFunction(3, 0, 3, "ma") == cn.monge_ampere(3)
+        for k, l in [(-1, 2), (2, 2), (0, 4)]:
+            with pytest.raises(ValueError, match=r"^need 0 <= k < l <= n$"):
+                cn.SymmetricFunction(3, k, l, "f")
 
 
 class TestInCone:
