@@ -31,7 +31,10 @@ secular equation and its interlacing are those of O'Leary & Stewart
 2015).  A trial whose intervals show that it passes, and that it cannot
 hold its batch's largest deviation or excess, is settled without a dense
 solve; every other trial goes to the dense solver, so a sweep's maxima
-and violation counts are the dense solver's own values.
+and violation counts are the dense solver's own values.  A cell's trials
+depend only on n and the seed, so one draw per n serves every cell
+(mode, eps, corner fraction): sweep_cells draws and sorts each batch and
+forms its sums S_j(0) once, then verifies every cell from it.
 
 All functions are pure; sweeps are deterministic for a fixed seed.
 """
@@ -57,6 +60,7 @@ __all__ = [
     "deflate_repeated",
     "sweep_below_threshold",
     "sweep_at_threshold",
+    "sweep_cells",
     "SWEEP_CSV_HEADER",
 ]
 
@@ -425,11 +429,12 @@ def _root(b, zsq):
     return np.divide(2.0 * zsq, den, out=den)
 
 
-def _coefficient(ds, zsq, c_d, shift=None):
-    """The linear coefficients b_j = c - d_j - S_j(shift_j) of the
-    secular quadratics (S_j(0) without shift), over (k, trials) planes.
-    S_j adds zsq_i / (d_i - d_j + shift_j) in order of i, its i = j term
-    entering as zsq_j / (inf + shift_j), in two planes of scratch."""
+def _secular_sum(ds, zsq, shift=None):
+    """The secular sums S_j(shift_j) of the trials with sorted diagonals
+    ds and squared border moduli zsq, over (k, trials) planes (S_j(0)
+    without shift).  S_j adds zsq_i / (d_i - d_j + shift_j) in order of
+    i, its i = j term entering as zsq_j / (inf + shift_j), in two planes
+    of scratch."""
     total, term = np.empty_like(ds), np.empty_like(ds)
     for i in range(len(ds)):
         out = total if i == 0 else term
@@ -440,17 +445,54 @@ def _coefficient(ds, zsq, c_d, shift=None):
         np.divide(zsq[i], out, out=out)
         if i > 0:
             total += out
-    return np.subtract(c_d, total, out=total)
+    return total
 
 
-def _bounds(ds, z, corner):
-    """Secular-equation intervals of the trials with sorted diagonals ds
-    (k, trials), border moduli z in the same order and corners (trials),
-    trials on the last axis: (ok, lo, hi, excess_lo, excess_hi).  Where
-    ok, the deviation |d_j - lambda_j| of each small eigenvalue lies in
-    [lo_j, hi_j] and the corner excess in [excess_lo, excess_hi], for the
-    exact spectrum and for the dense solver's, in the sorted pairing and
-    in the nearest match.  The excess is bounded twice: the interval
+@dataclass(frozen=True)
+class _Planes:
+    """One batch of trials and what every cell of a sweep reads from it.
+
+    d and the border moduli a stay unsorted, (trials, k); ds and z are
+    the diagonals sorted ascending and the moduli in the same order, as
+    (k, trials) planes.  zsq = z^2, the gaps between neighbours of ds
+    (with -inf below and inf above), sum ds^2, sum z^2, the smallest gap
+    and the secular sums S_j(0) do not depend on the corner."""
+
+    d: np.ndarray
+    a: np.ndarray
+    ds: np.ndarray
+    z: np.ndarray
+    zsq: np.ndarray
+    gap: np.ndarray
+    dsq: np.ndarray
+    zsum: np.ndarray
+    min_gap: np.ndarray
+    s0: np.ndarray
+
+
+def _sorted_planes(d, a):
+    """The _Planes of the stacked trials with diagonals d and border
+    moduli a."""
+    order = np.argsort(d, axis=-1)
+    ds, z = (np.take_along_axis(x, order, axis=-1).T.copy() for x in (d, a))
+    zsq = z * z
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s0 = _secular_sum(ds, zsq)
+    return _Planes(d=d, a=a, ds=ds, z=z, zsq=zsq,
+                   gap=np.diff(ds, axis=0, prepend=-np.inf, append=np.inf),
+                   dsq=(ds * ds).sum(axis=0), zsum=zsq.sum(axis=0),
+                   min_gap=_min_gap(ds.T), s0=s0)
+
+
+def _bounds(p, corner):
+    """Secular-equation intervals of the trials of the _Planes p with
+    corners (trials), trials on the last axis: (ok, lo, hi, excess_lo,
+    excess_hi).  Where ok, the deviation |d_j - lambda_j| of each small
+    eigenvalue lies in [lo_j, hi_j] and the corner excess in [excess_lo,
+    excess_hi], for the exact spectrum and for the dense solver's, in the
+    sorted pairing and in the nearest match.  The linear coefficients of
+    the secular quadratics are b_j = c - d_j - S_j(t) at t = 0 and at
+    t = hi_j.  The excess is bounded twice: the interval
     [sum z_i^2 / (c + E - d_i), E] of the module docstring, then E cut to
     sum z_i^2 / (c - d_i + excess_lo), as x = sum z_i^2 / (c - d_i + x)
     decreases on the right.
@@ -465,62 +507,51 @@ def _bounds(ds, z, corner):
     d_j is the nearest entry to lambda_j.  The other trials may hold inf
     or nan entries, which are never read.
     """
-    k = len(ds)
-    zsq = z * z
-    gap = np.diff(ds, axis=0, prepend=-np.inf, append=np.inf)
-    c_d = corner - ds
-    zsum = zsq.sum(axis=0)
+    k, zsq, gap = len(p.ds), p.zsq, p.gap
+    c_d = corner - p.ds
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        norm = np.sqrt((ds * ds).sum(axis=0) + 2.0 * zsum + corner * corner)
-        slack = (k + 1) * SWEEP_SLACK * (norm + zsum / np.minimum(gap[:-1], gap[1:]))
-        b = _coefficient(ds, zsq, c_d)
+        norm = np.sqrt(p.dsq + 2.0 * p.zsum + corner * corner)
+        slack = (k + 1) * SWEEP_SLACK * (norm + p.zsum / np.minimum(gap[:-1], gap[1:]))
+        b = c_d - p.s0
         hi = _root(b, zsq) + slack
-        lo = _root(_coefficient(ds, zsq, c_d, hi), zsq) - slack
+        lo = _root(c_d - _secular_sum(p.ds, zsq, hi), zsq) - slack
         top = (zsq / c_d).sum(axis=0)
         excess_slack = (k + 1) * SWEEP_SLACK * (norm + top)
         excess_lo = (zsq / (c_d + top)).sum(axis=0) - excess_slack
         excess_hi = (zsq / (c_d + np.maximum(excess_lo, 0.0))).sum(axis=0) + excess_slack
-    ok = ((z > 0).all(axis=0) & (c_d[-1] > 0) & (b > 0).all(axis=0)
+    ok = ((p.z > 0).all(axis=0) & (c_d[-1] > 0) & (b > 0).all(axis=0)
           & (hi <= 0.5 * gap[:-1]).all(axis=0) & np.isfinite(lo).all(axis=0)
           & np.isfinite(excess_hi))
     return ok, lo, hi, excess_lo, excess_hi
 
 
-def _settled(ds, z, corner, eps):
+def _settled(p, corner, eps):
     """Mask of the trials that the intervals of _bounds settle (same
     arguments, eps one per trial).  A settled trial passes with the margin
     MARGIN, a lower bound on every spectrum's margin, and the excess bound
     (n-1) eps, a lower bound on the weak one; and its deviations and
     excess stay below the batch's largest lower bounds, so a dense solve
     of the other trials finds both maxima."""
-    ok, lo, hi, excess_lo, excess_hi = _bounds(ds, z, corner)
+    ok, lo, hi, excess_lo, excess_hi = _bounds(p, corner)
     dev_hi = hi.max(axis=0)
     passes = ((dev_hi < eps + MARGIN) & (excess_lo >= -MARGIN)
-              & (excess_hi < len(ds) * eps + MARGIN))
+              & (excess_hi < len(p.ds) * eps + MARGIN))
     top_dev = np.max(lo.max(axis=0), where=ok, initial=-np.inf)
     top_excess = np.max(excess_lo, where=ok, initial=-np.inf)
     return ok & passes & (dev_hi < top_dev) & (excess_hi < top_excess)
 
 
-def _sorted_planes(d, a):
-    """The diagonals d (trials, k) sorted ascending and the border moduli
-    a in the same order, as (k, trials) planes."""
-    order = np.argsort(d, axis=-1)
-    return tuple(np.take_along_axis(x, order, axis=-1).T.copy() for x in (d, a))
-
-
-def _chunk_stats(mode, d, a, eps, corner_fraction):
-    """(max deviation, max excess, violations) of the stacked trials with
-    diagonals d and border moduli a at the threshold of mode times
-    corner_fraction: the dense verdict of the trials that _settled leaves."""
-    ds, z = _sorted_planes(d, a)
+def _chunk_stats(mode, p, eps, corner_fraction):
+    """(max deviation, max excess, violations) of the trials of the
+    _Planes p at the threshold of mode times corner_fraction: the dense
+    verdict of the trials that _settled leaves."""
     if mode == "distinct":
-        eps = np.minimum(eps, 0.5 * _min_gap(ds.T))
-    corner = corner_fraction * _THRESHOLDS[mode](d, a, eps)
+        eps = np.minimum(eps, 0.5 * p.min_gap)
+    corner = corner_fraction * _THRESHOLDS[mode](p.d, p.a, eps)
     eps = np.broadcast_to(eps, corner.shape)
-    dense = ~_settled(ds, z, corner, eps)
-    d, corner, eps = d[dense], corner[dense], eps[dense]
-    lam = _spectra(d, a[dense], corner)
+    dense = ~_settled(p, corner, eps)
+    d, corner, eps = p.d[dense], corner[dense], eps[dense]
+    lam = _spectra(d, p.a[dense], corner)
     dev, excess, deviation_ok, excess_ok, _ = _concentration(mode, d, lam, corner, eps)
     passed = deviation_ok.all(axis=-1) & excess_ok
     return (
@@ -530,31 +561,48 @@ def _chunk_stats(mode, d, a, eps, corner_fraction):
     )
 
 
-def _run_sweep(mode, n, eps, trials, seed, corner_fraction):
+def sweep_cells(n: int, cells, trials: int, seed: int) -> list[SweepSummary]:
+    """Randomized sweeps of every cell (mode, eps, corner_fraction) at
+    dimension n, one SweepSummary per cell in the order given, each as
+    its own sweep would report it.
+
+    A cell's trials depend only on (n, trials, seed), so every cell reads
+    the same batches: each is drawn, sorted and given its secular sums
+    S_j(0) once, and only one batch is held at a time.  The corner is
+    corner_fraction times the growth threshold of mode; for "distinct"
+    the per-trial eps is capped at half the minimal diagonal gap.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if mode not in _THRESHOLDS:
-        raise ValueError(f"unknown sweep mode {mode!r}")
+    cells = [(mode, eps, fraction) for mode, eps, fraction in cells]
+    for mode, _, _ in cells:
+        if mode not in _THRESHOLDS:
+            raise ValueError(f"unknown sweep mode {mode!r}")
     chunks = (trials + _CHUNK - 1) // _CHUNK
     per_batch = max(1, _BATCH // (n * _CHUNK))
-    results = []
+    totals = None
     for first in range(0, chunks, per_batch):
-        d, a = _draw_batch(n, trials, seed, range(first, min(first + per_batch, chunks)))
-        results.append(_chunk_stats(mode, d, a, eps, corner_fraction))
-    max_dev = max(r[0] for r in results)
-    max_excess = max(r[1] for r in results)
-    violations = sum(r[2] for r in results)
-    return SweepSummary(
-        mode=mode,
-        n=n,
-        eps=eps,
-        corner_fraction=corner_fraction,
-        trials=trials,
-        seed=seed,
-        max_dev=max_dev,
-        max_excess=max_excess,
-        violations=violations,
-    )
+        cids = range(first, min(first + per_batch, chunks))
+        planes = _sorted_planes(*_draw_batch(n, trials, seed, cids))
+        stats = [_chunk_stats(mode, planes, eps, fraction) for mode, eps, fraction in cells]
+        del planes  # the next batch is drawn and sorted without this one held
+        totals = stats if totals is None else [
+            (max(t[0], s[0]), max(t[1], s[1]), t[2] + s[2])
+            for t, s in zip(totals, stats)]
+    return [
+        SweepSummary(
+            mode=mode,
+            n=n,
+            eps=eps,
+            corner_fraction=fraction,
+            trials=trials,
+            seed=seed,
+            max_dev=max_dev,
+            max_excess=max_excess,
+            violations=violations,
+        )
+        for (mode, eps, fraction), (max_dev, max_excess, violations) in zip(cells, totals)
+    ]
 
 
 def sweep_below_threshold(
@@ -567,7 +615,7 @@ def sweep_below_threshold(
     """Observe deviations for random specs with the corner set to a
     fraction of the strong threshold.  No bound is claimed below the
     threshold; the summary reports what was seen."""
-    return _run_sweep("strong", n, eps, trials, seed, corner_fraction)
+    return sweep_cells(n, [("strong", eps, corner_fraction)], trials, seed)[0]
 
 
 def sweep_at_threshold(
@@ -583,4 +631,4 @@ def sweep_at_threshold(
     For the distinct check the per-trial epsilon is capped at half the
     minimal diagonal gap, as the per-index bound requires.
     """
-    return _run_sweep(mode, n, eps, trials, seed, 1.0)
+    return sweep_cells(n, [(mode, eps, 1.0)], trials, seed)[0]

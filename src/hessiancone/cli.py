@@ -148,27 +148,28 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
         _require(all(n >= 2 for n in ns), "ns: every n must be at least 2")
         _require(all(e > 0 for e in eps_list), "eps: every value must be positive")
         _require(trials >= 1, "trials: must be at least 1")
+    modes = ("strong", "weak", "distinct")
+    below = [frac for frac in fractions if frac < 1.0]
+    cells = [(mode, eps, 1.0) for mode in modes for eps in eps_list]
+    cells += [("strong", eps, frac) for frac in below for eps in eps_list]
+    # one draw of each n serves all of its cells
+    swept = [arrowhead.sweep_cells(n, cells, trials, seed) for n in ns]
+
+    def rows(group):
+        """The summaries of the group-th run of len(eps_list) cells, n by n."""
+        first = group * len(eps_list)
+        return [s for by_n in swept for s in by_n[first:first + len(eps_list)]]
+
     failures = 0
-    for mode in ("strong", "weak", "distinct"):
-        rows = []
-        for n in ns:
-            for eps in eps_list:
-                s = arrowhead.sweep_at_threshold(mode, n, eps, trials, seed)
-                rows.append(s.csv_row())
-                failures += s.violations
-        writer.write(f"lemma_{mode}.csv", arrowhead.SWEEP_CSV_HEADER, rows)
-    below = []
-    for frac in fractions:
-        if frac >= 1.0:
-            continue
-        for n in ns:
-            for eps in eps_list:
-                s = arrowhead.sweep_below_threshold(
-                    n, eps, trials, seed, corner_fraction=frac
-                )
-                below.append(s.csv_row())
+    for group, mode in enumerate(modes):
+        at = rows(group)
+        failures += sum(s.violations for s in at)
+        writer.write(f"lemma_{mode}.csv", arrowhead.SWEEP_CSV_HEADER,
+                     [s.csv_row() for s in at])
     if below:
-        writer.write("below_threshold.csv", arrowhead.SWEEP_CSV_HEADER, below)
+        writer.write("below_threshold.csv", arrowhead.SWEEP_CSV_HEADER,
+                     [s.csv_row() for group in range(len(modes), len(modes) + len(below))
+                      for s in rows(group)])
     return failures
 
 

@@ -468,6 +468,11 @@ def cube_bounds(ds, z, corner):
     return ok, lo, hi, excess_lo, excess_hi
 
 
+# the at-threshold cells of one n in the full lemma-sweep profile
+NINE_CELLS = [(mode, eps, 1.0) for mode in ("strong", "weak", "distinct")
+              for eps in (0.05, 0.2, 1.0)]
+
+
 class TestBoundAndVerify:
     """The sweeps' secular-equation filter against a dense solve of every
     trial."""
@@ -481,14 +486,13 @@ class TestBoundAndVerify:
         mode, n, eps, corner_fraction, seed, families = case
         d, a = adversarial_specs(n, seed, families)
         ref, dev, excess, corner = dense_stats(mode, d, a, eps, corner_fraction)
-        order = np.argsort(d, axis=-1)
-        ds, z = (np.take_along_axis(x, order, axis=-1).T.copy() for x in (d, a))
         with warnings.catch_warnings():
             # zero borders and clustered entries give 0/0 and x/0 in the
             # bounds of unsettled trials; none may warn
             warnings.simplefilter("error", RuntimeWarning)
-            assert ah._chunk_stats(mode, d, a, eps, corner_fraction) == ref
-            ok, lo, hi, excess_lo, excess_hi = ah._bounds(ds, z, corner)
+            planes = ah._sorted_planes(d, a)
+            assert ah._chunk_stats(mode, planes, eps, corner_fraction) == ref
+            ok, lo, hi, excess_lo, excess_hi = ah._bounds(planes, corner)
         # every trial the bounds cover, which includes every settled one
         assert np.all(lo.T[ok] <= dev[ok]) and np.all(dev[ok] <= hi.T[ok])
         assert np.all(excess_lo[ok] <= excess[ok]) and np.all(excess[ok] <= excess_hi[ok])
@@ -516,11 +520,12 @@ class TestBoundAndVerify:
         # cube's .sum(axis=1) did, so every output is the same, bit for bit
         mode, n, eps, corner_fraction, seed, families = case
         d, a = adversarial_specs(n, seed, families)
-        ds, z = ah._sorted_planes(d, a)
+        planes = ah._sorted_planes(d, a)
+        ds, z = planes.ds, planes.z
         if mode == "distinct":
             eps = np.minimum(eps, 0.5 * ah._min_gap(ds.T))
         corner = corner_fraction * ah._THRESHOLDS[mode](d, a, eps)
-        for plane, cube in zip(ah._bounds(ds, z, corner), cube_bounds(ds, z, corner),
+        for plane, cube in zip(ah._bounds(planes, corner), cube_bounds(ds, z, corner),
                                strict=True):
             np.testing.assert_array_equal(plane, cube)
 
@@ -529,9 +534,11 @@ class TestBoundAndVerify:
         # 2,600 trials: five whole chunks and a part; batches of one chunk,
         # the default and one batch for the whole sweep
         def rows():
-            return [ah._run_sweep(mode, n, eps, 2600, 3, fraction).csv_row()
-                    for n in range(2, 9) for eps in (0.05, 1.0)
-                    for fraction in (1.0, 0.5)]
+            return [s.csv_row() for n in range(2, 9)
+                    for s in ah.sweep_cells(n, [(mode, eps, fraction)
+                                                for eps in (0.05, 1.0)
+                                                for fraction in (1.0, 0.5)],
+                                            2600, 3)]
 
         default = rows()
         for budget in (1, 10**9):
@@ -539,18 +546,25 @@ class TestBoundAndVerify:
             assert rows() == default, budget
 
     def test_sweep_memory_stays_bounded(self):
-        # tracemalloc peaks (numpy 2.4.6): 0.82 MB on both cells in batches
-        # of two chunks; 1.09 MB with the sums over (k, k, trials) cubes,
-        # one chunk at a time
+        # tracemalloc peaks (numpy 2.4.6): 0.89 MB on both one-cell sweeps
+        # and 0.90 MB on the nine cells of n = 8 swept together, in
+        # batches of two chunks whose planes every cell reads (0.82 MB
+        # when each cell drew and sorted its own); 1.09 MB with the sums
+        # over (k, k, trials) cubes, one chunk at a time
         ah.sweep_at_threshold("strong", 8, 0.05, 600, 0)
-        for mode, eps in (("strong", 0.05), ("weak", 1.0)):
+        sweeps = {
+            "strong": lambda: ah.sweep_at_threshold("strong", 8, 0.05, 10_000, 0),
+            "weak": lambda: ah.sweep_at_threshold("weak", 8, 1.0, 10_000, 0),
+            "nine cells": lambda: ah.sweep_cells(8, NINE_CELLS, 10_000, 0),
+        }
+        for name, sweep in sweeps.items():
             tracemalloc.start()
             try:
-                ah.sweep_at_threshold(mode, 8, eps, 10_000, 0)
+                sweep()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.0e6, (mode, peak)
+            assert peak <= 1.0e6, (name, peak)
 
     def test_full_profile_cell_solves_few_matrices(self, monkeypatch):
         # strong, n = 8, eps = 0.05: the 10,000 trials of seed 0 in 20
@@ -569,6 +583,52 @@ class TestBoundAndVerify:
         s = ah.sweep_at_threshold("strong", 8, 0.05, 10000, 0)
         assert s.violations == 0 and len(solved) == 10
         assert sum(solved) <= 100
+
+    def test_cells_of_one_n_share_each_batch(self, monkeypatch):
+        # the nine at-threshold cells of n = 8 in the full profile: 20
+        # chunks in 10 batches, each drawn and sorted once for all nine
+        # cells (180 draws and 90 sorts when each cell drew its own); the
+        # dense solves stay one per cell and batch
+        calls = {"draws": 0, "planes": 0, "eigvalsh": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ah, "_draw_specs", counted("draws", ah._draw_specs))
+        monkeypatch.setattr(ah, "_sorted_planes", counted("planes", ah._sorted_planes))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        summaries = ah.sweep_cells(8, NINE_CELLS, 10_000, 0)
+        assert [(s.mode, s.eps, s.corner_fraction) for s in summaries] == NINE_CELLS
+        assert all(s.violations == 0 for s in summaries)
+        assert calls == {"draws": 20, "planes": 10, "eigvalsh": 90}
+
+    def test_grouped_rows_equal_one_cell_rows(self):
+        # every mode, fractions 1.0 and 0.5, two eps, a repeated cell; 1,100
+        # trials are two whole chunks and a part
+        cells = [(mode, eps, fraction) for mode in ("strong", "weak", "distinct")
+                 for eps in (0.05, 1.0) for fraction in (1.0, 0.5)]
+        cells.append(cells[3])
+
+        def one_cell(n, mode, eps, fraction):
+            if fraction == 1.0:
+                return ah.sweep_at_threshold(mode, n, eps, 1100, 5)
+            if mode == "strong":
+                return ah.sweep_below_threshold(n, eps, 1100, 5, fraction)
+            return ah.sweep_cells(n, [(mode, eps, fraction)], 1100, 5)[0]
+
+        for n in range(2, 9):
+            grouped = ah.sweep_cells(n, cells, 1100, 5)
+            assert grouped == [one_cell(n, *cell) for cell in cells], n
+
+    def test_cells_validated_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(ah, "_draw_specs", None)  # a draw would fail
+        with pytest.raises(ValueError, match="unknown sweep mode 'mild'"):
+            ah.sweep_cells(3, [("strong", 0.1, 1.0), ("mild", 0.1, 1.0)], 10, 0)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            ah.sweep_cells(3, [("strong", 0.1, 1.0)], 0, 0)
 
 
 class TestSharedVerdict:

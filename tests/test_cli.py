@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, provenance headers, exit codes, determinism."""
 
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -25,6 +26,16 @@ def run(tmp_path, command, cfg_text="", seed=0, profile="fast", sub="out"):
         "--out", str(out), "--profile", profile,
     ])
     return code, out
+
+
+# lemma-sweep --profile full at seed 0 with corner_fractions = 1.0 0.5:
+# 21 rows per file
+FULL_PROFILE_SHA256 = {
+    "lemma_strong.csv": "e4d0c19dd2bf0ed1eb3e2d0fefb895e571984b1dce73a5128f542686abf541bb",
+    "lemma_weak.csv": "7b03785072364038da5e286d8fea8bb266f27dc3900cd134e24627db20c9ace3",
+    "lemma_distinct.csv": "7a1b417f1b5de6272445aeb6bdd8c089c98f3e7f443d7cd79c99142cdcd3e890",
+    "below_threshold.csv": "d4c7e102c8416884931aba58ee3fd73ed4e391022bfa9c4c9ecd3b5465c20f76",
+}
 
 
 class TestLemmaSweep:
@@ -54,6 +65,20 @@ class TestLemmaSweep:
         for mode in ("strong", "weak", "distinct"):
             assert (out1 / f"lemma_{mode}.csv").read_bytes() == \
                 (out2 / f"lemma_{mode}.csv").read_bytes()
+
+    def test_full_profile_rows_pinned(self, tmp_path):
+        # every row of the full profile at seed 0, as the SHA-256 of each
+        # file's data rows joined by newlines
+        code, out = run(tmp_path, "lemma-sweep", "corner_fractions = 1.0 0.5\n",
+                        profile="full")
+        assert code == 0
+        digests = {
+            name: hashlib.sha256(
+                "\n".join((out / name).read_text().splitlines()[2:]).encode()
+            ).hexdigest()
+            for name in FULL_PROFILE_SHA256
+        }
+        assert digests == FULL_PROFILE_SHA256
 
     def test_stderr_empty(self, tmp_path):
         # the sweeps' bound evaluation divides by zero and by inf on some

@@ -429,8 +429,9 @@ SINGLE_THREAD = [linsolve._gmres, operators.apply_second_order,
                  operators._boundary_real_second, operators._complex_form,
                  operators.boundary_real_hessian,
                  operators.boundary_complex_hessian,
-                 arrowhead._bounds, arrowhead._coefficient, arrowhead._root,
-                 arrowhead._settled, arrowhead._chunk_stats,
+                 arrowhead._bounds, arrowhead._secular_sum, arrowhead._root,
+                 arrowhead._sorted_planes, arrowhead._settled,
+                 arrowhead._chunk_stats, arrowhead.sweep_cells,
                  arrowhead._concentration]
 
 
