@@ -45,6 +45,11 @@ FAST, FULL = "fast", "full"
 # (1,015,808) and the 64^3 cylinder (258,048); n = 3 at resolution 16
 # (15.7 million, about 2.3 GB for one 3 x 3 complex form field) is refused
 MAX_INTERIOR_NODES = 2**21
+# _draw_in_cone: ma keeps (2/3)^n of its candidates, so from n = 18 on
+# (and at n = 17 for some seeds) it is refused, not drawn for days at n = 50
+CONE_TRIES = 2**16
+CONE_ODDS = 1024
+CONE_BLOCK_MAX = 2**14
 
 
 class ConfigError(ValueError):
@@ -178,20 +183,27 @@ def _draw_in_cone(fun, count, rng):
     the points, and the stream position, of ``count`` rejection loops run
     one after another.  Candidates are drawn and tested in blocks; when a
     block completes the count, the stream is rewound and exactly the
-    candidates the loops would consume are drawn again."""
-    found = []
-    while count:
+    candidates the loops would consume are drawn again.  Blocks that fall
+    short grow up to CONE_BLOCK_MAX; a draw that has tried CONE_TRIES
+    candidates and kept fewer than 1 in CONE_ODDS raises ConfigError."""
+    found, tried, kept = [], 0, 0
+    while kept < count:
+        if tried >= CONE_TRIES and kept * CONE_ODDS < tried:
+            raise ConfigError(
+                f"kinds: {fun.label} at n = {fun.n} kept {kept} of {tried} "
+                f"uniform candidates, fewer than 1 in {CONE_ODDS}; lower n")
         start = rng.bit_generator.state
         # the lowest shipped acceptance rate at n = 3 is 8/27 (ma), so one
         # block of four candidates per point usually suffices
-        block = max(16, 4 * count)
+        block = max(16, 4 * (count - kept), min(tried, CONE_BLOCK_MAX))
         lam = rng.uniform(-3.0, 3.0, (block, fun.n)) + 1.0
-        hits = np.flatnonzero(cones.in_cone(fun, lam))[:count]
-        if hits.size == count:
+        hits = np.flatnonzero(cones.in_cone(fun, lam))[:count - kept]
+        if kept + hits.size == count:
             rng.bit_generator.state = start
             rng.uniform(-3.0, 3.0, (hits[-1] + 1, fun.n))
         found.append(lam[hits])
-        count -= hits.size
+        tried += block
+        kept += hits.size
     return np.concatenate(found)
 
 
@@ -440,6 +452,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--profile", choices=(FAST, FULL), default=FAST)
     args = parser.parse_args(argv)
+    if not 0 <= args.seed < 2**64:
+        print(f"argument error: --seed {args.seed}: not in [0, 2**64)", file=sys.stderr)
+        return 2
 
     try:
         with _config_errors():

@@ -262,58 +262,54 @@ def _complex_form(D, geom) -> np.ndarray:
     return g
 
 
-def _chi_planes(chi, dim, is_complex) -> list:
-    """The (plane, value) pairs of the nonzero planes of the (dim, dim)
-    form chi, none when chi is None: what adding chi adds to a planes
-    buffer, each value once per plane."""
+def _chi_planes(g, chi, is_complex) -> np.ndarray:
+    """g, the planes of r x r forms, with the (r, r) form chi added in
+    place, each nonzero plane of chi once; g as it is when chi is None."""
     if chi is None:
-        return []
+        return g
+    r = _dim(len(g), is_complex)
     chi = np.asarray(chi)
-    if chi.shape != (dim, dim):
+    if chi.shape != (r, r):
         raise ValueError(f"chi shape {chi.shape} not understood")
-    pairs = _pairs(dim)
-    values = ([chi[a, a].real for a in range(dim)]
+    pairs = _pairs(r)
+    values = ([chi[a, a].real for a in range(r)]
               + [chi[a, b].real for a, b in pairs]
               + ([chi[a, b].imag for a, b in pairs] if is_complex else []))
-    return [(p, float(v)) for p, v in enumerate(values) if v != 0.0]
+    for p, value in enumerate(values):
+        if value != 0.0:
+            g[p] += float(value)
+    return g
 
 
 def complex_hessian(u, chi=None) -> np.ndarray:
     """The planes of g = chi + complex Hessian of u at the interior nodes,
-    each in one scaled write of _second_partials' stencils: a diagonal
-    plane from the five windows of diagonal(x_i, y_i), the Re and Im
-    planes of an entry i < j from the first differences along x_j and
-    y_j."""
+    each in one scaled write of _second_partials' stencils over the axes
+    _complex_terms gives it: a diagonal plane from the five windows of
+    diagonal(x_i, y_i), a Re or Im plane of an entry i < j from the first
+    differences along x_j and y_j."""
     geom = u.geom
     if not geom.is_complex:
         raise ValueError("complex_hessian needs a complex geometry")
     n = geom.n
-    half = n * (n - 1) // 2
     diagonal, mixed = _second_partials(u.values, geom)
     scale = 0.25 / (geom.h * geom.h)
     g = np.empty((n * n,) + geom.interior_shape)
-    d, e = np.empty((2,) + geom.interior_shape)
-    for i in range(n):
-        xi, yi = geom.complex_axes(i)
-        np.multiply(diagonal(xi, yi, out=d), scale, out=g[i])
-        for j in range(i + 1, n):
-            xj, yj = geom.complex_axes(j)
-            # Re: u_{x_i x_j} + u_{y_i y_j} in d, Im: u_{x_i y_j} - u_{y_i x_j}
-            # in e, the partials grouped by their first difference
-            np.subtract(*mixed(xi, xj), out=d)
-            np.subtract(*mixed(yi, xj), out=e)
-            plus, minus = mixed(yi, yj)
+    d = np.empty(geom.interior_shape)
+    for p, (first, second, sign) in enumerate(_complex_terms(geom)):
+        if p < n:  # first = (x_i, x_i), second = (y_i, y_i)
+            np.multiply(diagonal(first[0], second[0], out=d), scale, out=g[p])
+            continue
+        # ((P1 - M1) + P2) - M2 for sign 1, (P1 - (P2 - M2)) - M1 for -1,
+        # the windows (P, M) of the first and second term's mixed partials
+        np.subtract(*mixed(*(first if sign > 0 else second)), out=d)
+        plus, minus = mixed(*(second if sign > 0 else first))
+        if sign > 0:
             d += plus
-            d -= minus
-            plus, minus = mixed(xi, yj)
-            np.subtract(plus, e, out=e)
-            e -= minus
-            k = _index(n, i, j)
-            np.multiply(d, 0.25 * scale, out=g[k])
-            np.multiply(e, 0.25 * scale, out=g[k + half])
-    for p, value in _chi_planes(chi, n, True):
-        g[p] += value
-    return g
+        else:
+            np.subtract(plus, d, out=d)
+        d -= minus
+        np.multiply(d, 0.25 * scale, out=g[p])
+    return _chi_planes(g, chi, True)
 
 
 def real_hessian(u, chi=None) -> np.ndarray:
@@ -323,9 +319,7 @@ def real_hessian(u, chi=None) -> np.ndarray:
     d = geom.real_dims
     g = _real_partials(_second_partials(u.values, geom), range(d), geom.h,
                        np.empty((d * (d + 1) // 2,) + geom.interior_shape))
-    for p, value in _chi_planes(chi, d, False):
-        g[p] += value
-    return g
+    return _chi_planes(g, chi, False)
 
 
 def form_field(u, chi=None) -> np.ndarray:

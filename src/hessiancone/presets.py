@@ -129,9 +129,7 @@ def manufactured_psi(fun, chi, hessian) -> np.ndarray:
     Hermitian one where there are r^2 planes."""
     r = np.shape(chi)[-1]
     is_complex = len(hessian) != r * (r + 1) // 2
-    g = np.array(hessian, dtype=float)
-    for p, value in _chi_planes(chi, r, is_complex):
-        g[p] += value
+    g = _chi_planes(np.array(hessian, dtype=float), chi, is_complex)
     sigma, _ = newton_tensors(g, fun.cone_order, is_complex)
     if not np.all(cones.sigmas_in_cone(sigma)):
         raise ValueError(

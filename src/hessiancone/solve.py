@@ -38,11 +38,11 @@ harmonic majorant / comparison sandwich, sup-norm and Hessian reports with
 one-sided boundary stencils, the boundary-ratio and tangential-normal
 quotients, and a local barrier field whose discrete ellipticity defect can
 be inspected near a boundary point.  The sup|ddbar u| entries are exact
-without a dense eigenvalue solve at every node: a trace bound on each
-node's eigenvalues (Wolkowicz & Styan 1980) orders the nodes, and blocks
-of them are solved densely until no bound can beat the extreme found
-(_extreme_eigenvalues).  A SolveReport keeps the wall seconds of the
-subsolution check, the Newton stage and the diagnostics, never
+without a dense eigenvalue solve at every node: two-sided trace bounds
+on each node's extreme eigenvalues (Wolkowicz & Styan 1980) select the
+nodes that can attain an extreme, and those alone are solved densely, in
+one call (_extreme_eigenvalues).  A SolveReport keeps the wall seconds of
+the subsolution check, the Newton stage and the diagnostics, never
 written to a CSV.
 """
 
@@ -71,7 +71,6 @@ from .operators import (
     gradient_interior,
     linearize,
     newton_state,
-    _chi_planes,
     _dense,
     _dim,
     _index,
@@ -112,9 +111,8 @@ ETA_MAX = 1e-2  # largest forcing term; looser ones cost Newton steps
 # norm: with 0.5 the last step on the 16^3 cylinder reached 1.9e-8
 # against the tolerance 1e-8 and cost a fifth Newton step
 OVERSOLVE = 0.1
-# _extreme_eigenvalues: nodes per dense solve, and the widening of each
-# node's trace bound relative to its bound on ||A||_2 (64 ulps)
-EXTREME_BLOCK = 512
+# _extreme_eigenvalues: the widening of each node's trace bounds relative
+# to its bound on ||A||_2 (64 ulps)
 EXTREME_SLACK = 64 * np.finfo(float).eps
 # _cone_exit: nodes per block, in whole layers of the first axis.  Blocks
 # of about this size ran as fast as or faster than one call over all
@@ -467,8 +465,7 @@ def harmonic_majorant(chi, phi, geom) -> ScalarField:
     """
     dim = geom.form_dim
     C = coefficient_tensor(np.ones(dim), geom)
-    tr = sum((v for p, v in _chi_planes(chi, dim, geom.is_complex) if p < dim),
-             0.0)
+    tr = float(np.trace(chi).real)
     values, _ = solve_dirichlet(
         C, geom, -np.broadcast_to(tr, geom.interior_shape),
         boundary_values=phi.values)
@@ -489,22 +486,24 @@ def _extreme_eigenvalues(forms, is_complex):
     eigen_field over their dense forms, found by solving few nodes
     densely.
 
-    Every eigenvalue of a node's form A lies in m -+ s sqrt(r - 1), with
+    A node's form A has lambda_max in [m + s / sqrt(r - 1), m + s sqrt(r - 1)]
+    and lambda_min in [m - s sqrt(r - 1), m - s / sqrt(r - 1)], with
     m = tr A / r and s^2 = (sum_a (A_aa - m)^2 + sum_{a != b} |A_ab|^2) / r
-    (Wolkowicz & Styan, Linear Algebra Appl. 29, 1980; equality for
-    r = 2), both formed from the planes.  s^2 is summed about m:
-    ||A||_F^2 / r - m^2 cancels for A near cI and can under-bound
-    lambda_max.  Each bound is widened by EXTREME_SLACK of
-    |m| + s sqrt(r - 1) >= ||A||_2, which covers its own rounding and
-    LAPACK's backward error.  eigen_field then solves the nodes in blocks
-    of EXTREME_BLOCK, most promising bound first, once for the highest
-    and once for the lowest, until no remaining bound can beat the extreme
-    found; only those blocks are assembled as dense (block, r, r) forms.
-    The extreme is the value LAPACK computes at the node that attains it,
-    as in a dense solve of the whole stack, so it is exact.  An empty
-    stack gives (0.0, 0.0).  A NaN or infinite entry gives (nan, nan),
-    where the dense solve need not: numpy's eigvalsh returns [0, -0] for
-    a 2 x 2 form with a NaN diagonal entry.
+    formed from the planes (Wolkowicz & Styan, Linear Algebra Appl. 29,
+    1980; s = 0 for r = 1).  s^2 is summed about m: ||A||_F^2 / r - m^2
+    cancels for A near cI and can under-bound lambda_max.  Each bound is
+    widened by EXTREME_SLACK of |m| + s sqrt(r - 1) >= ||A||_2, which
+    covers its own rounding and LAPACK's backward error.  The node where
+    LAPACK's lambda_max is largest has an upper bound at or above every
+    node's lower bound: it passes the largest lower bound, or ties with
+    that bound's node, which then attains the same value; likewise for
+    lambda_min.  eigen_field solves those nodes and the nodes of the two
+    inner bounds in one call, so the extreme is the value LAPACK computes
+    at the node that attains it, as in a dense solve of the whole stack.
+    An empty stack gives (0.0, 0.0).  A NaN or infinite entry, or one
+    whose square overflows, gives (nan, nan), where the dense solve need
+    not: numpy's eigvalsh returns [0, -0] for a 2 x 2 form with a NaN
+    diagonal entry.
     """
     flat = forms.reshape((len(forms), -1))
     if not flat.shape[1]:
@@ -518,27 +517,17 @@ def _extreme_eigenvalues(forms, is_complex):
         if is_complex:
             off += flat[r + half + k] ** 2
         squares += 2.0 * off
-    radius = np.sqrt(squares * ((r - 1) / r))  # s sqrt(r - 1)
-    slack = EXTREME_SLACK * (np.abs(m) + radius)
-    upper, lower = m + radius + slack, m - radius - slack
-    if np.isnan(upper).any() or np.isnan(lower).any():
+    if not (np.isfinite(m).all() and np.isfinite(squares).all()):
         return np.nan, np.nan
-    lowest, highest = np.inf, -np.inf
-    for key in (upper, -lower):  # bounds on lambda_max and on -lambda_min
-        todo = np.arange(flat.shape[1])
-        while True:
-            todo = todo[key[todo] > (highest if key is upper else -lowest)]
-            if not todo.size:
-                break
-            if todo.size > EXTREME_BLOCK:
-                part = np.argpartition(key[todo], todo.size - EXTREME_BLOCK)
-                todo, block = todo[part[:-EXTREME_BLOCK]], todo[part[-EXTREME_BLOCK:]]
-            else:
-                todo, block = todo[:0], todo
-            lam = eigen_field(_dense(flat[:, block], is_complex))
-            lowest = min(lowest, float(lam[:, 0].min()))
-            highest = max(highest, float(lam[:, -1].max()))
-    return lowest, highest
+    radius = np.sqrt(squares * ((r - 1) / r))  # s sqrt(r - 1)
+    inner = np.sqrt(squares / (r * max(r - 1, 1)))  # s / sqrt(r - 1)
+    slack = EXTREME_SLACK * (np.abs(m) + radius)
+    top, bottom = m + inner - slack, m - inner + slack  # inner bounds
+    nodes = ((m + radius + slack > top.max())
+             | (m - radius - slack < bottom.min()))
+    nodes[[top.argmax(), bottom.argmin()]] = True
+    lam = eigen_field(_dense(flat[:, nodes], is_complex))
+    return float(lam[:, 0].min()), float(lam[:, -1].max())
 
 
 def _spectral_radius(forms, is_complex) -> float:

@@ -181,7 +181,7 @@ class TestConeCheck:
         *[(kind, 3) for kind in ("sigma1", "sigmaK:2", "sigmaK:3", "ma",
                                  "quotient:1:2", "quotient:1:3",
                                  "quotient:2:3")],
-        ("ma", 8),  # acceptance (2/3)^8, about 4%: most blocks fall short
+        ("ma", 8),  # acceptance (2/3)^8, about 4%: the blocks fall short and grow
     ])
     def test_block_draws_equal_per_attempt_loop(self, name, n):
         fun = cn.parse_kind(name, n)
@@ -203,6 +203,28 @@ class TestConeCheck:
         np.testing.assert_array_equal(level_lam, [v[0] for v in levels])
         np.testing.assert_array_equal(sigma, [v[1] for v in levels])
         assert rng.uniform() == ref_rng.uniform()
+
+    @pytest.mark.parametrize("samples", [1, 1000])
+    def test_scarce_cone_refused_soon(self, tmp_path, capsys, monkeypatch,
+                                      samples):
+        # ma keeps (2/3)^50 of the uniform candidates, about 2e-9: the draw
+        # gives up after cli.CONE_TRIES of them, in few blocks even for
+        # one sample, and sigma1's rows, drawn first, are not written
+        blocks, in_cone = [], cn.in_cone
+
+        def counted(fun, lam):
+            blocks.append(fun.label)
+            return in_cone(fun, lam)
+
+        monkeypatch.setattr(cn, "in_cone", counted)
+        code, out = run(tmp_path, "cone-check",
+                        f"n = 50\nkinds = sigma1,ma\nsamples = {samples}\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "ma at n = 50" in err
+        assert not out.exists()
+        assert 0 < blocks.count("ma") <= 16
 
     def test_byte_identical_rerun(self, tmp_path):
         cfg = "n = 3\nkinds = quotient:1:2\nsamples = 40\n"
@@ -399,6 +421,28 @@ class TestSolveCommand:
                      "--out", str(out)]) == 2
         assert "absent.cfg" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSeed:
+    """--seed takes the unsigned 64-bit integers the README names."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", ["lemma-sweep", "cone-check"])
+    def test_out_of_range_seed_exits_2_with_one_line(self, tmp_path, capsys,
+                                                     command, seed):
+        code, out = run(tmp_path, command, seed=seed)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--seed {seed}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg_text", [
+        ("lemma-sweep", "ns = 2\neps = 0.2\ntrials = 50\n"),
+        ("cone-check", "kinds = sigma1\nsamples = 10\n"),
+    ])
+    def test_largest_seed_runs(self, tmp_path, command, cfg_text):
+        code, out = run(tmp_path, command, cfg_text, seed=2**64 - 1)
+        assert code == 0 and any(out.iterdir())
 
 
 class TestOutDirectory:

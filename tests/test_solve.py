@@ -669,36 +669,33 @@ def form_stacks(draw):
 
 
 class TestExtremeEigenvalues:
-    """The bounded search against the dense solve of every node."""
+    """The masked solve against the dense solve of every node."""
 
-    @given(form_stacks(), st.sampled_from([1, 3, 8, sv.EXTREME_BLOCK]))
+    @given(form_stacks())
     @settings(max_examples=300, deadline=None)
-    def test_equals_dense_extremes_bit_for_bit(self, stack, block):
+    def test_equals_dense_extremes_bit_for_bit(self, stack):
         # against a dense solve of the whole stack
         planes, is_complex = stack
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sv, "EXTREME_BLOCK", block)
-            lowest, highest = sv._extreme_eigenvalues(planes, is_complex)
+        lowest, highest = sv._extreme_eigenvalues(planes, is_complex)
         lam = eigen_field(dense_form(planes, is_complex))
         assert bits(lowest) == bits(lam.min())
         assert bits(highest) == bits(lam.max())
 
-    def test_slack_scales_with_the_norm(self, monkeypatch):
+    def test_slack_scales_with_the_norm(self):
         # lambda_max of y is near 0 against ||y|| near 2, and its computed
         # bound m + s rounds 131072 ulps of lambda_max below it (0.44 eps
-        # ||y||); a cI node just under lambda_max, solved first, must
-        # not end the search (-10 I holds lambda_min, so the search for it
-        # does not solve y either)
+        # ||y||); the inner bound of a cI node just under lambda_max must
+        # not leave y out (-10 I holds lambda_min)
         off = 0.7101471705128961 - 0.7783394310645367j
         y = np.array([[-1.5355057048658323, off],
                       [np.conj(off), -0.7229477342453987]])
         top = eigen_field(y)[-1]
         x = np.nextafter(top, -np.inf) * np.eye(2)
-        monkeypatch.setattr(sv, "EXTREME_BLOCK", 1)
         forms = planes_of(np.stack([x, y, -10.0 * np.eye(2)]), True)
         assert bits(sv._extreme_eigenvalues(forms, True)[1]) == bits(top)
 
-    def test_zero_forms_take_one_block(self, monkeypatch):
+    def test_zero_forms_solve_one_node(self, monkeypatch):
+        # every bound ties; the node of the inner bounds is solved alone
         calls = []
 
         def counted(g):
@@ -706,9 +703,37 @@ class TestExtremeEigenvalues:
             return eigen_field(g)
 
         monkeypatch.setattr(sv, "eigen_field", counted)
-        forms = np.zeros((4, 10 * sv.EXTREME_BLOCK))
+        forms = np.zeros((4, 5000))
         assert sv._extreme_eigenvalues(forms, True) == (0.0, 0.0)
-        assert calls == [sv.EXTREME_BLOCK]
+        assert calls == [1]
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("factor", [1.0 + 4 * np.finfo(float).eps,
+                                        1.0 - 4 * np.finfo(float).eps])
+    def test_equal_forms_and_one_perturbed(self, is_complex, factor):
+        # the perturbed node holds both extremes, or falls short of the
+        # tied ones at every other node
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal((3, 3))
+        if is_complex:
+            z = z + 1j * rng.standard_normal((3, 3))
+        forms = np.repeat((0.5 * (z + z.conj().T))[None], 2000, axis=0)
+        forms[1234] *= factor
+        planes = planes_of(forms, is_complex)
+        lowest, highest = sv._extreme_eigenvalues(planes, is_complex)
+        lam = eigen_field(forms)
+        assert bits(lowest) == bits(lam.min())
+        assert bits(highest) == bits(lam.max())
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_one_by_one_forms(self, is_complex):
+        # r = 1: s = 0, and the inner bound must not divide by zero
+        planes = np.random.default_rng(3).uniform(-5.0, 5.0, (1, 50))
+        with np.errstate(all="raise"):
+            lowest, highest = sv._extreme_eigenvalues(planes, is_complex)
+        lam = eigen_field(dense_form(planes, is_complex))
+        assert bits(lowest) == bits(lam.min())
+        assert bits(highest) == bits(lam.max())
 
     def test_one_node(self):
         form = np.array([[[2.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]]])
@@ -771,25 +796,36 @@ def dense_tangential_min(u, u_sub):
 class TestEstimateReport:
     @pytest.mark.parametrize("case", ["manufactured", "degenerate",
                                       "cylinder"])
-    @pytest.mark.parametrize("block", [16, sv.EXTREME_BLOCK])
+    @pytest.mark.parametrize("block", [16, 512])
     def test_equals_dense_reference(self, case, block, monkeypatch):
-        monkeypatch.setattr(sv, "EXTREME_BLOCK", block)
         if case == "cylinder":
             geom, fun = CylinderGeometry(d=3, resolution=8), cn.monge_ampere(3)
             prob = pr.build_problem(geom, fun, "manufactured", "zero",
                                     "star-bump")
-            u, rep = sv.solve_riemannian(fun, prob.chi, prob.psi, prob.phi,
-                                         prob.u_sub)
-            assert bits(rep.boundary_tangential_min) == bits(
-                dense_tangential_min(u, prob.u_sub))
+
+            def solve():
+                return sv.solve_riemannian(fun, prob.chi, prob.psi, prob.phi,
+                                           prob.u_sub)
         else:
             psi, sub, eps = (("manufactured", "star-bump", 0.0)
                              if case == "manufactured"
                              else ("degenerate-cos", "zero", 1e-3))
             prob = pr.build_problem(GEOM8, MA2, psi, "zero", sub)
             shifted = ScalarField(geom=GEOM8, values=prob.psi.values + eps)
-            u, rep = sv.continuity_solve(MA2, prob.chi, shifted, prob.phi,
-                                         prob.u_sub)
+
+            def solve():
+                return sv.continuity_solve(MA2, prob.chi, shifted, prob.phi,
+                                           prob.u_sub)
+        # the degenerate solve takes the cone exit, over single first-axis
+        # layers at both block sizes rather than the default's blocks of
+        # many; each node's root does not depend on its block
+        whole, _ = solve()
+        monkeypatch.setattr(sv, "EXIT_BLOCK", block)
+        u, rep = solve()
+        assert bits(u.values) == bits(whole.values)
+        if case == "cylinder":
+            assert bits(rep.boundary_tangential_min) == bits(
+                dense_tangential_min(u, prob.u_sub))
         ref = dense_estimate_report(u)
         # repr of a float keeps every bit
         assert sv.estimate_report(u).csv_row() == ref.csv_row()
