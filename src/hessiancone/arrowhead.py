@@ -487,10 +487,12 @@ def _sorted_planes(d, a):
 def _bounds(p, corner):
     """Secular-equation intervals of the trials of the _Planes p with
     corners (trials), trials on the last axis: (ok, lo, hi, excess_lo,
-    excess_hi).  Where ok, the deviation |d_j - lambda_j| of each small
-    eigenvalue lies in [lo_j, hi_j] and the corner excess in [excess_lo,
-    excess_hi], for the exact spectrum and for the dense solver's, in the
-    sorted pairing and in the nearest match.  The linear coefficients of
+    excess_hi).  Where _upper_valid holds, the deviation |d_j - lambda_j|
+    of each small eigenvalue is at most a finite hi_j and the corner
+    excess lies in [excess_lo, excess_hi] where those are finite; where ok,
+    the deviation is at least lo_j too.  Each holds for the exact spectrum
+    and for the dense solver's, in the sorted pairing and in the nearest
+    match.  The linear coefficients of
     the secular quadratics are b_j = c - d_j - S_j(t) at t = 0 and at
     t = hi_j.  The excess is bounded twice: the interval
     [sum z_i^2 / (c + E - d_i), E] of the module docstring, then E cut to
@@ -499,13 +501,18 @@ def _bounds(p, corner):
 
     The widening covers the rounding of S_j, at most a few ulps of
     sum_i |z_i^2 / (d_i - d_j)| <= sum z^2 / (gap next to d_j), and of the
-    rest, at most a few ulps of ||A||_F.  ok needs every z_i > 0, c > d_k,
-    c - d_j > S_j(0) (the root's form) and hi_j <= g_j / 2 for the gap g_j
-    below d_j, so distinct entries.  That last is stricter than hi_j < g_j,
-    which the lower bound needs: at most half the gap, each denominator of
+    rest, at most a few ulps of ||A||_F.  The upper bounds need every
+    z_i > 0 and c > d_k, so that lambda_j lies in (d_{j-1}, d_j), and
+    c - d_j > S_j(0), the root's form; the nearest match is never farther
+    than the sorted pairing, hi_j reads S_j(0) alone, and the excess
+    bounds read no deviation bound.  The lower bound lo_j needs more, and
+    ok has it: a finite lo and hi_j <= g_j / 2 for the gap g_j below d_j,
+    so distinct entries.  That is stricter than hi_j < g_j, which the
+    lower bound itself needs: at most half the gap, each denominator of
     S_j(hi_j) keeps half of d_i - d_j, so its rounding stays relative, and
-    d_j is the nearest entry to lambda_j.  The other trials may hold inf
-    or nan entries, which are never read.
+    d_j is the nearest entry to lambda_j, so lo_j bounds the nearest match
+    too.  The other trials may hold inf or nan entries, which are never
+    read.
     """
     k, zsq, gap = len(p.ds), p.zsq, p.gap
     c_d = corner - p.ds
@@ -519,26 +526,37 @@ def _bounds(p, corner):
         excess_slack = (k + 1) * SWEEP_SLACK * (norm + top)
         excess_lo = (zsq / (c_d + top)).sum(axis=0) - excess_slack
         excess_hi = (zsq / (c_d + np.maximum(excess_lo, 0.0))).sum(axis=0) + excess_slack
-    ok = ((p.z > 0).all(axis=0) & (c_d[-1] > 0) & (b > 0).all(axis=0)
-          & (hi <= 0.5 * gap[:-1]).all(axis=0) & np.isfinite(lo).all(axis=0)
-          & np.isfinite(excess_hi))
+    ok = (_upper_valid(p, corner) & (hi <= 0.5 * gap[:-1]).all(axis=0)
+          & np.isfinite(lo).all(axis=0) & np.isfinite(excess_hi))
     return ok, lo, hi, excess_lo, excess_hi
+
+
+def _upper_valid(p, corner):
+    """Mask of the trials of _bounds whose upper bounds hold wherever they
+    are finite: every z_i > 0, c > d_k and c - d_j > S_j(0)."""
+    return ((p.z > 0).all(axis=0) & (corner > p.ds[-1])
+            & (corner - p.ds > p.s0).all(axis=0))
 
 
 def _settled(p, corner, eps):
     """Mask of the trials that the intervals of _bounds settle (same
-    arguments, eps one per trial).  A settled trial passes with the margin
-    MARGIN, a lower bound on every spectrum's margin, and the excess bound
-    (n-1) eps, a lower bound on the weak one; and its deviations and
-    excess stay below the batch's largest lower bounds, so a dense solve
-    of the other trials finds both maxima."""
+    arguments, eps one per trial).  A trial is settled on its upper bounds
+    alone, where they hold (_upper_valid) and are finite: no nan or inf
+    hi or excess_hi passes the comparisons below, and excess_lo, a sum
+    less a slack that grows with it, is never +inf.  It passes with the
+    margin MARGIN, a lower bound on every spectrum's margin, and the
+    excess bound (n-1) eps, a lower bound on the weak one; and its
+    deviations and excess stay below the batch's largest lower bounds,
+    taken over the ok trials, so a dense solve of the other trials finds
+    both maxima.  Only those maxima read a lower bound."""
     ok, lo, hi, excess_lo, excess_hi = _bounds(p, corner)
     dev_hi = hi.max(axis=0)
     passes = ((dev_hi < eps + MARGIN) & (excess_lo >= -MARGIN)
               & (excess_hi < len(p.ds) * eps + MARGIN))
     top_dev = np.max(lo.max(axis=0), where=ok, initial=-np.inf)
     top_excess = np.max(excess_lo, where=ok, initial=-np.inf)
-    return ok & passes & (dev_hi < top_dev) & (excess_hi < top_excess)
+    return (_upper_valid(p, corner) & passes & (dev_hi < top_dev)
+            & (excess_hi < top_excess))
 
 
 def _chunk_stats(mode, p, eps, corner_fraction):

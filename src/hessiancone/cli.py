@@ -9,8 +9,10 @@ config file the command cannot use: one that cannot be read, a key it
 does not read, or a value that does not parse, is not finite (inf or
 nan), is out of range (a grid of more than MAX_INTERIOR_NODES interior
 nodes included) or names no known function or preset.  Such a run prints
-one line to stderr and writes nothing; so does an ``--out`` that is not
-a directory, and a failed write exits 2 with one line naming its path.
+one line to stderr and writes nothing; so does a command line that
+does not parse (an unknown command, option or choice, or a --seed that
+is not an integer in [0, 2**64)) and an ``--out`` that is not a
+directory, and a failed write exits 2 with one line naming its path.
 """
 
 from __future__ import annotations
@@ -54,6 +56,18 @@ CONE_BLOCK_MAX = 2**14
 
 class ConfigError(ValueError):
     """The config file cannot drive the command; exit status 2."""
+
+
+class _ArgumentError(ValueError):
+    """The command line cannot drive a run; exit status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise _ArgumentError, for main to
+    report in one line, where argparse prints its usage and exits."""
+
+    def error(self, message):
+        raise _ArgumentError(message)
 
 
 @contextmanager
@@ -441,7 +455,7 @@ CONFIG_KEYS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hessiancone",
         description="Eigenvalue-concentration sweeps, cone checks, and "
         "continuity-method solves on the flat model manifold.",
@@ -451,9 +465,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--profile", choices=(FAST, FULL), default=FAST)
-    args = parser.parse_args(argv)
-    if not 0 <= args.seed < 2**64:
-        print(f"argument error: --seed {args.seed}: not in [0, 2**64)", file=sys.stderr)
+    try:
+        args = parser.parse_args(argv)
+        if not 0 <= args.seed < 2**64:
+            raise _ArgumentError(f"--seed {args.seed}: not in [0, 2**64)")
+    except _ArgumentError as exc:
+        print(f"argument error: {exc}", file=sys.stderr)
         return 2
 
     try:

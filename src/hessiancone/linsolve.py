@@ -30,6 +30,16 @@ run through ``np.einsum``: BLAS level-1 calls would wake OpenBLAS's
 second thread, whose spinning slows every numpy call after them.  The
 Arnoldi loop works in place on the preallocated rows of its basis and
 one scratch vector.
+The whole basis, RESTART + 1 rows, is allocated at once in every solve,
+used or not, and that is deliberate.  It is the process's largest
+allocation and is freed at the end of the solve, so it raises glibc's
+dynamic mmap and trim thresholds above the Newton loop's other arrays
+(about 0.5 MB each at 16^4); those then come from the heap and are
+reused, not mapped and faulted in afresh.  On the 16^4 manufactured and
+degenerate Monge-Ampere solves, RESTART = 12 cut the peak RSS by about
+9.5 MB, but raised the minor page faults per solve from 160 and 465 to
+6k and 12k and the wall time by 10-15%; a basis kept between solves and
+grown on demand cost the 32^3 cylinder solve 20% of its wall time.
 Each operator application takes one centred first difference per axis of
 a mixed pair and forms every mixed partial from two windows of it (see
 :mod:`.operators`), so applications round differently from the

@@ -33,6 +33,18 @@ A stage that fails raises ContinuationError with its reason.  The same
 driver covers the real (cylinder) variant, where the complex Hessian is
 replaced by the real one.
 
+A degenerate solve (psi <= f(lambda(g[u_sub])) / DEGENERATE_RATIO at
+some node) on an even grid of at least 2 NESTED_MIN_RESOLUTION nodes per
+period starts its Newton stage nested: the same stage, run on the grid
+of every other node, is prolonged to the fine grid (_prolonged) and
+lifted into the cone by the smallest bump c x_n (x_n - 1) that admits
+it (_bump).  From a good coarse start the number of Newton steps does
+not grow with the grid (Allgower, Boehmer, Potra & Rheinboldt, SIAM J.
+Numer. Anal. 23, 1986), where the cold start spends most of its steps
+getting from the subsolution to the solution.  When the coarse stage
+fails, no bump admits the start or the fine stage fails, the solve runs
+the cold stage instead, and the SolveReport says why.
+
 Diagnostics implement the measured forms of the boundary estimates: the
 harmonic majorant / comparison sandwich, sup-norm and Hessian reports with
 one-sided boundary stencils, the boundary-ratio and tangential-normal
@@ -48,8 +60,9 @@ written to a CSV.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 from time import perf_counter
 
 import numpy as np
@@ -71,6 +84,7 @@ from .operators import (
     gradient_interior,
     linearize,
     newton_state,
+    newton_tensors,
     _dense,
     _dim,
     _index,
@@ -119,6 +133,12 @@ EXTREME_SLACK = 64 * np.finfo(float).eps
 # nodes at 16^4, 32^4 and on the 32^3 cylinder; single layers of the
 # cylinder (992 nodes) ran slower
 EXIT_BLOCK = 8192
+# _fine_stage: a solve starts nested when f(lambda(g[u_sub])) >=
+# DEGENERATE_RATIO psi at some interior node and the half grid has at
+# least NESTED_MIN_RESOLUTION nodes per period.  The manufactured 16^4 and
+# 32^3 problems peak at 1.13 and 1.27, degenerate-cos + 1e-3 at 1000
+DEGENERATE_RATIO = 2.0
+NESTED_MIN_RESOLUTION = 8
 
 
 class SubsolutionError(ValueError):
@@ -193,9 +213,19 @@ class SolveReport:
     # degenerate_sweep's sup_lap, max |tr form_field(u)| over the interior
     # nodes (never in CSV_FIELDS)
     sup_lap: float = np.nan
-    # wall seconds of the subsolution check, the Newton stage and the
-    # diagnostics (never in CSV_FIELDS)
+    # wall seconds of the subsolution check, the Newton stage (with the
+    # coarse stage of a nested start) and the diagnostics (never in
+    # CSV_FIELDS)
     seconds: list = field(default_factory=list)
+    # the Newton stage's start, "cold" (_stage_start) or "nested"
+    # (_nested_start); why a nested start fell back to the cold one ("" when
+    # none was tried or none fell back); the bump c of the nested start; and
+    # the coarse stage's StageRecord (None when none ran).  None of them is
+    # in CSV_FIELDS
+    start: str = "cold"
+    fallback: str = ""
+    bump: float = 0.0
+    coarse: StageRecord | None = None
 
     CSV_FIELDS = (
         "label,resolution,converged,final_residual,sup_u,"
@@ -393,9 +423,141 @@ def _stage_start(u_sub, phi):
     return u
 
 
+class _Fallback(Exception):
+    """A nested start that cannot be used; the message is the reason."""
+
+
+def _prolonged(U, geom) -> np.ndarray:
+    """The values on ``geom``'s grid of the field U on the grid of every
+    other node (half the resolution).  Along the Dirichlet axis the
+    coarse nodes are kept and each midpoint takes the cubic through its
+    four nearest coarse nodes: (-u_{k-1} + 9 u_k + 9 u_{k+1} - u_{k+2}) / 16,
+    or (5 u_0 + 15 u_1 - 5 u_2 + u_3) / 16 next to a face.  Along the
+    periodic axes U is Fourier-interpolated in one transform pair: its
+    spectrum (rfftn) is zero-padded to the fine sizes, the even-size
+    Nyquist coefficient of each axis split in halves between +-m/2, and
+    irfftn at the fine sizes, times 2^p for the p periodic axes, gives
+    the field.  Both are exact below the coarse Nyquist frequency and on
+    cubics along the Dirichlet axis; the faces are the prolonged ones,
+    not the boundary data."""
+    da, axes = geom.dirichlet_axis, geom.periodic_axes
+    c = np.moveaxis(U, da, 0)
+    v = np.empty((2 * len(c) - 1,) + c.shape[1:])
+    v[::2] = c
+    v[3:-3:2] = (9.0 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16.0
+    v[1] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
+    v[-2] = (5.0 * c[-1] + 15.0 * c[-2] - 5.0 * c[-3] + c[-4]) / 16.0
+    spec = np.fft.rfftn(np.moveaxis(v, 0, da), axes=axes)
+    del v
+    half = [U.shape[a] // 2 for a in axes]  # m / 2 of each coarse axis
+    shape = list(spec.shape)
+    for a, h in zip(axes, half):
+        shape[a] = 4 * h if a != axes[-1] else 2 * h + 1
+    padded = np.zeros(shape, complex)
+    # the low and the high (negative) frequencies of every full axis; the
+    # rfft axis holds only its low ones
+    for highs in product((False, True), repeat=len(axes) - 1):
+        src, dst = [slice(None)] * U.ndim, [slice(None)] * U.ndim
+        for a, h, high in zip(axes, half, highs):
+            src[a] = slice(h, 2 * h) if high else slice(0, h + 1)
+            dst[a] = slice(3 * h, 4 * h) if high else slice(0, h + 1)
+        dst[axes[-1]] = slice(0, half[-1] + 1)
+        padded[tuple(dst)] = spec[tuple(src)]
+    del spec
+    for a, h in zip(axes, half):
+        split = [slice(None)] * U.ndim
+        split[a] = [h] if a == axes[-1] else [h, 3 * h]
+        padded[tuple(split)] *= 0.5
+    u = np.fft.irfftn(padded, s=[geom.shape[a] for a in axes], axes=axes)
+    u *= 2.0 ** len(axes)
+    return u
+
+
+def _bump(u, fun, chi) -> float:
+    """The c >= 0 that lifts the field u into the cone by the bump
+    c x_n (x_n - 1), added to u in place (0.0 when u is admissible).  The
+    bump adds B c to every form's Dirichlet diagonal entry (B = 1/2 on
+    the complex model, 2 on the cylinder): a rank-one change, along which
+    each sigma_k moves affinely with slope B (T_{k-1})_nn (T_0 = I).  c
+    is the largest -sigma_k / slope over the inadmissible nodes, over
+    EXIT_FRACTION.  Raises _Fallback when a slope there is not positive,
+    or when the sigmas so moved leave a node outside the cone."""
+    geom, m = u.geom, fun.cone_order
+    sigma, tensors = newton_tensors(form_field(u, chi), m, geom.is_complex)
+    bad = ~cones.sigmas_in_cone(sigma)
+    if not bad.any():
+        return 0.0
+    r = geom.form_dim
+    rate = 0.5 if geom.is_complex else 2.0
+    slopes = [rate * np.broadcast_to(T[r - 1], bad.shape) for T in tensors]
+    worst = 0.0
+    for k, slope in enumerate(slopes, start=1):
+        if not (slope[bad] > 0.0).all():
+            raise _Fallback("no positive slope at an inadmissible node")
+        worst = max(worst, float((-sigma[..., k][bad] / slope[bad]).max()))
+    c = worst / EXIT_FRACTION
+    for k, slope in enumerate(slopes, start=1):
+        sigma[..., k] += c * slope
+    if not cones.sigmas_in_cone(sigma).all():
+        raise _Fallback("repaired start inadmissible")
+    xn = geom.grids()[geom.dirichlet_axis]
+    u.values += c * (xn * (xn - 1.0))
+    return c
+
+
+def _nested_start(u_sub, phi, fun, chi, psi, config, report) -> ScalarField:
+    """The fine stage's nested start: the Newton stage on the grid of
+    every other node, from u_sub, phi and psi injected there, prolonged
+    (_prolonged), its faces set to phi's and lifted by _bump.  Records
+    the coarse StageRecord and c in ``report``; raises _Fallback when the
+    coarse stage fails or no bump admits the start."""
+    geom = u_sub.geom
+    coarse = replace(geom, resolution=geom.resolution // 2)
+    every_other = (slice(None, None, 2),) * geom.real_dims
+    inner = list(every_other)
+    inner[geom.dirichlet_axis] = slice(1, None, 2)  # interior index 2j - 1
+    sub, data = (ScalarField(geom=coarse, values=f.values[every_other])
+                 for f in (u_sub, phi))
+    try:
+        U, report.coarse = _newton_solve(_stage_start(sub, data), fun, chi,
+                                         psi[tuple(inner)], config)
+    except SOLVE_ERRORS as exc:
+        raise _Fallback(f"coarse stage: {exc}") from None
+    u = ScalarField(geom=geom, values=_prolonged(U.values, geom))
+    u.values[geom.faces] = phi.values[geom.faces]
+    report.bump = _bump(u, fun, chi)
+    return u
+
+
+def _fine_stage(u_sub, phi, fun, chi, psi, degenerate, config, report):
+    """The solve's Newton stage on its own grid: (u, StageRecord).  It
+    starts nested (_nested_start) when psi is ``degenerate``
+    (f(lambda(g[u_sub])) >= DEGENERATE_RATIO psi at some node) and the
+    grid halves to at least NESTED_MIN_RESOLUTION nodes per period; cold
+    (_stage_start) otherwise, or when the nested start or its stage
+    fails, with the reason in report.fallback."""
+    m = u_sub.geom.resolution
+    if degenerate and m % 2 == 0 and m // 2 >= NESTED_MIN_RESOLUTION:
+        try:
+            # each start is formed in the call, so that the stage alone
+            # holds it and drops it with its first step
+            u, record = _newton_solve(
+                _nested_start(u_sub, phi, fun, chi, psi, config, report),
+                fun, chi, psi, config)
+            report.start = "nested"
+            return u, record
+        except _Fallback as exc:
+            report.fallback = str(exc)
+        except SOLVE_ERRORS as exc:
+            report.fallback = f"fine stage: {exc}"
+    return _newton_solve(_stage_start(u_sub, phi), fun, chi, psi, config)
+
+
 def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = None):
     """Solve f(lambda(chi + dd-bar u)) = psi, u = phi on the faces, by one
-    Newton stage from the subsolution (t = 1 of the continuity path).
+    Newton stage (t = 1 of the continuity path), from the subsolution or,
+    for degenerate data on a fine enough grid, from a prolonged
+    half-resolution solution (_fine_stage).
 
     Returns (u, SolveReport); a failed stage raises ContinuationError.
     """
@@ -403,13 +565,14 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     start = perf_counter()
     geom = u_sub.geom
     psi_interior = _interior_values(geom, psi)
-    _check_subsolution(u_sub, phi, fun, chi, psi_interior)
+    psi0 = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
+    degenerate = bool(np.any(psi0 >= DEGENERATE_RATIO * psi_interior))
+    del psi0  # held by no stage
     checked = perf_counter()
 
-    # the start is formed in the call, so that the stage alone holds it
-    # and drops it with its first step
-    u, record = _newton_solve(_stage_start(u_sub, phi), fun, chi,
-                              psi_interior, config)
+    nested = SolveReport()
+    u, record = _fine_stage(u_sub, phi, fun, chi, psi_interior, degenerate,
+                            config, nested)
 
     solved = perf_counter()
     report = estimate_report(u)
@@ -419,6 +582,8 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     report.final_residual = record.residuals[-1]
     report.newton_iterations = len(record.dampings)
     report.stage = record
+    report.start, report.fallback = nested.start, nested.fallback
+    report.bump, report.coarse = nested.bump, nested.coarse
 
     w = harmonic_majorant(chi, phi, geom)
     report.comparison_violations = comparison_check(u, u_sub, w)

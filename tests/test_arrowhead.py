@@ -497,6 +497,24 @@ class TestBoundAndVerify:
         assert np.all(lo.T[ok] <= dev[ok]) and np.all(dev[ok] <= hi.T[ok])
         assert np.all(excess_lo[ok] <= excess[ok]) and np.all(excess[ok] <= excess_hi[ok])
 
+    def test_trial_without_valid_upper_bounds_is_not_settled(self):
+        # trial 1 has its corner below its top diagonal entry: its excess
+        # bounds claim 1e-5, where the dense solve finds 0.1.  Trial 0 is
+        # ok, and its lower bounds are above trial 1's upper ones, so
+        # trial 1 would pass and be settled on them
+        d = np.array([[0.0, 1.0], [0.0, 10.0]])
+        a = np.array([[1.0, 1.0], [0.01, 1e-4]])
+        corner, eps = np.array([3.0, 9.9]), np.array([0.9, 0.9])
+        planes = ah._sorted_planes(d, a)
+        ok, lo, hi, excess_lo, excess_hi = ah._bounds(planes, corner)
+        _, excess, *_ = ah._concentration(
+            "strong", d, ah._spectra(d, a, corner), corner, eps)
+        assert ok.tolist() == [True, False]
+        assert excess_hi[1] < 1e-4 < 0.09 < excess[1]
+        assert hi[:, 1].max() < min(eps[1], lo[:, 0].max())
+        assert excess_hi[1] < excess_lo[0]
+        assert ah._settled(planes, corner, eps).tolist() == [False, False]
+
     @given(st.integers(1, 7).flatmap(lambda k: st.lists(
         st.lists(st.floats(-10.0, 10.0) | st.sampled_from([-1.0, 0.0, 2.5]),
                  min_size=k, max_size=k),

@@ -445,6 +445,41 @@ class TestSeed:
         assert code == 0 and any(out.iterdir())
 
 
+class TestArguments:
+    """A command line that does not parse ends the run with status 2, one
+    stderr line of the form "argument error: ..." and no output."""
+
+    @pytest.mark.parametrize("argv, names", [
+        (["lemma-sweep", "--seed", "abc"], "--seed"),
+        (["lemma-sweep", "--profile", "nope"], "--profile"),
+        (["no-such-command"], "no-such-command"),
+        (["cone-check", "--bogus", "1"], "--bogus"),
+        ([], "command"),
+    ], ids=["seed", "profile", "command", "option", "none"])
+    def test_one_line_and_nothing_written(self, tmp_path, capsys, argv,
+                                          names):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("argument error: ")
+        assert names in captured.err
+        assert not out.exists()
+
+    def test_module_entry_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "hessiancone", "lemma-sweep", "--seed",
+             "abc", "--out", str(out)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("argument error: argument --seed: invalid int "
+                               "value: 'abc'\n")
+        assert not out.exists()
+
+
 class TestOutDirectory:
     """An --out that cannot hold the outputs ends the run with status 2 and
     one stderr line naming the path, never a traceback."""

@@ -591,15 +591,22 @@ class TestPolynomialStep:
         assert rep.stage.residuals == residuals
 
     def test_cylinder_sigma2_degenerate_takes_one_stage(self):
-        # 16^3 cylinder, sigmaK:2, degenerate-cos + 1e-3: one stage of 4
-        # full Newton steps.  With -r the t = 1 stage failed and the path
-        # took 2 stages and 23 steps
+        # 16^3 cylinder, sigmaK:2, degenerate-cos + 1e-3: the cold stage
+        # takes 4 full Newton steps.  With -r the t = 1 stage failed and
+        # the path took 2 stages and 23 steps.  The solve itself starts
+        # nested and takes 3 steps, the first damped by the cone exit
         geom, fun = CylinderGeometry(d=3, resolution=16), cn.sigma_k_root(3, 2)
         prob = pr.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
         psi = ScalarField(geom=geom, values=prob.psi.values + 1e-3)
+        _, stage = sv._newton_solve(sv._stage_start(prob.u_sub, prob.phi),
+                                    fun, prob.chi, psi.values[geom.interior],
+                                    sv.SolverConfig())
+        assert len(stage.dampings) == 4
+        assert stage.dampings == [1.0] * 4
+        assert stage.residuals[-1] <= sv.SolverConfig().tolerance
         u, rep = sv.solve_riemannian(fun, prob.chi, psi, prob.phi, prob.u_sub)
-        assert rep.newton_iterations == 4
-        assert rep.stage.dampings == [1.0] * 4
+        assert rep.start == "nested" and rep.fallback == ""
+        assert rep.newton_iterations == 3
         assert rep.final_residual <= sv.SolverConfig().tolerance
 
 
@@ -1131,3 +1138,243 @@ class TestDegenerate:
         for eps in (1e-1, 1e-2, 1e-3):
             shifted = prob.psi.values[GEOM8.interior] + eps
             assert np.all(psi0 >= shifted)
+
+
+GEOM16 = GridGeometry(n=2, resolution=16)
+CYL16 = CylinderGeometry(d=3, resolution=16)
+
+
+def problem_of(geom, kind, psi="degenerate-cos", eps=1e-3):
+    """fun, chi, psi, phi and u_sub: degenerate-cos + eps from the zero
+    subsolution, or manufactured from star-bump."""
+    fun = cn.parse_kind(kind, geom.form_dim)
+    degenerate = psi == "degenerate-cos"
+    prob = pr.build_problem(geom, fun, psi, "zero",
+                            "zero" if degenerate else "star-bump")
+    shift = eps if degenerate else 0.0
+    return (fun, prob.chi, ScalarField(geom=geom, values=prob.psi.values + shift),
+            prob.phi, prob.u_sub)
+
+
+def cold_stage(fun, chi, psi, phi, u_sub):
+    """The cold Newton stage alone, from _stage_start: (u, StageRecord)."""
+    return sv._newton_solve(sv._stage_start(u_sub, phi), fun, chi,
+                            psi.values[u_sub.geom.interior], sv.SolverConfig())
+
+
+@functools.lru_cache(maxsize=None)
+def cylinder_nested_solve():
+    """The 16^3 cylinder Monge-Ampere degenerate solve: its problem, its
+    report and the prolonged start _bump was given (before the bump)."""
+    problem = problem_of(CYL16, "ma")
+    seen = []
+    inner = sv._bump
+
+    def spy(u, fun, chi):
+        seen.append(u.copy())
+        return inner(u, fun, chi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "_bump", spy)
+        _, report = sv.solve_riemannian(*problem)
+    return problem, report, seen[0]
+
+
+class TestNestedStart:
+    """A degenerate solve on a grid that halves to at least
+    NESTED_MIN_RESOLUTION starts from the prolonged half-resolution
+    solution; every other solve, and every nested start that fails,
+    takes the cold stage bit for bit."""
+
+    @pytest.mark.parametrize("geom", [
+        GEOM16, CYL16, GridGeometry(n=3, resolution=8),
+        CylinderGeometry(d=2, resolution=16)],
+        ids=["complex-16", "cyl-16", "complex-n3-8", "cyl-d2-16"])
+    def test_prolongation_exact_below_the_coarse_nyquist(self, geom):
+        # a product of trigonometric polynomials below the coarse Nyquist
+        # frequency m / 4 along every periodic axis, plus the Nyquist
+        # cosines of the first axis and of the last (the real-transform
+        # axis), times a cubic in x_n: prolonged exactly, to rounding
+        x = geom.grids()
+        periodic = [x[a] for a in geom.periodic_axes]
+        nyquist = geom.resolution // 4
+        wave = 1.0
+        for k, t in enumerate(periodic, start=1):
+            wave = wave * (1.0 + 0.5 * np.cos(2 * np.pi * (k % (nyquist - 1) + 1) * t + 0.3)
+                           + 0.3 * np.sin(2 * np.pi * t))
+        for t, amplitude in ((periodic[0], 0.5), (periodic[-1], 0.25)):
+            wave = wave + amplitude * np.cos(2 * np.pi * nyquist * t)
+        xn = x[geom.dirichlet_axis]
+        cubic = 0.7 - 1.3 * xn + 2.1 * xn**2 - 3.4 * xn**3
+        fine = np.broadcast_to(wave * cubic, geom.shape)
+        coarse = np.ascontiguousarray(fine[(slice(None, None, 2),) * geom.real_dims])
+        out = sv._prolonged(coarse, geom)
+        assert out.shape == geom.shape
+        np.testing.assert_allclose(out, fine, rtol=0.0,
+                                   atol=1e-12 * np.abs(fine).max())
+
+    def test_prolongation_interpolates_the_coarse_nodes(self):
+        coarse = np.random.default_rng(3).standard_normal(
+            CylinderGeometry(d=3, resolution=8).shape)
+        out = sv._prolonged(coarse, CYL16)
+        np.testing.assert_allclose(out[::2, ::2, ::2], coarse, rtol=0.0,
+                                   atol=1e-13)
+
+    def test_repair_lifts_the_cylinder_start(self):
+        # 16^3 cylinder, Monge-Ampere: the prolonged start leaves the cone
+        # and the bump c = 1.5e-5 brings it back
+        _, rep, _ = cylinder_nested_solve()
+        assert rep.start == "nested" and rep.fallback == ""
+        assert rep.bump == pytest.approx(1.5e-5, rel=0.05)
+        assert rep.coarse.residuals[-1] <= sv.SolverConfig().tolerance
+        assert rep.final_residual <= sv.SolverConfig().tolerance
+        assert rep.newton_iterations < len(rep.coarse.dampings)
+
+    def test_bump_is_the_smallest_admitting_one(self):
+        # c, EXIT_FRACTION^-1 times the largest root, admits the start; a
+        # little less than the root does not
+        (fun, chi, *_), rep, start = cylinder_nested_solve()
+        xn = CYL16.grids()[CYL16.dirichlet_axis]
+        for c, admitted in [(rep.bump, True),
+                            (0.99 * sv.EXIT_FRACTION * rep.bump, False)]:
+            trial = ScalarField(geom=CYL16,
+                                values=start.values + c * xn * (xn - 1))
+            sigma, _ = op.newton_tensors(form_field(trial, chi),
+                                         fun.cone_order, False)
+            assert cn.sigmas_in_cone(sigma).all() == admitted
+
+    def test_bump_too_small_is_refused(self, monkeypatch):
+        # at EXIT_FRACTION 2, c is half the root and leaves the start
+        # outside the cone: _bump refuses it and leaves the field as it was
+        (fun, chi, *_), _, start = cylinder_nested_solve()
+        monkeypatch.setattr(sv, "EXIT_FRACTION", 2.0)
+        trial = start.copy()
+        with pytest.raises(sv._Fallback, match="repaired start inadmissible"):
+            sv._bump(trial, fun, chi)
+        assert np.array_equal(trial.values, start.values)
+
+    def test_faces_hold_the_boundary_data(self):
+        # boundary-scaling's problem at scale 8 (phi a scaled cosine, u_sub
+        # with the convex correction, psi = 1) is degenerate by the rule
+        # and nests; the prolonged faces are reset to phi, bit for bit
+        prob = pr.build_problem(GEOM16, MA2, "one", "scaled-cos", "scaled-cos",
+                                scale=8.0)
+        u, rep = sv.continuity_solve(MA2, prob.chi, prob.psi, prob.phi,
+                                     prob.u_sub)
+        assert rep.start == "nested"
+        faces = GEOM16.faces
+        assert np.array_equal(u.values[faces], prob.phi.values[faces])
+
+    def test_quotient_falls_back_to_the_cold_stage(self):
+        # quotient:1:2 at 16^4: no positive slope where the prolonged start
+        # leaves the cone; the coarse stage ran, and u is the cold stage's
+        problem = problem_of(GEOM16, "quotient:1:2")
+        u, rep = sv.continuity_solve(*problem)
+        assert rep.start == "cold"
+        assert rep.fallback == "no positive slope at an inadmissible node"
+        assert rep.coarse is not None and rep.bump == 0.0
+        assert np.array_equal(u.values, cold_stage(*problem)[0].values)
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("coarse", "coarse stage: "),
+        ("bump", "fine stage: stage start inadmissible"),
+    ])
+    def test_every_fallback_is_reported(self, fault, reason, monkeypatch):
+        # a failed coarse stage and a fine stage from an inadmissible start
+        # (no bump added) each fall back to the cold stage
+        problem = problem_of(CYL16, "ma")
+        if fault == "coarse":
+            inner = sv._newton_solve
+
+            def stage(u, *args):
+                if u.geom.resolution == 8:
+                    raise sv.ContinuationError("no admissible damping factor")
+                return inner(u, *args)
+
+            monkeypatch.setattr(sv, "_newton_solve", stage)
+        else:
+            monkeypatch.setattr(sv, "_bump", lambda u, fun, chi: 0.0)
+        u, rep = sv.solve_riemannian(*problem)
+        assert rep.start == "cold" and rep.fallback.startswith(reason)
+        assert np.array_equal(u.values, cold_stage(*problem)[0].values)
+
+    @pytest.mark.parametrize("geom, kind, psi", [
+        (GEOM16, "ma", "manufactured"),
+        (CylinderGeometry(d=3, resolution=32), "ma", "manufactured"),
+        (GEOM8, "ma", "degenerate-cos"),
+        (CylinderGeometry(d=3, resolution=8), "ma", "degenerate-cos"),
+        (CylinderGeometry(d=3, resolution=8), "quotient:1:2", "degenerate-cos"),
+        (CylinderGeometry(d=3, resolution=15), "ma", "degenerate-cos"),
+    ], ids=["ma16-manufactured", "cyl32-manufactured", "complex-8-degenerate",
+            "cyl-8-degenerate", "cyl-8-quotient", "cyl-15-degenerate"])
+    def test_cold_path_bit_for_bit(self, geom, kind, psi, monkeypatch):
+        # the benchmark's manufactured problems are not degenerate, and a
+        # resolution-8 or odd grid has no half grid to nest on: one stage,
+        # the cold one, bit for bit
+        problem = problem_of(geom, kind, psi)
+        calls = count_stages(monkeypatch)
+        run = sv.continuity_solve if geom.is_complex else sv.solve_riemannian
+        u, rep = run(*problem)
+        assert len(calls) == 1
+        assert (rep.start, rep.fallback, rep.bump, rep.coarse) == (
+            "cold", "", 0.0, None)
+        assert np.array_equal(u.values, cold_stage(*problem)[0].values)
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-4])
+    def test_nested_and_cold_solutions_agree(self, eps):
+        # 16^4 Monge-Ampere: the nested stage takes fewer steps than the
+        # cold stage, and the solutions agree within the tolerance
+        # (measured: at most 1.1e-10)
+        problem = problem_of(GEOM16, "ma", eps=eps)
+        u, rep = sv.continuity_solve(*problem)
+        cold, stage = cold_stage(*problem)
+        assert rep.start == "nested" and len(rep.coarse.residuals) > 1
+        assert rep.newton_iterations < len(stage.dampings)
+        tolerance = sv.SolverConfig().tolerance
+        assert np.abs(u.values - cold.values).max() <= tolerance
+
+    @pytest.mark.parametrize("maps, shifts", [
+        ([0], [0, 0, 0]), ([1], [0, 0, 0]), ([2], [0, 0, 0]),
+        ([3], [0, 0, 0]), ([], [2, 4, 6]), ([3, 2], [6, 0, 2]),
+        ([], [3, 5, 1]), ([1], [1, 0, 0])])
+    def test_nested_solve_commutes_with_symmetries(self, maps, shifts):
+        # generic_psi at 16^4 is degenerate (down to 0.2 f(I)), so the
+        # solve nests.  The maps and even shifts map the half grid to
+        # itself: the same steps at residuals within the tolerance, coarse
+        # and fine.  An odd shift injects another coarse problem, so only
+        # the solutions agree, within the tolerance
+        fun, psi, u, report = nested_symmetric_solve()
+
+        def transform(v):
+            for k in maps:
+                v = COMPLEX_SYMMETRIES[k](v)
+            for axis, shift in zip(GEOM16.periodic_axes, shifts):
+                v = np.roll(v, shift, axis)
+            return v
+
+        moved_u, moved = symmetric_report(fun, np.ascontiguousarray(transform(psi)))
+        tolerance = sv.SolverConfig().tolerance
+        assert moved.start == report.start == "nested"
+        assert np.abs(moved_u - transform(u)).max() <= tolerance
+        if all(s % 2 == 0 for s in shifts):
+            for mine, theirs in [(moved.coarse, report.coarse),
+                                 (moved.stage, report.stage)]:
+                assert len(mine.residuals) == len(theirs.residuals)
+                np.testing.assert_allclose(mine.residuals, theirs.residuals,
+                                           rtol=0.0, atol=tolerance)
+
+
+def symmetric_report(fun, psi):
+    """symmetric_solve's 16^4 solve, with its whole report."""
+    zero = ScalarField.zeros(GEOM16)
+    u, report = sv.continuity_solve(fun, pr.chi_identity(GEOM16),
+                                    ScalarField(geom=GEOM16, values=psi),
+                                    zero, zero)
+    return u.values, report
+
+
+@functools.lru_cache(maxsize=None)
+def nested_symmetric_solve():
+    fun = cn.parse_kind("ma", GEOM16.form_dim)
+    psi = generic_psi(GEOM16, fun)
+    return (fun, psi) + symmetric_report(fun, psi)
