@@ -31,10 +31,18 @@ secular equation and its interlacing are those of O'Leary & Stewart
 2015).  A trial whose intervals show that it passes, and that it cannot
 hold its batch's largest deviation or excess, is settled without a dense
 solve; every other trial goes to the dense solver, so a sweep's maxima
-and violation counts are the dense solver's own values.  A cell's trials
-depend only on n and the seed, so one draw per n serves every cell
-(mode, eps, corner fraction): sweep_cells draws and sorts each batch and
-forms its sums S_j(0) once, then verifies every cell from it.
+and violation counts are the dense solver's own values.  Each cell does
+O(k) work per trial: the upper bounds and the excess interval.  The
+O(k^2) sums S_j(t) at the upper bounds, which give the lower bounds,
+are formed only for the trials whose upper bound can exceed the batch's
+largest lower bound, so the few that can set it.  Where the root at
+S_j(0) is void (c - d_j <= S_j(0)), the sign of the secular function
+c - lambda - sum z_i^2 / (d_i - lambda) just below each d_j, against a
+bound on its rounding, certifies the deviations instead.  A cell's
+trials depend only on n and the seed, so one draw per n serves every
+cell (mode, eps, corner fraction): sweep_cells draws and sorts each
+batch and forms its sums S_j(0) and the sums of its growth thresholds
+once, then verifies every cell from it.
 
 All functions are pure; sweeps are deterministic for a fixed seed.
 """
@@ -201,8 +209,21 @@ def eigenvalues(spec: ArrowheadSpec) -> Spectrum:
 
 
 def _weights(d, a_off):
+    """n and the sums the growth thresholds read, one per stacked spec:
+    sum |a|^2, sum |d| and sum(d + (n-2)|d|)."""
     d = np.asarray(d, dtype=float)
-    return d, np.sum(np.abs(np.asarray(a_off)) ** 2, axis=-1)
+    n = d.shape[-1] + 1
+    return (n, np.sum(np.abs(np.asarray(a_off)) ** 2, axis=-1),
+            np.sum(np.abs(d), axis=-1), np.sum(d + (n - 2) * np.abs(d), axis=-1))
+
+
+def _growth(mode, n, asq, dabs, dweak, eps):
+    """The growth threshold of mode from the sums of _weights."""
+    if mode == "strong":
+        return (2 * n - 3) / eps * asq + (n - 1) * dabs + (n - 2) * eps / (2 * n - 3)
+    if mode == "weak":
+        return asq / eps + dweak + (n - 2) * eps
+    return asq / eps + (n - 1) * dabs + (n - 2) * eps
 
 
 def threshold_strong(d, a_off, eps: float) -> float:
@@ -210,13 +231,7 @@ def threshold_strong(d, a_off, eps: float) -> float:
     + (n-2) * eps / (2n-3)`` valid for every positive eps."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    d, asq = _weights(d, a_off)
-    n = d.shape[-1] + 1
-    return (
-        (2 * n - 3) / eps * asq
-        + (n - 1) * np.sum(np.abs(d), axis=-1)
-        + (n - 2) * eps / (2 * n - 3)
-    )
+    return _growth("strong", *_weights(d, a_off), eps)
 
 
 def threshold_weak(d, a_off, eps: float) -> float:
@@ -224,13 +239,7 @@ def threshold_weak(d, a_off, eps: float) -> float:
     + (n-2) * eps`` for the nearest-match concentration bound."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    d, asq = _weights(d, a_off)
-    n = d.shape[-1] + 1
-    return (
-        asq / eps
-        + np.sum(d + (n - 2) * np.abs(d), axis=-1)
-        + (n - 2) * eps
-    )
+    return _growth("weak", *_weights(d, a_off), eps)
 
 
 def threshold_distinct(d, a_off, eps) -> float:
@@ -239,9 +248,7 @@ def threshold_distinct(d, a_off, eps) -> float:
     one value per stacked spec."""
     if np.any(np.asarray(eps) <= 0):
         raise ValueError("eps must be positive")
-    d, asq = _weights(d, a_off)
-    n = d.shape[-1] + 1
-    return asq / eps + (n - 1) * np.sum(np.abs(d), axis=-1) + (n - 2) * eps
+    return _growth("distinct", *_weights(d, a_off), eps)
 
 
 _THRESHOLDS = {
@@ -455,8 +462,10 @@ class _Planes:
     d and the border moduli a stay unsorted, (trials, k); ds and z are
     the diagonals sorted ascending and the moduli in the same order, as
     (k, trials) planes.  zsq = z^2, the gaps between neighbours of ds
-    (with -inf below and inf above), sum ds^2, sum z^2, the smallest gap
-    and the secular sums S_j(0) do not depend on the corner."""
+    (with -inf below and inf above), sum ds^2, sum z^2, the smallest gap,
+    the secular sums S_j(0), _weights (n, sum |a|^2 in the row order of
+    d, sum |d| and sum(d + (n-2)|d|)) and whether every z_i > 0 do not
+    depend on the corner."""
 
     d: np.ndarray
     a: np.ndarray
@@ -468,6 +477,8 @@ class _Planes:
     zsum: np.ndarray
     min_gap: np.ndarray
     s0: np.ndarray
+    weights: tuple
+    zpos: np.ndarray
 
 
 def _sorted_planes(d, a):
@@ -481,82 +492,185 @@ def _sorted_planes(d, a):
     return _Planes(d=d, a=a, ds=ds, z=z, zsq=zsq,
                    gap=np.diff(ds, axis=0, prepend=-np.inf, append=np.inf),
                    dsq=(ds * ds).sum(axis=0), zsum=zsq.sum(axis=0),
-                   min_gap=_min_gap(ds.T), s0=s0)
+                   min_gap=_min_gap(ds.T), s0=s0, weights=_weights(d, a),
+                   zpos=(z > 0).all(axis=0))
 
 
 def _bounds(p, corner):
-    """Secular-equation intervals of the trials of the _Planes p with
-    corners (trials), trials on the last axis: (ok, lo, hi, excess_lo,
-    excess_hi).  Where _upper_valid holds, the deviation |d_j - lambda_j|
-    of each small eigenvalue is at most a finite hi_j and the corner
-    excess lies in [excess_lo, excess_hi] where those are finite; where ok,
-    the deviation is at least lo_j too.  Each holds for the exact spectrum
-    and for the dense solver's, in the sorted pairing and in the nearest
-    match.  The linear coefficients of
-    the secular quadratics are b_j = c - d_j - S_j(t) at t = 0 and at
-    t = hi_j.  The excess is bounded twice: the interval
-    [sum z_i^2 / (c + E - d_i), E] of the module docstring, then E cut to
+    """Upper secular-equation bounds of the trials of the _Planes p with
+    corners (trials), trials on the last axis: (valid, candidates, hi,
+    slack, excess_lo, excess_hi).  Where valid, the deviation
+    |d_j - lambda_j| of each small eigenvalue is at most a finite hi_j
+    and the corner excess lies in [excess_lo, excess_hi] where those are
+    finite.  Each holds for the exact spectrum and for the dense
+    solver's, in the sorted pairing and in the nearest match.  The linear
+    coefficient of the secular quadratic is b_j = c - d_j - S_j(0).  The
+    excess is bounded twice: the interval [sum z_i^2 / (c + E - d_i), E]
+    of the module docstring, then E cut to
     sum z_i^2 / (c - d_i + excess_lo), as x = sum z_i^2 / (c - d_i + x)
     decreases on the right.
 
-    The widening covers the rounding of S_j, at most a few ulps of
-    sum_i |z_i^2 / (d_i - d_j)| <= sum z^2 / (gap next to d_j), and of the
-    rest, at most a few ulps of ||A||_F.  The upper bounds need every
+    The widening slack_j covers the rounding of S_j, at most a few ulps
+    of sum_i |z_i^2 / (d_i - d_j)| <= sum z^2 / (gap next to d_j), and of
+    the rest, at most a few ulps of ||A||_F.  The upper bounds need every
     z_i > 0 and c > d_k, so that lambda_j lies in (d_{j-1}, d_j), and
-    c - d_j > S_j(0), the root's form; the nearest match is never farther
-    than the sorted pairing, hi_j reads S_j(0) alone, and the excess
-    bounds read no deviation bound.  The lower bound lo_j needs more, and
-    ok has it: a finite lo and hi_j <= g_j / 2 for the gap g_j below d_j,
-    so distinct entries.  That is stricter than hi_j < g_j, which the
-    lower bound itself needs: at most half the gap, each denominator of
-    S_j(hi_j) keeps half of d_i - d_j, so its rounding stays relative, and
-    d_j is the nearest entry to lambda_j, so lo_j bounds the nearest match
-    too.  The other trials may hold inf or nan entries, which are never
-    read.
+    b_j > 0, the root's form: valid is these three conditions.  The
+    nearest match is never farther than the sorted pairing, hi_j reads
+    S_j(0) alone, and the excess bounds read no deviation bound.
+
+    The candidates are the valid trials with hi_j <= g_j / 2 for the gap
+    g_j below d_j (so distinct entries) and a finite excess_hi: those
+    whose lower bounds _lower forms.  At most half the gap, each
+    denominator of S_j(hi_j) keeps half of d_i - d_j, so its rounding
+    stays relative, and d_j is the nearest entry to lambda_j, so lo_j
+    bounds the nearest match too.  The other trials may hold inf or nan
+    entries, which are never read.
     """
     k, zsq, gap = len(p.ds), p.zsq, p.gap
-    c_d = corner - p.ds
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         norm = np.sqrt(p.dsq + 2.0 * p.zsum + corner * corner)
-        slack = (k + 1) * SWEEP_SLACK * (norm + p.zsum / np.minimum(gap[:-1], gap[1:]))
+        slack = np.minimum(gap[:-1], gap[1:])
+        np.divide(p.zsum, slack, out=slack)
+        slack += norm
+        slack *= (k + 1) * SWEEP_SLACK
+        c_d = corner - p.ds
         b = c_d - p.s0
-        hi = _root(b, zsq) + slack
-        lo = _root(c_d - _secular_sum(p.ds, zsq, hi), zsq) - slack
+        valid = p.zpos & (corner > p.ds[-1]) & (b.min(axis=0) > 0)
+        hi = _root(b, zsq)
+        hi += slack
         top = (zsq / c_d).sum(axis=0)
         excess_slack = (k + 1) * SWEEP_SLACK * (norm + top)
         excess_lo = (zsq / (c_d + top)).sum(axis=0) - excess_slack
         excess_hi = (zsq / (c_d + np.maximum(excess_lo, 0.0))).sum(axis=0) + excess_slack
-    ok = (_upper_valid(p, corner) & (hi <= 0.5 * gap[:-1]).all(axis=0)
-          & np.isfinite(lo).all(axis=0) & np.isfinite(excess_hi))
-    return ok, lo, hi, excess_lo, excess_hi
+    candidates = valid & (hi <= 0.5 * gap[:-1]).all(axis=0) & np.isfinite(excess_hi)
+    return valid, candidates, hi, slack, excess_lo, excess_hi
 
 
-def _upper_valid(p, corner):
-    """Mask of the trials of _bounds whose upper bounds hold wherever they
-    are finite: every z_i > 0, c > d_k and c - d_j > S_j(0)."""
-    return ((p.z > 0).all(axis=0) & (corner > p.ds[-1])
-            & (corner - p.ds > p.s0).all(axis=0))
+def _lower(p, corner, hi, slack, cols):
+    """The lower bounds lo_j of the trials cols (indices, or a slice) of
+    _bounds (same p, corner, hi and slack), (k, len(cols)): the root of
+    the secular quadratic whose linear coefficient is c - d_j - S_j(hi_j),
+    less the slack.  They hold on the candidates of _bounds where they
+    are finite.  Each column is formed alone, so any set of columns gets
+    the bits of the whole plane."""
+    zsq, ds = p.zsq[:, cols], p.ds[:, cols]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c_d = corner[cols] - ds
+        c_d -= _secular_sum(ds, zsq, hi[:, cols])
+        lo = _root(c_d, zsq)
+        lo -= slack[:, cols]
+    return lo
+
+
+# _top_lower forms lower bounds for this many candidates first
+_FIRST_LOWER = 16
+
+
+def _top_lower(p, corner, hi, slack, dev_hi, candidates):
+    """The largest lower bound max_j lo_j over the candidates of _bounds
+    whose lower bounds are all finite (-inf for none), forming lo only
+    where it can set that maximum.  It is formed first for the
+    _FIRST_LOWER candidates with the largest dev_hi = max_j hi_j, then
+    for every candidate whose dev_hi still exceeds the best lower bound
+    found, until none does.
+
+    The maximum is the one over every candidate, to the bit, as no
+    skipped candidate has a lower bound above dev_hi: lo_j <= hi_j in
+    floating point.  On a candidate b_j > 0 and 0 <= hi_j <= g_j / 2.
+    Rounding is monotone, so each denominator of S_j(hi_j), formed as
+    fl(fl(d_i - d_j) + hi_j), is at least fl(d_i - d_j) and keeps its
+    sign: it moves away from 0 for i > j and toward 0 for i < j, where
+    it stays below -g_j / 2.  Each term z_i^2 / denominator is then at
+    most its term of S_j(0), and the terms are summed in the same order,
+    so S_j(hi_j) <= S_j(0) and the linear coefficient at hi_j is at
+    least b_j > 0.  _root decreases in it, each operation of
+    b + sqrt(b^2 + 4 zsq) being monotone for b >= 0, so lo_j <= the root
+    at hi_j <= the root at 0 <= hi_j."""
+    top = -np.inf
+    open_ = candidates.copy()
+    cols = np.flatnonzero(open_)
+    if cols.size > _FIRST_LOWER:
+        cols = cols[np.argpartition(dev_hi[cols], -_FIRST_LOWER)[-_FIRST_LOWER:]]
+    while cols.size:
+        lo = _lower(p, corner, hi, slack, cols)
+        top = np.max(lo.max(axis=0), where=np.isfinite(lo).all(axis=0), initial=top)
+        open_[cols] = False
+        cols = np.flatnonzero(open_ & (dev_hi > top))
+    return top
+
+
+def _certified(p, corner, slack, cols, t_star):
+    """Mask over the trials cols of the _Planes p with corners (trials)
+    and the slack of _bounds (every z_i > 0 and c > d_k) whose sorted
+    deviations the sign of the secular function keeps below t_star, one
+    per trial.
+
+    f(lambda) = c - lambda - sum_i z_i^2 / (d_i - lambda) vanishes at
+    lambda_j and strictly decreases on (d_{j-1}, d_j), which holds
+    lambda_j (d_0 = -inf).  Take tau_j = t_star - slack_j and lambda the
+    float next above fl(d_j - tau_j), so lambda >= d_j - tau_j whatever
+    the rounding.  The deviation t_j = d_j - lambda_j is below
+    tau_j when lambda <= d_{j-1} (tau_j is at least the gap; a repeated
+    entry is itself lambda_j), or when lambda < d_j and f(lambda) > 0,
+    as then f(d_j - tau_j) >= f(lambda) > 0.  Where tau_j <= 0, lambda
+    lies above d_j, so neither holds.  The computed f, summed as
+    ((c - lambda) - t_1) - t_2 ..., is within err = (k + 4) eps
+    (|c| + |lambda| + sum_i |t_i|) of the exact f at lambda: about
+    twice gamma_{k+4} of those magnitudes, for the rounding of z_i^2,
+    d_i - lambda and each quotient (gamma_3 of each |t_i|) and of the
+    k + 1 subtractions, with room for the rounding of err itself.  The
+    slack covers the dense solver's error and the rounding of tau_j, so
+    the dense sorted deviation is below t_star, and the nearest match
+    is never farther."""
+    ds, zsq = p.ds[:, cols], p.zsq[:, cols]
+    c = corner[cols]
+    below = np.empty_like(ds)
+    below[0], below[1:] = -np.inf, ds[:-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = t_star - slack[:, cols]
+        lam = np.nextafter(ds - tau, np.inf)
+        f = c - lam
+        size = np.abs(c) + np.abs(lam)
+        for i in range(len(ds)):
+            term = zsq[i] / (ds[i] - lam)
+            f -= term
+            size += np.abs(term, out=term)
+        err = size * ((len(ds) + 4) * np.finfo(float).eps)
+        sure = (lam <= below) | ((lam < ds) & (f > err))
+    return sure.all(axis=0)
 
 
 def _settled(p, corner, eps):
-    """Mask of the trials that the intervals of _bounds settle (same
-    arguments, eps one per trial).  A trial is settled on its upper bounds
-    alone, where they hold (_upper_valid) and are finite: no nan or inf
-    hi or excess_hi passes the comparisons below, and excess_lo, a sum
-    less a slack that grows with it, is never +inf.  It passes with the
-    margin MARGIN, a lower bound on every spectrum's margin, and the
-    excess bound (n-1) eps, a lower bound on the weak one; and its
-    deviations and excess stay below the batch's largest lower bounds,
-    taken over the ok trials, so a dense solve of the other trials finds
-    both maxima.  Only those maxima read a lower bound."""
-    ok, lo, hi, excess_lo, excess_hi = _bounds(p, corner)
+    """Mask of the trials of the _Planes p with corners (trials) that the
+    secular equation settles, eps one per trial.  A settled trial passes
+    with the margin MARGIN, a lower bound on every spectrum's margin,
+    and the excess bound (n-1) eps, a lower bound on the weak one; and
+    its deviations and excess stay below the batch's largest lower
+    bounds, so a dense solve of the other trials finds both maxima.
+
+    The excess needs excess_lo >= -MARGIN and excess_hi below both its
+    bound and top_excess, the largest excess_lo over the candidates of
+    _bounds; those bounds hold on every valid trial and read no
+    deviation bound, and lo is finite on every candidate barring
+    overflow, so the candidates stand for the trials with every bound
+    finite.  The deviations are settled on the upper bounds where valid
+    (no nan or inf hi or excess_hi passes the comparisons, and
+    excess_lo, a sum less a slack that grows with it, is never +inf):
+    dev_hi below eps + MARGIN and below top_dev, the largest lower bound
+    (_top_lower).  Where the root bound is void (b_j <= 0 for some j),
+    _certified keeps them below t_star = min(eps + MARGIN, top_dev)."""
+    valid, candidates, hi, slack, excess_lo, excess_hi = _bounds(p, corner)
     dev_hi = hi.max(axis=0)
-    passes = ((dev_hi < eps + MARGIN) & (excess_lo >= -MARGIN)
-              & (excess_hi < len(p.ds) * eps + MARGIN))
-    top_dev = np.max(lo.max(axis=0), where=ok, initial=-np.inf)
-    top_excess = np.max(excess_lo, where=ok, initial=-np.inf)
-    return (_upper_valid(p, corner) & passes & (dev_hi < top_dev)
-            & (excess_hi < top_excess))
+    top_dev = _top_lower(p, corner, hi, slack, dev_hi, candidates)
+    top_excess = np.max(excess_lo, where=candidates, initial=-np.inf)
+    excess = ((excess_lo >= -MARGIN) & (excess_hi < len(p.ds) * eps + MARGIN)
+              & (excess_hi < top_excess))
+    settled = valid & excess & (dev_hi < eps + MARGIN) & (dev_hi < top_dev)
+    cols = np.flatnonzero(excess & ~valid & p.zpos & (corner > p.ds[-1]))
+    if cols.size:
+        t_star = np.minimum(eps[cols] + MARGIN, top_dev)
+        settled[cols] = _certified(p, corner, slack, cols, t_star)
+    return settled
 
 
 def _chunk_stats(mode, p, eps, corner_fraction):
@@ -565,7 +679,7 @@ def _chunk_stats(mode, p, eps, corner_fraction):
     verdict of the trials that _settled leaves."""
     if mode == "distinct":
         eps = np.minimum(eps, 0.5 * p.min_gap)
-    corner = corner_fraction * _THRESHOLDS[mode](p.d, p.a, eps)
+    corner = corner_fraction * _growth(mode, *p.weights, eps)
     eps = np.broadcast_to(eps, corner.shape)
     dense = ~_settled(p, corner, eps)
     d, corner, eps = p.d[dense], corner[dense], eps[dense]
@@ -586,9 +700,10 @@ def sweep_cells(n: int, cells, trials: int, seed: int) -> list[SweepSummary]:
 
     A cell's trials depend only on (n, trials, seed), so every cell reads
     the same batches: each is drawn, sorted and given its secular sums
-    S_j(0) once, and only one batch is held at a time.  The corner is
-    corner_fraction times the growth threshold of mode; for "distinct"
-    the per-trial eps is capped at half the minimal diagonal gap.
+    S_j(0) and threshold sums once, and only one batch is held at a
+    time.  The corner is corner_fraction times the growth threshold of
+    mode; for "distinct" the per-trial eps is capped at half the minimal
+    diagonal gap.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

@@ -192,6 +192,13 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
     return failures
 
 
+def _scarce(fun, kept, tried):
+    """The ConfigError of a cone draw that kept kept of tried candidates."""
+    return ConfigError(
+        f"kinds: {fun.label} at n = {fun.n} kept {kept} of {tried} "
+        f"uniform candidates, fewer than 1 in {CONE_ODDS}; lower n")
+
+
 def _draw_in_cone(fun, count, rng):
     """``count`` cone points by rejection from ``rng.uniform(-3, 3, n) + 1``:
     the points, and the stream position, of ``count`` rejection loops run
@@ -203,9 +210,7 @@ def _draw_in_cone(fun, count, rng):
     found, tried, kept = [], 0, 0
     while kept < count:
         if tried >= CONE_TRIES and kept * CONE_ODDS < tried:
-            raise ConfigError(
-                f"kinds: {fun.label} at n = {fun.n} kept {kept} of {tried} "
-                f"uniform candidates, fewer than 1 in {CONE_ODDS}; lower n")
+            raise _scarce(fun, kept, tried)
         start = rng.bit_generator.state
         # the lowest shipped acceptance rate at n = 3 is 8/27 (ma), so one
         # block of four candidates per point usually suffices
@@ -221,15 +226,53 @@ def _draw_in_cone(fun, count, rng):
     return np.concatenate(found)
 
 
+def _level_draws(fun, count, rng):
+    """``count`` (lam, sigma) pairs, as ``count`` runs of the loop
+    ``lam = _draw_in_cone(fun, 1, rng)[0]; sigma = rng.uniform(0.2, 4.0)``
+    would draw them, read from blocks of ``rng.random()`` doubles
+    (``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, bit for
+    bit).  The candidates of a level starting at offset p of a block sit
+    at p, p + n, ..., so one in_cone call per offset residue mod n tests
+    every candidate of the block, and the levels are walked over the
+    hits.  The stream is then rewound and exactly the doubles the loop
+    consumed are drawn again.  A level that runs past its block carries
+    on in the next, whose size follows _draw_in_cone's rule; a level
+    without a hit in CONE_TRIES candidates raises ConfigError, as
+    _draw_in_cone(fun, 1, rng) does."""
+    n = fun.n
+    lam, sigma = np.empty((count, n)), np.empty(count)
+    done = tried = 0
+    while done < count:
+        if tried >= CONE_TRIES:
+            raise _scarce(fun, 0, tried)
+        start = rng.bit_generator.state
+        rows = max(16, 4 * (count - done), min(tried, CONE_BLOCK_MAX))
+        u = rng.random(rows * n + count - done)
+        cand = -3.0 + 6.0 * u + 1.0
+        hits = [cones.in_cone(fun, cand[r:r + (u.size - r) // n * n].reshape(-1, n))
+                for r in range(min(n, count - done))]
+        pos = 0
+        while done < count:
+            scan = hits[pos % n][pos // n:][:CONE_TRIES - tried]
+            h = int(scan.argmax()) if scan.any() else scan.size  # rows before the hit
+            end = pos + (h + 1) * n  # the offset of sigma
+            if h == scan.size or end >= u.size:  # no hit, or no room for sigma
+                tried, pos = tried + h, pos + h * n
+                break
+            lam[done], sigma[done] = cand[end - n:end], 0.2 + (4.0 - 0.2) * u[end]
+            done, tried, pos = done + 1, 0, end + 1
+        rng.bit_generator.state = start
+        rng.random(pos)
+    return lam, sigma
+
+
 def _cone_draws(fun, samples, rng):
     """(lam, mu, level_lam, sigma), drawn in the order of the per-sample
     loop they replace: lam then mu per sample, then lam then sigma per
     level."""
     pairs = _draw_in_cone(fun, 2 * samples, rng).reshape(samples, 2, fun.n)
-    levels = [(_draw_in_cone(fun, 1, rng)[0], rng.uniform(0.2, 4.0))
-              for _ in range(max(1, samples // 10))]
-    return (pairs[:, 0], pairs[:, 1], np.array([lam for lam, _ in levels]),
-            np.array([sigma for _, sigma in levels]))
+    level_lam, sigma = _level_draws(fun, max(1, samples // 10), rng)
+    return pairs[:, 0], pairs[:, 1], level_lam, sigma
 
 
 def _cone_rows(fun, samples, rng):

@@ -264,12 +264,14 @@ def _interior_values(geom, f):
     return f.values[geom.interior] if isinstance(f, ScalarField) else np.asarray(f)
 
 
-def _residual_and_mask(u, fun, chi, psi_interior):
+def _residual_and_mask(u, fun, chi, psi_interior, state=None):
     """Interior residual, its sup norm and newton_state at u (for the
     linearization at u), or (None, None, None) when some node is
-    inadmissible."""
+    inadmissible.  ``state`` is newton_state(u, fun, chi) when the caller
+    has it already."""
     try:
-        state = newton_state(u, fun, chi)
+        if state is None:
+            state = newton_state(u, fun, chi)
     except AdmissibilityError:
         return None, None, None
     r = cones.f_from_sigmas(fun, state[0]) - psi_interior
@@ -326,7 +328,7 @@ def _cone_exit(u, delta, fun, chi) -> float:
                for k in range(0, g.shape[1], step))
 
 
-def _newton_solve(u, fun, chi, psi, config):
+def _newton_solve(u, fun, chi, psi, config, state=None):
     """Damped inexact Newton iteration from u to f = psi.
 
     Each step solves the f-space linearized system with homogeneous
@@ -340,10 +342,11 @@ def _newton_solve(u, fun, chi, psi, config):
     solve fails, no factor qualifies or the iteration budget runs out.  The
     residual r = f - psi, its sup norm and config.tolerance are in f-space.
     u is never written: each iterate is a new field, and with no step the
-    start is returned as it is.
+    start is returned as it is.  ``state`` is newton_state at the start
+    when the caller has formed it (_bump).
     """
     geom = u.geom
-    r, rn, state = _residual_and_mask(u, fun, chi, psi)
+    r, rn, state = _residual_and_mask(u, fun, chi, psi, state)
     if r is None:
         raise ContinuationError("stage start inadmissible")
     record = StageRecord(residuals=[rn], dampings=[])
@@ -473,9 +476,10 @@ def _prolonged(U, geom) -> np.ndarray:
     return u
 
 
-def _bump(u, fun, chi) -> float:
+def _bump(u, fun, chi):
     """The c >= 0 that lifts the field u into the cone by the bump
-    c x_n (x_n - 1), added to u in place (0.0 when u is admissible).  The
+    c x_n (x_n - 1), added to u in place, and newton_state at u when u is
+    admissible as it is (c = 0.0), else None: (c, state).  The
     bump adds B c to every form's Dirichlet diagonal entry (B = 1/2 on
     the complex model, 2 on the cylinder): a rank-one change, along which
     each sigma_k moves affinely with slope B (T_{k-1})_nn (T_0 = I).  c
@@ -486,7 +490,7 @@ def _bump(u, fun, chi) -> float:
     sigma, tensors = newton_tensors(form_field(u, chi), m, geom.is_complex)
     bad = ~cones.sigmas_in_cone(sigma)
     if not bad.any():
-        return 0.0
+        return 0.0, (sigma, tensors)
     r = geom.form_dim
     rate = 0.5 if geom.is_complex else 2.0
     slopes = [rate * np.broadcast_to(T[r - 1], bad.shape) for T in tensors]
@@ -502,15 +506,16 @@ def _bump(u, fun, chi) -> float:
         raise _Fallback("repaired start inadmissible")
     xn = geom.grids()[geom.dirichlet_axis]
     u.values += c * (xn * (xn - 1.0))
-    return c
+    return c, None
 
 
-def _nested_start(u_sub, phi, fun, chi, psi, config, report) -> ScalarField:
+def _nested_start(u_sub, phi, fun, chi, psi, config, report) -> list:
     """The fine stage's nested start: the Newton stage on the grid of
     every other node, from u_sub, phi and psi injected there, prolonged
-    (_prolonged), its faces set to phi's and lifted by _bump.  Records
-    the coarse StageRecord and c in ``report``; raises _Fallback when the
-    coarse stage fails or no bump admits the start."""
+    (_prolonged), its faces set to phi's and lifted by _bump.  Returns
+    [start, its newton_state or None] (_bump's); records the coarse
+    StageRecord and c in ``report``; raises _Fallback when the coarse
+    stage fails or no bump admits the start."""
     geom = u_sub.geom
     coarse = replace(geom, resolution=geom.resolution // 2)
     every_other = (slice(None, None, 2),) * geom.real_dims
@@ -525,8 +530,8 @@ def _nested_start(u_sub, phi, fun, chi, psi, config, report) -> ScalarField:
         raise _Fallback(f"coarse stage: {exc}") from None
     u = ScalarField(geom=geom, values=_prolonged(U.values, geom))
     u.values[geom.faces] = phi.values[geom.faces]
-    report.bump = _bump(u, fun, chi)
-    return u
+    report.bump, state = _bump(u, fun, chi)
+    return [u, state]
 
 
 def _fine_stage(u_sub, phi, fun, chi, psi, degenerate, config, report):
@@ -539,11 +544,12 @@ def _fine_stage(u_sub, phi, fun, chi, psi, degenerate, config, report):
     m = u_sub.geom.resolution
     if degenerate and m % 2 == 0 and m // 2 >= NESTED_MIN_RESOLUTION:
         try:
-            # each start is formed in the call, so that the stage alone
-            # holds it and drops it with its first step
-            u, record = _newton_solve(
-                _nested_start(u_sub, phi, fun, chi, psi, config, report),
-                fun, chi, psi, config)
+            # each start (and the nested start's state) is formed in or
+            # popped into the call, so that the stage alone holds it and
+            # drops it with its first step
+            start = _nested_start(u_sub, phi, fun, chi, psi, config, report)
+            u, record = _newton_solve(start.pop(0), fun, chi, psi, config,
+                                      start.pop())
             report.start = "nested"
             return u, record
         except _Fallback as exc:

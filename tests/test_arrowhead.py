@@ -7,6 +7,7 @@ everything larger is checked against numpy's dense Hermitian solver.
 
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -436,9 +437,19 @@ def adversarial_specs(n, seed, families):
     return d, a
 
 
+def plane_bounds(planes, corner):
+    """_bounds with the lower bounds of every trial (_lower over all
+    columns): (ok, lo, hi, excess_lo, excess_hi), ok the candidates whose
+    lower bounds are all finite."""
+    _, candidates, hi, slack, excess_lo, excess_hi = ah._bounds(planes, corner)
+    lo = ah._lower(planes, corner, hi, slack, slice(None))
+    return candidates & np.isfinite(lo).all(axis=0), lo, hi, excess_lo, excess_hi
+
+
 def cube_bounds(ds, z, corner):
-    """_bounds with the secular sums S_j(0) and S_j(hi) taken by .sum(axis=1)
-    over (k, k, trials) cubes: the reference for its (k, trials) planes."""
+    """plane_bounds with the secular sums S_j(0) and S_j(hi) taken by
+    .sum(axis=1) over (k, k, trials) cubes: the reference for its
+    (k, trials) planes."""
     k = len(ds)
     zsq = z * z
     idx = np.arange(k)
@@ -492,7 +503,7 @@ class TestBoundAndVerify:
             warnings.simplefilter("error", RuntimeWarning)
             planes = ah._sorted_planes(d, a)
             assert ah._chunk_stats(mode, planes, eps, corner_fraction) == ref
-            ok, lo, hi, excess_lo, excess_hi = ah._bounds(planes, corner)
+            ok, lo, hi, excess_lo, excess_hi = plane_bounds(planes, corner)
         # every trial the bounds cover, which includes every settled one
         assert np.all(lo.T[ok] <= dev[ok]) and np.all(dev[ok] <= hi.T[ok])
         assert np.all(excess_lo[ok] <= excess[ok]) and np.all(excess[ok] <= excess_hi[ok])
@@ -506,7 +517,7 @@ class TestBoundAndVerify:
         a = np.array([[1.0, 1.0], [0.01, 1e-4]])
         corner, eps = np.array([3.0, 9.9]), np.array([0.9, 0.9])
         planes = ah._sorted_planes(d, a)
-        ok, lo, hi, excess_lo, excess_hi = ah._bounds(planes, corner)
+        ok, lo, hi, excess_lo, excess_hi = plane_bounds(planes, corner)
         _, excess, *_ = ah._concentration(
             "strong", d, ah._spectra(d, a, corner), corner, eps)
         assert ok.tolist() == [True, False]
@@ -543,9 +554,165 @@ class TestBoundAndVerify:
         if mode == "distinct":
             eps = np.minimum(eps, 0.5 * ah._min_gap(ds.T))
         corner = corner_fraction * ah._THRESHOLDS[mode](d, a, eps)
-        for plane, cube in zip(ah._bounds(planes, corner), cube_bounds(ds, z, corner),
+        for plane, cube in zip(plane_bounds(planes, corner), cube_bounds(ds, z, corner),
                                strict=True):
             np.testing.assert_array_equal(plane, cube)
+
+    @given(adversarial_chunks())
+    @example(("distinct", 5, 1.0, 1.0, [11, 9], set()))
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_top_equals_full_maximum(self, case):
+        # lo <= hi in floating point on the candidates, so the lower
+        # bounds formed only where dev_hi can beat the best one give the
+        # maximum over every trial with finite bounds, to the bit
+        mode, n, eps, corner_fraction, seed, families = case
+        d, a = adversarial_specs(n, seed, families)
+        planes = ah._sorted_planes(d, a)
+        if mode == "distinct":
+            eps = np.minimum(eps, 0.5 * planes.min_gap)
+        corner = corner_fraction * ah._THRESHOLDS[mode](d, a, eps)
+        ok, lo, hi, _, _ = plane_bounds(planes, corner)
+        _, candidates, _, slack, _, _ = ah._bounds(planes, corner)
+        assert np.all(lo[:, ok] <= hi[:, ok])
+        top = ah._top_lower(planes, corner, hi, slack, hi.max(axis=0), candidates)
+        assert top == np.max(lo.max(axis=0), where=ok, initial=-np.inf)
+
+    def test_excess_maximum_read_over_candidates_only(self):
+        # trial 0 holds the batch's largest excess, and its deviations
+        # stay below trial 1's lower bound.  Trial 2 has its corner below
+        # its top diagonal entry, so its excess bounds are void: its
+        # excess_lo of 9.9 lies above every true excess.  Read over every
+        # trial, the largest excess_lo would settle trial 0, and the
+        # dense solve of the others would miss its excess
+        d = np.array([[-1.0, 0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 0.5, 5.0]])
+        a = np.array([[1.8, 1.8, 1.8], [1.6, 1e-3, 1e-3], [1.0, 0.0, 0.7074]])
+        corner, eps = np.array([10.0, 3.0, 4.9]), np.ones(3)
+        planes = ah._sorted_planes(d, a)
+        ok, lo, hi, excess_lo, excess_hi = plane_bounds(planes, corner)
+        _, excess, *_ = ah._concentration(
+            "strong", d, ah._spectra(d, a, corner), corner, eps)
+        assert ok.tolist() == [True, True, False]
+        assert excess.argmax() == 0 and excess_hi[0] < excess_lo[2]
+        assert hi[:, 0].max() < lo[:, 1].max()
+        settled = ah._settled(planes, corner, eps)
+        assert settled.tolist() == [False, False, False]
+        assert excess[~settled].max() == excess.max()
+
+    @given(adversarial_chunks(), st.sampled_from([0.5, 1.0, 1.0 + 1e-12, 1.001, 2.0]))
+    @example(("distinct", 5, 1.0, 1.0, [11, 9], set()), 1.001)
+    @settings(max_examples=100, deadline=None)
+    def test_certificate_keeps_dense_deviation_below_t_star(self, case, factor):
+        # every trial with z > 0 and c > d_k, its t_star near its dense
+        # sorted deviation (and at eps + MARGIN): what the certificate
+        # settles lies below t_star
+        mode, n, eps, corner_fraction, seed, families = case
+        d, a = adversarial_specs(n, seed, families)
+        planes = ah._sorted_planes(d, a)
+        if mode == "distinct":
+            eps = np.minimum(eps, 0.5 * planes.min_gap)
+        corner = corner_fraction * ah._THRESHOLDS[mode](d, a, eps)
+        dev = np.abs(np.sort(d) - ah._spectra(d, a, corner)[:, :-1]).max(axis=-1)
+        slack = ah._bounds(planes, corner)[3]
+        cols = np.flatnonzero(planes.zpos & (corner > planes.ds[-1]))
+        for t_star in (factor * dev[cols],
+                       np.broadcast_to(eps + ah.MARGIN, corner.shape)[cols]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                sure = ah._certified(planes, corner, slack, cols, t_star)
+            assert np.all(dev[cols][sure] < t_star[sure])
+
+    @staticmethod
+    def void_root_batch():
+        """Trial 0 has b_1 = c - d_1 - S_1(0) = 5 - 9 < 0, so no root
+        bound; trial 1 is a candidate with lower bounds above trial 0's
+        deviations and excess."""
+        d = np.array([[0.0, 1.0], [0.0, 1.0]])
+        a = np.array([[1.0, 3.0], [4.0, 1e-3]])
+        return ah._sorted_planes(d, a), np.array([5.0, 4.0])
+
+    def test_void_root_bound_trial_settled_by_certificate(self):
+        planes, corner = self.void_root_batch()
+        valid, candidates, *_ = ah._bounds(planes, corner)
+        assert (corner - planes.ds - planes.s0)[0, 0] == -4.0
+        assert valid.tolist() == [False, True] and candidates.tolist() == [False, True]
+        assert ah._settled(planes, corner, np.ones(2)).tolist() == [True, False]
+
+    def test_trial_near_its_root_is_not_certified(self):
+        # t_star at the dense deviation of trial 0, or half a slack above
+        # it, puts d_j - tau_j within the slack of lambda_j: not certified;
+        # a thousandth above it is
+        planes, corner = self.void_root_batch()
+        d, a = planes.d, planes.a
+        dev = np.abs(np.sort(d) - ah._spectra(d, a, corner)[:, :-1]).max(axis=-1)
+        slack = ah._bounds(planes, corner)[3]
+        cols = np.array([0])
+        for t_star, sure in ((dev[0], False), (dev[0] + 0.5 * slack[0, 0], False),
+                             (1.001 * dev[0], True)):
+            assert ah._certified(planes, corner, slack, cols,
+                                 np.array([t_star])).tolist() == [sure]
+        # with eps + MARGIN at the deviation, _settled leaves it dense
+        eps = np.array([dev[0] - ah.MARGIN, 1.0])
+        assert ah._settled(planes, corner, eps).tolist() == [False, False]
+
+    def test_certificate_sign_needs_its_rounding_bound(self, monkeypatch):
+        # with no slack, tau = t_star = 0.444068135991338 lies at or below
+        # the deviation t_2 = d_2 - lambda_2 (f(d_2 - tau) <= 0 in exact
+        # rational arithmetic), yet the rounded sign of f at the float
+        # where the certificate reads it is positive: only err refuses
+        monkeypatch.setattr(ah, "SWEEP_SLACK", 0.0)
+        c, d, z, tau = 4.187, [-0.33, 0.339], [0.706, 1.7], 0.444068135991338
+        x = Fraction(d[1]) - Fraction(tau)
+        assert Fraction(c) - x - sum(Fraction(zi) ** 2 / (Fraction(di) - x)
+                                     for di, zi in zip(d, z)) <= 0
+        lam = np.nextafter(d[1] - tau, np.inf)
+        assert c - lam - z[0] * z[0] / (d[0] - lam) - z[1] * z[1] / (d[1] - lam) > 0
+        planes, corner = ah._sorted_planes(np.array([d]), np.array([z])), np.array([c])
+        slack = ah._bounds(planes, corner)[3]
+        assert slack.tolist() == [[0.0], [0.0]]
+        assert ah._certified(planes, corner, slack, np.array([0]),
+                             np.array([tau])).tolist() == [False]
+
+    def test_certificate_reads_f_above_d_minus_tau(self, monkeypatch):
+        # with no slack, tau = t_star lies below the deviation t_1 (f(d_1 -
+        # tau) <= 0 exactly), and fl(d_1 - tau) rounds below lambda_1,
+        # where f is clearly positive: read there, the sign would certify
+        # t_1 < tau; the float next above it lies above lambda_1
+        monkeypatch.setattr(ah, "SWEEP_SLACK", 0.0)
+        c, d, z, tau = 12.45, 10.0, 0.1, 0.004074855328185378
+        x = Fraction(d) - Fraction(tau)
+        assert Fraction(c) - x - Fraction(z) ** 2 / (Fraction(d) - x) <= 0
+        below = d - tau
+        assert Fraction(below) < x
+        assert c - below - z * z / (d - below) > 1e-13
+        planes, corner = ah._sorted_planes(np.array([[d]]), np.array([[z]])), np.array([c])
+        slack = ah._bounds(planes, corner)[3]
+        assert ah._certified(planes, corner, slack, np.array([0]),
+                             np.array([tau])).tolist() == [False]
+
+    def test_full_profile_counts(self, monkeypatch):
+        # the at-threshold cells of the full profile, seed 0: 441 batch
+        # cells, one eigvalsh call each.  4,360 dense matrices (14,241
+        # when every trial with a void root bound went dense) and 10,155
+        # lower-bounded trials (630,000 when every trial was)
+        exact, lower = np.linalg.eigvalsh, ah._lower
+        counts = {"calls": 0, "matrices": 0, "lower": 0}
+
+        def counting(mats):
+            counts["calls"] += 1
+            counts["matrices"] += len(mats)
+            return exact(mats)
+
+        def counted_lower(p, corner, hi, slack, cols):
+            lo = lower(p, corner, hi, slack, cols)
+            counts["lower"] += lo.shape[1]
+            return lo
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(ah, "_lower", counted_lower)
+        for n in range(2, 9):
+            assert all(s.violations == 0 for s in ah.sweep_cells(n, NINE_CELLS, 10_000, 0))
+        assert counts["calls"] == 441
+        assert counts["matrices"] <= 5_000 and counts["lower"] <= 20_000, counts
 
     @pytest.mark.parametrize("mode", ["strong", "weak", "distinct"])
     def test_rows_do_not_depend_on_the_batch(self, mode, monkeypatch):
@@ -564,9 +731,10 @@ class TestBoundAndVerify:
             assert rows() == default, budget
 
     def test_sweep_memory_stays_bounded(self):
-        # tracemalloc peaks (numpy 2.4.6): 0.89 MB on both one-cell sweeps
-        # and 0.90 MB on the nine cells of n = 8 swept together, in
-        # batches of two chunks whose planes every cell reads (0.82 MB
+        # tracemalloc peaks (numpy 2.4.6): 0.86 MB on both one-cell sweeps
+        # and 0.87 MB on the nine cells of n = 8 swept together, in
+        # batches of two chunks whose planes every cell reads (0.89 and
+        # 0.90 MB when every trial had its lower bounds formed, 0.82 MB
         # when each cell drew and sorted its own); 1.09 MB with the sums
         # over (k, k, trials) cubes, one chunk at a time
         ah.sweep_at_threshold("strong", 8, 0.05, 600, 0)
@@ -587,9 +755,9 @@ class TestBoundAndVerify:
     def test_full_profile_cell_solves_few_matrices(self, monkeypatch):
         # strong, n = 8, eps = 0.05: the 10,000 trials of seed 0 in 20
         # chunks, verified in 10 batches of two chunks, one eigvalsh call
-        # each.  The filter sends 52 of them to the dense solver (72 one
-        # chunk at a time; measured); a dense solve of every trial would
-        # take 10,000.
+        # each.  The filter sends 26 of them to the dense solver (42
+        # without the secular-sign certificate; measured); a dense solve
+        # of every trial would take 10,000.
         exact = np.linalg.eigvalsh
         solved = []
 

@@ -204,6 +204,50 @@ class TestConeCheck:
         np.testing.assert_array_equal(sigma, [v[1] for v in levels])
         assert rng.uniform() == ref_rng.uniform()
 
+    @staticmethod
+    def per_level_loop(fun, count, rng):
+        """The loop cli._level_draws replaces: a one-point draw, then
+        sigma, per level."""
+        levels = [(cli._draw_in_cone(fun, 1, rng)[0], rng.uniform(0.2, 4.0))
+                  for _ in range(count)]
+        return np.array([v[0] for v in levels]), np.array([v[1] for v in levels])
+
+    @pytest.mark.parametrize("name, n", [("sigma1", 3), ("ma", 3), ("quotient:1:2", 3),
+                                         ("ma", 8), ("sigmaK:2", 5)])
+    @pytest.mark.parametrize("block_max", [16, cli.CONE_BLOCK_MAX])
+    def test_level_draws_equal_per_level_loop(self, name, n, block_max, monkeypatch):
+        # blocks of at most 16 rows make the levels of ma at n = 8 run
+        # past their blocks and carry on in the next
+        monkeypatch.setattr(cli, "CONE_BLOCK_MAX", block_max)
+        fun = cn.parse_kind(name, n)
+        for seed in range(3):
+            for count in (1, 7, 100):
+                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                ref = self.per_level_loop(fun, count, ref_rng)
+                for got, want in zip(cli._level_draws(fun, count, rng), ref, strict=True):
+                    np.testing.assert_array_equal(got, want)
+                assert rng.random() == ref_rng.random()
+
+    def test_scarce_level_refused_as_one_point_draw(self, monkeypatch):
+        # CONE_TRIES = 64 and ma at n = 10 (acceptance about 1.7%): some
+        # seeds find three levels, others refuse one; the block scan does
+        # what the per-level loop does, message and stream alike
+        monkeypatch.setattr(cli, "CONE_TRIES", 64)
+        fun = cn.parse_kind("ma", 10)
+        outcomes = set()
+        for seed in range(8):
+            results = []
+            for draw in (self.per_level_loop, cli._level_draws):
+                rng = np.random.default_rng(seed)
+                try:
+                    draw(fun, 3, rng)
+                    results.append(("drawn", rng.random()))
+                except cli.ConfigError as exc:
+                    results.append(("refused", str(exc)))
+            assert results[0] == results[1]
+            outcomes.add(results[0][0])
+        assert outcomes == {"drawn", "refused"}
+
     @pytest.mark.parametrize("samples", [1, 1000])
     def test_scarce_cone_refused_soon(self, tmp_path, capsys, monkeypatch,
                                       samples):

@@ -431,6 +431,8 @@ SINGLE_THREAD = [linsolve._gmres, operators.apply_second_order,
                  operators.boundary_complex_hessian,
                  arrowhead._bounds, arrowhead._secular_sum, arrowhead._root,
                  arrowhead._sorted_planes, arrowhead._settled,
+                 arrowhead._lower, arrowhead._top_lower,
+                 arrowhead._certified, arrowhead._weights, arrowhead._growth,
                  arrowhead._chunk_stats, arrowhead.sweep_cells,
                  arrowhead._concentration]
 

@@ -1293,7 +1293,7 @@ class TestNestedStart:
 
             monkeypatch.setattr(sv, "_newton_solve", stage)
         else:
-            monkeypatch.setattr(sv, "_bump", lambda u, fun, chi: 0.0)
+            monkeypatch.setattr(sv, "_bump", lambda u, fun, chi: (0.0, None))
         u, rep = sv.solve_riemannian(*problem)
         assert rep.start == "cold" and rep.fallback.startswith(reason)
         assert np.array_equal(u.values, cold_stage(*problem)[0].values)
