@@ -621,7 +621,15 @@ def _certified(p, corner, slack, cols, t_star):
     k + 1 subtractions, with room for the rounding of err itself.  The
     slack covers the dense solver's error and the rounding of tau_j, so
     the dense sorted deviation is below t_star, and the nearest match
-    is never farther."""
+    is never farther.
+
+    The sorted pairing survives a zero border entry z_i = 0, where d_i
+    is itself an eigenvalue and f has no pole: off the d_i, the inertia
+    of the Schur complement f(lambda) counts #{d_i < lambda} +
+    [f(lambda) < 0] eigenvalues below lambda (Haynsworth), so f(lambda)
+    > 0 at lambda in (d_{j-1}, d_j) still puts lambda below lambda_j,
+    and interlacing keeps lambda_j in [d_{j-1}, d_j].  _settled still
+    hands it only trials with every z_i > 0."""
     ds, zsq = p.ds[:, cols], p.zsq[:, cols]
     c = corner[cols]
     below = np.empty_like(ds)

@@ -167,6 +167,8 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
         _require(all(n >= 2 for n in ns), "ns: every n must be at least 2")
         _require(all(e > 0 for e in eps_list), "eps: every value must be positive")
         _require(trials >= 1, "trials: must be at least 1")
+        _require(all(0 < f <= 1 for f in fractions),
+                 "corner_fractions: every value must be in (0, 1]")
     modes = ("strong", "weak", "distinct")
     below = [frac for frac in fractions if frac < 1.0]
     cells = [(mode, eps, 1.0) for mode in modes for eps in eps_list]
@@ -364,14 +366,11 @@ def cmd_solve(cfg, writer, seed, profile):
     with _config_errors():
         geom = _geometry(cfg, profile)
         fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
-        prob = build_problem(
-            geom,
-            fun,
-            str(cfg.get("psi", "manufactured")),
-            str(cfg.get("phi", "zero")),
-            str(cfg.get("subsolution", "star-bump")),
-            scale=_float(cfg.get("scale", 1.0)),
-        )
+        phi, sub = str(cfg.get("phi", "zero")), str(cfg.get("subsolution", "star-bump"))
+        _require("scale" not in cfg or "scaled-cos" in (phi, sub),
+                 "scale: not read unless phi or subsolution is scaled-cos")
+        prob = build_problem(geom, fun, str(cfg.get("psi", "manufactured")),
+                             phi, sub, scale=_float(cfg.get("scale", 1.0)))
         config = _solver_config(cfg)
         dump = str(cfg.get("dump_fields", "none")).replace(",", " ").split()
         _require(set(dump) <= {"none", "csv", "raw"},

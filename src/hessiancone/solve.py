@@ -36,7 +36,9 @@ replaced by the real one.
 A degenerate solve (psi <= f(lambda(g[u_sub])) / DEGENERATE_RATIO at
 some node) on an even grid of at least 2 NESTED_MIN_RESOLUTION nodes per
 period starts its Newton stage nested: the same stage, run on the grid
-of every other node, is prolonged to the fine grid (_prolonged) and
+of every other node, is prolonged to the fine grid (_prolonged:
+trigonometric interpolation along each periodic axis, exact below the
+coarse Nyquist frequency whether the half grid is even or odd) and
 lifted into the cone by the smallest bump c x_n (x_n - 1) that admits
 it (_bump).  From a good coarse start the number of Newton steps does
 not grow with the grid (Allgower, Boehmer, Potra & Rheinboldt, SIAM J.
@@ -62,7 +64,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import product
 from time import perf_counter
 
 import numpy as np
@@ -435,44 +436,27 @@ def _prolonged(U, geom) -> np.ndarray:
     other node (half the resolution).  Along the Dirichlet axis the
     coarse nodes are kept and each midpoint takes the cubic through its
     four nearest coarse nodes: (-u_{k-1} + 9 u_k + 9 u_{k+1} - u_{k+2}) / 16,
-    or (5 u_0 + 15 u_1 - 5 u_2 + u_3) / 16 next to a face.  Along the
-    periodic axes U is Fourier-interpolated in one transform pair: its
-    spectrum (rfftn) is zero-padded to the fine sizes, the even-size
-    Nyquist coefficient of each axis split in halves between +-m/2, and
-    irfftn at the fine sizes, times 2^p for the p periodic axes, gives
-    the field.  Both are exact below the coarse Nyquist frequency and on
-    cubics along the Dirichlet axis; the faces are the prolonged ones,
-    not the boundary data."""
-    da, axes = geom.dirichlet_axis, geom.periodic_axes
-    c = np.moveaxis(U, da, 0)
+    or (5 u_0 + 15 u_1 - 5 u_2 + u_3) / 16 next to a face.  Along each
+    periodic axis in turn, of coarse size m, U is Fourier-interpolated:
+    rfft along the axis, the Nyquist coefficient halved when m is even
+    (it stands for the two frequencies +-m/2 of the fine grid), and
+    irfft at 2m, times 2 (Trefethen, Spectral Methods in MATLAB, 2000,
+    ch. 3).  Both are exact below the coarse Nyquist frequency, for odd
+    m as for even, and on cubics along the Dirichlet axis; the faces are
+    the prolonged ones, not the boundary data."""
+    c = np.moveaxis(U, geom.dirichlet_axis, 0)
     v = np.empty((2 * len(c) - 1,) + c.shape[1:])
     v[::2] = c
     v[3:-3:2] = (9.0 * (c[1:-2] + c[2:-1]) - (c[:-3] + c[3:])) / 16.0
     v[1] = (5.0 * c[0] + 15.0 * c[1] - 5.0 * c[2] + c[3]) / 16.0
     v[-2] = (5.0 * c[-1] + 15.0 * c[-2] - 5.0 * c[-3] + c[-4]) / 16.0
-    spec = np.fft.rfftn(np.moveaxis(v, 0, da), axes=axes)
-    del v
-    half = [U.shape[a] // 2 for a in axes]  # m / 2 of each coarse axis
-    shape = list(spec.shape)
-    for a, h in zip(axes, half):
-        shape[a] = 4 * h if a != axes[-1] else 2 * h + 1
-    padded = np.zeros(shape, complex)
-    # the low and the high (negative) frequencies of every full axis; the
-    # rfft axis holds only its low ones
-    for highs in product((False, True), repeat=len(axes) - 1):
-        src, dst = [slice(None)] * U.ndim, [slice(None)] * U.ndim
-        for a, h, high in zip(axes, half, highs):
-            src[a] = slice(h, 2 * h) if high else slice(0, h + 1)
-            dst[a] = slice(3 * h, 4 * h) if high else slice(0, h + 1)
-        dst[axes[-1]] = slice(0, half[-1] + 1)
-        padded[tuple(dst)] = spec[tuple(src)]
-    del spec
-    for a, h in zip(axes, half):
-        split = [slice(None)] * U.ndim
-        split[a] = [h] if a == axes[-1] else [h, 3 * h]
-        padded[tuple(split)] *= 0.5
-    u = np.fft.irfftn(padded, s=[geom.shape[a] for a in axes], axes=axes)
-    u *= 2.0 ** len(axes)
+    u = np.moveaxis(v, 0, geom.dirichlet_axis)
+    for a in geom.periodic_axes:
+        m = U.shape[a]
+        spec = np.fft.rfft(u, axis=a)
+        if m % 2 == 0:
+            spec[(slice(None),) * a + (m // 2,)] *= 0.5
+        u = 2.0 * np.fft.irfft(spec, n=2 * m, axis=a)
     return u
 
 

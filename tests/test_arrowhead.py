@@ -5,6 +5,7 @@ The independent oracle for n = 2 is the closed-form quadratic
 everything larger is checked against numpy's dense Hermitian solver.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -688,6 +689,38 @@ class TestBoundAndVerify:
         slack = ah._bounds(planes, corner)[3]
         assert ah._certified(planes, corner, slack, np.array([0]),
                              np.array([tau])).tolist() == [False]
+
+    @pytest.mark.parametrize("fraction", [1.0, 0.5])
+    def test_zero_border_trials_settled_soundly(self, fraction):
+        # one z_j = 0 in every trial: d_j is then an eigenvalue and f has
+        # no pole there.  As _settled reads zpos, and with zpos taken true
+        # for every trial (the inertia argument of _certified needs no
+        # z > 0), no settled trial fails its dense verdict and both batch
+        # maxima lie among the trials left to the dense solve
+        settled_zero_border = 0
+        for n in range(3, 9):
+            rng = np.random.default_rng([7, n])
+            d, a = ah._draw_specs(n, ah._CHUNK, rng)
+            a[np.arange(len(a)), rng.integers(0, n - 1, len(a))] = 0.0
+            planes = ah._sorted_planes(d, a)
+            assert not planes.zpos.any()
+            unchecked = dataclasses.replace(planes, zpos=np.ones_like(planes.zpos))
+            for mode in ("strong", "weak", "distinct"):
+                for eps in (0.05, 0.1, 0.2, 0.5, 1.0):
+                    if mode == "distinct":
+                        eps = np.minimum(eps, 0.5 * planes.min_gap)
+                    corner = fraction * ah._growth(mode, *planes.weights, eps)
+                    eps = np.broadcast_to(eps, corner.shape)
+                    dev, excess, deviation_ok, excess_ok, _ = ah._concentration(
+                        mode, d, ah._spectra(d, a, corner), corner, eps)
+                    passed = deviation_ok.all(axis=-1) & excess_ok
+                    for p in (planes, unchecked):
+                        settled = ah._settled(p, corner, eps)
+                        assert passed[settled].all()
+                        assert dev[~settled].max() == dev.max()
+                        assert excess[~settled].max() == excess.max()
+                    settled_zero_border += np.count_nonzero(settled)
+        assert settled_zero_border > 0  # the unchecked planes settle some
 
     def test_full_profile_counts(self, monkeypatch):
         # the at-threshold cells of the full profile, seed 0: 441 batch

@@ -429,8 +429,12 @@ class TestSolveCommand:
         ("boundary-scaling", "resolution = 4\nmax_newton = 0\n", None),
         ("solve", "resolution = 6\ntolerance = inf\n", None),
         ("solve", "resolution = 6\ntolerance = nan\n", None),
-        ("solve", "resolution = 6\nscale = inf\n", None),
+        ("solve", "resolution = 6\nphi = scaled-cos\nscale = inf\n", None),
         ("lemma-sweep", "corner_fractions = nan\n", None),
+        ("lemma-sweep", "corner_fractions = 1.5\n", None),
+        ("lemma-sweep", "corner_fractions = 1.0 0\n", None),
+        ("lemma-sweep", "corner_fractions = -1\n", None),
+        ("solve", "resolution = 8\nscale = 3\n", None),
         ("lemma-sweep", "eps = inf\n", None),
         ("boundary-scaling", "resolution = 6\nscales = 1 inf\n", None),
         ("degenerate", "resolution = 6\neps_list = 0.1 nan\n", None),
@@ -446,7 +450,9 @@ class TestSolveCommand:
             "dump-raw-eight-dims", "dt-min-unknown",
             "tolerance-zero", "lin-rtol-unknown", "max-newton-zero",
             "tolerance-inf", "tolerance-nan", "scale-inf",
-            "sweep-fraction-nan", "sweep-eps-inf", "scales-inf",
+            "sweep-fraction-nan", "sweep-fraction-above-one",
+            "sweep-fraction-zero", "sweep-fraction-negative",
+            "scale-without-scaled-cos", "sweep-eps-inf", "scales-inf",
             "degenerate-eps-nan", "geometry-unknown", "d-with-complex",
             "n-with-riemannian", "degenerate-d-with-complex"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,

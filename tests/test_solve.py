@@ -1188,13 +1188,17 @@ class TestNestedStart:
 
     @pytest.mark.parametrize("geom", [
         GEOM16, CYL16, GridGeometry(n=3, resolution=8),
-        CylinderGeometry(d=2, resolution=16)],
-        ids=["complex-16", "cyl-16", "complex-n3-8", "cyl-d2-16"])
+        CylinderGeometry(d=2, resolution=16), GridGeometry(n=2, resolution=18),
+        CylinderGeometry(d=3, resolution=18), CylinderGeometry(d=2, resolution=18)],
+        ids=["complex-16", "cyl-16", "complex-n3-8", "cyl-d2-16", "complex-18",
+             "cyl-18", "cyl-d2-18"])
     def test_prolongation_exact_below_the_coarse_nyquist(self, geom):
         # a product of trigonometric polynomials below the coarse Nyquist
-        # frequency m / 4 along every periodic axis, plus the Nyquist
-        # cosines of the first axis and of the last (the real-transform
-        # axis), times a cubic in x_n: prolonged exactly, to rounding
+        # frequency along every periodic axis, plus the cosines at
+        # frequency resolution // 4 of the first axis and of the last (the
+        # coarse Nyquist cosines on an even half grid, the highest ones
+        # below it on an odd one), times a cubic in x_n: prolonged
+        # exactly, to rounding
         x = geom.grids()
         periodic = [x[a] for a in geom.periodic_axes]
         nyquist = geom.resolution // 4
@@ -1320,16 +1324,22 @@ class TestNestedStart:
             "cold", "", 0.0, None)
         assert np.array_equal(u.values, cold_stage(*problem)[0].values)
 
-    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-4])
-    def test_nested_and_cold_solutions_agree(self, eps):
-        # 16^4 Monge-Ampere: the nested stage takes fewer steps than the
-        # cold stage, and the solutions agree within the tolerance
-        # (measured: at most 1.1e-10)
-        problem = problem_of(GEOM16, "ma", eps=eps)
+    @pytest.mark.parametrize("geom, eps, most", [
+        (GEOM16, 1e-1, 3), (GEOM16, 1e-3, 3), (GEOM16, 1e-4, 4),
+        (CylinderGeometry(d=3, resolution=18), 1e-3, 3),
+    ], ids=["0.1", "0.001", "0.0001", "cyl-18-0.001"])
+    def test_nested_and_cold_solutions_agree(self, geom, eps, most):
+        # Monge-Ampere: the nested stage takes fewer steps than the cold
+        # stage, at most ``most`` (the cylinder's half grid is odd; the cold
+        # stage takes 7 there), and the solutions agree within the
+        # tolerance (measured: at most 1.1e-10)
+        problem = problem_of(geom, "ma", eps=eps)
         u, rep = sv.continuity_solve(*problem)
         cold, stage = cold_stage(*problem)
-        assert rep.start == "nested" and len(rep.coarse.residuals) > 1
+        assert rep.start == "nested" and rep.fallback == ""
+        assert len(rep.coarse.residuals) > 1
         assert rep.newton_iterations < len(stage.dampings)
+        assert rep.newton_iterations <= most
         tolerance = sv.SolverConfig().tolerance
         assert np.abs(u.values - cold.values).max() <= tolerance
 
