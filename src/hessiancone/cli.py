@@ -8,11 +8,12 @@ files.  Exit status is 0 iff every enabled assertion passed, and 2 for a
 config file the command cannot use: one that cannot be read, a key it
 does not read, or a value that does not parse, is not finite (inf or
 nan), is out of range (a grid of more than MAX_INTERIOR_NODES interior
-nodes included) or names no known function or preset.  Such a run prints
-one line to stderr and writes nothing; so does a command line that
-does not parse (an unknown command, option or choice, or a --seed that
-is not an integer in [0, 2**64)) and an ``--out`` that is not a
-directory, and a failed write exits 2 with one line naming its path.
+nodes included), lists no entry where a list is read, or names no known
+function or preset.  Such a run prints one line to stderr and writes
+nothing; so does a command line that does not parse (an unknown
+command, option or choice, or a --seed that is not an integer in
+[0, 2**64)) and an ``--out`` that is not a directory, and a failed write
+exits 2 with one line naming its path.
 """
 
 from __future__ import annotations
@@ -116,18 +117,19 @@ def _float(text):
     return value
 
 
-def _floats(text):
-    return [_float(x) for x in str(text).replace(",", " ").split()]
-
-
-def _ints(text):
-    return [int(x) for x in str(text).replace(",", " ").split()]
-
-
 def _require(ok, message):
     """Reject an out-of-range config value; called inside _config_errors."""
     if not ok:
         raise ValueError(message)
+
+
+def _listed(cfg, key, default, parse=_float):
+    """The entries of the comma- or space-separated list value of ``key``,
+    each ``parse``d; a value that lists none is a config error."""
+    text = str(cfg.get(key, default))
+    values = [parse(x) for x in text.replace(",", " ").split()]
+    _require(values, f"{key}: must list at least one value")
+    return values
 
 
 class _Writer:
@@ -160,10 +162,10 @@ class _Writer:
 
 def cmd_lemma_sweep(cfg, writer, seed, profile):
     with _config_errors():
-        ns = _ints(cfg.get("ns", "2 3 4" if profile == FAST else "2 3 4 5 6 7 8"))
-        eps_list = _floats(cfg.get("eps", "0.05 0.2 1.0"))
+        ns = _listed(cfg, "ns", "2 3 4" if profile == FAST else "2 3 4 5 6 7 8", int)
+        eps_list = _listed(cfg, "eps", "0.05 0.2 1.0")
         trials = int(cfg.get("trials", 1000 if profile == FAST else 10000))
-        fractions = _floats(cfg.get("corner_fractions", "1.0"))
+        fractions = _listed(cfg, "corner_fractions", "1.0")
         _require(all(n >= 2 for n in ns), "ns: every n must be at least 2")
         _require(all(e > 0 for e in eps_list), "eps: every value must be positive")
         _require(trials >= 1, "trials: must be at least 1")
@@ -405,7 +407,7 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
     with _config_errors():
         geom = _geometry(cfg, FAST)
         fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
-        scales = _floats(cfg.get("scales", "1 2 4 8"))
+        scales = _listed(cfg, "scales", "1 2 4 8")
         config = _solver_config(cfg)
     rows, ratios, failures, failed = [], [], 0, []
     for s in scales:
@@ -445,7 +447,7 @@ def cmd_degenerate(cfg, writer, seed, profile):
     with _config_errors():
         geom = _geometry(cfg, FAST)
         fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
-        eps_list = _floats(cfg.get("eps_list", "0.1 0.01 0.001"))
+        eps_list = _listed(cfg, "eps_list", "0.1 0.01 0.001")
         _require(all(e > 0 for e in eps_list),
                  "eps_list: every value must be positive")
         prob = build_problem(geom, fun, "degenerate-cos", "zero", "zero")

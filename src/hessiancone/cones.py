@@ -14,7 +14,8 @@ boundary is 0, so the degeneracy gap of a right-hand side psi is simply
 ``min(psi)``.  Homogeneity of degree one gives closed forms: the ray
 t * lambda meets the level set {f = sigma} at t = sigma / f(lambda).
 
-The family is written once on sigma_0..sigma_m (m = cone_order = l):
+The family is written once on sigma_1..sigma_m (m = cone_order = l),
+sigma_j at index j - 1 of the last axis (``elem_sym``'s e_0 dropped):
 ``f_from_sigmas``, its nonzero partials ``df_dsigmas`` and the cone test
 ``sigmas_in_cone``.  f^q with q = ``power`` = l - k is sigma_l / sigma_k,
 read as sigma_l alone where k = 0.  Most functions accept stacked inputs
@@ -39,6 +40,7 @@ A 1-D call of a stacked check runs through the same code.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +91,9 @@ NORMAL_ATOL = 1e-12
 # Step of the complex-step derivative in fd_grad (no difference is taken,
 # so a step far below rounding costs no accuracy).
 COMPLEX_STEP = 1e-20
+
+# The orders of a sigmaK:k or quotient:k:l kind name (parse_kind).
+_ORDERS = re.compile(r"sigmaK:(-?[0-9]+)|quotient:(-?[0-9]+):(-?[0-9]+)")
 
 # f_eval rejects quotient points whose sigma_k is this close to zero
 # (relative to |lambda|^k): outside the numerically safe cone.
@@ -147,18 +152,20 @@ def hessian_quotient(n: int, k: int, l: int) -> SymmetricFunction:
 
 
 def parse_kind(name: str, n: int) -> SymmetricFunction:
-    """Parse a CLI kind name: sigma1 | sigmaK:k | ma | quotient:k:l."""
+    """Parse a CLI kind name: sigma1 | sigmaK:k | ma | quotient:k:l, k and
+    l integers; any other name is an unknown kind."""
     name = name.strip()
     if name == "sigma1":
         return sigma_k_root(n, 1)
     if name == "ma":
         return monge_ampere(n)
-    if name.startswith("sigmaK:"):
-        return sigma_k_root(n, int(name.split(":")[1]))
-    if name.startswith("quotient:"):
-        _, k, l = name.split(":")
-        return hessian_quotient(n, int(k), int(l))
-    raise ValueError(f"unknown function kind {name!r}")
+    orders = _ORDERS.fullmatch(name)
+    if orders is None:
+        raise ValueError(f"unknown function kind {name!r}")
+    k, qk, ql = orders.groups()
+    if k is not None:
+        return sigma_k_root(n, int(k))
+    return hessian_quotient(n, int(qk), int(ql))
 
 
 def elem_sym(vals: np.ndarray, kmax: int) -> np.ndarray:
@@ -187,25 +194,25 @@ def elem_sym_grad(vals: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def f_from_sigmas(fun: SymmetricFunction, e: np.ndarray) -> np.ndarray:
-    """f from sigma_0..sigma_m (last axis); no cone validation."""
+def f_from_sigmas(fun: SymmetricFunction, s: np.ndarray) -> np.ndarray:
+    """f from sigma_1..sigma_m (last axis, sigma_j at j - 1); unvalidated."""
     if fun.k:
-        return (e[..., fun.l] / e[..., fun.k]) ** (1.0 / fun.power)
-    return e[..., fun.l] ** (1.0 / fun.power)
+        return (s[..., fun.l - 1] / s[..., fun.k - 1]) ** (1.0 / fun.power)
+    return s[..., fun.l - 1] ** (1.0 / fun.power)
 
 
-def df_dsigmas(fun: SymmetricFunction, e: np.ndarray) -> dict:
-    """The nonzero partials {j: df/dsigma_j} on stacked sigmas."""
-    f = f_from_sigmas(fun, e)
+def df_dsigmas(fun: SymmetricFunction, s: np.ndarray) -> dict:
+    """The nonzero partials {j: df/dsigma_j} on stacked sigma_1..sigma_m."""
+    f = f_from_sigmas(fun, s)
     if fun.k:
         c = f / fun.power
-        return {fun.l: c / e[..., fun.l], fun.k: -c / e[..., fun.k]}
-    return {fun.l: f / (fun.power * e[..., fun.l])}
+        return {fun.l: c / s[..., fun.l - 1], fun.k: -c / s[..., fun.k - 1]}
+    return {fun.l: f / (fun.power * s[..., fun.l - 1])}
 
 
-def sigmas_in_cone(e: np.ndarray) -> np.ndarray:
+def sigmas_in_cone(s: np.ndarray) -> np.ndarray:
     """True where sigma_1..sigma_m (last axis) are all positive: Gamma_m."""
-    return np.all(e[..., 1:] > 0.0, axis=-1)
+    return np.all(s > 0.0, axis=-1)
 
 
 def in_cone(fun: SymmetricFunction, lam) -> np.ndarray | bool:
@@ -213,7 +220,7 @@ def in_cone(fun: SymmetricFunction, lam) -> np.ndarray | bool:
     lam = np.asarray(lam, dtype=float)
     if lam.shape[-1] != fun.n:
         raise ValueError(f"expected dimension {fun.n}, got {lam.shape[-1]}")
-    ok = sigmas_in_cone(elem_sym(lam, fun.cone_order))
+    ok = sigmas_in_cone(elem_sym(lam, fun.cone_order)[..., 1:])
     return bool(ok) if lam.ndim == 1 else ok
 
 
@@ -226,13 +233,13 @@ def _require_in_cone(fun, lam):
 def f_many(fun: SymmetricFunction, lam: np.ndarray) -> np.ndarray:
     """Function values on stacked points (no cone validation); complex
     input is evaluated in complex arithmetic."""
-    return f_from_sigmas(fun, elem_sym(lam, fun.cone_order))
+    return f_from_sigmas(fun, elem_sym(lam, fun.cone_order)[..., 1:])
 
 
 def grad_many(fun: SymmetricFunction, lam: np.ndarray) -> np.ndarray:
     """Gradients on stacked points (no cone validation): df/dsigma_j times
     the exact leave-one-out d sigma_j / d lambda."""
-    dfde = df_dsigmas(fun, elem_sym(lam, fun.cone_order))
+    dfde = df_dsigmas(fun, elem_sym(lam, fun.cone_order)[..., 1:])
     return sum(c[..., None] * elem_sym_grad(lam, j) for j, c in dfde.items())
 
 

@@ -24,7 +24,8 @@ cylinder, where a dense form holds 2 r^2 and r^2 floats (_index).  A
 lower entry is read as the conjugate of its upper one, so no pass
 symmetrizes anything.  A buffer may stop after its diagonal planes: a
 diagonal form, as T_0 = I (np.ones(r)) and the F of sigma_1 are.  The
-sigmas are an (m+1, *nodes) buffer behind a (..., m+1) view.  Dense
+sigmas are an (m, *nodes) buffer behind a (..., m) view, sigma_j at
+index j - 1 beside T_{j-1}: sigma_0 = 1 is never stored.  Dense
 (..., r, r) forms are assembled only for LAPACK (_dense), for the nodes
 it solves.  The sums of the recurrence keep the order of the dense
 algebra they replace, so sigma_1, sigma_2, T_1 and F are bit for bit
@@ -385,9 +386,9 @@ def _trace_product(G, T, is_complex, out):
 
 
 def newton_tensors(g: np.ndarray, m: int, is_complex: bool):
-    """sigma_0..sigma_m (real, last axis) and Newton tensors T_0..T_{m-1}
-    of the forms whose planes g holds, Hermitian forms when
-    ``is_complex``.
+    """sigma_1..sigma_m (real, last axis, sigma_j at index j - 1) and
+    Newton tensors T_0..T_{m-1} of the forms whose planes g holds,
+    Hermitian forms when ``is_complex``.
 
     sigma_1 is the sum of the diagonal planes, and sigma_j =
     sum_ab Re(g_ba T_ab) / j is summed over b within each row a, then
@@ -402,21 +403,20 @@ def newton_tensors(g: np.ndarray, m: int, is_complex: bool):
     count, nodes = len(g), g.shape[1:]
     r = _dim(count, is_complex)
     G = g.reshape(count, -1)
-    sigma = np.empty((m + 1,) + G.shape[1:])
-    sigma[0] = 1.0
-    sigma[1] = G[0]
+    sigma = np.empty((m,) + G.shape[1:])
+    sigma[0] = G[0]
     for a in range(1, r):
-        sigma[1] += G[a]
+        sigma[0] += G[a]
     tensors = [np.ones(r)]
     for j in range(1, m + 1):
         if j > 1:
-            _trace_product(G, T, is_complex, sigma[j])
-            sigma[j] /= j
+            _trace_product(G, T, is_complex, sigma[j - 1])
+            sigma[j - 1] /= j
         if j < m:
             T = np.negative(G) if j == 1 else _negated_product(G, T, is_complex)
-            T[:r] += sigma[j]
+            T[:r] += sigma[j - 1]
             tensors.append(T.reshape((count,) + nodes))
-    return np.moveaxis(sigma.reshape((m + 1,) + nodes), 0, -1), tensors
+    return np.moveaxis(sigma.reshape((m,) + nodes), 0, -1), tensors
 
 
 def exit_polynomial(g: np.ndarray, H: np.ndarray, m: int,
@@ -430,18 +430,18 @@ def exit_polynomial(g: np.ndarray, H: np.ndarray, m: int,
 
     since d sigma_m = tr(T_{m-1} dg) at g, and at H for the reversed
     polynomial theta^m sigma_m(H + g / theta).  These are all of them for
-    m <= 3.  The traces come from the planes (_trace_product).  H's
-    tensors are dropped before g's are formed."""
+    m <= 3, in a buffer of their own; the traces come from the planes
+    (_trace_product).  H's tensors are dropped before g's are formed."""
     if not 1 <= m <= 3:
         raise ValueError(f"exit_polynomial needs 1 <= m <= 3, not {m}")
     sigma, tensors = newton_tensors(H, m, is_complex)
-    c = np.empty(sigma.shape)
-    c[..., m] = sigma[..., m]
+    c = np.empty(sigma.shape[:-1] + (m + 1,))
+    c[..., m] = sigma[..., -1]
     if m > 2:
         _trace_product(tensors[m - 1], g, is_complex, c[..., m - 1])
     del sigma, tensors
     sigma, tensors = newton_tensors(g, m, is_complex)
-    c[..., 0] = sigma[..., m]
+    c[..., 0] = sigma[..., -1]
     if m > 1:
         _trace_product(tensors[m - 1], H, is_complex, c[..., 1])
     return c

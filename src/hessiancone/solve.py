@@ -466,10 +466,10 @@ def _bump(u, fun, chi):
     admissible as it is (c = 0.0), else None: (c, state).  The
     bump adds B c to every form's Dirichlet diagonal entry (B = 1/2 on
     the complex model, 2 on the cylinder): a rank-one change, along which
-    each sigma_k moves affinely with slope B (T_{k-1})_nn (T_0 = I).  c
-    is the largest -sigma_k / slope over the inadmissible nodes, over
-    EXIT_FRACTION.  Raises _Fallback when a slope there is not positive,
-    or when the sigmas so moved leave a node outside the cone."""
+    sigma_k moves affinely with slope B (T_{k-1})_nn (T_0 = I), both at
+    index k - 1.  c is the largest -sigma_k / slope over the inadmissible
+    nodes, over EXIT_FRACTION.  Raises _Fallback when a slope there is
+    not positive, or when the sigmas so moved leave the cone at a node."""
     geom, m = u.geom, fun.cone_order
     sigma, tensors = newton_tensors(form_field(u, chi), m, geom.is_complex)
     bad = ~cones.sigmas_in_cone(sigma)
@@ -477,15 +477,12 @@ def _bump(u, fun, chi):
         return 0.0, (sigma, tensors)
     r = geom.form_dim
     rate = 0.5 if geom.is_complex else 2.0
-    slopes = [rate * np.broadcast_to(T[r - 1], bad.shape) for T in tensors]
-    worst = 0.0
-    for k, slope in enumerate(slopes, start=1):
-        if not (slope[bad] > 0.0).all():
-            raise _Fallback("no positive slope at an inadmissible node")
-        worst = max(worst, float((-sigma[..., k][bad] / slope[bad]).max()))
-    c = worst / EXIT_FRACTION
-    for k, slope in enumerate(slopes, start=1):
-        sigma[..., k] += c * slope
+    slope = rate * np.stack([np.broadcast_to(T[r - 1], bad.shape)
+                             for T in tensors], axis=-1)
+    if not (slope[bad] > 0.0).all():
+        raise _Fallback("no positive slope at an inadmissible node")
+    c = max(0.0, float((-sigma[bad] / slope[bad]).max())) / EXIT_FRACTION
+    sigma += c * slope
     if not cones.sigmas_in_cone(sigma).all():
         raise _Fallback("repaired start inadmissible")
     xn = geom.grids()[geom.dirichlet_axis]

@@ -66,17 +66,17 @@ def _real_product(x, y):
 
 
 def dense_newton_tensors(g, m):
-    """sigma_0..sigma_m (last axis) and the dense T_0..T_{m-1} of a stack
+    """sigma_1..sigma_m (last axis, sigma_j at index j - 1, as
+    newton_tensors holds them) and the dense T_0..T_{m-1} of a stack
     of (r, r) forms: every entry of g T_{j-1} summed over k in order, and
     sigma_j = sum_ab Re(g_ba T_ab) / j over b within each row a, then over
     the rows."""
     r, nodes = g.shape[-1], g.shape[:-2]
     G = _entries(g)
-    sigma = np.empty((m + 1,) + G.shape[2:])
-    sigma[0] = 1.0
-    sigma[1] = G[0, 0].real
+    sigma = np.empty((m,) + G.shape[2:])
+    sigma[0] = G[0, 0].real
     for a in range(1, r):
-        sigma[1] += G[a, a].real
+        sigma[0] += G[a, a].real
     tensors = [np.eye(r)]
     for j in range(1, m + 1):
         if j > 1:
@@ -85,10 +85,10 @@ def dense_newton_tensors(g, m):
                 for b in range(1, r):
                     row += _real_product(G[b, a], T[a, b])
                 if a:
-                    sigma[j] += row
+                    sigma[j - 1] += row
                 else:
-                    sigma[j] = row
-            sigma[j] /= j
+                    sigma[j - 1] = row
+            sigma[j - 1] /= j
         if j < m:
             if j == 1:
                 T = np.negative(G)
@@ -101,9 +101,9 @@ def dense_newton_tensors(g, m):
                             P[a, b] += G[a, k] * T[k, b]
                 T = np.negative(P)
             for a in range(r):
-                T.real[a, a] += sigma[j]
+                T.real[a, a] += sigma[j - 1]
             tensors.append(np.moveaxis(T.reshape((r, r) + nodes), (0, 1), (-2, -1)))
-    return np.moveaxis(sigma.reshape((m + 1,) + nodes), 0, -1), tensors
+    return np.moveaxis(sigma.reshape((m,) + nodes), 0, -1), tensors
 
 
 def dense_linearize(fun, sigma, tensors):
@@ -132,8 +132,8 @@ def dense_exit_polynomial(g, H, m):
 
     sigma_h, tensors_h = dense_newton_tensors(H, m)
     sigma_g, tensors_g = dense_newton_tensors(g, m)
-    c = np.empty(sigma_g.shape)
-    c[..., 0], c[..., m] = sigma_g[..., m], sigma_h[..., m]
+    c = np.empty(sigma_g.shape[:-1] + (m + 1,))
+    c[..., 0], c[..., m] = sigma_g[..., -1], sigma_h[..., -1]
     if m > 1:
         c[..., 1] = trace(tensors_g[m - 1], H)
     if m > 2:

@@ -442,6 +442,20 @@ class TestSolveCommand:
         ("solve", "geometry = complex\nd = 7\nresolution = 4\n", None),
         ("solve", "geometry = riemannian\nn = 3\nresolution = 4\n", None),
         ("degenerate", "d = 3\nresolution = 4\n", None),
+        ("degenerate", "resolution = 6\neps_list =\n", "eps_list: "),
+        ("lemma-sweep", "ns =\n", "ns: "),
+        ("lemma-sweep", "eps =\n", "eps: "),
+        ("lemma-sweep", "eps = ,\n", "eps: "),
+        ("lemma-sweep", "corner_fractions =\n", "corner_fractions: "),
+        ("boundary-scaling", "resolution = 6\nscales =\n", "scales: "),
+        ("solve", "kind = quotient:2\n", "kind 'quotient:2'"),
+        ("solve", "kind = quotient:1:2:3\n", "kind 'quotient:1:2:3'"),
+        ("solve", "kind = sigmaK:x\n", "kind 'sigmaK:x'"),
+        ("solve", "kind = sigmaK:\n", "kind 'sigmaK:'"),
+        ("cone-check", "kinds = sigma1,quotient:2\n", "kind 'quotient:2'"),
+        ("cone-check", "kinds = quotient:1:2:3\n", "kind 'quotient:1:2:3'"),
+        ("cone-check", "kinds = ma,sigmaK:x\n", "kind 'sigmaK:x'"),
+        ("cone-check", "kinds = sigmaK:\n", "kind 'sigmaK:'"),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
@@ -454,7 +468,12 @@ class TestSolveCommand:
             "sweep-fraction-zero", "sweep-fraction-negative",
             "scale-without-scaled-cos", "sweep-eps-inf", "scales-inf",
             "degenerate-eps-nan", "geometry-unknown", "d-with-complex",
-            "n-with-riemannian", "degenerate-d-with-complex"])
+            "n-with-riemannian", "degenerate-d-with-complex",
+            "degenerate-eps-empty", "sweep-ns-empty", "sweep-eps-empty",
+            "sweep-eps-comma", "sweep-fractions-empty", "scales-empty",
+            "kind-one-order", "kind-three-orders", "kind-order-not-int",
+            "kind-order-missing", "kinds-one-order", "kinds-three-orders",
+            "kinds-order-not-int", "kinds-order-missing"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
                                               command, cfg_text, where):
         code, out = run(tmp_path, command, cfg_text)
@@ -462,8 +481,10 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert not out.exists()
-        if where:  # the line number in the file and the file's path
-            assert where in err and str(tmp_path / "run.cfg") in err
+        if where:  # the key or kind, or the line number and the file's path
+            assert where in err
+            if where.startswith("[line"):
+                assert str(tmp_path / "run.cfg") in err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"

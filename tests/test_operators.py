@@ -229,7 +229,8 @@ def recurrence_error_bounds(g, sigma, tensors):
     T_0..T_{m-1}: per step the local rounding (the operands' moduli times
     gamma of the operation count) plus the inherited error carried
     through T_j = sigma_j I - g T_{j-1} and sigma_j = tr(g T_{j-1}) / j
-    with |g| in place of g.  Returns (sigma bounds, list of T bounds)."""
+    with |g| in place of g.  Returns (sigma bounds, list of T bounds);
+    the sigma bounds are indexed by the order j, 0 at j = 0."""
     r, m = g.shape[-1], len(tensors)
     A, eye = np.abs(g), np.eye(r)
     err_sigma = np.zeros(m + 1)
@@ -242,7 +243,7 @@ def recurrence_error_bounds(g, sigma, tensors):
                             + gamma(r * r + 2) * (A.T * T).sum()) / j
         if j < m:
             err_T.append(err_sigma[j] * eye + A @ err_T[-1]
-                         + 2 * gamma(r + 2) * (abs(sigma[j]) * eye + A @ T))
+                         + 2 * gamma(r + 2) * (abs(sigma[j - 1]) * eye + A @ T))
     return err_sigma, err_T
 
 
@@ -264,7 +265,7 @@ def assert_matches_dense_reference(fun, g, f, F, is_complex):
     c = {j: abs(cj) for j, cj in cn.df_dsigmas(fun, sigma).items()}
     err_f = sum(cj * err_sigma[j] for j, cj in c.items())
     rel_f = err_f / cn.f_from_sigmas(fun, sigma)
-    err_F = sum(cj * ((rel_f + err_sigma[j] / sigma[j] + gamma(len(c) + 2))
+    err_F = sum(cj * ((rel_f + err_sigma[j] / sigma[j - 1] + gamma(len(c) + 2))
                       * np.abs(tensors[j - 1]) + err_T[j - 1])
                 for j, cj in c.items())
     assert np.abs(f - f_ref).max() <= tol * abs(f_ref) + err_f
@@ -365,7 +366,7 @@ class TestNewtonTensors:
         lam = np.array([2.0, -1.0, 3.0, 0.5])
         sigma, tensors = op.newton_tensors(planes_of(np.diag(lam), False), 4,
                                            False)
-        np.testing.assert_allclose(sigma, cn.elem_sym(lam, 4), rtol=1e-15)
+        np.testing.assert_allclose(sigma, cn.elem_sym(lam, 4)[1:], rtol=1e-15)
         np.testing.assert_array_equal(tensors[0], np.ones(4))
         # T_{j-1} = diag(d sigma_j / d lambda)
         for j in range(1, 5):
@@ -415,7 +416,7 @@ class TestPlaneAlgebra:
         lam = np.linalg.eigvalsh(g)
         eps = np.finfo(float).eps
         for k, (err_sigma, err_T) in enumerate(bounds):
-            assert_within(sigma[k], ref_sigma[k], 2 * err_sigma)
+            assert_within(sigma[k], ref_sigma[k], 2 * err_sigma[1:])
             for j in range(1, m):
                 assert_within(dense_form(tensors[j][:, k], is_complex),
                               ref_tensors[j][k], 2 * err_T[j])
@@ -425,13 +426,13 @@ class TestPlaneAlgebra:
             scale = np.abs(lam[k]).max()
             for j in range(1, m + 1):
                 bound = err_sigma[j] + 100 * eps * (r * ea[j - 1] * scale + ea[j])
-                assert abs(sigma[k, j] - e[j]) <= bound
+                assert abs(sigma[k, j - 1] - e[j]) <= bound
             # F to first order in the errors of the sigmas and tensors,
             # as in assert_matches_dense_reference, on both sides
             c = {j: abs(cj[k]) for j, cj in cn.df_dsigmas(fun, ref_sigma).items()}
             err_f = sum(cj * err_sigma[j] for j, cj in c.items())
             rel_f = err_f / cn.f_from_sigmas(fun, ref_sigma[k])
-            err_F = sum(cj * ((rel_f + err_sigma[j] / ref_sigma[k, j]
+            err_F = sum(cj * ((rel_f + err_sigma[j] / ref_sigma[k, j - 1]
                                + gamma(len(c) + 2))
                               * np.abs(ref_tensors[j - 1] if j == 1
                                        else ref_tensors[j - 1][k])
@@ -590,13 +591,13 @@ def reference_newton_tensors(g, m):
     g = np.ascontiguousarray(g)
     eye = np.eye(g.shape[-1])
     gt = np.swapaxes(g, -1, -2)
-    sigma = np.ones(g.shape[:-2] + (m + 1,))
+    sigma = np.empty(g.shape[:-2] + (m,))
     tensors = [eye]
     for j in range(1, m + 1):
-        sigma[..., j] = np.einsum("...ab,...ab->...", gt, tensors[-1]).real / j
+        sigma[..., j - 1] = np.einsum("...ab,...ab->...", gt, tensors[-1]).real / j
         if j < m:
             gT = g if j == 1 else g @ tensors[-1]
-            tensors.append(sigma[..., j, None, None] * eye - gT)
+            tensors.append(sigma[..., j - 1, None, None] * eye - gT)
     return sigma, tensors
 
 
@@ -659,8 +660,8 @@ class TestNodeMajor:
             ref_sigma, ref_tensors = reference_newton_tensors(
                 dense_form(g, is_complex), fun.cone_order)
             assert all(sigma[..., j].flags.c_contiguous
-                       for j in range(fun.cone_order + 1))
-            for j in range(1, fun.cone_order + 1):
+                       for j in range(fun.cone_order))
+            for j in range(fun.cone_order):
                 assert_matches(sigma[..., j], ref_sigma[..., j], exact)
             np.testing.assert_array_equal(tensors[0], np.ones(dim))
             for T, ref_T in zip(tensors[1:], ref_tensors[1:]):

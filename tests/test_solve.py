@@ -366,11 +366,11 @@ class TestNewton:
 
     def test_newton_state_holds_the_distinct_planes(self):
         # tracemalloc peak of one 16^4 Monge-Ampere newton_state, in
-        # interior vectors: g and T_1 (4 planes each), the 3 sigmas, one
-        # pair term and a scratch plane of the trace.  Measured 13.0
-        # against the bound 15; with the dense forms (the parent) it
-        # peaked at 22.0
-        BOUND = 15
+        # interior vectors: g and T_1 (4 planes each), sigma_1 and
+        # sigma_2, one pair term and a scratch plane of the trace.
+        # Measured 12.0 against the bound 14; with a stored sigma_0 plane
+        # it peaked at 13.0, and with the dense forms at 22.0
+        BOUND = 14
         geom = GridGeometry(n=2, resolution=16)
         prob = pr.build_problem(geom, MA2, "degenerate-cos", "zero", "zero")
         vector = np.zeros(geom.interior_shape).nbytes
