@@ -3,7 +3,9 @@
 The same continuity-method machinery solves f(lambda(chi + Hess u)) = psi
 on T^(d-1) x [0,1].  The flat boundary has vanishing second fundamental
 form, so the tangential part of g - g_sub on the boundary must be
-nonnegative, which the solver checks node by node.
+nonnegative.  Every cylinder solve checks it node by node among its input
+checks, before any Newton work: u equals phi on the faces, so the
+tangential block is read from phi - u_sub.
 """
 
 import numpy as np

@@ -25,7 +25,6 @@ import hashlib
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,6 @@ from .solve import (
     SolverConfig,
     continuity_solve,
     degenerate_sweep,
-    solve_riemannian,
 )
 
 FAST, FULL = "fast", "full"
@@ -123,11 +121,20 @@ def _require(ok, message):
         raise ValueError(message)
 
 
+def _value(cfg, key, default, parse=_float):
+    """The value of ``key`` (``default`` when absent) ``parse``d from its
+    text; a value that does not parse is a config error naming the key."""
+    try:
+        return parse(str(cfg.get(key, default)))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _listed(cfg, key, default, parse=_float):
     """The entries of the comma- or space-separated list value of ``key``,
     each ``parse``d; a value that lists none is a config error."""
-    text = str(cfg.get(key, default))
-    values = [parse(x) for x in text.replace(",", " ").split()]
+    values = _value(cfg, key, default, lambda text: [
+        parse(x) for x in text.replace(",", " ").split()])
     _require(values, f"{key}: must list at least one value")
     return values
 
@@ -164,7 +171,7 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
     with _config_errors():
         ns = _listed(cfg, "ns", "2 3 4" if profile == FAST else "2 3 4 5 6 7 8", int)
         eps_list = _listed(cfg, "eps", "0.05 0.2 1.0")
-        trials = int(cfg.get("trials", 1000 if profile == FAST else 10000))
+        trials = _value(cfg, "trials", 1000 if profile == FAST else 10000, int)
         fractions = _listed(cfg, "corner_fractions", "1.0")
         _require(all(n >= 2 for n in ns), "ns: every n must be at least 2")
         _require(all(e > 0 for e in eps_list), "eps: every value must be positive")
@@ -320,10 +327,10 @@ def _cone_rows(fun, samples, rng):
 
 def cmd_cone_check(cfg, writer, seed, profile):
     with _config_errors():
-        n = int(cfg.get("n", 3))
+        n = _value(cfg, "n", 3, int)
         kinds = str(cfg.get("kinds", "sigma1,sigmaK:2,ma,quotient:1:2")).split(",")
         funs = [cones.parse_kind(name.strip(), n) for name in kinds]
-        samples = int(cfg.get("samples", 1000))
+        samples = _value(cfg, "samples", 1000, int)
         _require(samples >= 1, "samples: must be at least 1")
     rng = np.random.default_rng(seed)
     rows, failures = [], 0
@@ -337,9 +344,8 @@ def cmd_cone_check(cfg, writer, seed, profile):
 
 def _solver_config(cfg):
     """SolverConfig defaults overridden by the solver keys in cfg."""
-    base = SolverConfig()
-    config = replace(base, **{key: type(getattr(base, key))(cfg[key])
-                              for key in _SOLVER_KEYS if key in cfg})
+    config = SolverConfig(**{key: _value(cfg, key, value, type(value))
+                             for key, value in vars(SolverConfig()).items()})
     _require(0 < config.tolerance < math.inf,
              "tolerance: must be positive and finite")
     _require(config.max_newton >= 1, "max_newton: must be at least 1")
@@ -347,16 +353,16 @@ def _solver_config(cfg):
 
 
 def _geometry(cfg, profile):
-    res = int(cfg.get("resolution", 16 if profile == FAST else 32))
+    res = _value(cfg, "resolution", 16 if profile == FAST else 32, int)
     name = str(cfg.get("geometry", "complex"))
     _require(name in ("complex", "riemannian"),
              "geometry: must be complex or riemannian")
     unread = "n" if name == "riemannian" else "d"
     _require(unread not in cfg, f"{unread}: not read with geometry = {name}")
     if name == "riemannian":
-        geom = CylinderGeometry(d=int(cfg.get("d", 3)), resolution=res)
+        geom = CylinderGeometry(d=_value(cfg, "d", 3, int), resolution=res)
     else:
-        geom = GridGeometry(n=int(cfg.get("n", 2)), resolution=res)
+        geom = GridGeometry(n=_value(cfg, "n", 2, int), resolution=res)
     nodes = math.prod(geom.interior_shape)
     _require(nodes <= MAX_INTERIOR_NODES,
              f"grid has {nodes} interior nodes, more than the "
@@ -372,16 +378,16 @@ def cmd_solve(cfg, writer, seed, profile):
         _require("scale" not in cfg or "scaled-cos" in (phi, sub),
                  "scale: not read unless phi or subsolution is scaled-cos")
         prob = build_problem(geom, fun, str(cfg.get("psi", "manufactured")),
-                             phi, sub, scale=_float(cfg.get("scale", 1.0)))
+                             phi, sub, scale=_value(cfg, "scale", 1.0))
         config = _solver_config(cfg)
         dump = str(cfg.get("dump_fields", "none")).replace(",", " ").split()
         _require(set(dump) <= {"none", "csv", "raw"},
                  "dump_fields: every entry must be none, csv or raw")
         _require("raw" not in dump or geom.real_dims <= 6,
                  "dump_fields: raw needs at most 6 real directions")
-    solver = continuity_solve if geom.is_complex else solve_riemannian
     try:
-        u, report = solver(fun, prob.chi, prob.psi, prob.phi, prob.u_sub, config)
+        u, report = continuity_solve(fun, prob.chi, prob.psi, prob.phi,
+                                     prob.u_sub, config)
     except SOLVE_ERRORS as exc:
         empty = "," * (SolveReport.CSV_FIELDS.count(",") - 2)
         writer.write("report.csv", SolveReport.CSV_FIELDS,
@@ -485,7 +491,7 @@ COMMANDS = {
 }
 
 _PROBLEM_KEYS = ("geometry", "n", "d", "resolution", "kind")
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
+_SOLVER_KEYS = tuple(vars(SolverConfig()))
 
 # the config keys each command reads; any other key is rejected
 CONFIG_KEYS = {

@@ -2,10 +2,7 @@
 
 The Dirichlet problem f(lambda(chi + dd-bar u)) = psi is solved by one
 damped inexact Newton stage on the discrete system, started at the
-subsolution with its faces set to the boundary data.  The continuity
-path psi_t = (1 - t) f(lambda(g[u_sub])) + t psi is not stepped: every
-solve that converges reaches t = 1 in this one stage, and every one
-measured to fail there failed at smaller steps too.  A step solves the
+subsolution with its faces set to the boundary data.  A step solves the
 f-space linearization with the right-hand side of the Newton step for
 the same equation in polynomial form, f^q = psi^q (as Loeper & Rapetti,
 C. R. Acad. Sci. Paris 340, 2005, do for Monge-Ampere), whose linear
@@ -30,8 +27,8 @@ when the full step left the cone, the linear solve's record (forcing
 term, operator applications, residual reached) and the wall seconds of
 its phases (never written to a CSV).
 A stage that fails raises ContinuationError with its reason.  The same
-driver covers the real (cylinder) variant, where the complex Hessian is
-replaced by the real one.
+driver covers the cylinder, with the real Hessian for the complex one
+and the tangential boundary check among the input checks.
 
 A degenerate solve (psi <= f(lambda(g[u_sub])) / DEGENERATE_RATIO at
 some node) on an even grid of at least 2 NESTED_MIN_RESOLUTION nodes per
@@ -404,9 +401,27 @@ def _newton_solve(u, fun, chi, psi, config, state=None):
 
 
 def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
-    faces = u_sub.geom.faces
+    """A solve's input checks, run before any Newton work; a failed one
+    raises SubsolutionError.  Returns (f(lambda(g[u_sub])), tangential
+    minimum): on the cylinder the lowest tangential eigenvalue of g - g_sub
+    on the faces, at least -10 h^2; nan on the complex model.  A face's
+    block comes from its node layer, where u is phi: read from phi - u_sub."""
+    geom = u_sub.geom
+    faces = geom.faces
     if np.abs(u_sub.values[faces] - phi.values[faces]).max() > BOUNDARY_MATCH_ATOL:
         raise SubsolutionError("subsolution does not match the boundary data")
+    tangential = np.nan
+    if not geom.is_complex:
+        # the planes of the tangential block, on the periodic axes 0..d-1:
+        # its diagonal, then its pairs in row order, as the layout orders them
+        d = geom.real_dims - 1
+        block = list(range(d)) + [_index(d + 1, a, b) for a, b in _pairs(d)]
+        diff = ScalarField(geom=geom, values=phi.values - u_sub.values)
+        tangential = min(_extreme_eigenvalues(face[block], False)[0]
+                         for face in boundary_real_hessian(diff))
+        if tangential < -10.0 * geom.h * geom.h:
+            raise SubsolutionError(
+                f"tangential boundary monotonicity violated: {tangential!r}")
     try:
         sigma, _ = newton_state(u_sub, fun, chi)
     except AdmissibilityError as exc:
@@ -417,7 +432,7 @@ def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
         raise SubsolutionError(
             f"subsolution inequality violated by {worst!r} at some node"
         )
-    return psi0
+    return psi0, tangential
 
 
 def _stage_start(u_sub, phi):
@@ -462,14 +477,15 @@ def _prolonged(U, geom) -> np.ndarray:
 
 def _bump(u, fun, chi):
     """The c >= 0 that lifts the field u into the cone by the bump
-    c x_n (x_n - 1), added to u in place, and newton_state at u when u is
-    admissible as it is (c = 0.0), else None: (c, state).  The
-    bump adds B c to every form's Dirichlet diagonal entry (B = 1/2 on
-    the complex model, 2 on the cylinder): a rank-one change, along which
-    sigma_k moves affinely with slope B (T_{k-1})_nn (T_0 = I), both at
-    index k - 1.  c is the largest -sigma_k / slope over the inadmissible
-    nodes, over EXIT_FRACTION.  Raises _Fallback when a slope there is
-    not positive, or when the sigmas so moved leave the cone at a node."""
+    c x_n (x_n - 1), added to u's interior nodes in place (m h need not
+    round to 1, so the faces get none), and newton_state at u when u is
+    admissible as it is (c = 0.0), else None: (c, state).  The bump adds
+    B c to every form's Dirichlet diagonal entry (B = 1/2 on the complex
+    model, 2 on the cylinder): a rank-one change, along which sigma_k
+    moves affinely with slope B (T_{k-1})_nn (T_0 = I), both at index
+    k - 1.  c is the largest -sigma_k / slope over the inadmissible nodes,
+    over EXIT_FRACTION.  Raises _Fallback when a slope there is not
+    positive, or when the sigmas so moved leave the cone at a node."""
     geom, m = u.geom, fun.cone_order
     sigma, tensors = newton_tensors(form_field(u, chi), m, geom.is_complex)
     bad = ~cones.sigmas_in_cone(sigma)
@@ -485,8 +501,8 @@ def _bump(u, fun, chi):
     sigma += c * slope
     if not cones.sigmas_in_cone(sigma).all():
         raise _Fallback("repaired start inadmissible")
-    xn = geom.grids()[geom.dirichlet_axis]
-    u.values += c * (xn * (xn - 1.0))
+    xn = geom.grids()[geom.dirichlet_axis][geom.interior]
+    u.values[geom.interior] += c * (xn * (xn - 1.0))
     return c, None
 
 
@@ -546,13 +562,15 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     for degenerate data on a fine enough grid, from a prolonged
     half-resolution solution (_fine_stage).
 
-    Returns (u, SolveReport); a failed stage raises ContinuationError.
+    Returns (u, SolveReport), the tangential minimum of the input checks
+    (_check_subsolution) in boundary_tangential_min; a failed check raises
+    SubsolutionError, a failed stage ContinuationError.
     """
     config = config or SolverConfig()
     start = perf_counter()
     geom = u_sub.geom
     psi_interior = _interior_values(geom, psi)
-    psi0 = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
+    psi0, tangential = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
     degenerate = bool(np.any(psi0 >= DEGENERATE_RATIO * psi_interior))
     del psi0  # held by no stage
     checked = perf_counter()
@@ -562,16 +580,12 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
                             config, nested)
 
     solved = perf_counter()
-    report = estimate_report(u)
-    report.label = fun.label
-    report.resolution = geom.resolution
-    report.converged = True
-    report.final_residual = record.residuals[-1]
-    report.newton_iterations = len(record.dampings)
-    report.stage = record
-    report.start, report.fallback = nested.start, nested.fallback
-    report.bump, report.coarse = nested.bump, nested.coarse
-
+    report = replace(estimate_report(u), label=fun.label, converged=True,
+                     final_residual=record.residuals[-1],
+                     newton_iterations=len(record.dampings), stage=record,
+                     boundary_tangential_min=tangential, start=nested.start,
+                     fallback=nested.fallback, bump=nested.bump,
+                     coarse=nested.coarse)
     w = harmonic_majorant(chi, phi, geom)
     report.comparison_violations = comparison_check(u, u_sub, w)
     report.seconds = [checked - start, solved - checked, perf_counter() - solved]
@@ -579,32 +593,11 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
 
 
 def solve_riemannian(fun, chi_sym, psi, phi, u_sub, config: SolverConfig | None = None):
-    """Real-Hessian variant on the flat cylinder.
-
-    Identical driver (the discrete Hessian switches to the real one via
-    the geometry).  Additionally records the minimum tangential eigenvalue
-    of g - g_sub over the boundary faces, which must exceed -10 h^2.
-    """
+    """continuity_solve, whose input checks hold the tangential boundary
+    check, on the flat cylinder; a complex geometry is refused."""
     if u_sub.geom.is_complex:
         raise ValueError("solve_riemannian expects a cylinder geometry")
-    u, report = continuity_solve(fun, chi_sym, psi, phi, u_sub, config)
-    start = perf_counter()
-    geom = u.geom
-    diff = ScalarField(geom=geom, values=u.values - u_sub.values)
-    # the planes of the tangential block: its diagonal, then its pairs in
-    # row order, as the layout orders them
-    tang, d = geom.periodic_axes, geom.real_dims
-    block = list(tang) + [_index(d, tang[a], tang[b])
-                          for a, b in _pairs(len(tang))]
-    worst = min(_extreme_eigenvalues(face_h[block], False)[0]
-                for face_h in boundary_real_hessian(diff))
-    report.boundary_tangential_min = worst
-    report.seconds[2] += perf_counter() - start  # a diagnostic too
-    if worst < -10.0 * geom.h * geom.h:
-        raise ArithmeticError(
-            f"tangential boundary monotonicity violated: {worst!r}"
-        )
-    return u, report
+    return continuity_solve(fun, chi_sym, psi, phi, u_sub, config)
 
 
 def harmonic_majorant(chi, phi, geom) -> ScalarField:
@@ -874,7 +867,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be positive")
     psi_interior = _interior_values(geom, psi)
-    psi0 = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
+    psi0, _ = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
     delta0 = float((psi0 - psi_interior).min())
     if delta0 <= 0:
         raise SubsolutionError("need a strict subsolution for the sweep")

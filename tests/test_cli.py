@@ -304,6 +304,14 @@ SEED0_DEGENERATE_ROWS = [
     "0.001,1,1.7541646130450617e-10,1.9999978300517642,1.2821464250954957,6,",
 ]
 
+# the same with geometry = riemannian: each solve runs the tangential
+# boundary check, which zero data pass
+SEED0_RIEMANNIAN_DEGENERATE_ROWS = [
+    "0.1,1,9.453429705708061e-11,0.49947249592537113,1.183953889946344,5,",
+    "0.01,1,1.023854057091711e-10,0.49999949739670685,1.133616189653119,6,",
+    "0.001,1,3.346889694642169e-10,0.49999999949823676,1.1341395028408385,9,",
+]
+
 
 class TestSolveCommand:
     def test_trivial_preset_dumps_zero_field(self, tmp_path):
@@ -409,7 +417,7 @@ class TestSolveCommand:
         ("solve", "kind = bogus\n", None),
         ("solve", "geometry = riemannian\nphi = scaled-cos\n", None),
         ("solve", "resolution = 8\nresolution = 8\n", "[line 2]"),
-        ("solve", "resolution = six\n", None),
+        ("solve", "resolution = six\n", "resolution: "),
         ("solve", "resolution = 8\nnot a key\n", "[line 2]"),
         ("solve", "# solve\n\nkind = ma\nnot a key\n", "[line 4]"),
         ("solve", "[run]\nkind = ma\nkind = sigma1\n", "[line 3]"),
@@ -456,6 +464,17 @@ class TestSolveCommand:
         ("cone-check", "kinds = quotient:1:2:3\n", "kind 'quotient:1:2:3'"),
         ("cone-check", "kinds = ma,sigmaK:x\n", "kind 'sigmaK:x'"),
         ("cone-check", "kinds = sigmaK:\n", "kind 'sigmaK:'"),
+        ("lemma-sweep", "ns = 2 x\n", "ns: "),
+        ("lemma-sweep", "trials = many\n", "trials: "),
+        ("cone-check", "samples = 1.5\n", "samples: "),
+        ("cone-check", "n = three\n", "n: "),
+        ("solve", "n = two\nresolution = 4\n", "n: "),
+        ("solve", "geometry = riemannian\nd = x\nresolution = 4\n", "d: "),
+        ("solve", "resolution = 4\ntolerance = tight\n", "tolerance: "),
+        ("solve", "resolution = 4\nmax_newton = 3.5\n", "max_newton: "),
+        ("solve", "resolution = 4\nphi = scaled-cos\nscale = big\n",
+         "scale: "),
+        ("degenerate", "resolution = 6\neps_list = 0.1 x\n", "eps_list: "),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
@@ -473,7 +492,10 @@ class TestSolveCommand:
             "sweep-eps-comma", "sweep-fractions-empty", "scales-empty",
             "kind-one-order", "kind-three-orders", "kind-order-not-int",
             "kind-order-missing", "kinds-one-order", "kinds-three-orders",
-            "kinds-order-not-int", "kinds-order-missing"])
+            "kinds-order-not-int", "kinds-order-missing", "ns-not-int",
+            "trials-not-int", "samples-not-int", "cone-n-not-int",
+            "n-not-int", "d-not-int", "tolerance-not-float",
+            "max-newton-not-int", "scale-not-float", "eps-list-not-float"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
                                               command, cfg_text, where):
         code, out = run(tmp_path, command, cfg_text)
@@ -648,6 +670,13 @@ class TestDegenerateCommand:
         assert code == 0
         lines = (out / "degenerate.csv").read_text().splitlines()
         assert lines[2:] == SEED0_DEGENERATE_ROWS
+
+    def test_riemannian_seed0_rows_pinned(self, tmp_path):
+        code, out = run(tmp_path, "degenerate",
+                        "geometry = riemannian\nresolution = 8\n")
+        assert code == 0
+        lines = (out / "degenerate.csv").read_text().splitlines()
+        assert lines[2:] == SEED0_RIEMANNIAN_DEGENERATE_ROWS
 
     def test_failed_solves_named_on_stderr(self, tmp_path, capsys):
         # two Newton steps are not enough at either eps: the run exits 1

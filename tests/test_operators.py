@@ -118,8 +118,8 @@ class TestResidual:
         # is an exact zero
         fun = cn.monge_ampere(2)
         prob = pr.build_problem(GEOM, fun, "manufactured", "zero", "star-bump")
-        psi0 = sv._check_subsolution(prob.u_sub, prob.phi, fun, prob.chi,
-                                     prob.psi.values[GEOM.interior])
+        psi0, _ = sv._check_subsolution(prob.u_sub, prob.phi, fun, prob.chi,
+                                        prob.psi.values[GEOM.interior])
         _, rn, _ = sv._residual_and_mask(prob.u_sub, fun, prob.chi, psi0)
         assert rn == 0.0
 

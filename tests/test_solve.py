@@ -978,6 +978,40 @@ class TestRiemannian:
         u, rep = sv.solve_riemannian(fun, prob.chi, psi0, prob.phi, prob.u_sub)
         np.testing.assert_allclose(u.values, prob.u_sub.values, atol=1e-12)
 
+    def test_complex_geometry_refused(self):
+        problem = problem_of(GEOM8, "ma")
+        with pytest.raises(ValueError, match="cylinder geometry"):
+            sv.solve_riemannian(*problem)
+
+    def test_tangential_check_runs_before_the_stage(self, monkeypatch):
+        # the faces of u_sub alternate by the boundary match tolerance:
+        # the tangential minimum -6.4e-5 is below the -6.25e-5 allowed,
+        # and the solve is refused before any Newton work
+        calls = count_stages(monkeypatch)
+        with pytest.raises(sv.SubsolutionError,
+                           match="tangential boundary monotonicity"):
+            sv.solve_riemannian(*tangential_violation())
+        assert calls == []
+
+    def test_sweep_runs_the_tangential_check(self, monkeypatch):
+        calls = count_stages(monkeypatch)
+        with pytest.raises(sv.SubsolutionError,
+                           match="tangential boundary monotonicity"):
+            sv.degenerate_sweep(*tangential_violation(), [0.1])
+        assert calls == []
+
+
+def tangential_violation():
+    """Monge-Ampere on the d = 2, m = 400 cylinder, degenerate-cos + 1e-3
+    from zero data, with u_sub = +-BOUNDARY_MATCH_ATOL alternating along
+    the periodic axis on both faces: the second difference -4e-10 / h^2 =
+    -6.4e-5 is below -10 h^2 = -6.25e-5."""
+    geom = CylinderGeometry(d=2, resolution=400)
+    fun, chi, psi, phi, u_sub = problem_of(geom, "ma")
+    sign = np.where(np.arange(geom.resolution) % 2, -1.0, 1.0)
+    u_sub.values[geom.faces] = sv.BOUNDARY_MATCH_ATOL * sign[:, None]
+    return fun, chi, psi, phi, u_sub
+
 
 def _reflect(v, axis):
     """v at -x along a periodic axis: node i takes node -i mod m."""
@@ -1256,6 +1290,25 @@ class TestNestedStart:
         with pytest.raises(sv._Fallback, match="repaired start inadmissible"):
             sv._bump(trial, fun, chi)
         assert np.array_equal(trial.values, start.values)
+
+    def test_bump_leaves_the_faces(self):
+        # at m = 98 the last coordinate 98 h rounds to 1 - 2**-53, where
+        # x_n (x_n - 1) is -1.1e-16: the bump is added at the interior
+        # nodes alone, each as u + c x_n (x_n - 1)
+        geom = CylinderGeometry(d=2, resolution=98)
+        xn = geom.grids()[geom.dirichlet_axis]
+        assert xn[0, -1] != 1.0
+        u = ScalarField(geom=geom, values=np.broadcast_to(
+            -xn * (xn - 1.0), geom.shape).copy())
+        u.values[geom.faces] = 0.0
+        start = u.copy()
+        c, state = sv._bump(u, cn.monge_ampere(2), np.eye(2))
+        assert c > 0.0 and state is None
+        assert bits(u.values[geom.faces]) == bits(start.values[geom.faces])
+        inner = geom.interior
+        assert bits(u.values[inner]) == bits(
+            start.values[inner] + c * np.broadcast_to(xn * (xn - 1.0),
+                                                      geom.shape)[inner])
 
     def test_faces_hold_the_boundary_data(self):
         # boundary-scaling's problem at scale 8 (phi a scaled cosine, u_sub
