@@ -4,16 +4,16 @@ studies, all emitting CSV with a provenance header.
 Subcommands: lemma-sweep, cone-check, solve, boundary-scaling, degenerate.
 Every output begins with ``# hessiancone=<version> seed=<seed>
 config_sha256=<hash>``; identical config and seed give byte-identical
-files.  Exit status is 0 iff every enabled assertion passed, and 2 for a
-config file the command cannot use: one that cannot be read, a key it
-does not read, or a value that does not parse, is not finite (inf or
-nan), is out of range (a grid of more than MAX_INTERIOR_NODES interior
-nodes included), lists no entry where a list is read, or names no known
-function or preset.  Such a run prints one line to stderr and writes
-nothing; so does a command line that does not parse (an unknown
-command, option or choice, or a --seed that is not an integer in
-[0, 2**64)) and an ``--out`` that is not a directory, and a failed write
-exits 2 with one line naming its path.
+files.  A command returns what failed; main reports it in one stderr
+line, ``<command> failed: a; b``, with exit status 1 (0 when nothing
+failed).  Status 2 is for a config the command cannot use: one that
+cannot be read, a key the command did not look up, or a value that does
+not parse, is not finite, is out of range (more than MAX_INTERIOR_NODES
+interior nodes, a size above MAX_SWEEP_N, MAX_CONE_N or MAX_CONE_ENTRIES
+included), lists no entry, or names no known function or preset.  Such a
+run prints one line to stderr and writes nothing; so does a command line
+that does not parse or an ``--out`` that is not a directory, and a
+failed write exits 2 with one line naming its path.
 """
 
 from __future__ import annotations
@@ -51,6 +51,12 @@ MAX_INTERIOR_NODES = 2**21
 CONE_TRIES = 2**16
 CONE_ODDS = 1024
 CONE_BLOCK_MAX = 2**14
+# peak RSS at the caps: a lemma sweep holds one 512-trial chunk of n x n
+# matrices (306 MB at n = 256); cone-check a samples x n x n complex stack
+# (484 MB at the worst n = 2; 112 MB at n = 64, where 1000 samples fit)
+MAX_SWEEP_N = 256
+MAX_CONE_N = 64
+MAX_CONE_ENTRIES = 2**22
 
 
 class ConfigError(ValueError):
@@ -78,6 +84,24 @@ def _config_errors():
         yield
     except (ValueError, OSError, configparser.Error) as exc:
         raise ConfigError(" ".join(str(exc).split())) from exc  # one line
+
+
+class _Config(dict):
+    """Config pairs that record each key the command looks up, so that the
+    keys it never read are refused: a misspelled key, or one this run has
+    no use for (``d`` on the complex model)."""
+
+    def __init__(self, pairs, command):
+        super().__init__(pairs)
+        self.command, self.read = command, set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def refuse_unread(self):
+        unread = ", ".join(sorted(self.keys() - self.read))
+        _require(not unread, f"{self.command} did not read {unread}")
 
 
 def _read_config(path):
@@ -173,11 +197,13 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
         eps_list = _listed(cfg, "eps", "0.05 0.2 1.0")
         trials = _value(cfg, "trials", 1000 if profile == FAST else 10000, int)
         fractions = _listed(cfg, "corner_fractions", "1.0")
-        _require(all(n >= 2 for n in ns), "ns: every n must be at least 2")
+        _require(all(2 <= n <= MAX_SWEEP_N for n in ns),
+                 f"ns: every n must be in [2, {MAX_SWEEP_N}]")
         _require(all(e > 0 for e in eps_list), "eps: every value must be positive")
         _require(trials >= 1, "trials: must be at least 1")
         _require(all(0 < f <= 1 for f in fractions),
                  "corner_fractions: every value must be in (0, 1]")
+        cfg.refuse_unread()
     modes = ("strong", "weak", "distinct")
     below = [frac for frac in fractions if frac < 1.0]
     cells = [(mode, eps, 1.0) for mode in modes for eps in eps_list]
@@ -190,17 +216,18 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
         first = group * len(eps_list)
         return [s for by_n in swept for s in by_n[first:first + len(eps_list)]]
 
-    failures = 0
+    failed = []
     for group, mode in enumerate(modes):
         at = rows(group)
-        failures += sum(s.violations for s in at)
+        failed += [f"{s.violations} {mode} violations at n={s.n}, eps={s.eps!r}"
+                   for s in at if s.violations]
         writer.write(f"lemma_{mode}.csv", arrowhead.SWEEP_CSV_HEADER,
                      [s.csv_row() for s in at])
     if below:
         writer.write("below_threshold.csv", arrowhead.SWEEP_CSV_HEADER,
                      [s.csv_row() for group in range(len(modes), len(modes) + len(below))
                       for s in rows(group)])
-    return failures
+    return failed
 
 
 def _scarce(fun, kept, tried):
@@ -307,12 +334,8 @@ def _cone_rows(fun, samples, rng):
         "ray_unique": (ray_ok, ""),
         "fi_sum_bound": (fi_ok, repr(float(margin.min()))),
     }
-    rows = []
-    failures = 0
-    for check, (ok, stat) in checks.items():
-        bad = int(np.count_nonzero(~ok))
-        rows.append(f"{fun.label},{check},{samples},{bad},{stat}")
-        failures += bad
+    rows = [(fun.label, check, samples, int(np.count_nonzero(~ok)), stat)
+            for check, (ok, stat) in checks.items()]
     far = gap.branch == "normal-far"
     eps = np.sort(gap.eps_prime[far])
     if eps.size:
@@ -320,26 +343,27 @@ def _cone_rows(fun, samples, rng):
         for tag, val in (("gap_epsprime_min", eps[0]),
                          ("gap_epsprime_median", eps[eps.size // 2]),
                          ("gap_epsprime_max", eps[-1])):
-            rows.append(f"{fun.label},{tag},{eps.size},{bad},{float(val)!r}")
-            failures += bad
-    return rows, failures
+            rows.append((fun.label, tag, eps.size, bad, repr(float(val))))
+    return rows
 
 
 def cmd_cone_check(cfg, writer, seed, profile):
     with _config_errors():
         n = _value(cfg, "n", 3, int)
-        kinds = str(cfg.get("kinds", "sigma1,sigmaK:2,ma,quotient:1:2")).split(",")
-        funs = [cones.parse_kind(name.strip(), n) for name in kinds]
+        _require(2 <= n <= MAX_CONE_N, f"n: must be in [2, {MAX_CONE_N}]")
+        funs = _listed(cfg, "kinds", "sigma1,sigmaK:2,ma,quotient:1:2",
+                       lambda name: cones.parse_kind(name, n))
         samples = _value(cfg, "samples", 1000, int)
         _require(samples >= 1, "samples: must be at least 1")
+        _require(samples * n * n <= MAX_CONE_ENTRIES, f"samples: samples * n**2 "
+                 f"above {MAX_CONE_ENTRIES} (lower samples or n)")
+        cfg.refuse_unread()
     rng = np.random.default_rng(seed)
-    rows, failures = [], 0
-    for fun in funs:
-        r, f = _cone_rows(fun, samples, rng)
-        rows.extend(r)
-        failures += f
-    writer.write("cone_check.csv", "kind,check,samples,failures,stat", rows)
-    return failures
+    rows = [row for fun in funs for row in _cone_rows(fun, samples, rng)]
+    writer.write("cone_check.csv", "kind,check,samples,failures,stat",
+                 [",".join(map(str, row)) for row in rows])
+    return [f"{kind} {check} ({bad} of {count})"
+            for kind, check, count, bad, _ in rows if bad]
 
 
 def _solver_config(cfg):
@@ -352,13 +376,12 @@ def _solver_config(cfg):
     return config
 
 
-def _geometry(cfg, profile):
+def _solve_setup(cfg, profile):
+    """The grid, the function and the SolverConfig of a solving command."""
     res = _value(cfg, "resolution", 16 if profile == FAST else 32, int)
     name = str(cfg.get("geometry", "complex"))
     _require(name in ("complex", "riemannian"),
              "geometry: must be complex or riemannian")
-    unread = "n" if name == "riemannian" else "d"
-    _require(unread not in cfg, f"{unread}: not read with geometry = {name}")
     if name == "riemannian":
         geom = CylinderGeometry(d=_value(cfg, "d", 3, int), resolution=res)
     else:
@@ -367,24 +390,23 @@ def _geometry(cfg, profile):
     _require(nodes <= MAX_INTERIOR_NODES,
              f"grid has {nodes} interior nodes, more than the "
              f"{MAX_INTERIOR_NODES} a run can hold (lower n, d or resolution)")
-    return geom
+    fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
+    return geom, fun, _solver_config(cfg)
 
 
 def cmd_solve(cfg, writer, seed, profile):
     with _config_errors():
-        geom = _geometry(cfg, profile)
-        fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
+        geom, fun, config = _solve_setup(cfg, profile)
+        psi = str(cfg.get("psi", "manufactured"))
         phi, sub = str(cfg.get("phi", "zero")), str(cfg.get("subsolution", "star-bump"))
-        _require("scale" not in cfg or "scaled-cos" in (phi, sub),
-                 "scale: not read unless phi or subsolution is scaled-cos")
-        prob = build_problem(geom, fun, str(cfg.get("psi", "manufactured")),
-                             phi, sub, scale=_value(cfg, "scale", 1.0))
-        config = _solver_config(cfg)
+        scale = _value(cfg, "scale", 1.0) if "scaled-cos" in (phi, sub) else 1.0
         dump = str(cfg.get("dump_fields", "none")).replace(",", " ").split()
         _require(set(dump) <= {"none", "csv", "raw"},
                  "dump_fields: every entry must be none, csv or raw")
         _require("raw" not in dump or geom.real_dims <= 6,
                  "dump_fields: raw needs at most 6 real directions")
+        cfg.refuse_unread()
+        prob = build_problem(geom, fun, psi, phi, sub, scale=scale)
     try:
         u, report = continuity_solve(fun, prob.chi, prob.psi, prob.phi,
                                      prob.u_sub, config)
@@ -392,10 +414,8 @@ def cmd_solve(cfg, writer, seed, profile):
         empty = "," * (SolveReport.CSV_FIELDS.count(",") - 2)
         writer.write("report.csv", SolveReport.CSV_FIELDS,
                      [f"{fun.label},{geom.resolution},0{empty}"])
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return 1
-    rows = [report.csv_row()]
-    writer.write("report.csv", SolveReport.CSV_FIELDS, rows)
+        return [str(exc)]
+    writer.write("report.csv", SolveReport.CSV_FIELDS, [report.csv_row()])
     if prob.u_star is not None:
         err = float(np.abs(u.values - prob.u_star.values).max())
         writer.write("error.csv", "resolution,sup_error",
@@ -404,18 +424,18 @@ def cmd_solve(cfg, writer, seed, profile):
         write_field_csv(writer.outdir / "u.csv", u)
     if "raw" in dump:
         write_field_raw(writer.outdir / "u.raw", u)
-    return int(report.comparison_violations != 0)
+    violations = report.comparison_violations
+    return [f"{violations} comparison violations"] if violations else []
 
 
 def cmd_boundary_scaling(cfg, writer, seed, profile):
     # the ratio study is resolution-stable at 16 per direction; config may
     # override, the profile does not
     with _config_errors():
-        geom = _geometry(cfg, FAST)
-        fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
+        geom, fun, config = _solve_setup(cfg, FAST)
         scales = _listed(cfg, "scales", "1 2 4 8")
-        config = _solver_config(cfg)
-    rows, ratios, failures, failed = [], [], 0, []
+        cfg.refuse_unread()
+    rows, ratios, failed = [], [], []
     for s in scales:
         with _config_errors():
             prob = build_problem(geom, fun, "one", "scaled-cos", "scaled-cos", scale=s)
@@ -423,7 +443,6 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
             u, rep = continuity_solve(fun, prob.chi, prob.psi, prob.phi,
                                       prob.u_sub, config)
         except SOLVE_ERRORS:
-            failures += 1
             failed.append(f"solve at s={s!r}")
             rows.append(f"{s!r},,,")
             continue
@@ -435,29 +454,24 @@ def cmd_boundary_scaling(cfg, writer, seed, profile):
         if s != 0.0:
             ratios.append(rep.boundary_ratio)
         if rep.comparison_violations:
-            failures += rep.comparison_violations
             failed.append(f"{rep.comparison_violations} comparison "
                           f"violations at s={s!r}")
     writer.write("boundary_scaling.csv",
                  "s,sup_grad,sup_ddbar_boundary,ratio", rows)
     if ratios and not max(ratios) <= 10.0 * min(ratios):
-        failures += 1
         failed.append(f"boundary ratios {min(ratios)!r} to {max(ratios)!r} "
                       "spread by more than 10")
-    if failed:
-        print(f"boundary-scaling failed: {'; '.join(failed)}", file=sys.stderr)
-    return failures
+    return failed
 
 
 def cmd_degenerate(cfg, writer, seed, profile):
     with _config_errors():
-        geom = _geometry(cfg, FAST)
-        fun = cones.parse_kind(str(cfg.get("kind", "ma")), geom.form_dim)
+        geom, fun, config = _solve_setup(cfg, FAST)
         eps_list = _listed(cfg, "eps_list", "0.1 0.01 0.001")
         _require(all(e > 0 for e in eps_list),
                  "eps_list: every value must be positive")
+        cfg.refuse_unread()
         prob = build_problem(geom, fun, "degenerate-cos", "zero", "zero")
-        config = _solver_config(cfg)
     rows_data = degenerate_sweep(fun, prob.chi, prob.psi, prob.phi, prob.u_sub,
                                  eps_list, config)
     rows, laps, failed = [], [], []
@@ -477,9 +491,7 @@ def cmd_degenerate(cfg, writer, seed, profile):
     if laps and max(laps) / min(laps) > 2.0:
         failed.append(f"sup_lap {min(laps)!r} to {max(laps)!r} "
                       "spread by more than 2")
-    if failed:
-        print(f"degenerate failed: {'; '.join(failed)}", file=sys.stderr)
-    return len(failed)
+    return failed
 
 
 COMMANDS = {
@@ -488,19 +500,6 @@ COMMANDS = {
     "solve": cmd_solve,
     "boundary-scaling": cmd_boundary_scaling,
     "degenerate": cmd_degenerate,
-}
-
-_PROBLEM_KEYS = ("geometry", "n", "d", "resolution", "kind")
-_SOLVER_KEYS = tuple(vars(SolverConfig()))
-
-# the config keys each command reads; any other key is rejected
-CONFIG_KEYS = {
-    "lemma-sweep": ("ns", "eps", "trials", "corner_fractions"),
-    "cone-check": ("n", "kinds", "samples"),
-    "solve": _PROBLEM_KEYS + _SOLVER_KEYS
-    + ("psi", "phi", "subsolution", "scale", "dump_fields"),
-    "boundary-scaling": _PROBLEM_KEYS + _SOLVER_KEYS + ("scales",),
-    "degenerate": _PROBLEM_KEYS + _SOLVER_KEYS + ("eps_list",),
 }
 
 
@@ -525,20 +524,20 @@ def main(argv=None) -> int:
 
     try:
         with _config_errors():
-            cfg, raw = _read_config(args.config)
-        unknown = sorted(set(cfg) - set(CONFIG_KEYS[args.command]))
-        if unknown:
-            raise ConfigError(
-                f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
+            pairs, raw = _read_config(args.config)
         writer = _Writer(args.out, args.seed, hashlib.sha256(raw).hexdigest())
-        failures = COMMANDS[args.command](cfg, writer, args.seed, args.profile)
+        failed = COMMANDS[args.command](_Config(pairs, args.command), writer,
+                                        args.seed, args.profile)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # --out, or a write into it
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    return 0 if failures == 0 else 1
+    if failed:  # what failed, in one line
+        print(f"{args.command} failed: {'; '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hessiancone import cli
+from hessiancone import arrowhead, cli
 from hessiancone import cones as cn
 from hessiancone import solve as sv
 from hessiancone.cli import main
@@ -270,6 +270,15 @@ class TestConeCheck:
         assert not out.exists()
         assert 0 < blocks.count("ma") <= 16
 
+    def test_kinds_separated_by_spaces_or_commas(self, tmp_path):
+        _, out1 = run(tmp_path, "cone-check", "kinds = sigma1 ma\nsamples = 20\n",
+                      sub="a")
+        _, out2 = run(tmp_path, "cone-check", "kinds = sigma1, ma\nsamples = 20\n",
+                      sub="b")
+        rows = [(out / "cone_check.csv").read_text().splitlines()[1:]
+                for out in (out1, out2)]
+        assert rows[0] == rows[1] and rows[0][1].startswith("sigma1,")
+
     def test_byte_identical_rerun(self, tmp_path):
         cfg = "n = 3\nkinds = quotient:1:2\nsamples = 40\n"
         _, out1 = run(tmp_path, "cone-check", cfg, seed=4, sub="a")
@@ -403,14 +412,19 @@ class TestSolveCommand:
             assert key.split()[0] in capsys.readouterr().err
             assert not out.exists()
 
-    def test_solver_keys_are_the_solver_config_fields(self):
-        # every SolverConfig field is a config key of each solving command
-        # and reads back from its own repr
+    def test_solver_keys_are_the_solver_config_fields(self, tmp_path, capsys):
+        # a config that sets every SolverConfig field is accepted by each
+        # solving command, and the fields read back from their own repr
         base = sv.SolverConfig()
         names = [f.name for f in dataclasses.fields(sv.SolverConfig)]
-        for command in ("solve", "boundary-scaling", "degenerate"):
-            assert set(names) <= set(cli.CONFIG_KEYS[command])
         cfg = {name: repr(getattr(base, name)) for name in names}
+        fields = "".join(f"{name} = {text}\n" for name, text in cfg.items())
+        for command, extra in (("solve", ""), ("boundary-scaling", "scales = 1\n"),
+                               ("degenerate", "eps_list = 0.1\n")):
+            code, _ = run(tmp_path, command, f"resolution = 4\n{extra}{fields}",
+                          sub=command)
+            assert code == 0, command
+            assert capsys.readouterr().err == ""
         assert cli._solver_config(cfg) == base
 
     @pytest.mark.parametrize("command, cfg_text, where", [
@@ -475,6 +489,8 @@ class TestSolveCommand:
         ("solve", "resolution = 4\nphi = scaled-cos\nscale = big\n",
          "scale: "),
         ("degenerate", "resolution = 6\neps_list = 0.1 x\n", "eps_list: "),
+        ("cone-check", "kinds =\n", "kinds: must list at least one value"),
+        ("cone-check", "kinds = ,\n", "kinds: must list at least one value"),
     ], ids=["kind", "preset", "duplicate-key", "number", "syntax",
             "syntax-after-comment", "duplicate-key-under-header",
             "sweep-eps-zero", "sweep-n-one", "samples-zero", "samples-negative",
@@ -495,7 +511,8 @@ class TestSolveCommand:
             "kinds-order-not-int", "kinds-order-missing", "ns-not-int",
             "trials-not-int", "samples-not-int", "cone-n-not-int",
             "n-not-int", "d-not-int", "tolerance-not-float",
-            "max-newton-not-int", "scale-not-float", "eps-list-not-float"])
+            "max-newton-not-int", "scale-not-float", "eps-list-not-float",
+            "kinds-empty", "kinds-comma"])
     def test_bad_config_exits_2_with_one_line(self, tmp_path, capsys,
                                               command, cfg_text, where):
         code, out = run(tmp_path, command, cfg_text)
@@ -507,6 +524,24 @@ class TestSolveCommand:
             assert where in err
             if where.startswith("[line"):
                 assert str(tmp_path / "run.cfg") in err
+
+    @pytest.mark.parametrize("command, cfg_text, keys", [
+        ("lemma-sweep", "resolution = 8\n", "resolution"),
+        ("cone-check", "trials = 10\n", "trials"),
+        ("solve", "ns = 2 3\n", "ns"),
+        ("solve", "d = 3\nscale = 2\n", "d, scale"),
+        ("boundary-scaling", "scale = 2\n", "scale"),
+        ("degenerate", "scales = 1 2\n", "scales"),
+    ], ids=["sweep-resolution", "cone-trials", "solve-ns", "solve-d-scale",
+            "scaling-scale", "degenerate-scales"])
+    def test_unread_key_named(self, tmp_path, capsys, command, cfg_text, keys):
+        # a key the command never looked up is refused in one line naming
+        # every such key, before any solve or sweep runs
+        code, out = run(tmp_path, command, cfg_text)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: {command} did not read {keys}\n")
+        assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -704,3 +739,91 @@ class TestDegenerateCommand:
         assert code == 1
         assert capsys.readouterr().err == (
             "degenerate failed: sup_lap 1.0 to 3.0 spread by more than 2\n")
+
+
+def _violating_solve(*args):
+    u, report = sv.continuity_solve(*args)
+    report.comparison_violations = 3
+    return u, report
+
+
+def _unconverged_sweep(*args):
+    return [dict(r, converged=False, error="Forced") for r in sv.degenerate_sweep(*args)]
+
+
+def _violating_sweep(*args, sweep_cells=arrowhead.sweep_cells):
+    return [dataclasses.replace(s, violations=2) for s in sweep_cells(*args)]
+
+
+class TestFailureReport:
+    """main alone reports a failed run: exit status 1 and one stderr line
+    "<command> failed: ..."; a run that passes leaves stderr empty."""
+
+    @pytest.mark.parametrize("command, cfg_text, target, name, forced", [
+        ("lemma-sweep", "ns = 2\neps = 0.2\ntrials = 50\n", arrowhead,
+         "sweep_cells", _violating_sweep),
+        ("cone-check", "kinds = sigma1\nsamples = 20\n", cn, "fd_grad",
+         lambda fun, lam: np.full(lam.shape, np.nan)),
+        ("solve", "resolution = 8\n", cli, "continuity_solve", _violating_solve),
+        ("boundary-scaling", "resolution = 8\nscales = 1\n", cli,
+         "continuity_solve", _violating_solve),
+        ("degenerate", "resolution = 8\neps_list = 0.1\n", cli,
+         "degenerate_sweep", _unconverged_sweep),
+    ], ids=["lemma-sweep", "cone-check", "solve", "boundary-scaling", "degenerate"])
+    def test_one_line_from_main(self, tmp_path, capsys, monkeypatch, command,
+                                cfg_text, target, name, forced):
+        code, _ = run(tmp_path, command, cfg_text, sub="pass")
+        assert code == 0 and capsys.readouterr().err == ""
+        monkeypatch.setattr(target, name, forced)
+        code, _ = run(tmp_path, command, cfg_text, sub="fail")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command} failed: ") and err.count("\n") == 1
+
+
+class _Reached(Exception):
+    """Raised by a stub standing where the first large array is made."""
+
+
+def _reached(*args):
+    raise _Reached
+
+
+class TestSizeCaps:
+    """A lemma-sweep or cone-check size whose arrays would not fit is a
+    config error, refused before the sweep or the cone draw allocates."""
+
+    @pytest.mark.parametrize("command, cfg_text, key", [
+        ("lemma-sweep", "ns = 2 200000\ntrials = 1\n", "ns: "),
+        ("lemma-sweep", f"ns = {cli.MAX_SWEEP_N + 1}\n", "ns: "),
+        ("cone-check", "n = 1000\n", "n: "),
+        ("cone-check", f"n = {cli.MAX_CONE_N + 1}\nkinds = sigma1\nsamples = 1\n",
+         "n: "),
+        ("cone-check", "n = 1\nkinds = sigma1\n", "n: "),
+        ("cone-check", "samples = 100000000\n", "samples: "),
+        ("cone-check", f"n = 3\nsamples = {cli.MAX_CONE_ENTRIES // 9 + 1}\n",
+         "samples: "),
+    ], ids=["sweep-n-huge", "sweep-n-above-cap", "cone-n-huge",
+            "cone-n-above-cap", "cone-n-one", "samples-huge", "samples-above-cap"])
+    def test_refused_before_any_allocation(self, tmp_path, capsys, monkeypatch,
+                                           command, cfg_text, key):
+        monkeypatch.setattr(arrowhead, "sweep_cells", _reached)
+        monkeypatch.setattr(cli, "_cone_rows", _reached)
+        code, out = run(tmp_path, command, cfg_text)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg_text", [
+        ("lemma-sweep", f"ns = 2 {cli.MAX_SWEEP_N}\n"),
+        ("cone-check", f"n = {cli.MAX_CONE_N}\nkinds = sigma1\n"
+         f"samples = {cli.MAX_CONE_ENTRIES // cli.MAX_CONE_N**2}\n"),
+        ("cone-check", f"n = 3\nsamples = {cli.MAX_CONE_ENTRIES // 9}\n"),
+    ], ids=["sweep-n-at-cap", "cone-n-at-cap", "samples-at-cap"])
+    def test_largest_sizes_accepted(self, tmp_path, monkeypatch, command,
+                                    cfg_text):
+        monkeypatch.setattr(arrowhead, "sweep_cells", _reached)
+        monkeypatch.setattr(cli, "_cone_rows", _reached)
+        with pytest.raises(_Reached):
+            run(tmp_path, command, cfg_text)
