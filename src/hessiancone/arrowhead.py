@@ -101,6 +101,13 @@ _CHUNK = 512
 # output.
 _BATCH = 8192
 
+# _chunk_stats hands _spectra and _concentration at most this many matrix
+# entries per call (32 MB of n x n float64 matrices, and weak's as many
+# distances), so a large-n sweep never holds a whole chunk of them: 64 of
+# a chunk's 512 trials at n = 256.  Each matrix is solved alone, so the
+# blocks change no output; a batch fits in one block up to n = 90.
+_DENSE_ENTRIES = 2**22
+
 
 @dataclass(frozen=True)
 class ArrowheadSpec:
@@ -684,21 +691,25 @@ def _settled(p, corner, eps):
 def _chunk_stats(mode, p, eps, corner_fraction):
     """(max deviation, max excess, violations) of the trials of the
     _Planes p at the threshold of mode times corner_fraction: the dense
-    verdict of the trials that _settled leaves."""
+    verdict of the trials that _settled leaves, formed for blocks of at
+    most _DENSE_ENTRIES matrix entries in turn.  The maxima are exact and
+    NaN-propagating in any order, so the blocks change no output."""
     if mode == "distinct":
         eps = np.minimum(eps, 0.5 * p.min_gap)
     corner = corner_fraction * _growth(mode, *p.weights, eps)
     eps = np.broadcast_to(eps, corner.shape)
-    dense = ~_settled(p, corner, eps)
-    d, corner, eps = p.d[dense], corner[dense], eps[dense]
-    lam = _spectra(d, p.a[dense], corner)
-    dev, excess, deviation_ok, excess_ok, _ = _concentration(mode, d, lam, corner, eps)
-    passed = deviation_ok.all(axis=-1) & excess_ok
-    return (
-        float(dev.max()),
-        float(excess.max()),
-        int(np.count_nonzero(~passed)),
-    )
+    dense = np.flatnonzero(~_settled(p, corner, eps))
+    step = max(1, _DENSE_ENTRIES // (len(p.ds) + 1) ** 2)
+    stats = []
+    for k in range(0, len(dense), step):
+        rows = dense[k:k + step]
+        d, c = p.d[rows], corner[rows]
+        lam = _spectra(d, p.a[rows], c)
+        dev, excess, deviation_ok, excess_ok, _ = _concentration(mode, d, lam, c, eps[rows])
+        stats.append((dev.max(), excess.max(),
+                      np.count_nonzero(~(deviation_ok.all(axis=-1) & excess_ok))))
+    dev, excess, violations = np.array(stats).T
+    return float(dev.max()), float(excess.max()), int(violations.sum())
 
 
 def sweep_cells(n: int, cells, trials: int, seed: int) -> list[SweepSummary]:

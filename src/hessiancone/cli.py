@@ -47,13 +47,18 @@ FAST, FULL = "fast", "full"
 # (15.7 million, about 2.3 GB for one 3 x 3 complex form field) is refused
 MAX_INTERIOR_NODES = 2**21
 # _draw_in_cone: ma keeps (2/3)^n of its candidates, so from n = 18 on
-# (and at n = 17 for some seeds) it is refused, not drawn for days at n = 50
+# (and at n = 17 for some seeds) it is refused, not drawn for days at n = 50;
+# nor is a draw whose acceptance so far projects more than CONE_BUDGET
+# candidates: about 28 s of drawing at n = 17 (1.7 us per ma candidate),
+# where ma at 8,000 samples, just under it, ran 35 s in all
 CONE_TRIES = 2**16
 CONE_ODDS = 1024
+CONE_BUDGET = 2**24
 CONE_BLOCK_MAX = 2**14
-# peak RSS at the caps: a lemma sweep holds one 512-trial chunk of n x n
-# matrices (306 MB at n = 256); cone-check a samples x n x n complex stack
-# (484 MB at the worst n = 2; 112 MB at n = 64, where 1000 samples fit)
+# peak RSS at the caps: a lemma sweep holds at most arrowhead._DENSE_ENTRIES
+# matrix entries of a chunk at a time (110 MB at n = 256, 56 MB at n = 64);
+# cone-check a samples x n x n complex stack (484 MB at the worst n = 2;
+# 112 MB at n = 64, where 1000 samples fit)
 MAX_SWEEP_N = 256
 MAX_CONE_N = 64
 MAX_CONE_ENTRIES = 2**22
@@ -244,11 +249,17 @@ def _draw_in_cone(fun, count, rng):
     block completes the count, the stream is rewound and exactly the
     candidates the loops would consume are drawn again.  Blocks that fall
     short grow up to CONE_BLOCK_MAX; a draw that has tried CONE_TRIES
-    candidates and kept fewer than 1 in CONE_ODDS raises ConfigError."""
+    candidates and kept fewer than 1 in CONE_ODDS, or at a rate that
+    would need more than CONE_BUDGET for ``count``, raises ConfigError."""
     found, tried, kept = [], 0, 0
     while kept < count:
         if tried >= CONE_TRIES and kept * CONE_ODDS < tried:
             raise _scarce(fun, kept, tried)
+        if tried >= CONE_TRIES and tried * count > CONE_BUDGET * kept:
+            raise ConfigError(
+                f"samples: {fun.label} at n = {fun.n} kept {kept} of {tried} "
+                f"uniform candidates, so {count} cone points would take more "
+                f"than {CONE_BUDGET} candidates; lower samples or n")
         start = rng.bit_generator.state
         # the lowest shipped acceptance rate at n = 3 is 8/27 (ma), so one
         # block of four candidates per point usually suffices

@@ -2,43 +2,43 @@
 
 The Dirichlet problem f(lambda(chi + dd-bar u)) = psi is solved by one
 damped inexact Newton stage on the discrete system, started at the
-subsolution with its faces set to the boundary data.  A step solves the
-f-space linearization with the right-hand side of the Newton step for
-the same equation in polynomial form, f^q = psi^q (as Loeper & Rapetti,
-C. R. Acad. Sci. Paris 340, 2005, do for Monge-Ampere), whose linear
-model stays inside the cone where -r's need not (_polynomial_step); for
-q = 1 it is -r.  The residual, the tolerance and the stop stay in
-f-space.  Damping keeps every node's sigma_1..sigma_m positive (the
-cone) and the sup-norm residual decreasing.  Every step first tries the
-full step; when that leaves the cone, the next trial is EXIT_FRACTION of
-theta*, where the step's ray leaves the cone (the smallest positive root
-of sigma_m(g + theta H(delta)) over the nodes, operators.cone_exit), as
-interior-point methods step a fixed fraction to the boundary (Waechter &
-Biegler, Math. Program. 106, 2006); the trials halve from there.  Each
-linear solve runs to the Eisenstat-Walker forcing term (SIAM J. Sci.
-Comput. 17, 1996): ETA_MAX on the first step, which has no residual
-history, then 0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised
-to OVERSOLVE tolerance / r_k so the last step is not oversolved, within
+subsolution with its faces set to the boundary data, a start the input
+checks certify in the cone.  A step solves the f-space linearization
+with the right-hand side of the Newton step for the same equation in
+polynomial form, f^q = psi^q (as Loeper & Rapetti, C. R. Acad. Sci.
+Paris 340, 2005, do for Monge-Ampere), whose linear model stays inside
+the cone where -r's need not (_polynomial_step); for q = 1 it is -r.
+The residual, the tolerance and the stop stay in f-space.  Damping keeps
+every node's sigma_1..sigma_m positive (the cone) and the sup-norm
+residual decreasing.  Every step first tries the full step; when that
+leaves the cone, the next trial is EXIT_FRACTION of theta*, where the
+step's ray leaves the cone (the smallest positive root of sigma_m(g +
+theta H(delta)) over the nodes, operators.cone_exit), as interior-point
+methods step a fixed fraction to the boundary (Waechter & Biegler, Math.
+Program. 106, 2006); the trials halve from there.  Each linear solve
+runs to the Eisenstat-Walker forcing term (SIAM J. Sci. Comput. 17,
+1996): ETA_MAX on the first step, which has no residual history, then
+0.9 (r_k / r_{k-1})^2 of the sup-norm residuals, raised to OVERSOLVE
+tolerance / r_k so the last step is not oversolved, within
 [DEFAULT_RTOL, ETA_MAX]; it stops on its true residual, near that term
-rather than far below it.  The stage's
-StageRecord (SolveReport.stage) holds per step the residual, the
-damping, every damping factor tried with its trial's residual, theta*
-when the full step left the cone, the linear solve's record (forcing
-term, operator applications, residual reached) and the wall seconds of
-its phases (never written to a CSV).
+rather than far below it.  The stage's StageRecord (SolveReport.stage)
+holds per step the residual, the damping, every damping factor tried
+with its trial's residual, theta* when the full step left the cone, the
+linear solve's record (forcing term, operator applications, residual
+reached) and the wall seconds of its phases (never written to a CSV).
 A stage that fails raises ContinuationError with its reason.  The same
 driver covers the cylinder, with the real Hessian for the complex one
 and the tangential boundary check among the input checks.
 
-A degenerate solve (psi <= f(lambda(g[u_sub])) / DEGENERATE_RATIO at
-some node) on an even grid of at least 2 NESTED_MIN_RESOLUTION nodes per
-period starts its Newton stage nested: the same stage, run on the grid
-of every other node, is prolonged to the fine grid (_prolonged:
+A degenerate solve (psi <= f(lambda(g)) / DEGENERATE_RATIO at some node
+of that start) on an even grid of at least 2 NESTED_MIN_RESOLUTION nodes
+per period starts its Newton stage nested: the same stage, run on the
+grid of every other node, is prolonged to the fine grid (_prolonged:
 trigonometric interpolation along each periodic axis, exact below the
 coarse Nyquist frequency whether the half grid is even or odd) and
-lifted into the cone by the smallest bump c x_n (x_n - 1) that admits
-it (_bump).  From a good coarse start the number of Newton steps does
-not grow with the grid (Allgower, Boehmer, Potra & Rheinboldt, SIAM J.
+lifted into the cone by the smallest bump c x_n (x_n - 1) that admits it
+(_bump).  From a good coarse start the number of Newton steps does not
+grow with the grid (Allgower, Boehmer, Potra & Rheinboldt, SIAM J.
 Numer. Anal. 23, 1986), where the cold start spends most of its steps
 getting from the subsolution to the solution.  When the coarse stage
 fails, no bump admits the start or the fine stage fails, the solve runs
@@ -53,8 +53,8 @@ without a dense eigenvalue solve at every node: two-sided trace bounds
 on each node's extreme eigenvalues (Wolkowicz & Styan 1980) select the
 nodes that can attain an extreme, and those alone are solved densely, in
 one call (_extreme_eigenvalues).  A SolveReport keeps the wall seconds of
-the subsolution check, the Newton stage and the diagnostics, never
-written to a CSV.
+the input checks (with the cold start's Newton state), the Newton stage
+and the diagnostics, never written to a CSV.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ from .operators import (
     _dim,
     _index,
     _padded,
-    _pairs,
+    _real_partials,
+    _second_partials,
 )
 
 __all__ = [
@@ -131,8 +132,8 @@ EXTREME_SLACK = 64 * np.finfo(float).eps
 # nodes at 16^4, 32^4 and on the 32^3 cylinder; single layers of the
 # cylinder (992 nodes) ran slower
 EXIT_BLOCK = 8192
-# _fine_stage: a solve starts nested when f(lambda(g[u_sub])) >=
-# DEGENERATE_RATIO psi at some interior node and the half grid has at
+# _fine_stage: a solve starts nested when f(lambda(g)) at the cold start
+# >= DEGENERATE_RATIO psi at some interior node and the half grid has at
 # least NESTED_MIN_RESOLUTION nodes per period.  The manufactured 16^4 and
 # 32^3 problems peak at 1.13 and 1.27, degenerate-cos + 1e-3 at 1000
 DEGENERATE_RATIO = 2.0
@@ -144,11 +145,10 @@ class SubsolutionError(ValueError):
 
 
 class ContinuationError(RuntimeError):
-    """The Newton stage from the subsolution to the target failed: its
-    start was inadmissible, a linear solve failed, no damping factor
-    qualified or the iteration budget ran out.  The message is the
-    reason; ``residual`` is the last sup-norm residual reached (nan when
-    the start was inadmissible)."""
+    """The Newton stage from its checked start to the target failed: a
+    linear solve failed, no damping factor qualified or the iteration
+    budget ran out.  The message is the reason; ``residual`` is the last
+    sup-norm residual reached."""
 
     def __init__(self, message, residual=np.nan):
         self.residual = residual
@@ -211,9 +211,9 @@ class SolveReport:
     # degenerate_sweep's sup_lap, max |tr form_field(u)| over the interior
     # nodes (never in CSV_FIELDS)
     sup_lap: float = np.nan
-    # wall seconds of the subsolution check, the Newton stage (with the
-    # coarse stage of a nested start) and the diagnostics (never in
-    # CSV_FIELDS)
+    # wall seconds of the input checks (with the cold start's Newton
+    # state), the Newton stage (with the coarse stage of a nested start)
+    # and the diagnostics (never in CSV_FIELDS)
     seconds: list = field(default_factory=list)
     # the Newton stage's start, "cold" (_stage_start) or "nested"
     # (_nested_start); why a nested start fell back to the cold one ("" when
@@ -262,14 +262,11 @@ def _interior_values(geom, f):
     return f.values[geom.interior] if isinstance(f, ScalarField) else np.asarray(f)
 
 
-def _residual_and_mask(u, fun, chi, psi_interior, state=None):
+def _residual_and_mask(u, fun, chi, psi_interior):
     """Interior residual, its sup norm and newton_state at u (for the
-    linearization at u), or (None, None, None) when some node is
-    inadmissible.  ``state`` is newton_state(u, fun, chi) when the caller
-    has it already."""
+    linearization), or (None, None, None) when some node is inadmissible."""
     try:
-        if state is None:
-            state = newton_state(u, fun, chi)
+        state = newton_state(u, fun, chi)
     except AdmissibilityError:
         return None, None, None
     r = cones.f_from_sigmas(fun, state[0]) - psi_interior
@@ -326,7 +323,7 @@ def _cone_exit(u, delta, fun, chi) -> float:
                for k in range(0, g.shape[1], step))
 
 
-def _newton_solve(u, fun, chi, psi, config, state=None):
+def _newton_solve(start, fun, chi, psi, config):
     """Damped inexact Newton iteration from u to f = psi.
 
     Each step solves the f-space linearized system with homogeneous
@@ -336,17 +333,17 @@ def _newton_solve(u, fun, chi, psi, config, state=None):
     1; when that trial leaves the cone, EXIT_FRACTION theta* (theta* the
     cone exit, _cone_exit; 0.5 when theta* >= 1 by rounding, or is nan);
     then halving, down to 2**-MAX_HALVINGS.  Returns (u, StageRecord);
-    raises ContinuationError when the start is inadmissible, the linear
-    solve fails, no factor qualifies or the iteration budget runs out.  The
-    residual r = f - psi, its sup norm and config.tolerance are in f-space.
-    u is never written: each iterate is a new field, and with no step the
-    start is returned as it is.  ``state`` is newton_state at the start
-    when the caller has formed it (_bump).
+    raises ContinuationError when the linear solve fails, no factor
+    qualifies or the iteration budget runs out.  The residual r = f - psi,
+    its sup norm and config.tolerance are in f-space.  ``start`` is the
+    checked [u, newton_state(u)] (_stage_start, _nested_start), emptied
+    here so that the stage alone holds them.  u is never written: each
+    iterate is a new field, and with no step u is returned as it is.
     """
+    u, state = start.pop(0), start.pop()
     geom = u.geom
-    r, rn, state = _residual_and_mask(u, fun, chi, psi, state)
-    if r is None:
-        raise ContinuationError("stage start inadmissible")
+    r = cones.f_from_sigmas(fun, state[0]) - psi
+    rn = float(np.abs(r).max())
     record = StageRecord(residuals=[rn], dampings=[])
     while rn > config.tolerance:
         if len(record.residuals) > config.max_newton:
@@ -402,44 +399,44 @@ def _newton_solve(u, fun, chi, psi, config, state=None):
 
 def _check_subsolution(u_sub, phi, fun, chi, psi_interior):
     """A solve's input checks, run before any Newton work; a failed one
-    raises SubsolutionError.  Returns (f(lambda(g[u_sub])), tangential
-    minimum): on the cylinder the lowest tangential eigenvalue of g - g_sub
-    on the faces, at least -10 h^2; nan on the complex model.  A face's
-    block comes from its node layer, where u is phi: read from phi - u_sub."""
+    raises SubsolutionError.  Returns (_stage_start's cold start,
+    f(lambda(g)) there, tangential minimum): on the cylinder the lowest
+    tangential eigenvalue of g - g_sub on the faces, at least -10 h^2, read
+    from phi - u_sub, as u is phi on a face's node layer; nan if complex."""
     geom = u_sub.geom
     faces = geom.faces
     if np.abs(u_sub.values[faces] - phi.values[faces]).max() > BOUNDARY_MATCH_ATOL:
         raise SubsolutionError("subsolution does not match the boundary data")
     tangential = np.nan
     if not geom.is_complex:
-        # the planes of the tangential block, on the periodic axes 0..d-1:
-        # its diagonal, then its pairs in row order, as the layout orders them
+        # the tangential block of a face layer: its second partials along
+        # the periodic axes 0..d-1, as the planes of a d x d form
         d = geom.real_dims - 1
-        block = list(range(d)) + [_index(d + 1, a, b) for a, b in _pairs(d)]
-        diff = ScalarField(geom=geom, values=phi.values - u_sub.values)
-        tangential = min(_extreme_eigenvalues(face[block], False)[0]
-                         for face in boundary_real_hessian(diff))
+        tangential = min(_extreme_eigenvalues(_real_partials(
+            _second_partials(phi.values - u_sub.values, geom, layer), range(d), geom.h,
+            np.empty((d * (d + 1) // 2,) + geom.interior_shape[:d])), False)[0]
+            for layer in (0, -1))
         if tangential < -10.0 * geom.h * geom.h:
             raise SubsolutionError(
                 f"tangential boundary monotonicity violated: {tangential!r}")
     try:
-        sigma, _ = newton_state(u_sub, fun, chi)
+        start = _stage_start(u_sub, phi, fun, chi)
     except AdmissibilityError as exc:
         raise SubsolutionError(f"subsolution not admissible: {exc}") from None
-    psi0 = cones.f_from_sigmas(fun, sigma)  # f(lambda(g[u_sub]))
+    psi0 = cones.f_from_sigmas(fun, start[1][0])
     if np.any(psi0 < psi_interior - SUBSOLUTION_SLACK):
         worst = float((psi_interior - psi0).max())
-        raise SubsolutionError(
-            f"subsolution inequality violated by {worst!r} at some node"
-        )
-    return psi0, tangential
+        raise SubsolutionError(f"subsolution inequality violated by {worst!r} "
+                               "at some node")
+    return start, psi0, tangential
 
 
-def _stage_start(u_sub, phi):
-    """u_sub with its faces set to phi's: where the Newton stage starts."""
+def _stage_start(u_sub, phi, fun, chi) -> list:
+    """[u_sub with phi's faces, its newton_state]: the cold Newton stage's
+    start.  AdmissibilityError when it is not in the cone."""
     u = ScalarField(geom=u_sub.geom, values=u_sub.values.copy())
     u.values[u.geom.faces] = phi.values[u.geom.faces]
-    return u
+    return [u, newton_state(u, fun, chi)]
 
 
 class _Fallback(Exception):
@@ -510,9 +507,9 @@ def _nested_start(u_sub, phi, fun, chi, psi, config, report) -> list:
     """The fine stage's nested start: the Newton stage on the grid of
     every other node, from u_sub, phi and psi injected there, prolonged
     (_prolonged), its faces set to phi's and lifted by _bump.  Returns
-    [start, its newton_state or None] (_bump's); records the coarse
-    StageRecord and c in ``report``; raises _Fallback when the coarse
-    stage fails or no bump admits the start."""
+    [start, its newton_state] (_bump's, or formed after a bump); records
+    the coarse StageRecord and c in ``report``; raises _Fallback when the
+    coarse stage fails or no bump admits the start."""
     geom = u_sub.geom
     coarse = replace(geom, resolution=geom.resolution // 2)
     every_other = (slice(None, None, 2),) * geom.real_dims
@@ -521,39 +518,41 @@ def _nested_start(u_sub, phi, fun, chi, psi, config, report) -> list:
     sub, data = (ScalarField(geom=coarse, values=f.values[every_other])
                  for f in (u_sub, phi))
     try:
-        U, report.coarse = _newton_solve(_stage_start(sub, data), fun, chi,
-                                         psi[tuple(inner)], config)
+        U, report.coarse = _newton_solve(_stage_start(sub, data, fun, chi),
+                                         fun, chi, psi[tuple(inner)], config)
     except SOLVE_ERRORS as exc:
         raise _Fallback(f"coarse stage: {exc}") from None
     u = ScalarField(geom=geom, values=_prolonged(U.values, geom))
     u.values[geom.faces] = phi.values[geom.faces]
     report.bump, state = _bump(u, fun, chi)
-    return [u, state]
+    try:
+        return [u, state or newton_state(u, fun, chi)]
+    except AdmissibilityError:
+        raise _Fallback("repaired start inadmissible") from None
 
 
-def _fine_stage(u_sub, phi, fun, chi, psi, degenerate, config, report):
+def _fine_stage(cold, u_sub, phi, fun, chi, psi, degenerate, config, report):
     """The solve's Newton stage on its own grid: (u, StageRecord).  It
     starts nested (_nested_start) when psi is ``degenerate``
-    (f(lambda(g[u_sub])) >= DEGENERATE_RATIO psi at some node) and the
-    grid halves to at least NESTED_MIN_RESOLUTION nodes per period; cold
-    (_stage_start) otherwise, or when the nested start or its stage
-    fails, with the reason in report.fallback."""
+    (f(lambda(g)) >= DEGENERATE_RATIO psi at some node of ``cold``) and
+    the grid halves to at least NESTED_MIN_RESOLUTION nodes per period;
+    from ``cold``, _check_subsolution's start, otherwise, or when the
+    nested start or its stage fails, with the reason in report.fallback."""
     m = u_sub.geom.resolution
     if degenerate and m % 2 == 0 and m // 2 >= NESTED_MIN_RESOLUTION:
+        cold.clear()  # no nested stage holds the cold start; a fallback forms it again
         try:
-            # each start (and the nested start's state) is formed in or
-            # popped into the call, so that the stage alone holds it and
-            # drops it with its first step
-            start = _nested_start(u_sub, phi, fun, chi, psi, config, report)
-            u, record = _newton_solve(start.pop(0), fun, chi, psi, config,
-                                      start.pop())
+            u, record = _newton_solve(
+                _nested_start(u_sub, phi, fun, chi, psi, config, report),
+                fun, chi, psi, config)
             report.start = "nested"
             return u, record
         except _Fallback as exc:
             report.fallback = str(exc)
         except SOLVE_ERRORS as exc:
             report.fallback = f"fine stage: {exc}"
-    return _newton_solve(_stage_start(u_sub, phi), fun, chi, psi, config)
+        cold = _stage_start(u_sub, phi, fun, chi)
+    return _newton_solve(cold, fun, chi, psi, config)
 
 
 def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = None):
@@ -570,14 +569,14 @@ def continuity_solve(fun, chi, psi, phi, u_sub, config: SolverConfig | None = No
     start = perf_counter()
     geom = u_sub.geom
     psi_interior = _interior_values(geom, psi)
-    psi0, tangential = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
+    cold, psi0, tangential = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
     degenerate = bool(np.any(psi0 >= DEGENERATE_RATIO * psi_interior))
     del psi0  # held by no stage
     checked = perf_counter()
 
     nested = SolveReport()
-    u, record = _fine_stage(u_sub, phi, fun, chi, psi_interior, degenerate,
-                            config, nested)
+    u, record = _fine_stage(cold, u_sub, phi, fun, chi, psi_interior,
+                            degenerate, config, nested)
 
     solved = perf_counter()
     report = replace(estimate_report(u), label=fun.label, converged=True,
@@ -857,9 +856,10 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
     failures are recorded and the sweep continues.  A row's
     newton_iterations is the solve's step count, "" when it failed; a
     failed row's final_residual is the residual its ContinuationError
-    reached (nan for the other errors, and for an inadmissible start).
-    sup_lap is the report's: max |tr form_field(u)| over the interior
-    nodes, from the forms estimate_report takes its interior norm from.
+    reached (nan for the other errors).  delta0 is min(f(lambda(g)) - psi)
+    at the start the input checks certify.  sup_lap is the report's:
+    max |tr form_field(u)| over the interior nodes, from the forms
+    estimate_report takes its interior norm from.
     """
     config = config or SolverConfig()
     geom = u_sub.geom
@@ -867,7 +867,7 @@ def degenerate_sweep(fun, chi, psi, phi, u_sub, eps_list, config=None):
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be positive")
     psi_interior = _interior_values(geom, psi)
-    psi0, _ = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
+    _, psi0, _ = _check_subsolution(u_sub, phi, fun, chi, psi_interior)
     delta0 = float((psi0 - psi_interior).min())
     if delta0 <= 0:
         raise SubsolutionError("need a strict subsolution for the sweep")

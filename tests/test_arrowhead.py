@@ -763,6 +763,32 @@ class TestBoundAndVerify:
             monkeypatch.setattr(ah, "_BATCH", budget)
             assert rows() == default, budget
 
+    @pytest.mark.parametrize("mode", ["strong", "weak", "distinct"])
+    def test_rows_do_not_depend_on_the_dense_blocks(self, mode, monkeypatch):
+        # dense blocks of one matrix and of at most 200 entries: each
+        # matrix is solved alone and the maxima are exact, so every row is
+        # the same; no _spectra call takes more than its block
+        sizes, inner = [], ah._spectra
+
+        def spy(d, a_off, corner):
+            sizes.append(len(d) * (d.shape[-1] + 1) ** 2)
+            return inner(d, a_off, corner)
+
+        def rows():
+            sizes.clear()
+            return [s.csv_row() for n in (2, 5, 8)
+                    for s in ah.sweep_cells(n, [(mode, eps, fraction)
+                                                for eps in (0.05, 1.0)
+                                                for fraction in (1.0, 0.5)],
+                                            2600, 3)]
+
+        monkeypatch.setattr(ah, "_spectra", spy)
+        default, calls = rows(), len(sizes)
+        for budget in (1, 200):
+            monkeypatch.setattr(ah, "_DENSE_ENTRIES", budget)
+            assert rows() == default, budget
+            assert max(sizes) <= max(budget, 64) and len(sizes) > calls
+
     def test_sweep_memory_stays_bounded(self):
         # tracemalloc peaks (numpy 2.4.6): 0.86 MB on both one-cell sweeps
         # and 0.87 MB on the nine cells of n = 8 swept together, in

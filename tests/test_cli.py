@@ -248,6 +248,43 @@ class TestConeCheck:
             outcomes.add(results[0][0])
         assert outcomes == {"drawn", "refused"}
 
+    def test_over_budget_draw_refused_soon(self, tmp_path, capsys, monkeypatch):
+        # ma at n = 17 keeps about 1 in 985 candidates, more than 1 in
+        # CONE_ODDS, and 14,513 samples fit the entry cap; their 29,026
+        # cone points need about 2.9e7 candidates, above CONE_BUDGET, as
+        # the first block's acceptance shows: refused after one block
+        blocks, in_cone = [], cn.in_cone
+
+        def counted(fun, lam):
+            blocks.append(len(lam))
+            return in_cone(fun, lam)
+
+        monkeypatch.setattr(cn, "in_cone", counted)
+        code, out = run(tmp_path, "cone-check", "n = 17\nkinds = ma\nsamples = 14513\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: samples: ma at n = 17 ")
+        assert err.count("\n") == 1 and f"more than {cli.CONE_BUDGET} " in err
+        assert not out.exists()
+        assert blocks == [4 * 2 * 14513]
+
+    def test_budget_leaves_the_draws_it_admits(self, monkeypatch):
+        # ma at n = 6 keeps about 9% of its candidates, so 200 points take
+        # about 2,300: a budget of 5 per point refuses the draw once its
+        # first block (800 candidates) falls short; one of 20 per point
+        # admits it, drawn as with the default budget, stream and all
+        fun = cn.parse_kind("ma", 6)
+        ref_rng = np.random.default_rng(4)
+        ref = cli._draw_in_cone(fun, 200, ref_rng)
+        monkeypatch.setattr(cli, "CONE_TRIES", 64)
+        monkeypatch.setattr(cli, "CONE_BUDGET", 5 * 200)
+        with pytest.raises(cli.ConfigError, match="would take more than 1000 "):
+            cli._draw_in_cone(fun, 200, np.random.default_rng(4))
+        monkeypatch.setattr(cli, "CONE_BUDGET", 20 * 200)
+        rng = np.random.default_rng(4)
+        np.testing.assert_array_equal(cli._draw_in_cone(fun, 200, rng), ref)
+        assert rng.random() == ref_rng.random()
+
     @pytest.mark.parametrize("samples", [1, 1000])
     def test_scarce_cone_refused_soon(self, tmp_path, capsys, monkeypatch,
                                       samples):

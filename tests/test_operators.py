@@ -114,13 +114,13 @@ class TestResidual:
         assert rn == 0.0
 
     def test_subsolution_start_is_zero(self):
-        # psi0 comes from the solver's own path, so the stage-0 residual
-        # is an exact zero
+        # psi0, f at the checked start, comes from the solver's own path,
+        # so the stage-0 residual is an exact zero
         fun = cn.monge_ampere(2)
         prob = pr.build_problem(GEOM, fun, "manufactured", "zero", "star-bump")
-        psi0, _ = sv._check_subsolution(prob.u_sub, prob.phi, fun, prob.chi,
-                                        prob.psi.values[GEOM.interior])
-        _, rn, _ = sv._residual_and_mask(prob.u_sub, fun, prob.chi, psi0)
+        start, psi0, _ = sv._check_subsolution(prob.u_sub, prob.phi, fun, prob.chi,
+                                               prob.psi.values[GEOM.interior])
+        _, rn, _ = sv._residual_and_mask(start[0], fun, prob.chi, psi0)
         assert rn == 0.0
 
     def test_manufactured_consistency_order(self):

@@ -101,13 +101,14 @@ class TestTrivialSolve:
 
 
 def count_stages(monkeypatch):
-    """The argument lists _newton_solve is called with, filled as it runs."""
+    """The argument lists _newton_solve is called with, its start's field
+    in place of the [u, state] list it empties, filled as it runs."""
     calls = []
     inner = sv._newton_solve
 
-    def stage(*args):
-        calls.append(args)
-        return inner(*args)
+    def stage(start, *args):
+        calls.append((start[0],) + args)
+        return inner(start, *args)
 
     monkeypatch.setattr(sv, "_newton_solve", stage)
     return calls
@@ -209,8 +210,8 @@ class TestNewton:
     def test_zero_residual_is_fixed_point(self):
         prob = pr.build_problem(GEOM8, MA2, "one", "zero", "zero")
         u, record = sv._newton_solve(
-            ScalarField.zeros(GEOM8), MA2, prob.chi,
-            np.ones(GEOM8.interior_shape), sv.SolverConfig(),
+            sv._stage_start(ScalarField.zeros(GEOM8), prob.phi, MA2, prob.chi),
+            MA2, prob.chi, np.ones(GEOM8.interior_shape), sv.SolverConfig(),
         )
         assert u.sup() == 0.0 and record.dampings == []
 
@@ -218,7 +219,8 @@ class TestNewton:
         prob = pr.build_problem(GEOM8, S1, "manufactured", "zero", "star-bump")
         psi_int = prob.psi.values[GEOM8.interior]
         u, record = sv._newton_solve(
-            prob.u_sub, S1, prob.chi, psi_int, sv.SolverConfig()
+            sv._stage_start(prob.u_sub, prob.phi, S1, prob.chi), S1, prob.chi,
+            psi_int, sv.SolverConfig()
         )
         lam = eigenvalues(u, prob.chi)
         resid = np.abs(cn.f_many(S1, lam) - psi_int).max()
@@ -228,19 +230,21 @@ class TestNewton:
     def test_damping_trials_follow_the_cone_exit(self, monkeypatch):
         # degenerate data: every step tries the full step first; when it
         # leaves the cone the next trial is EXIT_FRACTION theta*, and the
-        # trials halve from there.  One residual evaluation per trial
+        # trials halve from there.  One Newton state per residual
+        # evaluation: the start's (_stage_start), then one per trial
         prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
         psi_int = prob.psi.values[GEOM8.interior] + 1e-3
         evals = [0]
-        inner = sv._residual_and_mask
+        inner = sv.newton_state
 
         def counted(*args):
             evals[0] += 1
             return inner(*args)
 
-        monkeypatch.setattr(sv, "_residual_and_mask", counted)
-        u, record = sv._newton_solve(prob.u_sub, MA2, prob.chi, psi_int,
-                                     sv.SolverConfig())
+        monkeypatch.setattr(sv, "newton_state", counted)
+        u, record = sv._newton_solve(
+            sv._stage_start(prob.u_sub, prob.phi, MA2, prob.chi), MA2, prob.chi,
+            psi_int, sv.SolverConfig())
         assert len(record.cone_exits) == len(record.dampings)
         for step, exit_ in zip(record.trials, record.cone_exits):
             assert [f for f, _ in step] == expected_factors(step, exit_)
@@ -264,8 +268,9 @@ class TestNewton:
         u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
         record = rep.stage
         assert len(record.trials) == len(record.dampings)
-        # the stage start, then every trial in order
-        assert [res for step in record.trials for _, res in step] == seen[1:]
+        # every trial in order (the start's residual comes from the input
+        # checks' Newton state)
+        assert [res for step in record.trials for _, res in step] == seen
         for k, step in enumerate(record.trials):
             assert [f for f, _ in step] == expected_factors(
                 step, record.cone_exits[k])
@@ -282,20 +287,21 @@ class TestNewton:
 
     def test_cone_exit_damps_a_near_degenerate_cold_solve(self, monkeypatch):
         # 8^4 Monge-Ampere, degenerate-cos + 1e-6 from the zero
-        # subsolution: 12 steps and 21 residual evaluations, where halving
-        # from twice the last factor took 23 and 43.  Every damped step
-        # rejects its full trial as inadmissible and accepts EXIT_FRACTION
-        # theta*, with theta* < 1
+        # subsolution: 12 steps and 21 residual evaluations, each with its
+        # own Newton state (the input checks' at the start, then one per
+        # trial), where halving from twice the last factor took 23 and 43.
+        # Every damped step rejects its full trial as inadmissible and
+        # accepts EXIT_FRACTION theta*, with theta* < 1
         prob = pr.build_problem(GEOM8, MA2, "degenerate-cos", "zero", "zero")
         psi = ScalarField(geom=GEOM8, values=prob.psi.values + 1e-6)
         evals = [0]
-        inner = sv._residual_and_mask
+        inner = sv.newton_state
 
         def counted(*args):
             evals[0] += 1
             return inner(*args)
 
-        monkeypatch.setattr(sv, "_residual_and_mask", counted)
+        monkeypatch.setattr(sv, "newton_state", counted)
         u, rep = sv.continuity_solve(MA2, prob.chi, psi, prob.phi, prob.u_sub)
         record = rep.stage
         assert rep.final_residual <= sv.SolverConfig().tolerance
@@ -338,7 +344,8 @@ class TestNewton:
 
         monkeypatch.setattr(sv, "_cone_exit", spy)
         monkeypatch.setattr(sv, "EXIT_BLOCK", block)
-        sv._newton_solve(prob.u_sub, fun, prob.chi, psi, sv.SolverConfig())
+        sv._newton_solve(sv._stage_start(prob.u_sub, prob.phi, fun, prob.chi),
+                         fun, prob.chi, psi, sv.SolverConfig())
         assert seen and all(bits(a) == bits(b) for a, b in seen)
 
     def test_cone_exit_holds_g_and_h_and_one_block(self):
@@ -598,9 +605,9 @@ class TestPolynomialStep:
         geom, fun = CylinderGeometry(d=3, resolution=16), cn.sigma_k_root(3, 2)
         prob = pr.build_problem(geom, fun, "degenerate-cos", "zero", "zero")
         psi = ScalarField(geom=geom, values=prob.psi.values + 1e-3)
-        _, stage = sv._newton_solve(sv._stage_start(prob.u_sub, prob.phi),
-                                    fun, prob.chi, psi.values[geom.interior],
-                                    sv.SolverConfig())
+        _, stage = sv._newton_solve(
+            sv._stage_start(prob.u_sub, prob.phi, fun, prob.chi),
+            fun, prob.chi, psi.values[geom.interior], sv.SolverConfig())
         assert len(stage.dampings) == 4
         assert stage.dampings == [1.0] * 4
         assert stage.residuals[-1] <= sv.SolverConfig().tolerance
@@ -1013,6 +1020,94 @@ def tangential_violation():
     return fun, chi, psi, phi, u_sub
 
 
+class TestCheckedStart:
+    """The input checks certify the cold stage's own start, u_sub with
+    phi's faces, and hand the stage that start with its Newton state."""
+
+    @pytest.mark.parametrize("geom, psi, eps", [
+        (GEOM8, "manufactured", 0.0), (GEOM8, "degenerate-cos", 1e-3),
+        (CylinderGeometry(d=3, resolution=8), "degenerate-cos", 1e-3)],
+        ids=["complex-manufactured", "complex-degenerate", "cyl-degenerate"])
+    def test_one_state_per_residual_evaluation(self, geom, psi, eps,
+                                               monkeypatch):
+        # the check's Newton state is the one the stage linearizes its
+        # first step with; after it, one state per damping trial (None
+        # where the trial left the cone)
+        states, linearized = [], []
+        inner_state, inner_linearize = sv.newton_state, sv.linearize
+
+        def state_spy(*args):
+            states.append(None)
+            states[-1] = inner_state(*args)
+            return states[-1]
+
+        def linearize_spy(u, fun, chi, state=None):
+            linearized.append(state)
+            return inner_linearize(u, fun, chi, state)
+
+        monkeypatch.setattr(sv, "newton_state", state_spy)
+        monkeypatch.setattr(sv, "linearize", linearize_spy)
+        fun, chi, psi_, phi, u_sub = problem_of(geom, "ma", psi, eps)
+        u, rep = sv.continuity_solve(fun, chi, psi_, phi, u_sub)
+        assert rep.start == "cold" and rep.newton_iterations > 0
+        assert len(states) == 1 + sum(map(len, rep.stage.trials))
+        assert linearized[0] is states[0]
+
+    def test_inadmissible_start_refused_before_the_stage(self, monkeypatch):
+        # sigma1 on the 8^4 model, u_sub a function of x_n whose first node
+        # layers sit just inside the cone only because its faces lie
+        # 0.9e-10 (within BOUNDARY_MATCH_ATOL) above phi = 0: that offset
+        # raises sigma_1 there by 0.9e-10 / (4 h^2) = 1.44e-9, and the start
+        # (phi's faces) has sigma_1 = -5e-10 on those layers alone
+        geom, offset, deficit = GEOM8, 0.9e-10, -5e-10
+        assert offset < sv.BOUNDARY_MATCH_ATOL
+        prob = pr.build_problem(geom, S1, "one", "zero", "zero")
+        m, h = geom.resolution, geom.h
+        target = np.ones(m - 1)  # sigma_1 = 2 + u_nn / 4 per interior layer
+        target[[0, -1]] = deficit
+        lap = np.diag(np.full(m - 1, -2.0)) + np.diag(np.ones(m - 2), 1) \
+            + np.diag(np.ones(m - 2), -1)
+        q = np.zeros(m + 1)
+        q[1:-1] = np.linalg.solve(lap, 4.0 * (target - 2.0) * h * h)
+        shape = [1] * geom.real_dims
+        shape[geom.dirichlet_axis] = m + 1
+        u_sub = ScalarField(geom=geom, values=np.broadcast_to(
+            q.reshape(shape), geom.shape).copy())
+        u_sub.values[geom.faces] += offset
+        start = u_sub.copy()
+        start.values[geom.faces] = prob.phi.values[geom.faces]
+        sigma, _ = op.newton_tensors(form_field(start, prob.chi), 1, True)
+        layers = np.moveaxis(sigma[..., 0], geom.dirichlet_axis, 0)
+        assert (layers[[0, -1]] < 0.0).all() and (layers[1:-1] > 0.0).all()
+        assert layers.min() > -offset / (4.0 * h * h)
+        op.newton_state(u_sub, S1, prob.chi)  # u_sub itself is admissible
+        psi = ScalarField(geom=geom, values=np.full(geom.shape, 1e-10))
+        calls = count_stages(monkeypatch)
+        with pytest.raises(sv.SubsolutionError,
+                           match=r"not admissible: .* grid index \(0, 0, 1, 0\)"):
+            sv.continuity_solve(S1, prob.chi, psi, prob.phi, u_sub)
+        assert calls == []
+
+    @pytest.mark.parametrize("d, m", [(2, 8), (3, 8), (3, 12)])
+    def test_tangential_block_as_from_the_face_hessian(self, d, m):
+        # the tangential minimum from the periodic-axis planes of each face
+        # layer alone, bit for bit as from the tangential block of the
+        # faces' full real Hessian (one-sided normal stencils included)
+        geom = CylinderGeometry(d=d, resolution=m)
+        fun, chi, psi, phi, u_sub = problem_of(geom, "ma", "manufactured")
+        noise = np.random.default_rng(d * m).uniform(-1.0, 1.0, geom.shape)
+        u_sub.values[geom.faces] += 1e-11 * noise[geom.faces]
+        _, _, tangential = sv._check_subsolution(
+            u_sub, phi, fun, chi, psi.values[geom.interior])
+        k = d - 1  # the periodic axes 0..k-1 of the d x d form
+        block = list(range(k)) + [op._index(d, a, b) for a, b in op._pairs(k)]
+        diff = ScalarField(geom=geom, values=phi.values - u_sub.values)
+        expected = min(sv._extreme_eigenvalues(face[block], False)[0]
+                       for face in boundary_real_hessian(diff))
+        assert tangential < 0.0
+        assert bits(tangential) == bits(expected)
+
+
 def _reflect(v, axis):
     """v at -x along a periodic axis: node i takes node -i mod m."""
     return np.roll(np.flip(v, axis), 1, axis)
@@ -1192,7 +1287,7 @@ def problem_of(geom, kind, psi="degenerate-cos", eps=1e-3):
 
 def cold_stage(fun, chi, psi, phi, u_sub):
     """The cold Newton stage alone, from _stage_start: (u, StageRecord)."""
-    return sv._newton_solve(sv._stage_start(u_sub, phi), fun, chi,
+    return sv._newton_solve(sv._stage_start(u_sub, phi, fun, chi), fun, chi,
                             psi.values[u_sub.geom.interior], sv.SolverConfig())
 
 
@@ -1334,19 +1429,20 @@ class TestNestedStart:
 
     @pytest.mark.parametrize("fault, reason", [
         ("coarse", "coarse stage: "),
-        ("bump", "fine stage: stage start inadmissible"),
+        ("bump", "repaired start inadmissible"),
     ])
     def test_every_fallback_is_reported(self, fault, reason, monkeypatch):
-        # a failed coarse stage and a fine stage from an inadmissible start
-        # (no bump added) each fall back to the cold stage
+        # a failed coarse stage, and a prolonged start left inadmissible (no
+        # bump added) and refused before any fine stage, each fall back to
+        # the cold stage
         problem = problem_of(CYL16, "ma")
         if fault == "coarse":
             inner = sv._newton_solve
 
-            def stage(u, *args):
-                if u.geom.resolution == 8:
+            def stage(start, *args):
+                if start[0].geom.resolution == 8:
                     raise sv.ContinuationError("no admissible damping factor")
-                return inner(u, *args)
+                return inner(start, *args)
 
             monkeypatch.setattr(sv, "_newton_solve", stage)
         else:
