@@ -70,6 +70,7 @@ __all__ = [
     "sweep_at_threshold",
     "sweep_cells",
     "SWEEP_CSV_HEADER",
+    "SPEC_BOUND",
 ]
 
 # Strict inequalities of the exact-arithmetic statements are tested
@@ -89,6 +90,9 @@ TRACE_RTOL = 1e-10
 SWEEP_SLACK = 16 * np.finfo(float).eps
 
 SWEEP_CSV_HEADER = "n,eps,corner_fraction,max_dev,max_excess,violations"
+
+# The sweeps draw every diagonal and border entry within this modulus.
+SPEC_BOUND = 10.0
 
 # Sweep trials are drawn in fixed-size chunks, each from its own RNG
 # stream; the chunk size is part of what defines a sweep's output.
@@ -419,8 +423,8 @@ def _draw_specs(n: int, trials: int, rng: np.random.Generator):
     |a_i| (the similarity in the module docstring), so no phase is drawn.
     A phase would be the last draw of a chunk's own stream, so leaving it
     out keeps d and the moduli as they were."""
-    d = rng.uniform(-10.0, 10.0, size=(trials, n - 1))
-    mod = rng.uniform(0.0, 10.0, size=(trials, n - 1))
+    d = rng.uniform(-SPEC_BOUND, SPEC_BOUND, size=(trials, n - 1))
+    mod = rng.uniform(0.0, SPEC_BOUND, size=(trials, n - 1))
     return d, mod
 
 

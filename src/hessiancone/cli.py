@@ -208,6 +208,15 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
         _require(trials >= 1, "trials: must be at least 1")
         _require(all(0 < f <= 1 for f in fractions),
                  "corner_fractions: every value must be in (0, 1]")
+        # a threshold that overflows at the largest entries the sweeps draw
+        # turns their bounds into inf and nan
+        top = np.full(max(ns) - 1, arrowhead.SPEC_BOUND)
+        with np.errstate(over="ignore"):
+            for eps in eps_list:
+                _require(all(np.isfinite(threshold(top, top, eps)) for threshold in (
+                    arrowhead.threshold_strong, arrowhead.threshold_weak,
+                    arrowhead.threshold_distinct)),
+                         f"eps: {eps!r} makes a growth threshold overflow at n = {max(ns)}")
         cfg.refuse_unread()
     modes = ("strong", "weak", "distinct")
     below = [frac for frac in fractions if frac < 1.0]
@@ -235,93 +244,41 @@ def cmd_lemma_sweep(cfg, writer, seed, profile):
     return failed
 
 
-def _scarce(fun, kept, tried):
-    """The ConfigError of a cone draw that kept kept of tried candidates."""
-    return ConfigError(
-        f"kinds: {fun.label} at n = {fun.n} kept {kept} of {tried} "
-        f"uniform candidates, fewer than 1 in {CONE_ODDS}; lower n")
-
-
 def _draw_in_cone(fun, count, rng):
     """``count`` cone points by rejection from ``rng.uniform(-3, 3, n) + 1``:
-    the points, and the stream position, of ``count`` rejection loops run
-    one after another.  Candidates are drawn and tested in blocks; when a
-    block completes the count, the stream is rewound and exactly the
-    candidates the loops would consume are drawn again.  Blocks that fall
-    short grow up to CONE_BLOCK_MAX; a draw that has tried CONE_TRIES
-    candidates and kept fewer than 1 in CONE_ODDS, or at a rate that
-    would need more than CONE_BUDGET for ``count``, raises ConfigError."""
+    candidates are drawn and tested in blocks, and the in-cone rows are
+    kept in draw order until there are ``count``.  Blocks that fall short
+    grow up to CONE_BLOCK_MAX; a draw that has tried CONE_TRIES candidates
+    and kept fewer than 1 in CONE_ODDS, or at a rate that would need more
+    than CONE_BUDGET for ``count``, raises ConfigError."""
     found, tried, kept = [], 0, 0
     while kept < count:
         if tried >= CONE_TRIES and kept * CONE_ODDS < tried:
-            raise _scarce(fun, kept, tried)
+            raise ConfigError(
+                f"kinds: {fun.label} at n = {fun.n} kept {kept} of {tried} "
+                f"uniform candidates, fewer than 1 in {CONE_ODDS}; lower n")
         if tried >= CONE_TRIES and tried * count > CONE_BUDGET * kept:
             raise ConfigError(
                 f"samples: {fun.label} at n = {fun.n} kept {kept} of {tried} "
                 f"uniform candidates, so {count} cone points would take more "
                 f"than {CONE_BUDGET} candidates; lower samples or n")
-        start = rng.bit_generator.state
         # the lowest shipped acceptance rate at n = 3 is 8/27 (ma), so one
         # block of four candidates per point usually suffices
         block = max(16, 4 * (count - kept), min(tried, CONE_BLOCK_MAX))
         lam = rng.uniform(-3.0, 3.0, (block, fun.n)) + 1.0
-        hits = np.flatnonzero(cones.in_cone(fun, lam))[:count - kept]
-        if kept + hits.size == count:
-            rng.bit_generator.state = start
-            rng.uniform(-3.0, 3.0, (hits[-1] + 1, fun.n))
-        found.append(lam[hits])
+        found.append(lam[cones.in_cone(fun, lam)][:count - kept])
         tried += block
-        kept += hits.size
+        kept += len(found[-1])
     return np.concatenate(found)
 
 
-def _level_draws(fun, count, rng):
-    """``count`` (lam, sigma) pairs, as ``count`` runs of the loop
-    ``lam = _draw_in_cone(fun, 1, rng)[0]; sigma = rng.uniform(0.2, 4.0)``
-    would draw them, read from blocks of ``rng.random()`` doubles
-    (``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, bit for
-    bit).  The candidates of a level starting at offset p of a block sit
-    at p, p + n, ..., so one in_cone call per offset residue mod n tests
-    every candidate of the block, and the levels are walked over the
-    hits.  The stream is then rewound and exactly the doubles the loop
-    consumed are drawn again.  A level that runs past its block carries
-    on in the next, whose size follows _draw_in_cone's rule; a level
-    without a hit in CONE_TRIES candidates raises ConfigError, as
-    _draw_in_cone(fun, 1, rng) does."""
-    n = fun.n
-    lam, sigma = np.empty((count, n)), np.empty(count)
-    done = tried = 0
-    while done < count:
-        if tried >= CONE_TRIES:
-            raise _scarce(fun, 0, tried)
-        start = rng.bit_generator.state
-        rows = max(16, 4 * (count - done), min(tried, CONE_BLOCK_MAX))
-        u = rng.random(rows * n + count - done)
-        cand = -3.0 + 6.0 * u + 1.0
-        hits = [cones.in_cone(fun, cand[r:r + (u.size - r) // n * n].reshape(-1, n))
-                for r in range(min(n, count - done))]
-        pos = 0
-        while done < count:
-            scan = hits[pos % n][pos // n:][:CONE_TRIES - tried]
-            h = int(scan.argmax()) if scan.any() else scan.size  # rows before the hit
-            end = pos + (h + 1) * n  # the offset of sigma
-            if h == scan.size or end >= u.size:  # no hit, or no room for sigma
-                tried, pos = tried + h, pos + h * n
-                break
-            lam[done], sigma[done] = cand[end - n:end], 0.2 + (4.0 - 0.2) * u[end]
-            done, tried, pos = done + 1, 0, end + 1
-        rng.bit_generator.state = start
-        rng.random(pos)
-    return lam, sigma
-
-
 def _cone_draws(fun, samples, rng):
-    """(lam, mu, level_lam, sigma), drawn in the order of the per-sample
-    loop they replace: lam then mu per sample, then lam then sigma per
-    level."""
+    """(lam, mu, level_lam, sigma): 2 * samples cone points taken in pairs,
+    then one cone point per ray-check level, then the levels' sigmas."""
+    levels = max(1, samples // 10)
     pairs = _draw_in_cone(fun, 2 * samples, rng).reshape(samples, 2, fun.n)
-    level_lam, sigma = _level_draws(fun, max(1, samples // 10), rng)
-    return pairs[:, 0], pairs[:, 1], level_lam, sigma
+    level_lam = _draw_in_cone(fun, levels, rng)
+    return pairs[:, 0], pairs[:, 1], level_lam, rng.uniform(0.2, 4.0, levels)
 
 
 def _cone_rows(fun, samples, rng):
@@ -483,9 +440,13 @@ def cmd_degenerate(cfg, writer, seed, profile):
                  "eps_list: every value must be positive")
         cfg.refuse_unread()
         prob = build_problem(geom, fun, "degenerate-cos", "zero", "zero")
-    rows_data = degenerate_sweep(fun, prob.chi, prob.psi, prob.phi, prob.u_sub,
-                                 eps_list, config)
     rows, laps, failed = [], [], []
+    try:
+        rows_data = degenerate_sweep(fun, prob.chi, prob.psi, prob.phi,
+                                     prob.u_sub, eps_list, config)
+    except SOLVE_ERRORS as exc:  # the input checks refused the sweep's start
+        rows_data = []
+        failed.append(str(exc))
     for r in rows_data:
         rows.append(
             f"{r['eps']!r},{int(r['converged'])},{r['final_residual']!r},"

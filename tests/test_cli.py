@@ -94,7 +94,9 @@ class TestLemmaSweep:
         assert out.stderr == ""
 
 
-# cone-check rows at seed 0, 40 samples, kinds sigma1,sigmaK:2,ma,quotient:1:2
+# cone-check rows at seed 0, 40 samples, kinds sigma1,sigmaK:2,ma,quotient:1:2:
+# per kind, 80 cone points taken as (lam, mu) pairs, then 4 level points,
+# then the 4 level sigmas, from one stream across the kinds
 SEED0_ROWS = [
     "sigma1,gradient_positivity,40,0,",
     "sigma1,concavity_midpoint,40,0,",
@@ -102,37 +104,37 @@ SEED0_ROWS = [
     "sigma1,euler_identity,40,0,",
     "sigma1,fd_gradient,40,0,0.0",
     "sigma1,ray_unique,40,0,",
-    "sigma1,fi_sum_bound,40,0,1.0569862604811",
+    "sigma1,fi_sum_bound,40,0,0.1789611256303858",
     "sigmaK:2,gradient_positivity,40,0,",
     "sigmaK:2,concavity_midpoint,40,0,",
     "sigmaK:2,concavity_gradient,40,0,",
     "sigmaK:2,euler_identity,40,0,",
-    "sigmaK:2,fd_gradient,40,0,3.4961341029932967e-16",
+    "sigmaK:2,fd_gradient,40,0,3.6368380614742844e-16",
     "sigmaK:2,ray_unique,40,0,",
-    "sigmaK:2,fi_sum_bound,40,0,0.6853297099036604",
-    "sigmaK:2,gap_epsprime_min,25,0,0.0699029097162809",
-    "sigmaK:2,gap_epsprime_median,25,0,0.24879532680030078",
-    "sigmaK:2,gap_epsprime_max,25,0,0.7348094349360823",
+    "sigmaK:2,fi_sum_bound,40,0,0.550564748190864",
+    "sigmaK:2,gap_epsprime_min,25,0,0.06817225124850468",
+    "sigmaK:2,gap_epsprime_median,25,0,0.20790100113392035",
+    "sigmaK:2,gap_epsprime_max,25,0,0.7177709396522456",
     "ma,gradient_positivity,40,0,",
     "ma,concavity_midpoint,40,0,",
     "ma,concavity_gradient,40,0,",
     "ma,euler_identity,40,0,",
-    "ma,fd_gradient,40,0,4.237730988069061e-16",
+    "ma,fd_gradient,40,0,4.107528150800392e-16",
     "ma,ray_unique,40,0,",
-    "ma,fi_sum_bound,40,0,0.26582826222429956",
-    "ma,gap_epsprime_min,25,0,0.025940802487676662",
-    "ma,gap_epsprime_median,25,0,0.09825097717335725",
-    "ma,gap_epsprime_max,25,0,0.8286866483076071",
+    "ma,fi_sum_bound,40,0,0.6880936638936794",
+    "ma,gap_epsprime_min,35,0,0.02647851078324244",
+    "ma,gap_epsprime_median,35,0,0.11700189205481952",
+    "ma,gap_epsprime_max,35,0,0.7802303198314169",
     "quotient:1:2,gradient_positivity,40,0,",
     "quotient:1:2,concavity_midpoint,40,0,",
     "quotient:1:2,concavity_gradient,40,0,",
     "quotient:1:2,euler_identity,40,0,",
-    "quotient:1:2,fd_gradient,40,0,5.690775076733429e-16",
+    "quotient:1:2,fd_gradient,40,0,5.33445416562768e-16",
     "quotient:1:2,ray_unique,40,0,",
-    "quotient:1:2,fi_sum_bound,40,0,0.6713766270235372",
-    "quotient:1:2,gap_epsprime_min,34,0,0.027602566955911147",
-    "quotient:1:2,gap_epsprime_median,34,0,0.11225307873428132",
-    "quotient:1:2,gap_epsprime_max,34,0,0.3144373743379795",
+    "quotient:1:2,fi_sum_bound,40,0,0.7448316818951546",
+    "quotient:1:2,gap_epsprime_min,33,0,0.027460628432043416",
+    "quotient:1:2,gap_epsprime_median,33,0,0.13685603985076805",
+    "quotient:1:2,gap_epsprime_max,33,0,0.3314440370403629",
 ]
 
 
@@ -169,8 +171,8 @@ class TestConeCheck:
         assert "sigma1,gradient_positivity,20,1," in (out / "cone_check.csv").read_text()
 
     def test_seed0_rows_pinned(self, tmp_path):
-        # the draw order (per sample lam then mu, per level lam then sigma)
-        # and the values of every check at seed 0
+        # the draw order (pairs, then level points, then level sigmas) and
+        # the values of every check at seed 0
         code, out = run(tmp_path, "cone-check",
                         "n = 3\nkinds = sigma1,sigmaK:2,ma,quotient:1:2\n"
                         "samples = 40\n")
@@ -183,70 +185,22 @@ class TestConeCheck:
                                  "quotient:2:3")],
         ("ma", 8),  # acceptance (2/3)^8, about 4%: the blocks fall short and grow
     ])
-    def test_block_draws_equal_per_attempt_loop(self, name, n):
+    def test_draw_gives_count_cone_points_per_seed(self, name, n):
         fun = cn.parse_kind(name, n)
+        for count in (1, 7, 120):
+            lam = cli._draw_in_cone(fun, count, np.random.default_rng(12))
+            assert lam.shape == (count, n)
+            assert cn.in_cone(fun, lam).all()
+            np.testing.assert_array_equal(
+                cli._draw_in_cone(fun, count, np.random.default_rng(12)), lam)
 
-        def draw(rng):  # the per-attempt rejection loop the blocks replace
-            while True:
-                lam = rng.uniform(-3.0, 3.0, fun.n) + 1.0
-                if cn.in_cone(fun, lam):
-                    return lam
-
-        samples = 60
-        ref_rng, rng = np.random.default_rng(12), np.random.default_rng(12)
-        pairs = [(draw(ref_rng), draw(ref_rng)) for _ in range(samples)]
-        levels = [(draw(ref_rng), ref_rng.uniform(0.2, 4.0))
-                  for _ in range(samples // 10)]
-        lam, mu, level_lam, sigma = cli._cone_draws(fun, samples, rng)
-        np.testing.assert_array_equal(lam, [p[0] for p in pairs])
-        np.testing.assert_array_equal(mu, [p[1] for p in pairs])
-        np.testing.assert_array_equal(level_lam, [v[0] for v in levels])
-        np.testing.assert_array_equal(sigma, [v[1] for v in levels])
-        assert rng.uniform() == ref_rng.uniform()
-
-    @staticmethod
-    def per_level_loop(fun, count, rng):
-        """The loop cli._level_draws replaces: a one-point draw, then
-        sigma, per level."""
-        levels = [(cli._draw_in_cone(fun, 1, rng)[0], rng.uniform(0.2, 4.0))
-                  for _ in range(count)]
-        return np.array([v[0] for v in levels]), np.array([v[1] for v in levels])
-
-    @pytest.mark.parametrize("name, n", [("sigma1", 3), ("ma", 3), ("quotient:1:2", 3),
-                                         ("ma", 8), ("sigmaK:2", 5)])
-    @pytest.mark.parametrize("block_max", [16, cli.CONE_BLOCK_MAX])
-    def test_level_draws_equal_per_level_loop(self, name, n, block_max, monkeypatch):
-        # blocks of at most 16 rows make the levels of ma at n = 8 run
-        # past their blocks and carry on in the next
-        monkeypatch.setattr(cli, "CONE_BLOCK_MAX", block_max)
-        fun = cn.parse_kind(name, n)
-        for seed in range(3):
-            for count in (1, 7, 100):
-                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                ref = self.per_level_loop(fun, count, ref_rng)
-                for got, want in zip(cli._level_draws(fun, count, rng), ref, strict=True):
-                    np.testing.assert_array_equal(got, want)
-                assert rng.random() == ref_rng.random()
-
-    def test_scarce_level_refused_as_one_point_draw(self, monkeypatch):
-        # CONE_TRIES = 64 and ma at n = 10 (acceptance about 1.7%): some
-        # seeds find three levels, others refuse one; the block scan does
-        # what the per-level loop does, message and stream alike
-        monkeypatch.setattr(cli, "CONE_TRIES", 64)
-        fun = cn.parse_kind("ma", 10)
-        outcomes = set()
-        for seed in range(8):
-            results = []
-            for draw in (self.per_level_loop, cli._level_draws):
-                rng = np.random.default_rng(seed)
-                try:
-                    draw(fun, 3, rng)
-                    results.append(("drawn", rng.random()))
-                except cli.ConfigError as exc:
-                    results.append(("refused", str(exc)))
-            assert results[0] == results[1]
-            outcomes.add(results[0][0])
-        assert outcomes == {"drawn", "refused"}
+    @pytest.mark.parametrize("seed", range(10))
+    def test_default_config_passes_at_seed(self, tmp_path, seed):
+        # the benchmark's cone config: n = 3, the default kinds, 1000 samples
+        code, out = run(tmp_path, "cone-check", seed=seed)
+        assert code == 0
+        rows = (out / "cone_check.csv").read_text().splitlines()[2:]
+        assert len(rows) == 37 and all(r.split(",")[3] == "0" for r in rows)
 
     def test_over_budget_draw_refused_soon(self, tmp_path, capsys, monkeypatch):
         # ma at n = 17 keeps about 1 in 985 candidates, more than 1 in
@@ -816,6 +770,41 @@ class TestFailureReport:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"{command} failed: ") and err.count("\n") == 1
+
+
+# the solving commands on the small grids, every shipped kind at form
+# dimension 3; then a degenerate sweep without a strict subsolution and a
+# lemma sweep whose eps overflows a threshold, with the status and the
+# stderr line each must end in
+FAILURE_PATHS = [
+    *[(command, f"{geometry}resolution = 4\nkind = {kind}\n", None)
+      for geometry in ("geometry = riemannian\nd = 3\n", "geometry = complex\nn = 3\n")
+      for kind in ("sigma1", "sigmaK:2", "sigmaK:3", "ma", "quotient:1:2",
+                   "quotient:1:3", "quotient:2:3")
+      for command in ("solve", "boundary-scaling", "degenerate")],
+    # f(I) of quotient:2:3 is below the degenerate-cos level 0.4
+    *[("degenerate", f"{geometry}kind = quotient:2:3\nresolution = 8\n",
+       (1, "degenerate failed: subsolution inequality violated by "))
+      for geometry in ("geometry = riemannian\n", "n = 3\n")],
+    # at n = 8 the strong threshold at the largest entries the sweeps
+    # draw, 13 / eps * 700 + ..., overflows
+    *[("lemma-sweep", f"eps = {eps}\nns = 3 8\ntrials = 50\n",
+       (2, f"config error: eps: {eps} makes a growth threshold overflow at n = 8\n"))
+      for eps in ("1e-305", "1e-307")],
+]
+
+
+class TestFailurePaths:
+    def test_status_and_at_most_one_line(self, tmp_path, capsys):
+        # whatever fails, a run ends in status 0, 1 or 2 with at most one
+        # stderr line and no traceback
+        for i, (command, cfg_text, want) in enumerate(FAILURE_PATHS):
+            code, out = run(tmp_path, command, cfg_text, sub=str(i))
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and err.count("\n") == (code != 0), cfg_text
+            assert "Traceback" not in err and (code != 2 or not out.exists())
+            if want:
+                assert code == want[0] and err.startswith(want[1]), cfg_text
 
 
 class _Reached(Exception):
